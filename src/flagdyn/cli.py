@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -33,17 +34,12 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.fmt not in ("json", "csv", "human"):
             raise ValueError(f"unknown format {self.fmt!r}")
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    return cast(raw)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,7 +80,7 @@ def _render_cases(suite_name: str, cases, fmt: str) -> str:
 def cmd_verify(config: RunConfig) -> int:
     try:
         outcomes = checks.run_checks(suite=config.suite, seed=config.seed,
-                                     samples=config.samples, tol=config.tol)
+                                     samples=config.samples)
     except KeyError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return 2
@@ -109,12 +105,12 @@ def _oracle(name):
 
 
 @_oracle("subalgebra-table")
-def _oracle_subalgebras(config):
+def _oracle_subalgebras():
     return [_report_case(r) for r in cls.verify_subalgebra_table()]
 
 
 @_oracle("bracket-table")
-def _oracle_brackets(config):
+def _oracle_brackets():
     return [_report_case(r) for r in cls.tresse_bracket_suite()]
 
 
@@ -126,7 +122,7 @@ def _report_case(r: cls.OracleReport):
 
 def _degeneration_case(name):
     @_oracle(f"degeneration-{name}")
-    def _run(config, name=name):
+    def _run(name=name):
         cases = []
         for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
             res = cls.degeneration_limit(name, t)
@@ -154,7 +150,7 @@ def cmd_oracle(case: str, config: RunConfig) -> int:
             f"error: unknown oracle case {case!r}; known: "
             f"{', '.join(sorted(_ORACLE_CASES))}\n")
         return 2
-    cases = _ORACLE_CASES[case](config)
+    cases = _ORACLE_CASES[case]()
     _emit(_render_cases(case, cases, config.fmt), config.out)
     return 0 if all(c["pass"] for c in cases) else 1
 
@@ -184,9 +180,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     if config.out:
         dyn.write_trajectory_csv(config.out, orbit)
     else:
-        sys.stdout.write("step,x,y,z\n")
-        for k, row in enumerate(orbit):
-            sys.stdout.write(f"{k},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+        dyn.write_trajectory_rows(sys.stdout, orbit)
     return 0
 
 
@@ -232,25 +226,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "models and their dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int,
-                       default=_env_default("seed", int, 0))
-        p.add_argument("--samples", type=int,
-                       default=_env_default("samples", int, None))
-        p.add_argument("--tol", type=float,
-                       default=_env_default("tol", float, 1e-9))
-        p.add_argument("--format", dest="fmt", default=_env_default("format", str, "human"),
-                       choices=("json", "csv", "human"))
-        p.add_argument("--out", default=_env_default("out", str, None))
+    # Shared options; each falls back to its FLAGDYN_<NAME> variable, passed
+    # as a string default so that argparse converts and validates it.
+    def env(name, fallback=None):
+        return os.environ.get(ENV_PREFIX + name.upper(), fallback)
+
+    shared = {
+        "--seed": dict(type=int, default=env("seed", "0")),
+        "--samples": dict(type=int, default=env("samples")),
+        "--tol": dict(type=float, default=env("tol", "1e-9")),
+        "--format": dict(dest="fmt", choices=("json", "csv", "human"),
+                         default=env("format", "human")),
+        "--out": dict(default=env("out")),
+    }
+
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suite", default=None,
                     help=f"one of: {', '.join(checks.suites())} (default: all)")
-    add_common(pv)
+    add_shared(pv, "--seed", "--samples", "--format", "--out")
 
     po = sub.add_parser("oracle", help="run one classification oracle")
     po.add_argument("case", help=f"one of: {', '.join(sorted(_ORACLE_CASES))}")
-    add_common(po)
+    add_shared(po, "--format", "--out")
 
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
     ps.add_argument("--matrix", default="2,1,1,1",
@@ -258,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--translation", default="0,0,0")
     ps.add_argument("--start", default="0.37,0.21,0.13")
     ps.add_argument("-n", "--steps", type=int, default=100)
-    add_common(ps)
+    add_shared(ps, "--out")
 
     pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
     pl.add_argument("--matrix", default="2,1,1,1")
     pl.add_argument("--translation", default="0,0,0")
     pl.add_argument("-n", "--steps", type=int, default=200)
-    add_common(pl)
+    add_shared(pl, "--tol", "--format", "--out")
     return parser
 
 
@@ -275,9 +276,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = RunConfig(suite=getattr(args, "suite", None), seed=args.seed,
-                           samples=args.samples, tol=args.tol,
-                           fmt=args.fmt, out=args.out)
+        config = RunConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(RunConfig) if hasattr(args, f.name)})
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -38,6 +38,7 @@ __all__ = [
     "hyperbolicity_report",
     "volume_obstruction_check",
     "write_trajectory_csv",
+    "write_trajectory_rows",
 ]
 
 
@@ -402,9 +403,15 @@ def volume_obstruction_check(lam: float, mu: float) -> str:
     return "obstructed" if (both_small or both_large) else "admissible"
 
 
+def write_trajectory_rows(fh, orbit) -> None:
+    """Trajectory CSV to an open text stream, one row at a time: header
+    step,x,y,z, then 17 significant digits per coordinate."""
+    fh.write("step,x,y,z\n")
+    for k, row in enumerate(orbit):
+        fh.write(f"{k},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+
+
 def write_trajectory_csv(path, orbit) -> None:
-    """CSV export with header step,x,y,z; 17 significant digits."""
+    """Trajectory CSV export to the file at `path`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,x,y,z\n")
-        for k, row in enumerate(orbit):
-            fh.write(f"{k},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+        write_trajectory_rows(fh, orbit)

@@ -14,7 +14,17 @@ from enum import Enum
 from fractions import Fraction
 
 from .lie_core import GroupElem, LieVec
-from .rational import adjugate3, cross, dot, mat_vec, nullspace, rank, solve, vec_mat
+from .rational import (
+    adjugate3,
+    cross,
+    dot,
+    mat_vec,
+    normalize_lead,
+    nullspace,
+    rank,
+    solve,
+    vec_mat,
+)
 
 __all__ = [
     "ProjPoint",
@@ -48,21 +58,13 @@ class BoundaryError(ValueError):
     """Raised when a chart is evaluated outside its domain."""
 
 
-def _normalize(vec):
-    v = tuple(Fraction(e) for e in vec)
-    lead = next((e for e in v if e != 0), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective class")
-    return tuple(e / lead for e in v)
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     coords: tuple
 
     @staticmethod
     def of(vec) -> "ProjPoint":
-        return ProjPoint(_normalize(vec))
+        return ProjPoint(normalize_lead(vec))
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class ProjLine:
 
     @staticmethod
     def of(normal) -> "ProjLine":
-        return ProjLine(_normalize(normal))
+        return ProjLine(normalize_lead(normal))
 
     @staticmethod
     def through(p: ProjPoint, q: ProjPoint) -> "ProjLine":
@@ -161,8 +163,7 @@ def affine_chart(x: Flag):
     u, v = n[1], -n[0]
     if u == 0 and v == 0:
         raise BoundaryError("flag line is the line at infinity")
-    lead = u if u != 0 else v
-    return (px, py), (u / lead, v / lead)
+    return (px, py), normalize_lead((u, v))
 
 
 def affine_chart_inverse(point, direction) -> Flag:
@@ -287,8 +288,8 @@ def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
 
 def alpha_circle_flag(x: Flag, s, t) -> Flag:
     """Parametrized alpha circle: lines through the point of x."""
-    n1 = cross(x.point.coords, _first_complement(x.point.coords))
-    n2 = cross(x.point.coords, _second_complement(x.point.coords))
+    n1 = cross(x.point.coords, _unit_after_pivot(x.point.coords, 1))
+    n2 = cross(x.point.coords, _unit_after_pivot(x.point.coords, 2))
     n = tuple(Fraction(s) * a + Fraction(t) * b for a, b in zip(n1, n2))
     return Flag(x.point, ProjLine.of(n))
 
@@ -300,19 +301,12 @@ def beta_circle_flag(x: Flag, s, t) -> Flag:
     return Flag(ProjPoint.of(m), x.line)
 
 
-def _first_complement(v):
+def _unit_after_pivot(v, shift):
+    """Standard basis vector `shift` places (cyclically) after the first
+    nonzero entry of v; shifts 1 and 2 complete v to a basis."""
     i = next(k for k, e in enumerate(v) if e != 0)
-    j = (i + 1) % 3
     out = [Fraction(0)] * 3
-    out[j] = Fraction(1)
-    return tuple(out)
-
-
-def _second_complement(v):
-    i = next(k for k, e in enumerate(v) if e != 0)
-    j = (i + 2) % 3
-    out = [Fraction(0)] * 3
-    out[j] = Fraction(1)
+    out[(i + shift) % 3] = Fraction(1)
     return tuple(out)
 
 

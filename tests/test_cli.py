@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from flagdyn import classification as cls
 from flagdyn import cli
 
@@ -61,9 +63,10 @@ class TestVerify:
         payload = json.loads(target.read_text())
         assert payload["cases"]
 
-    def test_invalid_tolerance_is_usage_error(self, capsys):
-        code, _ = run(["verify", "--tol", "-1"], capsys)
-        assert code == 2
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_usage_error(self, capsys, samples):
+        code, out = run(["verify", "--samples", samples], capsys)
+        assert code == 2 and out == ""
 
 
 class TestOracle:
@@ -129,6 +132,28 @@ class TestLyapunov:
         ph = next(c for c in payload["cases"] if c["id"] == "partially-hyperbolic")
         assert ph["pass"] and ph["n"] == 1
 
+    def test_invalid_tolerance_is_usage_error(self, capsys):
+        for tol in ("-1", "0", "nan", "inf"):
+            code, out = run(["lyapunov", "-n", "20", "--tol", tol], capsys)
+            assert code == 2 and out == "", tol
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "1e-6"],
+    ["oracle", "bracket-table", "--seed", "1"],
+    ["oracle", "bracket-table", "--samples", "1"],
+    ["oracle", "bracket-table", "--tol", "1e-6"],
+    ["simulate", "-n", "1", "--seed", "1"],
+    ["simulate", "-n", "1", "--samples", "1"],
+    ["simulate", "-n", "1", "--tol", "1e-6"],
+    ["simulate", "-n", "1", "--format", "json"],
+    ["lyapunov", "-n", "20", "--seed", "1"],
+    ["lyapunov", "-n", "20", "--samples", "1"],
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    code, out = run(argv, capsys)
+    assert code == 2 and out == ""
+
 
 class TestEnvOverrides:
     def test_seed_from_environment(self, capsys, monkeypatch):
@@ -142,3 +167,10 @@ class TestEnvOverrides:
         parser = cli.build_parser()
         args = parser.parse_args(["verify"])
         assert args.fmt == "json"
+
+    @pytest.mark.parametrize("name, value", [("SEED", "abc"), ("SAMPLES", "0"),
+                                             ("FORMAT", "xml")])
+    def test_malformed_value_is_usage_error(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv("FLAGDYN_" + name, value)
+        code, out = run(["verify", "--suite", "classification"], capsys)
+        assert code == 2 and out == ""

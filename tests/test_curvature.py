@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from flagdyn import curvature as curv
-from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import rand_frac, rand_interior_flag, rand_traceless, rand_upper
+from flagdyn.checks import rand_frac, rand_traceless, rand_upper
+from registry_twins import twin
 
 
 def rand_curvature(rng):
@@ -17,6 +17,10 @@ def rand_curvature(rng):
 
 
 class TestCurvatureAction:
+    test_exponent_scaling_samples = twin("curvature-exponent-sampling")
+    test_diagonal_exponents_in_bulk = twin("curvature-diagonal-exponents")
+    test_left_action = twin("curvature-left-action")
+
     def test_identity(self):
         rng = random.Random(1)
         k = rand_curvature(rng)
@@ -39,30 +43,6 @@ class TestCurvatureAction:
         out = curv.curvature_action(p, curv.NormalCurvature.of(1, 0, 0, 0))
         assert out.k_alpha == Fraction(1, 2)
 
-    def test_exponent_scaling_samples(self):
-        for s in (2, 3, 5):
-            p = lc.GroupElem([[s, 0, 0], [0, Fraction(1, s), 0], [0, 0, 1]])
-            out = curv.curvature_action(p, curv.NormalCurvature.of(1, 1, 0, 0))
-            assert out.k_alpha == Fraction(1, s)
-            assert out.k_beta == Fraction(s) ** 5
-
-    def test_diagonal_exponents_in_bulk(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            p = rand_upper(rng)
-            k = rand_curvature(rng)
-            out = curv.curvature_action(p, k)
-            assert out.k_alpha == curv.alpha_scale(p) * k.k_alpha
-            assert out.k_beta == curv.beta_scale(p) * k.k_beta
-
-    def test_left_action(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            p, q = rand_upper(rng), rand_upper(rng)
-            k = rand_curvature(rng)
-            assert curv.curvature_action(p @ q, k) == curv.curvature_action(
-                p, curv.curvature_action(q, k))
-
     def test_sparse_path_agrees_with_dense_reference(self):
         rng = random.Random(6)
         for _ in range(200):
@@ -78,66 +58,15 @@ class TestCurvatureAction:
 
 
 class TestHarmonic:
-    def test_zero_is_harmonic(self):
-        assert curv.is_harmonic(curv.NormalCurvature.zero())
-
-    def test_lowest_component_breaks_harmonicity(self):
-        assert not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))
-        assert not curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0))
-
-    def test_invariance_under_the_action(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            p = rand_upper(rng)
-            k = curv.NormalCurvature.of(0, 0, rand_frac(rng), rand_frac(rng))
-            assert curv.is_harmonic(curv.curvature_action(p, k))
+    test_zero_is_harmonic = twin("harmonic-subspace-invariant")
+    test_lowest_component_breaks_harmonicity = twin("harmonic-subspace-invariant")
+    test_invariance_under_the_action = twin("harmonic-subspace-invariant")
 
 
 class TestContact:
-    def _heis_pair(self):
-        half = Fraction(1, 2)
-        zero = lambda p: Fraction(0)
-        xf = curv.PolynomialField(
-            lambda p: (1, 0, -half * p[1]),
-            [[zero] * 3, [zero] * 3, [zero, lambda p: -half, zero]])
-        yf = curv.PolynomialField(
-            lambda p: (0, 1, half * p[0]),
-            [[zero] * 3, [zero] * 3, [lambda p: half, zero, zero]])
-        return xf, yf
-
-    def test_heis_left_invariant_pair_is_contact(self):
-        rng = random.Random(11)
-        xf, yf = self._heis_pair()
-        for _ in range(50):
-            p = tuple(rand_frac(rng) for _ in range(3))
-            assert curv.contact_test(xf, yf, p)
-
-    def test_commuting_coordinate_fields_are_not(self):
-        zero = lambda p: Fraction(0)
-        a = curv.PolynomialField(lambda p: (1, 0, 0), [[zero] * 3] * 3)
-        b = curv.PolynomialField(lambda p: (0, 1, 0), [[zero] * 3] * 3)
-        assert not curv.contact_test(a, b, (0, 0, 0))
-
-    def test_model_frames_are_contact_at_interior_points(self):
-        rng = random.Random(13)
-        for model, gens in (("t", (md.SL2_E, md.SL2_F)),
-                            ("a", (md.HEIS_X, md.HEIS_Y))):
-            def field(gen, model=model):
-                def f(p):
-                    flag = fs.flag_from_coords(*p)
-                    h = md.transporter(flag, model)
-                    return fs.fundamental_vector(lc.conjugate(h, gen), flag)
-                return f
-
-            fa, fb = field(gens[0]), field(gens[1])
-            done = 0
-            while done < 25:
-                x = rand_interior_flag(rng, model)
-                p = fs.chart_coords(x)
-                if not _stencil_ok(p, Fraction(1, 512), model):
-                    continue
-                assert curv.contact_test(fa, fb, p, h=Fraction(1, 512))
-                done += 1
+    test_heis_left_invariant_pair_is_contact = twin("contact-heis-fields")
+    test_commuting_coordinate_fields_are_not = twin("contact-heis-fields")
+    test_model_frames_are_contact_at_interior_points = twin("contact-model-frames")
 
     def test_rescaling_does_not_change_verdict(self):
         rng = random.Random(17)
@@ -163,18 +92,6 @@ class TestContact:
         a = curv.PolynomialField(lambda p: (1, 0, 0), [[zero] * 3] * 3)
         with pytest.raises(curv.DegenerateFrameError):
             curv.contact_test(a, a, (0, 0, 0))
-
-
-def _stencil_ok(p, h, model):
-    for j in range(3):
-        for sign in (1, -1):
-            for step in (h, h / 2, h / 4):
-                q = list(p)
-                q[j] += sign * step
-                if fs.region_classify(fs.flag_from_coords(*q), model) \
-                        is not fs.Region.INTERIOR:
-                    return False
-    return True
 
 
 class TestFlowCommutator:

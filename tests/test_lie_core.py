@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import rand_frac, rand_group, rand_lievec, rand_upper
-from flagdyn.rational import mat_mul
+from flagdyn.checks import rand_frac, rand_group, rand_lievec
+from registry_twins import twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -23,11 +23,8 @@ def lievecs():
 
 
 class TestBracket:
-    def test_heis_generators(self):
-        assert lc.bracket(md.HEIS_X, md.HEIS_Y) == md.HEIS_Z
-
-    def test_sl2_generators(self):
-        assert lc.bracket(md.SL2_E, md.SL2_F) == md.SL2_H
+    test_heis_generators = twin("bracket-heis-generators")
+    test_sl2_generators = twin("bracket-sl2-generators")
 
     def test_corner_against_lowering(self):
         assert lc.bracket(lc.E_SUP_0, lc.E_0) == lc.E_1 + lc.E_2
@@ -68,15 +65,10 @@ class TestBracket:
 
 
 class TestGrading:
-    def test_lowering_corner_is_pure_lowest(self):
-        parts = lc.grade_decompose(lc.E_0)
-        assert parts[-2] == lc.E_0
-        assert all(parts[k].is_zero() for k in parts if k != -2)
-
-    def test_diagonal_is_pure_middle(self):
-        parts = lc.grade_decompose(lc.LieVec.diag(1, -1, 0))
-        assert parts[0] == lc.LieVec.diag(1, -1, 0)
-        assert all(parts[k].is_zero() for k in parts if k != 0)
+    test_lowering_corner_is_pure_lowest = twin("grading-pure-components")
+    test_diagonal_is_pure_middle = twin("grading-pure-components")
+    test_bracket_additivity_over_basis_pairs = twin("grading-bracket-additivity")
+    test_filtration_property_over_basis_pairs = twin("filtration-property")
 
     def test_components_sum_to_input(self):
         rng = random.Random(11)
@@ -92,28 +84,6 @@ class TestGrading:
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError):
             lc.grade_decompose(lc.LieVec.diag(1, 0, 0))
-
-    def test_bracket_additivity_over_basis_pairs(self):
-        for u in lc.BASIS:
-            for v in lc.BASIS:
-                gu = next(k for k, p in lc.grade_decompose(u).items() if not p.is_zero())
-                gv = next(k for k, p in lc.grade_decompose(v).items() if not p.is_zero())
-                br = lc.bracket(u, v)
-                if br.is_zero():
-                    continue
-                parts = lc.grade_decompose(br)
-                assert all(parts[k].is_zero() for k in parts if k != gu + gv)
-
-    def test_filtration_property_over_basis_pairs(self):
-        def level(v):
-            parts = lc.grade_decompose(v)
-            return min((k for k in parts if not parts[k].is_zero()), default=3)
-
-        for u in lc.BASIS:
-            for v in lc.BASIS:
-                br = lc.bracket(u, v)
-                if not br.is_zero():
-                    assert level(br) >= level(u) + level(v)
 
 
 class TestGroupElem:
@@ -139,6 +109,10 @@ class TestGroupElem:
 
 
 class TestQuotientAdjoint:
+    test_entries_against_independent_expressions = twin("quotient-adjoint-display")
+    test_matches_bruteforce_projection = twin("quotient-adjoint-bruteforce")
+    test_group_morphism = twin("quotient-adjoint-morphism")
+
     def test_identity(self):
         eye = lc.quotient_adjoint(lc.GroupElem.identity())
         assert eye == tuple(tuple(Fraction(int(i == j)) for j in range(3))
@@ -152,47 +126,15 @@ class TestQuotientAdjoint:
         assert (m[0][0], m[1][1], m[2][2]) == (a * b * b, 1 / (a * a * b), b / a)
         assert m[0][2] == 0 and m[1][2] == 0
 
-    def test_entries_against_independent_expressions(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            p = rand_upper(rng)
-            e = p.entries
-            d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-            expected = ((d3 / d2, Fraction(0), -(d3 * e[0][1]) / (d1 * d2)),
-                        (Fraction(0), d2 / d1, e[1][2] / d1),
-                        (Fraction(0), Fraction(0), d3 / d1))
-            assert lc.quotient_adjoint(p) == expected
-
-    def test_matches_bruteforce_projection(self):
-        rng = random.Random(17)
-        for _ in range(300):
-            p = rand_upper(rng)
-            assert lc.quotient_adjoint(p) == lc.quotient_adjoint_bruteforce(p)
-
-    def test_group_morphism(self):
-        rng = random.Random(19)
-        for _ in range(100):
-            p, q = rand_upper(rng), rand_upper(rng)
-            assert lc.quotient_adjoint(p @ q) == mat_mul(
-                lc.quotient_adjoint(p), lc.quotient_adjoint(q))
-
     def test_rejects_non_triangular(self):
         with pytest.raises(lc.NotUpperTriangularError):
             lc.quotient_adjoint(lc.GroupElem([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
 
 class TestCentralizerNormalizer:
-    def test_block_sl2_centralizer_is_central_line(self):
-        cent = lc.centralizer(cls.s_0())
-        assert cent.dim == 1
-        assert cent.contains(lc.LieVec.diag(1, 1, -2))
-
-    def test_rotation_algebras_have_trivial_centralizer(self):
-        assert lc.centralizer(cls.so3()).dim == 0
-        assert lc.centralizer(cls.so12()).dim == 0
-
-    def test_center_of_the_full_algebra_is_trivial(self):
-        assert lc.centralizer(lc.Subalgebra.of(list(lc.BASIS))).dim == 0
+    test_block_sl2_centralizer_is_central_line = twin("centralizer-block-sl2")
+    test_rotation_algebras_have_trivial_centralizer = twin("centralizer-so3-so12")
+    test_center_of_the_full_algebra_is_trivial = twin("centralizer-full")
 
     def test_normalizer_of_block_sl2_is_the_block_model_algebra(self):
         assert lc.normalizer(cls.s_0()).span_equals(cls.h_t())
@@ -207,17 +149,8 @@ class TestCentralizerNormalizer:
 
 
 class TestSubalgebraRecognizer:
-    def test_accepts_the_classified_list(self):
-        for alg in (cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2(), cls.s_0(),
-                    cls.heis_algebra(), cls.so3()):
-            assert alg.is_subalgebra()
-
-    def test_rejects_corrupted_basis(self):
-        basis = list(cls.h_1().basis)
-        rows = [list(r) for r in basis[2].entries]
-        rows[2][0] = Fraction(1)
-        basis[2] = lc.LieVec.of(rows)
-        assert not lc.Subalgebra.of(basis).is_subalgebra()
+    test_accepts_the_classified_list = twin("subalgebra-recognizer")
+    test_rejects_corrupted_basis = twin("subalgebra-recognizer")
 
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
@@ -225,19 +158,10 @@ class TestSubalgebraRecognizer:
 
 
 class TestExponentials:
+    test_ad_exp_consistency = twin("exp-ad-consistency")
+
     def test_exp_of_zero(self):
         assert np.allclose(lc.exp_group(lc.LieVec.zero()), np.eye(3))
-
-    def test_ad_exp_consistency(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            v = lc.LieVec.of([[rand_frac(rng, -3, 3, 3) for _ in range(3)]
-                              for _ in range(3)])
-            v = v - lc.LieVec.diag(v.trace() / 3, v.trace() / 3, v.trace() / 3)
-            lhs = lc.Ad_of_exp(v)
-            rhs = lc.exp_ad(v)
-            rel = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs))
-            assert rel <= 1e-9
 
     def test_diagonal_eigenvalues_on_circle_directions(self):
         # the bracket action of diag(1,-1,0) scales the two circle
@@ -255,23 +179,10 @@ class TestExponentials:
 
 
 class TestTheta:
+    test_group_morphism = twin("theta-morphisms")
+    test_algebra_morphism = twin("theta-morphisms")
+    test_fixes_block_model_algebra_setwise = twin("theta-fixes-block-model-algebra")
+
     def test_elementary_transpose_negate(self):
         assert lc.theta_involution(lc.LieVec.elementary(2, 1)) == \
             lc.LieVec.elementary(1, 2).scale(-1)
-
-    def test_group_morphism(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            g, h = rand_group(rng), rand_group(rng)
-            assert lc.theta_group(g @ h) == lc.theta_group(g) @ lc.theta_group(h)
-
-    def test_algebra_morphism(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            u, v = rand_lievec(rng), rand_lievec(rng)
-            assert lc.theta_involution(lc.bracket(u, v)) == \
-                lc.bracket(lc.theta_involution(u), lc.theta_involution(v))
-
-    def test_fixes_block_model_algebra_setwise(self):
-        ht = cls.h_t()
-        assert ht.map(lc.theta_involution).span_equals(ht)

@@ -12,14 +12,16 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import (
+    mat_mul2,
     nonzero_frac,
     rand_auto,
-    rand_frac,
     rand_heis,
     rand_interior_flag,
     rand_sl2,
     rand_upper,
 )
+from flagdyn.rational import normalize_lead
+from registry_twins import twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 heis_elems = st.tuples(fractions, fractions, fractions).map(
@@ -61,24 +63,9 @@ class TestHeisElem:
 
 
 class TestHeisAuto:
-    def test_composition_multiplies_parameters(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            f, g = rand_auto(rng), rand_auto(rng)
-            assert f.compose(g) == md.HeisAuto.of(f.lam * g.lam, f.mu * g.mu)
-
-    def test_is_group_automorphism(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            f = rand_auto(rng)
-            g, h = rand_heis(rng), rand_heis(rng)
-            assert f.apply(g.mul(h)) == f.apply(g).mul(f.apply(h))
-
-    def test_inverse_law(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            f = rand_auto(rng)
-            assert f.compose(f.inverse()) == md.HeisAuto.identity()
+    test_composition_multiplies_parameters = twin("auto-composition-law")
+    test_is_group_automorphism = twin("auto-is-automorphism")
+    test_inverse_law = twin("auto-composition-law")
 
     def test_zero_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -86,42 +73,15 @@ class TestHeisAuto:
 
 
 class TestEquivarianceAffine:
+    test_diagonal_display = twin("equivariance-affine-display")
+    test_group_morphism = twin("equivariance-affine-morphism")
+    test_injective_with_exact_inverse = twin("equivariance-affine-morphism")
+    test_conjugates_the_actions = twin("equivariance-affine-conjugates-action")
+
     def test_identity(self):
         h, phi = md.equivariance_a(lc.GroupElem.identity())
         assert h == md.HeisElem.identity()
         assert phi == md.HeisAuto.identity()
-
-    def test_diagonal_display(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            lam, mu = nonzero_frac(rng), nonzero_frac(rng)
-            p = lc.GroupElem([[lam, 0, 0], [0, 1 / (lam * mu), 0], [0, 0, mu]])
-            h, phi = md.equivariance_a(p)
-            assert h == md.HeisElem.identity()
-            assert phi == md.HeisAuto.of(lam * lam * mu, 1 / (lam * mu * mu))
-
-    def test_group_morphism(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            p, q = rand_upper(rng), rand_upper(rng)
-            assert md.equivariance_a(p @ q) == md.heis_semidirect_mul(
-                md.equivariance_a(p), md.equivariance_a(q))
-
-    def test_injective_with_exact_inverse(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            p = rand_upper(rng)
-            assert md.equivariance_a_inverse(*md.equivariance_a(p)) == p
-
-    def test_conjugates_the_actions(self):
-        rng = random.Random(19)
-        for _ in range(100):
-            p = rand_upper(rng)
-            h = rand_heis(rng)
-            hp, phi = md.equivariance_a(p)
-            lhs = fs.act(p, fs.act(h.as_group_elem(), fs.O_A))
-            rhs = fs.act(hp.mul(phi.apply(h)).as_group_elem(), fs.O_A)
-            assert lhs == rhs
 
     def test_membership_violation(self):
         with pytest.raises(md.MembershipError):
@@ -143,9 +103,7 @@ class TestEquivarianceBlock:
             s2, l2 = md.equivariance_t(g2)
             s12, l12 = md.equivariance_t(g1 @ g2)
             assert l12 == l1 * l2
-            prod = tuple(tuple(sum(s1[i][k] * s2[k][j] for k in range(2))
-                               for j in range(2)) for i in range(2))
-            assert s12 == prod
+            assert s12 == mat_mul2(s1, s2)
 
     def test_conjugates_the_actions(self):
         rng = random.Random(29)
@@ -155,12 +113,9 @@ class TestEquivarianceBlock:
             big = md.equivariance_t_inverse(g2, lam)
             emb = md.equivariance_t_inverse(s, Fraction(1))
             lhs = fs.act(big, fs.act(emb, fs.O_T))
-            prod = tuple(tuple(sum(g2[i][k] * s[k][j] for k in range(2))
-                               for j in range(2)) for i in range(2))
             a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
-            prod_a = tuple(tuple(sum(prod[i][k] * a[k][j] for k in range(2))
-                                 for j in range(2)) for i in range(2))
-            rhs = fs.act(md.equivariance_t_inverse(prod_a, Fraction(1)), fs.O_T)
+            rhs = fs.act(md.equivariance_t_inverse(mat_mul2(mat_mul2(g2, s), a),
+                                                   Fraction(1)), fs.O_T)
             assert lhs == rhs
 
     def test_membership_violations(self):
@@ -172,12 +127,8 @@ class TestEquivarianceBlock:
 
 
 class TestFrames:
-    def test_base_values(self):
-        for model, anchor in (("a", fs.O_A), ("t", fs.O_T)):
-            fr = md.frame_at(anchor, model)
-            assert fr.line_alpha == (0, 0, 1)
-            assert fr.line_beta == (0, 1, 0)
-            assert fr.line_c == (1, 0, 0)
+    test_base_values = twin("frame-base-values")
+    test_contact_pair_matches_standard_lines = twin("frame-contact-pair-standard")
 
     def test_well_defined_under_stabilizer(self):
         rng = random.Random(31)
@@ -194,8 +145,7 @@ class TestFrames:
                 h = md.transporter(x, model) @ stab()
                 assert fs.act(h, fs.O_T if model == "t" else fs.O_A) == x
                 lines = tuple(
-                    md._normalize_direction(
-                        fs.fundamental_vector(lc.conjugate(h, g), x))
+                    normalize_lead(fs.fundamental_vector(lc.conjugate(h, g), x))
                     for g in gens)
                 assert (base.line_alpha, base.line_beta, base.line_c) == lines
 
@@ -217,22 +167,12 @@ class TestFrames:
                     fr_x = md.frame_at(x, model)
                     fr_y = md.frame_at(y, model)
                     pushed = tuple(
-                        md._normalize_direction(fs.push_tangent(g, x, line))
+                        normalize_lead(fs.push_tangent(g, x, line))
                         for line in (fr_x.line_alpha, fr_x.line_beta, fr_x.line_c))
                 except fs.BoundaryError:
                     continue
                 assert pushed == (fr_y.line_alpha, fr_y.line_beta, fr_y.line_c)
                 done += 1
-
-    def test_contact_pair_matches_standard_lines(self):
-        rng = random.Random(41)
-        for model in ("t", "a"):
-            for _ in range(100):
-                x = rand_interior_flag(rng, model)
-                fr = md.frame_at(x, model)
-                _, _, z = fs.chart_coords(x)
-                assert fr.line_alpha == (0, 0, 1)
-                assert fr.line_beta == md._normalize_direction((z, Fraction(1), Fraction(0)))
 
     def test_boundary_flag_rejected(self):
         with pytest.raises(fs.BoundaryError):
@@ -240,68 +180,19 @@ class TestFrames:
 
 
 class TestFlatStructureIso:
-    def test_identity_pair(self):
-        assert md.flat_structure_iso(md.HEIS_X, md.HEIS_Y) == \
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def test_displayed_example(self):
-        m = md.flat_structure_iso(md.HEIS_X + md.HEIS_Z, md.HEIS_Y)
-        assert m == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
+    test_identity_pair = twin("flat-structure-iso")
+    test_displayed_example = twin("flat-structure-iso")
+    test_is_bracket_automorphism = twin("flat-structure-iso")
 
     def test_rejects_non_contact_pair(self):
         with pytest.raises(md.ContactConditionError):
             md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(2) + md.HEIS_Z)
 
-    def test_is_bracket_automorphism(self):
-        rng = random.Random(43)
-        basis = (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)
-
-        def apply(mat, u):
-            coords = (u.entries[0][1], u.entries[1][2], u.entries[0][2])
-            return sum((basis[i].scale(sum(mat[i][j] * coords[j] for j in range(3)))
-                        for i in range(3)), lc.LieVec.zero())
-
-        count = 0
-        while count < 50:
-            v = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
-            w = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
-            try:
-                m = md.flat_structure_iso(v, w)
-            except md.ContactConditionError:
-                continue
-            assert apply(m, md.HEIS_X) == v
-            assert apply(m, md.HEIS_Y) == w
-            for u1, u2 in ((md.HEIS_X, md.HEIS_Y), (md.HEIS_X, md.HEIS_Z),
-                           (md.HEIS_Y, md.HEIS_Z)):
-                assert apply(m, lc.bracket(u1, u2)) == \
-                    lc.bracket(apply(m, u1), apply(m, u2))
-            count += 1
-
 
 class TestAffineLinearization:
-    def test_identity(self):
-        assert md.theta_affine(md.HeisElem.identity(), md.HeisAuto.identity()) \
-            == md.AffineMap.identity()
-
-    def test_displayed_matrix(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            g, phi = rand_heis(rng), rand_auto(rng)
-            m = md.theta_affine(g, phi)
-            assert m.linear == (
-                (phi.lam, 0, 0),
-                (0, phi.mu, 0),
-                (0, phi.mu * g.x, phi.lam * phi.mu))
-            assert m.translation == (g.x, g.y, g.z)
-
-    def test_group_morphism(self):
-        rng = random.Random(53)
-        for _ in range(100):
-            a = (rand_heis(rng), rand_auto(rng))
-            b = (rand_heis(rng), rand_auto(rng))
-            lhs = md.theta_affine(*md.heis_semidirect_mul(a, b))
-            rhs = md.theta_affine(*a).compose(md.theta_affine(*b))
-            assert lhs == rhs
+    test_identity = twin("affine-linearization")
+    test_displayed_matrix = twin("affine-linearization")
+    test_group_morphism = twin("affine-linearization")
 
     def test_injective(self):
         rng = random.Random(59)
@@ -313,6 +204,8 @@ class TestAffineLinearization:
 
 
 class TestCentralFlow:
+    test_exact_identities_in_bulk = twin("central-flow-identity")
+
     def test_time_zero_is_identity(self):
         assert md.commutator_identity_check((3, -2, 5), 0) == (True, True)
 
@@ -321,13 +214,6 @@ class TestCentralFlow:
         p = (Fraction(0), Fraction(0), Fraction(0))
         out = f_beta.flow(-1, f_alpha.flow(-1, f_beta.flow(1, f_alpha.flow(1, p))))
         assert out == (1, 0, 0)
-
-    def test_exact_identities_in_bulk(self):
-        rng = random.Random(61)
-        for _ in range(1000):
-            p = tuple(rand_frac(rng) for _ in range(3))
-            t = rand_frac(rng)
-            assert md.commutator_identity_check(p, t) == (True, True)
 
     def test_fields_realize_the_standard_frame(self):
         f_alpha, f_beta, f_c = md.central_flow_fields()
