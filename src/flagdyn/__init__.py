@@ -4,7 +4,6 @@ associated dynamical families (nilmanifold affine automorphisms, frame rates
 of the diagonal flow)."""
 
 from .lie_core import (
-    Ad_matrix,
     GroupElem,
     LieVec,
     Subalgebra,

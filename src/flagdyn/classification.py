@@ -20,9 +20,10 @@ from .lie_core import (
     bracket,
     centralizer,
     conjugate,
+    lincomb,
 )
 from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
-from .rational import nullspace, rank, solve
+from .rational import cross, dot, in_span, nullspace, rank, solve, span_equal
 
 __all__ = [
     "OracleReport",
@@ -41,6 +42,7 @@ __all__ = [
     "transverse_stabilizer_cases",
     "TransverseLineResult",
     "degeneration_limit",
+    "degeneration_samples",
     "degeneration_symbolic",
     "DEGENERATION_CASES",
     "DegenerationResult",
@@ -196,16 +198,13 @@ X1_FLAG = Flag.of((0, 0, 1), (1, 0, 0))  # base flag of the h-1 orbit
 
 _J = LieVec.of([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
-# case -> (algebra, base flag, isotropy parametrization v(a, b), frame lifts)
+# case -> (isotropy parametrization v(a, b), frame lifts)
 _ISOTROPY_CASES = {
-    "t": (h_t(), None, lambda a, b: LieVec.diag(a, -2 * a, a),
-          (SL2_E, SL2_F, SL2_H)),
-    "a": (h_a(), None, lambda a, b: LieVec.diag(a, -a - b, b),
-          (HEIS_X, HEIS_Y, HEIS_Z)),
-    "h1": (h_1(), X1_FLAG,
-           lambda a, b: LieVec.diag(a, -a, 0) + LieVec.elementary(0, 1).scale(b),
+    "t": (lambda a, b: LieVec.diag(a, -2 * a, a), (SL2_E, SL2_F, SL2_H)),
+    "a": (lambda a, b: LieVec.diag(a, -a - b, b), (HEIS_X, HEIS_Y, HEIS_Z)),
+    "h1": (lambda a, b: LieVec.diag(a, -a, 0) + LieVec.elementary(0, 1).scale(b),
            (LieVec.elementary(1, 0), LieVec.elementary(0, 2), LieVec.elementary(1, 2))),
-    "h2": (h_2(), None, lambda a, b: LieVec.diag(a, a, -2 * a),
+    "h2": (lambda a, b: LieVec.diag(a, a, -2 * a),
            (_J, LieVec.elementary(1, 2), LieVec.elementary(0, 2))),
 }
 
@@ -229,21 +228,8 @@ def _quotient_matrix(iso_basis, lifts, v: LieVec):
 def _isotropy_basis(alg: Subalgebra, base: Flag):
     """Elements of the subalgebra whose action derivative vanishes at the
     base flag, by exact nullspace."""
-    rows = []
-    for k in range(4):
-        row = []
-        for b in alg.basis:
-            dm, dn = flag_derivative(b, base)
-            row.append((list(dm) + list(dn))[k])
-        rows.append(row)
-    coords = nullspace(rows)
-    out = []
-    for c in coords:
-        v = LieVec.zero()
-        for coef, b in zip(c, alg.basis):
-            v = v + b.scale(coef)
-        out.append(v)
-    return out
+    tangents = [dm + dn for dm, dn in (flag_derivative(b, base) for b in alg.basis)]
+    return [lincomb(c, alg.basis) for c in nullspace(list(zip(*tangents)))]
 
 
 def isotropy_eigenvalue_table(case: str):
@@ -252,7 +238,7 @@ def isotropy_eigenvalue_table(case: str):
     parameter points (1, 0) and (0, 1)."""
     if case not in _ISOTROPY_CASES:
         raise ValueError(f"unknown isotropy case {case!r}")
-    alg, _, iso_param, lifts = _ISOTROPY_CASES[case]
+    iso_param, lifts = _ISOTROPY_CASES[case]
     iso_a = iso_param(Fraction(1), Fraction(0))
     iso_b = iso_param(Fraction(0), Fraction(1))
     iso_basis = [v for v in (iso_a, iso_b) if not v.is_zero()]
@@ -290,9 +276,7 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
             if keep:
                 rows.append([tangent(b)[k] for b in alg.basis])
         for c in nullspace(rows):
-            v = LieVec.zero()
-            for coef, b in zip(c, alg.basis):
-                v = v + b.scale(coef)
+            v = lincomb(c, alg.basis)
             if not any(tangent(v)):
                 continue
             return v
@@ -350,8 +334,6 @@ def line_class_equals(gen: LieVec, target: LieVec, alg: Subalgebra, base: Flag) 
     the quotient: gen must lie in span(target) + isotropy."""
     iso = _isotropy_basis(alg, base)
     span = [target.flat()] + [v.flat() for v in iso]
-    from .rational import in_span
-
     return in_span(span, gen.flat()) and not in_span([v.flat() for v in iso], gen.flat())
 
 
@@ -365,22 +347,9 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
 
     def stabilizer(x, y):
         # isotropy coefficients c with sum_i c_i Q_i fixing the line (x, y, 1)
-        rows = []
-        for k in range(2):
-            row = []
-            for q in qs:
-                if k == 0:
-                    row.append((q[0][0] - q[2][2]) * x + q[0][1] * y + q[0][2])
-                else:
-                    row.append(q[1][0] * x + (q[1][1] - q[2][2]) * y + q[1][2])
-            rows.append(row)
-        basis = []
-        for c in nullspace(rows):
-            v = LieVec.zero()
-            for coef, b in zip(c, iso_basis):
-                v = v + b.scale(coef)
-            basis.append(v)
-        return basis
+        rows = [[(q[0][0] - q[2][2]) * x + q[0][1] * y + q[0][2] for q in qs],
+                [q[1][0] * x + (q[1][1] - q[2][2]) * y + q[1][2] for q in qs]]
+        return [lincomb(c, iso_basis) for c in nullspace(rows)]
 
     patterns = {
         "x=0,y=0": ((Fraction(0), Fraction(0)),),
@@ -393,8 +362,6 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
         stabs = [stabilizer(*rep) for rep in reps]
         first = [v.flat() for v in stabs[0]]
         for other in stabs[1:]:
-            from .rational import span_equal
-
             if not span_equal(first, [v.flat() for v in other]):
                 raise ArithmeticError(f"pattern {name} is not stable across representatives")
         out[name] = stabs[0]
@@ -474,17 +441,13 @@ class DegenerationCase:
     limit: str                # "alpha" or "beta"
 
 
-def _g(rows_func):
-    return rows_func
-
-
 DEGENERATION_CASES = {
     "t1": DegenerationCase(
         name="t1",
         boundary_flag=Flag.of((1, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[1, 0, 0], [1, 0, -1], [0, 1, 0]]),
-        circle_group=_g(lambda t: [[1, 0, 0], [t, 1, -t], [0, 0, 1]]),
-        model_group=_g(lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]]),
+        circle_group=lambda t: [[1, 0, 0], [t, 1, -t], [0, 0, 1]],
+        model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
             (_lp("1"), _lp("-2"), _lp("-2/t")),
@@ -497,8 +460,8 @@ DEGENERATION_CASES = {
         name="t2",
         boundary_flag=Flag.of((0, 1, 0), (1, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [1, 0, 0], [1, 0, -1]]),
-        circle_group=_g(lambda t: [[1, t, 0], [0, 1, 0], [0, t, 1]]),
-        model_group=_g(lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]]),
+        circle_group=lambda t: [[1, t, 0], [0, 1, 0], [0, t, 1]],
+        model_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
             (_lp("1"), _lp("2/t"), _lp("0")),
@@ -511,8 +474,8 @@ DEGENERATION_CASES = {
         name="a1",
         boundary_flag=Flag.of((0, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-        circle_group=_g(lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]]),
-        model_group=_g(lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]]),
+        circle_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
+        model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
             (_lp("0"), _lp("0"), _lp("0")),
@@ -525,8 +488,8 @@ DEGENERATION_CASES = {
         name="a2",
         boundary_flag=Flag.of((0, 1, 0), (0, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-        circle_group=_g(lambda t: [[1, 0, 0], [0, 1, 0], [0, t, 1]]),
-        model_group=_g(lambda t: [[1, 0, 0], [0, 1, t], [0, 0, 1]]),
+        circle_group=lambda t: [[1, 0, 0], [0, 1, 0], [0, t, 1]],
+        model_group=lambda t: [[1, 0, 0], [0, 1, t], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
             (_lp("0"), _lp("0"), _lp("0")),
@@ -549,20 +512,24 @@ class DegenerationResult:
     limit: str
     sine_distance: float
 
+    @property
+    def passed(self) -> bool:
+        """The oracle's pass rule: the matrix equals its printed value and
+        the projected line lies within sine distance 3|t| of its limit."""
+        return self.matches and self.sine_distance <= 3 * abs(float(self.t))
 
-def _limit_vector(tag: str):
-    return {"alpha": (1, 0, 0), "beta": (0, 1, 0)}[tag]
+
+# parameter values at which the degeneration oracle is evaluated
+DEGENERATION_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
+
+
+_LIMIT_VECTORS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0)}
 
 
 def _sine_distance(v, e) -> float:
     vf = [float(c) for c in v]
-    ef = [float(c) for c in e]
-    cx = [vf[1] * ef[2] - vf[2] * ef[1],
-          vf[2] * ef[0] - vf[0] * ef[2],
-          vf[0] * ef[1] - vf[1] * ef[0]]
-    nv = math.sqrt(sum(c * c for c in vf))
-    ncx = math.sqrt(sum(c * c for c in cx))
-    return ncx / nv
+    cx = cross(vf, e)
+    return math.sqrt(dot(cx, cx)) / math.sqrt(dot(vf, vf))
 
 
 def degeneration_limit(case: str, t) -> DegenerationResult:
@@ -582,9 +549,14 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     matches = mat.entries == expected
     e = mat.entries
     line = (e[2][1], e[1][0], e[2][0])
-    dist = _sine_distance(line, _limit_vector(data.limit))
+    dist = _sine_distance(line, _LIMIT_VECTORS[data.limit])
     return DegenerationResult(case, t, mat.entries, expected, matches,
                               line, data.limit, dist)
+
+
+def degeneration_samples(case: str):
+    """The degeneration oracle of one case: its results at DEGENERATION_TIMES."""
+    return [degeneration_limit(case, t) for t in DEGENERATION_TIMES]
 
 
 def degeneration_symbolic(case: str):

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +39,9 @@ class RunConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.fmt not in ("json", "csv", "human"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.out is not None and not os.path.isdir(
+                os.path.dirname(os.path.abspath(self.out))):
+            raise ValueError(f"the directory of {self.out!r} does not exist")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,8 +54,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _by_id(cases):
+    return sorted(cases, key=lambda c: c["id"])
+
+
 def _render_cases(suite_name: str, cases, fmt: str) -> str:
-    cases = sorted(cases, key=lambda c: c["id"])
+    """Render report cases, in the order given."""
     if fmt == "json":
         return json.dumps({"suite": suite_name, "cases": cases},
                           sort_keys=True, indent=2)
@@ -106,41 +112,38 @@ def _oracle(name):
 
 @_oracle("subalgebra-table")
 def _oracle_subalgebras():
-    return [_report_case(r) for r in cls.verify_subalgebra_table()]
+    return _report_cases(cls.verify_subalgebra_table())
 
 
 @_oracle("bracket-table")
 def _oracle_brackets():
-    return [_report_case(r) for r in cls.tresse_bracket_suite()]
+    return _report_cases(cls.tresse_bracket_suite())
 
 
-def _report_case(r: cls.OracleReport):
-    return {"id": r.case_id, "anchor": r.anchor, "pass": r.passed,
-            "residual": r.residual,
-            "expected": r.expected, "computed": r.computed}
+def _report_cases(reports):
+    return _by_id({"id": r.case_id, "anchor": r.anchor, "pass": r.passed,
+                   "residual": r.residual,
+                   "expected": r.expected, "computed": r.computed}
+                  for r in reports)
 
 
 def _degeneration_case(name):
     @_oracle(f"degeneration-{name}")
     def _run(name=name):
-        cases = []
-        for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
-            res = cls.degeneration_limit(name, t)
-            cases.append({
-                "id": f"degeneration-{name}-t={t}",
-                "anchor": "transported transverse generator along the circle, "
-                          "exact in t; projected line tends to the "
-                          f"{res.limit} class",
-                "pass": bool(res.matches and res.sine_distance <= 3 * float(t)),
-                "residual": res.sine_distance,
-                "matrix": [[str(e) for e in row] for row in res.matrix],
-                "limit": res.limit,
-            })
-        return cases
+        return [{
+            "id": f"degeneration-{name}-t={res.t}",
+            "anchor": "transported transverse generator along the circle, "
+                      "exact in t; projected line tends to the "
+                      f"{res.limit} class",
+            "pass": res.passed,
+            "residual": res.sine_distance,
+            "matrix": [[str(e) for e in row] for row in res.matrix],
+            "limit": res.limit,
+        } for res in cls.degeneration_samples(name)]
     return _run
 
 
-for _name in ("t1", "t2", "a1", "a2"):
+for _name in cls.DEGENERATION_CASES:
     _degeneration_case(_name)
 
 
@@ -155,28 +158,37 @@ def cmd_oracle(case: str, config: RunConfig) -> int:
     return 0 if all(c["pass"] for c in cases) else 1
 
 
-def _parse_matrix(text: str):
-    vals = [s.strip() for s in text.split(",")]
-    if len(vals) != 4:
-        raise ValueError("expected four comma-separated integers a,b,c,d")
-    nums = []
-    for v in vals:
-        f = float(v)
-        if f != int(f):
-            raise ValueError("linear part entries must be integers")
-        nums.append(int(f))
-    return ((nums[0], nums[1]), (nums[2], nums[3]))
+# argparse types: each input is validated here, once for every subcommand
+
+def _numbers(text: str, arity: int):
+    vals = tuple(map(float, text.split(",")))
+    if len(vals) != arity or not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError(
+            f"expected {arity} finite comma-separated numbers, got {text!r}")
+    return vals
+
+
+def _matrix(text: str):
+    vals = _numbers(text, 4)
+    if any(v != int(v) for v in vals):
+        raise argparse.ArgumentTypeError("linear part entries must be integers")
+    return vals[:2], vals[2:]
+
+
+def _steps(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"steps must be at least 1, got {n}")
+    return n
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
     try:
-        m = _parse_matrix(args.matrix)
-        f = dyn.NilMap.of(m, tuple(float(s) for s in args.translation.split(",")))
+        f = dyn.NilMap.of(args.matrix, args.translation)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    start = np.array([float(s) for s in args.start.split(",")])
-    orbit = dyn.iterate(f, start, args.steps)
+    orbit = dyn.iterate(f, np.array(args.start), args.steps)
     if config.out:
         dyn.write_trajectory_csv(config.out, orbit)
     else:
@@ -186,8 +198,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 def cmd_lyapunov(args, config: RunConfig) -> int:
     try:
-        m = _parse_matrix(args.matrix)
-        f = dyn.NilMap.of(m, tuple(float(s) for s in args.translation.split(",")))
+        f = dyn.NilMap.of(args.matrix, args.translation)
         rates = {d: dyn.tangent_rates(f, d, n=args.steps) for d in ("u", "s", "c")}
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -215,7 +226,8 @@ def cmd_lyapunov(args, config: RunConfig) -> int:
     if config.fmt == "json":
         _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)
     else:
-        _emit(_render_cases("lyapunov", payload["cases"], config.fmt), config.out)
+        _emit(_render_cases("lyapunov", _by_id(payload["cases"]), config.fmt),
+              config.out)
     return 0 if all(c["pass"] for c in payload["cases"]) else 1
 
 
@@ -253,18 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("case", help=f"one of: {', '.join(sorted(_ORACLE_CASES))}")
     add_shared(po, "--format", "--out")
 
+    def vector3(text):
+        return _numbers(text, 3)
+
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
-    ps.add_argument("--matrix", default="2,1,1,1",
+    ps.add_argument("--matrix", type=_matrix, default="2,1,1,1",
                     help="integer linear part a,b,c,d with ad-bc=1")
-    ps.add_argument("--translation", default="0,0,0")
-    ps.add_argument("--start", default="0.37,0.21,0.13")
-    ps.add_argument("-n", "--steps", type=int, default=100)
+    ps.add_argument("--translation", type=vector3, default="0,0,0")
+    ps.add_argument("--start", type=vector3, default="0.37,0.21,0.13")
+    ps.add_argument("-n", "--steps", type=_steps, default=100)
     add_shared(ps, "--out")
 
     pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
-    pl.add_argument("--matrix", default="2,1,1,1")
-    pl.add_argument("--translation", default="0,0,0")
-    pl.add_argument("-n", "--steps", type=int, default=200)
+    pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
+    pl.add_argument("--translation", type=vector3, default="0,0,0")
+    pl.add_argument("-n", "--steps", type=_steps, default=200)
     add_shared(pl, "--tol", "--format", "--out")
     return parser
 
@@ -281,15 +296,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.command == "verify":
-        return cmd_verify(config)
-    if args.command == "oracle":
-        return cmd_oracle(args.case, config)
-    if args.command == "simulate":
-        return cmd_simulate(args, config)
-    if args.command == "lyapunov":
+    try:
+        if args.command == "verify":
+            return cmd_verify(config)
+        if args.command == "oracle":
+            return cmd_oracle(args.case, config)
+        if args.command == "simulate":
+            return cmd_simulate(args, config)
         return cmd_lyapunov(args, config)
-    return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

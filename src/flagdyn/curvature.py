@@ -35,7 +35,7 @@ from .lie_core import (
     exp_group,
     quotient_adjoint,
 )
-from .rational import inverse3, mat_vec
+from .rational import IDENTITY3, cross, det3, dot, inverse3, mat_vec
 
 __all__ = [
     "NormalCurvature",
@@ -175,32 +175,23 @@ def curvature_action_dense(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     """Reference implementation of the same action with fully dense
     bilinear evaluation and matrix conjugation."""
     adbar_inv = inverse3(quotient_adjoint(p))
-    cols = [mat_vec(adbar_inv, col) for col in
-            ((Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (Fraction(0), Fraction(0), Fraction(1)))]
-    a, b, z = cols
+    a, b, z = (mat_vec(adbar_inv, col) for col in IDENTITY3)
     images = [conjugate(p, _evaluate(k, a, z)),
               conjugate(p, _evaluate(k, b, z)),
               conjugate(p, _evaluate(k, a, b))]
     return _extract(*images)
 
 
-def _diag_ratios(p: GroupElem):
-    e = p.entries
-    return e[0][0], e[1][1], e[2][2]
-
-
 def alpha_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_alpha component, scale invariant in the
     representative: d1 d2^2 / d3^3 for diagonal (d1, d2, d3)."""
-    d1, d2, d3 = _diag_ratios(p)
+    d1, d2, d3 = p.diagonal()
     return (d1 * d2 * d2) / (d3 * d3 * d3)
 
 
 def beta_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_beta component: d1^3 / (d2^2 d3)."""
-    d1, d2, d3 = _diag_ratios(p)
+    d1, d2, d3 = p.diagonal()
     return (d1 * d1 * d1) / (d2 * d2 * d3)
 
 
@@ -214,8 +205,8 @@ class DegenerateFrameError(ValueError):
 
 class PolynomialField:
     """Vector field on R^3 with polynomial components, carrying an exact
-    closed-form Jacobian.  Components are callables in (x, y, z); partials
-    are supplied as a 3x3 array of callables."""
+    closed-form Jacobian.  Both are callables of the point (x, y, z): `func`
+    returns the three components, `jacobian` the 3x3 rows of partials."""
 
     def __init__(self, func, jacobian):
         self._func = func
@@ -225,19 +216,19 @@ class PolynomialField:
         return self._func(p)
 
     def jacobian(self, p):
-        return [[self._jac[i][j](p) for j in range(3)] for i in range(3)]
+        return self._jac(p)
+
+
+# Relative tolerance of the contact verdict on a finite-difference bracket;
+# an exact bracket is decided exactly.
+CONTACT_RTOL = Fraction(1, 10 ** 7)
 
 
 def _numeric_jacobian(field, p, h):
-    """Central differences.  When the point and the step are rational the
-    differences are carried out exactly, which keeps repeated halving free
-    of rounding; the result is still only an order-h^2 approximation."""
-    exact = isinstance(h, (int, Fraction)) and all(
-        isinstance(c, (int, Fraction)) for c in p)
-    if not exact:
-        p = [float(c) for c in p]
-        h = float(h)
-    jac = [[0] * 3 for _ in range(3)]
+    """Central differences at a rational point with a rational step.  The
+    differences are exact, which keeps repeated halving free of rounding;
+    the result is still only an order-h^2 approximation."""
+    jac = [[None] * 3 for _ in range(3)]
     for j in range(3):
         fwd = list(p)
         back = list(p)
@@ -246,20 +237,19 @@ def _numeric_jacobian(field, p, h):
         fp = field(tuple(fwd))
         fm = field(tuple(back))
         for i in range(3):
-            if exact:
-                jac[i][j] = (Fraction(fp[i]) - Fraction(fm[i])) / (2 * h)
-            else:
-                jac[i][j] = (float(fp[i]) - float(fm[i])) / (2 * h)
+            jac[i][j] = (Fraction(fp[i]) - Fraction(fm[i])) / (2 * h)
     return jac
 
 
-def bracket_of_fields(field_a, field_b, p, h: float = 1e-5):
-    """Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p).
+def bracket_of_fields(field_a, field_b, p, va, vb, h):
+    """Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p) at a rational point p,
+    given the field values va = A(p), vb = B(p) and a rational step h.
 
     Uses the exact Jacobian when a field carries one; otherwise central
     finite differences at successive halved steps with a Richardson
     consistency gate: the ratio of successive difference norms must sit
-    within 10 percent of 4, the second-order signature.
+    within 10 percent of 4, the second-order signature.  Returns the
+    bracket and whether both Jacobians were exact.
     """
     def jac_of(field):
         if hasattr(field, "jacobian"):
@@ -269,7 +259,7 @@ def bracket_of_fields(field_a, field_b, p, h: float = 1e-5):
         j3 = _numeric_jacobian(field, p, h / 4)
 
         def norm_diff(a, b):
-            return math.fsum((float(a[i][j]) - float(b[i][j])) ** 2
+            return math.fsum(float(a[i][j] - b[i][j]) ** 2
                              for i in range(3) for j in range(3)) ** 0.5
 
         d1 = norm_diff(j1, j2)
@@ -285,35 +275,30 @@ def bracket_of_fields(field_a, field_b, p, h: float = 1e-5):
 
     ja, exact_a = jac_of(field_a)
     jb, exact_b = jac_of(field_b)
-    va = field_a(p)
-    vb = field_b(p)
-    exact = exact_a and exact_b and all(isinstance(c, (int, Fraction)) for c in list(va) + list(vb))
-    out = []
-    for i in range(3):
-        term = sum(jb[i][j] * va[j] for j in range(3)) - sum(ja[i][j] * vb[j] for j in range(3))
-        out.append(term if exact else float(term))
-    return tuple(out), exact
+    br = tuple(x - y for x, y in zip(mat_vec(jb, va), mat_vec(ja, vb)))
+    return br, exact_a and exact_b
 
 
-def contact_test(field_a, field_b, p, h: float = 1e-5, tol: float = 1e-7) -> bool:
+def contact_test(field_a, field_b, p, h=1e-5) -> bool:
     """True when the bracket of the two fields escapes their span at p,
-    i.e. the frame is bracket generating there."""
-    va = [Fraction(c) if isinstance(c, (int, Fraction)) else float(c) for c in field_a(p)]
-    vb = [Fraction(c) if isinstance(c, (int, Fraction)) else float(c) for c in field_b(p)]
-    br, exact = bracket_of_fields(field_a, field_b, p, h)
-    mat = np.array([[float(c) for c in va],
-                    [float(c) for c in vb],
-                    [float(c) for c in br]])
-    if np.linalg.matrix_rank(np.array(mat[:2]), tol=tol) < 2:
+    i.e. the frame is bracket generating there.
+
+    The point and the step are taken exactly (a float converts exactly), so
+    the field values, the degeneracy test and the determinant are exact.
+    Only a finite-difference bracket is approximate; its verdict is
+    |det(A, B, [A, B])| > CONTACT_RTOL |A| |B| |[A, B]|.
+    """
+    p = tuple(map(Fraction, p))
+    h = Fraction(h)
+    va = tuple(map(Fraction, field_a(p)))
+    vb = tuple(map(Fraction, field_b(p)))
+    if not any(cross(va, vb)):
         raise DegenerateFrameError("fields are dependent at the test point")
+    br, exact = bracket_of_fields(field_a, field_b, p, va, vb, h)
+    det = det3((va, vb, br))
     if exact:
-        a, b, c = [list(map(Fraction, v)) for v in (va, vb, br)]
-        det = (a[0] * (b[1] * c[2] - b[2] * c[1])
-               - a[1] * (b[0] * c[2] - b[2] * c[0])
-               + a[2] * (b[0] * c[1] - b[1] * c[0]))
         return det != 0
-    scale = max(np.linalg.norm(mat[0]) * np.linalg.norm(mat[1]) * np.linalg.norm(mat[2]), 1e-300)
-    return abs(np.linalg.det(mat)) / scale > tol
+    return det * det > CONTACT_RTOL ** 2 * dot(va, va) * dot(vb, vb) * dot(br, br)
 
 
 # ---------------------------------------------------------------------------

@@ -369,14 +369,14 @@ def fundamental_vector(v: LieVec, x: Flag):
 def killing_with_value(w, x: Flag) -> LieVec:
     """Some traceless v whose action derivative at x equals the chart
     tangent w = (dx, dy, dz).  Exists because the action is transitive."""
-    from .lie_core import BASIS, from_traceless_coords
+    from .lie_core import BASIS, lincomb
 
     cols = [fundamental_vector(b, x) for b in BASIS]
     rows = [[cols[j][i] for j in range(8)] for i in range(3)]
     sol = solve(rows, list(w))
     if sol is None:
         raise ValueError("no generator with the requested velocity")
-    return from_traceless_coords(sol)
+    return lincomb(sol, BASIS)
 
 
 def push_tangent(g: GroupElem, x: Flag, w):

@@ -43,7 +43,6 @@ __all__ = [
     "normalizer",
     "conjugate",
     "ad_matrix",
-    "Ad_matrix",
     "exp_group",
     "exp_ad",
     "theta_involution",
@@ -115,9 +114,6 @@ class LieVec:
     def to_float(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self.entries])
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
 
 def bracket(u: LieVec, v: LieVec) -> LieVec:
     """Commutator uv - vu, exact."""
@@ -154,9 +150,11 @@ def traceless_coords(v: LieVec):
     return sol
 
 
-def from_traceless_coords(coords) -> LieVec:
+def lincomb(coefs, vectors) -> LieVec:
+    """sum_i coefs[i] vectors[i]; with BASIS, the element of the traceless
+    space with those coordinates."""
     out = LieVec.zero()
-    for c, b in zip(coords, BASIS):
+    for c, b in zip(coefs, vectors):
         out = out + b.scale(c)
     return out
 
@@ -222,9 +220,6 @@ class GroupElem:
 
     def diagonal(self):
         return (self.entries[0][0], self.entries[1][1], self.entries[2][2])
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
 
 
 def conjugate(g: GroupElem, v: LieVec) -> LieVec:
@@ -362,7 +357,7 @@ def centralizer(s: Subalgebra) -> Subalgebra:
         return out
 
     rows = _traceless_constraint_rows(cond)
-    return Subalgebra(tuple(from_traceless_coords(c) for c in nullspace(rows)))
+    return Subalgebra(tuple(lincomb(c, BASIS) for c in nullspace(rows)))
 
 
 def normalizer(s: Subalgebra) -> Subalgebra:
@@ -377,7 +372,7 @@ def normalizer(s: Subalgebra) -> Subalgebra:
         return out
 
     rows = _traceless_constraint_rows(cond)
-    return Subalgebra(tuple(from_traceless_coords(c) for c in nullspace(rows)))
+    return Subalgebra(tuple(lincomb(c, BASIS) for c in nullspace(rows)))
 
 
 def _residual_mod_span(vec, red, pivots):
@@ -396,15 +391,6 @@ def _residual_mod_span(vec, red, pivots):
 def ad_matrix(v: LieVec):
     """8x8 exact matrix of ad(v) = [v, .] over BASIS."""
     cols = [traceless_coords(bracket(v, b)) for b in BASIS]
-    return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
-
-
-def Ad_matrix(g: GroupElem):
-    """8x8 exact matrix of the conjugation action of g over BASIS.
-
-    Well defined on projective classes: rescaling g does not change it.
-    """
-    cols = [traceless_coords(conjugate(g, b)) for b in BASIS]
     return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
 
 
@@ -445,10 +431,12 @@ def Ad_of_exp(v: LieVec, t: float = 1.0) -> np.ndarray:
     """Conjugation action of exp(t v) over BASIS, float path.
 
     Computed from exp_group directly (independent of exp_ad); the two must
-    agree to roughly 1e-9 for moderate inputs.
+    agree to roughly 1e-9 for moderate inputs.  The inverse is exp(-t v)
+    rather than a numerical inversion, whose error grows with the condition
+    number of exp(t v).
     """
     g = exp_group(v, t)
-    ginv = np.linalg.inv(g)
+    ginv = exp_group(v, -t)
     basis_f = [b.to_float() for b in BASIS]
     flat_basis = np.array([bf.flatten() for bf in basis_f]).T
     cols = []

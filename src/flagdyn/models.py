@@ -11,6 +11,7 @@ and the closed-form commuting-flow identities of the affine model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -289,8 +290,6 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
 # ---------------------------------------------------------------------------
 
 def _exact_sqrt(q: Fraction):
-    import math
-
     if q < 0:
         return None
     rn = math.isqrt(q.numerator)
@@ -319,8 +318,6 @@ def equivariance_t(g: GroupElem):
         raise MembershipError("block determinant must be positive")
     lam = _exact_sqrt(det)
     if lam is None:
-        import math
-
         lam = math.sqrt(float(det))
         s = tuple(tuple(float(c) / lam for c in row) for row in block)
         return s, lam
@@ -365,16 +362,12 @@ def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
 class _AffineModelField:
     """Polynomial vector field on the chart (x, y, z) with closed-form flow."""
 
-    def __init__(self, func, flow, jac):
+    def __init__(self, func, flow):
         self._func = func
         self._flow = flow
-        self._jac = jac
 
     def __call__(self, p):
         return self._func(p)
-
-    def jacobian(self, p):
-        return self._jac(p)
 
     def flow(self, t, p):
         t = Fraction(t)
@@ -391,17 +384,14 @@ def central_flow_fields():
     f_alpha = _AffineModelField(
         lambda p: (0, 0, 1),
         lambda t, p: (p[0], p[1], p[2] + t),
-        lambda p: [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     )
     f_beta = _AffineModelField(
         lambda p: (p[2], 1, 0),
         lambda t, p: (p[0] + t * p[2], p[1] + t, p[2]),
-        lambda p: [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     )
     f_c = _AffineModelField(
         lambda p: (1, 0, 0),
         lambda t, p: (p[0] + t, p[1], p[2]),
-        lambda p: [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     )
     return f_alpha, f_beta, f_c
 

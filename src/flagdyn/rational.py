@@ -116,7 +116,6 @@ def mat3(rows):
 
 
 IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-ZERO3 = mat3([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def mat_mul(a, b):

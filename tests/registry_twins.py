@@ -14,11 +14,15 @@ SEED = 0
 _BY_ID = {check_id: (suite, fn) for check_id, suite, _, fn in checks.REGISTRY}
 
 
+def run_check(check_id, seed=SEED, samples=None):
+    """(passed, residual) of a registered check, as `run_checks` runs it."""
+    _, fn = _BY_ID[check_id]
+    return fn(checks.check_rng(seed, check_id), samples)
+
+
 @functools.cache
 def _run(check_id):
-    suite, fn = _BY_ID[check_id]
-    passed, residual = fn(checks.check_rng(SEED, check_id), None)
-    return suite, passed, residual
+    return (_BY_ID[check_id][0], *run_check(check_id))
 
 
 def assert_check_passes(check_id):

@@ -96,6 +96,11 @@ class TestOracle:
         code, _ = run(["oracle", "not-a-case"], capsys)
         assert code == 2
 
+    def test_degeneration_cases_in_parameter_order(self, capsys):
+        _, out = run(["oracle", "degeneration-a1", "--format", "json"], capsys)
+        ids = [c["id"] for c in json.loads(out)["cases"]]
+        assert ids == [f"degeneration-a1-t={t}" for t in ("1", "1/2", "1/10", "1/100")]
+
 
 class TestSimulate:
     def test_identity_map_constant_trajectory(self, capsys):
@@ -153,6 +158,18 @@ class TestLyapunov:
 def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     code, out = run(argv, capsys)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --start 1,2", "simulate --translation 1,2", "simulate --start nan,0,0",
+    "simulate --start inf,0,0", "simulate --matrix 2,1,1,1e400", "simulate -n -5",
+    "lyapunov -n 0", "lyapunov -n -3", "verify --out /nonexistent/x.json",
+    "simulate --out /nonexistent/x.csv", "simulate -n 1 --out /"])
+def test_malformed_input_is_usage_error(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
 
 class TestEnvOverrides:

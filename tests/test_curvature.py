@@ -9,7 +9,11 @@ from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac, rand_traceless, rand_upper
-from registry_twins import twin
+from registry_twins import run_check, twin
+
+
+def zero_jacobian(p):
+    return ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
 def rand_curvature(rng):
@@ -70,8 +74,7 @@ class TestContact:
 
     def test_rescaling_does_not_change_verdict(self):
         rng = random.Random(17)
-        zero = lambda p: Fraction(0)
-        a = curv.PolynomialField(lambda p: (0, 0, 1), [[zero] * 3] * 3)
+        a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
 
         def beta(p):
             return (p[2], 1, 0)
@@ -88,10 +91,24 @@ class TestContact:
                 curv.contact_test(a, scaled, p, h=Fraction(1, 512))
 
     def test_degenerate_frame_rejected(self):
-        zero = lambda p: Fraction(0)
-        a = curv.PolynomialField(lambda p: (1, 0, 0), [[zero] * 3] * 3)
+        a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)
         with pytest.raises(curv.DegenerateFrameError):
             curv.contact_test(a, a, (0, 0, 0))
+
+    def test_rescaling_check_at_a_seed_where_float_noise_tripped_the_gate(self):
+        # float differences at float points once failed the step-halving
+        # gate here; exact differences at the same points pass it
+        assert run_check("contact-rescaling-invariance", seed=154)[0]
+
+    def test_float_point_gives_the_verdict_of_its_exact_value(self):
+        rng = random.Random(29)
+        a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
+        for _ in range(10):
+            p = tuple(float(rand_frac(rng)) for _ in range(3))
+            for b in (lambda q: ((2 + q[0] * q[0]) * q[2], 2 + q[0] * q[0], 0),
+                      lambda q: (q[2] * q[2], 1, 0)):
+                assert curv.contact_test(a, b, p, h=1e-4) == curv.contact_test(
+                    a, b, tuple(map(Fraction, p)), h=Fraction(1e-4))
 
 
 class TestFlowCommutator:

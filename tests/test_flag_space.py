@@ -16,7 +16,7 @@ from flagdyn.checks import (
     rand_traceless,
     rand_upper,
 )
-from registry_twins import twin
+from registry_twins import run_check, twin
 
 
 class TestIncidence:
@@ -141,6 +141,12 @@ class TestFundamentalVector:
             # first order in the step: a tenfold finer step shrinks the
             # error by close to ten
             assert e2 < e1 / 5 + 1e-12
+
+    def test_finite_difference_check_near_the_chart_boundary(self):
+        # this seed draws velocities large enough that a step of 1e-8
+        # left a first-order error of 1.35e-3, over the 1e-4 bound
+        passed, residual = run_check("fundamental-finite-difference", seed=9)
+        assert passed, residual
 
     def test_chart_domain_violation(self):
         with pytest.raises(fs.BoundaryError):

@@ -12,7 +12,7 @@ from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac, rand_group, rand_lievec
-from registry_twins import twin
+from registry_twins import run_check, twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -159,6 +159,12 @@ class TestSubalgebraRecognizer:
 
 class TestExponentials:
     test_ad_exp_consistency = twin("exp-ad-consistency")
+
+    def test_ad_exp_consistency_on_an_ill_conditioned_exponential(self):
+        # draw 52 of this stream has norm near 9.4, where exp(v) has
+        # condition number about 2.5e7; a numerical inverse missed 1e-9
+        passed, worst = run_check("exp-ad-consistency", seed=1726011270, samples=53)
+        assert passed, worst
 
     def test_exp_of_zero(self):
         assert np.allclose(lc.exp_group(lc.LieVec.zero()), np.eye(3))
