@@ -222,79 +222,68 @@ class PolynomialField:
 # Relative tolerance of the contact verdict on a finite-difference bracket;
 # an exact bracket is decided exactly.
 CONTACT_RTOL = Fraction(1, 10 ** 7)
+# Largest step of the finite differences, along a direction of max-norm 1.
+CONTACT_STEP = Fraction(1, 512)
 
 
-def _numeric_jacobian(field, p, h):
-    """Central differences at a rational point with a rational step.  The
-    differences are exact, which keeps repeated halving free of rounding;
-    the result is still only an order-h^2 approximation."""
-    jac = [[None] * 3 for _ in range(3)]
-    for j in range(3):
-        fwd = list(p)
-        back = list(p)
-        fwd[j] += h
-        back[j] -= h
-        fp = field(tuple(fwd))
-        fm = field(tuple(back))
-        for i in range(3):
-            jac[i][j] = (Fraction(fp[i]) - Fraction(fm[i])) / (2 * h)
-    return jac
+def _derivative_along(field, p, v):
+    """D field(p) v, and whether it is exact: from the Jacobian of a
+    PolynomialField, else from exact central differences along v scaled to
+    max-norm 1 at steps CONTACT_STEP, /2, /4.  The ratio of successive
+    difference norms must sit within 10 percent of 4, the second-order
+    signature; the two finest steps are Richardson-extrapolated and scaled
+    back."""
+    if isinstance(field, PolynomialField):
+        return mat_vec(field.jacobian(p), v), True
+    scale = Fraction(max(map(abs, v)))
+    u = tuple(c / scale for c in v)
+
+    def central(h):
+        fp = field(tuple(x + h * c for x, c in zip(p, u)))
+        fm = field(tuple(x - h * c for x, c in zip(p, u)))
+        return tuple((Fraction(a) - Fraction(b)) / (2 * h) for a, b in zip(fp, fm))
+
+    d1, d2, d3 = (central(CONTACT_STEP / k) for k in (1, 2, 4))
+
+    def norm_diff(a, b):
+        return math.fsum(float(x - y) ** 2 for x, y in zip(a, b)) ** 0.5
+
+    n1 = norm_diff(d1, d2)
+    if n1 > 1e-9:
+        ratio = n1 / max(norm_diff(d2, d3), 1e-300)
+        if not (3.6 <= ratio <= 4.4):
+            raise ArithmeticError(
+                "finite-difference derivative failed the step-halving gate")
+    return tuple(scale * (4 * c - b) / 3 for b, c in zip(d2, d3)), False
 
 
-def bracket_of_fields(field_a, field_b, p, va, vb, h):
+def bracket_of_fields(field_a, field_b, p, va, vb):
     """Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p) at a rational point p,
-    given the field values va = A(p), vb = B(p) and a rational step h.
-
-    Uses the exact Jacobian when a field carries one; otherwise central
-    finite differences at successive halved steps with a Richardson
-    consistency gate: the ratio of successive difference norms must sit
-    within 10 percent of 4, the second-order signature.  Returns the
-    bracket and whether both Jacobians were exact.
+    given the nonzero field values va = A(p), vb = B(p).  Needs only the
+    derivative of each field along the other's value.  Returns the bracket
+    and whether both derivatives were exact.
     """
-    def jac_of(field):
-        if hasattr(field, "jacobian"):
-            return field.jacobian(p), True
-        j1 = _numeric_jacobian(field, p, h)
-        j2 = _numeric_jacobian(field, p, h / 2)
-        j3 = _numeric_jacobian(field, p, h / 4)
-
-        def norm_diff(a, b):
-            return math.fsum(float(a[i][j] - b[i][j]) ** 2
-                             for i in range(3) for j in range(3)) ** 0.5
-
-        d1 = norm_diff(j1, j2)
-        d2 = norm_diff(j2, j3)
-        if d1 > 1e-9:
-            ratio = d1 / max(d2, 1e-300)
-            if not (3.6 <= ratio <= 4.4):
-                raise ArithmeticError(
-                    "finite-difference Jacobian failed the step-halving gate")
-        # Richardson extrapolation of the two finest steps
-        return [[(4 * j3[i][j] - j2[i][j]) / 3 for j in range(3)]
-                for i in range(3)], False
-
-    ja, exact_a = jac_of(field_a)
-    jb, exact_b = jac_of(field_b)
-    br = tuple(x - y for x, y in zip(mat_vec(jb, va), mat_vec(ja, vb)))
-    return br, exact_a and exact_b
+    db, exact_b = _derivative_along(field_b, p, va)
+    da, exact_a = _derivative_along(field_a, p, vb)
+    return tuple(x - y for x, y in zip(db, da)), exact_a and exact_b
 
 
-def contact_test(field_a, field_b, p, h=1e-5) -> bool:
+def contact_test(field_a, field_b, p) -> bool:
     """True when the bracket of the two fields escapes their span at p,
     i.e. the frame is bracket generating there.
 
-    The point and the step are taken exactly (a float converts exactly), so
-    the field values, the degeneracy test and the determinant are exact.
-    Only a finite-difference bracket is approximate; its verdict is
-    |det(A, B, [A, B])| > CONTACT_RTOL |A| |B| |[A, B]|.
+    The point is taken exactly (a float converts exactly), so the field
+    values, the degeneracy test and the determinant are exact.  Only a
+    finite-difference bracket is approximate; its verdict is
+    |det(A, B, [A, B])| > CONTACT_RTOL |A| |B| |[A, B]|.  A field that is
+    undefined somewhere on the difference stencil raises its own error.
     """
     p = tuple(map(Fraction, p))
-    h = Fraction(h)
     va = tuple(map(Fraction, field_a(p)))
     vb = tuple(map(Fraction, field_b(p)))
     if not any(cross(va, vb)):
         raise DegenerateFrameError("fields are dependent at the test point")
-    br, exact = bracket_of_fields(field_a, field_b, p, va, vb, h)
+    br, exact = bracket_of_fields(field_a, field_b, p, va, vb)
     det = det3((va, vb, br))
     if exact:
         return det != 0

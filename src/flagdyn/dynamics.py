@@ -317,13 +317,7 @@ class HyperbolicityReport:
     n_certified: int | None
     partially_hyperbolic: bool
     inconclusive: bool
-    domination_margins: tuple
     weak_contraction: dict
-
-    @property
-    def rates(self):
-        return {"alpha": self.rate_alpha, "beta": self.rate_beta,
-                "center": self.rate_center}
 
 
 def _weak_contraction_verdict(rate: float, tol: float) -> str:
@@ -386,7 +380,6 @@ def hyperbolicity_report(source, n_max: int = 100, tol: float = 1e-6,
         n_certified=n_certified,
         partially_hyperbolic=n_certified is not None,
         inconclusive=n_certified is None,
-        domination_margins=(rc - rs, ru - rc),
         weak_contraction=weak,
     )
 

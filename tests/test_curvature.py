@@ -8,7 +8,7 @@ import pytest
 from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import rand_frac, rand_traceless, rand_upper
+from flagdyn.checks import nonzero_frac, rand_frac, rand_traceless, rand_upper
 from registry_twins import run_check, twin
 
 
@@ -87,8 +87,7 @@ class TestContact:
                 return (f * p[2], f, 0)
 
             p = tuple(rand_frac(rng) for _ in range(3))
-            assert curv.contact_test(a, beta, p, h=Fraction(1, 512)) == \
-                curv.contact_test(a, scaled, p, h=Fraction(1, 512))
+            assert curv.contact_test(a, beta, p) == curv.contact_test(a, scaled, p)
 
     def test_degenerate_frame_rejected(self):
         a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)
@@ -107,8 +106,39 @@ class TestContact:
             p = tuple(float(rand_frac(rng)) for _ in range(3))
             for b in (lambda q: ((2 + q[0] * q[0]) * q[2], 2 + q[0] * q[0], 0),
                       lambda q: (q[2] * q[2], 1, 0)):
-                assert curv.contact_test(a, b, p, h=1e-4) == curv.contact_test(
-                    a, b, tuple(map(Fraction, p)), h=Fraction(1e-4))
+                assert curv.contact_test(a, b, p) == curv.contact_test(
+                    a, b, tuple(map(Fraction, p)))
+
+    def test_difference_bracket_equals_closed_form_bracket(self):
+        # a central difference of a polynomial of degree <= 4 errs by one
+        # h^2 term, which the Richardson step removes exactly; the field
+        # values never move z, so a random pair of directions also makes
+        # the differences cubic
+        rng = random.Random(31)
+        for _ in range(20):
+            c = abs(rand_frac(rng)) + 1
+
+            def a(p, c=c):
+                return ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0)
+
+            def b(p):
+                return (p[2] * p[2], 1, 0)
+
+            exact_a = curv.PolynomialField(a, lambda p, c=c: (
+                (2 * p[0] * p[2], 0, c + p[0] * p[0]), (2 * p[0], 0, 0), (0, 0, 0)))
+            exact_b = curv.PolynomialField(b, lambda p: (
+                (0, 0, 2 * p[2]), (0, 0, 0), (0, 0, 0)))
+            p = tuple(rand_frac(rng) for _ in range(3))
+            u, w = (tuple(nonzero_frac(rng) for _ in range(3)) for _ in range(2))
+            for va, vb in ((a(p), b(p)), (u, w)):
+                assert curv.bracket_of_fields(a, b, p, va, vb) == (
+                    curv.bracket_of_fields(exact_a, exact_b, p, va, vb)[0], False)
+                assert curv.bracket_of_fields(exact_a, exact_b, p, va, vb)[1]
+
+    def test_model_frames_at_a_seed_where_full_jacobians_tripped_the_gate(self):
+        # three-axis difference Jacobians once failed the step-halving gate
+        # within this seed's first 18 points; directional differences pass
+        assert run_check("contact-model-frames", seed=21, samples=18)[0]
 
 
 class TestFlowCommutator:
