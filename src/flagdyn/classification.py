@@ -23,7 +23,7 @@ from .lie_core import (
     lincomb,
 )
 from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
-from .rational import cross, dot, in_span, nullspace, rank, solve, span_equal
+from .rational import in_span, nullspace, rank, solve, span_equal
 
 __all__ = [
     "OracleReport",
@@ -527,9 +527,12 @@ _LIMIT_VECTORS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0)}
 
 
 def _sine_distance(v, e) -> float:
-    vf = [float(c) for c in v]
-    cx = cross(vf, e)
-    return math.sqrt(dot(cx, cx)) / math.sqrt(dot(vf, vf))
+    """Sine of the angle between v and the float unit vector e, in floats
+    (the exact kernel takes no floats)."""
+    x, y, z = (float(c) for c in v)
+    cx = (y * e[2] - z * e[1], z * e[0] - x * e[2], x * e[1] - y * e[0])
+    return (math.sqrt(sum(c * c for c in cx))
+            / math.sqrt(sum(c * c for c in (x, y, z))))
 
 
 def degeneration_limit(case: str, t) -> DegenerationResult:

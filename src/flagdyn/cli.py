@@ -168,6 +168,19 @@ def _numbers(text: str, arity: int):
     return vals
 
 
+# Beyond 2**52 a float has no fractional part, so a coordinate no longer fixes
+# a point of the fundamental box, and the group law's products can overflow.
+MAX_COORDINATE = 2.0 ** 52
+
+
+def _point(text: str):
+    vals = _numbers(text, 3)
+    if max(map(abs, vals)) > MAX_COORDINATE:
+        raise argparse.ArgumentTypeError(
+            f"coordinates must be at most 2**52 in magnitude, got {text!r}")
+    return vals
+
+
 def _matrix(text: str):
     vals = _numbers(text, 4)
     if any(v != int(v) for v in vals):
@@ -265,20 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("case", help=f"one of: {', '.join(sorted(_ORACLE_CASES))}")
     add_shared(po, "--format", "--out")
 
-    def vector3(text):
-        return _numbers(text, 3)
-
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
     ps.add_argument("--matrix", type=_matrix, default="2,1,1,1",
                     help="integer linear part a,b,c,d with ad-bc=1")
-    ps.add_argument("--translation", type=vector3, default="0,0,0")
-    ps.add_argument("--start", type=vector3, default="0.37,0.21,0.13")
+    ps.add_argument("--translation", type=_point, default="0,0,0")
+    ps.add_argument("--start", type=_point, default="0.37,0.21,0.13")
     ps.add_argument("-n", "--steps", type=_steps, default=100)
     add_shared(ps, "--out")
 
     pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
     pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
-    pl.add_argument("--translation", type=vector3, default="0,0,0")
+    pl.add_argument("--translation", type=_point, default="0,0,0")
     pl.add_argument("-n", "--steps", type=_steps, default=200)
     add_shared(pl, "--tol", "--format", "--out")
     return parser

@@ -6,7 +6,6 @@ All algebraic operations are exact over Fraction.  Floats appear only in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ import numpy as np
 from .rational import (
     IDENTITY3,
     Scalar,
+    _cleared,
     adjugate3,
     det3,
     in_span,
@@ -26,7 +26,6 @@ from .rational import (
     nullspace,
     rank,
     rref,
-    solve,
     span_equal,
     transpose3,
 )
@@ -139,15 +138,13 @@ POSITIVE_BASIS = (E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 
 
 def traceless_coords(v: LieVec):
-    """Coordinates of a traceless v in BASIS (exact)."""
+    """Coordinates of a traceless v in BASIS (exact), read off its entries:
+    the off-diagonal ones directly, and diag(a, b, -a-b) = a E_1 + (a+b) E_2."""
     if not v.is_traceless():
         raise ValueError("expected a traceless matrix")
-    cols = [b.flat() for b in BASIS]
-    rows = [[cols[j][i] for j in range(8)] for i in range(9)]
-    sol = solve(rows, v.flat())
-    if sol is None:
-        raise ValueError("not in the traceless space")
-    return sol
+    e = v.entries
+    return [e[2][0], e[2][1], e[1][0], e[0][0], e[0][0] + e[1][1],
+            e[1][2], e[0][1], e[0][2]]
 
 
 def lincomb(coefs, vectors) -> LieVec:
@@ -222,11 +219,24 @@ class GroupElem:
         return (self.entries[0][0], self.entries[1][1], self.entries[2][2])
 
 
+def _integer_multiple(m):
+    """An integer multiple of the 3x3 matrix m, as rows, and the common
+    denominator it was cleared by (None when m is already integer)."""
+    n, den = _cleared(*m)
+    return (n[0:3], n[3:6], n[6:9]), den
+
+
 def conjugate(g: GroupElem, v: LieVec) -> LieVec:
     """g v g^{-1}, exact.  Scale invariant in the representative of g, so it
-    is well defined on projective classes."""
-    inv = mat_scale(Fraction(1) / det3(g.entries), adjugate3(g.entries))
-    return LieVec(mat_mul(mat_mul(g.entries, v.entries), inv))
+    is well defined on projective classes.
+
+    It runs on integer multiples: G of g and V = d v.  The integer product
+    G V adj(G) is divided by d det(G) once at the end."""
+    big, _ = _integer_multiple(g.entries)
+    vm, den = _integer_multiple(v.entries)
+    prod = mat_mul(mat_mul(big, vm), adjugate3(big))
+    scale = det3(big) * (den or 1)
+    return LieVec(tuple(tuple(Fraction(x, scale) for x in row) for row in prod))
 
 
 def theta_involution(v: LieVec) -> LieVec:
@@ -284,13 +294,11 @@ def quotient_adjoint_bruteforce(p: GroupElem):
     products do, and the result is the same exact value."""
     if not p.is_upper_triangular():
         raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
-    scale = math.lcm(*(x.denominator for row in p.entries for x in row))
-    big = tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
-                for row in p.entries)
+    big, _ = _integer_multiple(p.entries)
     adj, det = adjugate3(big), det3(big)
     cols = []
     for gen in (E_ALPHA, E_BETA, E_0):
-        g = tuple(tuple(int(x) for x in row) for row in gen.entries)
+        g, _ = _integer_multiple(gen.entries)
         cols.append(_strictly_lower_class(LieVec(mat_mul(mat_mul(big, g), adj))))
     return tuple(tuple(Fraction(cols[j][i], det) for j in range(3)) for i in range(3))
 

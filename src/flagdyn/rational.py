@@ -1,26 +1,69 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over the rationals.
 
 Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
-algebraic oracles.  Everything here is exact: no floats, no tolerances.
+algebraic oracles.  Everything here is exact: entries are ints or
+Fractions, never floats, and there are no tolerances.
+
+The 3x3 routines and `normalize_lead` are fraction-free inside.  Each call
+clears the denominators of each operand once (their least common multiple,
+then the integer multiples), does its products in Python ints, and builds
+one normalized Fraction per result entry at the end.  Values and types are
+those of the textbook Fraction formulas: all-int input gives int results,
+any Fraction input gives Fraction results, and `inverse3` and
+`normalize_lead`, which divide, always give Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Scalar = Fraction
 
 
+def _cleared(*rows):
+    """Clear denominators: the entries of `rows`, in order, as ints nums
+    over their least common denominator den, so entry k == nums[k] / den.
+    den is None when every entry is an int, so that int input keeps int
+    results."""
+    entries = [e for row in rows for e in row]
+    if all(type(e) is int for e in entries):
+        return entries, None
+    try:
+        nums = [e.numerator for e in entries]
+        dens = [e.denominator for e in entries]
+    except AttributeError:
+        raise TypeError("exact routines take ints and Fractions only") from None
+    den = math.lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def _quotients(nums, *dens):
+    """The values nums[k] / (product of dens), one normalized Fraction each;
+    the ints themselves when every den is None (every operand was int)."""
+    if all(d is None for d in dens):
+        return tuple(nums)
+    den = math.prod([d for d in dens if d is not None])
+    # A list, not a generator: tuple() over a generator over-allocates and
+    # then shrinks, which on this hot path raised peak memory by about 1%.
+    return tuple([Fraction(n, den) for n in nums])
+
+
+def _rows(flat):
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
 def normalize_lead(vec) -> tuple:
     """Canonical representative of the projective class of `vec` (ints or
     Fractions): the vector scaled so its first nonzero entry is exactly 1."""
-    lead = next((e for e in vec if e != 0), None)
+    # The common denominator cancels in the ratios.
+    nums, _ = _cleared(vec)
+    lead = next((n for n in nums if n != 0), None)
     if lead is None:
         raise ValueError("zero vector has no projective class")
-    lead = Fraction(lead)
-    # A list, not a generator: tuple() over a generator over-allocates and
-    # then shrinks, which on this hot path raised peak memory by about 1%.
-    return tuple([e / lead for e in vec])
+    return _quotients(nums, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +162,31 @@ IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def mat_mul(a, b):
-    # Unrolled: sum() would start each entry with int 0 + Fraction, a mixed
-    # add that costs as much as a product on this hot path.
-    b0, b1, b2 = b
-    return tuple(
-        (r[0] * b0[0] + r[1] * b1[0] + r[2] * b2[0],
-         r[0] * b0[1] + r[1] * b1[1] + r[2] * b2[1],
-         r[0] * b0[2] + r[1] * b1[2] + r[2] * b2[2])
-        for r in a
-    )
+    na, da = _cleared(*a)
+    nb, db = _cleared(*b)
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = nb
+    prods = []
+    for i in (0, 3, 6):
+        x, y, z = na[i:i + 3]
+        prods += (x * b00 + y * b10 + z * b20,
+                  x * b01 + y * b11 + z * b21,
+                  x * b02 + y * b12 + z * b22)
+    return _rows(_quotients(prods, da, db))
 
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
+    na, da = _cleared(*a)
+    (x, y, z), dv = _cleared(v)
+    return _quotients([na[i] * x + na[i + 1] * y + na[i + 2] * z
+                       for i in (0, 3, 6)], da, dv)
 
 
 def vec_mat(v, a):
     """Row vector times matrix (covectors transform this way)."""
-    return tuple(sum(v[k] * a[k][j] for k in range(3)) for j in range(3))
+    na, da = _cleared(*a)
+    (x, y, z), dv = _cleared(v)
+    return _quotients([x * na[j] + y * na[j + 3] + z * na[j + 6]
+                       for j in (0, 1, 2)], dv, da)
 
 
 def mat_sub(a, b):
@@ -152,31 +202,37 @@ def transpose3(a):
     return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
 
 
+def _adjugate_ints(n):
+    """Adjugate of the integer 3x3 matrix with row-major entries n, flat."""
+    a, b, c, d, e, f, g, h, i = n
+    return [e * i - f * h, c * h - b * i, b * f - c * e,
+            f * g - d * i, a * i - c * g, c * d - a * f,
+            d * h - e * g, b * g - a * h, a * e - b * d]
+
+
+def _det_ints(n):
+    a, b, c, d, e, f, g, h, i = n
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def det3(a) -> Fraction:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    n, den = _cleared(*a)
+    return _quotients([_det_ints(n)], den, den, den)[0]
 
 
 def adjugate3(a):
-    c = [[Fraction(0)] * 3 for _ in range(3)]
-    idx = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            s = [k for k in range(3) if k != j]
-            minor = a[r[0]][s[0]] * a[r[1]][s[1]] - a[r[0]][s[1]] * a[r[1]][s[0]]
-            c[j][i] = (-1) ** (i + j) * minor
-    return tuple(tuple(row) for row in c)
+    n, den = _cleared(*a)
+    return _rows(_quotients(_adjugate_ints(n), den, den))
 
 
 def inverse3(a):
-    d = det3(a)
-    if d == 0:
+    n, den = _cleared(*a)
+    det = _det_ints(n)
+    if det == 0:
         raise ZeroDivisionError("singular matrix")
-    return mat_scale(Fraction(1) / d, adjugate3(a))
+    # a^-1 = adj(a) / det(a) = (adj(n) / den^2) / (det(n) / den^3)
+    den = den or 1
+    return _rows(_quotients([x * den for x in _adjugate_ints(n)], det))
 
 
 def cross(u, v):

@@ -1,9 +1,17 @@
 """CLI contract: exit codes, report schema, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import cli
 
@@ -164,7 +172,10 @@ def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     "simulate --start 1,2", "simulate --translation 1,2", "simulate --start nan,0,0",
     "simulate --start inf,0,0", "simulate --matrix 2,1,1,1e400", "simulate -n -5",
     "lyapunov -n 0", "lyapunov -n -3", "verify --out /nonexistent/x.json",
-    "simulate --out /nonexistent/x.csv", "simulate -n 1 --out /"])
+    "simulate --out /nonexistent/x.csv", "simulate -n 1 --out /",
+    # coordinates whose group-law products overflow to inf or nan
+    "simulate -n 2 --start 1e300,1e300,0", "simulate -n 2 --translation 1e308,0,0",
+    "lyapunov -n 5 --translation 0.5,0.5,1e308"])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = cli.main(argv.split())
     captured = capsys.readouterr()
@@ -191,3 +202,109 @@ class TestEnvOverrides:
         monkeypatch.setenv("FLAGDYN_" + name, value)
         code, out = run(["verify", "--suite", "classification"], capsys)
         assert code == 2 and out == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract over argv and FLAGDYN_* values
+# ---------------------------------------------------------------------------
+
+# No surrogates and no NUL: the environment cannot hold them.
+_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                max_size=8)
+_number = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e400", "nan", "inf", "-0", "1e-300", "2**53"]))
+_garbage = st.one_of(_text, _number,
+                     st.lists(_number, min_size=2, max_size=5).map(",".join))
+
+
+def _or_garbage(valid):
+    """Mostly well-formed values, so that runs get past parsing."""
+    return st.one_of(valid, valid, _garbage)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_coordinate = st.one_of(_finite, st.sampled_from([1e308, -1e300, 2.0 ** 60, 0.5]))
+_point = st.lists(_coordinate, min_size=3, max_size=3).map(
+    lambda v: ",".join(map(repr, v)))
+# Absolute paths only where nothing can be written; the run happens inside
+# a fresh temporary directory.
+_out = st.one_of(st.just("report.csv"), st.just("report.csv"),
+                 st.sampled_from(["", ".", "..", "/", "/nonexistent/x.json"]),
+                 _text.filter(lambda name: "/" not in name))
+_VALUES = {
+    "seed": _or_garbage(st.integers().map(str)),
+    "tol": _or_garbage(_finite.map(repr)),
+    "format": _or_garbage(st.sampled_from(["json", "csv", "human"])),
+    "out": _out,
+    "suite": _or_garbage(st.sampled_from(checks.suites())),
+    "matrix": _or_garbage(st.sampled_from([
+        "2,1,1,1", "3,2,1,1", "1,0,0,1", "1,1,0,1", "0,-1,1,0",
+        "1180591620717411303424,34359738367,34359738369,1"])),
+    "translation": _or_garbage(st.one_of(st.just("0.5,0.5,0"), _point)),
+    "start": _or_garbage(_point),
+}
+
+
+def _at_most(limit):
+    """Tokens that do not parse as an int above `limit`, so that a run stays
+    cheap whatever it parses to."""
+    def ok(text):
+        try:
+            return int(text) <= limit
+        except ValueError:
+            return True
+    return _or_garbage(st.integers(min_value=1, max_value=limit).map(str)).filter(ok)
+
+
+_READS = {
+    "verify": ["suite", "seed", "format", "out"],
+    "oracle": ["format", "out"],
+    "simulate": ["matrix", "translation", "start", "out"],
+    "lyapunov": ["matrix", "translation", "tol", "format", "out"],
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.one_of(*[st.sampled_from(sorted(_READS))] * 5, _text))
+    argv = [command]
+    if command == "oracle":
+        argv.append(draw(_or_garbage(st.sampled_from(sorted(cli._ORACLE_CASES)))))
+    names = st.sampled_from(sorted(_VALUES))
+    if command in _READS:
+        names = st.one_of(*[st.sampled_from(_READS[command])] * 3, names)
+    for name in draw(st.lists(names, max_size=3)):
+        # One token, so that a value starting with "-" still reads as one.
+        argv.append(f"--{name}={draw(_VALUES[name])}")
+    env = {cli.ENV_PREFIX + name.upper(): draw(_VALUES[name])
+           for name in draw(st.sets(st.sampled_from(["seed", "tol", "format", "out"]),
+                                    max_size=2))}
+    # Bound the cost: at most 2 samples, at most 50 steps.
+    if command == "verify":
+        samples = draw(_at_most(2))
+        if draw(st.booleans()):
+            argv += ["--samples", samples]
+        else:
+            env[cli.ENV_PREFIX + "SAMPLES"] = samples
+    if command in ("simulate", "lyapunov"):
+        argv += ["-n", draw(_at_most(50))]
+    return argv, env
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_fuzzed_invocation_keeps_the_exit_code_contract(invocation):
+    argv, env = invocation
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(tmp)
+        try:
+            code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, env, code)
+    assert "Traceback" not in err.getvalue(), (argv, env, err.getvalue())

@@ -12,6 +12,7 @@ from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac, rand_group, rand_lievec
+from flagdyn.rational import solve
 from registry_twins import run_check, twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -62,6 +63,19 @@ class TestBracket:
             tu = u - lc.LieVec.diag(u.trace() / 3, u.trace() / 3, u.trace() / 3)
             tv = v - lc.LieVec.diag(v.trace() / 3, v.trace() / 3, v.trace() / 3)
             assert lc.bracket(tu, tv).is_traceless()
+
+
+class TestTracelessCoords:
+    @given(lievecs())
+    def test_equals_elimination_against_the_basis(self, m):
+        if m.trace() != 0:
+            with pytest.raises(ValueError):
+                lc.traceless_coords(m)
+        v = m - lc.LieVec.diag(0, 0, m.trace())
+        cols = [b.flat() for b in lc.BASIS]
+        rows = [[cols[j][i] for j in range(8)] for i in range(9)]
+        assert lc.traceless_coords(v) == solve(rows, v.flat())
+        assert lc.lincomb(lc.traceless_coords(v), lc.BASIS) == v
 
 
 class TestGrading:
