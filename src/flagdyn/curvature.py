@@ -17,7 +17,6 @@ laws used by the flatness argument come out of it exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .lie_core import (
     exp_group,
     quotient_adjoint,
 )
-from .rational import IDENTITY3, cross, det3, dot, inverse3, mat_vec
+from .rational import IDENTITY3, cross, det3, inverse3, mat_vec
 
 __all__ = [
     "NormalCurvature",
@@ -215,79 +214,35 @@ class PolynomialField:
     def __call__(self, p):
         return self._func(p)
 
-    def jacobian(self, p):
-        return self._jac(p)
-
-
-# Relative tolerance of the contact verdict on a finite-difference bracket;
-# an exact bracket is decided exactly.
-CONTACT_RTOL = Fraction(1, 10 ** 7)
-# Largest step of the finite differences, along a direction of max-norm 1.
-CONTACT_STEP = Fraction(1, 512)
-
-
-def _derivative_along(field, p, v):
-    """D field(p) v, and whether it is exact: from the Jacobian of a
-    PolynomialField, else from exact central differences along v scaled to
-    max-norm 1 at steps CONTACT_STEP, /2, /4.  The ratio of successive
-    difference norms must sit within 10 percent of 4, the second-order
-    signature; the two finest steps are Richardson-extrapolated and scaled
-    back."""
-    if isinstance(field, PolynomialField):
-        return mat_vec(field.jacobian(p), v), True
-    scale = Fraction(max(map(abs, v)))
-    u = tuple(c / scale for c in v)
-
-    def central(h):
-        fp = field(tuple(x + h * c for x, c in zip(p, u)))
-        fm = field(tuple(x - h * c for x, c in zip(p, u)))
-        return tuple((Fraction(a) - Fraction(b)) / (2 * h) for a, b in zip(fp, fm))
-
-    d1, d2, d3 = (central(CONTACT_STEP / k) for k in (1, 2, 4))
-
-    def norm_diff(a, b):
-        return math.fsum(float(x - y) ** 2 for x, y in zip(a, b)) ** 0.5
-
-    n1 = norm_diff(d1, d2)
-    if n1 > 1e-9:
-        ratio = n1 / max(norm_diff(d2, d3), 1e-300)
-        if not (3.6 <= ratio <= 4.4):
-            raise ArithmeticError(
-                "finite-difference derivative failed the step-halving gate")
-    return tuple(scale * (4 * c - b) / 3 for b, c in zip(d2, d3)), False
+    def derivative_along(self, p, w):
+        """D F(p) w, exact."""
+        return mat_vec(self._jac(p), w)
 
 
 def bracket_of_fields(field_a, field_b, p, va, vb):
     """Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p) at a rational point p,
-    given the nonzero field values va = A(p), vb = B(p).  Needs only the
-    derivative of each field along the other's value.  Returns the bracket
-    and whether both derivatives were exact.
-    """
-    db, exact_b = _derivative_along(field_b, p, va)
-    da, exact_a = _derivative_along(field_a, p, vb)
-    return tuple(x - y for x, y in zip(db, da)), exact_a and exact_b
+    given the field values va = A(p), vb = B(p): each field's exact
+    derivative along the other's value."""
+    db = field_b.derivative_along(p, va)
+    da = field_a.derivative_along(p, vb)
+    return tuple(x - y for x, y in zip(db, da))
 
 
 def contact_test(field_a, field_b, p) -> bool:
     """True when the bracket of the two fields escapes their span at p,
     i.e. the frame is bracket generating there.
 
-    The point is taken exactly (a float converts exactly), so the field
-    values, the degeneracy test and the determinant are exact.  Only a
-    finite-difference bracket is approximate; its verdict is
-    |det(A, B, [A, B])| > CONTACT_RTOL |A| |B| |[A, B]|.  A field that is
-    undefined somewhere on the difference stencil raises its own error.
+    Each field is a callable of the point with an exact
+    `derivative_along(p, w)`.  The point is taken exactly (a float converts
+    exactly), so the field values, the bracket and the determinant are
+    exact, and the verdict is det(A, B, [A, B]) != 0 with no tolerance.
     """
     p = tuple(map(Fraction, p))
     va = tuple(map(Fraction, field_a(p)))
     vb = tuple(map(Fraction, field_b(p)))
     if not any(cross(va, vb)):
         raise DegenerateFrameError("fields are dependent at the test point")
-    br, exact = bracket_of_fields(field_a, field_b, p, va, vb)
-    det = det3((va, vb, br))
-    if exact:
-        return det != 0
-    return det * det > CONTACT_RTOL ** 2 * dot(va, va) * dot(vb, vb) * dot(br, br)
+    return det3((va, vb, bracket_of_fields(field_a, field_b, p, va, vb))) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,9 @@ class NilMap:
             vecs = vecs[:, ::-1]
         vals = vals.real
         vecs = vecs.real
+        if vals[1] == 0:
+            raise ValueError("the stable multiplier was lost to float rounding "
+                             "at this scale")
         if abs(np.linalg.det(vecs)) < 1e-9:
             raise NonHyperbolicError("linear part is not diagonalizable")
         residual = np.linalg.norm(np.linalg.inv(vecs) @ m @ vecs - np.diag(vals))
@@ -239,6 +242,9 @@ def _measured_rate(f: NilMap, w, p0, n: int, h: float) -> float:
         draw = (q1 - p1) / h
         wv = _frame_inverse(p1, draw)
         growth = np.linalg.norm(wv)
+        if not (growth > 0 and math.isfinite(growth)):
+            raise ValueError(f"the {h:g} perturbation was lost to float rounding "
+                             "at this scale; no finite-difference rate")
         total += math.log(growth)
         d = _left_frame(p1, wv / growth)
         p = p1

@@ -21,11 +21,12 @@ from .flag_space import (
     Region,
     affine_chart,
     chart_coords,
+    flag_from_coords,
     fundamental_vector,
     region_classify,
 )
 from .lie_core import GroupElem, LieVec, conjugate
-from .rational import Scalar, normalize_lead
+from .rational import Scalar, inverse3, mat_mul, mat_sub, mat_vec, normalize_lead, vec_mat
 
 __all__ = [
     "HeisElem",
@@ -44,8 +45,10 @@ __all__ = [
     "flat_structure_iso",
     "frame_at",
     "transporter",
+    "InvariantField",
     "equivariance_t",
     "equivariance_t_inverse",
+    "mat_mul2",
     "equivariance_a",
     "equivariance_a_inverse",
     "central_flow_fields",
@@ -274,6 +277,62 @@ _BASE_GENERATORS = {
 }
 
 
+def _transporter_jet(p, w, model: str):
+    """`transporter` of the chart point p as a plain matrix h, not
+    lead-normalized, and its derivative dh along w.  A chart point is
+    interior to model t exactly when d = x - yz != 0, and always to a."""
+    x, y, z = p
+    wx, wy, wz = w
+    if model == "a":
+        return (((1, z, x), (0, 1, y), (0, 0, 1)),
+                ((0, wz, wx), (0, 0, wy), (0, 0, 0)))
+    d = x - y * z
+    if d == 0:
+        raise BoundaryError("frame transport needs an interior flag")
+    dd = wx - wy * z - y * wz
+    return (((x, z / d, 0), (y, 1 / d, 0), (0, 0, 1)),
+            ((wx, (wz * d - z * dd) / (d * d), 0), (wy, -dd / (d * d), 0), (0, 0, 0)))
+
+
+class InvariantField:
+    """The model's invariant vector field extending the generator `gen` at
+    its base flag, in the chart (x, y, z): at p, the velocity of
+    conjugate(h, gen), h the transporter of the flag of p.  Exact, and
+    defined on the interior only (BoundaryError elsewhere)."""
+
+    def __init__(self, gen: LieVec, model: str):
+        if model not in _BASE_GENERATORS:
+            raise ValueError(f"unknown model {model!r}")
+        self.gen = gen
+        self.model = model
+
+    def __call__(self, p):
+        flag = flag_from_coords(*p)
+        return fundamental_vector(conjugate(transporter(flag, self.model), self.gen), flag)
+
+    def derivative_along(self, p, w):
+        """D F(p) w, exact: first-order jets pushed through the chain of
+        __call__ at the matrix level.  With V = h gen h^-1, dV = [dh h^-1, V].
+        The flag of p has the point m = (x, y, 1) and the line n = (-1, z,
+        x - yz), and F(p) = (a0 - x a2, a1 - y a2, -(b1 + z b0)) for a = V m
+        and b = n V; the product rule differentiates each term."""
+        x, y, z = p = tuple(map(Fraction, p))
+        wx, wy, wz = w = tuple(map(Fraction, w))
+        h, dh = _transporter_jet(p, w, self.model)
+        hinv = inverse3(h)
+        v = mat_mul(mat_mul(h, self.gen.entries), hinv)
+        k = mat_mul(dh, hinv)
+        dv = mat_sub(mat_mul(k, v), mat_mul(v, k))
+        m, dm = (x, y, 1), (wx, wy, 0)
+        n, dn = (-1, z, x - y * z), (0, wz, wx - wy * z - y * wz)
+        a, b = mat_vec(v, m), vec_mat(n, v)
+        da = [s + t for s, t in zip(mat_vec(dv, m), mat_vec(v, dm))]
+        db = [s + t for s, t in zip(vec_mat(n, dv), vec_mat(dn, v))]
+        return (da[0] - wx * a[2] - x * da[2],
+                da[1] - wy * a[2] - y * da[2],
+                -(db[1] + wz * b[0] + z * db[0]))
+
+
 def frame_at(x: Flag, model: str) -> FramedPoint:
     """Invariant frame at an interior flag, obtained by transporting the
     base frame by any group element carrying the base flag to x; the result
@@ -323,6 +382,12 @@ def equivariance_t(g: GroupElem):
         return s, lam
     s = tuple(tuple(c / lam for c in row) for row in block)
     return s, lam
+
+
+def mat_mul2(a, b):
+    """Product of two 2x2 matrices given as nested sequences."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
 
 
 def equivariance_t_inverse(s, lam) -> GroupElem:

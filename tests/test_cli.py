@@ -150,6 +150,17 @@ class TestLyapunov:
             code, out = run(["lyapunov", "-n", "20", "--tol", tol], capsys)
             assert code == 2 and out == "", tol
 
+    @pytest.mark.parametrize("option, value, cause", [
+        ("--translation", "0.5,0.5,4503599627370496", "the 1e-06 perturbation"),
+        ("--matrix", "1180591620717411303424,34359738367,34359738369,1",
+         "the stable multiplier")])
+    def test_value_lost_to_float_rounding_is_named(self, capsys, option, value, cause):
+        code = cli.main(["lyapunov", option, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(
+            f"error: {cause} was lost to float rounding at this scale")
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--tol", "1e-6"],

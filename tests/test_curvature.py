@@ -75,17 +75,14 @@ class TestContact:
     def test_rescaling_does_not_change_verdict(self):
         rng = random.Random(17)
         a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
-
-        def beta(p):
-            return (p[2], 1, 0)
-
+        beta = curv.PolynomialField(lambda p: (p[2], 1, 0),
+                                    lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
         for _ in range(20):
             c = abs(rand_frac(rng)) + 1
-
-            def scaled(p, c=c):
-                f = c + p[0] * p[0]
-                return (f * p[2], f, 0)
-
+            scaled = curv.PolynomialField(
+                lambda p, c=c: ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0),
+                lambda p, c=c: ((2 * p[0] * p[2], 0, c + p[0] * p[0]),
+                                (2 * p[0], 0, 0), (0, 0, 0)))
             p = tuple(rand_frac(rng) for _ in range(3))
             assert curv.contact_test(a, beta, p) == curv.contact_test(a, scaled, p)
 
@@ -95,50 +92,71 @@ class TestContact:
             curv.contact_test(a, a, (0, 0, 0))
 
     def test_rescaling_check_at_a_seed_where_float_noise_tripped_the_gate(self):
-        # float differences at float points once failed the step-halving
-        # gate here; exact differences at the same points pass it
+        # float differences at float points once failed the difference gate
+        # here; exact derivatives at the same points have no gate
         assert run_check("contact-rescaling-invariance", seed=154)[0]
 
     def test_float_point_gives_the_verdict_of_its_exact_value(self):
         rng = random.Random(29)
         a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
+        fields = (
+            curv.PolynomialField(
+                lambda q: ((2 + q[0] * q[0]) * q[2], 2 + q[0] * q[0], 0),
+                lambda q: ((2 * q[0] * q[2], 0, 2 + q[0] * q[0]),
+                           (2 * q[0], 0, 0), (0, 0, 0))),
+            curv.PolynomialField(
+                lambda q: (q[2] * q[2], 1, 0),
+                lambda q: ((0, 0, 2 * q[2]), (0, 0, 0), (0, 0, 0))))
         for _ in range(10):
             p = tuple(float(rand_frac(rng)) for _ in range(3))
-            for b in (lambda q: ((2 + q[0] * q[0]) * q[2], 2 + q[0] * q[0], 0),
-                      lambda q: (q[2] * q[2], 1, 0)):
+            for b in fields:
                 assert curv.contact_test(a, b, p) == curv.contact_test(
                     a, b, tuple(map(Fraction, p)))
 
     def test_difference_bracket_equals_closed_form_bracket(self):
-        # a central difference of a polynomial of degree <= 4 errs by one
-        # h^2 term, which the Richardson step removes exactly; the field
-        # values never move z, so a random pair of directions also makes
-        # the differences cubic
+        # the jet bracket of two invariant frame fields equals the bracket of
+        # their closed forms in the chart, (0, 0, 1) and (z, 1, 0) on model a,
+        # (0, 0, d^2) and (x, y, 0) with d = x - yz on model t, at the field
+        # values and at a random pair of directions
+        def d(p):
+            return p[0] - p[1] * p[2]
+
+        closed = {
+            ("a", md.HEIS_X): curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian),
+            ("a", md.HEIS_Y): curv.PolynomialField(
+                lambda p: (p[2], 1, 0), lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
+            ("t", md.SL2_E): curv.PolynomialField(
+                lambda p: (0, 0, d(p) ** 2),
+                lambda p: ((0, 0, 0), (0, 0, 0),
+                           (2 * d(p), -2 * d(p) * p[2], -2 * d(p) * p[1]))),
+            ("t", md.SL2_H): curv.PolynomialField(
+                lambda p: (p[0], p[1], 0), lambda p: ((1, 0, 0), (0, 1, 0), (0, 0, 0))),
+        }
         rng = random.Random(31)
-        for _ in range(20):
-            c = abs(rand_frac(rng)) + 1
-
-            def a(p, c=c):
-                return ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0)
-
-            def b(p):
-                return (p[2] * p[2], 1, 0)
-
-            exact_a = curv.PolynomialField(a, lambda p, c=c: (
-                (2 * p[0] * p[2], 0, c + p[0] * p[0]), (2 * p[0], 0, 0), (0, 0, 0)))
-            exact_b = curv.PolynomialField(b, lambda p: (
-                (0, 0, 2 * p[2]), (0, 0, 0), (0, 0, 0)))
-            p = tuple(rand_frac(rng) for _ in range(3))
-            u, w = (tuple(nonzero_frac(rng) for _ in range(3)) for _ in range(2))
-            for va, vb in ((a(p), b(p)), (u, w)):
-                assert curv.bracket_of_fields(a, b, p, va, vb) == (
-                    curv.bracket_of_fields(exact_a, exact_b, p, va, vb)[0], False)
-                assert curv.bracket_of_fields(exact_a, exact_b, p, va, vb)[1]
+        for model, gen_a, gen_b in (("a", md.HEIS_X, md.HEIS_Y), ("t", md.SL2_E, md.SL2_H)):
+            jet_a, jet_b = md.InvariantField(gen_a, model), md.InvariantField(gen_b, model)
+            exact_a, exact_b = closed[model, gen_a], closed[model, gen_b]
+            for _ in range(20):
+                p = tuple(rand_frac(rng) for _ in range(3))
+                if d(p) == 0:
+                    continue
+                assert (jet_a(p), jet_b(p)) == (exact_a(p), exact_b(p))
+                u, w = (tuple(nonzero_frac(rng) for _ in range(3)) for _ in range(2))
+                for va, vb in ((jet_a(p), jet_b(p)), (u, w)):
+                    assert curv.bracket_of_fields(jet_a, jet_b, p, va, vb) == \
+                        curv.bracket_of_fields(exact_a, exact_b, p, va, vb)
 
     def test_model_frames_at_a_seed_where_full_jacobians_tripped_the_gate(self):
-        # three-axis difference Jacobians once failed the step-halving gate
-        # within this seed's first 18 points; directional differences pass
+        # three-axis difference Jacobians once failed the difference gate
+        # within this seed's first 18 points; exact derivatives have no gate
         assert run_check("contact-model-frames", seed=21, samples=18)[0]
+
+    @pytest.mark.parametrize("seed", [46, 64, 86])
+    def test_model_frames_at_seeds_where_differences_tripped_the_gate(self, seed):
+        # directional differences at a fixed step once failed the gate here,
+        # at points within a few steps of the pole of the block-model frame;
+        # exact derivatives have no step
+        assert run_check("contact-model-frames", seed=seed)[0]
 
 
 class TestFlowCommutator:

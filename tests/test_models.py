@@ -1,10 +1,13 @@
 """Heisenberg arithmetic, model frames, equivariances, and the affine
 linearization."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,9 +15,9 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import (
-    mat_mul2,
     nonzero_frac,
     rand_auto,
+    rand_frac,
     rand_heis,
     rand_interior_flag,
     rand_sl2,
@@ -103,7 +106,7 @@ class TestEquivarianceBlock:
             s2, l2 = md.equivariance_t(g2)
             s12, l12 = md.equivariance_t(g1 @ g2)
             assert l12 == l1 * l2
-            assert s12 == mat_mul2(s1, s2)
+            assert s12 == md.mat_mul2(s1, s2)
 
     def test_conjugates_the_actions(self):
         rng = random.Random(29)
@@ -114,8 +117,8 @@ class TestEquivarianceBlock:
             emb = md.equivariance_t_inverse(s, Fraction(1))
             lhs = fs.act(big, fs.act(emb, fs.O_T))
             a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
-            rhs = fs.act(md.equivariance_t_inverse(mat_mul2(mat_mul2(g2, s), a),
-                                                   Fraction(1)), fs.O_T)
+            rhs = fs.act(md.equivariance_t_inverse(
+                md.mat_mul2(md.mat_mul2(g2, s), a), Fraction(1)), fs.O_T)
             assert lhs == rhs
 
     def test_membership_violations(self):
@@ -177,6 +180,66 @@ class TestFrames:
     def test_boundary_flag_rejected(self):
         with pytest.raises(fs.BoundaryError):
             md.frame_at(fs.BASE_FLAG, "a")
+
+
+def _sympy_field(gen, model):
+    """The invariant field of `gen` built in sympy, independently of the jet
+    rules: the transporter h in closed form, V = h gen h^-1, and the chart
+    velocity of exp(tV) at the flag of (x, y, z), differentiated in t from
+    the moved point m(t) and line n(t) of the flag.  Returns the chart
+    symbols, the field and its Jacobian."""
+    x, y, z, t = sp.symbols("x y z t")
+    if model == "a":
+        h = sp.Matrix([[1, z, x], [0, 1, y], [0, 0, 1]])
+    else:
+        d = x - y * z
+        h = sp.Matrix([[x, z / d, 0], [y, 1 / d, 0], [0, 0, 1]])
+    v = h * sp.Matrix(gen.entries) * h.inv()
+    m = sp.Matrix([x, y, 1])
+    n = m.cross(sp.Matrix([x + z, y + 1, 1])).T
+    mt, nt = (sp.eye(3) + t * v) * m, n * (sp.eye(3) - t * v)
+    chart = sp.Matrix([mt[0] / mt[2], mt[1] / mt[2], -nt[1] / nt[0]])
+    field = chart.diff(t).subs(t, 0)
+    return (x, y, z), field, field.jacobian([x, y, z])
+
+
+def _fractions(column):
+    return tuple(Fraction(str(e)) for e in column)
+
+
+class TestInvariantField:
+    @pytest.mark.parametrize("model, gen", [
+        ("t", md.SL2_E), ("t", md.SL2_F), ("t", md.SL2_H),
+        ("a", md.HEIS_X), ("a", md.HEIS_Y), ("a", md.HEIS_Z)],
+        ids=["t-E", "t-F", "t-H", "a-X", "a-Y", "a-Z"])
+    def test_derivative_matches_sympy(self, model, gen):
+        field = md.InvariantField(gen, model)
+        syms, value, jac = _sympy_field(gen, model)
+        rng = random.Random(41)
+        done = 0
+        while done < 6:
+            p = tuple(rand_frac(rng) for _ in range(3))
+            w = tuple(rand_frac(rng) for _ in range(3))
+            if model == "t" and p[0] == p[1] * p[2]:
+                continue  # the line of p passes through the pole (0 : 0 : 1)
+            at = dict(zip(syms, p))
+            assert field(p) == _fractions(value.subs(at))
+            assert field.derivative_along(p, w) == _fractions(jac.subs(at) * sp.Matrix(w))
+            done += 1
+
+
+def test_library_does_not_import_sympy():
+    # sympy is a test-time oracle only
+    src = Path(md.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), path.name
 
 
 class TestFlatStructureIso:
