@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import checks
 from . import classification as cls
 from . import dynamics as dyn
@@ -201,7 +199,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    orbit = dyn.iterate(f, np.array(args.start), args.steps)
+    orbit = dyn.iterate(f, args.start, args.steps)
     if config.out:
         dyn.write_trajectory_csv(config.out, orbit)
     else:
@@ -216,7 +214,8 @@ def cmd_lyapunov(args, config: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = dyn.hyperbolicity_report(f, n_iter=args.steps)
+    report = dyn.hyperbolicity_report(
+        tuple(rates[d].measured for d in ("u", "s", "c")))
     payload = {
         "suite": "lyapunov",
         "cases": [{

@@ -17,10 +17,10 @@ laws used by the flatness argument come out of it exactly.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .lie_core import (
     E_SUP_0,
@@ -32,6 +32,9 @@ from .lie_core import (
     bracket,
     conjugate,
     exp_group,
+    fmat_mul,
+    fmat_sub,
+    fnorm,
     quotient_adjoint,
 )
 from .rational import IDENTITY3, cross, det3, inverse3, mat_vec
@@ -258,22 +261,16 @@ def flow_commutator_defect(u: LieVec, v: LieVec, t: float) -> float:
     second-order term to be + [u, v]; the opposite nesting lands on the
     inverse bracket and the defect degrades to second order.
     """
-    eu = exp_group(u, t)
-    ev = exp_group(v, t)
-    eum = exp_group(u, -t)
-    evm = exp_group(v, -t)
-    comm = eum @ evm @ eu @ ev
+    eu, ev, eum, evm = (exp_group(w, s) for s in (t, -t) for w in (u, v))
+    comm = fmat_mul(fmat_mul(fmat_mul(eum, evm), eu), ev)
     target = exp_group(bracket(u, v), t * t)
-    return float(np.linalg.norm(comm - target))
+    return fnorm(fmat_sub(comm, target))
 
 
 def loglog_slope(ts, values) -> float:
     """Least-squares slope of log(values) against log(ts)."""
-    xs = np.log(np.array(ts, dtype=float))
-    ys = np.log(np.maximum(np.array(values, dtype=float), 1e-300))
-    n = len(xs)
-    sx, sy = xs.sum(), ys.sum()
-    return float((n * (xs * ys).sum() - sx * sy) / (n * (xs * xs).sum() - sx * sx))
+    return statistics.linear_regression(
+        [math.log(t) for t in ts], [math.log(max(v, 1e-300)) for v in values]).slope
 
 
 def commutator_slope(u: LieVec, v: LieVec, ts=(1e-1, 1e-2, 1e-3)) -> float:

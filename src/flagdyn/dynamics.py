@@ -9,7 +9,7 @@ and every automorphism fixing the two generating directions acts linearly.
 The concrete lattice is the set of points with integer x, y and half-integer
 z; it is closed under the law above and invariant under every integer
 determinant-one linear part, so quotient dynamics reduce to a fundamental
-box [0,1) x [0,1) x [0,1/2).
+box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .lie_core import LieVec, bracket
+from .lie_core import LieVec, bracket, fmat_mul, fmat_sub, fnorm
 from .models import SL2_E, SL2_F, SL2_H
 
 __all__ = [
@@ -43,18 +41,12 @@ __all__ = [
 
 
 def heis_mul(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.array([
-        p[0] + q[0],
-        p[1] + q[1],
-        p[2] + q[2] + (p[0] * q[1] - p[1] * q[0]) / 2.0,
-    ])
+    return (p[0] + q[0], p[1] + q[1],
+            p[2] + q[2] + (p[0] * q[1] - p[1] * q[0]) / 2.0)
 
 
 def heis_inv(p):
-    p = np.asarray(p, dtype=float)
-    return np.array([-p[0], -p[1], -p[2]])
+    return (-p[0], -p[1], -p[2])
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,9 @@ class NilLattice:
                 and abs(2 * z - round(2 * z)) <= tol)
 
     def random_element(self, rng, bound: int = 5):
-        return np.array([
-            float(rng.randint(-bound, bound)),
-            float(rng.randint(-bound, bound)),
-            rng.randint(-bound, bound) / 2.0,
-        ])
+        return (float(rng.randint(-bound, bound)),
+                float(rng.randint(-bound, bound)),
+                rng.randint(-bound, bound) / 2.0)
 
 
 LATTICE = NilLattice()
@@ -83,13 +73,10 @@ def reduce_with_translation(p):
     """Left-translate by a lattice element into the fundamental box; returns
     (representative, lattice element).  The representative is unique, so
     this is a retraction invariant under lattice left multiplication."""
-    p = np.asarray(p, dtype=float)
-    m = -math.floor(p[0])
-    n = -math.floor(p[1])
-    partial = heis_mul(np.array([m, n, 0.0]), p)
+    gamma_xy = (float(-math.floor(p[0])), float(-math.floor(p[1])))
+    partial = heis_mul((*gamma_xy, 0.0), p)
     c = -math.floor(2.0 * partial[2]) / 2.0
-    gamma = np.array([float(m), float(n), c])
-    return heis_mul(np.array([0.0, 0.0, c]), partial), gamma
+    return heis_mul((0.0, 0.0, c), partial), (*gamma_xy, c)
 
 
 def reduce_point(p):
@@ -134,44 +121,53 @@ class NilMap:
                     "use check_descends=False to override")
         return NilMap(m, tr, check_descends)
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.linear, dtype=float)
-
     def apply(self, p):
-        p = np.asarray(p, dtype=float)
-        xy = self.matrix() @ p[:2]
-        return heis_mul(np.array(self.translation), np.array([xy[0], xy[1], p[2]]))
+        (a, b), (c, d) = self.linear
+        x, y, z = p
+        return heis_mul(self.translation, (a * x + b * y, c * x + d * y, z))
 
     def inverse(self) -> "NilMap":
-        m = self.linear
-        minv = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+        (a, b), (c, d) = self.linear
         gx, gy, gz = self.translation
-        ginv = np.array([-gx, -gy, -gz])
-        inv_xy = np.array([[minv[0][0], minv[0][1]], [minv[1][0], minv[1][1]]], dtype=float) @ ginv[:2]
-        return NilMap(minv, (float(inv_xy[0]), float(inv_xy[1]), float(-gz)),
+        return NilMap(((d, -b), (-c, a)),
+                      (-(d * gx - b * gy), -(a * gy - c * gx), -gz),
                       self.check_descends)
 
     def multipliers(self):
-        """Eigenvalues of the linear part sorted by decreasing modulus,
-        gated by an exact-diagonalization residual.  Complex or parabolic
-        linear parts have no invariant line splitting and are rejected."""
-        m = self.matrix()
-        vals, vecs = np.linalg.eig(m)
-        if abs(vals[0].imag) > 1e-12:
+        """Eigenvalues of the linear part sorted by decreasing modulus, from
+        the quadratic formula (the determinant is 1), and their unit
+        eigenvectors, gated by an exact-diagonalization residual.  Complex
+        or parabolic linear parts have no invariant line splitting and are
+        rejected."""
+        (a, b), (c, d) = self.linear
+        tr = a + d
+        disc = tr * tr - 4
+        if disc < 0:
             raise NonHyperbolicError("linear part has complex multipliers")
-        if abs(vals[0]) < abs(vals[1]):
-            vals = vals[::-1]
-            vecs = vecs[:, ::-1]
-        vals = vals.real
-        vecs = vecs.real
-        if vals[1] == 0:
+        if disc == 0:
+            if b or c:
+                raise NonHyperbolicError("linear part is not diagonalizable")
+            return (float(a), float(d)), ((1.0, 0.0), (0.0, 1.0))
+        # Past |tr| = 2^27 the float root rounds to |tr|, and past 2^500 it
+        # would overflow: either way the stable multiplier is lost.
+        root = math.copysign(math.sqrt(disc), tr) if disc.bit_length() < 1000 else tr
+        if tr - root == 0:
             raise ValueError("the stable multiplier was lost to float rounding "
                              "at this scale")
-        if abs(np.linalg.det(vecs)) < 1e-9:
-            raise NonHyperbolicError("linear part is not diagonalizable")
-        residual = np.linalg.norm(np.linalg.inv(vecs) @ m @ vecs - np.diag(vals))
+        vals = ((tr + root) / 2, (tr - root) / 2)
+        # of the two kernel vectors of m - lam, the longer is better conditioned
+        kernels = [max((b, lam - a), (lam - d, c), key=lambda v: math.hypot(*v))
+                   for lam in vals]
+        vecs = tuple((x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in kernels)
+        (p, r), (q, s) = basis = tuple(zip(*vecs))  # eigenvectors as columns
+        det = p * s - r * q
+        inv = ((s / det, -r / det), (-q / det, p / det))
+        residual = fnorm(fmat_sub(fmat_mul(fmat_mul(inv, self.linear), basis),
+                                  ((vals[0], 0.0), (0.0, vals[1]))))
         if residual > 1e-10:
-            raise ArithmeticError("eigenbasis residual gate failed")
+            raise ValueError(f"the eigenbasis of the linear part misses its 1e-10 "
+                             f"residual gate ({residual:.2g}) at this scale; "
+                             "no reliable multipliers")
         return vals, vecs
 
 
@@ -187,25 +183,24 @@ class Sl2TimeMap:
 # orbits and measured rates
 # ---------------------------------------------------------------------------
 
-def iterate(f: NilMap, p0, n: int) -> np.ndarray:
-    """Orbit of the reduced dynamics, rows (n+1) x 3, inside the box."""
-    out = np.empty((n + 1, 3))
+def iterate(f: NilMap, p0, n: int):
+    """Orbit of the reduced dynamics: yields its n+1 points, inside the box,
+    one at a time, so that a long orbit streams to its CSV."""
     p = reduce_point(p0)
-    out[0] = p
-    for k in range(1, n + 1):
+    yield p
+    for _ in range(n):
         p = reduce_point(f.apply(p))
-        out[k] = p
-    return out
+        yield p
 
 
 def _left_frame(p, w):
     """Coordinate vector of the left-invariant extension of the algebra
     vector w at the point p."""
-    return np.array([w[0], w[1], w[2] + (-p[1] * w[0] + p[0] * w[1]) / 2.0])
+    return (w[0], w[1], w[2] + (-p[1] * w[0] + p[0] * w[1]) / 2.0)
 
 
 def _frame_inverse(p, d):
-    return np.array([d[0], d[1], d[2] - (-p[1] * d[0] + p[0] * d[1]) / 2.0])
+    return (d[0], d[1], d[2] - (-p[1] * d[0] + p[0] * d[1]) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -219,34 +214,22 @@ class RateEstimate:
         return abs(self.measured - self.exact)
 
 
-def _algebra_direction(f: NilMap, direction: str) -> np.ndarray:
-    if direction == "c":
-        return np.array([0.0, 0.0, 1.0])
-    vals, vecs = f.multipliers()
-    idx = 0 if direction == "u" else 1
-    v = vecs[:, idx]
-    v = v / np.linalg.norm(v)
-    return np.array([v[0], v[1], 0.0])
-
-
 def _measured_rate(f: NilMap, w, p0, n: int, h: float) -> float:
     p = reduce_point(p0)
-    d = _left_frame(p, w / np.linalg.norm(w))
+    norm = math.hypot(*w)
+    d = _left_frame(p, tuple(c / norm for c in w))
     total = 0.0
     for _ in range(n):
-        q = p + h * d
-        fp = f.apply(p)
-        fq = f.apply(q)
-        p1, gamma = reduce_with_translation(fp)
-        q1 = heis_mul(gamma, fq)
-        draw = (q1 - p1) / h
-        wv = _frame_inverse(p1, draw)
-        growth = np.linalg.norm(wv)
+        q = tuple(a + h * b for a, b in zip(p, d))
+        p1, gamma = reduce_with_translation(f.apply(p))
+        q1 = heis_mul(gamma, f.apply(q))
+        wv = _frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
+        growth = math.hypot(*wv)
         if not (growth > 0 and math.isfinite(growth)):
             raise ValueError(f"the {h:g} perturbation was lost to float rounding "
                              "at this scale; no finite-difference rate")
         total += math.log(growth)
-        d = _left_frame(p1, wv / growth)
+        d = _left_frame(p1, tuple(c / growth for c in wv))
         p = p1
     return total / n
 
@@ -261,19 +244,15 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200,
     if direction not in ("s", "u", "c"):
         raise ValueError("direction must be one of s, u, c")
     if direction == "c":
-        exact = 0.0
-        measured = _measured_rate(f, np.array([0.0, 0.0, 1.0]), start, n, h)
-        return RateEstimate("c", measured, exact)
-    vals, _ = f.multipliers()
+        return RateEstimate("c", _measured_rate(f, (0.0, 0.0, 1.0), start, n, h), 0.0)
+    vals, vecs = f.multipliers()
+    i = 0 if direction == "u" else 1
+    w = (*vecs[i], 0.0)
     if direction == "u":
-        exact = math.log(abs(vals[0]))
-        w = _algebra_direction(f, "u")
         measured = _measured_rate(f, w, start, n, h)
-        return RateEstimate("u", measured, exact)
-    exact = math.log(abs(vals[1]))
-    w = _algebra_direction(f, "s")
-    measured = -_measured_rate(f.inverse(), w, start, n, h)
-    return RateEstimate("s", measured, exact)
+    else:
+        measured = -_measured_rate(f.inverse(), w, start, n, h)
+    return RateEstimate(direction, measured, math.log(abs(vals[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +326,7 @@ def hyperbolicity_report(source, n_max: int = 100, tol: float = 1e-6,
     than an error.
     """
     if isinstance(source, NilMap):
-        ra = tangent_rates(source, "u", n=n_iter).measured
-        rb = tangent_rates(source, "s", n=n_iter).measured
-        rc = tangent_rates(source, "c", n=n_iter).measured
+        ra, rb, rc = (tangent_rates(source, d, n=n_iter).measured for d in "usc")
     elif isinstance(source, Sl2TimeMap):
         ra, rb, rc = sl2_frame_rates(source.t)
     else:

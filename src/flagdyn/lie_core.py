@@ -1,15 +1,17 @@
 """Exact kernel for gl(3)/sl(3): brackets, grading, adjoint actions, exponentials.
 
 All algebraic operations are exact over Fraction.  Floats appear only in
-`exp_group` / `exp_ad`, the numerical exponentials used by the dynamics side.
+`exp_group` / `exp_ad`, the numerical exponentials used by the dynamics side;
+a float matrix there is a tuple of rows, each a tuple of Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import chain
+from operator import add, mul, sub
 
 from .rational import (
     IDENTITY3,
@@ -110,8 +112,9 @@ class LieVec:
     def flat(self):
         return [e for row in self.entries for e in row]
 
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
+    def to_float(self, t: float = 1.0) -> tuple:
+        """The float matrix of t * self."""
+        return tuple(tuple(float(e) * t for e in row) for row in self.entries)
 
 
 def bracket(u: LieVec, v: LieVec) -> LieVec:
@@ -133,6 +136,8 @@ BASIS = (E_0, E_ALPHA, E_BETA, E_1, E_2, E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 BASIS_NAMES = ("e_0", "e_alpha", "e_beta", "e_1", "e_2",
                "e^alpha", "e^beta", "e^0")
 
+_FLOAT_BASIS = tuple(b.to_float() for b in BASIS)
+
 # Positive part of the filtration (grades >= 1).
 POSITIVE_BASIS = (E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 
@@ -142,7 +147,11 @@ def traceless_coords(v: LieVec):
     the off-diagonal ones directly, and diag(a, b, -a-b) = a E_1 + (a+b) E_2."""
     if not v.is_traceless():
         raise ValueError("expected a traceless matrix")
-    e = v.entries
+    return _basis_coords(v.entries)
+
+
+def _basis_coords(e):
+    """BASIS coordinates read off the entry rows e of a traceless matrix."""
     return [e[2][0], e[2][1], e[1][0], e[0][0], e[0][0] + e[1][1],
             e[1][2], e[0][1], e[0][2]]
 
@@ -402,54 +411,82 @@ def ad_matrix(v: LieVec):
     return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
 
 
+def fmat_mul(a, b):
+    """Product of two float matrices.  The loops run inside map, zip and
+    sum, with no bytecode per entry."""
+    width = len(b[0])
+    prods = map(mul, chain.from_iterable([row * width for row in a]),
+                tuple(chain.from_iterable(zip(*b))) * len(a))
+    return tuple(zip(*[map(sum, zip(*[prods] * len(b)))] * width))
+
+
+def fmat_sub(a, b):
+    """Difference of two float matrices of one shape."""
+    return tuple(tuple(map(sub, r, s)) for r, s in zip(a, b))
+
+
+def fnorm(m) -> float:
+    """Frobenius norm of a float matrix."""
+    return math.hypot(*(x for row in m for x in row))
+
+
 _EXP_ORDER = 18
+# Paterson-Stockmeyer: one product of the Taylor coefficients, as a 5x4
+# matrix padded with zeros, with the stacked powers m^0..m^3 gives five
+# blocks, and Horner's rule runs over them in m^4; 7 matrix products in all.
+_PS_BLOCK = 4
+_EXP_BLOCKS = tuple(
+    tuple(1.0 / math.factorial(k) if k <= _EXP_ORDER else 0.0 for k in range(j, j + _PS_BLOCK))
+    for j in range(0, _EXP_ORDER + 1, _PS_BLOCK))
 
 
-def _exp_series(m: np.ndarray) -> np.ndarray:
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, _EXP_ORDER + 1):
-        term = term @ m / k
-        out = out + term
-    return out
+def _exp_series(m):
+    """The Taylor polynomial at m; the blocks and `out` are flat, row by row."""
+    n = range(len(m))
+    pows = [tuple(tuple(float(i == j) for j in n) for i in n), m]
+    for _ in range(_PS_BLOCK - 1):
+        pows.append(fmat_mul(pows[-1], m))
+    top = pows.pop()
+    *blocks, out = fmat_mul(_EXP_BLOCKS, [tuple(chain.from_iterable(p)) for p in pows])
+    for block in reversed(blocks):
+        out = fmat_mul(tuple(zip(*[iter(out)] * len(m))), top)
+        out = tuple(map(add, chain.from_iterable(out), block))
+    return tuple(zip(*[iter(out)] * len(m)))
 
 
-def exp_float(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a fixed series order."""
-    norm = np.linalg.norm(m, ord=np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    out = _exp_series(m / (2 ** squarings))
+def exp_float(m):
+    """Matrix exponential by scaling and squaring with a fixed series order:
+    the degree-18 Taylor polynomial at m / 2^s, squared s times, with the
+    least s that brings the row-sum norm to at most 1/2."""
+    norm = max(sum(map(abs, row)) for row in m)
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    scale = 0.5 ** squarings
+    out = _exp_series(tuple(tuple(x * scale for x in row) for row in m))
     for _ in range(squarings):
-        out = out @ out
+        out = fmat_mul(out, out)
     return out
 
 
-def exp_group(v: LieVec, t: float = 1.0) -> np.ndarray:
+def exp_group(v: LieVec, t: float = 1.0):
     """exp(t v) as a float 3x3 matrix."""
-    return exp_float(v.to_float() * t)
+    return exp_float(v.to_float(t))
 
 
-def exp_ad(v: LieVec, t: float = 1.0) -> np.ndarray:
-    """exp(t ad v) as a float 8x8 matrix."""
-    adv = np.array([[float(e) for e in row] for row in ad_matrix(v)])
-    return exp_float(adv * t)
+def exp_ad(v: LieVec, t: float = 1.0):
+    """exp(t ad v) as a float 8x8 matrix; the columns of t ad v are the
+    BASIS coordinates of the float brackets [t v, b]."""
+    tv = v.to_float(t)
+    brackets = (fmat_sub(fmat_mul(tv, b), fmat_mul(b, tv)) for b in _FLOAT_BASIS)
+    return exp_float(tuple(zip(*map(_basis_coords, brackets))))
 
 
-def Ad_of_exp(v: LieVec, t: float = 1.0) -> np.ndarray:
+def Ad_of_exp(v: LieVec, t: float = 1.0):
     """Conjugation action of exp(t v) over BASIS, float path.
 
     Computed from exp_group directly (independent of exp_ad); the two must
     agree to roughly 1e-9 for moderate inputs.  The inverse is exp(-t v)
     rather than a numerical inversion, whose error grows with the condition
-    number of exp(t v).
+    number of exp(t v).  Coordinates are read as in `traceless_coords`.
     """
-    g = exp_group(v, t)
-    ginv = exp_group(v, -t)
-    basis_f = [b.to_float() for b in BASIS]
-    flat_basis = np.array([bf.flatten() for bf in basis_f]).T
-    cols = []
-    for bf in basis_f:
-        conj = (g @ bf @ ginv).flatten()
-        coords, *_ = np.linalg.lstsq(flat_basis, conj, rcond=None)
-        cols.append(coords)
-    return np.array(cols).T
+    g, ginv = exp_group(v, t), exp_group(v, -t)
+    return tuple(zip(*(_basis_coords(fmat_mul(fmat_mul(g, b), ginv)) for b in _FLOAT_BASIS)))

@@ -162,6 +162,16 @@ class TestLyapunov:
             f"error: {cause} was lost to float rounding at this scale")
 
 
+@pytest.mark.parametrize("matrix", [
+    "100000001,100000000,1,1", "10000000001,10000000000,1,1",
+    "5000000001,5000000000,1,1", "3000000001,1000000000,3,1"])
+def test_multipliers_beyond_float_precision_are_usage_errors(capsys, matrix):
+    code = cli.main(["lyapunov", "-n", "20", "--matrix", matrix])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--tol", "1e-6"],
     ["oracle", "bracket-table", "--seed", "1"],

@@ -1,9 +1,9 @@
 """Exact kernel tests: brackets, grading, adjoint actions, exponentials."""
 
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,7 +181,9 @@ class TestExponentials:
         assert passed, worst
 
     def test_exp_of_zero(self):
-        assert np.allclose(lc.exp_group(lc.LieVec.zero()), np.eye(3))
+        exp = lc.exp_group(lc.LieVec.zero())
+        assert all(abs(exp[i][j] - (i == j)) <= 1e-8 + 1e-5 * (i == j)
+                   for i in range(3) for j in range(3))
 
     def test_diagonal_eigenvalues_on_circle_directions(self):
         # the bracket action of diag(1,-1,0) scales the two circle
@@ -194,8 +196,8 @@ class TestExponentials:
         assert exact[i_beta][i_beta] == -2
         t = 0.7
         ad = lc.Ad_of_exp(lc.LieVec.diag(1, -1, 0), t)
-        assert abs(ad[i_alpha][i_alpha] - np.exp(t)) < 1e-9
-        assert abs(ad[i_beta][i_beta] - np.exp(-2 * t)) < 1e-9
+        assert abs(ad[i_alpha][i_alpha] - math.exp(t)) < 1e-9
+        assert abs(ad[i_beta][i_beta] - math.exp(-2 * t)) < 1e-9
 
 
 class TestTheta:

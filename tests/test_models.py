@@ -3,6 +3,7 @@ linearization."""
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from flagdyn.checks import (
     rand_upper,
 )
 from flagdyn.rational import normalize_lead
-from registry_twins import twin
+from registry_twins import run_check, twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 heis_elems = st.tuples(fractions, fractions, fractions).map(
@@ -129,6 +130,19 @@ class TestEquivarianceBlock:
             md.equivariance_t(lc.GroupElem([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
 
 
+@pytest.mark.parametrize("check_id, oracle, seed", [
+    ("equivariance-affine-display", "equivariance_a", 20),
+    ("equivariance-block-morphism", "equivariance_t_inverse", 2),
+    ("equivariance-block-conjugates-action", "equivariance_t_inverse", 19)])
+def test_one_sample_exercises_the_map(monkeypatch, check_id, oracle, seed):
+    # at these seeds the first draw has a zero parameter; no draw may be skipped
+    calls = []
+    real = getattr(md, oracle)
+    monkeypatch.setattr(md, oracle, lambda *args: calls.append(args) or real(*args))
+    assert run_check(check_id, seed, samples=1)[0]
+    assert calls
+
+
 class TestFrames:
     test_base_values = twin("frame-base-values")
     test_contact_pair_matches_standard_lines = twin("frame-contact-pair-standard")
@@ -229,17 +243,18 @@ class TestInvariantField:
 
 
 def test_library_does_not_import_sympy():
-    # sympy is a test-time oracle only
+    # sympy is a test-time oracle only; the library imports nothing but the
+    # standard library and its own modules
     src = Path(md.__file__).parent
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
             else:
                 continue
-            assert not any(n.split(".")[0] == "sympy" for n in names), path.name
+            assert all(n.split(".")[0] in sys.stdlib_module_names for n in names), path.name
 
 
 class TestFlatStructureIso:
