@@ -2,12 +2,18 @@
 library verifies.
 
 Each check is registered with a stable id, the suite it belongs to, and an
-anchor string quoting the identity or table it verifies.  A check is a pure
-function of (rng, samples) returning (passed, residual); samples=None selects
-the check's own default count.  `flagdyn verify` runs the registry through
-`run_checks`, and the test suite runs every entry at seed 0 and default
-samples, so the tests do not re-implement what is registered here.  The
-random generators the tests share with the checks live here too.
+anchor string quoting the identity or table it verifies, in one of two forms.
+`@check(id, suite, anchor, samples=K)` registers `fn(rng) -> bool`, one
+draw: the registry runs K draws, or the count asked for, stops at the first
+failing draw, and fails a run of zero draws.  `@check(id, suite, anchor)`
+registers `fn(rng, samples) -> (passed, residual)` whole, samples=None
+selecting its own default count; it is for checks without draws, with a
+residual, with draws inside a loop over the two models, or with a fixed part
+around their draws.  `run_check` runs one check at a seed.  `flagdyn verify`
+runs the registry through `run_checks`, and the test suite runs every entry
+through `run_check` at seed 0 and default samples, so the tests do not
+re-implement what is registered here.  The random generators the tests
+share with the checks live here too.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from . import lie_core as lc
 from . import models as md
 from .rational import in_span, mat_mul, normalize_lead
 
-__all__ = ["REGISTRY", "run_checks", "check_rng", "suites", "CheckOutcome"]
+__all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
 
 
 @dataclass(frozen=True)
@@ -40,11 +46,24 @@ class CheckOutcome:
 _REGISTRY = []
 
 
-def check(check_id: str, suite: str, anchor: str):
+def check(check_id: str, suite: str, anchor: str, samples: int | None = None):
+    """Register a check in one of the two forms the module docstring names."""
     def wrap(fn):
-        _REGISTRY.append((check_id, suite, anchor, fn))
+        _REGISTRY.append((check_id, suite, anchor,
+                          fn if samples is None else _draws(fn, samples)))
         return fn
     return wrap
+
+
+def _n(samples, default):
+    return default if samples is None else samples
+
+
+def _draws(draw, default):
+    def run(rng, samples):
+        n = _n(samples, default)
+        return n > 0 and all(draw(rng) for _ in range(n)), None
+    return run
 
 
 def suites():
@@ -57,6 +76,16 @@ def check_rng(seed: int, check_id: str) -> random.Random:
     return random.Random(f"{seed}:{check_id}")
 
 
+def run_check(check_id: str, seed: int = 0, samples: int | None = None):
+    """(passed, residual) of one registered check at `seed`; an exception
+    the check raises propagates."""
+    for cid, _, _, fn in _REGISTRY:
+        if cid == check_id:
+            passed, residual = fn(check_rng(seed, check_id), samples)
+            return bool(passed), None if residual is None else float(residual)
+    raise KeyError(f"unknown check {check_id!r}")
+
+
 def run_checks(suite=None, seed: int = 0, samples: int | None = None):
     """Run registered checks (optionally one suite), deterministically in
     the seed.  Returns CheckOutcome records sorted by id."""
@@ -64,15 +93,14 @@ def run_checks(suite=None, seed: int = 0, samples: int | None = None):
     if suite is not None and suite not in known:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(known)}")
     outcomes = []
-    for check_id, suite_name, anchor, fn in sorted(_REGISTRY):
+    for check_id, suite_name, anchor, _ in sorted(_REGISTRY):
         if suite is not None and suite_name != suite:
             continue
         try:
-            passed, residual = fn(check_rng(seed, check_id), samples)
+            passed, residual = run_check(check_id, seed, samples)
         except Exception:
             passed, residual = False, None
-        outcomes.append(CheckOutcome(check_id, suite_name, anchor, bool(passed),
-                                     None if residual is None else float(residual)))
+        outcomes.append(CheckOutcome(check_id, suite_name, anchor, passed, residual))
     return outcomes
 
 
@@ -152,10 +180,6 @@ def rand_auto(rng) -> md.HeisAuto:
     return md.HeisAuto.of(nonzero_frac(rng), nonzero_frac(rng))
 
 
-def _n(samples, default):
-    return default if samples is None else samples
-
-
 # ---------------------------------------------------------------------------
 # lie-core suite
 # ---------------------------------------------------------------------------
@@ -171,18 +195,13 @@ def _check_sl2_bracket(rng, samples):
 
 
 @check("bracket-antisymmetry-jacobi", "lie-core",
-       "[u,v] = -[v,u] and Jacobi, exact on random rational triples")
-def _check_antisym_jacobi(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        u, v, w = (rand_lievec(rng) for _ in range(3))
-        if lc.bracket(u, v) != -lc.bracket(v, u):
-            return False, None
-        jac = (lc.bracket(u, lc.bracket(v, w)) + lc.bracket(v, lc.bracket(w, u))
-               + lc.bracket(w, lc.bracket(u, v)))
-        if not jac.is_zero():
-            return False, None
-    return True, None
+       "[u,v] = -[v,u] and Jacobi, exact on random rational triples", samples=200)
+def _check_antisym_jacobi(rng):
+    u, v, w = (rand_lievec(rng) for _ in range(3))
+    if lc.bracket(u, v) != -lc.bracket(v, u):
+        return False
+    return (lc.bracket(u, lc.bracket(v, w)) + lc.bracket(v, lc.bracket(w, u))
+            + lc.bracket(w, lc.bracket(u, v))).is_zero()
 
 
 @check("grading-pure-components", "lie-core",
@@ -228,42 +247,31 @@ def _check_filtration(rng, samples):
 
 
 @check("quotient-adjoint-display", "lie-core",
-       "induced adjoint matrix [[a b^2, 0, -b^2 x], [0, a^-2 b^-1, a^-1 y], [0, 0, a^-1 b]]")
-def _check_qadj_display(rng, samples):
-    n = _n(samples, 1000)
-    for _ in range(n):
-        p = rand_upper(rng)
-        e = p.entries
-        d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-        expected = ((d3 / d2, Fraction(0), -(d3 * e[0][1]) / (d1 * d2)),
-                    (Fraction(0), d2 / d1, e[1][2] / d1),
-                    (Fraction(0), Fraction(0), d3 / d1))
-        if lc.quotient_adjoint(p) != expected:
-            return False, None
-    return True, None
+       "induced adjoint matrix [[a b^2, 0, -b^2 x], [0, a^-2 b^-1, a^-1 y], [0, 0, a^-1 b]]",
+       samples=1000)
+def _check_qadj_display(rng):
+    p = rand_upper(rng)
+    e = p.entries
+    d1, d2, d3 = e[0][0], e[1][1], e[2][2]
+    expected = ((d3 / d2, Fraction(0), -(d3 * e[0][1]) / (d1 * d2)),
+                (Fraction(0), d2 / d1, e[1][2] / d1),
+                (Fraction(0), Fraction(0), d3 / d1))
+    return lc.quotient_adjoint(p) == expected
 
 
 @check("quotient-adjoint-bruteforce", "lie-core",
-       "closed form equals generic conjugate-and-project computation")
-def _check_qadj_brute(rng, samples):
-    n = _n(samples, 1000)
-    for _ in range(n):
-        p = rand_upper(rng)
-        if lc.quotient_adjoint(p) != lc.quotient_adjoint_bruteforce(p):
-            return False, None
-    return True, None
+       "closed form equals generic conjugate-and-project computation", samples=1000)
+def _check_qadj_brute(rng):
+    p = rand_upper(rng)
+    return lc.quotient_adjoint(p) == lc.quotient_adjoint_bruteforce(p)
 
 
 @check("quotient-adjoint-morphism", "lie-core",
-       "induced adjoint of a product is the product of induced adjoints")
-def _check_qadj_morphism(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        p, q = rand_upper(rng), rand_upper(rng)
-        if lc.quotient_adjoint(p @ q) != mat_mul(lc.quotient_adjoint(p),
-                                                 lc.quotient_adjoint(q)):
-            return False, None
-    return True, None
+       "induced adjoint of a product is the product of induced adjoints", samples=200)
+def _check_qadj_morphism(rng):
+    p, q = rand_upper(rng), rand_upper(rng)
+    return lc.quotient_adjoint(p @ q) == mat_mul(lc.quotient_adjoint(p),
+                                                 lc.quotient_adjoint(q))
 
 
 @check("centralizer-block-sl2", "lie-core", "Cent(block sl2) = span{diag(1,1,-2)}")
@@ -318,19 +326,14 @@ def _check_exp_ad(rng, samples):
 
 
 @check("theta-morphisms", "lie-core",
-       "g -> (g^T)^{-1} is a group morphism; v -> -v^T preserves brackets")
-def _check_theta(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        g, h = rand_group(rng), rand_group(rng)
-        if lc.theta_group(g @ h) != lc.theta_group(g) @ lc.theta_group(h):
-            return False, None
-        u, v = rand_lievec(rng), rand_lievec(rng)
-        lhs = lc.theta_involution(lc.bracket(u, v))
-        rhs = lc.bracket(lc.theta_involution(u), lc.theta_involution(v))
-        if lhs != rhs:
-            return False, None
-    return True, None
+       "g -> (g^T)^{-1} is a group morphism; v -> -v^T preserves brackets", samples=100)
+def _check_theta(rng):
+    g, h = rand_group(rng), rand_group(rng)
+    if lc.theta_group(g @ h) != lc.theta_group(g) @ lc.theta_group(h):
+        return False
+    u, v = rand_lievec(rng), rand_lievec(rng)
+    return lc.theta_involution(lc.bracket(u, v)) == lc.bracket(
+        lc.theta_involution(u), lc.theta_involution(v))
 
 
 @check("theta-fixes-block-model-algebra", "lie-core",
@@ -345,33 +348,22 @@ def _check_theta_ht(rng, samples):
 # ---------------------------------------------------------------------------
 
 @check("act-preserves-incidence", "flag-space",
-       "the diagonal action preserves point-line incidence, exact")
-def _check_act_incidence(rng, samples):
-    n = _n(samples, 2000)
-    for _ in range(n):
-        g, x = rand_group(rng), rand_flag(rng)
-        fs.act(g, x)  # constructor re-checks incidence
-    return True, None
+       "the diagonal action preserves point-line incidence, exact", samples=2000)
+def _check_act_incidence(rng):
+    fs.act(rand_group(rng), rand_flag(rng))  # constructor re-checks incidence
+    return True
 
 
-@check("act-composition", "flag-space", "act(gh, x) = act(g, act(h, x))")
-def _check_act_composition(rng, samples):
-    n = _n(samples, 300)
-    for _ in range(n):
-        g, h, x = rand_group(rng), rand_group(rng), rand_flag(rng)
-        if fs.act(g @ h, x) != fs.act(g, fs.act(h, x)):
-            return False, None
-    return True, None
+@check("act-composition", "flag-space", "act(gh, x) = act(g, act(h, x))", samples=300)
+def _check_act_composition(rng):
+    g, h, x = rand_group(rng), rand_group(rng), rand_flag(rng)
+    return fs.act(g @ h, x) == fs.act(g, fs.act(h, x))
 
 
 @check("base-flag-stabilizer", "flag-space",
-       "upper-triangular elements fix the base flag")
-def _check_stabilizer(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        if fs.act(rand_upper(rng), fs.BASE_FLAG) != fs.BASE_FLAG:
-            return False, None
-    return True, None
+       "upper-triangular elements fix the base flag", samples=200)
+def _check_stabilizer(rng):
+    return fs.act(rand_upper(rng), fs.BASE_FLAG) == fs.BASE_FLAG
 
 
 @check("flip-involution-and-value", "flag-space",
@@ -388,27 +380,19 @@ def _check_flip(rng, samples):
 
 
 @check("flip-equivariance", "flag-space",
-       "flip(g x) = (g^T)^{-1} flip(x)")
-def _check_flip_equivariance(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        g, x = rand_group(rng), rand_flag(rng)
-        if fs.flip(fs.act(g, x)) != fs.act(lc.theta_group(g), fs.flip(x)):
-            return False, None
-    return True, None
+       "flip(g x) = (g^T)^{-1} flip(x)", samples=200)
+def _check_flip_equivariance(rng):
+    g, x = rand_group(rng), rand_flag(rng)
+    return fs.flip(fs.act(g, x)) == fs.act(lc.theta_group(g), fs.flip(x))
 
 
 @check("flip-exchanges-circles", "flag-space",
-       "flip maps the line-pencil circle onto the point-row circle")
-def _check_flip_circles(rng, samples):
-    n = _n(samples, 50)
-    for _ in range(n):
-        x = rand_flag(rng)
-        for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 5)):
-            y = fs.flip(fs.alpha_circle_flag(x, s, t))
-            if y.line != fs.flip(x).line:
-                return False, None  # must stay on the beta circle of flip(x)
-    return True, None
+       "flip maps the line-pencil circle onto the point-row circle", samples=50)
+def _check_flip_circles(rng):
+    x = rand_flag(rng)
+    # each image must stay on the beta circle of flip(x)
+    return all(fs.flip(fs.alpha_circle_flag(x, s, t)).line == fs.flip(x).line
+               for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 5)))
 
 
 @check("affine-chart-roundtrip", "flag-space",
@@ -488,20 +472,17 @@ def _check_circle_example(rng, samples):
     return ok and full.full_circle, None
 
 
+# carries the base flag to the affine anchor, inside the chart
+_CARRY = lc.GroupElem([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+
 @check("fundamental-isotropy-vanishing", "flag-space",
-       "upper-triangular generators have zero velocity at the base flag")
-def _check_fundamental_isotropy(rng, samples):
-    n = _n(samples, 100)
-    # carries the base flag to the affine anchor, inside the chart
-    carry = lc.GroupElem([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    for _ in range(n):
-        v = lc.LieVec.of([[rand_frac(rng) if j >= i else 0 for j in range(3)]
-                          for i in range(3)])
-        moved = lc.conjugate(carry, v)
-        w = fs.fundamental_vector(moved, fs.act(carry, fs.BASE_FLAG))
-        if any(c != 0 for c in w):
-            return False, None
-    return True, None
+       "upper-triangular generators have zero velocity at the base flag", samples=100)
+def _check_fundamental_isotropy(rng):
+    v = lc.LieVec.of([[rand_frac(rng) if j >= i else 0 for j in range(3)]
+                      for i in range(3)])
+    w = fs.fundamental_vector(lc.conjugate(_CARRY, v), fs.act(_CARRY, fs.BASE_FLAG))
+    return all(c == 0 for c in w)
 
 
 @check("fundamental-central-velocity", "flag-space",
@@ -540,18 +521,14 @@ def _check_fundamental_fd(rng, samples):
 # ---------------------------------------------------------------------------
 
 @check("curvature-diagonal-exponents", "curvature",
-       "(p.K)_alpha = a^-1 b^-5 K_alpha and (p.K)_beta = a^5 b K_beta, exact")
-def _check_curvature_exponents(rng, samples):
-    n = _n(samples, 1000)
-    for _ in range(n):
-        p = rand_upper(rng)
-        k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
-        out = curv.curvature_action(p, k)
-        if out.k_alpha != curv.alpha_scale(p) * k.k_alpha:
-            return False, None
-        if out.k_beta != curv.beta_scale(p) * k.k_beta:
-            return False, None
-    return True, None
+       "(p.K)_alpha = a^-1 b^-5 K_alpha and (p.K)_beta = a^5 b K_beta, exact",
+       samples=1000)
+def _check_curvature_exponents(rng):
+    p = rand_upper(rng)
+    k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
+    out = curv.curvature_action(p, k)
+    return (out.k_alpha == curv.alpha_scale(p) * k.k_alpha
+            and out.k_beta == curv.beta_scale(p) * k.k_beta)
 
 
 @check("curvature-exponent-sampling", "curvature",
@@ -568,16 +545,12 @@ def _check_curvature_sampling(rng, samples):
 
 
 @check("curvature-left-action", "curvature",
-       "action(pq, K) = action(p, action(q, K)), exact")
-def _check_curvature_action(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        p, q = rand_upper(rng), rand_upper(rng)
-        k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
-        if curv.curvature_action(p @ q, k) != curv.curvature_action(
-                p, curv.curvature_action(q, k)):
-            return False, None
-    return True, None
+       "action(pq, K) = action(p, action(q, K)), exact", samples=200)
+def _check_curvature_action(rng):
+    p, q = rand_upper(rng), rand_upper(rng)
+    k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
+    return curv.curvature_action(p @ q, k) == curv.curvature_action(
+        p, curv.curvature_action(q, k))
 
 
 @check("harmonic-subspace-invariant", "curvature",
@@ -602,25 +575,23 @@ def _zero_jacobian(p):
     return ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
+_HALF = Fraction(1, 2)
+# the left-invariant pair of the nilpotent group, and commuting coordinate fields
+_HEIS_XFIELD = curv.PolynomialField(lambda p: (1, 0, -_HALF * p[1]),
+                                    lambda p: ((0, 0, 0), (0, 0, 0), (0, -_HALF, 0)))
+_HEIS_YFIELD = curv.PolynomialField(lambda p: (0, 1, _HALF * p[0]),
+                                    lambda p: ((0, 0, 0), (0, 0, 0), (_HALF, 0, 0)))
+_CONST_A = curv.PolynomialField(lambda p: (1, 0, 0), _zero_jacobian)
+_CONST_B = curv.PolynomialField(lambda p: (0, 1, 0), _zero_jacobian)
+
+
 @check("contact-heis-fields", "curvature",
        "left-invariant generating pair of the nilpotent group is contact "
-       "everywhere; commuting coordinate fields are not")
-def _check_contact_heis(rng, samples):
-    half = Fraction(1, 2)
-    xfield = curv.PolynomialField(lambda p: (1, 0, -half * p[1]),
-                                  lambda p: ((0, 0, 0), (0, 0, 0), (0, -half, 0)))
-    yfield = curv.PolynomialField(lambda p: (0, 1, half * p[0]),
-                                  lambda p: ((0, 0, 0), (0, 0, 0), (half, 0, 0)))
-    const_a = curv.PolynomialField(lambda p: (1, 0, 0), _zero_jacobian)
-    const_b = curv.PolynomialField(lambda p: (0, 1, 0), _zero_jacobian)
-    n = _n(samples, 50)
-    for _ in range(n):
-        p = tuple(rand_frac(rng) for _ in range(3))
-        if not curv.contact_test(xfield, yfield, p):
-            return False, None
-        if curv.contact_test(const_a, const_b, p):
-            return False, None
-    return True, None
+       "everywhere; commuting coordinate fields are not", samples=50)
+def _check_contact_heis(rng):
+    p = tuple(rand_frac(rng) for _ in range(3))
+    return (curv.contact_test(_HEIS_XFIELD, _HEIS_YFIELD, p)
+            and not curv.contact_test(_CONST_A, _CONST_B, p))
 
 
 @check("contact-model-frames", "curvature",
@@ -638,24 +609,22 @@ def _check_contact_frames(rng, samples):
     return True, None
 
 
+_RESCALE_ALPHA = curv.PolynomialField(lambda p: (0, 0, 1), _zero_jacobian)
+_RESCALE_BETA = curv.PolynomialField(lambda p: (p[2], 1, 0),
+                                     lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+
+
 @check("contact-rescaling-invariance", "curvature",
-       "the contact verdict is unchanged by nonvanishing rescalings")
-def _check_contact_rescaling(rng, samples):
-    base_a = curv.PolynomialField(lambda p: (0, 0, 1), _zero_jacobian)
-    beta = curv.PolynomialField(lambda p: (p[2], 1, 0),
-                                lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
-    n = _n(samples, 30)
-    for _ in range(n):
-        c = abs(rand_frac(rng)) + 1
-        # beta times the nonvanishing factor c + x^2
-        scaled = curv.PolynomialField(
-            lambda p, c=c: ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0),
-            lambda p, c=c: ((2 * p[0] * p[2], 0, c + p[0] * p[0]),
-                            (2 * p[0], 0, 0), (0, 0, 0)))
-        p = tuple(rand_frac(rng) for _ in range(3))
-        if curv.contact_test(base_a, beta, p) != curv.contact_test(base_a, scaled, p):
-            return False, None
-    return True, None
+       "the contact verdict is unchanged by nonvanishing rescalings", samples=30)
+def _check_contact_rescaling(rng):
+    c = abs(rand_frac(rng)) + 1
+    # beta times the nonvanishing factor c + x^2
+    scaled = curv.PolynomialField(
+        lambda p: ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0),
+        lambda p: ((2 * p[0] * p[2], 0, c + p[0] * p[0]), (2 * p[0], 0, 0), (0, 0, 0)))
+    p = tuple(rand_frac(rng) for _ in range(3))
+    return (curv.contact_test(_RESCALE_ALPHA, _RESCALE_BETA, p)
+            == curv.contact_test(_RESCALE_ALPHA, scaled, p))
 
 
 @check("flow-commutator-heis", "curvature",
@@ -674,16 +643,16 @@ def _check_flow_comm_heis(rng, samples):
        "log-log slope of the rectangle defect is >= 2.9 (third order)")
 def _check_flow_comm_slope(rng, samples):
     n = _n(samples, 20)
-    worst = 10.0
+    worst = None
     for _ in range(n):
         u, v = rand_traceless(rng), rand_traceless(rng)
         if lc.bracket(u, v).is_zero():
-            continue
+            continue  # a commuting pair has no rectangle defect to measure
         slope = curv.commutator_slope(u, v)
-        worst = min(worst, slope)
+        worst = slope if worst is None else min(worst, slope)
         if slope < 2.9:
             return False, slope
-    return True, worst
+    return worst is not None, worst
 
 
 # ---------------------------------------------------------------------------
@@ -691,150 +660,98 @@ def _check_flow_comm_slope(rng, samples):
 # ---------------------------------------------------------------------------
 
 @check("heis-group-law", "models",
-       "[x,y,z][x',y',z'] = [x+x', y+y', z+z'+xy'] and exact exp round-trip")
-def _check_heis_law(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        g, h = rand_heis(rng), rand_heis(rng)
-        prod = g.mul(h)
-        if (prod.x, prod.y, prod.z) != (g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y):
-            return False, None
-        if md.HeisElem.from_exponential(*g.to_exponential()) != g:
-            return False, None
-        if g.mul(g.inverse()) != md.HeisElem.identity():
-            return False, None
-    return True, None
+       "[x,y,z][x',y',z'] = [x+x', y+y', z+z'+xy'] and exact exp round-trip",
+       samples=200)
+def _check_heis_law(rng):
+    g, h = rand_heis(rng), rand_heis(rng)
+    prod = g.mul(h)
+    return ((prod.x, prod.y, prod.z) == (g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
+            and md.HeisElem.from_exponential(*g.to_exponential()) == g
+            and g.mul(g.inverse()) == md.HeisElem.identity())
 
 
 @check("auto-composition-law", "models",
-       "diagonal automorphisms compose by multiplying parameters")
-def _check_auto_law(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        f, g = rand_auto(rng), rand_auto(rng)
-        h = rand_heis(rng)
-        if f.compose(g) != md.HeisAuto.of(f.lam * g.lam, f.mu * g.mu):
-            return False, None
-        if f.apply(g.apply(h)) != f.compose(g).apply(h):
-            return False, None
-        if f.compose(f.inverse()) != md.HeisAuto.identity():
-            return False, None
-    return True, None
+       "diagonal automorphisms compose by multiplying parameters", samples=200)
+def _check_auto_law(rng):
+    f, g, h = rand_auto(rng), rand_auto(rng), rand_heis(rng)
+    return (f.compose(g) == md.HeisAuto.of(f.lam * g.lam, f.mu * g.mu)
+            and f.apply(g.apply(h)) == f.compose(g).apply(h)
+            and f.compose(f.inverse()) == md.HeisAuto.identity())
 
 
 @check("auto-is-automorphism", "models",
-       "each diagonal automorphism preserves the group law")
-def _check_auto_homo(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        f = rand_auto(rng)
-        g, h = rand_heis(rng), rand_heis(rng)
-        if f.apply(g.mul(h)) != f.apply(g).mul(f.apply(h)):
-            return False, None
-    return True, None
+       "each diagonal automorphism preserves the group law", samples=200)
+def _check_auto_homo(rng):
+    f, g, h = rand_auto(rng), rand_heis(rng), rand_heis(rng)
+    return f.apply(g.mul(h)) == f.apply(g).mul(f.apply(h))
 
 
 @check("equivariance-affine-display", "models",
-       "diagonal (lam, lam^-1 mu^-1, mu) maps to (identity, phi_{lam^2 mu, lam^-1 mu^-2})")
-def _check_equiv_a_display(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        lam, mu = nonzero_frac(rng), nonzero_frac(rng)
-        p = lc.GroupElem([[lam, 0, 0], [0, 1 / (lam * mu), 0], [0, 0, mu]])
-        h, phi = md.equivariance_a(p)
-        if h != md.HeisElem.identity():
-            return False, None
-        if phi != md.HeisAuto.of(lam * lam * mu, 1 / (lam * mu * mu)):
-            return False, None
-    return True, None
+       "diagonal (lam, lam^-1 mu^-1, mu) maps to (identity, phi_{lam^2 mu, lam^-1 mu^-2})",
+       samples=100)
+def _check_equiv_a_display(rng):
+    lam, mu = nonzero_frac(rng), nonzero_frac(rng)
+    h, phi = md.equivariance_a(lc.GroupElem([[lam, 0, 0], [0, 1 / (lam * mu), 0],
+                                             [0, 0, mu]]))
+    return (h == md.HeisElem.identity()
+            and phi == md.HeisAuto.of(lam * lam * mu, 1 / (lam * mu * mu)))
 
 
 @check("equivariance-affine-morphism", "models",
        "the upper-triangular identification is a group morphism onto the "
-       "affine automorphism group")
-def _check_equiv_a_morphism(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        p, q = rand_upper(rng), rand_upper(rng)
-        lhs = md.equivariance_a(p @ q)
-        rhs = md.heis_semidirect_mul(md.equivariance_a(p), md.equivariance_a(q))
-        if lhs != rhs:
-            return False, None
-        if md.equivariance_a_inverse(*lhs) != p @ q:
-            return False, None
-    return True, None
+       "affine automorphism group", samples=100)
+def _check_equiv_a_morphism(rng):
+    p, q = rand_upper(rng), rand_upper(rng)
+    lhs = md.equivariance_a(p @ q)
+    rhs = md.heis_semidirect_mul(md.equivariance_a(p), md.equivariance_a(q))
+    return lhs == rhs and md.equivariance_a_inverse(*lhs) == p @ q
 
 
 @check("equivariance-affine-conjugates-action", "models",
-       "the orbital identification conjugates the two actions")
-def _check_equiv_a_action(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        p = rand_upper(rng)
-        h = rand_heis(rng)
-        hp, phi = md.equivariance_a(p)
-        lhs = fs.act(p, fs.act(h.as_group_elem(), fs.O_A))
-        rhs = fs.act(hp.mul(phi.apply(h)).as_group_elem(), fs.O_A)
-        if lhs != rhs:
-            return False, None
-    return True, None
+       "the orbital identification conjugates the two actions", samples=100)
+def _check_equiv_a_action(rng):
+    p, h = rand_upper(rng), rand_heis(rng)
+    hp, phi = md.equivariance_a(p)
+    return (fs.act(p, fs.act(h.as_group_elem(), fs.O_A))
+            == fs.act(hp.mul(phi.apply(h)).as_group_elem(), fs.O_A))
 
 
 @check("equivariance-block-morphism", "models",
-       "(s, lam) factorization is multiplicative with positive scale")
-def _check_equiv_t_morphism(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        lam1, lam2 = nonzero_frac(rng), nonzero_frac(rng)
-        s1, s2 = rand_sl2(rng), rand_sl2(rng)
-        g1 = md.equivariance_t_inverse(s1, lam1)
-        g2 = md.equivariance_t_inverse(s2, lam2)
-        f1, l1 = md.equivariance_t(g1)
-        f2, l2 = md.equivariance_t(g2)
-        f12, l12 = md.equivariance_t(g1 @ g2)
-        if l12 != l1 * l2:
-            return False, None
-        if f12 != md.mat_mul2(f1, f2):
-            return False, None
-    return True, None
+       "(s, lam) factorization is multiplicative with positive scale", samples=100)
+def _check_equiv_t_morphism(rng):
+    lam1, lam2 = nonzero_frac(rng), nonzero_frac(rng)
+    s1, s2 = rand_sl2(rng), rand_sl2(rng)
+    g1, g2 = md.equivariance_t_inverse(s1, lam1), md.equivariance_t_inverse(s2, lam2)
+    (f1, l1), (f2, l2) = md.equivariance_t(g1), md.equivariance_t(g2)
+    f12, l12 = md.equivariance_t(g1 @ g2)
+    return l12 == l1 * l2 and f12 == md.mat_mul2(f1, f2)
 
 
 @check("equivariance-block-conjugates-action", "models",
-       "block elements act on the model orbit as (g, a) . s = g s a")
-def _check_equiv_t_action(rng, samples):
-    n = _n(samples, 100)
-    for _ in range(n):
-        lam = nonzero_frac(rng)
-        g2 = rand_sl2(rng)
-        s = rand_sl2(rng)
-        big = md.equivariance_t_inverse(g2, lam)
-        emb = md.equivariance_t_inverse(s, Fraction(1))
-        lhs = fs.act(big, fs.act(emb, fs.O_T))
-        a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
-        rhs = fs.act(md.equivariance_t_inverse(
-            md.mat_mul2(md.mat_mul2(g2, s), a), Fraction(1)), fs.O_T)
-        if lhs != rhs:
-            return False, None
-    return True, None
+       "block elements act on the model orbit as (g, a) . s = g s a", samples=100)
+def _check_equiv_t_action(rng):
+    lam = nonzero_frac(rng)
+    g2, s = rand_sl2(rng), rand_sl2(rng)
+    big = md.equivariance_t_inverse(g2, lam)
+    emb = md.equivariance_t_inverse(s, Fraction(1))
+    lhs = fs.act(big, fs.act(emb, fs.O_T))
+    a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
+    return lhs == fs.act(md.equivariance_t_inverse(
+        md.mat_mul2(md.mat_mul2(g2, s), a), Fraction(1)), fs.O_T)
 
 
 @check("frame-well-defined", "models",
-       "two transports reaching the same flag produce the same frame lines")
-def _check_frame_well_defined(rng, samples):
-    n = _n(samples, 60)
-    for _ in range(n):
-        x = rand_interior_flag(rng, "a")
-        frame = md.frame_at(x, "a")
-        # stabilizer of the affine base flag: diagonal elements
-        d = lc.GroupElem([[nonzero_frac(rng), 0, 0],
-                          [0, nonzero_frac(rng), 0],
-                          [0, 0, nonzero_frac(rng)]])
-        h = md.transporter(x, "a") @ d
-        lines = [normalize_lead(fs.fundamental_vector(lc.conjugate(h, g), x))
-                 for g in (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)]
-        if (frame.line_alpha, frame.line_beta, frame.line_c) != tuple(lines):
-            return False, None
-    return True, None
+       "two transports reaching the same flag produce the same frame lines", samples=60)
+def _check_frame_well_defined(rng):
+    x = rand_interior_flag(rng, "a")
+    frame = md.frame_at(x, "a")
+    # stabilizer of the affine base flag: diagonal elements
+    d = lc.GroupElem([[nonzero_frac(rng), 0, 0], [0, nonzero_frac(rng), 0],
+                      [0, 0, nonzero_frac(rng)]])
+    h = md.transporter(x, "a") @ d
+    lines = [normalize_lead(fs.fundamental_vector(lc.conjugate(h, g), x))
+             for g in (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)]
+    return (frame.line_alpha, frame.line_beta, frame.line_c) == tuple(lines)
 
 
 @check("frame-base-values", "models",
@@ -1108,33 +1025,26 @@ def _check_lattice(rng, samples):
 
 
 @check("reduce-retraction", "dynamics",
-       "fundamental-domain reduction is idempotent and lattice invariant")
-def _check_reduce(rng, samples):
-    n = _n(samples, 2000)
-    for _ in range(n):
-        p = tuple(rng.uniform(-8, 8) for _ in range(3))
-        r = dyn.reduce_point(p)
-        if dyn.reduce_point(r) != r:
-            return False, None
-        g = dyn.LATTICE.random_element(rng)
-        r2 = dyn.reduce_point(dyn.heis_mul(g, p))
-        if max(abs(a - b) for a, b in zip(r2, r)) > 1e-9:
-            return False, None
-    return True, None
+       "fundamental-domain reduction is idempotent and lattice invariant", samples=2000)
+def _check_reduce(rng):
+    p = tuple(rng.uniform(-8, 8) for _ in range(3))
+    r = dyn.reduce_point(p)
+    if dyn.reduce_point(r) != r:
+        return False
+    r2 = dyn.reduce_point(dyn.heis_mul(dyn.LATTICE.random_element(rng), p))
+    return max(abs(a - b) for a, b in zip(r2, r)) <= 1e-9
+
+
+_CAT_MAP = dyn.NilMap.of(_CAT, (0.5, 1.5, 0.25))
 
 
 @check("reduce-commutes-with-map", "dynamics",
-       "reduce(f(p)) = reduce(f(reduce(p))) up to lattice translation")
-def _check_reduce_commute(rng, samples):
-    f = dyn.NilMap.of(_CAT, (0.5, 1.5, 0.25))
-    n = _n(samples, 2000)
-    for _ in range(n):
-        p = tuple(rng.uniform(-8, 8) for _ in range(3))
-        a = dyn.reduce_point(f.apply(p))
-        b = dyn.reduce_point(f.apply(dyn.reduce_point(p)))
-        if max(abs(x - y) for x, y in zip(a, b)) > 1e-8:
-            return False, None
-    return True, None
+       "reduce(f(p)) = reduce(f(reduce(p))) up to lattice translation", samples=2000)
+def _check_reduce_commute(rng):
+    p = tuple(rng.uniform(-8, 8) for _ in range(3))
+    a = dyn.reduce_point(_CAT_MAP.apply(p))
+    b = dyn.reduce_point(_CAT_MAP.apply(dyn.reduce_point(p)))
+    return max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
 
 
 @check("lyapunov-cat-map", "dynamics",

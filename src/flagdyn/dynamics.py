@@ -149,12 +149,15 @@ class NilMap:
                 raise NonHyperbolicError("linear part is not diagonalizable")
             return (float(a), float(d)), ((1.0, 0.0), (0.0, 1.0))
         # Past |tr| = 2^27 the float root rounds to |tr|, and past 2^500 it
-        # would overflow: either way the stable multiplier is lost.
+        # would overflow: either way the splitting is beyond float precision
+        # and the measured rates would be float noise.
         root = math.copysign(math.sqrt(disc), tr) if disc.bit_length() < 1000 else tr
         if tr - root == 0:
             raise ValueError("the stable multiplier was lost to float rounding "
                              "at this scale")
-        vals = ((tr + root) / 2, (tr - root) / 2)
+        # det = 1, so the stable multiplier is 1/lam_u = 2/(tr + root); the
+        # difference (tr - root)/2 would cancel
+        vals = ((tr + root) / 2, 2 / (tr + root))
         # of the two kernel vectors of m - lam, the longer is better conditioned
         kernels = [max((b, lam - a), (lam - d, c), key=lambda v: math.hypot(*v))
                    for lam in vals]

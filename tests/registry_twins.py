@@ -1,32 +1,26 @@
 """Run registered checks from the tests.
 
 Each check runs at most once per pytest run, at the CLI's default seed and at
-its own default sample count, so a failure reproduces with
-`flagdyn verify --suite <suite> --seed 0`.
+its own default sample count, through `checks.run_check` (the runner the CLI
+uses), so a failure reproduces with `flagdyn verify --suite <suite> --seed 0`.
 """
 
 import functools
 
 from flagdyn import checks
+from flagdyn.checks import run_check  # noqa: F401  (re-exported for the tests)
 
 SEED = 0
-
-_BY_ID = {check_id: (suite, fn) for check_id, suite, _, fn in checks.REGISTRY}
-
-
-def run_check(check_id, seed=SEED, samples=None):
-    """(passed, residual) of a registered check, as `run_checks` runs it."""
-    _, fn = _BY_ID[check_id]
-    return fn(checks.check_rng(seed, check_id), samples)
 
 
 @functools.cache
 def _run(check_id):
-    return (_BY_ID[check_id][0], *run_check(check_id))
+    return run_check(check_id, SEED)
 
 
 def assert_check_passes(check_id):
-    suite, passed, residual = _run(check_id)
+    passed, residual = _run(check_id)
+    suite = next(s for cid, s, _, _ in checks.REGISTRY if cid == check_id)
     assert passed, (f"check {check_id} (suite {suite}) failed, residual={residual}; "
                     f"reproduce with: flagdyn verify --suite {suite} --seed {SEED}")
 

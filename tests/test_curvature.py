@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagdyn import checks
 from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
@@ -178,6 +179,12 @@ class TestFlowCommutator:
                 continue
             assert curv.commutator_slope(u, v) >= 2.9
             count += 1
+
+    def test_slope_check_fails_when_no_pair_is_tested(self, monkeypatch):
+        # every draw commutes, so no rectangle defect is ever measured
+        monkeypatch.setattr(checks, "rand_traceless",
+                            lambda rng: lc.LieVec.diag(1, -1, 0))
+        assert run_check("flow-commutator-slope") == (False, None)
 
     def test_slope_helper_on_pure_cubic(self):
         ts = (1e-1, 1e-2, 1e-3)

@@ -99,6 +99,12 @@ class TestNilMap:
         assert abs(vals[0] - (3 + math.sqrt(5)) / 2) < 1e-12
         assert abs(vals[1] - (3 - math.sqrt(5)) / 2) < 1e-12
 
+    def test_stable_multiplier_is_the_reciprocal(self):
+        # det = 1: the product of the multipliers is 1 to the last bit, even
+        # where the difference (tr - root)/2 would cancel
+        (lam_u, lam_s), _ = dyn.NilMap.of(((10001, 10000), (1, 1))).multipliers()
+        assert abs(lam_u * lam_s - 1) <= 1e-15
+
     def test_identity_multipliers(self):
         vals, _ = dyn.NilMap.of(((1, 0), (0, 1))).multipliers()
         assert tuple(vals) == (1.0, 1.0)

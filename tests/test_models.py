@@ -97,30 +97,8 @@ class TestEquivarianceBlock:
         s, lam = md.equivariance_t(lc.GroupElem.identity())
         assert lam == 1 and s == ((1, 0), (0, 1))
 
-    def test_multiplicative(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            lam1, lam2 = nonzero_frac(rng), nonzero_frac(rng)
-            g1 = md.equivariance_t_inverse(rand_sl2(rng), lam1)
-            g2 = md.equivariance_t_inverse(rand_sl2(rng), lam2)
-            s1, l1 = md.equivariance_t(g1)
-            s2, l2 = md.equivariance_t(g2)
-            s12, l12 = md.equivariance_t(g1 @ g2)
-            assert l12 == l1 * l2
-            assert s12 == md.mat_mul2(s1, s2)
-
-    def test_conjugates_the_actions(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            lam = nonzero_frac(rng)
-            g2, s = rand_sl2(rng), rand_sl2(rng)
-            big = md.equivariance_t_inverse(g2, lam)
-            emb = md.equivariance_t_inverse(s, Fraction(1))
-            lhs = fs.act(big, fs.act(emb, fs.O_T))
-            a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
-            rhs = fs.act(md.equivariance_t_inverse(
-                md.mat_mul2(md.mat_mul2(g2, s), a), Fraction(1)), fs.O_T)
-            assert lhs == rhs
+    test_multiplicative = twin("equivariance-block-morphism")
+    test_conjugates_the_actions = twin("equivariance-block-conjugates-action")
 
     def test_membership_violations(self):
         with pytest.raises(md.MembershipError):
