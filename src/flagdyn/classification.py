@@ -23,7 +23,7 @@ from .lie_core import (
     lincomb,
 )
 from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
-from .rational import in_span, nullspace, rank, solve, span_equal
+from .rational import cross, in_span, nullspace, rank, solve, span_equal
 
 __all__ = [
     "OracleReport",
@@ -228,7 +228,7 @@ def _quotient_matrix(iso_basis, lifts, v: LieVec):
 def _isotropy_basis(alg: Subalgebra, base: Flag):
     """Elements of the subalgebra whose action derivative vanishes at the
     base flag, by exact nullspace."""
-    tangents = [dm + dn for dm, dn in (flag_derivative(b, base) for b in alg.basis)]
+    tangents = [flag_derivative(b, base) for b in alg.basis]
     return [lincomb(c, alg.basis) for c in nullspace(list(zip(*tangents)))]
 
 
@@ -264,20 +264,15 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     transverse direction, found by exact linear algebra."""
     iso_flat = [v.flat() for v in iso_basis]
 
-    def tangent(v):
-        dm, dn = flag_derivative(v, base)
-        return list(dm) + list(dn)
+    tangents = [flag_derivative(b, base) for b in alg.basis]
 
     def find(direction):
         # direction "alpha": point part zero; "beta": line part zero
-        rows = []
-        for k in range(4):
-            keep = (k < 2) if direction == "alpha" else (k >= 2)
-            if keep:
-                rows.append([tangent(b)[k] for b in alg.basis])
+        part = range(2) if direction == "alpha" else range(2, 4)
+        rows = [[t[k] for t in tangents] for k in part]
         for c in nullspace(rows):
             v = lincomb(c, alg.basis)
-            if not any(tangent(v)):
+            if not any(flag_derivative(v, base)):
                 continue
             return v
         raise ValueError(f"no {direction}-lift inside the subalgebra")
@@ -288,10 +283,7 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     partial = iso_flat + [v_alpha.flat(), v_beta.flat()]
     for b in alg.basis:
         if rank(partial + [b.flat()]) > rank(partial):
-            t_a = tangent(v_alpha)
-            t_b = tangent(v_beta)
-            t_c = tangent(b)
-            if rank([t_a, t_b, t_c]) == 3:
+            if rank([flag_derivative(w, base) for w in (v_alpha, v_beta, b)]) == 3:
                 return v_alpha, v_beta, b
     raise ValueError("no transverse lift; the orbit is not open")
 
@@ -530,7 +522,7 @@ def _sine_distance(v, e) -> float:
     """Sine of the angle between v and the float unit vector e, in floats
     (the exact kernel takes no floats)."""
     x, y, z = (float(c) for c in v)
-    cx = (y * e[2] - z * e[1], z * e[0] - x * e[2], x * e[1] - y * e[0])
+    cx = cross((x, y, z), e)
     return (math.sqrt(sum(c * c for c in cx))
             / math.sqrt(sum(c * c for c in (x, y, z))))
 

@@ -116,15 +116,6 @@ def _extract(mat_a0: LieVec, mat_b0: LieVec, mat_ab: LieVec) -> NormalCurvature:
     return NormalCurvature(k_alpha, k_beta, k_sup_alpha, k_sup_beta)
 
 
-def _upper_inverse(pm):
-    """Closed-form inverse of an invertible upper-triangular 3x3 matrix."""
-    d1, d2, d3 = pm[0][0], pm[1][1], pm[2][2]
-    p12, p13, p23 = pm[0][1], pm[0][2], pm[1][2]
-    return ((1 / d1, -p12 / (d1 * d2), (p12 * p23 - d2 * p13) / (d1 * d2 * d3)),
-            (Fraction(0), 1 / d2, -p23 / (d2 * d3)),
-            (Fraction(0), Fraction(0), 1 / d3))
-
-
 def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     """Left action of an upper-triangular p on the curvature module:
 
@@ -142,7 +133,7 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     adbar_inv = inverse3(quotient_adjoint(p))
     a, b, z = (tuple(adbar_inv[i][j] for i in range(3)) for j in range(3))
     pm = p.entries
-    pinv = _upper_inverse(pm)
+    pinv = inverse3(pm)
 
     # value on the transported alpha-0 wedge: the coefficient over the third
     # wedge basis vector pairs with the zero value and drops out

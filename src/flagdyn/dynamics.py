@@ -49,21 +49,23 @@ def heis_inv(p):
     return (-p[0], -p[1], -p[2])
 
 
-@dataclass(frozen=True)
+_LATTICE_TOL = 1e-9  # membership tolerance of a float point
+_RANDOM_BOUND = 5  # coordinate bound of a random lattice element
+
+
 class NilLattice:
     """Integer x, y and half-integer z in exponential coordinates."""
 
-    generators: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.5))
+    generators = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.5))
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         x, y, z = p
-        return (abs(x - round(x)) <= tol and abs(y - round(y)) <= tol
-                and abs(2 * z - round(2 * z)) <= tol)
+        return all(abs(c - round(c)) <= _LATTICE_TOL for c in (x, y, 2 * z))
 
-    def random_element(self, rng, bound: int = 5):
-        return (float(rng.randint(-bound, bound)),
-                float(rng.randint(-bound, bound)),
-                rng.randint(-bound, bound) / 2.0)
+    def random_element(self, rng):
+        return (float(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND)),
+                float(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND)),
+                rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND) / 2.0)
 
 
 LATTICE = NilLattice()
@@ -217,8 +219,13 @@ class RateEstimate:
         return abs(self.measured - self.exact)
 
 
-def _measured_rate(f: NilMap, w, p0, n: int, h: float) -> float:
-    p = reduce_point(p0)
+_RATE_START = (0.37, 0.21, 0.13)  # start point of the finite-difference rates
+_RATE_STEP = 1e-6  # size of their perturbation
+
+
+def _measured_rate(f: NilMap, w, n: int) -> float:
+    h = _RATE_STEP
+    p = reduce_point(_RATE_START)
     norm = math.hypot(*w)
     d = _left_frame(p, tuple(c / norm for c in w))
     total = 0.0
@@ -237,8 +244,7 @@ def _measured_rate(f: NilMap, w, p0, n: int, h: float) -> float:
     return total / n
 
 
-def tangent_rates(f: NilMap, direction: str, n: int = 200,
-                  start=(0.37, 0.21, 0.13), h: float = 1e-6) -> RateEstimate:
+def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
     """Per-step log growth along a left-invariant eigen-direction, measured
     two ways: exactly from the eigenvalues of the linear part, and by
     finite-difference transport of a small perturbation through n steps of
@@ -247,14 +253,14 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200,
     if direction not in ("s", "u", "c"):
         raise ValueError("direction must be one of s, u, c")
     if direction == "c":
-        return RateEstimate("c", _measured_rate(f, (0.0, 0.0, 1.0), start, n, h), 0.0)
+        return RateEstimate("c", _measured_rate(f, (0.0, 0.0, 1.0), n), 0.0)
     vals, vecs = f.multipliers()
     i = 0 if direction == "u" else 1
     w = (*vecs[i], 0.0)
     if direction == "u":
-        measured = _measured_rate(f, w, start, n, h)
+        measured = _measured_rate(f, w, n)
     else:
-        measured = -_measured_rate(f.inverse(), w, start, n, h)
+        measured = -_measured_rate(f.inverse(), w, n)
     return RateEstimate(direction, measured, math.log(abs(vals[i])))
 
 
@@ -308,6 +314,10 @@ class HyperbolicityReport:
     weak_contraction: dict
 
 
+_CERTIFY_TOL = 1e-6  # margin of the certificate's strict inequalities
+_CERTIFY_MAX_POWER = 100  # largest power it tries
+
+
 def _weak_contraction_verdict(rate: float, tol: float) -> str:
     if rate < -tol:
         return "forward"
@@ -316,20 +326,19 @@ def _weak_contraction_verdict(rate: float, tol: float) -> str:
     return "none"
 
 
-def hyperbolicity_report(source, n_max: int = 100, tol: float = 1e-6,
-                         n_iter: int = 200) -> HyperbolicityReport:
+def hyperbolicity_report(source) -> HyperbolicityReport:
     """Certify uniform contraction / expansion and domination from measured
     rates.
 
     `source` is a NilMap (rates measured along its invariant frame), an
     Sl2TimeMap (frame rates of the diagonal flow), or a plain labelled rate
     triple (rate_alpha, rate_beta, rate_center).  The certificate looks for
-    the smallest power N <= n_max at which all strict inequalities hold
-    with margin tol; when none exists the report is inconclusive rather
+    the smallest power N <= 100 at which all strict inequalities hold
+    with margin 1e-6; when none exists the report is inconclusive rather
     than an error.
     """
     if isinstance(source, NilMap):
-        ra, rb, rc = (tangent_rates(source, d, n=n_iter).measured for d in "usc")
+        ra, rb, rc = (tangent_rates(source, d).measured for d in "usc")
     elif isinstance(source, Sl2TimeMap):
         ra, rb, rc = sl2_frame_rates(source.t)
     else:
@@ -342,8 +351,9 @@ def hyperbolicity_report(source, n_max: int = 100, tol: float = 1e-6,
         rs, ru = rb, ra
         stable, unstable = "beta", "alpha"
 
+    tol = _CERTIFY_TOL
     n_certified = None
-    for n in range(1, n_max + 1):
+    for n in range(1, _CERTIFY_MAX_POWER + 1):
         contracted = math.exp(n * rs) < 1.0 - tol
         expanded = math.exp(n * ru) > 1.0 + tol
         dominated = (math.exp(n * rs) < math.exp(n * rc) * (1.0 - tol)

@@ -185,9 +185,8 @@ def chart_coords(x: Flag):
 
 
 def flag_from_coords(px, py, z) -> Flag:
-    m = (Fraction(px), Fraction(py), Fraction(1))
-    q = (Fraction(px) + Fraction(z), Fraction(py) + 1, Fraction(1))
-    return Flag.of(m, q)
+    """Inverse of `chart_coords`: the flag at (px, py) with direction (z : 1)."""
+    return affine_chart_inverse((px, py), (z, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +314,14 @@ def _unit_after_pivot(v, shift):
 # ---------------------------------------------------------------------------
 
 def flag_derivative(v: LieVec, x: Flag):
-    """Derivative of the action of exp(t v) at a flag, as the pair of
-    tangent classes (dm mod m, dn mod n), each reduced to two canonical
-    complement coordinates.  Exact and chart-free."""
+    """Derivative of the action of exp(t v) at a flag, as the tangent row
+    (dm mod m, dn mod n): each class reduced to two canonical complement
+    coordinates, four entries in all.  Exact and chart-free."""
     m = x.point.coords
     n = x.line.normal
     dm = mat_vec(v.entries, m)
     dn = tuple(-e for e in vec_mat(n, v.entries))
-    return _class_coords(dm, m), _class_coords(dn, n)
+    return _class_coords(dm, m) + _class_coords(dn, n)
 
 
 def _class_coords(w, base):
@@ -338,11 +337,7 @@ def _class_coords(w, base):
 def orbit_rank(vectors, x: Flag) -> int:
     """Dimension of the span of the action derivatives of the given Lie
     algebra elements at x."""
-    rows = []
-    for v in vectors:
-        dm, dn = flag_derivative(v, x)
-        rows.append(list(dm) + list(dn))
-    return rank(rows)
+    return rank([flag_derivative(v, x) for v in vectors])
 
 
 def fundamental_vector(v: LieVec, x: Flag):

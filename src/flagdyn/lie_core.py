@@ -17,6 +17,7 @@ from .rational import (
     IDENTITY3,
     Scalar,
     _cleared,
+    _rows,
     adjugate3,
     det3,
     in_span,
@@ -228,22 +229,16 @@ class GroupElem:
         return (self.entries[0][0], self.entries[1][1], self.entries[2][2])
 
 
-def _integer_multiple(m):
-    """An integer multiple of the 3x3 matrix m, as rows, and the common
-    denominator it was cleared by (None when m is already integer)."""
-    n, den = _cleared(*m)
-    return (n[0:3], n[3:6], n[6:9]), den
-
-
 def conjugate(g: GroupElem, v: LieVec) -> LieVec:
     """g v g^{-1}, exact.  Scale invariant in the representative of g, so it
     is well defined on projective classes.
 
     It runs on integer multiples: G of g and V = d v.  The integer product
     G V adj(G) is divided by d det(G) once at the end."""
-    big, _ = _integer_multiple(g.entries)
-    vm, den = _integer_multiple(v.entries)
-    prod = mat_mul(mat_mul(big, vm), adjugate3(big))
+    gm, _ = _cleared(*g.entries)
+    vm, den = _cleared(*v.entries)
+    big = _rows(gm)
+    prod = mat_mul(mat_mul(big, _rows(vm)), adjugate3(big))
     scale = det3(big) * (den or 1)
     return LieVec(tuple(tuple(Fraction(x, scale) for x in row) for row in prod))
 
@@ -295,21 +290,11 @@ def quotient_adjoint(p: GroupElem):
 
 def quotient_adjoint_bruteforce(p: GroupElem):
     """Independent computation: conjugate each class generator by p and
-    project modulo the upper-triangular part.
-
-    Conjugation is invariant under scaling p, so it runs on the integer
-    multiple P of p: each generator g becomes P g adj(P), divided by det(P)
-    once at the end.  Integer products cost a small part of what Fraction
-    products do, and the result is the same exact value."""
+    project modulo the upper-triangular part."""
     if not p.is_upper_triangular():
         raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
-    big, _ = _integer_multiple(p.entries)
-    adj, det = adjugate3(big), det3(big)
-    cols = []
-    for gen in (E_ALPHA, E_BETA, E_0):
-        g, _ = _integer_multiple(gen.entries)
-        cols.append(_strictly_lower_class(LieVec(mat_mul(mat_mul(big, g), adj))))
-    return tuple(tuple(Fraction(cols[j][i], det) for j in range(3)) for i in range(3))
+    cols = [_strictly_lower_class(conjugate(p, gen)) for gen in (E_ALPHA, E_BETA, E_0)]
+    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
 
 
 # ---------------------------------------------------------------------------

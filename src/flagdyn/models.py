@@ -184,15 +184,11 @@ class AffineMap:
         return AffineMap.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
 
     def apply(self, v):
-        return tuple(sum(self.linear[i][k] * Fraction(v[k]) for k in range(3))
-                     + self.translation[i] for i in range(3))
+        lv = mat_vec(self.linear, [Fraction(e) for e in v])
+        return tuple(a + t for a, t in zip(lv, self.translation))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        lin = tuple(tuple(sum(self.linear[i][k] * other.linear[k][j]
-                              for k in range(3)) for j in range(3))
-                    for i in range(3))
-        tr = self.apply(other.translation)
-        return AffineMap(lin, tr)
+        return AffineMap(mat_mul(self.linear, other.linear), self.apply(other.translation))
 
 
 def theta_affine(g: HeisElem, phi: HeisAuto) -> AffineMap:

@@ -136,18 +136,15 @@ def solve(rows, rhs):
 
 
 def in_span(vectors, v) -> bool:
-    """Exact membership of v in span(vectors); all given as coefficient lists."""
-    if not vectors:
-        return all(e == 0 for e in v)
-    cols = [list(map(Fraction, w)) for w in vectors]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
-    return solve(rows, v) is not None
+    """Exact membership of v in span(vectors); all given as coefficient
+    lists.  v is in the span exactly when adding it keeps the rank."""
+    return rank([*vectors, v]) == rank(vectors)
 
 
 def span_equal(vs, ws) -> bool:
-    if rank(vs) != rank(ws):
-        return False
-    return all(in_span(vs, w) for w in ws) and all(in_span(ws, v) for v in vs)
+    """Exact equality of span(vs) and span(ws): both spans have the rank of
+    their sum."""
+    return rank(vs) == rank(ws) == rank([*vs, *ws])
 
 
 # ---------------------------------------------------------------------------

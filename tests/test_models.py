@@ -12,6 +12,7 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagdyn import checks
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
@@ -243,6 +244,11 @@ class TestFlatStructureIso:
     def test_rejects_non_contact_pair(self):
         with pytest.raises(md.ContactConditionError):
             md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(2) + md.HEIS_Z)
+
+    def test_fails_when_no_pair_is_tested(self, monkeypatch):
+        # every drawn pair is zero, so none is a contact pair
+        monkeypatch.setattr(checks, "rand_frac", lambda rng: Fraction(0))
+        assert run_check("flat-structure-iso") == (False, None)
 
 
 class TestAffineLinearization:

@@ -1,4 +1,5 @@
-"""The fraction-free 3x3 routines against their textbook Fraction formulas.
+"""The fraction-free 3x3 routines against their textbook Fraction formulas,
+and the rank-based span tests against solving for the coefficients.
 
 Each oracle below is the plain formula over Fractions.  Inputs are drawn as
 all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
@@ -145,6 +146,62 @@ def test_normalize_lead(ops):
             R.normalize_lead(vec)
         return
     assert_same(R.normalize_lead(vec), normalize_lead_oracle(vec), Fraction)
+
+
+# ---------------------------------------------------------------------------
+# span tests against solving for the coefficients
+# ---------------------------------------------------------------------------
+
+def in_span_oracle(vectors, v):
+    """Membership by solving for the coefficients: the vectors are the
+    columns of the system, and the empty span holds only the zero vector."""
+    if not vectors:
+        return all(e == 0 for e in v)
+    rows = [[Fraction(w[i]) for w in vectors] for i in range(len(v))]
+    return R.solve(rows, v) is not None
+
+
+def span_equal_oracle(vs, ws):
+    return (R.rank(vs) == R.rank(ws)
+            and all(in_span_oracle(vs, w) for w in ws)
+            and all(in_span_oracle(ws, v) for v in vs))
+
+
+@st.composite
+def spans(draw):
+    """Two vector sets and a probe vector, all of one length.  Some vectors
+    are integer combinations of earlier ones (the empty combination is the
+    zero vector), so dependent sets and shared spans come up often; either
+    set may be empty."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    fresh = []
+
+    def vector():
+        if fresh and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(fresh), max_size=3))
+            coefs = [draw(st.integers(min_value=-2, max_value=2)) for _ in picks]
+            return [sum((c * p[k] for c, p in zip(coefs, picks)), 0) for k in range(width)]
+        fresh.append(draw(st.lists(entries, min_size=width, max_size=width)))
+        return fresh[-1]
+
+    vs = [vector() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    ws = [vector() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    return vs, ws, vector()
+
+
+@given(spans())
+def test_in_span(case):
+    vs, ws, v = case
+    assert R.in_span(vs, v) == in_span_oracle(vs, v)
+    assert R.in_span(ws, v) == in_span_oracle(ws, v)
+
+
+@given(spans())
+def test_span_equal(case):
+    vs, ws, v = case
+    assert R.span_equal(vs, ws) == span_equal_oracle(vs, ws)
+    assert R.span_equal(vs, [*vs, v]) == span_equal_oracle(vs, [*vs, v])
 
 
 @pytest.mark.parametrize("call", [
