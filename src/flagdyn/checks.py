@@ -253,9 +253,9 @@ def _check_qadj_display(rng):
     p = rand_upper(rng)
     e = p.entries
     d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-    expected = ((d3 / d2, Fraction(0), -(d3 * e[0][1]) / (d1 * d2)),
-                (Fraction(0), d2 / d1, e[1][2] / d1),
-                (Fraction(0), Fraction(0), d3 / d1))
+    expected = ((Fraction(d3, d2), Fraction(0), Fraction(-(d3 * e[0][1]), d1 * d2)),
+                (Fraction(0), Fraction(d2, d1), Fraction(e[1][2], d1)),
+                (Fraction(0), Fraction(0), Fraction(d3, d1)))
     return lc.quotient_adjoint(p) == expected
 
 
@@ -504,8 +504,8 @@ def _check_fundamental_fd(rng, samples):
         # about 1e6 near the chart boundary
         h = Fraction(1, 10 ** 16)
         # rational first-order step: (I + h v) approximates exp(h v)
-        step = lc.GroupElem([[Fraction(int(i == j)) + h * v.entries[i][j]
-                              for j in range(3)] for i in range(3)])
+        step = lc.GroupElem([[Fraction(int(i == j)) + h * e for j, e in enumerate(row)]
+                             for i, row in enumerate(v.entries)])
         moved = fs.act(step, x)
         c0 = fs.chart_coords(x)
         c1 = fs.chart_coords(moved)
@@ -799,7 +799,8 @@ def _check_flat_iso(rng, samples):
     basis = (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)
 
     def apply(mat, u):
-        coords = (u.entries[0][1], u.entries[1][2], u.entries[0][2])
+        e = u.entries
+        coords = (e[0][1], e[1][2], e[0][2])
         return sum((basis[i].scale(sum(mat[i][j] * coords[j] for j in range(3)))
                     for i in range(3)), lc.LieVec.zero())
 

@@ -541,11 +541,10 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     g = data.pivot @ g
     mat = conjugate(g, data.transported)
     expected = tuple(tuple(data.expected[i][j](t) for j in range(3)) for i in range(3))
-    matches = mat.entries == expected
     e = mat.entries
     line = (e[2][1], e[1][0], e[2][0])
     dist = _sine_distance(line, _LIMIT_VECTORS[data.limit])
-    return DegenerationResult(case, t, mat.entries, expected, matches,
+    return DegenerationResult(case, t, e, expected, e == expected,
                               line, data.limit, dist)
 
 

@@ -101,19 +101,17 @@ def _evaluate(k: NormalCurvature, u, v) -> LieVec:
 
 def _extract(mat_a0: LieVec, mat_b0: LieVec, mat_ab: LieVec) -> NormalCurvature:
     """Read the four components back off the three wedge values, checking
-    the result stays inside the module."""
-    e = mat_a0.entries
-    k_sup_alpha, k_alpha = e[0][2], e[1][2]
-    ok = all(e[i][j] == 0 for i in range(3) for j in range(3)
-             if (i, j) not in ((0, 2), (1, 2)))
-    f = mat_b0.entries
-    k_beta, k_sup_beta = f[0][1], f[0][2]
-    ok = ok and all(f[i][j] == 0 for i in range(3) for j in range(3)
-                    if (i, j) not in ((0, 1), (0, 2)))
+    the result stays inside the module.  Entry (i, j) of a value is its
+    numerator 3 i + j over its denominator."""
+    a, b = mat_a0.nums, mat_b0.nums
+    ok = all(x == 0 for k, x in enumerate(a) if k not in (2, 5))
+    ok = ok and all(x == 0 for k, x in enumerate(b) if k not in (1, 2))
     ok = ok and mat_ab.is_zero()
     if not ok:
         raise ValueError("image left the normal-curvature module")
-    return NormalCurvature(k_alpha, k_beta, k_sup_alpha, k_sup_beta)
+    da, db = mat_a0.den, mat_b0.den
+    return NormalCurvature(Fraction(a[5], da), Fraction(b[1], db),
+                           Fraction(a[2], da), Fraction(b[2], db))
 
 
 def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
@@ -143,9 +141,9 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     # last row of the inverse
     v0 = pm[0][0] * m_sup0 + pm[0][1] * m_supa
     v1 = pm[1][1] * m_supa
-    img_a = ((Fraction(0), Fraction(0), v0 * pinv[2][2]),
-             (Fraction(0), Fraction(0), v1 * pinv[2][2]),
-             (Fraction(0), Fraction(0), Fraction(0)))
+    img_a = ((0, 0, v0 * pinv[2][2]),
+             (0, 0, v1 * pinv[2][2]),
+             (0, 0, 0))
 
     # value on the transported beta-0 wedge
     c_b0 = b[1] * z[2] - b[2] * z[1]
@@ -154,14 +152,14 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     d1 = pm[0][0]
     r1 = d1 * (m_supb * pinv[1][1])
     r2 = d1 * (m_supb * pinv[1][2] + m_sup0b * pinv[2][2])
-    img_b = ((Fraction(0), r1, r2),
-             (Fraction(0), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(0), Fraction(0)))
+    img_b = ((0, r1, r2),
+             (0, 0, 0),
+             (0, 0, 0))
 
     # value on the transported alpha-beta wedge: both arguments are pure
     # circle classes, so the value pairs with the zero slot
     img_ab = LieVec.zero()
-    return _extract(LieVec(img_a), LieVec(img_b), img_ab)
+    return _extract(LieVec.of(img_a), LieVec.of(img_b), img_ab)
 
 
 def curvature_action_dense(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
@@ -179,13 +177,13 @@ def alpha_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_alpha component, scale invariant in the
     representative: d1 d2^2 / d3^3 for diagonal (d1, d2, d3)."""
     d1, d2, d3 = p.diagonal()
-    return (d1 * d2 * d2) / (d3 * d3 * d3)
+    return Fraction(d1 * d2 * d2, d3 * d3 * d3)
 
 
 def beta_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_beta component: d1^3 / (d2^2 d3)."""
     d1, d2, d3 = p.diagonal()
-    return (d1 * d1 * d1) / (d2 * d2 * d3)
+    return Fraction(d1 * d1 * d1, d2 * d2 * d3)
 
 
 # ---------------------------------------------------------------------------

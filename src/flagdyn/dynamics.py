@@ -155,8 +155,9 @@ class NilMap:
         # and the measured rates would be float noise.
         root = math.copysign(math.sqrt(disc), tr) if disc.bit_length() < 1000 else tr
         if tr - root == 0:
-            raise ValueError("the stable multiplier was lost to float rounding "
-                             "at this scale")
+            raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
+                             "splitting of the linear part is below float "
+                             "resolution; no reliable multipliers")
         # det = 1, so the stable multiplier is 1/lam_u = 2/(tr + root); the
         # difference (tr - root)/2 would cancel
         vals = ((tr + root) / 2, 2 / (tr + root))

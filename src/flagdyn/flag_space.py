@@ -2,9 +2,11 @@
 
 A flag is a pair (m, D) with m a point of the projective plane lying on the
 projective line D.  Lines are stored as normal covectors, so incidence is a
-single exact dot product.  The two invariant circle families through a flag
-are the pencils obtained by moving the line through a fixed point (alpha) or
-the point along a fixed line (beta).
+single exact dot product.  Points and lines are primitive integer vectors
+(gcd 1, first nonzero entry positive), so a ratio of coordinates is built
+as a Fraction, never with `/`.  The two invariant circle families through
+a flag are the pencils obtained by moving the line through a fixed point
+(alpha) or the point along a fixed line (beta).
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from fractions import Fraction
 
 from .lie_core import GroupElem, LieVec
 from .rational import (
-    adjugate3,
+    _rows,
     cross,
     dot,
     mat_vec,
     normalize_lead,
     nullspace,
+    primitive,
     rank,
     solve,
     vec_mat,
@@ -60,22 +63,25 @@ class BoundaryError(ValueError):
 
 @dataclass(frozen=True)
 class ProjPoint:
+    """Projective point stored by its primitive integer coordinates."""
+
     coords: tuple
 
     @staticmethod
     def of(vec) -> "ProjPoint":
-        return ProjPoint(normalize_lead(vec))
+        return ProjPoint(primitive(vec))
 
 
 @dataclass(frozen=True)
 class ProjLine:
-    """Projective line stored by the normal covector of its plane."""
+    """Projective line stored by the primitive integer normal covector of
+    its plane."""
 
     normal: tuple
 
     @staticmethod
     def of(normal) -> "ProjLine":
-        return ProjLine(normalize_lead(normal))
+        return ProjLine(primitive(normal))
 
     @staticmethod
     def through(p: ProjPoint, q: ProjPoint) -> "ProjLine":
@@ -131,7 +137,7 @@ def act_point(g: GroupElem, m: ProjPoint) -> ProjPoint:
 def act_line(g: GroupElem, d: ProjLine) -> ProjLine:
     # covectors transform by the inverse; the adjugate is a valid
     # projective representative of it
-    return ProjLine.of(vec_mat(d.normal, adjugate3(g.entries)))
+    return ProjLine.of(vec_mat(d.normal, g.adjugate))
 
 
 def act(g: GroupElem, x: Flag) -> Flag:
@@ -144,7 +150,8 @@ def flip(x: Flag) -> Flag:
     Involution; exchanges the two circle families and intertwines the
     action through g -> (g^T)^{-1}.
     """
-    return Flag(ProjPoint.of(x.line.normal), ProjLine.of(x.point.coords))
+    # both vectors are primitive already
+    return Flag(ProjPoint(x.line.normal), ProjLine(x.point.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ def affine_chart(x: Flag):
     m = x.point.coords
     if m[2] == 0:
         raise BoundaryError("flag point lies on the line at infinity")
-    px, py = m[0] / m[2], m[1] / m[2]
+    px, py = Fraction(m[0], m[2]), Fraction(m[1], m[2])
     n = x.line.normal
     # direction = intersection of the line with the plane at infinity
     u, v = n[1], -n[0]
@@ -313,25 +320,30 @@ def _unit_after_pivot(v, shift):
 # infinitesimal action
 # ---------------------------------------------------------------------------
 
+def _velocities(v: LieVec, x: Flag):
+    """v.den times the velocities v m and -n v of the point m and the line
+    n of x, in ints."""
+    rows = _rows(v.nums)
+    return (mat_vec(rows, x.point.coords),
+            tuple(-e for e in vec_mat(x.line.normal, rows)))
+
+
 def flag_derivative(v: LieVec, x: Flag):
     """Derivative of the action of exp(t v) at a flag, as the tangent row
-    (dm mod m, dn mod n): each class reduced to two canonical complement
-    coordinates, four entries in all.  Exact and chart-free."""
-    m = x.point.coords
-    n = x.line.normal
-    dm = mat_vec(v.entries, m)
-    dn = tuple(-e for e in vec_mat(n, v.entries))
-    return _class_coords(dm, m) + _class_coords(dn, n)
+    (dm mod m, dn mod n) of the stored representatives m and n: each class
+    reduced to two canonical complement coordinates, four entries in all.
+    Exact and chart-free."""
+    dm, dn = _velocities(v, x)
+    return (_class_coords(dm, x.point.coords, v.den)
+            + _class_coords(dn, x.line.normal, v.den))
 
 
-def _class_coords(w, base):
-    """Coordinates of w modulo the span of base, in the two coordinate
+def _class_coords(w, base, den):
+    """Coordinates of w / den modulo the span of base, in the two coordinate
     positions complementary to the pivot of base."""
     i = next(k for k, e in enumerate(base) if e != 0)
-    w = list(w)
-    f = w[i] / base[i]
-    w = [a - f * b for a, b in zip(w, base)]
-    return tuple(w[k] for k in range(3) if k != i)
+    b, wi = base[i], w[i]
+    return tuple(Fraction(w[k] * b - wi * base[k], b * den) for k in range(3) if k != i)
 
 
 def orbit_rank(vectors, x: Flag) -> int:
@@ -352,12 +364,12 @@ def fundamental_vector(v: LieVec, x: Flag):
         raise BoundaryError("flag line is the line at infinity")
     if n[0] == 0:
         raise BoundaryError("direction is horizontal; outside the slope chart")
-    dm = mat_vec(v.entries, m)
-    dn = tuple(-e for e in vec_mat(n, v.entries))
-    dx = (dm[0] * m[2] - m[0] * dm[2]) / (m[2] * m[2])
-    dy = (dm[1] * m[2] - m[1] * dm[2]) / (m[2] * m[2])
+    dm, dn = _velocities(v, x)
+    den = v.den
+    dx = Fraction(dm[0] * m[2] - m[0] * dm[2], den * m[2] * m[2])
+    dy = Fraction(dm[1] * m[2] - m[1] * dm[2], den * m[2] * m[2])
     # z = -n2/n1
-    dz = -(dn[1] * n[0] - n[1] * dn[0]) / (n[0] * n[0])
+    dz = Fraction(n[1] * dn[0] - dn[1] * n[0], den * n[0] * n[0])
     return (dx, dy, dz)
 
 

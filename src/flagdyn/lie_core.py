@@ -1,8 +1,13 @@
 """Exact kernel for gl(3)/sl(3): brackets, grading, adjoint actions, exponentials.
 
-All algebraic operations are exact over Fraction.  Floats appear only in
-`exp_group` / `exp_ad`, the numerical exponentials used by the dynamics side;
-a float matrix there is a tuple of rows, each a tuple of Python floats.
+All algebraic operations are exact and run in Python ints: a `LieVec` is
+nine ints over one denominator, a `GroupElem` the primitive integer matrix
+of its class.  `GroupElem.entries` are ints, so a ratio of two of them is
+built as a Fraction, never with `/`.
+
+Floats appear only in `exp_group` / `exp_ad`, the numerical exponentials
+used by the dynamics side; a float matrix there is a tuple of rows, each a
+tuple of Python floats.
 """
 
 from __future__ import annotations
@@ -17,20 +22,16 @@ from .rational import (
     IDENTITY3,
     Scalar,
     _cleared,
+    _mul_ints,
     _rows,
     adjugate3,
-    det3,
     in_span,
-    mat3,
     mat_mul,
-    mat_scale,
-    mat_sub,
-    normalize_lead,
     nullspace,
+    primitive,
     rank,
     rref,
     span_equal,
-    transpose3,
 )
 
 __all__ = [
@@ -58,69 +59,110 @@ class NotUpperTriangularError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LieVec:
-    """Element of gl(3) over exact rationals."""
+    """Element of gl(3) over exact rationals, stored as nine ints over one
+    positive denominator: entry (i, j) is nums[3 i + j] / den, and
+    gcd(den, *nums) is 1.  The form is canonical, so equality and hashing
+    are structural, and every operation runs in ints with one gcd per
+    result.  `LieVec(nums, den)` takes any ints with den != 0."""
 
-    entries: tuple
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
 
     @staticmethod
     def of(rows) -> "LieVec":
-        return LieVec(mat3(rows))
+        nums, den = _cleared(*rows)
+        return LieVec(nums, den or 1)
 
     @staticmethod
     def zero() -> "LieVec":
-        return LieVec(mat3([[0] * 3] * 3))
+        return LieVec((0,) * 9)
 
     @staticmethod
     def elementary(i: int, j: int) -> "LieVec":
-        rows = [[0] * 3 for _ in range(3)]
-        rows[i][j] = 1
-        return LieVec.of(rows)
+        nums = [0] * 9
+        nums[3 * i + j] = 1
+        return LieVec(nums)
 
     @staticmethod
     def diag(a, b, c) -> "LieVec":
         return LieVec.of([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
-    def __add__(self, other: "LieVec") -> "LieVec":
-        return LieVec(tuple(tuple(a + b for a, b in zip(r, s))
-                            for r, s in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "LieVec") -> "LieVec":
-        return LieVec(mat_sub(self.entries, other.entries))
-
-    def __neg__(self) -> "LieVec":
-        return LieVec(mat_scale(-1, self.entries))
-
-    def scale(self, c) -> "LieVec":
-        return LieVec(mat_scale(c, self.entries))
-
-    def __matmul__(self, other: "LieVec") -> "LieVec":
-        return LieVec(mat_mul(self.entries, other.entries))
-
-    def trace(self) -> Scalar:
-        return self.entries[0][0] + self.entries[1][1] + self.entries[2][2]
-
-    def is_traceless(self) -> bool:
-        return self.trace() == 0
-
-    def transpose(self) -> "LieVec":
-        return LieVec(transpose3(self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+    @property
+    def entries(self) -> tuple:
+        """The entry rows as Fractions, built from (nums, den) on each read."""
+        return _rows(tuple(self.flat()))
 
     def flat(self):
-        return [e for row in self.entries for e in row]
+        """The entries as Fractions, row by row."""
+        den = self.den
+        return [Fraction(n, den) for n in self.nums]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LieVec):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"LieVec({self.nums}, {self.den})"
+
+    def __add__(self, other: "LieVec") -> "LieVec":
+        a, b = self.den, other.den
+        return LieVec([x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
+
+    def __sub__(self, other: "LieVec") -> "LieVec":
+        a, b = self.den, other.den
+        return LieVec([x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
+
+    def __neg__(self) -> "LieVec":
+        return LieVec([-n for n in self.nums], self.den)
+
+    def scale(self, c) -> "LieVec":
+        """c * self, for an int or Fraction c."""
+        (p,), q = _cleared((c,))
+        return LieVec([n * p for n in self.nums], self.den * (q or 1))
+
+    def __matmul__(self, other: "LieVec") -> "LieVec":
+        return LieVec(_mul_ints(self.nums, other.nums), self.den * other.den)
+
+    def trace(self) -> Scalar:
+        n = self.nums
+        return Fraction(n[0] + n[4] + n[8], self.den)
+
+    def is_traceless(self) -> bool:
+        n = self.nums
+        return n[0] + n[4] + n[8] == 0
+
+    def transpose(self) -> "LieVec":
+        n = self.nums
+        return LieVec((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8]), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
 
     def to_float(self, t: float = 1.0) -> tuple:
-        """The float matrix of t * self."""
-        return tuple(tuple(float(e) * t for e in row) for row in self.entries)
+        """The float matrix of t * self; each entry rounds as float() of its
+        Fraction does."""
+        den, n = self.den, self.nums
+        return tuple(tuple(x / den * t for x in n[i:i + 3]) for i in (0, 3, 6))
 
 
 def bracket(u: LieVec, v: LieVec) -> LieVec:
     """Commutator uv - vu, exact."""
-    return (u @ v) - (v @ u)
+    a, b = u.nums, v.nums
+    return LieVec([x - y for x, y in zip(_mul_ints(a, b), _mul_ints(b, a))], u.den * v.den)
 
 
 # Basis of the traceless 3x3 matrices adapted to the two-step grading.
@@ -174,30 +216,31 @@ def grade_decompose(v: LieVec) -> dict:
     """
     if not v.is_traceless():
         raise ValueError("grade decomposition is defined on traceless matrices")
-    parts = {}
-    for k in range(-2, 3):
-        rows = [[v.entries[i][j] if j - i == k else Fraction(0)
-                 for j in range(3)] for i in range(3)]
-        parts[k] = LieVec.of(rows)
-    return parts
+    return {k: LieVec([n if grade == k else 0 for n, grade in zip(v.nums, _GRADES)], v.den)
+            for k in range(-2, 3)}
+
+
+_GRADES = tuple(j - i for i in range(3) for j in range(3))
 
 
 class GroupElem:
     """Projective transformation: invertible 3x3 rational matrix up to scale.
 
-    The stored representative is canonical: the first nonzero entry in
-    row-major order is exactly 1, so projective equality is structural
-    equality (and the class is hashable).
+    The stored representative is the primitive integer matrix of the class:
+    integer entries with gcd 1 whose first nonzero entry in row-major order
+    is positive.  So projective equality is structural equality (and the
+    class is hashable).  `adjugate` holds the integer adjugate of the
+    entries, a representative of the inverse, computed once.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "adjugate")
 
     def __init__(self, rows):
-        m = mat3(rows)
-        if det3(m) == 0:
+        flat = primitive([e for row in rows for e in row])
+        self.entries = entries = _rows(flat)
+        self.adjugate = adj = adjugate3(entries)
+        if flat[0] * adj[0][0] + flat[1] * adj[1][0] + flat[2] * adj[2][0] == 0:
             raise ValueError("projective transformation must be invertible")
-        flat = normalize_lead(m[0] + m[1] + m[2])
-        self.entries = (flat[0:3], flat[3:6], flat[6:9])
 
     @staticmethod
     def identity() -> "GroupElem":
@@ -207,10 +250,10 @@ class GroupElem:
         return GroupElem(mat_mul(self.entries, other.entries))
 
     def inverse(self) -> "GroupElem":
-        return GroupElem(adjugate3(self.entries))
+        return GroupElem(self.adjugate)
 
     def transpose(self) -> "GroupElem":
-        return GroupElem(transpose3(self.entries))
+        return GroupElem(zip(*self.entries))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElem) and self.entries == other.entries
@@ -233,14 +276,12 @@ def conjugate(g: GroupElem, v: LieVec) -> LieVec:
     """g v g^{-1}, exact.  Scale invariant in the representative of g, so it
     is well defined on projective classes.
 
-    It runs on integer multiples: G of g and V = d v.  The integer product
-    G V adj(G) is divided by d det(G) once at the end."""
-    gm, _ = _cleared(*g.entries)
-    vm, den = _cleared(*v.entries)
-    big = _rows(gm)
-    prod = mat_mul(mat_mul(big, _rows(vm)), adjugate3(big))
-    scale = det3(big) * (den or 1)
-    return LieVec(tuple(tuple(Fraction(x, scale) for x in row) for row in prod))
+    With G the integer entries of g and A their adjugate, g v g^{-1} is
+    G nums A / (den det(G)): two integer products and one gcd."""
+    e, a = g.entries, g.adjugate
+    det = e[0][0] * a[0][0] + e[0][1] * a[1][0] + e[0][2] * a[2][0]
+    prod = _mul_ints(_mul_ints(e[0] + e[1] + e[2], v.nums), a[0] + a[1] + a[2])
+    return LieVec(prod, v.den * det)
 
 
 def theta_involution(v: LieVec) -> LieVec:
@@ -260,8 +301,8 @@ def theta_group(g: GroupElem) -> GroupElem:
 def _strictly_lower_class(m: LieVec):
     """Class of m modulo upper-triangular matrices, as coordinates over
     the images of (e_alpha, e_beta, e_0)."""
-    e = m.entries
-    return (e[2][1], e[1][0], e[2][0])
+    n, d = m.nums, m.den
+    return (Fraction(n[7], d), Fraction(n[3], d), Fraction(n[6], d))
 
 
 def quotient_adjoint(p: GroupElem):
@@ -281,11 +322,10 @@ def quotient_adjoint(p: GroupElem):
     e = p.entries
     d1, d2, d3 = e[0][0], e[1][1], e[2][2]
     p12, p23 = e[0][1], e[1][2]
-    return mat3([
-        [d3 / d2, 0, -(d3 * p12) / (d1 * d2)],
-        [0, d2 / d1, p23 / d1],
-        [0, 0, d3 / d1],
-    ])
+    zero = Fraction(0)
+    return ((Fraction(d3, d2), zero, Fraction(-d3 * p12, d1 * d2)),
+            (zero, Fraction(d2, d1), Fraction(p23, d1)),
+            (zero, zero, Fraction(d3, d1)))
 
 
 def quotient_adjoint_bruteforce(p: GroupElem):

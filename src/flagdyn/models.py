@@ -367,7 +367,7 @@ def equivariance_t(g: GroupElem):
         raise MembershipError("not in the block-diagonal subgroup")
     if e[2][2] == 0:
         raise MembershipError("degenerate corner entry")
-    block = tuple(tuple(e[i][j] / e[2][2] for j in range(2)) for i in range(2))
+    block = tuple(tuple(Fraction(e[i][j], e[2][2]) for j in range(2)) for i in range(2))
     det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
     if det <= 0:
         raise MembershipError("block determinant must be positive")
@@ -404,8 +404,8 @@ def equivariance_a(p: GroupElem):
         raise MembershipError("not upper triangular")
     e = p.entries
     d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-    h = HeisElem(e[0][1] / d2, e[1][2] / d3, e[0][2] / d3)
-    phi = HeisAuto(d1 / d2, d2 / d3)
+    h = HeisElem(Fraction(e[0][1], d2), Fraction(e[1][2], d3), Fraction(e[0][2], d3))
+    phi = HeisAuto(Fraction(d1, d2), Fraction(d2, d3))
     return h, phi
 
 

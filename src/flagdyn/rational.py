@@ -11,6 +11,11 @@ one normalized Fraction per result entry at the end.  Values and types are
 those of the textbook Fraction formulas: all-int input gives int results,
 any Fraction input gives Fraction results, and `inverse3` and
 `normalize_lead`, which divide, always give Fractions.
+
+`primitive` gives the integer representative of a projective class that
+`GroupElem`, `ProjPoint` and `ProjLine` store (gcd 1, first nonzero entry
+positive); `normalize_lead` gives the rational one with first nonzero entry
+1, for chart directions and frame lines.
 """
 
 from __future__ import annotations
@@ -53,6 +58,20 @@ def _quotients(nums, *dens):
 
 def _rows(flat):
     return (flat[0:3], flat[3:6], flat[6:9])
+
+
+def primitive(vec) -> tuple:
+    """Canonical integer representative of the projective class of `vec`
+    (ints or Fractions): the integer multiple whose entries have gcd 1 and
+    whose first nonzero entry is positive."""
+    nums, _ = _cleared(vec)
+    lead = next((n for n in nums if n != 0), None)
+    if lead is None:
+        raise ValueError("zero vector has no projective class")
+    g = math.gcd(*nums)
+    if lead < 0:
+        g = -g
+    return tuple([n // g for n in nums])
 
 
 def normalize_lead(vec) -> tuple:
@@ -151,24 +170,22 @@ def span_equal(vs, ws) -> bool:
 # fixed-size helpers for 3x3 matrices (tuples of tuples of Fraction)
 # ---------------------------------------------------------------------------
 
-def mat3(rows):
-    return tuple(tuple(Fraction(e) for e in r) for r in rows)
+IDENTITY3 = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
-IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+def _mul_ints(a, b):
+    """Product of the integer 3x3 matrices with row-major entries a and b, flat."""
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    out = []
+    for x, y, z in (a[0:3], a[3:6], a[6:9]):
+        out += (x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7, x * b2 + y * b5 + z * b8)
+    return out
 
 
 def mat_mul(a, b):
     na, da = _cleared(*a)
     nb, db = _cleared(*b)
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = nb
-    prods = []
-    for i in (0, 3, 6):
-        x, y, z = na[i:i + 3]
-        prods += (x * b00 + y * b10 + z * b20,
-                  x * b01 + y * b11 + z * b21,
-                  x * b02 + y * b12 + z * b22)
-    return _rows(_quotients(prods, da, db))
+    return _rows(_quotients(_mul_ints(na, nb), da, db))
 
 
 def mat_vec(a, v):
@@ -188,15 +205,6 @@ def vec_mat(v, a):
 
 def mat_sub(a, b):
     return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
-
-
-def mat_scale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * e for e in row) for row in a)
-
-
-def transpose3(a):
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
 
 
 def _adjugate_ints(n):

@@ -44,7 +44,7 @@ def test_criterion_1_adjoint_quotient_matrix():
     for _ in range(1000):
         p = rand_upper(rng)
         e = p.entries
-        d1, d2, d3 = e[0][0], e[1][1], e[2][2]
+        d1, d2, d3 = (Fraction(e[i][i]) for i in range(3))
         display = ((d3 / d2, Fraction(0), -(d3 * e[0][1]) / (d1 * d2)),
                    (Fraction(0), d2 / d1, e[1][2] / d1),
                    (Fraction(0), Fraction(0), d3 / d1))

@@ -1,5 +1,6 @@
 """The fraction-free 3x3 routines against their textbook Fraction formulas,
-and the rank-based span tests against solving for the coefficients.
+the primitive integer representative against the lead-1 one, and the
+rank-based span tests against solving for the coefficients.
 
 Each oracle below is the plain formula over Fractions.  Inputs are drawn as
 all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
@@ -8,6 +9,7 @@ input, Fractions as soon as one entry is a Fraction, and always Fractions
 from `inverse3` and `normalize_lead`, which divide.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,21 @@ def test_normalize_lead(ops):
             R.normalize_lead(vec)
         return
     assert_same(R.normalize_lead(vec), normalize_lead_oracle(vec), Fraction)
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(operands))
+def test_primitive(ops):
+    (vec,) = ops
+    if not any(vec):
+        with pytest.raises(ValueError):
+            R.primitive(vec)
+        return
+    prim = R.primitive(vec)
+    assert all(type(n) is int for n in prim)
+    assert math.gcd(*prim) == 1
+    assert next(n for n in prim if n != 0) > 0
+    # the same projective class
+    assert normalize_lead_oracle(prim) == normalize_lead_oracle(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,205 @@
+"""The integer representations of the exact kernel against the textbook
+Fraction formulas, and a guard against float leaks from their readers.
+
+A `LieVec` is nine ints over one positive denominator, and a `GroupElem` is
+the primitive integer matrix of its projective class.  Each property below
+compares an operation with the plain formula over Fractions, kept here as
+the oracle.  Inputs are drawn as all ints, all Fractions, a mix of the two,
+or Fractions with denominator 1.
+
+The guard feeds integer-entry group elements, flags and Lie algebra
+elements to every reader that takes a ratio of entries or coordinates:
+with int entries `a / b` is a float, so each must build a Fraction.
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from flagdyn import curvature as curv
+from flagdyn import flag_space as fs
+from flagdyn import lie_core as lc
+from flagdyn import models as md
+from flagdyn.rational import normalize_lead
+from registry_twins import run_check
+from test_rational import (
+    adjugate3_oracle,
+    det3_oracle,
+    fracs,
+    ints,
+    mat_mul_oracle,
+    operands,
+    rows,
+)
+
+
+def frac(a):
+    return [[Fraction(e) for e in row] for row in a]
+
+
+def entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(r, s)] for r, s in zip(frac(a), frac(b))]
+
+
+def as_rows(a):
+    return tuple(tuple(row) for row in a)
+
+
+def assert_canonical(v: lc.LieVec):
+    """Nine ints over a positive int denominator, gcd-reduced."""
+    assert type(v.den) is int and v.den > 0
+    assert len(v.nums) == 9 and all(type(n) is int for n in v.nums)
+    assert math.gcd(v.den, *v.nums) == 1
+
+
+def assert_primitive(vec):
+    assert all(type(n) is int for n in vec)
+    assert math.gcd(*vec) == 1
+    assert next(n for n in vec if n != 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# LieVec
+# ---------------------------------------------------------------------------
+
+@given(operands(9, 9), st.one_of(ints, fracs))
+def test_lievec_operations(ops, c):
+    a, b = map(rows, ops)
+    u, v = lc.LieVec.of(a), lc.LieVec.of(b)
+    cases = [
+        (u + v, entrywise(lambda x, y: x + y, a, b)),
+        (u - v, entrywise(lambda x, y: x - y, a, b)),
+        (-u, [[-x for x in row] for row in frac(a)]),
+        (u.scale(c), [[c * x for x in row] for row in frac(a)]),
+        (u @ v, mat_mul_oracle(a, b)),
+        (u.transpose(), [list(col) for col in zip(*frac(a))]),
+        (lc.bracket(u, v),
+         entrywise(lambda x, y: x - y, mat_mul_oracle(a, b), mat_mul_oracle(b, a))),
+    ]
+    for result, oracle in cases:
+        assert_canonical(result)
+        assert result.entries == as_rows(oracle)
+        assert all(type(e) is Fraction for row in result.entries for e in row)
+    trace = u.trace()
+    assert type(trace) is Fraction and trace == sum(frac(a)[i][i] for i in range(3))
+
+
+@given(operands(9, 9))
+def test_conjugate(ops):
+    g_rows, v_rows = map(rows, ops)
+    d = det3_oracle(g_rows)
+    assume(d != 0)
+    g = lc.GroupElem(g_rows)
+    # the drawn representative, not the stored one: conjugation is scale
+    # invariant
+    inverse = [[e / d for e in row] for row in adjugate3_oracle(g_rows)]
+    oracle = mat_mul_oracle(mat_mul_oracle(g_rows, v_rows), inverse)
+    result = lc.conjugate(g, lc.LieVec.of(v_rows))
+    assert_canonical(result)
+    assert result.entries == as_rows(oracle)
+
+
+@given(operands(9), st.integers(min_value=2, max_value=6))
+def test_equal_values_are_equal_whatever_the_input_types(ops, k):
+    a = rows(ops[0])
+    exact = frac(a)
+    forms = [
+        exact,
+        # unreduced numerator and denominator pairs
+        [[Fraction(x.numerator * k, x.denominator * k) for x in row] for row in exact],
+        # ints wherever the value is integral, Fractions elsewhere
+        [[x.numerator if x.denominator == 1 else x for x in row] for row in exact],
+        # mixed, row by row
+        [exact[0], [x.numerator if x.denominator == 1 else x for x in exact[1]], exact[2]],
+    ]
+    vs = [lc.LieVec.of(f) for f in forms]
+    vs.append(lc.LieVec.of(a).scale(k).scale(Fraction(1, k)))
+    vs.append(lc.LieVec.of(a) + lc.LieVec.zero())
+    for v in vs:
+        assert_canonical(v)
+        assert v == vs[0] and hash(v) == hash(vs[0])
+
+
+# ---------------------------------------------------------------------------
+# GroupElem
+# ---------------------------------------------------------------------------
+
+@given(operands(9), st.one_of(ints, fracs).filter(bool))
+def test_group_elem_stores_the_primitive_representative(ops, c):
+    a = rows(ops[0])
+    assume(det3_oracle(a) != 0)
+    g = lc.GroupElem(a)
+    flat = [e for row in g.entries for e in row]
+    assert_primitive(flat)
+    assert normalize_lead(flat) == normalize_lead([e for row in a for e in row])
+    assert lc.GroupElem([[c * e for e in row] for row in a]) == g
+    assert g.adjugate == adjugate3_oracle(g.entries)
+    assert g.inverse() == lc.GroupElem(adjugate3_oracle(a))
+
+
+# ---------------------------------------------------------------------------
+# float-leak guard
+# ---------------------------------------------------------------------------
+
+def exact(value) -> bool:
+    """True when every leaf of `value` is an int or a Fraction."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)):
+        return all(map(exact, value))
+    return type(value) in (int, Fraction)
+
+
+def nonzero(rng):
+    return rng.choice([-1, 1]) * rng.randint(2, 30)
+
+
+def int_upper(rng) -> lc.GroupElem:
+    return lc.GroupElem([[nonzero(rng), rng.randint(-30, 30), rng.randint(-30, 30)],
+                         [0, nonzero(rng), rng.randint(-30, 30)],
+                         [0, 0, nonzero(rng)]])
+
+
+def int_interior_flag(rng) -> fs.Flag:
+    """A flag from integer vectors, its point off the line at infinity and
+    its line neither at infinity nor horizontal in the slope chart."""
+    while True:
+        try:
+            x = fs.Flag.of([rng.randint(-30, 30) for _ in range(3)],
+                           [rng.randint(-30, 30) for _ in range(3)])
+        except ValueError:
+            continue  # a zero or repeated point spans no line
+        if x.point.coords[2] != 0 and x.line.normal[0] != 0:
+            return x
+
+
+def test_readers_of_integer_entries_stay_exact():
+    rng = random.Random(17)
+    for _ in range(50):
+        p = int_upper(rng)
+        assert all(type(e) is int for row in p.entries for e in row)
+        assert exact(lc.quotient_adjoint(p))
+        assert exact((curv.alpha_scale(p), curv.beta_scale(p)))
+        assert exact(md.equivariance_a(p))
+        # a block element whose block determinant is a square: k^2 det(s)
+        # with det(s) = 1, so the factorization stays exact
+        k, corner = nonzero(rng), nonzero(rng)
+        s = rng.choice([((2, 1), (1, 1)), ((1, 3), (0, 1)), ((5, 2), (2, 1))])
+        block = lc.GroupElem([[k * s[0][0], k * s[0][1], 0],
+                              [k * s[1][0], k * s[1][1], 0],
+                              [0, 0, corner]])
+        assert exact(md.equivariance_t(block))
+        x = int_interior_flag(rng)
+        v = lc.LieVec.of([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
+        assert exact(fs.affine_chart(x))
+        assert exact(fs.chart_coords(x))
+        assert exact(fs.fundamental_vector(v, x))
+        assert exact(fs.flag_derivative(v, x))
+    # the check builds its display from the integer entries of its draws:
+    # a float ratio would miss the exact closed form
+    for seed in range(3):
+        assert run_check("quotient-adjoint-display", seed=seed) == (True, None)
