@@ -29,7 +29,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import in_span, mat_mul, normalize_lead
+from .rational import in_span, mat_mul, primitive
 
 __all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
 
@@ -749,7 +749,7 @@ def _check_frame_well_defined(rng):
     d = lc.GroupElem([[nonzero_frac(rng), 0, 0], [0, nonzero_frac(rng), 0],
                       [0, 0, nonzero_frac(rng)]])
     h = md.transporter(x, "a") @ d
-    lines = [normalize_lead(fs.fundamental_vector(lc.conjugate(h, g), x))
+    lines = [primitive(fs.fundamental_vector(lc.conjugate(h, g), x))
              for g in (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)]
     return (frame.line_alpha, frame.line_beta, frame.line_c) == tuple(lines)
 
@@ -773,8 +773,8 @@ def _check_frame_contact_pair(rng, samples):
             x = rand_interior_flag(rng, model)
             fr = md.frame_at(x, model)
             px, py, z = fs.chart_coords(x)
-            std_alpha = (Fraction(0), Fraction(0), Fraction(1))
-            std_beta = normalize_lead((z, Fraction(1), Fraction(0)))
+            std_alpha = (0, 0, 1)
+            std_beta = primitive((z, 1, 0))
             if fr.line_alpha != std_alpha or fr.line_beta != std_beta:
                 return False, None
     return True, None

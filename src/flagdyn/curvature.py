@@ -37,7 +37,7 @@ from .lie_core import (
     fnorm,
     quotient_adjoint,
 )
-from .rational import IDENTITY3, cross, det3, inverse3, mat_vec
+from .rational import cross, det3, inverse3, mat_vec
 
 __all__ = [
     "NormalCurvature",
@@ -129,7 +129,7 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
         raise NotUpperTriangularError(
             "the curvature action is defined along the upper-triangular subgroup")
     adbar_inv = inverse3(quotient_adjoint(p))
-    a, b, z = (tuple(adbar_inv[i][j] for i in range(3)) for j in range(3))
+    a, b, z = zip(*adbar_inv)
     pm = p.entries
     pinv = inverse3(pm)
 
@@ -166,7 +166,7 @@ def curvature_action_dense(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     """Reference implementation of the same action with fully dense
     bilinear evaluation and matrix conjugation."""
     adbar_inv = inverse3(quotient_adjoint(p))
-    a, b, z = (mat_vec(adbar_inv, col) for col in IDENTITY3)
+    a, b, z = zip(*adbar_inv)
     images = [conjugate(p, _evaluate(k, a, z)),
               conjugate(p, _evaluate(k, b, z)),
               conjugate(p, _evaluate(k, a, b))]

@@ -17,16 +17,15 @@ from fractions import Fraction
 
 from .lie_core import GroupElem, LieVec
 from .rational import (
+    _mat_vec_ints,
+    _primitive_ints,
     _rows,
     cross,
     dot,
-    mat_vec,
-    normalize_lead,
     nullspace,
     primitive,
     rank,
     solve,
-    vec_mat,
 )
 
 __all__ = [
@@ -85,8 +84,7 @@ class ProjLine:
 
     @staticmethod
     def through(p: ProjPoint, q: ProjPoint) -> "ProjLine":
-        n = cross(p.coords, q.coords)
-        return ProjLine.of(n)
+        return ProjLine(_primitive_ints(cross(p.coords, q.coords)))
 
 
 def incident(m: ProjPoint, d: ProjLine) -> bool:
@@ -94,7 +92,7 @@ def incident(m: ProjPoint, d: ProjLine) -> bool:
 
 
 def meet(d1: ProjLine, d2: ProjLine) -> ProjPoint:
-    return ProjPoint.of(cross(d1.normal, d2.normal))
+    return ProjPoint(_primitive_ints(cross(d1.normal, d2.normal)))
 
 
 @dataclass(frozen=True)
@@ -131,13 +129,13 @@ M_A = ProjPoint.of(E1)
 # ---------------------------------------------------------------------------
 
 def act_point(g: GroupElem, m: ProjPoint) -> ProjPoint:
-    return ProjPoint.of(mat_vec(g.entries, m.coords))
+    return ProjPoint(_primitive_ints(_mat_vec_ints(g.entries, m.coords)))
 
 
 def act_line(g: GroupElem, d: ProjLine) -> ProjLine:
-    # covectors transform by the inverse; the adjugate is a valid
-    # projective representative of it
-    return ProjLine.of(vec_mat(d.normal, g.adjugate))
+    # covectors transform by the inverse (n -> n adj(g)); the adjugate is a
+    # valid projective representative of it
+    return ProjLine(_primitive_ints(_mat_vec_ints(zip(*g.adjugate), d.normal)))
 
 
 def act(g: GroupElem, x: Flag) -> Flag:
@@ -160,7 +158,8 @@ def flip(x: Flag) -> Flag:
 
 def affine_chart(x: Flag):
     """Identify a flag whose point is off the line at infinity with a pointed
-    affine line of the plane: ((x, y), direction class (u : v))."""
+    affine line of the plane: ((x, y), direction class (u : v)), the
+    direction as its primitive integer vector."""
     m = x.point.coords
     if m[2] == 0:
         raise BoundaryError("flag point lies on the line at infinity")
@@ -170,7 +169,7 @@ def affine_chart(x: Flag):
     u, v = n[1], -n[0]
     if u == 0 and v == 0:
         raise BoundaryError("flag line is the line at infinity")
-    return (px, py), normalize_lead((u, v))
+    return (px, py), _primitive_ints((u, v))
 
 
 def affine_chart_inverse(point, direction) -> Flag:
@@ -188,7 +187,7 @@ def chart_coords(x: Flag):
     (px, py), (u, v) = affine_chart(x)
     if v == 0:
         raise BoundaryError("direction is horizontal; outside the slope chart")
-    return (px, py, u / v)
+    return (px, py, Fraction(u, v))
 
 
 def flag_from_coords(px, py, z) -> Flag:
@@ -324,8 +323,8 @@ def _velocities(v: LieVec, x: Flag):
     """v.den times the velocities v m and -n v of the point m and the line
     n of x, in ints."""
     rows = _rows(v.nums)
-    return (mat_vec(rows, x.point.coords),
-            tuple(-e for e in vec_mat(x.line.normal, rows)))
+    return (_mat_vec_ints(rows, x.point.coords),
+            [-e for e in _mat_vec_ints(zip(*rows), x.line.normal)])
 
 
 def flag_derivative(v: LieVec, x: Flag):

@@ -19,18 +19,16 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .rational import (
-    IDENTITY3,
     Scalar,
+    _adjugate_ints,
     _cleared,
     _mul_ints,
+    _primitive_ints,
     _rows,
-    adjugate3,
+    dot,
     in_span,
-    mat_mul,
     nullspace,
-    primitive,
     rank,
-    rref,
     span_equal,
 )
 
@@ -81,7 +79,7 @@ class LieVec:
     @staticmethod
     def of(rows) -> "LieVec":
         nums, den = _cleared(*rows)
-        return LieVec(nums, den or 1)
+        return LieVec(nums, den)
 
     @staticmethod
     def zero() -> "LieVec":
@@ -130,9 +128,10 @@ class LieVec:
         return LieVec([-n for n in self.nums], self.den)
 
     def scale(self, c) -> "LieVec":
-        """c * self, for an int or Fraction c."""
-        (p,), q = _cleared((c,))
-        return LieVec([n * p for n in self.nums], self.den * (q or 1))
+        """c * self, for an int or Fraction c; a float raises TypeError."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("exact routines take ints and Fractions only")
+        return LieVec([n * c.numerator for n in self.nums], self.den * c.denominator)
 
     def __matmul__(self, other: "LieVec") -> "LieVec":
         return LieVec(_mul_ints(self.nums, other.nums), self.den * other.den)
@@ -231,29 +230,45 @@ class GroupElem:
     is positive.  So projective equality is structural equality (and the
     class is hashable).  `adjugate` holds the integer adjugate of the
     entries, a representative of the inverse, computed once.
+
+    `GroupElem(rows)` takes ints and Fractions and rejects floats; the
+    products, inverses and transposes of stored elements stay in ints.
     """
 
     __slots__ = ("entries", "adjugate")
 
     def __init__(self, rows):
-        flat = primitive([e for row in rows for e in row])
-        self.entries = entries = _rows(flat)
-        self.adjugate = adj = adjugate3(entries)
-        if flat[0] * adj[0][0] + flat[1] * adj[1][0] + flat[2] * adj[2][0] == 0:
+        self._store(_cleared(*rows)[0])
+
+    @staticmethod
+    def _of_ints(nums) -> "GroupElem":
+        """The class of the integer matrix with row-major entries nums."""
+        g = object.__new__(GroupElem)
+        g._store(nums)
+        return g
+
+    def _store(self, nums):
+        flat = _primitive_ints(nums)
+        adj = _adjugate_ints(flat)
+        if flat[0] * adj[0] + flat[1] * adj[3] + flat[2] * adj[6] == 0:
             raise ValueError("projective transformation must be invertible")
+        self.entries = _rows(flat)
+        self.adjugate = _rows(tuple(adj))
 
     @staticmethod
     def identity() -> "GroupElem":
-        return GroupElem(IDENTITY3)
+        return GroupElem._of_ints((1, 0, 0, 0, 1, 0, 0, 0, 1))
 
     def __matmul__(self, other: "GroupElem") -> "GroupElem":
-        return GroupElem(mat_mul(self.entries, other.entries))
+        a, b = self.entries, other.entries
+        return GroupElem._of_ints(_mul_ints(a[0] + a[1] + a[2], b[0] + b[1] + b[2]))
 
     def inverse(self) -> "GroupElem":
-        return GroupElem(self.adjugate)
+        a = self.adjugate
+        return GroupElem._of_ints(a[0] + a[1] + a[2])
 
     def transpose(self) -> "GroupElem":
-        return GroupElem(zip(*self.entries))
+        return GroupElem._of_ints([e for col in zip(*self.entries) for e in col])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElem) and self.entries == other.entries
@@ -403,27 +418,19 @@ def centralizer(s: Subalgebra) -> Subalgebra:
 
 
 def normalizer(s: Subalgebra) -> Subalgebra:
-    """Exact solution of [v, s] contained in s over the traceless matrices."""
-    span = [b.flat() for b in s.basis]
-    red, pivots = rref(span)
+    """Exact solution of [v, s] contained in s over the traceless matrices:
+    [v, b] lies in s exactly when every annihilator of s kills it."""
+    annihilator = nullspace([b.flat() for b in s.basis])
 
     def cond(v):
         out = []
         for b in s.basis:
-            out.extend(_residual_mod_span(bracket(v, b).flat(), red, pivots))
+            w = bracket(v, b).flat()
+            out.extend(dot(a, w) for a in annihilator)
         return out
 
     rows = _traceless_constraint_rows(cond)
     return Subalgebra(tuple(lincomb(c, BASIS) for c in nullspace(rows)))
-
-
-def _residual_mod_span(vec, red, pivots):
-    v = list(map(Fraction, vec))
-    for row, pc in zip(red, pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
 
 
 # ---------------------------------------------------------------------------

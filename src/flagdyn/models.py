@@ -20,13 +20,12 @@ from .flag_space import (
     Flag,
     Region,
     affine_chart,
-    chart_coords,
     flag_from_coords,
     fundamental_vector,
     region_classify,
 )
 from .lie_core import GroupElem, LieVec, conjugate
-from .rational import Scalar, inverse3, mat_mul, mat_sub, mat_vec, normalize_lead, vec_mat
+from .rational import Scalar, inverse3, mat_mul, mat_sub, mat_vec, primitive, vec_mat
 
 __all__ = [
     "HeisElem",
@@ -244,7 +243,8 @@ def flat_structure_iso(v: LieVec, w: LieVec):
 @dataclass(frozen=True)
 class FramedPoint:
     """A flag together with the three invariant tangent lines at it, each a
-    projective direction in chart coordinates (first nonzero entry 1)."""
+    projective direction in chart coordinates, given by its primitive
+    integer vector."""
 
     flag: Flag
     line_alpha: tuple
@@ -252,19 +252,26 @@ class FramedPoint:
     line_c: tuple
 
 
+def _transporter_rows(px, py, u, v, model: str):
+    """A matrix of the model's transporter to the flag at the affine point
+    (px, py) with direction (u : v), polynomial in the four: model a's is
+    v times the Heisenberg element [u/v, py, px], model t's is d times the
+    block element with columns (px, py) and (u, v) / d, d = px v - py u.
+    Interior flags have v != 0 in model a and d != 0 in model t."""
+    if model == "a":
+        return ((v, u, v * px), (0, v, v * py), (0, 0, v))
+    d = px * v - py * u
+    return ((d * px, u, 0), (d * py, v, 0), (0, 0, d))
+
+
 def transporter(x: Flag, model: str) -> GroupElem:
     """Group element of the model's transitive subgroup carrying the base
-    flag of the model to x; closed form from the chart coordinates."""
+    flag of the model to x; closed form from the affine chart, whose
+    direction stays finite for the horizontal lines interior to model t."""
     if region_classify(x, model) is not Region.INTERIOR:
         raise BoundaryError("frame transport needs an interior flag")
-    if model == "a":
-        px, py, z = chart_coords(x)
-        return HeisElem.of(z, py, px).as_group_elem()
-    if model == "t":
-        (px, py), (u, v) = affine_chart(x)
-        d = px * v - py * u
-        return GroupElem([[px, u / d, 0], [py, v / d, 0], [0, 0, 1]])
-    raise ValueError(f"unknown model {model!r}")
+    (px, py), (u, v) = affine_chart(x)
+    return GroupElem(_transporter_rows(px, py, u, v, model))
 
 
 _BASE_GENERATORS = {
@@ -274,20 +281,20 @@ _BASE_GENERATORS = {
 
 
 def _transporter_jet(p, w, model: str):
-    """`transporter` of the chart point p as a plain matrix h, not
-    lead-normalized, and its derivative dh along w.  A chart point is
-    interior to model t exactly when d = x - yz != 0, and always to a."""
+    """`transporter` of the chart point p = (x, y, z), direction (z : 1), as
+    the plain matrix h of `_transporter_rows`, and its derivative dh along
+    w.  A chart point is interior to model t exactly when d = x - yz != 0,
+    and always to a."""
     x, y, z = p
     wx, wy, wz = w
+    h = _transporter_rows(x, y, z, 1, model)
     if model == "a":
-        return (((1, z, x), (0, 1, y), (0, 0, 1)),
-                ((0, wz, wx), (0, 0, wy), (0, 0, 0)))
-    d = x - y * z
+        return h, ((0, wz, wx), (0, 0, wy), (0, 0, 0))
+    d = h[2][2]
     if d == 0:
         raise BoundaryError("frame transport needs an interior flag")
     dd = wx - wy * z - y * wz
-    return (((x, z / d, 0), (y, 1 / d, 0), (0, 0, 1)),
-            ((wx, (wz * d - z * dd) / (d * d), 0), (wy, -dd / (d * d), 0), (0, 0, 0)))
+    return h, ((dd * x + d * wx, wz, 0), (dd * y + d * wy, 0, 0), (0, 0, dd))
 
 
 class InvariantField:
@@ -335,8 +342,7 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
     does not depend on the choice."""
     h = transporter(x, model)
     gens = _BASE_GENERATORS[model]
-    lines = [normalize_lead(fundamental_vector(conjugate(h, g), x))
-             for g in gens]
+    lines = [primitive(fundamental_vector(conjugate(h, g), x)) for g in gens]
     return FramedPoint(x, *lines)
 
 

@@ -4,18 +4,19 @@ Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
 algebraic oracles.  Everything here is exact: entries are ints or
 Fractions, never floats, and there are no tolerances.
 
-The 3x3 routines and `normalize_lead` are fraction-free inside.  Each call
-clears the denominators of each operand once (their least common multiple,
-then the integer multiples), does its products in Python ints, and builds
-one normalized Fraction per result entry at the end.  Values and types are
-those of the textbook Fraction formulas: all-int input gives int results,
-any Fraction input gives Fraction results, and `inverse3` and
-`normalize_lead`, which divide, always give Fractions.
+Each 3x3 routine has two layers.  The integer cores (`_mul_ints`,
+`_mat_vec_ints`, `_adjugate_ints`, `_det_ints`, `_primitive_ints`) take
+ints only and trust their input; integer data, such as the stored
+representatives of `GroupElem`, `ProjPoint`, `ProjLine` and `LieVec`,
+calls them directly.  The rows API (`mat_mul`, `mat_vec`, `vec_mat`,
+`mat_sub`, `det3`, `inverse3`) takes ints and Fractions: each call clears
+the denominators of each operand once (their least common multiple), runs
+the integer core, and builds one normalized Fraction per result entry, so
+its results are always Fractions.  A float entry raises TypeError.
 
-`primitive` gives the integer representative of a projective class that
-`GroupElem`, `ProjPoint` and `ProjLine` store (gcd 1, first nonzero entry
-positive); `normalize_lead` gives the rational one with first nonzero entry
-1, for chart directions and frame lines.
+`primitive` is the one normalization of a projective class: the integer
+representative with gcd 1 and first nonzero entry positive, which points,
+lines, group elements, chart directions and frame lines all use.
 """
 
 from __future__ import annotations
@@ -27,13 +28,10 @@ Scalar = Fraction
 
 
 def _cleared(*rows):
-    """Clear denominators: the entries of `rows`, in order, as ints nums
-    over their least common denominator den, so entry k == nums[k] / den.
-    den is None when every entry is an int, so that int input keeps int
-    results."""
+    """Clear denominators: the entries of `rows` (ints and Fractions), in
+    order, as ints nums over their least common denominator den, so entry
+    k == nums[k] / den.  A float raises TypeError: it has no numerator."""
     entries = [e for row in rows for e in row]
-    if all(type(e) is int for e in entries):
-        return entries, None
     try:
         nums = [e.numerator for e in entries]
         dens = [e.denominator for e in entries]
@@ -45,12 +43,8 @@ def _cleared(*rows):
     return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
-def _quotients(nums, *dens):
-    """The values nums[k] / (product of dens), one normalized Fraction each;
-    the ints themselves when every den is None (every operand was int)."""
-    if all(d is None for d in dens):
-        return tuple(nums)
-    den = math.prod([d for d in dens if d is not None])
+def _quotients(nums, den):
+    """The values nums[k] / den, one normalized Fraction each."""
     # A list, not a generator: tuple() over a generator over-allocates and
     # then shrinks, which on this hot path raised peak memory by about 1%.
     return tuple([Fraction(n, den) for n in nums])
@@ -60,11 +54,8 @@ def _rows(flat):
     return (flat[0:3], flat[3:6], flat[6:9])
 
 
-def primitive(vec) -> tuple:
-    """Canonical integer representative of the projective class of `vec`
-    (ints or Fractions): the integer multiple whose entries have gcd 1 and
-    whose first nonzero entry is positive."""
-    nums, _ = _cleared(vec)
+def _primitive_ints(nums) -> tuple:
+    """`primitive` of a vector of ints."""
     lead = next((n for n in nums if n != 0), None)
     if lead is None:
         raise ValueError("zero vector has no projective class")
@@ -74,15 +65,11 @@ def primitive(vec) -> tuple:
     return tuple([n // g for n in nums])
 
 
-def normalize_lead(vec) -> tuple:
-    """Canonical representative of the projective class of `vec` (ints or
-    Fractions): the vector scaled so its first nonzero entry is exactly 1."""
-    # The common denominator cancels in the ratios.
-    nums, _ = _cleared(vec)
-    lead = next((n for n in nums if n != 0), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective class")
-    return _quotients(nums, lead)
+def primitive(vec) -> tuple:
+    """Canonical integer representative of the projective class of `vec`
+    (ints or Fractions): the integer multiple whose entries have gcd 1 and
+    whose first nonzero entry is positive."""
+    return _primitive_ints(_cleared(vec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +154,8 @@ def span_equal(vs, ws) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fixed-size helpers for 3x3 matrices (tuples of tuples of Fraction)
+# 3x3 matrices: integer cores on flat ints, and the rows API
 # ---------------------------------------------------------------------------
-
-IDENTITY3 = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-
 
 def _mul_ints(a, b):
     """Product of the integer 3x3 matrices with row-major entries a and b, flat."""
@@ -182,29 +166,36 @@ def _mul_ints(a, b):
     return out
 
 
+def _mat_vec_ints(rows, v):
+    """The dot product of each integer row with the integer 3-vector v: a
+    matrix times v, or v times a matrix when `rows` are its columns."""
+    x, y, z = v
+    return [r[0] * x + r[1] * y + r[2] * z for r in rows]
+
+
 def mat_mul(a, b):
     na, da = _cleared(*a)
     nb, db = _cleared(*b)
-    return _rows(_quotients(_mul_ints(na, nb), da, db))
+    return _rows(_quotients(_mul_ints(na, nb), da * db))
 
 
 def mat_vec(a, v):
     na, da = _cleared(*a)
-    (x, y, z), dv = _cleared(v)
-    return _quotients([na[i] * x + na[i + 1] * y + na[i + 2] * z
-                       for i in (0, 3, 6)], da, dv)
+    nv, dv = _cleared(v)
+    return _quotients(_mat_vec_ints(_rows(na), nv), da * dv)
 
 
 def vec_mat(v, a):
     """Row vector times matrix (covectors transform this way)."""
     na, da = _cleared(*a)
-    (x, y, z), dv = _cleared(v)
-    return _quotients([x * na[j] + y * na[j + 3] + z * na[j + 6]
-                       for j in (0, 1, 2)], dv, da)
+    nv, dv = _cleared(v)
+    return _quotients(_mat_vec_ints(zip(*_rows(na)), nv), dv * da)
 
 
 def mat_sub(a, b):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
+    na, da = _cleared(*a)
+    nb, db = _cleared(*b)
+    return _rows(_quotients([x * db - y * da for x, y in zip(na, nb)], da * db))
 
 
 def _adjugate_ints(n):
@@ -222,12 +213,7 @@ def _det_ints(n):
 
 def det3(a) -> Fraction:
     n, den = _cleared(*a)
-    return _quotients([_det_ints(n)], den, den, den)[0]
-
-
-def adjugate3(a):
-    n, den = _cleared(*a)
-    return _rows(_quotients(_adjugate_ints(n), den, den))
+    return Fraction(_det_ints(n), den ** 3)
 
 
 def inverse3(a):
@@ -236,7 +222,6 @@ def inverse3(a):
     if det == 0:
         raise ZeroDivisionError("singular matrix")
     # a^-1 = adj(a) / det(a) = (adj(n) / den^2) / (det(n) / den^3)
-    den = den or 1
     return _rows(_quotients([x * den for x in _adjugate_ints(n)], det))
 
 

@@ -11,7 +11,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
-from flagdyn.rational import normalize_lead
+from flagdyn.rational import primitive
 from registry_twins import twin
 
 
@@ -78,7 +78,7 @@ class TestDegeneration:
             # the transported generator spans the transverse line at the anchor
             fr = md.frame_at(y, "t" if name.startswith("t") else "a")
             vec = fs.fundamental_vector(data.transported, y)
-            assert normalize_lead(vec) == fr.line_c
+            assert primitive(vec) == fr.line_c
 
     def test_exact_matrices_at_sampled_parameters(self):
         for case in ("t1", "t2", "a1", "a2"):

@@ -161,6 +161,12 @@ class TestCentralizerNormalizer:
         for b in lc.centralizer(s).basis:
             assert nor.contains(b)
 
+    def test_normalizer_of_the_heisenberg_algebra_is_the_affine_model_algebra(self):
+        assert lc.normalizer(cls.heis_algebra()).span_equals(cls.h_a())
+
+    def test_the_affine_model_algebra_is_self_normalizing(self):
+        assert lc.normalizer(cls.h_a()).span_equals(cls.h_a())
+
 
 class TestSubalgebraRecognizer:
     test_accepts_the_classified_list = twin("subalgebra-recognizer")

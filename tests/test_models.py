@@ -25,7 +25,7 @@ from flagdyn.checks import (
     rand_sl2,
     rand_upper,
 )
-from flagdyn.rational import normalize_lead
+from flagdyn.rational import primitive
 from registry_twins import run_check, twin
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -141,7 +141,7 @@ class TestFrames:
                 h = md.transporter(x, model) @ stab()
                 assert fs.act(h, fs.O_T if model == "t" else fs.O_A) == x
                 lines = tuple(
-                    normalize_lead(fs.fundamental_vector(lc.conjugate(h, g), x))
+                    primitive(fs.fundamental_vector(lc.conjugate(h, g), x))
                     for g in gens)
                 assert (base.line_alpha, base.line_beta, base.line_c) == lines
 
@@ -163,7 +163,7 @@ class TestFrames:
                     fr_x = md.frame_at(x, model)
                     fr_y = md.frame_at(y, model)
                     pushed = tuple(
-                        normalize_lead(fs.push_tangent(g, x, line))
+                        primitive(fs.push_tangent(g, x, line))
                         for line in (fr_x.line_alpha, fr_x.line_beta, fr_x.line_c))
                 except fs.BoundaryError:
                     continue

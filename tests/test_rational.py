@@ -1,21 +1,25 @@
-"""The fraction-free 3x3 routines against their textbook Fraction formulas,
-the primitive integer representative against the lead-1 one, and the
-rank-based span tests against solving for the coefficients.
+"""The fraction-free 3x3 routines and their integer cores against their
+textbook Fraction formulas, the primitive integer representative against
+the lead-1 one, and the rank-based span tests against solving for the
+coefficients.
 
 Each oracle below is the plain formula over Fractions.  Inputs are drawn as
 all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
-The routines must agree in value and keep the result type: ints for all-int
-input, Fractions as soon as one entry is a Fraction, and always Fractions
-from `inverse3` and `normalize_lead`, which divide.
+The rows API must agree in value and always give Fractions, whatever the
+input kinds; the integer cores take ints and give ints.  The cores trust
+their input, so the public constructors of the exact kernel are the guard
+against floats: each raises TypeError on one.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from flagdyn import flag_space as fs
+from flagdyn import lie_core as lc
 from flagdyn import rational as R
 
 ints = st.integers(min_value=-99, max_value=99)
@@ -37,10 +41,6 @@ def operands(draw, *sizes):
 
 def rows(flat):
     return tuple(tuple(flat[i:i + 3]) for i in (0, 3, 6))
-
-
-def expected_type(*flats):
-    return int if all(type(e) is int for f in flats for e in f) else Fraction
 
 
 def assert_same(result, oracle, kind):
@@ -96,34 +96,39 @@ def normalize_lead_oracle(vec):
 @given(operands(9, 9))
 def test_mat_mul(ops):
     a, b = ops
-    assert_same(R.mat_mul(rows(a), rows(b)), mat_mul_oracle(rows(a), rows(b)),
-                expected_type(a, b))
+    assert_same(R.mat_mul(rows(a), rows(b)), mat_mul_oracle(rows(a), rows(b)), Fraction)
 
 
 @given(operands(9, 3))
 def test_mat_vec(ops):
     a, v = ops
-    assert_same(R.mat_vec(rows(a), tuple(v)), mat_vec_oracle(rows(a), v),
-                expected_type(a, v))
+    assert_same(R.mat_vec(rows(a), tuple(v)), mat_vec_oracle(rows(a), v), Fraction)
 
 
 @given(operands(3, 9))
 def test_vec_mat(ops):
     v, a = ops
-    assert_same(R.vec_mat(tuple(v), rows(a)), vec_mat_oracle(v, rows(a)),
-                expected_type(v, a))
+    assert_same(R.vec_mat(tuple(v), rows(a)), vec_mat_oracle(v, rows(a)), Fraction)
 
 
 @given(operands(9))
 def test_det3(ops):
     (a,) = ops
-    assert_same((R.det3(rows(a)),), (det3_oracle(rows(a)),), expected_type(a))
+    assert_same((R.det3(rows(a)),), (det3_oracle(rows(a)),), Fraction)
 
 
-@given(operands(9))
-def test_adjugate3(ops):
-    (a,) = ops
-    assert_same(R.adjugate3(rows(a)), adjugate3_oracle(rows(a)), expected_type(a))
+@given(operands(9, 9))
+def test_mat_sub(ops):
+    a, b = ops
+    oracle = tuple(tuple(Fraction(x) - y for x, y in zip(r, s)) for r, s in zip(rows(a), rows(b)))
+    assert_same(R.mat_sub(rows(a), rows(b)), oracle, Fraction)
+
+
+@given(st.lists(ints, min_size=9, max_size=9))
+def test_adjugate3(a):
+    # GroupElem takes the adjugate of its integer entries with this core
+    oracle = tuple(e for row in adjugate3_oracle(rows(a)) for e in row)
+    assert_same(tuple(R._adjugate_ints(a)), oracle, int)
 
 
 @given(operands(9), st.booleans())
@@ -140,14 +145,16 @@ def test_inverse3(ops, singular):
     assert_same(R.inverse3(rows(a)), oracle, Fraction)
 
 
-@given(st.integers(min_value=1, max_value=9).flatmap(operands))
-def test_normalize_lead(ops):
+@given(st.integers(min_value=1, max_value=9).flatmap(operands),
+       st.one_of(ints, fracs).filter(bool))
+def test_normalize_lead(ops, c):
+    # primitive is the one normalization: every vector of a class, the
+    # lead-1 one included, gives the same representative
     (vec,) = ops
-    if not any(vec):
-        with pytest.raises(ValueError):
-            R.normalize_lead(vec)
-        return
-    assert_same(R.normalize_lead(vec), normalize_lead_oracle(vec), Fraction)
+    assume(any(vec))
+    prim = R.primitive(vec)
+    assert R.primitive([c * e for e in vec]) == prim
+    assert R.primitive(normalize_lead_oracle(vec)) == prim
 
 
 @given(st.integers(min_value=1, max_value=9).flatmap(operands))
@@ -223,8 +230,17 @@ def test_span_equal(case):
 
 @pytest.mark.parametrize("call", [
     lambda m: R.mat_mul(m, m), lambda m: R.mat_vec(m, m[0]),
-    lambda m: R.vec_mat(m[0], m), R.det3, R.adjugate3, R.inverse3,
-    lambda m: R.normalize_lead(m[0])])
+    lambda m: R.vec_mat(m[0], m), R.det3,
+    # the adjugate is taken inside GroupElem, whose constructor guards it
+    pytest.param(lc.GroupElem, id="adjugate3"),
+    R.inverse3,
+    # primitive is the one projective normalization
+    lambda m: R.primitive(m[0]),
+    pytest.param(lambda m: R.mat_sub(m, m), id="mat_sub"),
+    pytest.param(lambda m: fs.ProjPoint.of(m[0]), id="ProjPoint.of"),
+    pytest.param(lambda m: fs.ProjLine.of(m[0]), id="ProjLine.of"),
+    pytest.param(lc.LieVec.of, id="LieVec.of"),
+    pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale")])
 def test_floats_are_rejected(call):
     m = rows([1.5, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(TypeError):

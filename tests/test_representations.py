@@ -24,7 +24,6 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.rational import normalize_lead
 from registry_twins import run_check
 from test_rational import (
     adjugate3_oracle,
@@ -32,6 +31,7 @@ from test_rational import (
     fracs,
     ints,
     mat_mul_oracle,
+    normalize_lead_oracle,
     operands,
     rows,
 )
@@ -135,7 +135,7 @@ def test_group_elem_stores_the_primitive_representative(ops, c):
     g = lc.GroupElem(a)
     flat = [e for row in g.entries for e in row]
     assert_primitive(flat)
-    assert normalize_lead(flat) == normalize_lead([e for row in a for e in row])
+    assert normalize_lead_oracle(flat) == normalize_lead_oracle([e for row in a for e in row])
     assert lc.GroupElem([[c * e for e in row] for row in a]) == g
     assert g.adjugate == adjugate3_oracle(g.entries)
     assert g.inverse() == lc.GroupElem(adjugate3_oracle(a))
@@ -179,6 +179,7 @@ def int_interior_flag(rng) -> fs.Flag:
 
 def test_readers_of_integer_entries_stay_exact():
     rng = random.Random(17)
+    models_seen = set()
     for _ in range(50):
         p = int_upper(rng)
         assert all(type(e) is int for row in p.entries for e in row)
@@ -199,6 +200,12 @@ def test_readers_of_integer_entries_stay_exact():
         assert exact(fs.chart_coords(x))
         assert exact(fs.fundamental_vector(v, x))
         assert exact(fs.flag_derivative(v, x))
+        for model in ("t", "a"):
+            if fs.region_classify(x, model) is fs.Region.INTERIOR:
+                assert exact(md.frame_at(x, model))
+                assert exact(md.transporter(x, model).entries)
+                models_seen.add(model)
+    assert models_seen == {"t", "a"}
     # the check builds its display from the integer entries of its draws:
     # a float ratio would miss the exact closed form
     for seed in range(3):
