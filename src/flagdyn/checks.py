@@ -29,7 +29,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import in_span, mat_mul, primitive
+from .rational import _primitive_ints, in_span, mat_mul, primitive
 
 __all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
 
@@ -108,12 +108,32 @@ def run_checks(suite=None, seed: int = 0, samples: int | None = None):
 # random generators
 # ---------------------------------------------------------------------------
 
+def _below(rng, n: int) -> int:
+    """rng.randrange(n), drawn as CPython's `Random._randbelow` draws it:
+    getrandbits(n.bit_length()), drawn again while it is n or more.  So
+    `lo + _below(rng, hi - lo + 1)` is `rng.randint(lo, hi)`, value for value
+    and from the same stream, without randint's call layers."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_frac(rng, lo=-9, hi=9, den=9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+    return Fraction(lo + _below(rng, hi - lo + 1), 1 + _below(rng, den))
+
+
+def _rand_ints(rng, count: int):
+    """`count` draws of rand_frac(rng) from the same stream, as ints over the
+    lcm of the drawn denominators: (nums, lcm), draw k being nums[k] / lcm."""
+    pairs = [(_below(rng, 19) - 9, 1 + _below(rng, 9)) for _ in range(count)]
+    lcm = math.lcm(*[q for _, q in pairs])
+    return [p * (lcm // q) for p, q in pairs], lcm
 
 
 def rand_lievec(rng) -> lc.LieVec:
-    return lc.LieVec.of([[rand_frac(rng) for _ in range(3)] for _ in range(3)])
+    return lc.LieVec(*_rand_ints(rng, 9))
 
 
 def rand_traceless(rng) -> lc.LieVec:
@@ -125,7 +145,7 @@ def rand_traceless(rng) -> lc.LieVec:
 def rand_group(rng) -> lc.GroupElem:
     while True:
         try:
-            return lc.GroupElem([[rand_frac(rng) for _ in range(3)] for _ in range(3)])
+            return lc.GroupElem._of_ints(_rand_ints(rng, 9)[0])
         except ValueError:
             continue
 
@@ -146,9 +166,9 @@ def rand_upper(rng) -> lc.GroupElem:
 def rand_flag(rng) -> fs.Flag:
     while True:
         try:
-            m = [rand_frac(rng) for _ in range(3)]
-            q = [rand_frac(rng) for _ in range(3)]
-            return fs.Flag.of(m, q)
+            m, q = _rand_ints(rng, 3)[0], _rand_ints(rng, 3)[0]
+            m, q = fs.ProjPoint(_primitive_ints(m)), fs.ProjPoint(_primitive_ints(q))
+            return fs.Flag(m, fs.ProjLine.through(m, q))
         except ValueError:
             continue
 

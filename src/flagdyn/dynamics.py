@@ -150,11 +150,14 @@ class NilMap:
             if b or c:
                 raise NonHyperbolicError("linear part is not diagonalizable")
             return (float(a), float(d)), ((1.0, 0.0), (0.0, 1.0))
-        # Past |tr| = 2^27 the float root rounds to |tr|, and past 2^500 it
-        # would overflow: either way the splitting is beyond float precision
-        # and the measured rates would be float noise.
-        root = math.copysign(math.sqrt(disc), tr) if disc.bit_length() < 1000 else tr
-        if tr - root == 0:
+        # From |tr| of about 9e7 the float root is within one ulp of |tr|, past
+        # 2^27 it equals |tr|, and past 2^500 it would overflow.  Within one
+        # ulp, the stable multiplier (about 1/|tr|) is no larger than the
+        # rounding of one float step of the map, whose entries are about
+        # |tr|: the splitting is beyond float precision.
+        huge = disc.bit_length() >= 1000
+        root = tr if huge else math.copysign(math.sqrt(disc), tr)
+        if huge or abs(tr - root) <= math.ulp(root):
             raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
                              "splitting of the linear part is below float "
                              "resolution; no reliable multipliers")
@@ -170,10 +173,13 @@ class NilMap:
         inv = ((s / det, -r / det), (-q / det, p / det))
         residual = fnorm(fmat_sub(fmat_mul(fmat_mul(inv, self.linear), basis),
                                   ((vals[0], 0.0), (0.0, vals[1]))))
-        if residual > 1e-10:
-            raise ValueError(f"the eigenbasis of the linear part misses its 1e-10 "
-                             f"residual gate ({residual:.2g}) at this scale; "
-                             "no reliable multipliers")
+        # float rounding in the residual grows with the entries, so the gate
+        # is relative to the size of the linear part
+        bound = 1e-10 * fnorm(self.linear)
+        if residual > bound:
+            raise ValueError(f"the eigenbasis of the linear part misses its residual "
+                             f"gate, 1e-10 times the norm of the linear part "
+                             f"({residual:.2g} > {bound:.2g}); no reliable multipliers")
         return vals, vecs
 
 

@@ -293,10 +293,10 @@ def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
 
 def alpha_circle_flag(x: Flag, s, t) -> Flag:
     """Parametrized alpha circle: lines through the point of x."""
-    n1 = cross(x.point.coords, _unit_after_pivot(x.point.coords, 1))
-    n2 = cross(x.point.coords, _unit_after_pivot(x.point.coords, 2))
-    n = tuple(Fraction(s) * a + Fraction(t) * b for a, b in zip(n1, n2))
-    return Flag(x.point, ProjLine.of(n))
+    m = x.point.coords
+    n1 = cross(m, _unit_after_pivot(m, 1))
+    n2 = cross(m, _unit_after_pivot(m, 2))
+    return Flag(x.point, ProjLine.of([s * a + t * b for a, b in zip(n1, n2)]))
 
 
 def beta_circle_flag(x: Flag, s, t) -> Flag:
@@ -310,9 +310,9 @@ def _unit_after_pivot(v, shift):
     """Standard basis vector `shift` places (cyclically) after the first
     nonzero entry of v; shifts 1 and 2 complete v to a basis."""
     i = next(k for k, e in enumerate(v) if e != 0)
-    out = [Fraction(0)] * 3
-    out[(i + shift) % 3] = Fraction(1)
-    return tuple(out)
+    out = [0, 0, 0]
+    out[(i + shift) % 3] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
 algebraic oracles.  Everything here is exact: entries are ints or
-Fractions, never floats, and there are no tolerances.
+Fractions, never floats, and there are no tolerances.  `rank` runs in ints,
+by fraction-free Bareiss elimination on rows cleared of their denominators;
+`nullspace` and `solve` reduce over Fractions with `rref`.
 
 Each 3x3 routine has two layers.  The integer cores (`_mul_ints`,
 `_mat_vec_ints`, `_adjugate_ints`, `_det_ints`, `_primitive_ints`) take
@@ -103,7 +105,30 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """Rank of the matrix given by `rows` (ints and Fractions), in ints.
+
+    Each row is cleared of its denominators once, which rescales it and so
+    keeps the rank; then fraction-free Bareiss elimination (Math. Comp. 22
+    (1968) 565-578) counts the pivots.  Every entry below the pivots is a
+    minor of the cleared matrix, so dividing by the previous pivot is exact
+    and the entries stay the size of those minors."""
+    mat = [_cleared(row)[0] for row in rows]
+    r, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        top = mat[r]
+        pv = top[c]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            mat[i] = [(pv * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = pv
+        r += 1
+        if r == len(mat):
+            break
+    return r
 
 
 def nullspace(rows):

@@ -163,6 +163,12 @@ class TestLyapunov:
         assert captured.err.startswith(f"error: {cause}")
 
 
+def test_multipliers_of_large_entries_pass_the_relative_gate(capsys):
+    # residual 1.2e-10 against a gate of 1e-10 times the norm of the matrix
+    code, out = run(["lyapunov", "-n", "20", "--matrix", "1000001,1000000,1,1"], capsys)
+    assert code == 0 and out.endswith("4/4 checks passed\n")
+
+
 @pytest.mark.parametrize("matrix", [
     "100000001,100000000,1,1", "10000000001,10000000000,1,1",
     "5000000001,5000000000,1,1", "3000000001,1000000000,3,1"])

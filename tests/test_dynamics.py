@@ -1,6 +1,7 @@
 """Nilmanifold dynamics: lattice, reduction, rates, certificates."""
 
 import csv
+import decimal
 import math
 import random
 
@@ -104,6 +105,22 @@ class TestNilMap:
         # where the difference (tr - root)/2 would cancel
         (lam_u, lam_s), _ = dyn.NilMap.of(((10001, 10000), (1, 1))).multipliers()
         assert abs(lam_u * lam_s - 1) <= 1e-15
+
+    @pytest.mark.parametrize("matrix", [((1000001, 1000000), (1, 1)),
+                                        ((10000001, 10000000), (1, 1))])
+    def test_multipliers_of_large_entries_are_accurate(self, matrix):
+        # the eigenbasis gate scales with the entries, so it accepts these
+        # matrices; both multipliers are accurate to the last bits against
+        # (tr +- sqrt(tr^2 - 4)) / 2 evaluated to 50 digits
+        (a, _), (_, d) = matrix
+        tr = a + d
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            root = decimal.Decimal(tr * tr - 4).sqrt()
+            exact = ((tr + root) / 2, (tr - root) / 2)
+            vals, _ = dyn.NilMap.of(matrix).multipliers()
+            for val, ref in zip(vals, exact):
+                assert abs(decimal.Decimal(val) - ref) <= ref * decimal.Decimal(2) ** -52
 
     def test_identity_multipliers(self):
         vals, _ = dyn.NilMap.of(((1, 0), (0, 1))).multipliers()

@@ -14,12 +14,11 @@ from flagdyn import models as md
 from flagdyn.checks import rand_frac, rand_group, rand_lievec
 from flagdyn.rational import solve
 from registry_twins import run_check, twin
-
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+from strategies import small_fractions
 
 
 def lievecs():
-    return st.lists(fractions, min_size=9, max_size=9).map(
+    return st.lists(small_fractions, min_size=9, max_size=9).map(
         lambda es: lc.LieVec.of([es[0:3], es[3:6], es[6:9]]))
 
 

@@ -27,9 +27,9 @@ from flagdyn.checks import (
 )
 from flagdyn.rational import primitive
 from registry_twins import run_check, twin
+from strategies import small_fractions
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-heis_elems = st.tuples(fractions, fractions, fractions).map(
+heis_elems = st.tuples(small_fractions, small_fractions, small_fractions).map(
     lambda t: md.HeisElem.of(*t))
 
 

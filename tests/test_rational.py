@@ -1,7 +1,7 @@
 """The fraction-free 3x3 routines and their integer cores against their
 textbook Fraction formulas, the primitive integer representative against
-the lead-1 one, and the rank-based span tests against solving for the
-coefficients.
+the lead-1 one, the rank-based span tests against solving for the
+coefficients, and the integer rank against sympy's.
 
 Each oracle below is the plain formula over Fractions.  Inputs are drawn as
 all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -228,6 +229,39 @@ def test_span_equal(case):
     assert R.span_equal(vs, [*vs, v]) == span_equal_oracle(vs, [*vs, v])
 
 
+# ---------------------------------------------------------------------------
+# rank against sympy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def matrices(draw):
+    """Up to 10 rows of up to 9 entries, of one drawn kind; each row is fresh,
+    zero, a repeat of an earlier row, or a combination of two earlier rows."""
+    width = draw(st.integers(min_value=1, max_value=9))
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([0] * width)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.one_of(ints, fracs))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows
+
+
+@given(matrices())
+def test_rank(rows):
+    oracle = sp.Matrix([[sp.Rational(e.numerator, e.denominator) for e in row]
+                        for row in rows]).rank() if rows else 0
+    assert R.rank(rows) == oracle
+
+
 @pytest.mark.parametrize("call", [
     lambda m: R.mat_mul(m, m), lambda m: R.mat_vec(m, m[0]),
     lambda m: R.vec_mat(m[0], m), R.det3,
@@ -240,7 +274,9 @@ def test_span_equal(case):
     pytest.param(lambda m: fs.ProjPoint.of(m[0]), id="ProjPoint.of"),
     pytest.param(lambda m: fs.ProjLine.of(m[0]), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
-    pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale")])
+    pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
+    # rank clears its rows as the rows API does
+    pytest.param(R.rank, id="rank")])
 def test_floats_are_rejected(call):
     m = rows([1.5, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(TypeError):

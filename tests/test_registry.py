@@ -2,18 +2,23 @@
 
 One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  The tests after it cover the
-registry itself: the sampling loop of per-draw checks, and the check counts
-the benchmark pins.
+registry itself: the sampling loop of per-draw checks, the check counts
+the benchmark pins, and the draw helpers, which must keep the random
+streams of `random.Random.randint`.
 """
 
 import ast
 import collections
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from flagdyn import checks
+from flagdyn import flag_space as fs
+from flagdyn import lie_core as lc
 from registry_twins import assert_check_passes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +81,58 @@ def test_registry_matches_the_benchmark_case_counts():
     counts = collections.Counter(suite for _, suite, _, _ in checks.REGISTRY)
     assert pinned == {"all": len(checks.REGISTRY),
                       **{suite: counts[suite] for suite in pinned if suite != "all"}}
+
+
+# ---------------------------------------------------------------------------
+# the draw helpers keep the streams of random.Random.randint
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 9), (0, 0), (0, 1), (-1, 1),
+                                    (5, 1000), (-(2 ** 40), 2 ** 40)])
+def test_below_draws_what_randint_draws(lo, hi):
+    # if a future CPython changes randrange, this fails, and the streams of
+    # the checks become the ones `checks._below` defines
+    ours, theirs = random.Random(lo ^ hi), random.Random(lo ^ hi)
+    drawn = [lo + checks._below(ours, hi - lo + 1) for _ in range(3000)]
+    assert drawn == [theirs.randint(lo, hi) for _ in range(3000)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def randint_frac(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def randint_lievec(rng):
+    return lc.LieVec.of([[randint_frac(rng) for _ in range(3)] for _ in range(3)])
+
+
+def randint_group(rng):
+    while True:
+        try:
+            return lc.GroupElem([[randint_frac(rng) for _ in range(3)] for _ in range(3)])
+        except ValueError:
+            continue
+
+
+def randint_flag(rng):
+    while True:
+        try:
+            m = [randint_frac(rng) for _ in range(3)]
+            q = [randint_frac(rng) for _ in range(3)]
+            return fs.Flag.of(m, q)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (checks.rand_frac, randint_frac),
+    (checks.rand_lievec, randint_lievec),
+    (checks.rand_group, randint_group),
+    (checks.rand_flag, randint_flag)], ids=["frac", "lievec", "group", "flag"])
+def test_generators_keep_the_randint_streams(ours, theirs):
+    # the integer-built generators against their Fraction-built forms on
+    # randint: the same objects, and the stream left in the same state
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [ours(a) for _ in range(50)] == [theirs(b) for _ in range(50)]
+        assert a.getstate() == b.getstate()
