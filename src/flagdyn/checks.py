@@ -4,12 +4,13 @@ library verifies.
 Each check is registered with a stable id, the suite it belongs to, and an
 anchor string quoting the identity or table it verifies, in one of two forms.
 `@check(id, suite, anchor, samples=K)` registers `fn(rng) -> bool`, one
-draw: the registry runs K draws, or the count asked for, stops at the first
-failing draw, and fails a run of zero draws.  `@check(id, suite, anchor)`
-registers `fn(rng, samples) -> (passed, residual)` whole, samples=None
-selecting its own default count; it is for checks without draws, with a
-residual, with draws inside a loop over the two models, or with a fixed part
-around their draws.  `run_check` runs one check at a seed.  `flagdyn verify`
+draw: the registry runs K draws, or the count asked for, and stops at the
+first failing draw.  `@check(id, suite, anchor)` registers `fn(rng,
+samples) -> (passed, residual)` whole, samples=None selecting its own
+default count; it is for checks without draws, with a residual, with draws
+inside a loop over the two models, or with a fixed part around their draws.
+`run_check` runs one check at a seed, and fails any check asked for fewer
+than one sample without running it.  `flagdyn verify`
 runs the registry through `run_checks`, and the test suite runs every entry
 through `run_check` at seed 0 and default samples, so the tests do not
 re-implement what is registered here.  The random generators the tests
@@ -29,7 +30,8 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import _primitive_ints, in_span, mat_mul, primitive
+from .rational import (_cleared, _mat_vec_ints, _primitive_ints, _rows, in_span, mat_mul,
+                       primitive)
 
 __all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
 
@@ -61,8 +63,7 @@ def _n(samples, default):
 
 def _draws(draw, default):
     def run(rng, samples):
-        n = _n(samples, default)
-        return n > 0 and all(draw(rng) for _ in range(n)), None
+        return all(draw(rng) for _ in range(_n(samples, default))), None
     return run
 
 
@@ -78,9 +79,12 @@ def check_rng(seed: int, check_id: str) -> random.Random:
 
 def run_check(check_id: str, seed: int = 0, samples: int | None = None):
     """(passed, residual) of one registered check at `seed`; an exception
-    the check raises propagates."""
+    the check raises propagates.  Fewer than one sample tests nothing, so
+    it fails without running the check."""
     for cid, _, _, fn in _REGISTRY:
         if cid == check_id:
+            if samples is not None and samples < 1:
+                return False, None
             passed, residual = fn(check_rng(seed, check_id), samples)
             return bool(passed), None if residual is None else float(residual)
     raise KeyError(f"unknown check {check_id!r}")
@@ -120,16 +124,34 @@ def _below(rng, n: int) -> int:
     return r
 
 
-def rand_frac(rng, lo=-9, hi=9, den=9) -> Fraction:
-    return Fraction(lo + _below(rng, hi - lo + 1), 1 + _below(rng, den))
+def _pair(rng):
+    """One rand_frac draw as its ints: (numerator, denominator)."""
+    return _below(rng, 19) - 9, 1 + _below(rng, 9)
+
+
+def _nonzero_pair(rng):
+    """One nonzero_frac draw as its ints: `_pair` draws until p != 0."""
+    while True:
+        p, q = _pair(rng)
+        if p:
+            return p, q
+
+
+def _over_lcm(pairs):
+    """The rationals p / q of `pairs` as ints over the lcm of the q: (nums,
+    lcm), pair k being nums[k] / lcm."""
+    lcm = math.lcm(*[q for _, q in pairs])
+    return [p * (lcm // q) for p, q in pairs], lcm
+
+
+def rand_frac(rng) -> Fraction:
+    return Fraction(*_pair(rng))
 
 
 def _rand_ints(rng, count: int):
     """`count` draws of rand_frac(rng) from the same stream, as ints over the
-    lcm of the drawn denominators: (nums, lcm), draw k being nums[k] / lcm."""
-    pairs = [(_below(rng, 19) - 9, 1 + _below(rng, 9)) for _ in range(count)]
-    lcm = math.lcm(*[q for _, q in pairs])
-    return [p * (lcm // q) for p, q in pairs], lcm
+    lcm of the drawn denominators."""
+    return _over_lcm([_pair(rng) for _ in range(count)])
 
 
 def rand_lievec(rng) -> lc.LieVec:
@@ -151,16 +173,15 @@ def rand_group(rng) -> lc.GroupElem:
 
 
 def nonzero_frac(rng) -> Fraction:
-    while True:
-        f = rand_frac(rng)
-        if f != 0:
-            return f
+    return Fraction(*_nonzero_pair(rng))
 
 
 def rand_upper(rng) -> lc.GroupElem:
-    return lc.GroupElem([[nonzero_frac(rng), rand_frac(rng), rand_frac(rng)],
-                         [0, nonzero_frac(rng), rand_frac(rng)],
-                         [0, 0, nonzero_frac(rng)]])
+    """Upper triangular with nonzero diagonal: six draws in row order."""
+    a, b, c, d, e, f = _over_lcm([_nonzero_pair(rng), _pair(rng), _pair(rng),
+                                  _nonzero_pair(rng), _pair(rng),
+                                  _nonzero_pair(rng)])[0]
+    return lc.GroupElem._of_ints((a, b, c, 0, d, e, 0, 0, f))
 
 
 def rand_flag(rng) -> fs.Flag:
@@ -174,13 +195,12 @@ def rand_flag(rng) -> fs.Flag:
 
 
 def rand_interior_flag(rng, model: str) -> fs.Flag:
+    """The flag at chart coordinates (x, y, z) = three rand_frac draws, drawn
+    again until it is interior to `model`."""
     while True:
-        x, y, z = (rand_frac(rng) for _ in range(3))
-        if model == "t" and x - y * z == 0:
-            continue
-        if model == "t" and x == 0 and y == 0:
-            continue
-        flag = fs.flag_from_coords(x, y, z)
+        (p1, q1), (p2, q2), (p3, q3) = _pair(rng), _pair(rng), _pair(rng)
+        # (x, y) = (p1 q2, p2 q1) / (q1 q2), direction (z : 1) = (p3 : q3)
+        flag = fs._chart_flag(p1 * q2, p2 * q1, q1 * q2, p3, q3)
         if fs.region_classify(flag, model) is fs.Region.INTERIOR:
             return flag
 
@@ -818,11 +838,11 @@ def _check_flat_iso(rng, samples):
     n = _n(samples, 100)
     basis = (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)
 
-    def apply(mat, u):
-        e = u.entries
-        coords = (e[0][1], e[1][2], e[0][2])
-        return sum((basis[i].scale(sum(mat[i][j] * coords[j] for j in range(3)))
-                    for i in range(3)), lc.LieVec.zero())
+    def apply(u):
+        # the (X, Y, Z) coordinates of u are its entries (0,1), (1,2), (0,2)
+        e = u.nums
+        x, y, z = _mat_vec_ints(mat, (e[1], e[5], e[2]))
+        return lc.LieVec((0, x, z, 0, 0, y, 0, 0, 0), u.den * mden)
 
     tested = 0
     for _ in range(n):
@@ -833,11 +853,13 @@ def _check_flat_iso(rng, samples):
         except md.ContactConditionError:
             continue  # a non-contact pair has no isomorphism to test
         tested += 1
-        if apply(m, md.HEIS_X) != v or apply(m, md.HEIS_Y) != w:
+        mnums, mden = _cleared(*m)
+        mat = _rows(mnums)
+        if apply(md.HEIS_X) != v or apply(md.HEIS_Y) != w:
             return False, None
         for u1, u2 in ((md.HEIS_X, md.HEIS_Y), (md.HEIS_X, md.HEIS_Z), (md.HEIS_Y, md.HEIS_Z)):
-            lhs = apply(m, lc.bracket(u1, u2))
-            rhs = lc.bracket(apply(m, u1), apply(m, u2))
+            lhs = apply(lc.bracket(u1, u2))
+            rhs = lc.bracket(apply(u1), apply(u2))
             if lhs != rhs:
                 return False, None
     return tested > 0, None

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .lie_core import GroupElem, LieVec
 from .rational import (
+    _cleared,
     _mat_vec_ints,
     _primitive_ints,
     _rows,
@@ -173,11 +174,19 @@ def affine_chart(x: Flag):
 
 
 def affine_chart_inverse(point, direction) -> Flag:
-    px, py = point
-    u, v = direction
-    m = (Fraction(px), Fraction(py), Fraction(1))
-    q = (Fraction(px) + Fraction(u), Fraction(py) + Fraction(v), Fraction(1))
-    return Flag.of(m, q)
+    """The flag at `point` = (px, py) with direction class `direction` =
+    (u : v), ints and Fractions; the inverse of `affine_chart`."""
+    (x, y, u, v), den = _cleared(point, direction)
+    # (u/den : v/den) is the class (u : v)
+    return _chart_flag(x, y, den, u, v)
+
+
+def _chart_flag(x, y, den, u, v) -> Flag:
+    """The flag at (x/den, y/den) with direction (u : v), from ints: the
+    point m = (x, y, den) and the line through m and m + (u, v, 0), whose
+    normal is m x (u, v, 0).  A zero direction raises ValueError."""
+    m = _primitive_ints((x, y, den))
+    return Flag(ProjPoint(m), ProjLine(_primitive_ints(cross(m, (u, v, 0)))))
 
 
 def chart_coords(x: Flag):
@@ -192,7 +201,9 @@ def chart_coords(x: Flag):
 
 def flag_from_coords(px, py, z) -> Flag:
     """Inverse of `chart_coords`: the flag at (px, py) with direction (z : 1)."""
-    return affine_chart_inverse((px, py), (z, 1))
+    (x, y, u), den = _cleared((px, py, z))
+    # (z : 1) is the class (u : den)
+    return _chart_flag(x, y, den, u, den)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
@@ -17,6 +19,7 @@ from flagdyn.checks import (
     rand_upper,
 )
 from registry_twins import run_check, twin
+from strategies import small_fractions
 
 
 class TestIncidence:
@@ -76,6 +79,19 @@ class TestAffineChart:
         for _ in range(100):
             coords = tuple(rand_frac(rng) for _ in range(3))
             assert fs.chart_coords(fs.flag_from_coords(*coords)) == coords
+
+    @given(small_fractions, small_fractions,
+           st.one_of(st.integers(-9, 9), small_fractions),
+           st.one_of(st.integers(-9, 9), small_fractions))
+    def test_inverse_is_the_flag_through_two_points(self, px, py, u, v):
+        # the integer chart flag against the line through the point and the
+        # point plus the direction
+        if u == v == 0:
+            with pytest.raises(ValueError):
+                fs.affine_chart_inverse((px, py), (u, v))
+        else:
+            assert fs.affine_chart_inverse((px, py), (u, v)) == fs.Flag.of(
+                (px, py, 1), (px + u, py + v, 1))
 
     def test_boundary_rejection(self):
         with pytest.raises(fs.BoundaryError):

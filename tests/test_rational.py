@@ -276,7 +276,10 @@ def test_rank(rows):
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
     # rank clears its rows as the rows API does
-    pytest.param(R.rank, id="rank")])
+    pytest.param(R.rank, id="rank"),
+    # the chart inverse clears its point and direction once
+    pytest.param(lambda m: fs.affine_chart_inverse(m[0][:2], (1, 0)),
+                 id="affine_chart_inverse")])
 def test_floats_are_rejected(call):
     m = rows([1.5, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(TypeError):

@@ -2,13 +2,15 @@
 
 One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  The tests after it cover the
-registry itself: the sampling loop of per-draw checks, the check counts
-the benchmark pins, and the draw helpers, which must keep the random
-streams of `random.Random.randint`.
+registry itself: the sampling loop of per-draw checks, the failure of
+every check asked for zero samples, the check counts the benchmark pins,
+and the draw helpers, which must keep the random streams of
+`random.Random.randint`.
 """
 
 import ast
 import collections
+import functools
 import math
 import random
 from fractions import Fraction
@@ -71,6 +73,15 @@ def test_per_draw_check_fails_without_draws(counter):
     assert counter.draws == 0
 
 
+@pytest.mark.parametrize("check_id", [entry[0] for entry in checks.REGISTRY])
+def test_zero_samples_fail_without_running(check_id, monkeypatch):
+    def no_stream(seed, check_id):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(checks, "check_rng", no_stream)
+    assert checks.run_check(check_id, samples=0) == (False, None)
+
+
 def test_registry_matches_the_benchmark_case_counts():
     # perfbench pins how many checks each verify workload runs; a check added
     # or dropped here must be matched there
@@ -124,11 +135,41 @@ def randint_flag(rng):
             continue
 
 
+def randint_nonzero(rng):
+    while True:
+        f = randint_frac(rng)
+        if f != 0:
+            return f
+
+
+def randint_upper(rng):
+    return lc.GroupElem([[randint_nonzero(rng), randint_frac(rng), randint_frac(rng)],
+                         [0, randint_nonzero(rng), randint_frac(rng)],
+                         [0, 0, randint_nonzero(rng)]])
+
+
+def randint_interior_flag(rng, model):
+    while True:
+        x, y, z = (randint_frac(rng) for _ in range(3))
+        if model == "t" and (x - y * z == 0 or x == y == 0):
+            continue
+        # the chart flag at (x, y, z) as the Fraction two-point form builds it
+        flag = fs.Flag.of((x, y, 1), (x + z, y + 1, 1))
+        if fs.region_classify(flag, model) is fs.Region.INTERIOR:
+            return flag
+
+
 @pytest.mark.parametrize("ours, theirs", [
     (checks.rand_frac, randint_frac),
     (checks.rand_lievec, randint_lievec),
     (checks.rand_group, randint_group),
-    (checks.rand_flag, randint_flag)], ids=["frac", "lievec", "group", "flag"])
+    (checks.rand_flag, randint_flag),
+    (checks.rand_upper, randint_upper),
+    (functools.partial(checks.rand_interior_flag, model="t"),
+     functools.partial(randint_interior_flag, model="t")),
+    (functools.partial(checks.rand_interior_flag, model="a"),
+     functools.partial(randint_interior_flag, model="a"))],
+    ids=["frac", "lievec", "group", "flag", "upper", "interior-flag-t", "interior-flag-a"])
 def test_generators_keep_the_randint_streams(ours, theirs):
     # the integer-built generators against their Fraction-built forms on
     # randint: the same objects, and the stream left in the same state
