@@ -1006,7 +1006,7 @@ def _check_stabilizer_cases(rng, samples):
 
 
 def _spans_line(v: lc.LieVec, target: lc.LieVec) -> bool:
-    return in_span([target.flat()], v.flat()) and not v.is_zero()
+    return in_span([target.nums], v.nums) and not v.is_zero()
 
 
 @check("degeneration-matrices", "classification",

@@ -262,8 +262,6 @@ class TransverseLineResult:
 def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     """Lifts of the quotient adapted to the two circle directions plus one
     transverse direction, found by exact linear algebra."""
-    iso_flat = [v.flat() for v in iso_basis]
-
     tangents = [flag_derivative(b, base) for b in alg.basis]
 
     def find(direction):
@@ -280,9 +278,9 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     v_alpha = find("alpha")
     v_beta = find("beta")
     # transverse lift: completes the isotropy + circle lifts to the algebra
-    partial = iso_flat + [v_alpha.flat(), v_beta.flat()]
+    partial = [v.nums for v in (*iso_basis, v_alpha, v_beta)]
     for b in alg.basis:
-        if rank(partial + [b.flat()]) > rank(partial):
+        if rank([*partial, b.nums]) > rank(partial):
             if rank([flag_derivative(w, base) for w in (v_alpha, v_beta, b)]) == 3:
                 return v_alpha, v_beta, b
     raise ValueError("no transverse lift; the orbit is not open")
@@ -301,7 +299,8 @@ def invariant_transverse_line_search(alg: Subalgebra, base: Flag) -> TransverseL
         raise ValueError("base flag does not lie in an open orbit")
     iso_basis = _isotropy_basis(alg, base)
     lifts = _adapted_lifts(alg, base, iso_basis)
-    rows, rhs = [], []
+    # a zero equation keeps the two unknowns when the isotropy is trivial
+    rows, rhs = [[0, 0]], [0]
     for v in iso_basis:
         q = _quotient_matrix(iso_basis, lifts, v)
         if q[2][0] != 0 or q[2][1] != 0:
@@ -325,8 +324,8 @@ def line_class_equals(gen: LieVec, target: LieVec, alg: Subalgebra, base: Flag) 
     """Whether two transverse-line representatives define the same line of
     the quotient: gen must lie in span(target) + isotropy."""
     iso = _isotropy_basis(alg, base)
-    span = [target.flat()] + [v.flat() for v in iso]
-    return in_span(span, gen.flat()) and not in_span([v.flat() for v in iso], gen.flat())
+    iso_nums = [v.nums for v in iso]
+    return in_span([target.nums, *iso_nums], gen.nums) and not in_span(iso_nums, gen.nums)
 
 
 def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
@@ -352,9 +351,9 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
     out = {}
     for name, reps in patterns.items():
         stabs = [stabilizer(*rep) for rep in reps]
-        first = [v.flat() for v in stabs[0]]
+        first = [v.nums for v in stabs[0]]
         for other in stabs[1:]:
-            if not span_equal(first, [v.flat() for v in other]):
+            if not span_equal(first, [v.nums for v in other]):
                 raise ArithmeticError(f"pattern {name} is not stable across representatives")
         out[name] = stabs[0]
     return out

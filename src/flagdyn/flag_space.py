@@ -23,7 +23,6 @@ from .rational import (
     _rows,
     cross,
     dot,
-    nullspace,
     primitive,
     rank,
     solve,
@@ -270,13 +269,6 @@ class CircleBoundary:
     full_circle: bool
 
 
-def _line_basis(d: ProjLine):
-    """Two independent points spanning the line."""
-    basis = nullspace([list(d.normal)])
-    assert len(basis) == 2
-    return tuple(tuple(b) for b in basis)
-
-
 def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
     """All flags of the alpha or beta circle of x lying outside the open
     model, found by exact incidence elimination.
@@ -302,28 +294,25 @@ def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
     raise ValueError(f"unknown circle family {which!r}")
 
 
+def _pencil(v, s, t):
+    """s p1 + t p2, where p_k is the cross product of v with the standard
+    basis vector k places (cyclically) after the first nonzero entry of v.
+    p1 and p2 are independent and orthogonal to v, so they span the lines
+    through the point v, or the points on the line v."""
+    i = next(k for k, e in enumerate(v) if e != 0)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    p1, p2 = cross(v, units[(i + 1) % 3]), cross(v, units[(i + 2) % 3])
+    return [s * a + t * b for a, b in zip(p1, p2)]
+
+
 def alpha_circle_flag(x: Flag, s, t) -> Flag:
     """Parametrized alpha circle: lines through the point of x."""
-    m = x.point.coords
-    n1 = cross(m, _unit_after_pivot(m, 1))
-    n2 = cross(m, _unit_after_pivot(m, 2))
-    return Flag(x.point, ProjLine.of([s * a + t * b for a, b in zip(n1, n2)]))
+    return Flag(x.point, ProjLine.of(_pencil(x.point.coords, s, t)))
 
 
 def beta_circle_flag(x: Flag, s, t) -> Flag:
     """Parametrized beta circle: points on the line of x."""
-    b1, b2 = _line_basis(x.line)
-    m = tuple(Fraction(s) * a + Fraction(t) * b for a, b in zip(b1, b2))
-    return Flag(ProjPoint.of(m), x.line)
-
-
-def _unit_after_pivot(v, shift):
-    """Standard basis vector `shift` places (cyclically) after the first
-    nonzero entry of v; shifts 1 and 2 complete v to a basis."""
-    i = next(k for k, e in enumerate(v) if e != 0)
-    out = [0, 0, 0]
-    out[(i + shift) % 3] = 1
-    return out
+    return Flag(ProjPoint.of(_pencil(x.line.normal, s, t)), x.line)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ class Subalgebra:
     @staticmethod
     def of(vectors) -> "Subalgebra":
         vecs = tuple(vectors)
-        if rank([v.flat() for v in vecs]) != len(vecs):
+        if rank([v.nums for v in vecs]) != len(vecs):
             raise ValueError("basis is linearly dependent")
         return Subalgebra(vecs)
 
@@ -374,19 +374,18 @@ class Subalgebra:
         return len(self.basis)
 
     def contains(self, v: LieVec) -> bool:
-        return in_span([b.flat() for b in self.basis], v.flat())
+        return in_span([b.nums for b in self.basis], v.nums)
 
     def is_subalgebra(self) -> bool:
-        flats = [b.flat() for b in self.basis]
+        nums = [b.nums for b in self.basis]
         for i, u in enumerate(self.basis):
             for w in self.basis[i + 1:]:
-                if not in_span(flats, bracket(u, w).flat()):
+                if not in_span(nums, bracket(u, w).nums):
                     return False
         return True
 
     def span_equals(self, other: "Subalgebra") -> bool:
-        return span_equal([b.flat() for b in self.basis],
-                          [b.flat() for b in other.basis])
+        return span_equal([b.nums for b in self.basis], [b.nums for b in other.basis])
 
     def map(self, f) -> "Subalgebra":
         return Subalgebra.of([f(b) for b in self.basis])
@@ -394,15 +393,9 @@ class Subalgebra:
 
 def _traceless_constraint_rows(condition):
     """Rows of the linear system condition(v) = 0 for v in the traceless
-    space, where condition maps a LieVec to a list of Fractions."""
-    rows = None
-    for k, b in enumerate(BASIS):
-        vals = condition(b)
-        if rows is None:
-            rows = [[Fraction(0)] * 8 for _ in vals]
-        for i, val in enumerate(vals):
-            rows[i][k] = val
-    return rows
+    space, where condition maps a LieVec to a list of Fractions.  With no
+    equations the system is one zero row, which keeps the eight unknowns."""
+    return list(zip(*map(condition, BASIS))) or [[0] * len(BASIS)]
 
 
 def centralizer(s: Subalgebra) -> Subalgebra:
@@ -420,7 +413,7 @@ def centralizer(s: Subalgebra) -> Subalgebra:
 def normalizer(s: Subalgebra) -> Subalgebra:
     """Exact solution of [v, s] contained in s over the traceless matrices:
     [v, b] lies in s exactly when every annihilator of s kills it."""
-    annihilator = nullspace([b.flat() for b in s.basis])
+    annihilator = nullspace([b.nums for b in s.basis])
 
     def cond(v):
         out = []

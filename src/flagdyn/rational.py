@@ -2,9 +2,11 @@
 
 Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
 algebraic oracles.  Everything here is exact: entries are ints or
-Fractions, never floats, and there are no tolerances.  `rank` runs in ints,
-by fraction-free Bareiss elimination on rows cleared of their denominators;
-`nullspace` and `solve` reduce over Fractions with `rref`.
+Fractions, never floats, and there are no tolerances.  There is one
+elimination, `_echelon`: fraction-free Bareiss elimination in ints on rows
+cleared of their denominators.  `rank` counts its pivots; `nullspace` and
+`solve` back-substitute from it in ints and return Fractions.  A float
+entry raises TypeError.
 
 Each 3x3 routine has two layers.  The integer cores (`_mul_ints`,
 `_mat_vec_ints`, `_adjugate_ints`, `_det_ints`, `_primitive_ints`) take
@@ -75,46 +77,23 @@ def primitive(vec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# generic exact row reduction
+# exact elimination
 # ---------------------------------------------------------------------------
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [e / pv for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def rank(rows) -> int:
-    """Rank of the matrix given by `rows` (ints and Fractions), in ints.
+def _echelon(rows):
+    """Row echelon form of the matrix given by `rows` (ints and Fractions),
+    in ints: (the nonzero echelon rows, their pivot columns).
 
     Each row is cleared of its denominators once, which rescales it and so
-    keeps the rank; then fraction-free Bareiss elimination (Math. Comp. 22
-    (1968) 565-578) counts the pivots.  Every entry below the pivots is a
-    minor of the cleared matrix, so dividing by the previous pivot is exact
-    and the entries stay the size of those minors."""
+    keeps the row space; then fraction-free Bareiss elimination (Math.
+    Comp. 22 (1968) 565-578) runs below each pivot.  Every entry below the
+    pivots is a minor of the cleared matrix, so dividing by the previous
+    pivot is exact and the entries stay the size of those minors; the last
+    pivot is the minor of the pivot rows and columns."""
     mat = [_cleared(row)[0] for row in rows]
-    r, prev = 0, 1
+    pivots, prev = [], 1
     for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -125,45 +104,52 @@ def rank(rows) -> int:
             f = mat[i][c]
             mat[i] = [(pv * a - f * b) // prev for a, b in zip(mat[i], top)]
         prev = pv
-        r += 1
-        if r == len(mat):
+        pivots.append(c)
+        if len(pivots) == len(mat):
             break
-    return r
+    return mat[:len(pivots)], pivots
+
+
+def _null_vector(echelon, pivots, ncols, free):
+    """The vector of the nullspace of the echelon rows, of `ncols` entries,
+    with 1 at the non-pivot column `free` and 0 at every other one.
+
+    Its pivot entries are found from the last row up.  The last pivot d is
+    the minor of the pivot rows and columns, so by Cramer's rule d times
+    the vector is integral: it is solved for in ints, each division by a
+    pivot exact, and divided by d once at the end."""
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    x = [0] * ncols
+    x[free] = d
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        x[c] = -sum(a * e for a, e in zip(row[c + 1:], x[c + 1:])) // row[c]
+    return [Fraction(e, d) for e in x]
+
+
+def rank(rows) -> int:
+    """Rank of the matrix given by `rows` (ints and Fractions)."""
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows):
-    """Basis of the right nullspace of the matrix given by `rows`."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(vec)
-    return basis
+    """Basis of the right nullspace of the matrix given by `rows`: one
+    vector per non-pivot column, 1 there and 0 at the other non-pivot
+    columns.  A matrix with no rows has no columns."""
+    ncols = len(rows[0]) if rows else 0
+    echelon, pivots = _echelon(rows)
+    return [_null_vector(echelon, pivots, ncols, c) for c in range(ncols) if c not in pivots]
 
 
 def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns one solution or None if inconsistent."""
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(e == 0 for e in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[i][-1]
-    return x
+    """Solve A x = b exactly: the solution that is 0 at every non-pivot
+    column, or None if the system is inconsistent.  (x, 1) spans the
+    nullspace of [A | -b] at its last column, which is a pivot column
+    exactly when there is no solution."""
+    ncols = len(rows[0]) if rows else 0
+    echelon, pivots = _echelon([[*row, -b] for row, b in zip(rows, rhs, strict=True)])
+    if ncols in pivots:
+        return None
+    return _null_vector(echelon, pivots, ncols + 1, ncols)[:ncols]
 
 
 def in_span(vectors, v) -> bool:

@@ -51,6 +51,12 @@ class TestInvariantLines:
         with pytest.raises(ValueError):
             cls.invariant_transverse_line_search(cls.h_t(), fs.BASE_FLAG)
 
+    def test_trivial_isotropy_leaves_every_line_invariant(self):
+        # the Heisenberg algebra acts simply transitively on the open orbit
+        # of the affine model: no isotropy, so no condition on (x, y)
+        res = cls.invariant_transverse_line_search(cls.heis_algebra(), fs.O_A)
+        assert (res.kind, res.family_dim) == ("family", 2)
+
     def test_stabilizer_eigenvalues_match_the_exclusion(self):
         # the two one-dimensional stabilizers act with a zero rate on one
         # of the circle directions: [0, 3, 3] and [-3, 0, -3]

@@ -68,6 +68,9 @@ class TestFlip:
                 assert y.line == fx.line
                 z = fs.flip(fs.beta_circle_flag(x, s, t))
                 assert z.point == fx.point
+            # each pencil has two independent generators
+            assert fs.alpha_circle_flag(x, 1, 0) != fs.alpha_circle_flag(x, 0, 1)
+            assert fs.beta_circle_flag(x, 1, 0) != fs.beta_circle_flag(x, 0, 1)
 
 
 class TestAffineChart:

@@ -166,6 +166,12 @@ class TestCentralizerNormalizer:
     def test_the_affine_model_algebra_is_self_normalizing(self):
         assert lc.normalizer(cls.h_a()).span_equals(cls.h_a())
 
+    def test_the_zero_subalgebra_is_centralized_and_normalized_by_everything(self):
+        # no equations: all eight unknowns stay free
+        zero = lc.Subalgebra.of([])
+        assert lc.centralizer(zero).dim == 8
+        assert lc.normalizer(zero).dim == 8
+
 
 class TestSubalgebraRecognizer:
     test_accepts_the_classified_list = twin("subalgebra-recognizer")

@@ -1,7 +1,8 @@
 """The fraction-free 3x3 routines and their integer cores against their
 textbook Fraction formulas, the primitive integer representative against
 the lead-1 one, the rank-based span tests against solving for the
-coefficients, and the integer rank against sympy's.
+coefficients with sympy, and the integer rank, nullspace and solve, which
+share one elimination, against sympy's.
 
 Each oracle below is the plain formula over Fractions.  Inputs are drawn as
 all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
@@ -83,6 +84,11 @@ def det3_oracle(a):
 def adjugate3_oracle(a):
     return tuple(tuple((-1) ** (i + j) * minor(a, j, i) for j in range(3))
                  for i in range(3))
+
+
+def sym(rows):
+    """The sympy matrix of rows of ints and Fractions."""
+    return sp.Matrix([[sp.Rational(e.numerator, e.denominator) for e in row] for row in rows])
 
 
 def normalize_lead_oracle(vec):
@@ -178,17 +184,20 @@ def test_primitive(ops):
 # ---------------------------------------------------------------------------
 
 def in_span_oracle(vectors, v):
-    """Membership by solving for the coefficients: the vectors are the
-    columns of the system, and the empty span holds only the zero vector."""
+    """Membership by solving for the coefficients with sympy: the vectors
+    are the columns of the system, and the empty span holds only the zero
+    vector."""
     if not vectors:
         return all(e == 0 for e in v)
-    rows = [[Fraction(w[i]) for w in vectors] for i in range(len(v))]
-    return R.solve(rows, v) is not None
+    try:
+        sym(vectors).T.gauss_jordan_solve(sym([v]).T)
+    except ValueError:
+        return False
+    return True
 
 
 def span_equal_oracle(vs, ws):
-    return (R.rank(vs) == R.rank(ws)
-            and all(in_span_oracle(vs, w) for w in ws)
+    return (all(in_span_oracle(vs, w) for w in ws)
             and all(in_span_oracle(ws, v) for v in vs))
 
 
@@ -230,7 +239,7 @@ def test_span_equal(case):
 
 
 # ---------------------------------------------------------------------------
-# rank against sympy
+# rank, nullspace and solve against sympy
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -257,9 +266,39 @@ def matrices(draw):
 
 @given(matrices())
 def test_rank(rows):
-    oracle = sp.Matrix([[sp.Rational(e.numerator, e.denominator) for e in row]
-                        for row in rows]).rank() if rows else 0
-    assert R.rank(rows) == oracle
+    assert R.rank(rows) == (sym(rows).rank() if rows else 0)
+
+
+@given(matrices())
+def test_nullspace(rows):
+    # sympy's basis is the canonical one too: each vector is 1 at its free
+    # column and 0 at the other free columns
+    basis = R.nullspace(rows)
+    assert all(type(e) is Fraction for v in basis for e in v)
+    assert [sym([v]) for v in basis] == ([v.T for v in sym(rows).nullspace()] if rows else [])
+
+
+@given(matrices(), st.booleans(), st.data())
+def test_solve(rows, consistent, data):
+    """A right-hand side in the column space, or a fresh one, which is
+    often inconsistent.  The oracle sets sympy's free parameters to 0."""
+    width = len(rows[0]) if rows else 0
+    if consistent:
+        x = data.draw(st.lists(st.one_of(ints, fracs), min_size=width, max_size=width))
+        rhs = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(st.one_of(ints, fracs), min_size=len(rows), max_size=len(rows)))
+    sol = R.solve(rows, rhs)
+    if not rows:
+        assert sol == []
+        return
+    try:
+        oracle, params = sym(rows).gauss_jordan_solve(sym([rhs]).T)
+    except ValueError:
+        assert sol is None
+        return
+    assert all(type(e) is Fraction for e in sol)
+    assert sym([sol]) == oracle.subs({p: 0 for p in params}).T
 
 
 @pytest.mark.parametrize("call", [
@@ -275,8 +314,10 @@ def test_rank(rows):
     pytest.param(lambda m: fs.ProjLine.of(m[0]), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
-    # rank clears its rows as the rows API does
+    # rank, nullspace and solve clear their rows as the rows API does
     pytest.param(R.rank, id="rank"),
+    pytest.param(R.nullspace, id="nullspace"),
+    pytest.param(lambda m: R.solve(m, [0, 0, 0]), id="solve"),
     # the chart inverse clears its point and direction once
     pytest.param(lambda m: fs.affine_chart_inverse(m[0][:2], (1, 0)),
                  id="affine_chart_inverse")])
