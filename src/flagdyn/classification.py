@@ -14,6 +14,15 @@ from fractions import Fraction
 
 from .flag_space import Flag, flag_derivative, orbit_rank
 from .lie_core import (
+    E_0,
+    E_1,
+    E_2,
+    E_ALPHA,
+    E_BETA,
+    E_SUP_0,
+    E_SUP_ALPHA,
+    E_SUP_BETA,
+    POSITIVE_BASIS,
     GroupElem,
     LieVec,
     Subalgebra,
@@ -279,8 +288,9 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     v_beta = find("beta")
     # transverse lift: completes the isotropy + circle lifts to the algebra
     partial = [v.nums for v in (*iso_basis, v_alpha, v_beta)]
+    partial_rank = rank(partial)
     for b in alg.basis:
-        if rank([*partial, b.nums]) > rank(partial):
+        if rank([*partial, b.nums]) > partial_rank:
             if rank([flag_derivative(w, base) for w in (v_alpha, v_beta, b)]) == 3:
                 return v_alpha, v_beta, b
     raise ValueError("no transverse lift; the orbit is not open")
@@ -581,18 +591,6 @@ def flatness_holonomy_predicate(a, b) -> bool:
 def tresse_bracket_suite():
     """The bracket relations of the corner generator against the graded
     basis, verified exactly."""
-    from .lie_core import (
-        E_0,
-        E_1,
-        E_2,
-        E_ALPHA,
-        E_BETA,
-        E_SUP_0,
-        E_SUP_ALPHA,
-        E_SUP_BETA,
-        POSITIVE_BASIS,
-    )
-
     cases = [
         ("bracket-corner-e0", bracket(E_SUP_0, E_0), E_1 + E_2, "[e^0, e_0] = e_1 + e_2"),
         ("bracket-corner-ealpha", bracket(E_SUP_0, E_ALPHA), E_SUP_BETA, "[e^0, e_alpha] = e^beta"),

@@ -2,44 +2,23 @@
 nilmanifold simulations with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
-configuration error.  Output is deterministic for a fixed (config, seed).
+configuration error.  Output is deterministic for a fixed (arguments, seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from . import checks
 from . import classification as cls
 from . import dynamics as dyn
 
 ENV_PREFIX = "FLAGDYN_"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    suite: str | None = None
-    seed: int = 0
-    samples: int | None = None
-    tol: float = 1e-9
-    fmt: str = "human"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.fmt not in ("json", "csv", "human"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.out is not None and not os.path.isdir(
-                os.path.dirname(os.path.abspath(self.out))):
-            raise ValueError(f"the directory of {self.out!r} does not exist")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -81,41 +60,17 @@ def _render_cases(suite_name: str, cases, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(config: RunConfig) -> int:
-    try:
-        outcomes = checks.run_checks(suite=config.suite, seed=config.seed,
-                                     samples=config.samples)
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return 2
+def cmd_verify(args) -> int:
+    outcomes = checks.run_checks(suite=args.suite, seed=args.seed,
+                                 samples=args.samples)
     cases = [{
         "id": o.check_id,
         "anchor": o.anchor,
         "pass": o.passed,
         "residual": o.residual,
     } for o in outcomes]
-    _emit(_render_cases(config.suite or "all", cases, config.fmt), config.out)
+    _emit(_render_cases(args.suite or "all", cases, args.fmt), args.out)
     return 0 if all(c["pass"] for c in cases) else 1
-
-
-_ORACLE_CASES = {}
-
-
-def _oracle(name):
-    def wrap(fn):
-        _ORACLE_CASES[name] = fn
-        return fn
-    return wrap
-
-
-@_oracle("subalgebra-table")
-def _oracle_subalgebras():
-    return _report_cases(cls.verify_subalgebra_table())
-
-
-@_oracle("bracket-table")
-def _oracle_brackets():
-    return _report_cases(cls.tresse_bracket_suite())
 
 
 def _report_cases(reports):
@@ -125,38 +80,35 @@ def _report_cases(reports):
                   for r in reports)
 
 
-def _degeneration_case(name):
-    @_oracle(f"degeneration-{name}")
-    def _run(name=name):
-        return [{
-            "id": f"degeneration-{name}-t={res.t}",
-            "anchor": "transported transverse generator along the circle, "
-                      "exact in t; projected line tends to the "
-                      f"{res.limit} class",
-            "pass": res.passed,
-            "residual": res.sine_distance,
-            "matrix": [[str(e) for e in row] for row in res.matrix],
-            "limit": res.limit,
-        } for res in cls.degeneration_samples(name)]
-    return _run
+def _degeneration_cases(name):
+    return [{
+        "id": f"degeneration-{name}-t={res.t}",
+        "anchor": "transported transverse generator along the circle, "
+                  "exact in t; projected line tends to the "
+                  f"{res.limit} class",
+        "pass": res.passed,
+        "residual": res.sine_distance,
+        "matrix": [[str(e) for e in row] for row in res.matrix],
+        "limit": res.limit,
+    } for res in cls.degeneration_samples(name)]
 
 
-for _name in cls.DEGENERATION_CASES:
-    _degeneration_case(_name)
+_ORACLE_CASES = {
+    "subalgebra-table": lambda: _report_cases(cls.verify_subalgebra_table()),
+    "bracket-table": lambda: _report_cases(cls.tresse_bracket_suite()),
+    **{f"degeneration-{name}": functools.partial(_degeneration_cases, name)
+       for name in cls.DEGENERATION_CASES},
+}
 
 
-def cmd_oracle(case: str, config: RunConfig) -> int:
-    if case not in _ORACLE_CASES:
-        sys.stderr.write(
-            f"error: unknown oracle case {case!r}; known: "
-            f"{', '.join(sorted(_ORACLE_CASES))}\n")
-        return 2
-    cases = _ORACLE_CASES[case]()
-    _emit(_render_cases(case, cases, config.fmt), config.out)
+def cmd_oracle(args) -> int:
+    cases = _ORACLE_CASES[args.case]()
+    _emit(_render_cases(args.case, cases, args.fmt), args.out)
     return 0 if all(c["pass"] for c in cases) else 1
 
 
-# argparse types: each input is validated here, once for every subcommand
+# argparse types: with `choices`, they validate every input at parse time,
+# from argv or from a FLAGDYN_* fallback, once for every subcommand
 
 def _numbers(text: str, arity: int):
     vals = tuple(map(float, text.split(",")))
@@ -186,28 +138,60 @@ def _matrix(text: str):
     return vals[:2], vals[2:]
 
 
-def _steps(text: str) -> int:
-    n = int(text)
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"steps must be at least 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return tol
+
+
+_FORMATS = ("json", "csv", "human")
+
+
+def _format(text: str) -> str:
+    # A type, not `choices`: argparse never checks a default against
+    # `choices`, and the default is the FLAGDYN_FORMAT value.
+    if text not in _FORMATS:
+        choices = ", ".join(map(repr, _FORMATS))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _out(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError(f"the directory of {path!r} does not exist")
+    return path
+
+
+def cmd_simulate(args) -> int:
     try:
         f = dyn.NilMap.of(args.matrix, args.translation)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     orbit = dyn.iterate(f, args.start, args.steps)
-    if config.out:
-        dyn.write_trajectory_csv(config.out, orbit)
+    if args.out:
+        dyn.write_trajectory_csv(args.out, orbit)
     else:
         dyn.write_trajectory_rows(sys.stdout, orbit)
     return 0
 
 
-def cmd_lyapunov(args, config: RunConfig) -> int:
+def cmd_lyapunov(args) -> int:
     try:
         f = dyn.NilMap.of(args.matrix, args.translation)
         rates = {d: dyn.tangent_rates(f, d, n=args.steps) for d in ("u", "s", "c")}
@@ -216,31 +200,26 @@ def cmd_lyapunov(args, config: RunConfig) -> int:
         return 2
     report = dyn.hyperbolicity_report(
         tuple(rates[d].measured for d in ("u", "s", "c")))
-    payload = {
-        "suite": "lyapunov",
-        "cases": [{
-            "id": f"rate-{d}",
-            "anchor": "per-step log growth along the invariant frame, "
-                      "finite differences vs eigenvalue",
-            "pass": r.error <= max(config.tol, 1e-3),
-            "residual": r.error,
-            "measured": r.measured,
-            "exact": r.exact,
-        } for d, r in sorted(rates.items())] + [{
-            "id": "partially-hyperbolic",
-            "anchor": "uniform contraction, expansion, and domination at "
-                      "some finite power",
-            "pass": report.partially_hyperbolic,
-            "residual": None,
-            "n": report.n_certified,
-        }],
-    }
-    if config.fmt == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)
-    else:
-        _emit(_render_cases("lyapunov", _by_id(payload["cases"]), config.fmt),
-              config.out)
-    return 0 if all(c["pass"] for c in payload["cases"]) else 1
+    cases = [{
+        "id": f"rate-{d}",
+        "anchor": "per-step log growth along the invariant frame, "
+                  "finite differences vs eigenvalue",
+        "pass": r.error <= max(args.tol, 1e-3),
+        "residual": r.error,
+        "measured": r.measured,
+        "exact": r.exact,
+    } for d, r in sorted(rates.items())] + [{
+        "id": "partially-hyperbolic",
+        "anchor": "uniform contraction, expansion, and domination at "
+                  "some finite power",
+        "pass": report.partially_hyperbolic,
+        "residual": None,
+        "n": report.n_certified,
+    }]
+    # JSON keeps the rates first; the tabular formats sort by id.
+    _emit(_render_cases("lyapunov", cases if args.fmt == "json" else _by_id(cases),
+                        args.fmt), args.out)
+    return 0 if all(c["pass"] for c in cases) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--seed": dict(type=int, default=env("seed", "0")),
-        "--samples": dict(type=int, default=env("samples")),
-        "--tol": dict(type=float, default=env("tol", "1e-9")),
-        "--format": dict(dest="fmt", choices=("json", "csv", "human"),
-                         default=env("format", "human")),
-        "--out": dict(default=env("out")),
+        "--samples": dict(type=_count, default=env("samples")),
+        "--tol": dict(type=_tolerance, default=env("tol", "1e-9")),
+        "--format": dict(dest="fmt", type=_format, default=env("format", "human"),
+                         metavar="{" + ",".join(_FORMATS) + "}"),
+        "--out": dict(type=_out, default=env("out")),
     }
 
     def add_shared(p, *flags):
@@ -269,50 +248,42 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **shared[flag])
 
     pv = sub.add_parser("verify", help="run verification suites")
-    pv.add_argument("--suite", default=None,
+    pv.add_argument("--suite", choices=checks.suites(), metavar="SUITE",
                     help=f"one of: {', '.join(checks.suites())} (default: all)")
     add_shared(pv, "--seed", "--samples", "--format", "--out")
+    pv.set_defaults(run=cmd_verify)
 
     po = sub.add_parser("oracle", help="run one classification oracle")
-    po.add_argument("case", help=f"one of: {', '.join(sorted(_ORACLE_CASES))}")
+    po.add_argument("case", choices=sorted(_ORACLE_CASES), metavar="case",
+                    help=f"one of: {', '.join(sorted(_ORACLE_CASES))}")
     add_shared(po, "--format", "--out")
+    po.set_defaults(run=cmd_oracle)
 
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
     ps.add_argument("--matrix", type=_matrix, default="2,1,1,1",
                     help="integer linear part a,b,c,d with ad-bc=1")
     ps.add_argument("--translation", type=_point, default="0,0,0")
     ps.add_argument("--start", type=_point, default="0.37,0.21,0.13")
-    ps.add_argument("-n", "--steps", type=_steps, default=100)
+    ps.add_argument("-n", "--steps", type=_count, default=100)
     add_shared(ps, "--out")
+    ps.set_defaults(run=cmd_simulate)
 
     pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
     pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
     pl.add_argument("--translation", type=_point, default="0,0,0")
-    pl.add_argument("-n", "--steps", type=_steps, default=200)
+    pl.add_argument("-n", "--steps", type=_count, default=200)
     add_shared(pl, "--tol", "--format", "--out")
+    pl.set_defaults(run=cmd_lyapunov)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = RunConfig(**{f.name: getattr(args, f.name)
-                              for f in fields(RunConfig) if hasattr(args, f.name)})
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "oracle":
-            return cmd_oracle(args.case, config)
-        if args.command == "simulate":
-            return cmd_simulate(args, config)
-        return cmd_lyapunov(args, config)
+        return args.run(args)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -128,10 +128,14 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     if not p.is_upper_triangular():
         raise NotUpperTriangularError(
             "the curvature action is defined along the upper-triangular subgroup")
-    adbar_inv = inverse3(quotient_adjoint(p))
-    a, b, z = zip(*adbar_inv)
-    pm = p.entries
-    pinv = inverse3(pm)
+    # Adbar is a morphism, so Adbar(p)^-1 = Adbar(p^-1); and p^-1 is
+    # adj(p) / det(p), with det(p) = d1 d2 d3 for upper-triangular p
+    a, b, z = zip(*quotient_adjoint(p.inverse()))
+    pm, adj = p.entries, p.adjugate
+    det = pm[0][0] * pm[1][1] * pm[2][2]
+    # the entries of p^-1 that the two sparse conjugations read
+    inv11, inv12, inv22 = (Fraction(adj[i][j], det)
+                           for i, j in ((1, 1), (1, 2), (2, 2)))
 
     # value on the transported alpha-0 wedge: the coefficient over the third
     # wedge basis vector pairs with the zero value and drops out
@@ -141,8 +145,8 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     # last row of the inverse
     v0 = pm[0][0] * m_sup0 + pm[0][1] * m_supa
     v1 = pm[1][1] * m_supa
-    img_a = ((0, 0, v0 * pinv[2][2]),
-             (0, 0, v1 * pinv[2][2]),
+    img_a = ((0, 0, v0 * inv22),
+             (0, 0, v1 * inv22),
              (0, 0, 0))
 
     # value on the transported beta-0 wedge
@@ -150,8 +154,8 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     m_supb, m_sup0b = c_b0 * k.k_beta, c_b0 * k.k_sup_beta
     # conjugation of a matrix supported on the first row
     d1 = pm[0][0]
-    r1 = d1 * (m_supb * pinv[1][1])
-    r2 = d1 * (m_supb * pinv[1][2] + m_sup0b * pinv[2][2])
+    r1 = d1 * (m_supb * inv11)
+    r2 = d1 * (m_supb * inv12 + m_sup0b * inv22)
     img_b = ((0, r1, r2),
              (0, 0, 0),
              (0, 0, 0))

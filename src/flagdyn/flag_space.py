@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .lie_core import GroupElem, LieVec
+from .lie_core import BASIS, GroupElem, LieVec, conjugate, lincomb
 from .rational import (
     _cleared,
     _mat_vec_ints,
@@ -375,8 +375,6 @@ def fundamental_vector(v: LieVec, x: Flag):
 def killing_with_value(w, x: Flag) -> LieVec:
     """Some traceless v whose action derivative at x equals the chart
     tangent w = (dx, dy, dz).  Exists because the action is transitive."""
-    from .lie_core import BASIS, lincomb
-
     cols = [fundamental_vector(b, x) for b in BASIS]
     rows = [[cols[j][i] for j in range(8)] for i in range(3)]
     sol = solve(rows, list(w))
@@ -388,7 +386,5 @@ def killing_with_value(w, x: Flag) -> LieVec:
 def push_tangent(g: GroupElem, x: Flag, w):
     """Differential of the action of g at x applied to the chart tangent w,
     computed through the equivariance of fundamental vector fields."""
-    from .lie_core import conjugate
-
     v = killing_with_value(w, x)
     return fundamental_vector(conjugate(g, v), act(g, x))

@@ -49,7 +49,6 @@ __all__ = [
     "theta_involution",
     "theta_group",
     "BASIS",
-    "BASIS_NAMES",
 ]
 
 
@@ -175,8 +174,6 @@ E_SUP_BETA = LieVec.elementary(0, 1)
 E_SUP_0 = LieVec.elementary(0, 2)
 
 BASIS = (E_0, E_ALPHA, E_BETA, E_1, E_2, E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
-BASIS_NAMES = ("e_0", "e_alpha", "e_beta", "e_1", "e_2",
-               "e^alpha", "e^beta", "e^0")
 
 _FLOAT_BASIS = tuple(b.to_float() for b in BASIS)
 

@@ -38,7 +38,6 @@ __all__ = [
     "HEIS_X",
     "HEIS_Y",
     "HEIS_Z",
-    "CENTRAL_T",
     "heis_semidirect_mul",
     "theta_affine",
     "flat_structure_iso",
@@ -65,8 +64,9 @@ class ContactConditionError(ValueError):
     pass
 
 
-# sl(2) triple embedded in the upper-left block, plus the transverse
-# generators of the two models.
+# sl(2) triple embedded in the upper-left block, and the Heisenberg
+# generators; the transverse line of the block model is
+# classification.CENTRAL_LINE.
 SL2_E = LieVec.elementary(0, 1)
 SL2_F = LieVec.elementary(1, 0)
 SL2_H = LieVec.diag(1, -1, 0)
@@ -74,10 +74,6 @@ SL2_H = LieVec.diag(1, -1, 0)
 HEIS_X = LieVec.elementary(0, 1)
 HEIS_Y = LieVec.elementary(1, 2)
 HEIS_Z = LieVec.elementary(0, 2)
-
-# central element of the block-diagonal model algebra; its flow generates
-# the transverse direction of that model globally
-CENTRAL_T = LieVec.diag(1, 1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +361,9 @@ def equivariance_t(g: GroupElem):
     diagonal scale): the block G equals lam * s with det(s) = 1, returned
     as (s, lam) with lam > 0.
 
-    Membership: g must be block diagonal with positive block determinant
-    after normalizing the corner entry to 1.
+    Membership: g must be block diagonal, and its block determinant, after
+    normalizing the corner entry to 1, a positive rational square; lam and
+    s are then exact.
     """
     e = g.entries
     if any(e[i][2] != 0 for i in range(2)) or any(e[2][j] != 0 for j in range(2)):
@@ -379,9 +376,7 @@ def equivariance_t(g: GroupElem):
         raise MembershipError("block determinant must be positive")
     lam = _exact_sqrt(det)
     if lam is None:
-        lam = math.sqrt(float(det))
-        s = tuple(tuple(float(c) / lam for c in row) for row in block)
-        return s, lam
+        raise MembershipError("block determinant must be a rational square")
     s = tuple(tuple(c / lam for c in row) for row in block)
     return s, lam
 
@@ -427,19 +422,16 @@ def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
 # ---------------------------------------------------------------------------
 
 class _AffineModelField:
-    """Polynomial vector field on the chart (x, y, z) with closed-form flow."""
+    """Polynomial vector field on the chart (x, y, z) with closed-form flow.
+    `flow(t, p)` is polynomial with no division, so it stays exact on ints
+    and Fractions."""
 
     def __init__(self, func, flow):
         self._func = func
-        self._flow = flow
+        self.flow = flow
 
     def __call__(self, p):
         return self._func(p)
-
-    def flow(self, t, p):
-        t = Fraction(t)
-        p = tuple(Fraction(c) for c in p)
-        return self._flow(t, p)
 
 
 def central_flow_fields():

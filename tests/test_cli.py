@@ -40,8 +40,10 @@ class TestVerify:
         assert json.loads(out)["suite"] == "classification"
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        code, _ = run(["verify", "--suite", "nope"], capsys)
-        assert code == 2
+        code = cli.main(["verify", "--suite", "nope"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("error:") == 1
 
     def test_corrupted_expected_value_fails(self, capsys, monkeypatch):
         monkeypatch.setitem(cls.EXPECTED, "dim-h-t", 5)
@@ -101,8 +103,10 @@ class TestOracle:
         assert all(c["pass"] for c in json.loads(out)["cases"])
 
     def test_unknown_case_is_usage_error(self, capsys):
-        code, _ = run(["oracle", "not-a-case"], capsys)
-        assert code == 2
+        code = cli.main(["oracle", "not-a-case"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("error:") == 1
 
     def test_degeneration_cases_in_parameter_order(self, capsys):
         _, out = run(["oracle", "degeneration-a1", "--format", "json"], capsys)
@@ -230,6 +234,22 @@ class TestEnvOverrides:
         monkeypatch.setenv("FLAGDYN_" + name, value)
         code, out = run(["verify", "--suite", "classification"], capsys)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("name, value, argv, option", [
+        ("SAMPLES", "0", ["verify", "--suite", "classification"], "--samples"),
+        ("TOL", "nan", ["lyapunov", "-n", "20"], "--tol"),
+        ("FORMAT", "xml", ["oracle", "bracket-table"], "--format"),
+        ("FORMAT", "xml", ["lyapunov", "-n", "20"], "--format"),
+        ("OUT", "/nonexistent/x.csv", ["simulate", "-n", "1"], "--out")])
+    def test_malformed_value_is_reported_under_its_option(
+            self, capsys, monkeypatch, name, value, argv, option):
+        monkeypatch.setenv("FLAGDYN_" + name, value)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {option}: " in errors[0]
+        assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,11 @@ class TestEquivarianceBlock:
             # negative block determinant is outside the factorizable part
             md.equivariance_t(lc.GroupElem([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
 
+    def test_irrational_scale_is_a_membership_violation(self):
+        # block determinant 2 has no rational square root, so lam is not exact
+        with pytest.raises(md.MembershipError):
+            md.equivariance_t(lc.GroupElem([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
 
 @pytest.mark.parametrize("check_id, oracle, seed", [
     ("equivariance-affine-display", "equivariance_a", 20),
