@@ -30,8 +30,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import (_cleared, _mat_vec_ints, _primitive_ints, _rows, in_span, mat_mul,
-                       primitive)
+from .rational import _cleared, _mat_vec_ints, _primitive_ints, _rows, in_span, primitive
 
 __all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
 
@@ -162,6 +161,11 @@ def rand_traceless(rng) -> lc.LieVec:
     v = rand_lievec(rng)
     t = v.trace()
     return v - lc.LieVec.diag(t / 3, t / 3, t / 3)
+
+
+def rand_curvature(rng) -> curv.NormalCurvature:
+    """The components from four rand_frac draws, in order."""
+    return curv.NormalCurvature(*_rand_ints(rng, 4))
 
 
 def rand_group(rng) -> lc.GroupElem:
@@ -310,8 +314,8 @@ def _check_qadj_brute(rng):
        "induced adjoint of a product is the product of induced adjoints", samples=200)
 def _check_qadj_morphism(rng):
     p, q = rand_upper(rng), rand_upper(rng)
-    return lc.quotient_adjoint(p @ q) == mat_mul(lc.quotient_adjoint(p),
-                                                 lc.quotient_adjoint(q))
+    qa_pq, qa_p, qa_q = (lc.LieVec.of(lc.quotient_adjoint(g)) for g in (p @ q, p, q))
+    return qa_pq == qa_p @ qa_q
 
 
 @check("centralizer-block-sl2", "lie-core", "Cent(block sl2) = span{diag(1,1,-2)}")
@@ -565,7 +569,7 @@ def _check_fundamental_fd(rng, samples):
        samples=1000)
 def _check_curvature_exponents(rng):
     p = rand_upper(rng)
-    k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
+    k = rand_curvature(rng)
     out = curv.curvature_action(p, k)
     return (out.k_alpha == curv.alpha_scale(p) * k.k_alpha
             and out.k_beta == curv.beta_scale(p) * k.k_beta)
@@ -588,7 +592,7 @@ def _check_curvature_sampling(rng, samples):
        "action(pq, K) = action(p, action(q, K)), exact", samples=200)
 def _check_curvature_action(rng):
     p, q = rand_upper(rng), rand_upper(rng)
-    k = curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
+    k = rand_curvature(rng)
     return curv.curvature_action(p @ q, k) == curv.curvature_action(
         p, curv.curvature_action(q, k))
 
@@ -883,9 +887,7 @@ def _check_theta_affine(rng, samples):
             return False, None
         m = md.theta_affine(g1, f1)
         expected_linear = ((f1.lam, 0, 0), (0, f1.mu, 0), (0, f1.mu * g1.x, f1.lam * f1.mu))
-        if m.linear != tuple(tuple(map(Fraction, r)) for r in expected_linear):
-            return False, None
-        if m.translation != (g1.x, g1.y, g1.z):
+        if (m.linear, m.translation) != (expected_linear, (g1.x, g1.y, g1.z)):
             return False, None
     return True, None
 

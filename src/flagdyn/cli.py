@@ -171,7 +171,10 @@ def _format(text: str) -> str:
     return text
 
 
-def _out(path: str) -> str:
+def _out(path: str) -> str | None:
+    # An empty path means stdout, as no --out does, for every command.
+    if path == "":
+        return None
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise argparse.ArgumentTypeError(f"the directory of {path!r} does not exist")
     return path

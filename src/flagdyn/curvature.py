@@ -11,15 +11,15 @@ space with the shape
 
 and the upper-triangular group acts on the module by conjugation in the
 target combined with the inverse quotient-adjoint action on the arguments.
-That defining action is evaluated by brute force here; the diagonal scaling
-laws used by the flatness argument come out of it exactly.
+That defining action is evaluated by brute force here, in ints on the four
+ints over one denominator of a `NormalCurvature`; the diagonal scaling laws
+used by the flatness argument come out of it exactly.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import (
@@ -29,6 +29,7 @@ from .lie_core import (
     GroupElem,
     LieVec,
     NotUpperTriangularError,
+    _quotient_adjoint_ints,
     bracket,
     conjugate,
     exp_group,
@@ -37,7 +38,7 @@ from .lie_core import (
     fnorm,
     quotient_adjoint,
 )
-from .rational import cross, det3, inverse3, mat_vec
+from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, _rows, cross, inverse3
 
 __all__ = [
     "NormalCurvature",
@@ -54,27 +55,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalCurvature:
-    k_alpha: Fraction
-    k_beta: Fraction
-    k_sup_alpha: Fraction
-    k_sup_beta: Fraction
+class NormalCurvature(_CanonicalInts):
+    """The components (K_alpha, K_beta, K^alpha, K^beta) as four ints over one
+    denominator (see `rational._CanonicalInts`); each reads as a Fraction."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(k_alpha, k_beta, k_sup_alpha, k_sup_beta) -> "NormalCurvature":
-        return NormalCurvature(Fraction(k_alpha), Fraction(k_beta),
-                               Fraction(k_sup_alpha), Fraction(k_sup_beta))
+        """From ints and Fractions; a float raises TypeError."""
+        return NormalCurvature(*_cleared((k_alpha, k_beta, k_sup_alpha, k_sup_beta)))
 
     @staticmethod
     def zero() -> "NormalCurvature":
-        return NormalCurvature.of(0, 0, 0, 0)
+        return NormalCurvature((0, 0, 0, 0))
+
+    k_alpha, k_beta, k_sup_alpha, k_sup_beta = (
+        property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(4))
 
 
 def is_harmonic(k: NormalCurvature) -> bool:
     """True when both lowest-weight components vanish; this subspace is
     preserved by the upper-triangular action."""
-    return k.k_alpha == 0 and k.k_beta == 0
+    return k.nums[0] == 0 and k.nums[1] == 0
 
 
 def _value_on_wedge(k: NormalCurvature, idx: int) -> LieVec:
@@ -110,8 +113,7 @@ def _extract(mat_a0: LieVec, mat_b0: LieVec, mat_ab: LieVec) -> NormalCurvature:
     if not ok:
         raise ValueError("image left the normal-curvature module")
     da, db = mat_a0.den, mat_b0.den
-    return NormalCurvature(Fraction(a[5], da), Fraction(b[1], db),
-                           Fraction(a[2], da), Fraction(b[2], db))
+    return NormalCurvature((a[5] * db, b[1] * da, a[2] * db, b[2] * da), da * db)
 
 
 def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
@@ -124,46 +126,43 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     sparse products; curvature_action_dense keeps the unoptimized path and
     the two must agree.  The action stays inside the module and its two
     lowest components scale exactly by alpha_scale and beta_scale.
+
+    Each step runs in ints over its tracked denominator: qd for Adbar(p)^-1,
+    qd^2 for the wedge coefficients, times k.den for the wedge values and
+    times det(p) for their conjugates.  The result is normalized once.
     """
     if not p.is_upper_triangular():
         raise NotUpperTriangularError(
             "the curvature action is defined along the upper-triangular subgroup")
     # Adbar is a morphism, so Adbar(p)^-1 = Adbar(p^-1); and p^-1 is
     # adj(p) / det(p), with det(p) = d1 d2 d3 for upper-triangular p
-    a, b, z = zip(*quotient_adjoint(p.inverse()))
-    pm, adj = p.entries, p.adjugate
-    det = pm[0][0] * pm[1][1] * pm[2][2]
-    # the entries of p^-1 that the two sparse conjugations read
-    inv11, inv12, inv22 = (Fraction(adj[i][j], det)
-                           for i, j in ((1, 1), (1, 2), (2, 2)))
+    q, qd = _quotient_adjoint_ints(p.inverse())
+    a, b, z = q[0::3], q[1::3], q[2::3]
+    (d1, p12, _), (_, d2, _), (_, _, d3) = p.entries
+    det = d1 * d2 * d3
+    # the entries of det(p) p^-1 that the two sparse conjugations read
+    (_, inv11, inv12), (_, _, inv22) = p.adjugate[1:]
+    k_alpha, k_beta, k_sup_alpha, k_sup_beta = k.nums
 
     # value on the transported alpha-0 wedge: the coefficient over the third
     # wedge basis vector pairs with the zero value and drops out
     c_a0 = a[0] * z[2] - a[2] * z[0]
-    m_sup0, m_supa = c_a0 * k.k_sup_alpha, c_a0 * k.k_alpha
+    m_sup0, m_supa = c_a0 * k_sup_alpha, c_a0 * k_alpha
     # conjugation of a matrix supported on column 3: outer product with the
-    # last row of the inverse
-    v0 = pm[0][0] * m_sup0 + pm[0][1] * m_supa
-    v1 = pm[1][1] * m_supa
-    img_a = ((0, 0, v0 * inv22),
-             (0, 0, v1 * inv22),
-             (0, 0, 0))
+    # last row of the inverse, entries (0, 2) and (1, 2)
+    v0 = d1 * m_sup0 + p12 * m_supa
+    v1 = d2 * m_supa
 
     # value on the transported beta-0 wedge
     c_b0 = b[1] * z[2] - b[2] * z[1]
-    m_supb, m_sup0b = c_b0 * k.k_beta, c_b0 * k.k_sup_beta
-    # conjugation of a matrix supported on the first row
-    d1 = pm[0][0]
+    m_supb, m_sup0b = c_b0 * k_beta, c_b0 * k_sup_beta
+    # conjugation of a matrix supported on the first row: entries (0, 1), (0, 2)
     r1 = d1 * (m_supb * inv11)
     r2 = d1 * (m_supb * inv12 + m_sup0b * inv22)
-    img_b = ((0, r1, r2),
-             (0, 0, 0),
-             (0, 0, 0))
 
-    # value on the transported alpha-beta wedge: both arguments are pure
-    # circle classes, so the value pairs with the zero slot
-    img_ab = LieVec.zero()
-    return _extract(LieVec.of(img_a), LieVec.of(img_b), img_ab)
+    # the value on the transported alpha-beta wedge pairs with the zero
+    # slot: both arguments are pure circle classes
+    return NormalCurvature((v1 * inv22, r1, v0 * inv22, r2), qd * qd * k.den * det)
 
 
 def curvature_action_dense(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
@@ -211,8 +210,9 @@ class PolynomialField:
         return self._func(p)
 
     def derivative_along(self, p, w):
-        """D F(p) w, exact."""
-        return mat_vec(self._jac(p), w)
+        """D F(p) w, exact: one integer product of the cleared Jacobian and w."""
+        (jac, jd), (wn, wd) = _cleared(*self._jac(p)), _cleared(w)
+        return tuple([Fraction(n, jd * wd) for n in _mat_vec_ints(_rows(jac), wn)])
 
 
 def bracket_of_fields(field_a, field_b, p, va, vb):
@@ -238,7 +238,7 @@ def contact_test(field_a, field_b, p) -> bool:
     vb = tuple(map(Fraction, field_b(p)))
     if not any(cross(va, vb)):
         raise DegenerateFrameError("fields are dependent at the test point")
-    return det3((va, vb, bracket_of_fields(field_a, field_b, p, va, vb))) != 0
+    return _det_ints(_cleared(va, vb, bracket_of_fields(field_a, field_b, p, va, vb))[0]) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from operator import add, mul, sub
 
 from .rational import (
     Scalar,
+    _CanonicalInts,
     _adjugate_ints,
     _cleared,
     _mul_ints,
@@ -56,29 +57,15 @@ class NotUpperTriangularError(ValueError):
     pass
 
 
-class LieVec:
-    """Element of gl(3) over exact rationals, stored as nine ints over one
-    positive denominator: entry (i, j) is nums[3 i + j] / den, and
-    gcd(den, *nums) is 1.  The form is canonical, so equality and hashing
-    are structural, and every operation runs in ints with one gcd per
-    result.  `LieVec(nums, den)` takes any ints with den != 0."""
+class LieVec(_CanonicalInts):
+    """Element of gl(3) over exact rationals: entry (i, j) is nums[3 i + j] /
+    den, nine ints over one denominator (see `rational._CanonicalInts`)."""
 
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums, den=1):
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-        self.nums = tuple(nums)
-        self.den = den
+    __slots__ = ()
 
     @staticmethod
     def of(rows) -> "LieVec":
-        nums, den = _cleared(*rows)
-        return LieVec(nums, den)
+        return LieVec(*_cleared(*rows))
 
     @staticmethod
     def zero() -> "LieVec":
@@ -103,17 +90,6 @@ class LieVec:
         """The entries as Fractions, row by row."""
         den = self.den
         return [Fraction(n, den) for n in self.nums]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieVec):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def __repr__(self):
-        return f"LieVec({self.nums}, {self.den})"
 
     def __add__(self, other: "LieVec") -> "LieVec":
         a, b = self.den, other.den
@@ -317,6 +293,15 @@ def _strictly_lower_class(m: LieVec):
     return (Fraction(n[7], d), Fraction(n[3], d), Fraction(n[6], d))
 
 
+def _quotient_adjoint_ints(p: GroupElem):
+    """`quotient_adjoint` of p as (nums, den): nine ints, row by row, over
+    d1 d2, so that entry (i, j) is nums[3 i + j] / den."""
+    if not p.is_upper_triangular():
+        raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
+    (d1, p12, _), (_, d2, p23), (_, _, d3) = p.entries
+    return (d1 * d3, 0, -d3 * p12, 0, d2 * d2, d2 * p23, 0, 0, d2 * d3), d1 * d2
+
+
 def quotient_adjoint(p: GroupElem):
     """Matrix of the induced adjoint action of upper-triangular p on the
     quotient of sl3 by the upper-triangular subalgebra, over the ordered
@@ -328,16 +313,12 @@ def quotient_adjoint(p: GroupElem):
         e_alpha -> (d3/d2) e_alpha
         e_beta  -> (d2/d1) e_beta
         e_0     -> -(d3 p12/(d1 d2)) e_alpha + (p23/d1) e_beta + (d3/d1) e_0
+
+    The entries are Fractions, built from `_quotient_adjoint_ints`.
     """
-    if not p.is_upper_triangular():
-        raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
-    e = p.entries
-    d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-    p12, p23 = e[0][1], e[1][2]
+    nums, den = _quotient_adjoint_ints(p)
     zero = Fraction(0)
-    return ((Fraction(d3, d2), zero, Fraction(-d3 * p12, d1 * d2)),
-            (zero, Fraction(d2, d1), Fraction(p23, d1)),
-            (zero, zero, Fraction(d3, d1)))
+    return _rows(tuple([Fraction(n, den) if n else zero for n in nums]))
 
 
 def quotient_adjoint_bruteforce(p: GroupElem):

@@ -25,7 +25,8 @@ from .flag_space import (
     region_classify,
 )
 from .lie_core import GroupElem, LieVec, conjugate
-from .rational import Scalar, inverse3, mat_mul, mat_sub, mat_vec, primitive, vec_mat
+from .rational import (Scalar, _CanonicalInts, _adjugate_ints, _cleared, _det_ints,
+                       _mat_vec_ints, _mul_ints, _rows, primitive)
 
 __all__ = [
     "HeisElem",
@@ -161,29 +162,42 @@ def heis_semidirect_mul(a, b):
 # affine linearization of the Heisenberg affine group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> L x + t on R^3, exact entries."""
+class AffineMap(_CanonicalInts):
+    """x -> L x + t on R^3, exact: the entries of L, row by row, then of t,
+    as twelve ints over one denominator (see `rational._CanonicalInts`);
+    `linear` and `translation` read as Fractions."""
 
-    linear: tuple
-    translation: tuple
+    __slots__ = ()
 
     @staticmethod
     def of(linear, translation) -> "AffineMap":
-        lin = tuple(tuple(Fraction(e) for e in row) for row in linear)
-        tr = tuple(Fraction(e) for e in translation)
-        return AffineMap(lin, tr)
+        """From ints and Fractions; a float raises TypeError."""
+        return AffineMap(*_cleared(*linear, translation))
 
     @staticmethod
     def identity() -> "AffineMap":
-        return AffineMap.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+        return AffineMap((1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))
+
+    @property
+    def linear(self) -> tuple:
+        return _rows(tuple([Fraction(n, self.den) for n in self.nums[:9]]))
+
+    @property
+    def translation(self) -> tuple:
+        return tuple([Fraction(n, self.den) for n in self.nums[9:]])
 
     def apply(self, v):
-        lv = mat_vec(self.linear, [Fraction(e) for e in v])
-        return tuple(a + t for a, t in zip(lv, self.translation))
+        (vn, vd), n = _cleared(v), self.nums
+        # L v + t = (nums_L vn + nums_t vd) / (den vd)
+        lv = _mat_vec_ints(_rows(n[:9]), vn)
+        return tuple([Fraction(x + t * vd, self.den * vd) for x, t in zip(lv, n[9:])])
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        return AffineMap(mat_mul(self.linear, other.linear), self.apply(other.translation))
+        # L1 (L2 x + t2) + t1, over den1 den2
+        a, b, d = self.nums, other.nums, other.den
+        moved = _mat_vec_ints(_rows(a[:9]), b[9:])
+        return AffineMap(_mul_ints(a[:9], b[:9]) + [x + t * d for x, t in zip(moved, a[9:])],
+                         self.den * d)
 
 
 def theta_affine(g: HeisElem, phi: HeisAuto) -> AffineMap:
@@ -276,21 +290,21 @@ _BASE_GENERATORS = {
 }
 
 
-def _transporter_jet(p, w, model: str):
-    """`transporter` of the chart point p = (x, y, z), direction (z : 1), as
-    the plain matrix h of `_transporter_rows`, and its derivative dh along
-    w.  A chart point is interior to model t exactly when d = x - yz != 0,
-    and always to a."""
-    x, y, z = p
-    wx, wy, wz = w
-    h = _transporter_rows(x, y, z, 1, model)
+def _transporter_jet(x, y, z, wx, wy, wz, c, model: str):
+    """`transporter` of the chart point (x, y, z) / c, in ints, and its
+    derivative along (wx, wy, wz) / c, as flat integer matrices (H, DH) =
+    s (h, dh): h the matrix of `_transporter_rows` and s = c in model a,
+    c^3 in model t.  A chart point is interior to model t exactly when
+    x - yz != 0, and always to a."""
     if model == "a":
-        return h, ((0, wz, wx), (0, 0, wy), (0, 0, 0))
-    d = h[2][2]
+        return (c, z, x, 0, c, y, 0, 0, c), (0, wz, wx, 0, 0, wy, 0, 0, 0)
+    # c^2 d and c^2 times the derivative of d along w
+    d = x * c - y * z
     if d == 0:
         raise BoundaryError("frame transport needs an interior flag")
-    dd = wx - wy * z - y * wz
-    return h, ((dd * x + d * wx, wz, 0), (dd * y + d * wy, 0, 0), (0, 0, dd))
+    dd = wx * c - wy * z - y * wz
+    return ((d * x, z * c * c, 0, d * y, c ** 3, 0, 0, 0, d * c),
+            (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c))
 
 
 class InvariantField:
@@ -311,25 +325,31 @@ class InvariantField:
 
     def derivative_along(self, p, w):
         """D F(p) w, exact: first-order jets pushed through the chain of
-        __call__ at the matrix level.  With V = h gen h^-1, dV = [dh h^-1, V].
-        The flag of p has the point m = (x, y, 1) and the line n = (-1, z,
-        x - yz), and F(p) = (a0 - x a2, a1 - y a2, -(b1 + z b0)) for a = V m
-        and b = n V; the product rule differentiates each term."""
-        x, y, z = p = tuple(map(Fraction, p))
-        wx, wy, wz = w = tuple(map(Fraction, w))
-        h, dh = _transporter_jet(p, w, self.model)
-        hinv = inverse3(h)
-        v = mat_mul(mat_mul(h, self.gen.entries), hinv)
-        k = mat_mul(dh, hinv)
-        dv = mat_sub(mat_mul(k, v), mat_mul(v, k))
-        m, dm = (x, y, 1), (wx, wy, 0)
-        n, dn = (-1, z, x - y * z), (0, wz, wx - wy * z - y * wz)
-        a, b = mat_vec(v, m), vec_mat(n, v)
-        da = [s + t for s, t in zip(mat_vec(dv, m), mat_vec(v, dm))]
-        db = [s + t for s, t in zip(vec_mat(n, dv), vec_mat(dn, v))]
-        return (da[0] - wx * a[2] - x * da[2],
-                da[1] - wy * a[2] - y * da[2],
-                -(db[1] + wz * b[0] + z * db[0]))
+        __call__ at the matrix level.  With V = h gen h^-1, dV = [k, V] for
+        k = dh h^-1.  The flag of p has the point m = (x, y, 1) and the line
+        n = (-1, z, x - yz), and F(p) = (a0 - x a2, a1 - y a2, -(b1 + z b0))
+        for a = V m and b = n V; the product rule differentiates each term.
+
+        In ints: p and w are cleared once, over c; with (H, DH) the scaled
+        jet, V = H gen adj(H) / (det(H) gen.den) and k = DH adj(H) / det(H);
+        m, dm are taken times c and n, dn times c^2."""
+        (x, y, z, wx, wy, wz), c = _cleared(p, w)
+        h, dh = _transporter_jet(x, y, z, wx, wy, wz, c, self.model)
+        adj, det = _adjugate_ints(h), _det_ints(h)
+        v = _mul_ints(_mul_ints(h, self.gen.nums), adj)
+        k = _mul_ints(dh, adj)
+        dv = [s - t for s, t in zip(_mul_ints(k, v), _mul_ints(v, k))]
+        v_rows, dv_rows = _rows(v), _rows(dv)
+        v_cols, dv_cols = tuple(zip(*v_rows)), tuple(zip(*dv_rows))
+        m, dm = (x, y, c), (wx, wy, 0)
+        n, dn = (-c * c, z * c, x * c - y * z), (0, wz * c, wx * c - wy * z - y * wz)
+        a, b = _mat_vec_ints(v_rows, m), _mat_vec_ints(v_cols, n)
+        da = [s + det * t for s, t in zip(_mat_vec_ints(dv_rows, m), _mat_vec_ints(v_rows, dm))]
+        db = [s + det * t for s, t in zip(_mat_vec_ints(dv_cols, n), _mat_vec_ints(v_cols, dn))]
+        den = c * c * c * det * det * self.gen.den
+        return (Fraction(c * (c * da[0] - det * wx * a[2] - x * da[2]), den),
+                Fraction(c * (c * da[1] - det * wy * a[2] - y * da[2]), den),
+                Fraction(-(c * db[1] + det * wz * b[0] + z * db[0]), den))
 
 
 def frame_at(x: Flag, model: str) -> FramedPoint:

@@ -8,15 +8,14 @@ cleared of their denominators.  `rank` counts its pivots; `nullspace` and
 `solve` back-substitute from it in ints and return Fractions.  A float
 entry raises TypeError.
 
-Each 3x3 routine has two layers.  The integer cores (`_mul_ints`,
-`_mat_vec_ints`, `_adjugate_ints`, `_det_ints`, `_primitive_ints`) take
-ints only and trust their input; integer data, such as the stored
-representatives of `GroupElem`, `ProjPoint`, `ProjLine` and `LieVec`,
-calls them directly.  The rows API (`mat_mul`, `mat_vec`, `vec_mat`,
-`mat_sub`, `det3`, `inverse3`) takes ints and Fractions: each call clears
-the denominators of each operand once (their least common multiple), runs
-the integer core, and builds one normalized Fraction per result entry, so
-its results are always Fractions.  A float entry raises TypeError.
+The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
+`_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
+trust their input.  Exact data is kept as integer representatives
+(`GroupElem`, `ProjPoint`, `ProjLine`, and the `_CanonicalInts` classes
+`LieVec`, `NormalCurvature` and `AffineMap`), or cleared of its
+denominators once by `_cleared`, which rejects floats.  `inverse3`, on
+ints and Fractions, is only the independent inverse of the dense
+curvature oracle.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
@@ -47,15 +46,36 @@ def _cleared(*rows):
     return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
-def _quotients(nums, den):
-    """The values nums[k] / den, one normalized Fraction each."""
-    # A list, not a generator: tuple() over a generator over-allocates and
-    # then shrinks, which on this hot path raised peak memory by about 1%.
-    return tuple([Fraction(n, den) for n in nums])
-
-
 def _rows(flat):
     return (flat[0:3], flat[3:6], flat[6:9])
+
+
+class _CanonicalInts:
+    """Exact values as ints over one positive denominator: value k is
+    nums[k] / den, with gcd(den, *nums) 1.  The form is canonical, so
+    equality and hashing are structural within a subclass.  `cls(nums,
+    den)` takes any ints with den != 0."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.nums}, {self.den})"
 
 
 def _primitive_ints(nums) -> tuple:
@@ -165,7 +185,7 @@ def span_equal(vs, ws) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 3x3 matrices: integer cores on flat ints, and the rows API
+# 3x3 matrices: integer cores on flat ints
 # ---------------------------------------------------------------------------
 
 def _mul_ints(a, b):
@@ -184,31 +204,6 @@ def _mat_vec_ints(rows, v):
     return [r[0] * x + r[1] * y + r[2] * z for r in rows]
 
 
-def mat_mul(a, b):
-    na, da = _cleared(*a)
-    nb, db = _cleared(*b)
-    return _rows(_quotients(_mul_ints(na, nb), da * db))
-
-
-def mat_vec(a, v):
-    na, da = _cleared(*a)
-    nv, dv = _cleared(v)
-    return _quotients(_mat_vec_ints(_rows(na), nv), da * dv)
-
-
-def vec_mat(v, a):
-    """Row vector times matrix (covectors transform this way)."""
-    na, da = _cleared(*a)
-    nv, dv = _cleared(v)
-    return _quotients(_mat_vec_ints(zip(*_rows(na)), nv), dv * da)
-
-
-def mat_sub(a, b):
-    na, da = _cleared(*a)
-    nb, db = _cleared(*b)
-    return _rows(_quotients([x * db - y * da for x, y in zip(na, nb)], da * db))
-
-
 def _adjugate_ints(n):
     """Adjugate of the integer 3x3 matrix with row-major entries n, flat."""
     a, b, c, d, e, f, g, h, i = n
@@ -222,18 +217,14 @@ def _det_ints(n):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det3(a) -> Fraction:
-    n, den = _cleared(*a)
-    return Fraction(_det_ints(n), den ** 3)
-
-
 def inverse3(a):
+    """Inverse of the rows `a` (ints and Fractions), as Fraction rows."""
     n, den = _cleared(*a)
     det = _det_ints(n)
     if det == 0:
         raise ZeroDivisionError("singular matrix")
     # a^-1 = adj(a) / det(a) = (adj(n) / den^2) / (det(n) / den^3)
-    return _rows(_quotients([x * den for x in _adjugate_ints(n)], det))
+    return _rows(tuple([Fraction(x * den, det) for x in _adjugate_ints(n)]))
 
 
 def cross(u, v):

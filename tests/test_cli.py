@@ -252,6 +252,27 @@ class TestEnvOverrides:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "dynamics", "--samples", "1"],
+    ["oracle", "bracket-table"],
+    ["lyapunov", "-n", "20"],
+    ["simulate", "-n", "3"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_empty_out_means_stdout(capsys, monkeypatch, tmp_path, argv, source):
+    # every command reads an empty --out or FLAGDYN_OUT as no --out at all
+    monkeypatch.chdir(tmp_path)
+    expected = run(argv, capsys)
+    if source == "flag":
+        argv = [*argv, "--out="]
+    else:
+        monkeypatch.setenv("FLAGDYN_OUT", "")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (*expected, "")
+    assert expected[0] == 0 and expected[1]
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the exit-code contract over argv and FLAGDYN_* values
 # ---------------------------------------------------------------------------

@@ -9,16 +9,15 @@ from flagdyn import checks
 from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import nonzero_frac, rand_frac, rand_traceless, rand_upper
+from flagdyn.checks import nonzero_frac, rand_curvature, rand_frac, rand_traceless, rand_upper
 from registry_twins import run_check, twin
+
+
+_HALF = Fraction(1, 2)
 
 
 def zero_jacobian(p):
     return ((0, 0, 0), (0, 0, 0), (0, 0, 0))
-
-
-def rand_curvature(rng):
-    return curv.NormalCurvature.of(*(rand_frac(rng) for _ in range(4)))
 
 
 class TestCurvatureAction:
@@ -55,6 +54,32 @@ class TestCurvatureAction:
             k = rand_curvature(rng)
             assert curv.curvature_action(p, k) == \
                 curv.curvature_action_dense(p, k)
+
+    def test_equality_is_structural_across_representatives(self):
+        half = curv.NormalCurvature.of(Fraction(2, 4), 0, -1, Fraction(3, 6))
+        same = curv.NormalCurvature.of(Fraction(1, 2), Fraction(0, 5), Fraction(-2, 2), _HALF)
+        assert half == same and hash(half) == hash(same)
+        assert half == curv.NormalCurvature((-2, 0, 4, -2), -4)
+        assert (half.k_alpha, half.k_beta, half.k_sup_alpha, half.k_sup_beta) == \
+            (_HALF, 0, -1, _HALF)
+        assert half != curv.NormalCurvature.of(_HALF, 0, -1, 0)
+
+    def test_curvature_suite_builds_few_fractions(self, monkeypatch):
+        # the suite runs its exact algebra in ints; the count repeats
+        # exactly, so a return to per-entry Fractions fails here
+        built = 0
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        outcomes = checks.run_checks(suite="curvature", seed=0)
+        monkeypatch.undo()
+        assert all(o.passed for o in outcomes)
+        assert built < 46_000
 
     def test_rejects_non_triangular(self):
         with pytest.raises(lc.NotUpperTriangularError):

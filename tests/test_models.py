@@ -269,6 +269,28 @@ class TestAffineLinearization:
             key = md.theta_affine(g, phi)
             assert seen.setdefault(key, (g, phi)) == (g, phi)
 
+    def test_equality_is_structural_across_representatives(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        m = md.AffineMap.of([[Fraction(2, 4), 0, 0], [0, 1, 0], [0, 0, Fraction(2, 6)]],
+                            (0, Fraction(-3, 3), 2))
+        same = md.AffineMap.of([[half, 0, 0], [0, Fraction(5, 5), 0], [0, 0, third]],
+                               (Fraction(0, 7), -1, Fraction(4, 2)))
+        assert m == same and hash(m) == hash(same)
+        assert m == md.AffineMap((-3, 0, 0, 0, -6, 0, 0, 0, -2, 0, 6, -12), -6)
+        assert m.linear == ((half, 0, 0), (0, 1, 0), (0, 0, third))
+        assert m.translation == (0, -1, 2)
+        assert m != md.AffineMap.of(m.linear, (0, -1, 3))
+
+    def test_apply_and_compose_are_the_affine_formulas(self):
+        rng = random.Random(61)
+        for _ in range(50):
+            f, g = (md.AffineMap.of([[rand_frac(rng) for _ in range(3)] for _ in range(3)],
+                                    [rand_frac(rng) for _ in range(3)]) for _ in range(2))
+            v = tuple(rand_frac(rng) for _ in range(3))
+            lv = [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in f.linear]
+            assert f.apply(v) == tuple(a + t for a, t in zip(lv, f.translation))
+            assert f.compose(g).apply(v) == f.apply(g.apply(v))
+
 
 class TestCentralFlow:
     test_exact_identities_in_bulk = twin("central-flow-identity")

@@ -1,15 +1,16 @@
-"""The fraction-free 3x3 routines and their integer cores against their
-textbook Fraction formulas, the primitive integer representative against
-the lead-1 one, the rank-based span tests against solving for the
-coefficients with sympy, and the integer rank, nullspace and solve, which
-share one elimination, against sympy's.
+"""The integer 3x3 cores and `inverse3` against their textbook Fraction
+formulas, the primitive integer representative against the lead-1 one, the
+rank-based span tests against solving for the coefficients with sympy, and
+the integer rank, nullspace and solve, which share one elimination, against
+sympy's.
 
-Each oracle below is the plain formula over Fractions.  Inputs are drawn as
-all ints, all Fractions, a mix of the two, or Fractions with denominator 1.
-The rows API must agree in value and always give Fractions, whatever the
-input kinds; the integer cores take ints and give ints.  The cores trust
-their input, so the public constructors of the exact kernel are the guard
-against floats: each raises TypeError on one.
+Each oracle below is the plain formula over Fractions.  The integer cores
+take ints and give ints.  Inputs to the routines that take ints and
+Fractions are drawn as all ints, all Fractions, a mix of the two, or
+Fractions with denominator 1; they must agree in value whatever the input
+kinds.  The cores trust their input, so the public constructors of the
+exact kernel, and each path that clears its input, are the guard against
+floats: each raises TypeError on one.
 """
 
 import math
@@ -20,8 +21,10 @@ import sympy as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
+from flagdyn import models as md
 from flagdyn import rational as R
 
 ints = st.integers(min_value=-99, max_value=99)
@@ -100,35 +103,35 @@ def normalize_lead_oracle(vec):
 # one property per routine
 # ---------------------------------------------------------------------------
 
-@given(operands(9, 9))
-def test_mat_mul(ops):
-    a, b = ops
-    assert_same(R.mat_mul(rows(a), rows(b)), mat_mul_oracle(rows(a), rows(b)), Fraction)
+@given(st.lists(ints, min_size=9, max_size=9), st.lists(ints, min_size=9, max_size=9))
+def test_mat_mul(a, b):
+    oracle = tuple(e for row in mat_mul_oracle(rows(a), rows(b)) for e in row)
+    assert_same(tuple(R._mul_ints(a, b)), oracle, int)
 
 
-@given(operands(9, 3))
-def test_mat_vec(ops):
-    a, v = ops
-    assert_same(R.mat_vec(rows(a), tuple(v)), mat_vec_oracle(rows(a), v), Fraction)
+@given(st.lists(ints, min_size=9, max_size=9), st.lists(ints, min_size=3, max_size=3))
+def test_mat_vec(a, v):
+    # a matrix times v: the dot products with its rows
+    assert_same(tuple(R._mat_vec_ints(rows(a), v)), mat_vec_oracle(rows(a), v), int)
 
 
-@given(operands(3, 9))
-def test_vec_mat(ops):
-    v, a = ops
-    assert_same(R.vec_mat(tuple(v), rows(a)), vec_mat_oracle(v, rows(a)), Fraction)
+@given(st.lists(ints, min_size=3, max_size=3), st.lists(ints, min_size=9, max_size=9))
+def test_vec_mat(v, a):
+    # v times a matrix: the dot products with its columns
+    assert_same(tuple(R._mat_vec_ints(zip(*rows(a)), v)), vec_mat_oracle(v, rows(a)), int)
 
 
-@given(operands(9))
-def test_det3(ops):
-    (a,) = ops
-    assert_same((R.det3(rows(a)),), (det3_oracle(rows(a)),), Fraction)
+@given(st.lists(ints, min_size=9, max_size=9))
+def test_det3(a):
+    assert_same((R._det_ints(a),), (det3_oracle(rows(a)),), int)
 
 
 @given(operands(9, 9))
 def test_mat_sub(ops):
+    # differences run on the integer form of LieVec
     a, b = ops
     oracle = tuple(tuple(Fraction(x) - y for x, y in zip(r, s)) for r, s in zip(rows(a), rows(b)))
-    assert_same(R.mat_sub(rows(a), rows(b)), oracle, Fraction)
+    assert_same((lc.LieVec.of(rows(a)) - lc.LieVec.of(rows(b))).entries, oracle, Fraction)
 
 
 @given(st.lists(ints, min_size=9, max_size=9))
@@ -302,19 +305,26 @@ def test_solve(rows, consistent, data):
 
 
 @pytest.mark.parametrize("call", [
-    lambda m: R.mat_mul(m, m), lambda m: R.mat_vec(m, m[0]),
-    lambda m: R.vec_mat(m[0], m), R.det3,
+    # the integer forms of AffineMap and NormalCurvature clear their entries
+    lambda m: md.AffineMap.of(m, (0, 0, 0)),
+    lambda m: md.AffineMap.of(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
+    lambda m: curv.NormalCurvature.of(*m[0], 0),
+    # the field jets clear the Jacobian, or the point and direction, once
+    # (ids kept from the 3x3 Fraction routines these entries replaced)
+    pytest.param(lambda m: curv.PolynomialField(lambda p: (1, 0, 0), lambda p: m)
+                 .derivative_along((0, 0, 0), (1, 0, 0)), id="det3"),
     # the adjugate is taken inside GroupElem, whose constructor guards it
     pytest.param(lc.GroupElem, id="adjugate3"),
     R.inverse3,
     # primitive is the one projective normalization
     lambda m: R.primitive(m[0]),
-    pytest.param(lambda m: R.mat_sub(m, m), id="mat_sub"),
+    pytest.param(lambda m: md.InvariantField(md.HEIS_X, "a").derivative_along(m[0], (1, 0, 0)),
+                 id="mat_sub"),
     pytest.param(lambda m: fs.ProjPoint.of(m[0]), id="ProjPoint.of"),
     pytest.param(lambda m: fs.ProjLine.of(m[0]), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
-    # rank, nullspace and solve clear their rows as the rows API does
+    # rank, nullspace and solve clear their rows once
     pytest.param(R.rank, id="rank"),
     pytest.param(R.nullspace, id="nullspace"),
     pytest.param(lambda m: R.solve(m, [0, 0, 0]), id="solve"),

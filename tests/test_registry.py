@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from flagdyn import checks
+from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from registry_twins import assert_check_passes
@@ -117,6 +118,10 @@ def randint_lievec(rng):
     return lc.LieVec.of([[randint_frac(rng) for _ in range(3)] for _ in range(3)])
 
 
+def randint_curvature(rng):
+    return curv.NormalCurvature.of(*(randint_frac(rng) for _ in range(4)))
+
+
 def randint_group(rng):
     while True:
         try:
@@ -162,6 +167,7 @@ def randint_interior_flag(rng, model):
 @pytest.mark.parametrize("ours, theirs", [
     (checks.rand_frac, randint_frac),
     (checks.rand_lievec, randint_lievec),
+    (checks.rand_curvature, randint_curvature),
     (checks.rand_group, randint_group),
     (checks.rand_flag, randint_flag),
     (checks.rand_upper, randint_upper),
@@ -169,7 +175,7 @@ def randint_interior_flag(rng, model):
      functools.partial(randint_interior_flag, model="t")),
     (functools.partial(checks.rand_interior_flag, model="a"),
      functools.partial(randint_interior_flag, model="a"))],
-    ids=["frac", "lievec", "group", "flag", "upper", "interior-flag-t", "interior-flag-a"])
+    ids=["frac", "lievec", "curvature", "group", "flag", "upper", "interior-flag-t", "interior-flag-a"])
 def test_generators_keep_the_randint_streams(ours, theirs):
     # the integer-built generators against their Fraction-built forms on
     # randint: the same objects, and the stream left in the same state
