@@ -210,18 +210,20 @@ def rand_interior_flag(rng, model: str) -> fs.Flag:
 
 
 def rand_sl2(rng):
+    """((a, b), (c, (1 + b c) / a)) from three rand_frac draws with a != 0."""
     while True:
-        a, b, c = (rand_frac(rng) for _ in range(3))
-        if a != 0:
-            return ((a, b), (c, (1 + b * c) / a))
+        (a, p), (b, q), (c, r) = _pair(rng), _pair(rng), _pair(rng)
+        if a:
+            return ((Fraction(a, p), Fraction(b, q)),
+                    (Fraction(c, r), Fraction(p * (q * r + b * c), a * q * r)))
 
 
 def rand_heis(rng) -> md.HeisElem:
-    return md.HeisElem.of(rand_frac(rng), rand_frac(rng), rand_frac(rng))
+    return md.HeisElem(*_rand_ints(rng, 3))
 
 
 def rand_auto(rng) -> md.HeisAuto:
-    return md.HeisAuto.of(nonzero_frac(rng), nonzero_frac(rng))
+    return md.HeisAuto(*_over_lcm([_nonzero_pair(rng), _nonzero_pair(rng)]))
 
 
 # ---------------------------------------------------------------------------

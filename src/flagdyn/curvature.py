@@ -234,11 +234,12 @@ def contact_test(field_a, field_b, p) -> bool:
     exact, and the verdict is det(A, B, [A, B]) != 0 with no tolerance.
     """
     p = tuple(map(Fraction, p))
-    va = tuple(map(Fraction, field_a(p)))
-    vb = tuple(map(Fraction, field_b(p)))
-    if not any(cross(va, vb)):
+    va, vb = field_a(p), field_b(p)
+    # clearing scales rows by positive ints: the zeros tested below are kept
+    ab = _cleared(va, vb)[0]
+    if not any(cross(ab[:3], ab[3:])):
         raise DegenerateFrameError("fields are dependent at the test point")
-    return _det_ints(_cleared(va, vb, bracket_of_fields(field_a, field_b, p, va, vb))[0]) != 0
+    return _det_ints(ab + _cleared(bracket_of_fields(field_a, field_b, p, va, vb))[0]) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class NilMap:
     def of(linear, translation=(0.0, 0.0, 0.0), check_descends: bool = True) -> "NilMap":
         m = tuple(tuple(int(e) for e in row) for row in linear)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det != 1:
+        if det != 1 or any(e != int(e) for row in linear for e in row):
             raise ValueError("linear part must be an integer matrix of determinant 1")
         tr = tuple(float(c) for c in translation)
         if check_descends:

@@ -19,7 +19,6 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .rational import (
-    Scalar,
     _CanonicalInts,
     _adjugate_ints,
     _cleared,
@@ -111,7 +110,7 @@ class LieVec(_CanonicalInts):
     def __matmul__(self, other: "LieVec") -> "LieVec":
         return LieVec(_mul_ints(self.nums, other.nums), self.den * other.den)
 
-    def trace(self) -> Scalar:
+    def trace(self) -> Fraction:
         n = self.nums
         return Fraction(n[0] + n[4] + n[8], self.den)
 

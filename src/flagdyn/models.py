@@ -25,8 +25,8 @@ from .flag_space import (
     region_classify,
 )
 from .lie_core import GroupElem, LieVec, conjugate
-from .rational import (Scalar, _CanonicalInts, _adjugate_ints, _cleared, _det_ints,
-                       _mat_vec_ints, _mul_ints, _rows, primitive)
+from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
+                       _mul_ints, _rows, primitive)
 
 __all__ = [
     "HeisElem",
@@ -81,30 +81,34 @@ HEIS_Z = LieVec.elementary(0, 2)
 # Heisenberg group in matrix coordinates [x, y, z] (upper unitriangular)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeisElem:
+class HeisElem(_CanonicalInts):
     """Upper-unitriangular 3x3 matrix with entries [x, y, z] above the
-    diagonal, kept in exact coordinates."""
+    diagonal, as three ints over one denominator (see
+    `rational._CanonicalInts`); x, y and z read as Fractions."""
 
-    x: Scalar
-    y: Scalar
-    z: Scalar
+    __slots__ = ()
 
     @staticmethod
     def of(x, y, z) -> "HeisElem":
-        return HeisElem(Fraction(x), Fraction(y), Fraction(z))
+        """From ints and Fractions; a float raises TypeError."""
+        return HeisElem(*_cleared((x, y, z)))
 
     @staticmethod
     def identity() -> "HeisElem":
-        return HeisElem.of(0, 0, 0)
+        return HeisElem((0, 0, 0))
+
+    x, y, z = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(3))
 
     def mul(self, other: "HeisElem") -> "HeisElem":
-        return HeisElem(self.x + other.x,
-                        self.y + other.y,
-                        self.z + other.z + self.x * other.y)
+        # [x + x', y + y', z + z' + x y'] over d h
+        (a, b, c), d = self.nums, self.den
+        (e, f, g), h = other.nums, other.den
+        return HeisElem((a * h + e * d, b * h + f * d, c * h + g * d + a * f), d * h)
 
     def inverse(self) -> "HeisElem":
-        return HeisElem(-self.x, -self.y, -self.z + self.x * self.y)
+        # [-x, -y, x y - z] over d^2
+        (a, b, c), d = self.nums, self.den
+        return HeisElem((-a * d, -b * d, a * b - c * d), d * d)
 
     def to_exponential(self):
         """Exponential coordinates: (x, y, z - xy/2)."""
@@ -113,41 +117,46 @@ class HeisElem:
     @staticmethod
     def from_exponential(x, y, z) -> "HeisElem":
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        return HeisElem(x, y, z + x * y / 2)
+        return HeisElem.of(x, y, z + x * y / 2)
 
     def as_group_elem(self) -> GroupElem:
-        return GroupElem([[1, self.x, self.z],
-                          [0, 1, self.y],
-                          [0, 0, 1]])
+        (a, b, c), d = self.nums, self.den
+        return GroupElem._of_ints((d, a, c, 0, d, b, 0, 0, d))
 
 
-@dataclass(frozen=True)
-class HeisAuto:
+class HeisAuto(_CanonicalInts):
     """Diagonal automorphism scaling the two generating directions by lam
-    and mu; the center scales by lam*mu."""
+    and mu, and the center by lam*mu: two nonzero ints over one denominator
+    (see `rational._CanonicalInts`), read as Fractions."""
 
-    lam: Scalar
-    mu: Scalar
+    __slots__ = ()
 
     @staticmethod
     def of(lam, mu) -> "HeisAuto":
-        lam, mu = Fraction(lam), Fraction(mu)
-        if lam == 0 or mu == 0:
+        """From ints and Fractions; a float raises TypeError."""
+        nums, den = _cleared((lam, mu))
+        if 0 in nums:
             raise ValueError("automorphism parameters must be nonzero")
-        return HeisAuto(lam, mu)
+        return HeisAuto(nums, den)
 
     @staticmethod
     def identity() -> "HeisAuto":
-        return HeisAuto.of(1, 1)
+        return HeisAuto((1, 1))
+
+    lam, mu = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(2))
 
     def apply(self, g: HeisElem) -> HeisElem:
-        return HeisElem(self.lam * g.x, self.mu * g.y, self.lam * self.mu * g.z)
+        # [lam x, mu y, lam mu z] over e^2 d
+        (l, m), e = self.nums, self.den
+        (x, y, z), d = g.nums, g.den
+        return HeisElem((l * e * x, m * e * y, l * m * z), e * e * d)
 
     def compose(self, other: "HeisAuto") -> "HeisAuto":
-        return HeisAuto(self.lam * other.lam, self.mu * other.mu)
+        return HeisAuto([a * b for a, b in zip(self.nums, other.nums)], self.den * other.den)
 
     def inverse(self) -> "HeisAuto":
-        return HeisAuto(1 / self.lam, 1 / self.mu)
+        (l, m), e = self.nums, self.den
+        return HeisAuto((e * m, e * l), l * m)
 
 
 def heis_semidirect_mul(a, b):
@@ -207,11 +216,11 @@ def theta_affine(g: HeisElem, phi: HeisAuto) -> AffineMap:
         linear part [[lam, 0, 0], [0, mu, 0], [0, mu*x, lam*mu]],
         translation (x, y, z).
     """
-    lam, mu = phi.lam, phi.mu
-    return AffineMap.of(
-        [[lam, 0, 0], [0, mu, 0], [0, mu * g.x, lam * mu]],
-        (g.x, g.y, g.z),
-    )
+    (l, m), e = phi.nums, phi.den
+    (x, y, z), d = g.nums, g.den
+    # over e^2 d: lam = l/e, mu = m/e and (x, y, z) / d
+    return AffineMap((l * e * d, 0, 0, 0, m * e * d, 0, 0, m * e * x, l * m * d,
+                      x * e * e, y * e * e, z * e * e), e * e * d)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +237,10 @@ def flat_structure_iso(v: LieVec, w: LieVec):
     condition [v, w] outside span(v, w), which implies a b' - b a' != 0.
     """
     def heis_coords(u: LieVec):
-        e = u.entries
-        ok = all(e[i][j] == 0 for i in range(3) for j in range(3)
-                 if (i, j) not in ((0, 1), (1, 2), (0, 2)))
-        if not ok:
+        n = u.nums
+        if any(n[k] for k in (0, 3, 4, 6, 7, 8)):
             raise ValueError("not an element of the Heisenberg algebra")
-        return e[0][1], e[1][2], e[0][2]
+        return Fraction(n[1], u.den), Fraction(n[5], u.den), Fraction(n[2], u.den)
 
     a, b, c = heis_coords(v)
     ap, bp, cp = heis_coords(w)
@@ -366,16 +373,6 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
 # equivariant identifications of the model automorphism groups
 # ---------------------------------------------------------------------------
 
-def _exact_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def equivariance_t(g: GroupElem):
     """Factor an automorphism of the block model as (unimodular part,
     diagonal scale): the block G equals lam * s with det(s) = 1, returned
@@ -385,20 +382,20 @@ def equivariance_t(g: GroupElem):
     normalizing the corner entry to 1, a positive rational square; lam and
     s are then exact.
     """
-    e = g.entries
-    if any(e[i][2] != 0 for i in range(2)) or any(e[2][j] != 0 for j in range(2)):
+    (a, b, c), (d, e, f), (u, v, k) = g.entries
+    if c or f or u or v:
         raise MembershipError("not in the block-diagonal subgroup")
-    if e[2][2] == 0:
-        raise MembershipError("degenerate corner entry")
-    block = tuple(tuple(Fraction(e[i][j], e[2][2]) for j in range(2)) for i in range(2))
-    det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
+    # the block over k has determinant det / k^2 (k != 0, as g is invertible),
+    # a rational square exactly when the integer det is a square r^2
+    det = a * e - b * d
     if det <= 0:
         raise MembershipError("block determinant must be positive")
-    lam = _exact_sqrt(det)
-    if lam is None:
+    r = math.isqrt(det)
+    if r * r != det:
         raise MembershipError("block determinant must be a rational square")
-    s = tuple(tuple(c / lam for c in row) for row in block)
-    return s, lam
+    # lam = r / |k| and s = block / lam = block / (sign(k) r)
+    lam, sr = Fraction(r, abs(k)), (r if k > 0 else -r)
+    return ((Fraction(a, sr), Fraction(b, sr)), (Fraction(d, sr), Fraction(e, sr))), lam
 
 
 def mat_mul2(a, b):
@@ -423,18 +420,17 @@ def equivariance_a(p: GroupElem):
     """
     if not p.is_upper_triangular():
         raise MembershipError("not upper triangular")
-    e = p.entries
-    d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-    h = HeisElem(Fraction(e[0][1], d2), Fraction(e[1][2], d3), Fraction(e[0][2], d3))
-    phi = HeisAuto(Fraction(d1, d2), Fraction(d2, d3))
-    return h, phi
+    (d1, p12, p13), (_, d2, p23), (_, _, d3) = p.entries
+    return (HeisElem((p12 * d3, p23 * d2, p13 * d2), d2 * d3),
+            HeisAuto((d1 * d3, d2 * d2), d2 * d3))
 
 
 def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
-    d = (phi.lam * phi.mu, phi.mu, Fraction(1))
-    return GroupElem([[d[0], h.x * d[1], h.z * d[2]],
-                      [0, d[1], h.y * d[2]],
-                      [0, 0, d[2]]])
+    # diagonal (lam mu, mu, 1), entries (x mu, y, z), all times e^2 d
+    (l, m), e = phi.nums, phi.den
+    (x, y, z), d = h.nums, h.den
+    return GroupElem._of_ints((l * m * d, x * m * e, z * e * e, 0, m * e * d, y * e * e,
+                               0, 0, e * e * d))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +480,11 @@ def commutator_identity_check(p, t):
 
     Returns (plus_ok, minus_ok)."""
     f_alpha, f_beta, f_c = central_flow_fields()
-    p = tuple(Fraction(c) for c in p)
-    t = Fraction(t)
+    # The flows are weighted homogeneous (x of weight 2; y, z, t of weight 1),
+    # so with (x, y, z, t) = nums / c the identities hold at the int point
+    # (c x, y, z) and time t exactly when they hold at p.
+    (x, y, z, t), c = _cleared(p, (t,))
+    p = (c * x, y, z)
 
     plus = f_beta.flow(-t, f_alpha.flow(-t, f_beta.flow(t, f_alpha.flow(t, p))))
     plus_ok = plus == f_c.flow(t * t, p)

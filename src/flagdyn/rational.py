@@ -12,10 +12,10 @@ The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
 `_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
 trust their input.  Exact data is kept as integer representatives
 (`GroupElem`, `ProjPoint`, `ProjLine`, and the `_CanonicalInts` classes
-`LieVec`, `NormalCurvature` and `AffineMap`), or cleared of its
-denominators once by `_cleared`, which rejects floats.  `inverse3`, on
-ints and Fractions, is only the independent inverse of the dense
-curvature oracle.
+`LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem` and `HeisAuto`), or
+cleared of its denominators once by `_cleared`, which rejects floats.
+`inverse3`, on ints and Fractions, is only the independent inverse of the
+dense curvature oracle.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Scalar = Fraction
 
 
 def _cleared(*rows):

@@ -82,6 +82,13 @@ class TestNilMap:
         with pytest.raises(ValueError):
             dyn.NilMap.of(((2, 0), (0, 1)))
 
+    def test_non_integer_linear_part_rejected(self):
+        # int() would truncate these to the cat map
+        for matrix in (((2.5, 1), (1, 1)), ((2, 1.9), (1, 1))):
+            with pytest.raises(ValueError, match="integer matrix of determinant 1"):
+                dyn.NilMap.of(matrix)
+        assert dyn.NilMap.of(((2.0, 1), (1, 1))).linear == CAT
+
     def test_non_normalizing_translation_rejected(self):
         with pytest.raises(ValueError):
             dyn.NilMap.of(CAT, (0.3, 0.0, 0.0))

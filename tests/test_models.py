@@ -66,6 +66,14 @@ class TestHeisElem:
         g, h = rand_heis(rng), rand_heis(rng)
         assert g.as_group_elem() @ h.as_group_elem() == g.mul(h).as_group_elem()
 
+    def test_equality_is_structural_across_representatives(self):
+        g = md.HeisElem.of(Fraction(2, 4), 0, Fraction(-3, 3))
+        same = md.HeisElem.of(Fraction(1, 2), Fraction(0, 5), -1)
+        assert g == same and hash(g) == hash(same)
+        assert g == md.HeisElem((-1, 0, 2), -2)
+        assert (g.x, g.y, g.z) == (Fraction(1, 2), 0, -1)
+        assert g != md.HeisElem.of(Fraction(1, 2), 0, 1)
+
 
 class TestHeisAuto:
     test_composition_multiplies_parameters = twin("auto-composition-law")
@@ -75,6 +83,35 @@ class TestHeisAuto:
     def test_zero_parameters_rejected(self):
         with pytest.raises(ValueError):
             md.HeisAuto.of(0, 1)
+        with pytest.raises(ValueError):
+            md.HeisAuto.of(Fraction(1, 2), Fraction(0, 3))
+
+    def test_equality_is_structural_across_representatives(self):
+        f = md.HeisAuto.of(Fraction(2, 4), Fraction(-6, 3))
+        same = md.HeisAuto.of(Fraction(1, 2), -2)
+        assert f == same and hash(f) == hash(same)
+        assert f == md.HeisAuto((-1, 4), -2)
+        assert (f.lam, f.mu) == (Fraction(1, 2), -2)
+        assert f.inverse() == md.HeisAuto.of(2, Fraction(-1, 2))
+        assert f != md.HeisAuto.of(Fraction(1, 2), 2)
+
+
+def test_models_suite_builds_few_fractions(monkeypatch):
+    # the group laws and the equivariances run in ints; the count repeats
+    # exactly, so a return to per-entry Fractions fails here
+    built = 0
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    outcomes = checks.run_checks(suite="models", seed=0)
+    monkeypatch.undo()
+    assert all(o.passed for o in outcomes)
+    assert built < 46_000
 
 
 class TestEquivarianceAffine:

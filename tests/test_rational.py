@@ -309,6 +309,9 @@ def test_solve(rows, consistent, data):
     lambda m: md.AffineMap.of(m, (0, 0, 0)),
     lambda m: md.AffineMap.of(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
     lambda m: curv.NormalCurvature.of(*m[0], 0),
+    # and so do those of HeisElem and HeisAuto
+    pytest.param(lambda m: md.HeisElem.of(*m[0]), id="HeisElem.of"),
+    pytest.param(lambda m: md.HeisAuto.of(m[0][0], 1), id="HeisAuto.of"),
     # the field jets clear the Jacobian, or the point and direction, once
     # (ids kept from the 3x3 Fraction routines these entries replaced)
     pytest.param(lambda m: curv.PolynomialField(lambda p: (1, 0, 0), lambda p: m)

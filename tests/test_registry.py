@@ -22,6 +22,7 @@ from flagdyn import checks
 from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
+from flagdyn import models as md
 from registry_twins import assert_check_passes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,6 +165,21 @@ def randint_interior_flag(rng, model):
             return flag
 
 
+def randint_sl2(rng):
+    while True:
+        a, b, c = (randint_frac(rng) for _ in range(3))
+        if a != 0:
+            return ((a, b), (c, (1 + b * c) / a))
+
+
+def randint_heis(rng):
+    return md.HeisElem.of(*(randint_frac(rng) for _ in range(3)))
+
+
+def randint_auto(rng):
+    return md.HeisAuto.of(randint_nonzero(rng), randint_nonzero(rng))
+
+
 @pytest.mark.parametrize("ours, theirs", [
     (checks.rand_frac, randint_frac),
     (checks.rand_lievec, randint_lievec),
@@ -174,8 +190,12 @@ def randint_interior_flag(rng, model):
     (functools.partial(checks.rand_interior_flag, model="t"),
      functools.partial(randint_interior_flag, model="t")),
     (functools.partial(checks.rand_interior_flag, model="a"),
-     functools.partial(randint_interior_flag, model="a"))],
-    ids=["frac", "lievec", "curvature", "group", "flag", "upper", "interior-flag-t", "interior-flag-a"])
+     functools.partial(randint_interior_flag, model="a")),
+    (checks.rand_sl2, randint_sl2),
+    (checks.rand_heis, randint_heis),
+    (checks.rand_auto, randint_auto)],
+    ids=["frac", "lievec", "curvature", "group", "flag", "upper", "interior-flag-t", "interior-flag-a",
+         "sl2", "heis", "auto"])
 def test_generators_keep_the_randint_streams(ours, theirs):
     # the integer-built generators against their Fraction-built forms on
     # randint: the same objects, and the stream left in the same state

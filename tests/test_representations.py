@@ -24,6 +24,7 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn.rational import _CanonicalInts
 from registry_twins import run_check
 from test_rational import (
     adjugate3_oracle,
@@ -146,9 +147,12 @@ def test_group_elem_stores_the_primitive_representative(ops, c):
 # ---------------------------------------------------------------------------
 
 def exact(value) -> bool:
-    """True when every leaf of `value` is an int or a Fraction."""
+    """True when every leaf of `value` is an int or a Fraction; a
+    `_CanonicalInts` value is read as its (nums, den)."""
     if dataclasses.is_dataclass(value):
         value = dataclasses.astuple(value)
+    if isinstance(value, _CanonicalInts):
+        value = (value.nums, value.den)
     if isinstance(value, (tuple, list)):
         return all(map(exact, value))
     return type(value) in (int, Fraction)
