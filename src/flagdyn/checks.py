@@ -1113,7 +1113,7 @@ def _check_sl2_rates(rng, samples):
         return False, None
     if dyn.sl2_frame_rates(0.0) != (0.0, 0.0, 0.0):
         return False, None
-    for _ in range(10):
+    for _ in range(_n(samples, 10)):
         t = rng.uniform(-3, 3)
         plus = dyn.sl2_frame_rates(t)
         minus = dyn.sl2_frame_rates(-t)

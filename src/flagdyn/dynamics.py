@@ -1,5 +1,5 @@
-"""Affine dynamics on a Heisenberg nilmanifold and frame rates of the
-diagonal flow, with Lyapunov estimation and hyperbolicity certification.
+"""Affine dynamics on a Heisenberg nilmanifold with exact multipliers, frame
+rates of the diagonal flow, Lyapunov estimation and hyperbolicity certification.
 
 Points live in exponential coordinates, where the group law is
 
@@ -15,9 +15,9 @@ box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .lie_core import LieVec, bracket, fmat_mul, fmat_sub, fnorm
+from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
 
 __all__ = [
@@ -106,7 +106,6 @@ class NilMap:
 
     linear: tuple
     translation: tuple
-    check_descends: bool = field(default=True)
 
     @staticmethod
     def of(linear, translation=(0.0, 0.0, 0.0), check_descends: bool = True) -> "NilMap":
@@ -121,7 +120,7 @@ class NilMap:
                 raise ValueError(
                     "translation does not normalize the lattice; "
                     "use check_descends=False to override")
-        return NilMap(m, tr, check_descends)
+        return NilMap(m, tr)
 
     def apply(self, p):
         (a, b), (c, d) = self.linear
@@ -132,14 +131,13 @@ class NilMap:
         (a, b), (c, d) = self.linear
         gx, gy, gz = self.translation
         return NilMap(((d, -b), (-c, a)),
-                      (-(d * gx - b * gy), -(a * gy - c * gx), -gz),
-                      self.check_descends)
+                      (-(d * gx - b * gy), -(a * gy - c * gx), -gz))
 
     def multipliers(self):
-        """Eigenvalues of the linear part sorted by decreasing modulus, from
-        the quadratic formula (the determinant is 1), and their unit
-        eigenvectors, gated by an exact-diagonalization residual.  Complex
-        or parabolic linear parts have no invariant line splitting and are
+        """Eigenvalues of the linear part sorted by decreasing modulus, each
+        the float nearest the exact value (the determinant is 1, so they are
+        (tr +- sqrt(tr^2 - 4))/2), and their unit eigenvectors.  Complex or
+        parabolic linear parts have no invariant line splitting and are
         rejected."""
         (a, b), (c, d) = self.linear
         tr = a + d
@@ -150,36 +148,24 @@ class NilMap:
             if b or c:
                 raise NonHyperbolicError("linear part is not diagonalizable")
             return (float(a), float(d)), ((1.0, 0.0), (0.0, 1.0))
-        # From |tr| of about 9e7 the float root is within one ulp of |tr|, past
-        # 2^27 it equals |tr|, and past 2^500 it would overflow.  Within one
-        # ulp, the stable multiplier (about 1/|tr|) is no larger than the
-        # rounding of one float step of the map, whose entries are about
-        # |tr|: the splitting is beyond float precision.
-        huge = disc.bit_length() >= 1000
-        root = tr if huge else math.copysign(math.sqrt(disc), tr)
-        if huge or abs(tr - root) <= math.ulp(root):
-            raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
-                             "splitting of the linear part is below float "
-                             "resolution; no reliable multipliers")
-        # det = 1, so the stable multiplier is 1/lam_u = 2/(tr + root); the
-        # difference (tr - root)/2 would cancel
-        vals = ((tr + root) / 2, 2 / (tr + root))
-        # of the two kernel vectors of m - lam, the longer is better conditioned
-        kernels = [max((b, lam - a), (lam - d, c), key=lambda v: math.hypot(*v))
-                   for lam in vals]
+        # t = |tr| > 2, so sqrt(t^2 - 4) is irrational and lies strictly
+        # between r / 2^k and (r + 1) / 2^k: each multiplier is strictly inside
+        # a bracket of width 2^-(k+1) with ends on the 2^-(k+1) grid.  Both are
+        # at least 2^-t.bit_length() in modulus, where every float rounding
+        # boundary lies on that grid; so the bracket's midpoint rounds as the
+        # multiplier does, and int / int true division rounds correctly.
+        t = abs(tr)
+        k = 64 + 2 * t.bit_length()
+        r = math.isqrt(disc << 2 * k)
+        try:
+            vals = tuple(math.copysign((2 * n + 1) / (1 << (k + 2)), tr)
+                         for n in ((t << k) + r, (t << k) - r - 1))
+            # of the two kernel vectors of m - lam, the longer is better conditioned
+            kernels = [max((b, lam - a), (lam - d, c), key=lambda v: math.hypot(*v))
+                       for lam in vals]
+        except OverflowError:
+            raise ValueError("the linear part is beyond the float range") from None
         vecs = tuple((x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in kernels)
-        (p, r), (q, s) = basis = tuple(zip(*vecs))  # eigenvectors as columns
-        det = p * s - r * q
-        inv = ((s / det, -r / det), (-q / det, p / det))
-        residual = fnorm(fmat_sub(fmat_mul(fmat_mul(inv, self.linear), basis),
-                                  ((vals[0], 0.0), (0.0, vals[1]))))
-        # float rounding in the residual grows with the entries, so the gate
-        # is relative to the size of the linear part
-        bound = 1e-10 * fnorm(self.linear)
-        if residual > bound:
-            raise ValueError(f"the eigenbasis of the linear part misses its residual "
-                             f"gate, 1e-10 times the norm of the linear part "
-                             f"({residual:.2g} > {bound:.2g}); no reliable multipliers")
         return vals, vecs
 
 
@@ -252,8 +238,8 @@ def _measured_rate(f: NilMap, w, n: int) -> float:
 
 
 def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
-    """Per-step log growth along a left-invariant eigen-direction, measured
-    two ways: exactly from the eigenvalues of the linear part, and by
+    """Per-step log growth along a left-invariant eigen-direction, found
+    two ways: exactly from the multipliers of the linear part, and by
     finite-difference transport of a small perturbation through n steps of
     the reduced dynamics.  The contracted direction is measured on the
     inverse map, where it expands, and the sign is flipped back."""
@@ -262,6 +248,12 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
     if direction == "c":
         return RateEstimate("c", _measured_rate(f, (0.0, 0.0, 1.0), n), 0.0)
     vals, vecs = f.multipliers()
+    # past |tr| of about 2^26 the stable multiplier, about 1/|tr|, is below
+    # the rounding of one float step of the map, whose entries are about |tr|
+    if abs(vals[1]) <= math.ulp(vals[0]):
+        raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
+                         "splitting of the linear part is below float "
+                         "resolution; no reliable finite-difference rates")
     i = 0 if direction == "u" else 1
     w = (*vecs[i], 0.0)
     if direction == "u":
@@ -334,18 +326,18 @@ def _weak_contraction_verdict(rate: float, tol: float) -> str:
 
 
 def hyperbolicity_report(source) -> HyperbolicityReport:
-    """Certify uniform contraction / expansion and domination from measured
-    rates.
+    """Certify uniform contraction / expansion and domination from rates.
 
-    `source` is a NilMap (rates measured along its invariant frame), an
-    Sl2TimeMap (frame rates of the diagonal flow), or a plain labelled rate
-    triple (rate_alpha, rate_beta, rate_center).  The certificate looks for
-    the smallest power N <= 100 at which all strict inequalities hold
-    with margin 1e-6; when none exists the report is inconclusive rather
-    than an error.
+    `source` is a NilMap (the exact rates log|lam_u|, log|lam_s| and 0 of
+    its multipliers), an Sl2TimeMap (frame rates of the diagonal flow), or
+    a plain labelled rate triple (rate_alpha, rate_beta, rate_center).  The
+    certificate looks for the smallest power N <= 100 at which all strict
+    inequalities hold with margin 1e-6; when none exists the report is
+    inconclusive rather than an error.
     """
     if isinstance(source, NilMap):
-        ra, rb, rc = (tangent_rates(source, d).measured for d in "usc")
+        (lam_u, lam_s), _ = source.multipliers()
+        ra, rb, rc = math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0
     elif isinstance(source, Sl2TimeMap):
         ra, rb, rc = sl2_frame_rates(source.t)
     else:

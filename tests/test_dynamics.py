@@ -1,12 +1,15 @@
 """Nilmanifold dynamics: lattice, reduction, rates, certificates."""
 
+import ast
 import csv
 import decimal
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from flagdyn import checks
 from flagdyn import dynamics as dyn
 from registry_twins import twin
 
@@ -94,6 +97,10 @@ class TestNilMap:
             dyn.NilMap.of(CAT, (0.3, 0.0, 0.0))
         dyn.NilMap.of(CAT, (0.3, 0.0, 0.0), check_descends=False)
 
+    def test_descent_check_is_not_part_of_the_map(self):
+        assert dyn.NilMap.of(CAT, (0.5, 0, 0)) == \
+            dyn.NilMap.of(CAT, (0.5, 0, 0), check_descends=False)
+
     def test_inverse(self):
         f = dyn.NilMap.of(CAT, (0.5, 1.5, 0.25))
         g = f.inverse()
@@ -116,8 +123,7 @@ class TestNilMap:
     @pytest.mark.parametrize("matrix", [((1000001, 1000000), (1, 1)),
                                         ((10000001, 10000000), (1, 1))])
     def test_multipliers_of_large_entries_are_accurate(self, matrix):
-        # the eigenbasis gate scales with the entries, so it accepts these
-        # matrices; both multipliers are accurate to the last bits against
+        # both multipliers are accurate to the last bits against
         # (tr +- sqrt(tr^2 - 4)) / 2 evaluated to 50 digits
         (a, _), (_, d) = matrix
         tr = a + d
@@ -128,6 +134,31 @@ class TestNilMap:
             vals, _ = dyn.NilMap.of(matrix).multipliers()
             for val, ref in zip(vals, exact):
                 assert abs(decimal.Decimal(val) - ref) <= ref * decimal.Decimal(2) ** -52
+
+    @pytest.mark.parametrize("traces", [
+        range(3, 3000), (2**26 - 3, 2**26 + 3, 2**40 + 3, 2**600 + 1)])
+    def test_multipliers_are_the_nearest_floats(self, traces):
+        # against (t + sqrt(t^2 - 4)) / 2 and its reciprocal to 80 digits;
+        # ((tr, 1), (-1, 0)) has trace tr and determinant 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            for t in traces:
+                big = t + decimal.Decimal(t * t - 4).sqrt()
+                exact = (float(big / 2), float(2 / big))
+                for sign in (1, -1):
+                    vals, _ = dyn.NilMap.of(((sign * t, 1), (-1, 0))).multipliers()
+                    assert vals == (sign * exact[0], sign * exact[1]), sign * t
+
+    def test_splitting_below_float_resolution_refuses_only_the_float_rates(self):
+        f = dyn.NilMap.of(((2**70, 1), (-1, 0)))
+        (lam_u, lam_s), _ = f.multipliers()
+        assert (lam_u, lam_s) == (2.0**70, 2.0**-70)
+        with pytest.raises(ValueError, match=r"^sqrt\(tr\^2 - 4\) rounds to \|tr\|"):
+            dyn.tangent_rates(f, "u")
+
+    def test_multiplier_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            dyn.NilMap.of(((2**1100, 1), (-1, 0))).multipliers()
 
     def test_identity_multipliers(self):
         vals, _ = dyn.NilMap.of(((1, 0), (0, 1))).multipliers()
@@ -201,6 +232,13 @@ class TestSl2FrameRates:
     test_time_zero = twin("sl2-frame-rates")
     test_odd_in_time = twin("sl2-frame-rates")
 
+    def test_check_draws_samples_times(self, monkeypatch):
+        calls = []
+        rates = dyn.sl2_frame_rates
+        monkeypatch.setattr(dyn, "sl2_frame_rates", lambda t: calls.append(t) or rates(t))
+        assert checks.run_check("sl2-frame-rates", seed=0, samples=3) == (True, None)
+        assert len(calls) == 2 + 2 * 3
+
 
 class TestHyperbolicityReport:
     def test_cat_map_certifies_at_power_one(self):
@@ -221,6 +259,17 @@ class TestHyperbolicityReport:
         assert not rep.partially_hyperbolic
         assert rep.weak_contraction["alpha"] == "backward"
         assert rep.weak_contraction["beta"] == "backward"
+
+    def test_nil_map_certifies_from_its_exact_multipliers(self, monkeypatch):
+        def no_measurement(*args):
+            raise AssertionError("finite-difference step")
+        monkeypatch.setattr(dyn, "_measured_rate", no_measurement)
+        for m in (CAT, ((-5, 2), (2, -1)), ((2**70, 1), (-1, 0))):
+            (lam_u, lam_s), _ = dyn.NilMap.of(m).multipliers()
+            rep = dyn.hyperbolicity_report(dyn.NilMap.of(m, (0.5, 0.0, 0.125)))
+            assert (rep.rate_alpha, rep.rate_beta, rep.rate_center) == \
+                (math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0)
+            assert rep.partially_hyperbolic and rep.n_certified == 1
 
     def test_weak_contraction_dichotomy_for_the_cat_map(self):
         rep = dyn.hyperbolicity_report(dyn.NilMap.of(CAT))
@@ -258,3 +307,11 @@ class TestTrajectoryExport:
             assert int(row[0]) == k
             for col, val in zip(row[1:], orbit[k]):
                 assert float(col) == val  # 17 significant digits round-trip
+
+
+def test_dynamics_imports_no_float_matrix_algebra():
+    # the multipliers are exact, so no float eigenbasis is checked
+    tree = ast.parse(Path(dyn.__file__).read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    assert not names & {"fmat_mul", "fmat_sub", "fnorm"}
