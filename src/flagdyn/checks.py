@@ -645,7 +645,7 @@ def _check_contact_heis(rng):
 def _check_contact_frames(rng, samples):
     n = _n(samples, 100)
     for model in ("t", "a"):
-        gens = (md.SL2_E, md.SL2_F) if model == "t" else (md.HEIS_X, md.HEIS_Y)
+        gens = md._BASE_GENERATORS[model]
         alpha_field = md.InvariantField(gens[0], model)
         beta_field = md.InvariantField(gens[1], model)
         for _ in range(n):

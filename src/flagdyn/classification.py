@@ -68,7 +68,6 @@ class OracleReport:
     expected: str
     computed: str
     passed: bool
-    residual: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,6 @@ def isotropy_eigenvalue_table(case: str):
 @dataclass(frozen=True)
 class TransverseLineResult:
     kind: str                 # "unique" | "none" | "family"
-    coordinates: tuple | None  # (x, y) over the adapted lifts when unique
     generator: LieVec | None  # representative of the line when unique
     family_dim: int
 
@@ -321,13 +319,13 @@ def invariant_transverse_line_search(alg: Subalgebra, base: Flag) -> TransverseL
         rhs.append(-q[1][2])
     sol = solve(rows, rhs)
     if sol is None:
-        return TransverseLineResult("none", None, None, 0)
+        return TransverseLineResult("none", None, 0)
     freedom = nullspace(rows)
     if freedom:
-        return TransverseLineResult("family", None, None, len(freedom))
+        return TransverseLineResult("family", None, len(freedom))
     x, y = sol
     gen = lifts[0].scale(x) + lifts[1].scale(y) + lifts[2]
-    return TransverseLineResult("unique", (x, y), gen, 0)
+    return TransverseLineResult("unique", gen, 0)
 
 
 def line_class_equals(gen: LieVec, target: LieVec, alg: Subalgebra, base: Flag) -> bool:
@@ -382,14 +380,6 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         self.coeffs = {int(k): Fraction(v) for k, v in (coeffs or {}).items() if v != 0}
 
-    @staticmethod
-    def constant(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
-
-    @staticmethod
-    def term(c, deg: int) -> "LaurentPoly":
-        return LaurentPoly({deg: Fraction(c)})
-
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
         return sum((c * t ** k for k, c in self.coeffs.items()), Fraction(0))
@@ -420,19 +410,11 @@ class LaurentPoly:
         return poly
 
 
-def _lp(expr: str) -> LaurentPoly:
-    """Tiny builder: 'c' constant, 'c*t' degree 1, 'c/t' degree -1."""
-    expr = expr.replace(" ", "")
-    if expr.endswith("/t"):
-        return LaurentPoly.term(Fraction(expr[:-2]), -1)
-    if expr.endswith("*t"):
-        return LaurentPoly.term(Fraction(expr[:-2]), 1)
-    return LaurentPoly.constant(Fraction(expr))
+_L = LaurentPoly  # the expected tables below are written as {degree: coefficient}
 
 
 @dataclass(frozen=True)
 class DegenerationCase:
-    name: str
     boundary_flag: Flag
     pivot: GroupElem          # carries the boundary flag to the base flag
     circle_group: tuple       # one-parameter subgroup rows, callable of t
@@ -444,58 +426,54 @@ class DegenerationCase:
 
 DEGENERATION_CASES = {
     "t1": DegenerationCase(
-        name="t1",
         boundary_flag=Flag.of((1, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[1, 0, 0], [1, 0, -1], [0, 1, 0]]),
         circle_group=lambda t: [[1, 0, 0], [t, 1, -t], [0, 0, 1]],
         model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
-            (_lp("1"), _lp("-2"), _lp("-2/t")),
-            (_lp("1"), _lp("-2"), _lp("-2/t")),
-            (_lp("-1*t"), _lp("1*t"), _lp("1")),
+            (_L({0: 1}), _L({0: -2}), _L({-1: -2})),
+            (_L({0: 1}), _L({0: -2}), _L({-1: -2})),
+            (_L({1: -1}), _L({1: 1}), _L({0: 1})),
         ),
         limit="beta",
     ),
     "t2": DegenerationCase(
-        name="t2",
         boundary_flag=Flag.of((0, 1, 0), (1, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [1, 0, 0], [1, 0, -1]]),
         circle_group=lambda t: [[1, t, 0], [0, 1, 0], [0, t, 1]],
         model_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
-            (_lp("1"), _lp("2/t"), _lp("0")),
-            (_lp("0"), _lp("-1"), _lp("0")),
-            (_lp("1*t"), _lp("1"), _lp("0")),
+            (_L({0: 1}), _L({-1: 2}), _L()),
+            (_L(), _L({0: -1}), _L()),
+            (_L({1: 1}), _L({0: 1}), _L()),
         ),
         limit="alpha",
     ),
     "a1": DegenerationCase(
-        name="a1",
         boundary_flag=Flag.of((0, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
         circle_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
         model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
-            (_lp("0"), _lp("0"), _lp("0")),
-            (_lp("1"), _lp("0"), _lp("0")),
-            (_lp("-1*t"), _lp("0"), _lp("0")),
+            (_L(), _L(), _L()),
+            (_L({0: 1}), _L(), _L()),
+            (_L({1: -1}), _L(), _L()),
         ),
         limit="beta",
     ),
     "a2": DegenerationCase(
-        name="a2",
         boundary_flag=Flag.of((0, 1, 0), (0, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
         circle_group=lambda t: [[1, 0, 0], [0, 1, 0], [0, t, 1]],
         model_group=lambda t: [[1, 0, 0], [0, 1, t], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
-            (_lp("0"), _lp("0"), _lp("0")),
-            (_lp("0"), _lp("0"), _lp("0")),
-            (_lp("1*t"), _lp("1"), _lp("0")),
+            (_L(), _L(), _L()),
+            (_L(), _L(), _L()),
+            (_L({1: 1}), _L({0: 1}), _L()),
         ),
         limit="alpha",
     ),
@@ -507,9 +485,7 @@ class DegenerationResult:
     case: str
     t: Fraction
     matrix: tuple
-    expected: tuple
     matches: bool
-    line_coords: tuple        # class coordinates over (e_alpha, e_beta, e_0)
     limit: str
     sine_distance: float
 
@@ -551,10 +527,9 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     mat = conjugate(g, data.transported)
     expected = tuple(tuple(data.expected[i][j](t) for j in range(3)) for i in range(3))
     e = mat.entries
-    line = (e[2][1], e[1][0], e[2][0])
+    line = (e[2][1], e[1][0], e[2][0])  # class coordinates over (e_alpha, e_beta, e_0)
     dist = _sine_distance(line, _LIMIT_VECTORS[data.limit])
-    return DegenerationResult(case, t, e, expected, e == expected,
-                              line, data.limit, dist)
+    return DegenerationResult(case, t, e, e == expected, data.limit, dist)
 
 
 def degeneration_samples(case: str):

@@ -49,7 +49,6 @@ def heis_inv(p):
     return (-p[0], -p[1], -p[2])
 
 
-_LATTICE_TOL = 1e-9  # membership tolerance of a float point
 _RANDOM_BOUND = 5  # coordinate bound of a random lattice element
 
 
@@ -60,7 +59,7 @@ class NilLattice:
 
     def contains(self, p) -> bool:
         x, y, z = p
-        return all(abs(c - round(c)) <= _LATTICE_TOL for c in (x, y, 2 * z))
+        return all(c == math.floor(c) for c in (x, y, 2 * z))
 
     def random_element(self, rng):
         return (float(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND)),
@@ -115,8 +114,7 @@ class NilMap:
             raise ValueError("linear part must be an integer matrix of determinant 1")
         tr = tuple(float(c) for c in translation)
         if check_descends:
-            if abs(2 * tr[0] - round(2 * tr[0])) > 1e-12 or \
-               abs(2 * tr[1] - round(2 * tr[1])) > 1e-12:
+            if any(2 * c != math.floor(2 * c) for c in tr[:2]):
                 raise ValueError(
                     "translation does not normalize the lattice; "
                     "use check_descends=False to override")

@@ -137,6 +137,13 @@ class TestSimulate:
         code, _ = run(["simulate", "--matrix", "1,0,0"], capsys)
         assert code == 2
 
+    def test_translation_not_exactly_half_integral_is_usage_error(self, capsys):
+        code = cli.main(["simulate", "--translation", "0.50000000000001,0,0",
+                         "-n", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "translation does not normalize the lattice" in err
+
 
 class TestLyapunov:
     def test_cat_map_unstable_rate(self, capsys):

@@ -97,6 +97,14 @@ class TestNilMap:
             dyn.NilMap.of(CAT, (0.3, 0.0, 0.0))
         dyn.NilMap.of(CAT, (0.3, 0.0, 0.0), check_descends=False)
 
+    def test_translation_near_a_half_integer_is_rejected(self):
+        # a decimal half-integer is exact in binary, so no slack is needed
+        with pytest.raises(ValueError, match="does not normalize the lattice"):
+            dyn.NilMap.of(CAT, (0.5 + 2 ** -44, 0.0, 0.0))
+        with pytest.raises(ValueError, match="does not normalize the lattice"):
+            dyn.NilMap.of(CAT, (0.0, -1.5 - 2 ** -44, 0.0))
+        dyn.NilMap.of(CAT, (0.5, -1.5, 0.3))
+
     def test_descent_check_is_not_part_of_the_map(self):
         assert dyn.NilMap.of(CAT, (0.5, 0, 0)) == \
             dyn.NilMap.of(CAT, (0.5, 0, 0), check_descends=False)

@@ -1,8 +1,12 @@
 """Exact kernel tests: brackets, grading, adjoint actions, exponentials."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,3 +223,13 @@ class TestTheta:
     def test_elementary_transpose_negate(self):
         assert lc.theta_involution(lc.LieVec.elementary(2, 1)) == \
             lc.LieVec.elementary(1, 2).scale(-1)
+
+
+def test_importing_lie_core_loads_only_the_layers_it_uses():
+    # the package __init__ imports no layer, so lie_core loads rational only
+    code = ("import sys, flagdyn.lie_core; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'flagdyn'))")
+    src = str(Path(lc.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["flagdyn", "flagdyn.lie_core", "flagdyn.rational"]
