@@ -953,29 +953,26 @@ def _check_isotropy_h1(rng, samples):
 @check("isotropy-table-similarity", "classification",
        "similarity-model isotropy has zero rate on the alpha direction")
 def _check_isotropy_h2(rng, samples):
-    table = cls.isotropy_eigenvalue_table("h2")
-    diag = tuple(table[i][i][0] for i in range(3))
-    return diag == (0, 3, 3), None
+    return _isotropy_is_expected_diagonal("h2"), None
+
+
+def _unique_line_is(alg, base, target):
+    res = cls.invariant_transverse_line_search(alg, base)
+    return res.kind == "unique" and cls.line_class_equals(res.generator, target, alg, base)
 
 
 @check("invariant-line-block", "classification",
        "the only invariant transverse line of the block model is the "
        "class of H")
 def _check_line_t(rng, samples):
-    res = cls.invariant_transverse_line_search(cls.h_t(), fs.O_T)
-    if res.kind != "unique":
-        return False, None
-    return cls.line_class_equals(res.generator, md.SL2_H, cls.h_t(), fs.O_T), None
+    return _unique_line_is(cls.h_t(), fs.O_T, md.SL2_H), None
 
 
 @check("invariant-line-affine", "classification",
        "the only invariant transverse line of the affine model is the "
        "class of Z")
 def _check_line_a(rng, samples):
-    res = cls.invariant_transverse_line_search(cls.h_a(), fs.O_A)
-    if res.kind != "unique":
-        return False, None
-    return cls.line_class_equals(res.generator, md.HEIS_Z, cls.h_a(), fs.O_A), None
+    return _unique_line_is(cls.h_a(), fs.O_A, md.HEIS_Z), None
 
 
 @check("invariant-line-translations-sl2", "classification",

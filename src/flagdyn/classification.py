@@ -26,6 +26,7 @@ from .lie_core import (
     GroupElem,
     LieVec,
     Subalgebra,
+    _strictly_lower_class,
     bracket,
     centralizer,
     conjugate,
@@ -110,7 +111,7 @@ def h_2() -> Subalgebra:
     """Plane translations extended by the similarity algebra; dimension 4."""
     return Subalgebra.of([
         LieVec.diag(1, 1, -2),
-        LieVec.of([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        _J,
         LieVec.elementary(0, 2),
         LieVec.elementary(1, 2),
     ])
@@ -123,7 +124,7 @@ def s_0() -> Subalgebra:
 
 def so3() -> Subalgebra:
     return Subalgebra.of([
-        LieVec.of([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        _J,
         LieVec.of([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
         LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
     ])
@@ -294,29 +295,39 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     raise ValueError("no transverse lift; the orbit is not open")
 
 
+def _transverse_forms(alg: Subalgebra, base: Flag):
+    """Isotropy basis, adapted lifts, and per isotropy generator with
+    quotient matrix Q the coefficients (of x, of y, constant) of the two
+    forms (Q00 - Q22) x + Q01 y + Q02 and Q10 x + (Q11 - Q22) y + Q12, whose
+    zeros are the lines (x, y, 1) that Q fixes, as Q preserves the contact
+    plane (Q20 = Q21 = 0, checked)."""
+    iso_basis = _isotropy_basis(alg, base)
+    lifts = _adapted_lifts(alg, base, iso_basis)
+    forms = []
+    for v in iso_basis:
+        q = _quotient_matrix(iso_basis, lifts, v)
+        if q[2][0] != 0 or q[2][1] != 0:
+            raise ArithmeticError("isotropy action does not preserve the contact plane")
+        forms.append(((q[0][0] - q[2][2], q[0][1], q[0][2]),
+                      (q[1][0], q[1][1] - q[2][2], q[1][2])))
+    return iso_basis, lifts, forms
+
+
 def invariant_transverse_line_search(alg: Subalgebra, base: Flag) -> TransverseLineResult:
     """Search for lines of the quotient, transverse to the two circle
     directions, preserved by the full induced isotropy action.
 
     Transverse lines are parametrized as x * alpha-lift + y * beta-lift +
-    transverse-lift; invariance under each isotropy generator is a linear
-    condition on (x, y) because the induced action preserves the contact
-    plane.  The solution set decides unique / none / family.
+    transverse-lift; invariance under each isotropy generator is the
+    vanishing of its two `_transverse_forms`, linear in (x, y).  The
+    solution set decides unique / none / family.
     """
     if orbit_rank(alg.basis, base) != 3:
         raise ValueError("base flag does not lie in an open orbit")
-    iso_basis = _isotropy_basis(alg, base)
-    lifts = _adapted_lifts(alg, base, iso_basis)
+    _, lifts, forms = _transverse_forms(alg, base)
     # a zero equation keeps the two unknowns when the isotropy is trivial
-    rows, rhs = [[0, 0]], [0]
-    for v in iso_basis:
-        q = _quotient_matrix(iso_basis, lifts, v)
-        if q[2][0] != 0 or q[2][1] != 0:
-            raise ArithmeticError("isotropy action does not preserve the contact plane")
-        rows.append([q[0][0] - q[2][2], q[0][1]])
-        rhs.append(-q[0][2])
-        rows.append([q[1][0], q[1][1] - q[2][2]])
-        rhs.append(-q[1][2])
+    eqs = [(0, 0, 0)] + [f for pair in forms for f in pair]
+    rows, rhs = [[a, b] for a, b, _ in eqs], [-k for _, _, k in eqs]
     sol = solve(rows, rhs)
     if sol is None:
         return TransverseLineResult("none", None, 0)
@@ -340,14 +351,12 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
     """Stabilizer of the line through (x, y, 1) inside the isotropy, for the
     four sign patterns of (x, y).  Each pattern is evaluated at two generic
     representatives and the answers must agree as subalgebras."""
-    iso_basis = _isotropy_basis(alg, base)
-    lifts = _adapted_lifts(alg, base, iso_basis)
-    qs = [_quotient_matrix(iso_basis, lifts, v) for v in iso_basis]
+    iso_basis, _, forms = _transverse_forms(alg, base)
 
     def stabilizer(x, y):
         # isotropy coefficients c with sum_i c_i Q_i fixing the line (x, y, 1)
-        rows = [[(q[0][0] - q[2][2]) * x + q[0][1] * y + q[0][2] for q in qs],
-                [q[1][0] * x + (q[1][1] - q[2][2]) * y + q[1][2] for q in qs]]
+        rows = [[a * x + b * y + k for a, b, k in (pair[i] for pair in forms)]
+                for i in (0, 1)]
         return [lincomb(c, iso_basis) for c in nullspace(rows)]
 
     patterns = {
@@ -527,8 +536,7 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     mat = conjugate(g, data.transported)
     expected = tuple(tuple(data.expected[i][j](t) for j in range(3)) for i in range(3))
     e = mat.entries
-    line = (e[2][1], e[1][0], e[2][0])  # class coordinates over (e_alpha, e_beta, e_0)
-    dist = _sine_distance(line, _LIMIT_VECTORS[data.limit])
+    dist = _sine_distance(_strictly_lower_class(mat), _LIMIT_VECTORS[data.limit])
     return DegenerationResult(case, t, e, e == expected, data.limit, dist)
 
 

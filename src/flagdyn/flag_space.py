@@ -188,14 +188,25 @@ def _chart_flag(x, y, den, u, v) -> Flag:
     return Flag(ProjPoint(m), ProjLine(_primitive_ints(cross(m, (u, v, 0)))))
 
 
+def _slope_chart_ints(x: Flag):
+    """The stored point m and line n of x, once x is checked to lie in the
+    slope chart: m2 != 0, and n0 != 0 (n neither at infinity nor horizontal)."""
+    m, n = x.point.coords, x.line.normal
+    if m[2] == 0:
+        raise BoundaryError("flag point lies on the line at infinity")
+    if n[0] == 0 and n[1] == 0:
+        raise BoundaryError("flag line is the line at infinity")
+    if n[0] == 0:
+        raise BoundaryError("direction is horizontal; outside the slope chart")
+    return m, n
+
+
 def chart_coords(x: Flag):
     """Global coordinates (x, y, z): affine point plus direction slope z,
     the direction being (z : 1).  Domain: point off infinity and direction
     not horizontal."""
-    (px, py), (u, v) = affine_chart(x)
-    if v == 0:
-        raise BoundaryError("direction is horizontal; outside the slope chart")
-    return (px, py, Fraction(u, v))
+    m, n = _slope_chart_ints(x)
+    return (Fraction(m[0], m[2]), Fraction(m[1], m[2]), Fraction(-n[1], n[0]))
 
 
 def flag_from_coords(px, py, z) -> Flag:
@@ -355,14 +366,7 @@ def fundamental_vector(v: LieVec, x: Flag):
     """Velocity at x of the one-parameter group of v, in the global chart
     (x, y, z).  Closed-form rational derivative, no numerical differencing.
     """
-    m = x.point.coords
-    n = x.line.normal
-    if m[2] == 0:
-        raise BoundaryError("flag point lies on the line at infinity")
-    if n[0] == 0 and n[1] == 0:
-        raise BoundaryError("flag line is the line at infinity")
-    if n[0] == 0:
-        raise BoundaryError("direction is horizontal; outside the slope chart")
+    m, n = _slope_chart_ints(x)
     dm, dn = _velocities(v, x)
     den = v.den
     dx = Fraction(dm[0] * m[2] - m[0] * dm[2], den * m[2] * m[2])

@@ -15,15 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flag_space import (
-    BoundaryError,
-    Flag,
-    Region,
-    affine_chart,
-    flag_from_coords,
-    fundamental_vector,
-    region_classify,
-)
+from .flag_space import BoundaryError, Flag, flag_from_coords, fundamental_vector
 from .lie_core import GroupElem, LieVec, conjugate
 from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
                        _mul_ints, _rows, primitive)
@@ -269,26 +261,30 @@ class FramedPoint:
     line_c: tuple
 
 
-def _transporter_rows(px, py, u, v, model: str):
-    """A matrix of the model's transporter to the flag at the affine point
-    (px, py) with direction (u : v), polynomial in the four: model a's is
-    v times the Heisenberg element [u/v, py, px], model t's is d times the
-    block element with columns (px, py) and (u, v) / d, d = px v - py u.
-    Interior flags have v != 0 in model a and d != 0 in model t."""
+def _transporter_ints(x, y, c, u, v, model: str):
+    """The model's transporter to the flag at the point (x, y, c) with
+    direction (u : v), as a flat integer matrix: c v times the Heisenberg
+    element [u/v, y/c, x/c] in model a; c^2 d times the block element with
+    columns (x, y) / c and (u, v) c / d, d = x v - y u, in model t.  The flag
+    is interior exactly when c and v (a) or d (t) are nonzero; else BoundaryError."""
     if model == "a":
-        return ((v, u, v * px), (0, v, v * py), (0, 0, v))
-    d = px * v - py * u
-    return ((d * px, u, 0), (d * py, v, 0), (0, 0, d))
+        d, h = v, (c * v, c * u, v * x, 0, c * v, v * y, 0, 0, c * v)
+    elif model == "t":
+        d = x * v - y * u
+        h = (d * x, c * c * u, 0, d * y, c * c * v, 0, 0, 0, c * d)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    if c == 0 or d == 0:
+        raise BoundaryError("frame transport needs an interior flag")
+    return h
 
 
 def transporter(x: Flag, model: str) -> GroupElem:
     """Group element of the model's transitive subgroup carrying the base
-    flag of the model to x; closed form from the affine chart, whose
-    direction stays finite for the horizontal lines interior to model t."""
-    if region_classify(x, model) is not Region.INTERIOR:
-        raise BoundaryError("frame transport needs an interior flag")
-    (px, py), (u, v) = affine_chart(x)
-    return GroupElem(_transporter_rows(px, py, u, v, model))
+    flag of the model to x, read off the flag's ints: the point (x, y, c)
+    and the direction (n1 : -n0) of the line n."""
+    n = x.line.normal
+    return GroupElem._of_ints(_transporter_ints(*x.point.coords, n[1], -n[0], model))
 
 
 _BASE_GENERATORS = {
@@ -298,20 +294,15 @@ _BASE_GENERATORS = {
 
 
 def _transporter_jet(x, y, z, wx, wy, wz, c, model: str):
-    """`transporter` of the chart point (x, y, z) / c, in ints, and its
-    derivative along (wx, wy, wz) / c, as flat integer matrices (H, DH) =
-    s (h, dh): h the matrix of `_transporter_rows` and s = c in model a,
-    c^3 in model t.  A chart point is interior to model t exactly when
-    x - yz != 0, and always to a."""
+    """`_transporter_ints` at the chart point (x, y, z) / c, whose flag has
+    the point (x, y, c) and the direction (z : c), and its derivative along
+    (wx, wy, wz) / c, scaled alike: flat integer matrices (H, DH)."""
+    h = _transporter_ints(x, y, c, z, c, model)
     if model == "a":
-        return (c, z, x, 0, c, y, 0, 0, c), (0, wz, wx, 0, 0, wy, 0, 0, 0)
-    # c^2 d and c^2 times the derivative of d along w
-    d = x * c - y * z
-    if d == 0:
-        raise BoundaryError("frame transport needs an interior flag")
-    dd = wx * c - wy * z - y * wz
-    return ((d * x, z * c * c, 0, d * y, c ** 3, 0, 0, 0, d * c),
-            (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c))
+        return h, (0, c * wz, c * wx, 0, 0, c * wy, 0, 0, 0)
+    # d = x c - y z and its derivative along w
+    d, dd = x * c - y * z, wx * c - wy * z - y * wz
+    return h, (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c)
 
 
 class InvariantField:

@@ -6,6 +6,7 @@ uses), so a failure reproduces with `flagdyn verify --suite <suite> --seed 0`.
 """
 
 import functools
+from fractions import Fraction
 
 from flagdyn import checks
 from flagdyn.checks import run_check  # noqa: F401  (re-exported for the tests)
@@ -23,6 +24,17 @@ def assert_check_passes(check_id):
     suite = next(s for cid, s, _, _ in checks.REGISTRY if cid == check_id)
     assert passed, (f"check {check_id} (suite {suite}) failed, residual={residual}; "
                     f"reproduce with: flagdyn verify --suite {suite} --seed {SEED}")
+
+
+def fractions_built(monkeypatch, run):
+    """run() and the number of Fractions built while it runs, counted by
+    wrapping `Fraction.__new__` (the wrapper is undone before returning)."""
+    built, original = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(1) or original(cls, *args, **kwargs)))
+    result = run()
+    monkeypatch.undo()
+    return result, len(built)
 
 
 def twin(check_id):

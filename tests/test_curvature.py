@@ -10,7 +10,7 @@ from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import nonzero_frac, rand_curvature, rand_frac, rand_traceless, rand_upper
-from registry_twins import run_check, twin
+from registry_twins import fractions_built, run_check, twin
 
 
 _HALF = Fraction(1, 2)
@@ -67,17 +67,8 @@ class TestCurvatureAction:
     def test_curvature_suite_builds_few_fractions(self, monkeypatch):
         # the suite runs its exact algebra in ints; the count repeats
         # exactly, so a return to per-entry Fractions fails here
-        built = 0
-        original = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            nonlocal built
-            built += 1
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-        outcomes = checks.run_checks(suite="curvature", seed=0)
-        monkeypatch.undo()
+        outcomes, built = fractions_built(
+            monkeypatch, lambda: checks.run_checks(suite="curvature", seed=0))
         assert all(o.passed for o in outcomes)
         assert built < 46_000
 
@@ -97,20 +88,7 @@ class TestContact:
     test_heis_left_invariant_pair_is_contact = twin("contact-heis-fields")
     test_commuting_coordinate_fields_are_not = twin("contact-heis-fields")
     test_model_frames_are_contact_at_interior_points = twin("contact-model-frames")
-
-    def test_rescaling_does_not_change_verdict(self):
-        rng = random.Random(17)
-        a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
-        beta = curv.PolynomialField(lambda p: (p[2], 1, 0),
-                                    lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
-        for _ in range(20):
-            c = abs(rand_frac(rng)) + 1
-            scaled = curv.PolynomialField(
-                lambda p, c=c: ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0),
-                lambda p, c=c: ((2 * p[0] * p[2], 0, c + p[0] * p[0]),
-                                (2 * p[0], 0, 0), (0, 0, 0)))
-            p = tuple(rand_frac(rng) for _ in range(3))
-            assert curv.contact_test(a, beta, p) == curv.contact_test(a, scaled, p)
+    test_rescaling_does_not_change_verdict = twin("contact-rescaling-invariance")
 
     def test_degenerate_frame_rejected(self):
         a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)

@@ -26,7 +26,7 @@ from flagdyn.checks import (
     rand_upper,
 )
 from flagdyn.rational import primitive
-from registry_twins import run_check, twin
+from registry_twins import fractions_built, run_check, twin
 from strategies import small_fractions
 
 heis_elems = st.tuples(small_fractions, small_fractions, small_fractions).map(
@@ -99,17 +99,8 @@ class TestHeisAuto:
 def test_models_suite_builds_few_fractions(monkeypatch):
     # the group laws and the equivariances run in ints; the count repeats
     # exactly, so a return to per-entry Fractions fails here
-    built = 0
-    original = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    outcomes = checks.run_checks(suite="models", seed=0)
-    monkeypatch.undo()
+    outcomes, built = fractions_built(
+        monkeypatch, lambda: checks.run_checks(suite="models", seed=0))
     assert all(o.passed for o in outcomes)
     assert built < 46_000
 
@@ -215,6 +206,23 @@ class TestFrames:
     def test_boundary_flag_rejected(self):
         with pytest.raises(fs.BoundaryError):
             md.frame_at(fs.BASE_FLAG, "a")
+
+    def test_transporter_raises_exactly_off_the_interior(self):
+        rng = random.Random(43)
+        for model, base in (("t", fs.O_T), ("a", fs.O_A)):
+            seen = set()
+            for _ in range(400):
+                x = checks.rand_flag(rng)
+                interior = fs.region_classify(x, model) is fs.Region.INTERIOR
+                seen.add(interior)
+                if interior:
+                    assert fs.act(md.transporter(x, model), base) == x
+                else:
+                    with pytest.raises(fs.BoundaryError):
+                        md.transporter(x, model)
+            assert seen == {True, False}
+        with pytest.raises(ValueError, match="unknown model"):
+            md.transporter(fs.O_T, "q")
 
 
 def _sympy_field(gen, model):
