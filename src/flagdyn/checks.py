@@ -1140,6 +1140,8 @@ def _check_volume(rng, samples):
     ok = ok and dyn.volume_obstruction_check(2.0, 3.0) == "obstructed"
     ok = ok and dyn.volume_obstruction_check(2.618, 1 / 2.618) == "admissible"
     ok = ok and dyn.volume_obstruction_check(1.0, 1.0) == "admissible"
+    for pair in ((2.0, 1.0), (1.0, 2.0), (0.5, 1.0), (1.0, 0.5)):
+        ok = ok and dyn.volume_obstruction_check(*pair) == "admissible"
     return ok, None
 
 

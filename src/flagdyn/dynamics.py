@@ -73,11 +73,16 @@ LATTICE = NilLattice()
 def reduce_with_translation(p):
     """Left-translate by a lattice element into the fundamental box; returns
     (representative, lattice element).  The representative is unique, so
-    this is a retraction invariant under lattice left multiplication."""
-    gamma_xy = (float(-math.floor(p[0])), float(-math.floor(p[1])))
-    partial = heis_mul((*gamma_xy, 0.0), p)
-    c = -math.floor(2.0 * partial[2]) / 2.0
-    return heis_mul((0.0, 0.0, c), partial), (*gamma_xy, c)
+    this is a retraction invariant under lattice left multiplication.
+
+    The element is (-fx, -fy, c) with fx, fy the floors of x, y: the group
+    law of (-fx, -fy, 0) * p, then of (0, 0, c) * that, written out.
+    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0."""
+    x, y, z = p
+    fx, fy = math.floor(x), math.floor(y)
+    z = z + (fy * x - fx * y) / 2.0
+    c = -math.floor(2.0 * z) / 2.0
+    return (-fx + x, -fy + y, c + z), (float(-fx), float(-fy), c)
 
 
 def reduce_point(p):
@@ -182,10 +187,11 @@ class Sl2TimeMap:
 def iterate(f: NilMap, p0, n: int):
     """Orbit of the reduced dynamics: yields its n+1 points, inside the box,
     one at a time, so that a long orbit streams to its CSV."""
+    apply = f.apply
     p = reduce_point(p0)
     yield p
     for _ in range(n):
-        p = reduce_point(f.apply(p))
+        p = reduce_point(apply(p))
         yield p
 
 
@@ -393,8 +399,7 @@ def write_trajectory_rows(fh, orbit) -> None:
     """Trajectory CSV to an open text stream, one row at a time: header
     step,x,y,z, then 17 significant digits per coordinate."""
     fh.write("step,x,y,z\n")
-    for k, row in enumerate(orbit):
-        fh.write(f"{k},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+    fh.writelines("%d,%.17g,%.17g,%.17g\n" % (k, *row) for k, row in enumerate(orbit))
 
 
 def write_trajectory_csv(path, orbit) -> None:

@@ -131,6 +131,20 @@ class TestSimulate:
         assert code == 0
         assert target.read_text().startswith("step,x,y,z\n")
 
+    def test_stdout_and_out_file_are_the_same_bytes(self, capsys, tmp_path):
+        argv = ["simulate", "--matrix", "3,2,1,1", "--start", "0.3,-1.7,2.2",
+                "--translation", "0.5,-1,0.25", "-n", "50"]
+        _, out = run(argv, capsys)
+        target = tmp_path / "orbit.csv"
+        run([*argv, "--out", str(target)], capsys)
+        assert target.read_bytes() == out.encode()
+
+    def test_signed_zero_start_prints_no_negative_zero(self, capsys):
+        code, out = run(["simulate", "--matrix=-2,-1,-1,-1", "--start=-0,-0,-0",
+                         "--translation=-0,-0,-0", "-n", "3"], capsys)
+        assert code == 0
+        assert out == "step,x,y,z\n" + "".join(f"{k},0,0,0\n" for k in range(4))
+
     def test_invalid_matrix_is_usage_error(self, capsys):
         code, _ = run(["simulate", "--matrix", "2,0,0,1"], capsys)
         assert code == 2

@@ -45,8 +45,31 @@ class TestLattice:
                 assert dyn.LATTICE.contains(f.apply(g))
 
 
+def reduce_by_group_law(p):
+    """Reference reduction: the group law of (-floor x, -floor y, 0) * p,
+    then of (0, 0, c) * that."""
+    gamma_xy = (float(-math.floor(p[0])), float(-math.floor(p[1])))
+    partial = dyn.heis_mul((*gamma_xy, 0.0), p)
+    c = -math.floor(2.0 * partial[2]) / 2.0
+    return dyn.heis_mul((0.0, 0.0, c), partial), (*gamma_xy, c)
+
+
 class TestReduce:
     test_lattice_invariance = twin("reduce-retraction")
+
+    def test_closed_form_is_the_group_law_bit_for_bit(self):
+        # repr, because == cannot tell -0.0 from 0.0
+        edges = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -3.5, 1 - 2 ** -53,
+                 -1e-20, 1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5)
+        points = [(x, y, z) for x in edges for y in edges for z in edges]
+        rng = random.Random(13)
+        for _ in range(5_000):
+            scale = rng.choice((1.0, 20.0, 1e6))
+            points.append(tuple(rng.uniform(-scale, scale) for _ in range(3)))
+        for p in points:
+            expected = reduce_by_group_law(p)
+            assert repr(dyn.reduce_with_translation(p)) == repr(expected), p
+            assert repr(dyn.reduce_point(p)) == repr(expected[0]), p
 
     def test_lands_in_the_box(self):
         rng = random.Random(3)
@@ -295,6 +318,9 @@ class TestVolumeObstruction:
         assert dyn.volume_obstruction_check(lam, 1 / lam) == "admissible"
         assert dyn.volume_obstruction_check(1.0, 1.0) == "admissible"
         assert dyn.volume_obstruction_check(-2.0, 0.25) == "admissible"
+        # a multiplier of modulus one is on neither side
+        for pair in ((2.0, 1.0), (1.0, 2.0), (0.5, 1.0), (1.0, 0.5)):
+            assert dyn.volume_obstruction_check(*pair) == "admissible"
 
     def test_zero_multiplier(self):
         with pytest.raises(ValueError):
