@@ -1,20 +1,20 @@
 """Registered verification checks: the one oracle for every identity the
 library verifies.
 
-Each check is registered with a stable id, the suite it belongs to, and an
-anchor string quoting the identity or table it verifies, in one of two forms.
-`@check(id, suite, anchor, samples=K)` registers `fn(rng) -> bool`, one
-draw: the registry runs K draws, or the count asked for, and stops at the
-first failing draw.  `@check(id, suite, anchor)` registers `fn(rng,
-samples) -> (passed, residual)` whole, samples=None selecting its own
-default count; it is for checks without draws, with a residual, with draws
-inside a loop over the two models, or with a fixed part around their draws.
-`run_check` runs one check at a seed, and fails any check asked for fewer
-than one sample without running it.  `flagdyn verify`
-runs the registry through `run_checks`, and the test suite runs every entry
-through `run_check` at seed 0 and default samples, so the tests do not
-re-implement what is registered here.  The random generators the tests
-share with the checks live here too.
+`@check(id, suite, anchor, samples=None, fixed=None, worst=None)` registers
+a body `fn(rng)` under a stable id, its suite, and an anchor string quoting
+the identity or table it verifies.  One call of the body is one draw, and
+returns a bool, None (the draw tested nothing) or (passed, residual).  The
+registry runs every body alike: K draws for samples=K, or the count asked
+for; one call for a fact, samples=None, whatever the count.  The `fixed`
+predicate checks anchor values once before the draws.  The first failing
+draw stops the check with its residual; a pass folds the residuals with
+`worst` (max or min), or reports None.  A check that tested nothing fails:
+every draw returned None, or it was asked for fewer than one sample.
+`flagdyn verify` runs the registry through `run_checks`, and the test suite
+runs every entry through `run_check` at seed 0 and default samples, so the
+tests do not re-implement what is registered here.  The random generators
+the tests share with the checks live here too.
 """
 
 from __future__ import annotations
@@ -47,22 +47,32 @@ class CheckOutcome:
 _REGISTRY = []
 
 
-def check(check_id: str, suite: str, anchor: str, samples: int | None = None):
-    """Register a check in one of the two forms the module docstring names."""
-    def wrap(fn):
-        _REGISTRY.append((check_id, suite, anchor,
-                          fn if samples is None else _draws(fn, samples)))
-        return fn
+def check(check_id: str, suite: str, anchor: str, samples: int | None = None,
+          fixed=None, worst=None):
+    """Register a body as the module docstring describes."""
+    def wrap(body):
+        _REGISTRY.append((check_id, suite, anchor, _runner(body, samples, fixed, worst)))
+        return body
     return wrap
 
 
-def _n(samples, default):
-    return default if samples is None else samples
-
-
-def _draws(draw, default):
+def _runner(body, default, fixed, worst):
+    """The registered form of a check: `run(rng, samples) -> (passed,
+    residual)`, samples=None asking for the default count."""
     def run(rng, samples):
-        return all(draw(rng) for _ in range(_n(samples, default))), None
+        if fixed is not None and not fixed():
+            return False, None
+        count = 1 if default is None else (default if samples is None else samples)
+        residuals = []  # one per draw that tested something
+        for _ in range(count):
+            out = body(rng)
+            if out is None:
+                continue
+            passed, residual = out if isinstance(out, tuple) else (out, None)
+            if not passed:
+                return False, residual
+            residuals.append(residual)
+        return bool(residuals), worst(residuals) if worst and residuals else None
     return run
 
 
@@ -231,13 +241,13 @@ def rand_auto(rng) -> md.HeisAuto:
 # ---------------------------------------------------------------------------
 
 @check("bracket-heis-generators", "lie-core", "[X, Y] = Z")
-def _check_heis_bracket(rng, samples):
-    return lc.bracket(md.HEIS_X, md.HEIS_Y) == md.HEIS_Z, None
+def _check_heis_bracket(rng):
+    return lc.bracket(md.HEIS_X, md.HEIS_Y) == md.HEIS_Z
 
 
 @check("bracket-sl2-generators", "lie-core", "[E, F] = H")
-def _check_sl2_bracket(rng, samples):
-    return lc.bracket(md.SL2_E, md.SL2_F) == md.SL2_H, None
+def _check_sl2_bracket(rng):
+    return lc.bracket(md.SL2_E, md.SL2_F) == md.SL2_H
 
 
 @check("bracket-antisymmetry-jacobi", "lie-core",
@@ -252,18 +262,17 @@ def _check_antisym_jacobi(rng):
 
 @check("grading-pure-components", "lie-core",
        "corner generator is pure grade -2; traceless diagonal is pure grade 0")
-def _check_grading_pure(rng, samples):
-    d = lc.grade_decompose(lc.E_0)
-    ok = d[-2] == lc.E_0 and all(d[k].is_zero() for k in d if k != -2)
-    d2 = lc.grade_decompose(lc.LieVec.diag(1, -1, 0))
-    ok = ok and d2[0] == lc.LieVec.diag(1, -1, 0)
-    ok = ok and all(d2[k].is_zero() for k in d2 if k != 0)
-    return ok, None
+def _check_grading_pure(rng):
+    for v, grade in ((lc.E_0, -2), (lc.LieVec.diag(1, -1, 0), 0)):
+        parts = lc.grade_decompose(v)
+        if parts[grade] != v or any(not p.is_zero() for k, p in parts.items() if k != grade):
+            return False
+    return True
 
 
 @check("grading-bracket-additivity", "lie-core",
        "bracket of grade-i and grade-j parts is pure grade i+j, all basis pairs")
-def _check_grading_additivity(rng, samples):
+def _check_grading_additivity(rng):
     for u in lc.BASIS:
         for v in lc.BASIS:
             gu = next(k for k, p in lc.grade_decompose(u).items() if not p.is_zero())
@@ -273,13 +282,13 @@ def _check_grading_additivity(rng, samples):
                 continue
             parts = lc.grade_decompose(br)
             if any(not parts[k].is_zero() for k in parts if k != gu + gv):
-                return False, None
-    return True, None
+                return False
+    return True
 
 
 @check("filtration-property", "lie-core",
        "[filtration^i, filtration^j] inside filtration^{i+j}, all basis pairs")
-def _check_filtration(rng, samples):
+def _check_filtration(rng):
     def filt_level(v):
         parts = lc.grade_decompose(v)
         return min((k for k in parts if not parts[k].is_zero()), default=3)
@@ -288,8 +297,8 @@ def _check_filtration(rng, samples):
         for v in lc.BASIS:
             br = lc.bracket(u, v)
             if not br.is_zero() and filt_level(br) < filt_level(u) + filt_level(v):
-                return False, None
-    return True, None
+                return False
+    return True
 
 
 @check("quotient-adjoint-display", "lie-core",
@@ -321,54 +330,47 @@ def _check_qadj_morphism(rng):
 
 
 @check("centralizer-block-sl2", "lie-core", "Cent(block sl2) = span{diag(1,1,-2)}")
-def _check_centralizer_s0(rng, samples):
+def _check_centralizer_s0(rng):
     cent = lc.centralizer(cls.s_0())
-    return cent.dim == 1 and cent.contains(cls.CENTRAL_LINE), None
+    return cent.dim == 1 and cent.contains(cls.CENTRAL_LINE)
 
 
 @check("centralizer-so3-so12", "lie-core", "Cent(so3) = Cent(so(1,2)) = 0")
-def _check_centralizer_so(rng, samples):
-    return lc.centralizer(cls.so3()).dim == 0 and lc.centralizer(cls.so12()).dim == 0, None
+def _check_centralizer_so(rng):
+    return lc.centralizer(cls.so3()).dim == 0 and lc.centralizer(cls.so12()).dim == 0
 
 
 @check("centralizer-full", "lie-core", "center of the simple algebra is 0")
-def _check_centralizer_full(rng, samples):
+def _check_centralizer_full(rng):
     full = lc.Subalgebra.of(list(lc.BASIS))
-    return lc.centralizer(full).dim == 0, None
+    return lc.centralizer(full).dim == 0
 
 
 @check("subalgebra-recognizer", "lie-core",
        "closure accepts the classified list, rejects a corrupted basis")
-def _check_subalgebra_recognizer(rng, samples):
+def _check_subalgebra_recognizer(rng):
     good = [cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2(), cls.s_0(),
             cls.heis_algebra(), cls.so3()]
     if not all(a.is_subalgebra() for a in good):
-        return False, None
+        return False
     corrupted = list(cls.h_1().basis)
     rows = [list(map(list, corrupted[2].entries))]
     rows[0][2][0] = Fraction(1)  # perturb one entry
     corrupted[2] = lc.LieVec.of(rows[0])
-    return not lc.Subalgebra.of(corrupted).is_subalgebra(), None
+    return not lc.Subalgebra.of(corrupted).is_subalgebra()
 
 
 @check("exp-ad-consistency", "lie-core",
        "conjugation by exp(v) equals exp of the bracket action, relative "
-       "defect <= 1e-9 for norms up to 10")
-def _check_exp_ad(rng, samples):
-    n = _n(samples, 20)
-    worst = 0.0
-    for _ in range(n):
-        v = rand_traceless(rng)
-        norm = max(sum(map(abs, row)) for row in v.to_float())
-        if norm > 10:
-            v = v.scale(Fraction(9, int(math.ceil(norm))))
-        lhs = lc.Ad_of_exp(v)
-        rhs = lc.exp_ad(v)
-        defect = lc.fnorm(lc.fmat_sub(lhs, rhs)) / max(1.0, lc.fnorm(rhs))
-        worst = max(worst, defect)
-        if defect > 1e-9:
-            return False, defect
-    return True, worst
+       "defect <= 1e-9 for norms up to 10", samples=20, worst=max)
+def _check_exp_ad(rng):
+    v = rand_traceless(rng)
+    norm = max(sum(map(abs, row)) for row in v.to_float())
+    if norm > 10:
+        v = v.scale(Fraction(9, int(math.ceil(norm))))
+    rhs = lc.exp_ad(v)
+    defect = lc.fnorm(lc.fmat_sub(lc.Ad_of_exp(v), rhs)) / max(1.0, lc.fnorm(rhs))
+    return defect <= 1e-9, defect
 
 
 @check("theta-morphisms", "lie-core",
@@ -384,9 +386,9 @@ def _check_theta(rng):
 
 @check("theta-fixes-block-model-algebra", "lie-core",
        "the involution maps the block subalgebra onto itself")
-def _check_theta_ht(rng, samples):
+def _check_theta_ht(rng):
     ht = cls.h_t()
-    return ht.map(lc.theta_involution).span_equals(ht), None
+    return ht.map(lc.theta_involution).span_equals(ht)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +415,11 @@ def _check_stabilizer(rng):
 
 
 @check("flip-involution-and-value", "flag-space",
-       "flip is an involution; flip of the base flag is the opposite flag")
-def _check_flip(rng, samples):
-    if fs.flip(fs.BASE_FLAG) != fs.Flag.of((0, 0, 1), (0, 1, 0)):
-        return False, None
-    n = _n(samples, 100)
-    for _ in range(n):
-        x = rand_flag(rng)
-        if fs.flip(fs.flip(x)) != x:
-            return False, None
-    return True, None
+       "flip is an involution; flip of the base flag is the opposite flag", samples=100,
+       fixed=lambda: fs.flip(fs.BASE_FLAG) == fs.Flag.of((0, 0, 1), (0, 1, 0)))
+def _check_flip(rng):
+    x = rand_flag(rng)
+    return fs.flip(fs.flip(x)) == x
 
 
 @check("flip-equivariance", "flag-space",
@@ -442,80 +439,73 @@ def _check_flip_circles(rng):
 
 
 @check("affine-chart-roundtrip", "flag-space",
-       "pointed affine line chart round-trips exactly; base values match")
-def _check_chart(rng, samples):
-    if fs.affine_chart(fs.O_A) != ((0, 0), (0, 1)):
-        return False, None
-    if fs.affine_chart(fs.O_T) != ((1, 0), (0, 1)):
-        return False, None
-    n = _n(samples, 200)
-    for _ in range(n):
-        x = rand_interior_flag(rng, "a")
-        point, direction = fs.affine_chart(x)
-        if fs.affine_chart_inverse(point, direction) != x:
-            return False, None
-    return True, None
+       "pointed affine line chart round-trips exactly; base values match", samples=200,
+       fixed=lambda: (fs.affine_chart(fs.O_A) == ((0, 0), (0, 1))
+                      and fs.affine_chart(fs.O_T) == ((1, 0), (0, 1))))
+def _check_chart(rng):
+    x = rand_interior_flag(rng, "a")
+    return fs.affine_chart_inverse(*fs.affine_chart(x)) == x
 
 
 @check("chart-boundary-error", "flag-space",
        "flags pointed at infinity are rejected by the chart")
-def _check_chart_error(rng, samples):
+def _check_chart_error(rng):
     try:
         fs.affine_chart(fs.Flag.of((0, 1, 0), (1, 0, 0)))
     except fs.BoundaryError:
-        return True, None
-    return False, None
+        return True
+    return False
 
 
 @check("region-examples", "flag-space",
        "anchors: the two model base flags are interior; the degeneration "
        "anchor flags land in their strata; the base flag is deep boundary")
-def _check_region_examples(rng, samples):
+def _check_region_examples(rng):
     ok = fs.region_classify(fs.O_T, "t") is fs.Region.INTERIOR
     ok = ok and fs.region_classify(fs.O_A, "a") is fs.Region.INTERIOR
     g2 = fs.Flag.of((0, 1, 0), (1, 0, 1))
     ok = ok and fs.region_classify(g2, "t") is fs.Region.G2
     ok = ok and fs.region_classify(fs.BASE_FLAG, "a") is fs.Region.DEEP_BOUNDARY
-    return ok, None
+    return ok
+
+
+_MODEL_ALGEBRAS = (("t", cls.h_t()), ("a", cls.h_a()))
 
 
 @check("region-orbit-rank", "flag-space",
-       "the model algebra orbit is 3-dimensional exactly on the interior")
-def _check_region_rank(rng, samples):
-    n = _n(samples, 150)
-    for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
-        for _ in range(n):
-            x = rand_flag(rng)
-            interior = fs.region_classify(x, model) is fs.Region.INTERIOR
-            if (fs.orbit_rank(alg.basis, x) == 3) != interior:
-                return False, None
-    return True, None
+       "the model algebra orbit is 3-dimensional exactly on the interior", samples=150)
+def _check_region_rank(rng):
+    for model, alg in _MODEL_ALGEBRAS:
+        x = rand_flag(rng)
+        interior = fs.region_classify(x, model) is fs.Region.INTERIOR
+        if (fs.orbit_rank(alg.basis, x) == 3) != interior:
+            return False
+    return True
 
 
 @check("circle-boundary-unique", "flag-space",
-       "each circle through an interior flag misses exactly one point of the model")
-def _check_circle_boundary(rng, samples):
-    n = _n(samples, 500)
+       "each circle through an interior flag misses exactly one point of the model",
+       samples=500)
+def _check_circle_boundary(rng):
     for model in ("t", "a"):
-        for _ in range(n):
-            x = rand_interior_flag(rng, model)
-            for which in ("alpha", "beta"):
-                res = fs.circle_boundary_points(x, which, model)
-                if res.full_circle or len(res.points) != 1:
-                    return False, None
-                if fs.region_classify(res.points[0], model) is fs.Region.INTERIOR:
-                    return False, None
-    return True, None
+        x = rand_interior_flag(rng, model)
+        for which in ("alpha", "beta"):
+            res = fs.circle_boundary_points(x, which, model)
+            if res.full_circle or len(res.points) != 1:
+                return False
+            if fs.region_classify(res.points[0], model) is fs.Region.INTERIOR:
+                return False
+    return True
 
 
 @check("circle-boundary-example", "flag-space",
        "the beta circle of the block-model base flag exits at ([e2], same line)")
-def _check_circle_example(rng, samples):
+def _check_circle_example(rng):
     res = fs.circle_boundary_points(fs.O_T, "beta", "t")
     expected = fs.Flag.of((0, 1, 0), (1, 0, 1))
     ok = not res.full_circle and res.points == (expected,)
     full = fs.circle_boundary_points(fs.Flag.of((1, 0, 0), (0, 1, 0)), "beta", "t")
-    return ok and full.full_circle, None
+    return ok and full.full_circle
 
 
 # carries the base flag to the affine anchor, inside the chart
@@ -533,33 +523,27 @@ def _check_fundamental_isotropy(rng):
 
 @check("fundamental-central-velocity", "flag-space",
        "the corner generator moves the affine base flag with velocity (1, 0, 0)")
-def _check_fundamental_z(rng, samples):
-    return fs.fundamental_vector(md.HEIS_Z, fs.O_A) == (1, 0, 0), None
+def _check_fundamental_z(rng):
+    return fs.fundamental_vector(md.HEIS_Z, fs.O_A) == (1, 0, 0)
 
 
 @check("fundamental-finite-difference", "flag-space",
-       "closed-form velocity agrees with a first-order difference quotient")
-def _check_fundamental_fd(rng, samples):
-    n = _n(samples, 30)
-    for _ in range(n):
-        v = rand_traceless(rng)
-        x = rand_interior_flag(rng, "a")
-        w = fs.fundamental_vector(v, x)
-        # the quotient is exact, so a tiny step costs nothing: its
-        # first-order error is h times a second derivative that reaches
-        # about 1e6 near the chart boundary
-        h = Fraction(1, 10 ** 16)
-        # rational first-order step: (I + h v) approximates exp(h v)
-        step = lc.GroupElem([[Fraction(int(i == j)) + h * e for j, e in enumerate(row)]
-                             for i, row in enumerate(v.entries)])
-        moved = fs.act(step, x)
-        c0 = fs.chart_coords(x)
-        c1 = fs.chart_coords(moved)
-        diff = [(a - b) / h for a, b in zip(c1, c0)]
-        err = max(abs(float(d - ww)) for d, ww in zip(diff, w))
-        if err > 1e-4:
-            return False, err
-    return True, None
+       "closed-form velocity agrees with a first-order difference quotient", samples=30)
+def _check_fundamental_fd(rng):
+    v = rand_traceless(rng)
+    x = rand_interior_flag(rng, "a")
+    w = fs.fundamental_vector(v, x)
+    # the quotient is exact, so a tiny step costs nothing: its first-order
+    # error is h times a second derivative that reaches about 1e6 near the
+    # chart boundary
+    h = Fraction(1, 10 ** 16)
+    # rational first-order step: (I + h v) approximates exp(h v)
+    step = lc.GroupElem([[Fraction(int(i == j)) + h * e for j, e in enumerate(row)]
+                         for i, row in enumerate(v.entries)])
+    c0 = fs.chart_coords(x)
+    c1 = fs.chart_coords(fs.act(step, x))
+    err = max(abs(float((a - b) / h - ww)) for a, b, ww in zip(c1, c0, w))
+    return err <= 1e-4, err
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +564,14 @@ def _check_curvature_exponents(rng):
 @check("curvature-exponent-sampling", "curvature",
        "diagonal scaling with (a, b) = (s, 1) multiplies the two components "
        "by s^-1 and s^5 for s in {2, 3, 5}")
-def _check_curvature_sampling(rng, samples):
+def _check_curvature_sampling(rng):
     for s in (2, 3, 5):
         p = lc.GroupElem([[s, 0, 0], [0, Fraction(1, s), 0], [0, 0, 1]])
         k = curv.NormalCurvature.of(1, 1, 0, 0)
         out = curv.curvature_action(p, k)
         if out.k_alpha != Fraction(1, s) or out.k_beta != Fraction(s) ** 5:
-            return False, None
-    return True, None
+            return False
+    return True
 
 
 @check("curvature-left-action", "curvature",
@@ -600,21 +584,14 @@ def _check_curvature_action(rng):
 
 
 @check("harmonic-subspace-invariant", "curvature",
-       "the two-dimensional harmonic subspace is preserved exactly")
-def _check_harmonic(rng, samples):
-    if not curv.is_harmonic(curv.NormalCurvature.zero()):
-        return False, None
-    if curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0)):
-        return False, None
-    if curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0)):
-        return False, None
-    n = _n(samples, 100)
-    for _ in range(n):
-        p = rand_upper(rng)
-        k = curv.NormalCurvature.of(0, 0, rand_frac(rng), rand_frac(rng))
-        if not curv.is_harmonic(curv.curvature_action(p, k)):
-            return False, None
-    return True, None
+       "the two-dimensional harmonic subspace is preserved exactly", samples=100,
+       fixed=lambda: (curv.is_harmonic(curv.NormalCurvature.zero())
+                      and not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))
+                      and not curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0))))
+def _check_harmonic(rng):
+    p = rand_upper(rng)
+    k = curv.NormalCurvature.of(0, 0, rand_frac(rng), rand_frac(rng))
+    return curv.is_harmonic(curv.curvature_action(p, k))
 
 
 def _zero_jacobian(p):
@@ -641,18 +618,15 @@ def _check_contact_heis(rng):
 
 
 @check("contact-model-frames", "curvature",
-       "the invariant frames of both models are contact at interior points")
-def _check_contact_frames(rng, samples):
-    n = _n(samples, 100)
+       "the invariant frames of both models are contact at interior points", samples=100)
+def _check_contact_frames(rng):
     for model in ("t", "a"):
-        gens = md._BASE_GENERATORS[model]
-        alpha_field = md.InvariantField(gens[0], model)
-        beta_field = md.InvariantField(gens[1], model)
-        for _ in range(n):
-            p = fs.chart_coords(rand_interior_flag(rng, model))
-            if not curv.contact_test(alpha_field, beta_field, p):
-                return False, None
-    return True, None
+        alpha_field, beta_field = (md.InvariantField(gen, model)
+                                   for gen in md._BASE_GENERATORS[model][:2])
+        p = fs.chart_coords(rand_interior_flag(rng, model))
+        if not curv.contact_test(alpha_field, beta_field, p):
+            return False
+    return True
 
 
 _RESCALE_ALPHA = curv.PolynomialField(lambda p: (0, 0, 1), _zero_jacobian)
@@ -675,30 +649,21 @@ def _check_contact_rescaling(rng):
 
 @check("flow-commutator-heis", "curvature",
        "commuting-flow rectangle of the nilpotent pair equals the central "
-       "exponential exactly")
-def _check_flow_comm_heis(rng, samples):
-    worst = 0.0
-    for t in (0.5, 0.1, 1e-2):
-        d = curv.flow_commutator_defect(md.HEIS_X, md.HEIS_Y, t)
-        worst = max(worst, d)
+       "exponential exactly", worst=max)
+def _check_flow_comm_heis(rng):
+    worst = max(curv.flow_commutator_defect(md.HEIS_X, md.HEIS_Y, t) for t in (0.5, 0.1, 1e-2))
     same = curv.flow_commutator_defect(rand_traceless(rng), rand_traceless(rng), 0.0)
     return worst <= 1e-12 and same <= 1e-15, worst
 
 
 @check("flow-commutator-slope", "curvature",
-       "log-log slope of the rectangle defect is >= 2.9 (third order)")
-def _check_flow_comm_slope(rng, samples):
-    n = _n(samples, 20)
-    worst = None
-    for _ in range(n):
-        u, v = rand_traceless(rng), rand_traceless(rng)
-        if lc.bracket(u, v).is_zero():
-            continue  # a commuting pair has no rectangle defect to measure
-        slope = curv.commutator_slope(u, v)
-        worst = slope if worst is None else min(worst, slope)
-        if slope < 2.9:
-            return False, slope
-    return worst is not None, worst
+       "log-log slope of the rectangle defect is >= 2.9 (third order)", samples=20, worst=min)
+def _check_flow_comm_slope(rng):
+    u, v = rand_traceless(rng), rand_traceless(rng)
+    if lc.bracket(u, v).is_zero():
+        return None  # a commuting pair has no rectangle defect to measure
+    slope = curv.commutator_slope(u, v)
+    return slope >= 2.9, slope
 
 
 # ---------------------------------------------------------------------------
@@ -802,47 +767,50 @@ def _check_frame_well_defined(rng):
 
 @check("frame-base-values", "models",
        "base frames: central line direction e1 in the chart at both anchors")
-def _check_frame_base(rng, samples):
-    fa = md.frame_at(fs.O_A, "a")
-    ok = fa.line_alpha == (0, 0, 1) and fa.line_beta == (0, 1, 0) and fa.line_c == (1, 0, 0)
-    ft = md.frame_at(fs.O_T, "t")
-    ok = ok and ft.line_alpha == (0, 0, 1) and ft.line_beta == (0, 1, 0) and ft.line_c == (1, 0, 0)
-    return ok, None
+def _check_frame_base(rng):
+    return all((fr.line_alpha, fr.line_beta, fr.line_c) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+               for fr in (md.frame_at(fs.O_A, "a"), md.frame_at(fs.O_T, "t")))
 
 
 @check("frame-contact-pair-standard", "models",
-       "the frame's circle directions match the standard pair at random points")
-def _check_frame_contact_pair(rng, samples):
-    n = _n(samples, 100)
+       "the frame's circle directions match the standard pair at random points",
+       samples=100)
+def _check_frame_contact_pair(rng):
     for model in ("t", "a"):
-        for _ in range(n):
-            x = rand_interior_flag(rng, model)
-            fr = md.frame_at(x, model)
-            px, py, z = fs.chart_coords(x)
-            std_alpha = (0, 0, 1)
-            std_beta = primitive((z, 1, 0))
-            if fr.line_alpha != std_alpha or fr.line_beta != std_beta:
-                return False, None
-    return True, None
+        x = rand_interior_flag(rng, model)
+        fr = md.frame_at(x, model)
+        z = fs.chart_coords(x)[2]
+        if fr.line_alpha != (0, 0, 1) or fr.line_beta != primitive((z, 1, 0)):
+            return False
+    return True
+
+
+def _flat_iso_anchors():
+    """The identity pair, the displayed example, and a refused non-contact pair."""
+    if (md.flat_structure_iso(md.HEIS_X, md.HEIS_Y) != ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            or md.flat_structure_iso(md.HEIS_X + md.HEIS_Z, md.HEIS_Y)
+            != ((1, 0, 0), (0, 1, 0), (1, 0, 1))):
+        return False
+    try:
+        md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(3) + md.HEIS_Z)
+    except md.ContactConditionError:
+        return True
+    return False
 
 
 @check("flat-structure-iso", "models",
        "automorphism matrix [[a,a',0],[b,b',0],[c,c',ab'-ba']] on the basis "
-       "(X, Y, Z); rejects non-contact pairs")
-def _check_flat_iso(rng, samples):
-    ident = md.flat_structure_iso(md.HEIS_X, md.HEIS_Y)
-    if ident != ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        return False, None
-    ex = md.flat_structure_iso(md.HEIS_X + md.HEIS_Z, md.HEIS_Y)
-    if ex != ((1, 0, 0), (0, 1, 0), (1, 0, 1)):
-        return False, None
-    try:
-        md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(3) + md.HEIS_Z)
-        return False, None
-    except md.ContactConditionError:
-        pass
-    n = _n(samples, 100)
+       "(X, Y, Z); rejects non-contact pairs", samples=100, fixed=_flat_iso_anchors)
+def _check_flat_iso(rng):
     basis = (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)
+    v = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
+    w = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
+    try:
+        m = md.flat_structure_iso(v, w)
+    except md.ContactConditionError:
+        return None  # a non-contact pair has no isomorphism to test
+    mnums, mden = _cleared(*m)
+    mat = _rows(mnums)
 
     def apply(u):
         # the (X, Y, Z) coordinates of u are its entries (0,1), (1,2), (0,2)
@@ -850,63 +818,35 @@ def _check_flat_iso(rng, samples):
         x, y, z = _mat_vec_ints(mat, (e[1], e[5], e[2]))
         return lc.LieVec((0, x, z, 0, 0, y, 0, 0, 0), u.den * mden)
 
-    tested = 0
-    for _ in range(n):
-        v = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
-        w = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
-        try:
-            m = md.flat_structure_iso(v, w)
-        except md.ContactConditionError:
-            continue  # a non-contact pair has no isomorphism to test
-        tested += 1
-        mnums, mden = _cleared(*m)
-        mat = _rows(mnums)
-        if apply(md.HEIS_X) != v or apply(md.HEIS_Y) != w:
-            return False, None
-        for u1, u2 in ((md.HEIS_X, md.HEIS_Y), (md.HEIS_X, md.HEIS_Z), (md.HEIS_Y, md.HEIS_Z)):
-            lhs = apply(lc.bracket(u1, u2))
-            rhs = lc.bracket(apply(u1), apply(u2))
-            if lhs != rhs:
-                return False, None
-    return tested > 0, None
+    if apply(md.HEIS_X) != v or apply(md.HEIS_Y) != w:
+        return False
+    return all(apply(lc.bracket(u1, u2)) == lc.bracket(apply(u1), apply(u2))
+               for u1, u2 in ((md.HEIS_X, md.HEIS_Y), (md.HEIS_X, md.HEIS_Z),
+                              (md.HEIS_Y, md.HEIS_Z)))
 
 
 @check("affine-linearization", "models",
        "linear part [[lam,0,0],[0,mu,0],[0,mu x,lam mu]] with translation "
-       "(x,y,z); injective morphism")
-def _check_theta_affine(rng, samples):
-    ident = md.theta_affine(md.HeisElem.identity(), md.HeisAuto.identity())
-    if ident != md.AffineMap.identity():
-        return False, None
-    n = _n(samples, 100)
-    for _ in range(n):
-        g1, g2 = rand_heis(rng), rand_heis(rng)
-        f1, f2 = rand_auto(rng), rand_auto(rng)
-        prod = md.heis_semidirect_mul((g1, f1), (g2, f2))
-        lhs = md.theta_affine(*prod)
-        rhs = md.theta_affine(g1, f1).compose(md.theta_affine(g2, f2))
-        if lhs != rhs:
-            return False, None
-        m = md.theta_affine(g1, f1)
-        expected_linear = ((f1.lam, 0, 0), (0, f1.mu, 0), (0, f1.mu * g1.x, f1.lam * f1.mu))
-        if (m.linear, m.translation) != (expected_linear, (g1.x, g1.y, g1.z)):
-            return False, None
-    return True, None
+       "(x,y,z); injective morphism", samples=100,
+       fixed=lambda: (md.theta_affine(md.HeisElem.identity(), md.HeisAuto.identity())
+                      == md.AffineMap.identity()))
+def _check_theta_affine(rng):
+    g1, g2 = rand_heis(rng), rand_heis(rng)
+    f1, f2 = rand_auto(rng), rand_auto(rng)
+    m = md.theta_affine(g1, f1)
+    if md.theta_affine(*md.heis_semidirect_mul((g1, f1), (g2, f2))) != m.compose(
+            md.theta_affine(g2, f2)):
+        return False
+    expected_linear = ((f1.lam, 0, 0), (0, f1.mu, 0), (0, f1.mu * g1.x, f1.lam * f1.mu))
+    return (m.linear, m.translation) == (expected_linear, (g1.x, g1.y, g1.z))
 
 
 @check("central-flow-identity", "models",
-       "alpha-beta rectangle equals x + t^2 e1 exactly, both sign variants")
-def _check_central_flow(rng, samples):
-    if md.commutator_identity_check((0, 0, 0), 1) != (True, True):
-        return False, None
-    n = _n(samples, 1000)
-    for _ in range(n):
-        p = tuple(rand_frac(rng) for _ in range(3))
-        t = rand_frac(rng)
-        plus, minus = md.commutator_identity_check(p, t)
-        if not (plus and minus):
-            return False, None
-    return True, None
+       "alpha-beta rectangle equals x + t^2 e1 exactly, both sign variants", samples=1000,
+       fixed=lambda: md.commutator_identity_check((0, 0, 0), 1) == (True, True))
+def _check_central_flow(rng):
+    p = tuple(rand_frac(rng) for _ in range(3))
+    return all(md.commutator_identity_check(p, rand_frac(rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +855,9 @@ def _check_central_flow(rng, samples):
 
 @check("subalgebra-table", "classification",
        "dimensions, closure, the 4-or-5 bound, and centralizer values")
-def _check_subalgebra_table(rng, samples):
+def _check_subalgebra_table(rng):
     reports = cls.verify_subalgebra_table()
-    return len(reports) >= 7 and all(r.passed for r in reports), None
+    return len(reports) >= 7 and all(r.passed for r in reports)
 
 
 def _isotropy_is_expected_diagonal(case):
@@ -930,30 +870,30 @@ def _isotropy_is_expected_diagonal(case):
 
 @check("isotropy-table-block", "classification",
        "block-model isotropy acts with diagonal [3a, -3a, 0]")
-def _check_isotropy_t(rng, samples):
-    return _isotropy_is_expected_diagonal("t"), None
+def _check_isotropy_t(rng):
+    return _isotropy_is_expected_diagonal("t")
 
 
 @check("isotropy-table-affine", "classification",
        "affine-model isotropy acts with diagonal [2a+b, -a-2b, a-b]")
-def _check_isotropy_a(rng, samples):
-    return _isotropy_is_expected_diagonal("a"), None
+def _check_isotropy_a(rng):
+    return _isotropy_is_expected_diagonal("a")
 
 
 @check("isotropy-table-translations-sl2", "classification",
        "nilpotent isotropy element has the single off-diagonal 1 in the "
        "(beta, center) slot")
-def _check_isotropy_h1(rng, samples):
+def _check_isotropy_h1(rng):
     table = cls.isotropy_eigenvalue_table("h1")
     b_part = tuple(tuple(table[i][j][1] for j in range(3)) for i in range(3))
     expected = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-    return b_part == tuple(tuple(map(Fraction, r)) for r in expected), None
+    return b_part == tuple(tuple(map(Fraction, r)) for r in expected)
 
 
 @check("isotropy-table-similarity", "classification",
        "similarity-model isotropy has zero rate on the alpha direction")
-def _check_isotropy_h2(rng, samples):
-    return _isotropy_is_expected_diagonal("h2"), None
+def _check_isotropy_h2(rng):
+    return _isotropy_is_expected_diagonal("h2")
 
 
 def _unique_line_is(alg, base, target):
@@ -964,46 +904,46 @@ def _unique_line_is(alg, base, target):
 @check("invariant-line-block", "classification",
        "the only invariant transverse line of the block model is the "
        "class of H")
-def _check_line_t(rng, samples):
-    return _unique_line_is(cls.h_t(), fs.O_T, md.SL2_H), None
+def _check_line_t(rng):
+    return _unique_line_is(cls.h_t(), fs.O_T, md.SL2_H)
 
 
 @check("invariant-line-affine", "classification",
        "the only invariant transverse line of the affine model is the "
        "class of Z")
-def _check_line_a(rng, samples):
-    return _unique_line_is(cls.h_a(), fs.O_A, md.HEIS_Z), None
+def _check_line_a(rng):
+    return _unique_line_is(cls.h_a(), fs.O_A, md.HEIS_Z)
 
 
 @check("invariant-line-translations-sl2", "classification",
        "the 5-dimensional translation extension admits no invariant "
        "transverse line")
-def _check_line_h1(rng, samples):
+def _check_line_h1(rng):
     res = cls.invariant_transverse_line_search(cls.h_1(), cls.X1_FLAG)
-    return res.kind == "none", None
+    return res.kind == "none"
 
 
 @check("invariant-line-similarity", "classification",
        "the similarity extension leaves a one-parameter family invariant")
-def _check_line_h2(rng, samples):
+def _check_line_h2(rng):
     res = cls.invariant_transverse_line_search(cls.h_2(), fs.O_A)
-    return res.kind == "family" and res.family_dim == 1, None
+    return res.kind == "family" and res.family_dim == 1
 
 
 @check("stabilizer-four-cases", "classification",
        "transverse stabilizers: full / diag(1,1,-2) / diag(-2,1,1) / zero")
-def _check_stabilizer_cases(rng, samples):
+def _check_stabilizer_cases(rng):
     table = cls.transverse_stabilizer_cases(cls.h_a(), fs.O_A)
     full = table["x=0,y=0"]
     if len(full) != 2:
-        return False, None
+        return False
     iy = table["x=0,y!=0"]
     if len(iy) != 1 or not _spans_line(iy[0], lc.LieVec.diag(1, 1, -2)):
-        return False, None
+        return False
     ix = table["x!=0,y=0"]
     if len(ix) != 1 or not _spans_line(ix[0], lc.LieVec.diag(-2, 1, 1)):
-        return False, None
-    return len(table["x!=0,y!=0"]) == 0, None
+        return False
+    return len(table["x!=0,y!=0"]) == 0
 
 
 def _spans_line(v: lc.LieVec, target: lc.LieVec) -> bool:
@@ -1013,37 +953,34 @@ def _spans_line(v: lc.LieVec, target: lc.LieVec) -> bool:
 @check("degeneration-matrices", "classification",
        "the four transported-generator matrices match their printed values "
        "at t in {1, 1/2, 1/10, 1/100}, and the projected line converges")
-def _check_degeneration(rng, samples):
+def _check_degeneration(rng):
     for case in cls.DEGENERATION_CASES:
         for res in cls.degeneration_samples(case):
             if not res.passed:
                 return False, res.sine_distance if res.matches else None
-    return True, None
+    return True
 
 
 @check("degeneration-symbolic", "classification",
        "entrywise Laurent interpolation reproduces the symbolic matrices")
-def _check_degeneration_symbolic(rng, samples):
+def _check_degeneration_symbolic(rng):
     for case, data in cls.DEGENERATION_CASES.items():
         if cls.degeneration_symbolic(case) != data.expected:
-            return False, None
-    return True, None
+            return False
+    return True
 
 
 @check("flatness-predicate", "classification",
        "holonomy diagonal (a, -a-b, b) forces flatness iff b != -5a and a != -5b")
-def _check_flatness_predicate(rng, samples):
-    ok = cls.flatness_holonomy_predicate(1, -1)
-    ok = ok and not cls.flatness_holonomy_predicate(1, -5)
-    ok = ok and not cls.flatness_holonomy_predicate(-5, 1)
-    ok = ok and not cls.flatness_holonomy_predicate(0, 0)
-    return ok, None
+def _check_flatness_predicate(rng):
+    return cls.flatness_holonomy_predicate(1, -1) and not any(
+        cls.flatness_holonomy_predicate(a, b) for a, b in ((1, -5), (-5, 1), (0, 0)))
 
 
 @check("bracket-table-corner", "classification",
        "bracket relations of the corner generator against the graded basis")
-def _check_tresse(rng, samples):
-    return all(r.passed for r in cls.tresse_bracket_suite()), None
+def _check_tresse(rng):
+    return all(r.passed for r in cls.tresse_bracket_suite())
 
 
 # ---------------------------------------------------------------------------
@@ -1055,19 +992,13 @@ _CAT = ((2, 1), (1, 1))
 
 @check("lattice-closure", "dynamics",
        "integer-integer-half-integer points are closed under the group law "
-       "and invariant under determinant-one integer linear parts")
-def _check_lattice(rng, samples):
-    n = _n(samples, 200)
-    for _ in range(n):
-        g = dyn.LATTICE.random_element(rng)
-        h = dyn.LATTICE.random_element(rng)
-        if not dyn.LATTICE.contains(dyn.heis_mul(g, h)):
-            return False, None
-    f = dyn.NilMap.of(_CAT)
-    for gen in dyn.LATTICE.generators:
-        if not dyn.LATTICE.contains(f.apply(gen)):
-            return False, None
-    return True, None
+       "and invariant under determinant-one integer linear parts", samples=200,
+       fixed=lambda: all(dyn.LATTICE.contains(dyn.NilMap.of(_CAT).apply(gen))
+                         for gen in dyn.LATTICE.generators))
+def _check_lattice(rng):
+    g = dyn.LATTICE.random_element(rng)
+    h = dyn.LATTICE.random_element(rng)
+    return dyn.LATTICE.contains(dyn.heis_mul(g, h))
 
 
 @check("reduce-retraction", "dynamics",
@@ -1094,8 +1025,8 @@ def _check_reduce_commute(rng):
 
 
 @check("lyapunov-cat-map", "dynamics",
-       "measured rates match log((3+sqrt(5))/2), its negative, and zero")
-def _check_lyapunov(rng, samples):
+       "measured rates match log((3+sqrt(5))/2), its negative, and zero", worst=max)
+def _check_lyapunov(rng):
     f = dyn.NilMap.of(_CAT, (0.5, 1.0, 0.3))
     rate = math.log((3 + math.sqrt(5)) / 2)
     ru, rs, rc = (dyn.tangent_rates(f, d).measured for d in "usc")
@@ -1104,45 +1035,34 @@ def _check_lyapunov(rng, samples):
 
 
 @check("sl2-frame-rates", "dynamics",
-       "frame rates of the diagonal flow are (-2t, 2t, 0), from brackets")
-def _check_sl2_rates(rng, samples):
-    if dyn.sl2_frame_rates(1.0) != (-2.0, 2.0, 0.0):
-        return False, None
-    if dyn.sl2_frame_rates(0.0) != (0.0, 0.0, 0.0):
-        return False, None
-    for _ in range(_n(samples, 10)):
-        t = rng.uniform(-3, 3)
-        plus = dyn.sl2_frame_rates(t)
-        minus = dyn.sl2_frame_rates(-t)
-        if any(a != -b for a, b in zip(plus, minus)):
-            return False, None
-    return True, None
+       "frame rates of the diagonal flow are (-2t, 2t, 0), from brackets", samples=10,
+       fixed=lambda: (dyn.sl2_frame_rates(1.0) == (-2.0, 2.0, 0.0)
+                      and dyn.sl2_frame_rates(0.0) == (0.0, 0.0, 0.0)))
+def _check_sl2_rates(rng):
+    t = rng.uniform(-3, 3)
+    return all(a == -b for a, b in zip(dyn.sl2_frame_rates(t), dyn.sl2_frame_rates(-t)))
 
 
 @check("hyperbolicity-certificates", "dynamics",
        "cat map and diagonal time-one map certify with N = 1; an expanding "
        "pair fails the contraction clause")
-def _check_hyperbolicity(rng, samples):
-    rep = dyn.hyperbolicity_report(dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)))
-    if not (rep.partially_hyperbolic and rep.n_certified == 1):
-        return False, None
-    rep2 = dyn.hyperbolicity_report(dyn.Sl2TimeMap(1.0))
-    if not (rep2.partially_hyperbolic and rep2.n_certified == 1):
-        return False, None
-    rep3 = dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6)))
-    return rep3.inconclusive and not rep3.partially_hyperbolic, None
+def _check_hyperbolicity(rng):
+    for f in (dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)), dyn.Sl2TimeMap(1.0)):
+        rep = dyn.hyperbolicity_report(f)
+        if not (rep.partially_hyperbolic and rep.n_certified == 1):
+            return False
+    rep = dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6)))
+    return rep.inconclusive and not rep.partially_hyperbolic
 
 
 @check("volume-obstruction", "dynamics",
        "same-side multiplier pairs are obstructed; reciprocal pairs admissible")
-def _check_volume(rng, samples):
-    ok = dyn.volume_obstruction_check(0.5, 1 / 3) == "obstructed"
-    ok = ok and dyn.volume_obstruction_check(2.0, 3.0) == "obstructed"
-    ok = ok and dyn.volume_obstruction_check(2.618, 1 / 2.618) == "admissible"
-    ok = ok and dyn.volume_obstruction_check(1.0, 1.0) == "admissible"
-    for pair in ((2.0, 1.0), (1.0, 2.0), (0.5, 1.0), (1.0, 0.5)):
-        ok = ok and dyn.volume_obstruction_check(*pair) == "admissible"
-    return ok, None
+def _check_volume(rng):
+    obstructed = ((0.5, 1 / 3), (2.0, 3.0))
+    admissible = ((2.618, 1 / 2.618), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.5, 1.0), (1.0, 0.5))
+    return all(dyn.volume_obstruction_check(*pair) == verdict
+               for pairs, verdict in ((obstructed, "obstructed"), (admissible, "admissible"))
+               for pair in pairs)
 
 
 REGISTRY = tuple(_REGISTRY)

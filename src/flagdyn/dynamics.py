@@ -258,6 +258,14 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
         raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
                          "splitting of the linear part is below float "
                          "resolution; no reliable finite-difference rates")
+    # a step stretches a perturbation along an axis by up to the largest entry
+    # (the central direction is not stretched); past the diagonal of the unit
+    # square, it leaves the box wherever it starts
+    big = max(abs(e) for row in f.linear for e in row)
+    if _RATE_STEP * big > math.sqrt(2):
+        raise ValueError(f"one step can carry the {_RATE_STEP:g} perturbation out of the "
+                         f"unit box: entries up to {big} stretch it past the box "
+                         "diagonal; no reliable finite-difference rates")
     i = 0 if direction == "u" else 1
     w = (*vecs[i], 0.0)
     if direction == "u":

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flag_space import BoundaryError, Flag, flag_from_coords, fundamental_vector
+from .flag_space import BoundaryError, Flag, fundamental_vector
 from .lie_core import GroupElem, LieVec, conjugate
 from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
                        _mul_ints, _rows, primitive)
@@ -293,23 +293,25 @@ _BASE_GENERATORS = {
 }
 
 
-def _transporter_jet(x, y, z, wx, wy, wz, c, model: str):
-    """`_transporter_ints` at the chart point (x, y, z) / c, whose flag has
-    the point (x, y, c) and the direction (z : c), and its derivative along
-    (wx, wy, wz) / c, scaled alike: flat integer matrices (H, DH)."""
-    h = _transporter_ints(x, y, c, z, c, model)
+def _transporter_derivative(x, y, z, wx, wy, wz, c, model: str):
+    """The derivative along (wx, wy, wz) / c of `_transporter_ints` at the
+    chart point (x, y, z) / c, whose flag has the point (x, y, c) and the
+    direction (z : c): the flat integer matrix DH, scaled as H is."""
     if model == "a":
-        return h, (0, c * wz, c * wx, 0, 0, c * wy, 0, 0, 0)
+        return (0, c * wz, c * wx, 0, 0, c * wy, 0, 0, 0)
     # d = x c - y z and its derivative along w
     d, dd = x * c - y * z, wx * c - wy * z - y * wz
-    return h, (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c)
+    return (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c)
 
 
 class InvariantField:
     """The model's invariant vector field extending the generator `gen` at
     its base flag, in the chart (x, y, z): at p, the velocity of
     conjugate(h, gen), h the transporter of the flag of p.  Exact, and
-    defined on the interior only (BoundaryError elsewhere)."""
+    defined on the interior only (BoundaryError elsewhere).  The flag of p
+    has the point m = (x, y, 1) and the line n = (-1, z, x - yz); with
+    V = h gen h^-1, a = V m and b = n V, F(p) = (a0 - x a2, a1 - y a2,
+    -(b1 + z b0))."""
 
     def __init__(self, gen: LieVec, model: str):
         if model not in _BASE_GENERATORS:
@@ -317,31 +319,37 @@ class InvariantField:
         self.gen = gen
         self.model = model
 
-    def __call__(self, p):
-        flag = flag_from_coords(*p)
-        return fundamental_vector(conjugate(transporter(flag, self.model), self.gen), flag)
-
-    def derivative_along(self, p, w):
-        """D F(p) w, exact: first-order jets pushed through the chain of
-        __call__ at the matrix level.  With V = h gen h^-1, dV = [k, V] for
-        k = dh h^-1.  The flag of p has the point m = (x, y, 1) and the line
-        n = (-1, z, x - yz), and F(p) = (a0 - x a2, a1 - y a2, -(b1 + z b0))
-        for a = V m and b = n V; the product rule differentiates each term.
-
-        In ints: p and w are cleared once, over c; with (H, DH) the scaled
-        jet, V = H gen adj(H) / (det(H) gen.den) and k = DH adj(H) / det(H);
-        m, dm are taken times c and n, dn times c^2."""
-        (x, y, z, wx, wy, wz), c = _cleared(p, w)
-        h, dh = _transporter_jet(x, y, z, wx, wy, wz, c, self.model)
+    def _transport(self, x, y, z, c):
+        """In ints at p = (x, y, z) / c: adj(H), det(H) and H gen adj(H), for
+        H the transporter's ints, so V = H gen adj(H) / (det(H) gen.den); and
+        a, b with m taken times c and n times c^2."""
+        h = _transporter_ints(x, y, c, z, c, self.model)
         adj, det = _adjugate_ints(h), _det_ints(h)
         v = _mul_ints(_mul_ints(h, self.gen.nums), adj)
-        k = _mul_ints(dh, adj)
+        v_rows = _rows(v)
+        a = _mat_vec_ints(v_rows, (x, y, c))
+        b = _mat_vec_ints(tuple(zip(*v_rows)), (-c * c, z * c, x * c - y * z))
+        return adj, det, v, a, b
+
+    def __call__(self, p):
+        (x, y, z), c = _cleared(p)
+        _, det, _, a, b = self._transport(x, y, z, c)
+        den = det * self.gen.den * c * c
+        return (Fraction(c * a[0] - x * a[2], den), Fraction(c * a[1] - y * a[2], den),
+                Fraction(-(c * b[1] + z * b[0]), den * c))
+
+    def derivative_along(self, p, w):
+        """D F(p) w, exact: the product rule on each term of F, with dV =
+        [k, V] for k = dh h^-1 = DH adj(H) / det(H), DH the transporter's
+        derivative, scaled as H is."""
+        (x, y, z, wx, wy, wz), c = _cleared(p, w)
+        adj, det, v, a, b = self._transport(x, y, z, c)
+        k = _mul_ints(_transporter_derivative(x, y, z, wx, wy, wz, c, self.model), adj)
         dv = [s - t for s, t in zip(_mul_ints(k, v), _mul_ints(v, k))]
         v_rows, dv_rows = _rows(v), _rows(dv)
         v_cols, dv_cols = tuple(zip(*v_rows)), tuple(zip(*dv_rows))
         m, dm = (x, y, c), (wx, wy, 0)
         n, dn = (-c * c, z * c, x * c - y * z), (0, wz * c, wx * c - wy * z - y * wz)
-        a, b = _mat_vec_ints(v_rows, m), _mat_vec_ints(v_cols, n)
         da = [s + det * t for s, t in zip(_mat_vec_ints(dv_rows, m), _mat_vec_ints(v_rows, dm))]
         db = [s + det * t for s, t in zip(_mat_vec_ints(dv_cols, n), _mat_vec_ints(v_cols, dn))]
         den = c * c * c * det * det * self.gen.den

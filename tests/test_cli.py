@@ -180,7 +180,10 @@ class TestLyapunov:
          "the 1e-06 perturbation was lost to float rounding at this scale"),
         ("--matrix", "1180591620717411303424,34359738367,34359738369,1",
          "sqrt(tr^2 - 4) rounds to |tr| at this scale, so the splitting of the "
-         "linear part is below float resolution")])
+         "linear part is below float resolution"),
+        # trace 3, but entries of 1.7e7: unrefused, rate-u was off by 0.93
+        ("--matrix", "4096,1,-16764929,-4093",
+         "one step can carry the 1e-06 perturbation out of the unit box: entries up to 16764929")])
     def test_value_lost_to_float_rounding_is_named(self, capsys, option, value, cause):
         code = cli.main(["lyapunov", option, value])
         captured = capsys.readouterr()

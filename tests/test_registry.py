@@ -2,10 +2,10 @@
 
 One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  The tests after it cover the
-registry itself: the sampling loop of per-draw checks, the failure of
-every check asked for zero samples, the check counts the benchmark pins,
-and the draw helpers, which must keep the random streams of
-`random.Random.randint`.
+registry's one runner (its draws, fixed part, stop rule and residuals, and
+the failure of a check that tested nothing), the per-model sample count of
+the two-model checks, the check counts the benchmark pins, and the draw
+helpers, which must keep the random streams of `random.Random.randint`.
 """
 
 import ast
@@ -33,28 +33,37 @@ def test_registered_check(check_id):
     assert_check_passes(check_id)
 
 
-
 class DrawCounter:
-    """A per-draw predicate that counts its draws and fails from draw
-    number `fail_at` on."""
+    """A body that counts its draws: draw k returns outputs[k] when
+    `outputs` is set, else passes until draw number `fail_at`."""
 
     def __init__(self):
-        self.draws = 0
-        self.fail_at = math.inf
+        self.draws, self.fail_at, self.outputs = 0, math.inf, None
 
     def __call__(self, rng):
         rng.random()
         self.draws += 1
+        if self.outputs is not None:
+            return self.outputs[self.draws - 1]
         return self.draws < self.fail_at
 
 
 @pytest.fixture
-def counter(monkeypatch):
-    """The one check, "counted" (5 draws by default), of a patched registry."""
+def register(monkeypatch):
+    """register(**options): a DrawCounter as the one check, "counted" (5
+    draws by default), of a patched registry."""
     monkeypatch.setattr(checks, "_REGISTRY", [])
-    counter = DrawCounter()
-    checks.check("counted", "test", "counts its draws", samples=5)(counter)
-    return counter
+
+    def register(samples=5, **options):
+        counter = DrawCounter()
+        checks.check("counted", "test", "counts its draws", samples=samples, **options)(counter)
+        return counter
+    return register
+
+
+@pytest.fixture
+def counter(register):
+    return register()
 
 
 @pytest.mark.parametrize("samples, expected", [(None, 5), (1, 1), (12, 12)])
@@ -73,6 +82,52 @@ def test_per_draw_check_fails_without_draws(counter):
     assert checks.run_check("counted", samples=0) == (False, None)
     assert [o.passed for o in checks.run_checks(samples=0)] == [False]
     assert counter.draws == 0
+
+
+def test_fixed_part_runs_once_before_the_draws(register):
+    calls = []
+    counter = register(fixed=lambda: calls.append(counter.draws) or True)
+    assert checks.run_check("counted", samples=10) == (True, None)
+    assert calls == [0] and counter.draws == 10
+
+
+_FOLDED = [(True, 2.0), None, (True, 3.0), (True, 1.0), None]
+
+
+@pytest.mark.parametrize("options, outputs, samples, expected, draws", [
+    ({"fixed": lambda: False}, None, 10, (False, None), 0),
+    ({}, [None, True, None, True, None], None, (True, None), 5),
+    ({"worst": max}, [None] * 5, None, (False, None), 5),
+    ({"worst": min}, [(True, 0.5), (False, 0.25), (True, 9.0)], None, (False, 0.25), 2),
+    ({"worst": max}, _FOLDED, None, (True, 3.0), 5),
+    ({"worst": min}, _FOLDED, None, (True, 1.0), 5),
+    ({}, _FOLDED, None, (True, None), 5),
+    ({"samples": None}, None, 200, (True, None), 1)],
+    ids=["failing-fixed-part-draws-nothing", "skipped-draws-are-not-made-up",
+         "nothing-tested-fails", "failing-draw-reports-its-residual", "worst-max-folds",
+         "worst-min-folds", "no-worst-no-residual", "fact-runs-once"])
+def test_runner(register, options, outputs, samples, expected, draws):
+    counter = register(**options)
+    counter.outputs = outputs
+    assert checks.run_check("counted", samples=samples) == expected
+    assert counter.draws == draws
+
+
+@pytest.mark.parametrize("check_id", ["region-orbit-rank", "circle-boundary-unique",
+                                      "contact-model-frames", "frame-contact-pair-standard"])
+def test_two_model_checks_test_the_samples_in_each_model(check_id, monkeypatch):
+    # one input per model in each draw, so 7 samples test 7 of each; a
+    # `rand_flag` draw counts for the model the check classifies it in
+    drawn, plain = collections.Counter(), []
+    rand_flag, rand_interior_flag, classify = (checks.rand_flag, checks.rand_interior_flag,
+                                               fs.region_classify)
+    monkeypatch.setattr(checks, "rand_flag", lambda rng: plain.append(rand_flag(rng)) or plain[-1])
+    monkeypatch.setattr(checks, "rand_interior_flag",
+                        lambda rng, model: drawn.update([model]) or rand_interior_flag(rng, model))
+    monkeypatch.setattr(fs, "region_classify", lambda x, model: drawn.update(
+        [model] if any(x is y for y in plain) else []) or classify(x, model))
+    assert checks.run_check(check_id, samples=7) == (True, None)
+    assert drawn == {"t": 7, "a": 7}
 
 
 @pytest.mark.parametrize("check_id", [entry[0] for entry in checks.REGISTRY])
