@@ -8,7 +8,8 @@ returns a bool, None (the draw tested nothing) or (passed, residual).  The
 registry runs every body alike: K draws for samples=K, or the count asked
 for; one call for a fact, samples=None, whatever the count.  The `fixed`
 predicate checks anchor values once before the draws.  The first failing
-draw stops the check with its residual; a pass folds the residuals with
+draw stops the check with its residual.  A passing fact reports its own
+residual; a passing sampled check folds the residuals of its draws with
 `worst` (max or min), or reports None.  A check that tested nothing fails:
 every draw returned None, or it was asked for fewer than one sample.
 `flagdyn verify` runs the registry through `run_checks`, and the test suite
@@ -72,7 +73,11 @@ def _runner(body, default, fixed, worst):
             if not passed:
                 return False, residual
             residuals.append(residual)
-        return bool(residuals), worst(residuals) if worst and residuals else None
+        if not residuals:
+            return False, None
+        if default is None:  # a fact reports its own residual
+            return True, residuals[0]
+        return True, worst(residuals) if worst else None
     return run
 
 
@@ -342,8 +347,7 @@ def _check_centralizer_so(rng):
 
 @check("centralizer-full", "lie-core", "center of the simple algebra is 0")
 def _check_centralizer_full(rng):
-    full = lc.Subalgebra.of(list(lc.BASIS))
-    return lc.centralizer(full).dim == 0
+    return lc.centralizer(lc.Subalgebra.of(list(lc.BASIS))).dim == 0
 
 
 @check("subalgebra-recognizer", "lie-core",
@@ -461,21 +465,16 @@ def _check_chart_error(rng):
        "anchors: the two model base flags are interior; the degeneration "
        "anchor flags land in their strata; the base flag is deep boundary")
 def _check_region_examples(rng):
-    ok = fs.region_classify(fs.O_T, "t") is fs.Region.INTERIOR
-    ok = ok and fs.region_classify(fs.O_A, "a") is fs.Region.INTERIOR
-    g2 = fs.Flag.of((0, 1, 0), (1, 0, 1))
-    ok = ok and fs.region_classify(g2, "t") is fs.Region.G2
-    ok = ok and fs.region_classify(fs.BASE_FLAG, "a") is fs.Region.DEEP_BOUNDARY
-    return ok
-
-
-_MODEL_ALGEBRAS = (("t", cls.h_t()), ("a", cls.h_a()))
+    return all(fs.region_classify(x, model) is region for x, model, region in (
+        (fs.O_T, "t", fs.Region.INTERIOR), (fs.O_A, "a", fs.Region.INTERIOR),
+        (fs.Flag.of((0, 1, 0), (1, 0, 1)), "t", fs.Region.G2),
+        (fs.BASE_FLAG, "a", fs.Region.DEEP_BOUNDARY)))
 
 
 @check("region-orbit-rank", "flag-space",
        "the model algebra orbit is 3-dimensional exactly on the interior", samples=150)
 def _check_region_rank(rng):
-    for model, alg in _MODEL_ALGEBRAS:
+    for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
         x = rand_flag(rng)
         interior = fs.region_classify(x, model) is fs.Region.INTERIOR
         if (fs.orbit_rank(alg.basis, x) == 3) != interior:
@@ -502,10 +501,9 @@ def _check_circle_boundary(rng):
        "the beta circle of the block-model base flag exits at ([e2], same line)")
 def _check_circle_example(rng):
     res = fs.circle_boundary_points(fs.O_T, "beta", "t")
-    expected = fs.Flag.of((0, 1, 0), (1, 0, 1))
-    ok = not res.full_circle and res.points == (expected,)
     full = fs.circle_boundary_points(fs.Flag.of((1, 0, 0), (0, 1, 0)), "beta", "t")
-    return ok and full.full_circle
+    return (not res.full_circle and res.points == (fs.Flag.of((0, 1, 0), (1, 0, 1)),)
+            and full.full_circle)
 
 
 # carries the base flag to the affine anchor, inside the chart
@@ -565,13 +563,11 @@ def _check_curvature_exponents(rng):
        "diagonal scaling with (a, b) = (s, 1) multiplies the two components "
        "by s^-1 and s^5 for s in {2, 3, 5}")
 def _check_curvature_sampling(rng):
-    for s in (2, 3, 5):
-        p = lc.GroupElem([[s, 0, 0], [0, Fraction(1, s), 0], [0, 0, 1]])
-        k = curv.NormalCurvature.of(1, 1, 0, 0)
-        out = curv.curvature_action(p, k)
-        if out.k_alpha != Fraction(1, s) or out.k_beta != Fraction(s) ** 5:
-            return False
-    return True
+    k = curv.NormalCurvature.of(1, 1, 0, 0)
+    outs = {s: curv.curvature_action(lc.GroupElem([[s, 0, 0], [0, Fraction(1, s), 0],
+                                                   [0, 0, 1]]), k) for s in (2, 3, 5)}
+    return all((out.k_alpha, out.k_beta) == (Fraction(1, s), Fraction(s) ** 5)
+               for s, out in outs.items())
 
 
 @check("curvature-left-action", "curvature",
@@ -649,7 +645,7 @@ def _check_contact_rescaling(rng):
 
 @check("flow-commutator-heis", "curvature",
        "commuting-flow rectangle of the nilpotent pair equals the central "
-       "exponential exactly", worst=max)
+       "exponential exactly")
 def _check_flow_comm_heis(rng):
     worst = max(curv.flow_commutator_defect(md.HEIS_X, md.HEIS_Y, t) for t in (0.5, 0.1, 1e-2))
     same = curv.flow_commutator_defect(rand_traceless(rng), rand_traceless(rng), 0.0)
@@ -862,10 +858,8 @@ def _check_subalgebra_table(rng):
 
 def _isotropy_is_expected_diagonal(case):
     table = cls.isotropy_eigenvalue_table(case)
-    expected = cls.EXPECTED[f"isotropy-{case}"]
-    diag = tuple(table[i][i] for i in range(3))
     off = all(table[i][j] == (0, 0) for i in range(3) for j in range(3) if i != j)
-    return diag == tuple((Fraction(a), Fraction(b)) for a, b in expected) and off
+    return tuple(table[i][i] for i in range(3)) == cls.EXPECTED[f"isotropy-{case}"] and off
 
 
 @check("isotropy-table-block", "classification",
@@ -886,8 +880,7 @@ def _check_isotropy_a(rng):
 def _check_isotropy_h1(rng):
     table = cls.isotropy_eigenvalue_table("h1")
     b_part = tuple(tuple(table[i][j][1] for j in range(3)) for i in range(3))
-    expected = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-    return b_part == tuple(tuple(map(Fraction, r)) for r in expected)
+    return b_part == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
 
 
 @check("isotropy-table-similarity", "classification",
@@ -934,20 +927,11 @@ def _check_line_h2(rng):
        "transverse stabilizers: full / diag(1,1,-2) / diag(-2,1,1) / zero")
 def _check_stabilizer_cases(rng):
     table = cls.transverse_stabilizer_cases(cls.h_a(), fs.O_A)
-    full = table["x=0,y=0"]
-    if len(full) != 2:
-        return False
-    iy = table["x=0,y!=0"]
-    if len(iy) != 1 or not _spans_line(iy[0], lc.LieVec.diag(1, 1, -2)):
-        return False
-    ix = table["x!=0,y=0"]
-    if len(ix) != 1 or not _spans_line(ix[0], lc.LieVec.diag(-2, 1, 1)):
-        return False
-    return len(table["x!=0,y!=0"]) == 0
-
-
-def _spans_line(v: lc.LieVec, target: lc.LieVec) -> bool:
-    return in_span([target.nums], v.nums) and not v.is_zero()
+    lines = {"x=0,y!=0": lc.LieVec.diag(1, 1, -2), "x!=0,y=0": lc.LieVec.diag(-2, 1, 1)}
+    return (len(table["x=0,y=0"]) == 2 and len(table["x!=0,y!=0"]) == 0
+            and all(len(table[case]) == 1 and not table[case][0].is_zero()
+                    and in_span([line.nums], table[case][0].nums)
+                    for case, line in lines.items()))
 
 
 @check("degeneration-matrices", "classification",
@@ -964,10 +948,8 @@ def _check_degeneration(rng):
 @check("degeneration-symbolic", "classification",
        "entrywise Laurent interpolation reproduces the symbolic matrices")
 def _check_degeneration_symbolic(rng):
-    for case, data in cls.DEGENERATION_CASES.items():
-        if cls.degeneration_symbolic(case) != data.expected:
-            return False
-    return True
+    return all(cls.degeneration_symbolic(case) == data.expected
+               for case, data in cls.DEGENERATION_CASES.items())
 
 
 @check("flatness-predicate", "classification",
@@ -1025,7 +1007,7 @@ def _check_reduce_commute(rng):
 
 
 @check("lyapunov-cat-map", "dynamics",
-       "measured rates match log((3+sqrt(5))/2), its negative, and zero", worst=max)
+       "measured rates match log((3+sqrt(5))/2), its negative, and zero")
 def _check_lyapunov(rng):
     f = dyn.NilMap.of(_CAT, (0.5, 1.0, 0.3))
     rate = math.log((3 + math.sqrt(5)) / 2)
@@ -1047,12 +1029,11 @@ def _check_sl2_rates(rng):
        "cat map and diagonal time-one map certify with N = 1; an expanding "
        "pair fails the contraction clause")
 def _check_hyperbolicity(rng):
-    for f in (dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)), dyn.Sl2TimeMap(1.0)):
-        rep = dyn.hyperbolicity_report(f)
-        if not (rep.partially_hyperbolic and rep.n_certified == 1):
-            return False
+    reports = [dyn.hyperbolicity_report(f) for f in (
+        dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)), dyn.Sl2TimeMap(1.0))]
     rep = dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6)))
-    return rep.inconclusive and not rep.partially_hyperbolic
+    return (all(r.partially_hyperbolic and r.n_certified == 1 for r in reports)
+            and rep.inconclusive and not rep.partially_hyperbolic)
 
 
 @check("volume-obstruction", "dynamics",

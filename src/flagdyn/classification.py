@@ -8,6 +8,7 @@ the reports, never inside the computing path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,8 @@ class OracleReport:
 # the subalgebras of the classification
 # ---------------------------------------------------------------------------
 
+# the two model algebras are built once: `region-orbit-rank` reads them per draw
+@functools.cache
 def h_t() -> Subalgebra:
     """Block gl(2) with compensating trace in the corner; dimension 4."""
     return Subalgebra.of([
@@ -85,6 +88,7 @@ def h_t() -> Subalgebra:
     ])
 
 
+@functools.cache
 def h_a() -> Subalgebra:
     """Traceless upper-triangular matrices; dimension 5."""
     return Subalgebra.of([

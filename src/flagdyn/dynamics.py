@@ -258,14 +258,21 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
         raise ValueError("sqrt(tr^2 - 4) rounds to |tr| at this scale, so the "
                          "splitting of the linear part is below float "
                          "resolution; no reliable finite-difference rates")
-    # a step stretches a perturbation along an axis by up to the largest entry
-    # (the central direction is not stretched); past the diagonal of the unit
-    # square, it leaves the box wherever it starts
-    big = max(abs(e) for row in f.linear for e in row)
-    if _RATE_STEP * big > math.sqrt(2):
-        raise ValueError(f"one step can carry the {_RATE_STEP:g} perturbation out of the "
-                         f"unit box: entries up to {big} stretch it past the box "
-                         "diagonal; no reliable finite-difference rates")
+    # One step rounds the perturbation's image by about eps times its
+    # coordinates, up to the row sums e0, e1 of |linear| (or of its inverse).
+    # Over the step, the part along one eigen-direction is off by the rounding
+    # off the other, eps (|w0| e1 + |w1| e0), over the sine of their angle; the
+    # larger of the two also bounds a central growth's eps (e0 + e1) / 2.
+    # Random maps measure within a tenth of it; refuse once that reaches 1e-3.
+    (a, b), (c, d) = f.linear
+    e0, e1 = abs(b) + max(abs(a), abs(d)), abs(c) + max(abs(a), abs(d))
+    (u0, u1), (s0, s1) = vecs
+    sine = abs(u0 * s1 - u1 * s0)
+    bound = math.ulp(1.0) / _RATE_STEP * max(abs(w0) * e1 + abs(w1) * e0 for w0, w1 in vecs) / sine
+    if bound >= 1e-2:
+        raise ValueError(f"one step rounds the {_RATE_STEP:g} perturbation by up to {bound:.1e} "
+                         f"of its size (row sums up to {max(e0, e1)}, eigen-directions at "
+                         f"sine {sine:.1e}), past 1e-02; no reliable finite-difference rates")
     i = 0 if direction == "u" else 1
     w = (*vecs[i], 0.0)
     if direction == "u":

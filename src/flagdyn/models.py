@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flag_space import BoundaryError, Flag, fundamental_vector
-from .lie_core import GroupElem, LieVec, conjugate
+from .flag_space import BoundaryError, Flag, chart_coords
+from .lie_core import GroupElem, LieVec
 from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
                        _mul_ints, _rows, primitive)
 
@@ -359,13 +359,15 @@ class InvariantField:
 
 
 def frame_at(x: Flag, model: str) -> FramedPoint:
-    """Invariant frame at an interior flag, obtained by transporting the
-    base frame by any group element carrying the base flag to x; the result
-    does not depend on the choice."""
-    h = transporter(x, model)
-    gens = _BASE_GENERATORS[model]
-    lines = [primitive(fundamental_vector(conjugate(h, g), x)) for g in gens]
-    return FramedPoint(x, *lines)
+    """Invariant frame at an interior flag in the slope chart: the lines of
+    the invariant fields extending the model's base frame, at the flag's
+    chart point.  They do not depend on the transport: `frame-well-defined`
+    checks them against another transport of the base frame."""
+    if model not in _BASE_GENERATORS:
+        raise ValueError(f"unknown model {model!r}")
+    p = chart_coords(x)
+    return FramedPoint(x, *(primitive(InvariantField(g, model)(p))
+                            for g in _BASE_GENERATORS[model]))
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,11 @@ class TestLyapunov:
          "linear part is below float resolution"),
         # trace 3, but entries of 1.7e7: unrefused, rate-u was off by 0.93
         ("--matrix", "4096,1,-16764929,-4093",
-         "one step can carry the 1e-06 perturbation out of the unit box: entries up to 16764929")])
+         "one step rounds the 1e-06 perturbation by up to 1.4e+01 of its size "
+         "(row sums up to 16769025, eigen-directions at sine 1.3e-07)"),
+        # trace 3 and entries of 1.3e6: unrefused, rate-s was off by 1.7e-3
+        ("--matrix", "1150,1,-1319051,-1147",
+         "one step rounds the 1e-06 perturbation by up to 3.0e-01 of its size")])
     def test_value_lost_to_float_rounding_is_named(self, capsys, option, value, cause):
         code = cli.main(["lyapunov", option, value])
         captured = capsys.readouterr()
@@ -192,9 +196,12 @@ class TestLyapunov:
 
 
 def test_multipliers_of_large_entries_pass_the_relative_gate(capsys):
-    # entries of 1e6: the exact multipliers and the measured rates agree
-    code, out = run(["lyapunov", "-n", "20", "--matrix", "1000001,1000000,1,1"], capsys)
-    assert code == 0 and out.endswith("4/4 checks passed\n")
+    # entries of 1e6 and 2e6, and of 6.5e4 on a trace-3 map: the exact
+    # multipliers and the measured rates agree, and the rounding bound of one
+    # step (6.7e-4, 1.3e-3 and 3.3e-3) stays below the refusal
+    for matrix in ("1000001,1000000,1,1", "2000001,2000000,1,1", "256,1,-64769,-253"):
+        code, out = run(["lyapunov", "-n", "20", "--matrix", matrix], capsys)
+        assert code == 0 and out.endswith("4/4 checks passed\n"), matrix
 
 
 @pytest.mark.parametrize("matrix", [

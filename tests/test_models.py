@@ -253,8 +253,10 @@ def _fractions(column):
 class TestInvariantField:
     @pytest.mark.parametrize("model, gen", [
         ("t", md.SL2_E), ("t", md.SL2_F), ("t", md.SL2_H),
-        ("a", md.HEIS_X), ("a", md.HEIS_Y), ("a", md.HEIS_Z)],
-        ids=["t-E", "t-F", "t-H", "a-X", "a-Y", "a-Z"])
+        ("a", md.HEIS_X), ("a", md.HEIS_Y), ("a", md.HEIS_Z),
+        # outside both model algebras: V m has a nonzero third entry
+        ("t", lc.LieVec.elementary(2, 0)), ("a", lc.LieVec.elementary(2, 0))],
+        ids=["t-E", "t-F", "t-H", "a-X", "a-Y", "a-Z", "t-E20", "a-E20"])
     def test_derivative_matches_sympy(self, model, gen):
         field = md.InvariantField(gen, model)
         syms, value, jac = _sympy_field(gen, model)

@@ -102,10 +102,12 @@ _FOLDED = [(True, 2.0), None, (True, 3.0), (True, 1.0), None]
     ({"worst": max}, _FOLDED, None, (True, 3.0), 5),
     ({"worst": min}, _FOLDED, None, (True, 1.0), 5),
     ({}, _FOLDED, None, (True, None), 5),
-    ({"samples": None}, None, 200, (True, None), 1)],
+    ({"samples": None}, None, 200, (True, None), 1),
+    ({"samples": None}, [(True, 0.5)], None, (True, 0.5), 1)],
     ids=["failing-fixed-part-draws-nothing", "skipped-draws-are-not-made-up",
          "nothing-tested-fails", "failing-draw-reports-its-residual", "worst-max-folds",
-         "worst-min-folds", "no-worst-no-residual", "fact-runs-once"])
+         "worst-min-folds", "no-worst-no-residual", "fact-runs-once",
+         "fact-reports-its-own-residual"])
 def test_runner(register, options, outputs, samples, expected, draws):
     counter = register(**options)
     counter.outputs = outputs
