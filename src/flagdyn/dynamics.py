@@ -23,11 +23,9 @@ from .models import SL2_E, SL2_F, SL2_H
 __all__ = [
     "NilLattice",
     "NilMap",
-    "Sl2TimeMap",
     "RateEstimate",
     "HyperbolicityReport",
     "heis_mul",
-    "heis_inv",
     "reduce_point",
     "reduce_with_translation",
     "iterate",
@@ -43,10 +41,6 @@ __all__ = [
 def heis_mul(p, q):
     return (p[0] + q[0], p[1] + q[1],
             p[2] + q[2] + (p[0] * q[1] - p[1] * q[0]) / 2.0)
-
-
-def heis_inv(p):
-    return (-p[0], -p[1], -p[2])
 
 
 _RANDOM_BOUND = 5  # coordinate bound of a random lattice element
@@ -77,12 +71,23 @@ def reduce_with_translation(p):
 
     The element is (-fx, -fy, c) with fx, fy the floors of x, y: the group
     law of (-fx, -fy, 0) * p, then of (0, 0, c) * that, written out.
-    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0."""
+    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0.  A coordinate
+    just below an integer (or z just below a half-integer) rounds up onto
+    the far face of the box; it is set to 0.0 and the element moves by one
+    unit, before z is computed from it."""
     x, y, z = p
     fx, fy = math.floor(x), math.floor(y)
+    rx, ry = -fx + x, -fy + y
+    if rx == 1.0:
+        rx, fx = 0.0, fx + 1
+    if ry == 1.0:
+        ry, fy = 0.0, fy + 1
     z = z + (fy * x - fx * y) / 2.0
     c = -math.floor(2.0 * z) / 2.0
-    return (-fx + x, -fy + y, c + z), (float(-fx), float(-fy), c)
+    rz = c + z
+    if rz == 0.5:
+        rz, c = 0.0, c - 0.5
+    return (rx, ry, rz), (float(-fx), float(-fy), c)
 
 
 def reduce_point(p):
@@ -171,13 +176,11 @@ class NilMap:
         vecs = tuple((x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in kernels)
         return vals, vecs
 
-
-@dataclass(frozen=True)
-class Sl2TimeMap:
-    """Time-t right translation by the diagonal one-parameter subgroup,
-    represented only through its frame rates."""
-
-    t: float
+    def exact_rates(self):
+        """Per-step log growth along the unstable, stable and central
+        directions, exactly from the multipliers: (log|lam_u|, log|lam_s|, 0)."""
+        (lam_u, lam_s), _ = self.multipliers()
+        return math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,6 @@ def _frame_inverse(p, d):
 
 @dataclass(frozen=True)
 class RateEstimate:
-    direction: str
     measured: float
     exact: float
 
@@ -241,16 +243,12 @@ def _measured_rate(f: NilMap, w, n: int) -> float:
     return total / n
 
 
-def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
-    """Per-step log growth along a left-invariant eigen-direction, found
-    two ways: exactly from the multipliers of the linear part, and by
-    finite-difference transport of a small perturbation through n steps of
-    the reduced dynamics.  The contracted direction is measured on the
+def tangent_rates(f: NilMap, n: int = 200) -> dict:
+    """Per-step log growth along the left-invariant eigen-directions, keyed
+    "u", "s" and "c", found two ways: exactly (`NilMap.exact_rates`), and
+    by finite-difference transport of a small perturbation through n steps
+    of the reduced dynamics.  The contracted direction is measured on the
     inverse map, where it expands, and the sign is flipped back."""
-    if direction not in ("s", "u", "c"):
-        raise ValueError("direction must be one of s, u, c")
-    if direction == "c":
-        return RateEstimate("c", _measured_rate(f, (0.0, 0.0, 1.0), n), 0.0)
     vals, vecs = f.multipliers()
     # past |tr| of about 2^26 the stable multiplier, about 1/|tr|, is below
     # the rounding of one float step of the map, whose entries are about |tr|
@@ -273,13 +271,10 @@ def tangent_rates(f: NilMap, direction: str, n: int = 200) -> RateEstimate:
         raise ValueError(f"one step rounds the {_RATE_STEP:g} perturbation by up to {bound:.1e} "
                          f"of its size (row sums up to {max(e0, e1)}, eigen-directions at "
                          f"sine {sine:.1e}), past 1e-02; no reliable finite-difference rates")
-    i = 0 if direction == "u" else 1
-    w = (*vecs[i], 0.0)
-    if direction == "u":
-        measured = _measured_rate(f, w, n)
-    else:
-        measured = -_measured_rate(f.inverse(), w, n)
-    return RateEstimate(direction, measured, math.log(abs(vals[i])))
+    measured = (_measured_rate(f, (*vecs[0], 0.0), n),
+                -_measured_rate(f.inverse(), (*vecs[1], 0.0), n),
+                _measured_rate(f, (0.0, 0.0, 1.0), n))
+    return {k: RateEstimate(m, e) for k, m, e in zip("usc", measured, f.exact_rates())}
 
 
 # ---------------------------------------------------------------------------
@@ -321,81 +316,36 @@ def sl2_frame_rates(t: float):
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
-    rate_alpha: float
-    rate_beta: float
-    rate_center: float
-    stable_label: str
-    unstable_label: str
     n_certified: int | None
-    partially_hyperbolic: bool
-    inconclusive: bool
-    weak_contraction: dict
+
+    @property
+    def partially_hyperbolic(self) -> bool:
+        return self.n_certified is not None
 
 
 _CERTIFY_TOL = 1e-6  # margin of the certificate's strict inequalities
 _CERTIFY_MAX_POWER = 100  # largest power it tries
 
 
-def _weak_contraction_verdict(rate: float, tol: float) -> str:
-    if rate < -tol:
-        return "forward"
-    if rate > tol:
-        return "backward"
-    return "none"
-
-
-def hyperbolicity_report(source) -> HyperbolicityReport:
-    """Certify uniform contraction / expansion and domination from rates.
-
-    `source` is a NilMap (the exact rates log|lam_u|, log|lam_s| and 0 of
-    its multipliers), an Sl2TimeMap (frame rates of the diagonal flow), or
-    a plain labelled rate triple (rate_alpha, rate_beta, rate_center).  The
+def hyperbolicity_report(rates) -> HyperbolicityReport:
+    """Certify uniform contraction / expansion and domination from a rate
+    triple: two rates in either order, then the central rate, e.g.
+    `NilMap.exact_rates()`, `sl2_frame_rates(t)` or measured rates.  The
     certificate looks for the smallest power N <= 100 at which all strict
-    inequalities hold with margin 1e-6; when none exists the report is
-    inconclusive rather than an error.
+    inequalities hold with margin 1e-6; when none exists, n_certified is
+    None rather than an error.  The inequalities are compared in logs, so
+    that no power of a large rate overflows.
     """
-    if isinstance(source, NilMap):
-        (lam_u, lam_s), _ = source.multipliers()
-        ra, rb, rc = math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0
-    elif isinstance(source, Sl2TimeMap):
-        ra, rb, rc = sl2_frame_rates(source.t)
-    else:
-        ra, rb, rc = (float(v) for v in source)
-
-    if ra <= rb:
-        rs, ru = ra, rb
-        stable, unstable = "alpha", "beta"
-    else:
-        rs, ru = rb, ra
-        stable, unstable = "beta", "alpha"
-
-    tol = _CERTIFY_TOL
-    n_certified = None
+    ra, rb, rc = rates
+    rs, ru = min(ra, rb), max(ra, rb)
+    shrink, grow = math.log1p(-_CERTIFY_TOL), math.log1p(_CERTIFY_TOL)
     for n in range(1, _CERTIFY_MAX_POWER + 1):
-        contracted = math.exp(n * rs) < 1.0 - tol
-        expanded = math.exp(n * ru) > 1.0 + tol
-        dominated = (math.exp(n * rs) < math.exp(n * rc) * (1.0 - tol)
-                     and math.exp(n * rc) < math.exp(n * ru) * (1.0 - tol))
+        contracted = n * rs < shrink
+        expanded = n * ru > grow
+        dominated = n * rs < n * rc + shrink and n * rc < n * ru + shrink
         if contracted and expanded and dominated:
-            n_certified = n
-            break
-
-    weak = {
-        "alpha": _weak_contraction_verdict(ra, tol),
-        "beta": _weak_contraction_verdict(rb, tol),
-        "center": _weak_contraction_verdict(rc, tol),
-    }
-    return HyperbolicityReport(
-        rate_alpha=ra,
-        rate_beta=rb,
-        rate_center=rc,
-        stable_label=stable,
-        unstable_label=unstable,
-        n_certified=n_certified,
-        partially_hyperbolic=n_certified is not None,
-        inconclusive=n_certified is None,
-        weak_contraction=weak,
-    )
+            return HyperbolicityReport(n)
+    return HyperbolicityReport(None)
 
 
 def volume_obstruction_check(lam: float, mu: float) -> str:

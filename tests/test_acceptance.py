@@ -160,13 +160,12 @@ def test_criterion_6_nilmanifold_lyapunov():
                     (0.31, 0.77, 0.41)]
     for i, g in enumerate(translations):
         f = dyn.NilMap.of(((2, 1), (1, 1)), g, check_descends=(i < 3))
-        ru = dyn.tangent_rates(f, "u", n=200)
-        rs = dyn.tangent_rates(f, "s", n=200)
-        rc = dyn.tangent_rates(f, "c", n=200)
+        rates = dyn.tangent_rates(f, n=200)
+        ru, rs, rc = rates["u"], rates["s"], rates["c"]
         ok = ok and abs(ru.measured - oracle) <= 1e-3
         ok = ok and abs(rs.measured + oracle) <= 1e-3
         ok = ok and abs(rc.measured) <= 1e-6
-    rep = dyn.hyperbolicity_report(dyn.NilMap.of(((2, 1), (1, 1)), (0.5, 0.0, 0.0)))
+    rep = dyn.hyperbolicity_report(dyn.NilMap.of(((2, 1), (1, 1)), (0.5, 0.0, 0.0)).exact_rates())
     ok = ok and rep.partially_hyperbolic and rep.n_certified == 1
     elapsed = time.perf_counter() - start
     _report(6, ok and elapsed < 1.0,
@@ -177,7 +176,7 @@ def test_criterion_7_sl2_frame_rates():
     """Frame rates of the time-one diagonal translation are exactly
     (-2, 2, 0), derived from integer bracket eigenvalues."""
     ok = dyn.sl2_frame_rates(1.0) == (-2.0, 2.0, 0.0)
-    rep = dyn.hyperbolicity_report(dyn.Sl2TimeMap(1.0))
+    rep = dyn.hyperbolicity_report(dyn.sl2_frame_rates(1.0))
     ok = ok and rep.partially_hyperbolic and rep.n_certified == 1
     _report(7, ok, "diagonal-flow frame rates (-2, 2, 0), exact")
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report schema, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import cli
+from flagdyn import dynamics as dyn
 
 
 def run(argv, capsys):
@@ -145,6 +147,12 @@ class TestSimulate:
         assert code == 0
         assert out == "step,x,y,z\n" + "".join(f"{k},0,0,0\n" for k in range(4))
 
+    def test_start_on_a_far_face_prints_its_box_representative(self, capsys):
+        # -1e-20 + 1 rounds to 1.0, outside [0, 1): the point is (0, 0.25, 0)
+        code, out = run(["simulate", "--start=-1e-20,0.25,-1e-20", "-n", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,0.25,0"
+
     def test_invalid_matrix_is_usage_error(self, capsys):
         code, _ = run(["simulate", "--matrix", "2,0,0,1"], capsys)
         assert code == 2
@@ -170,10 +178,15 @@ class TestLyapunov:
         ph = next(c for c in payload["cases"] if c["id"] == "partially-hyperbolic")
         assert ph["pass"] and ph["n"] == 1
 
-    def test_invalid_tolerance_is_usage_error(self, capsys):
-        for tol in ("-1", "0", "nan", "inf"):
-            code, out = run(["lyapunov", "-n", "20", "--tol", tol], capsys)
-            assert code == 2 and out == "", tol
+    @pytest.mark.parametrize("matrix", ["2,1,1,1", "3,2,1,1", "5,2,2,1", "1,1,1,2", "3,1,2,1"])
+    def test_exact_fields_are_the_exact_rates(self, capsys, matrix):
+        code, out = run(["lyapunov", "--matrix", matrix, "-n", "20", "--format", "json"],
+                        capsys)
+        assert code == 0
+        exact = {c["id"]: c["exact"] for c in json.loads(out)["cases"] if "exact" in c}
+        m = tuple(map(int, matrix.split(",")))
+        rate_u, rate_s, _ = dyn.NilMap.of((m[:2], m[2:])).exact_rates()
+        assert exact == {"rate-u": rate_u, "rate-s": rate_s, "rate-c": 0.0}
 
     @pytest.mark.parametrize("option, value, cause", [
         ("--translation", "0.5,0.5,4503599627370496",
@@ -225,6 +238,7 @@ def test_multipliers_beyond_float_precision_are_usage_errors(capsys, matrix):
     ["simulate", "-n", "1", "--format", "json"],
     ["lyapunov", "-n", "20", "--seed", "1"],
     ["lyapunov", "-n", "20", "--samples", "1"],
+    ["lyapunov", "-n", "20", "--tol", "1e-6"],
 ])
 def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     code, out = run(argv, capsys)
@@ -268,7 +282,7 @@ class TestEnvOverrides:
 
     @pytest.mark.parametrize("name, value, argv, option", [
         ("SAMPLES", "0", ["verify", "--suite", "classification"], "--samples"),
-        ("TOL", "nan", ["lyapunov", "-n", "20"], "--tol"),
+        ("SEED", "abc", ["verify", "--suite", "classification"], "--seed"),
         ("FORMAT", "xml", ["oracle", "bracket-table"], "--format"),
         ("FORMAT", "xml", ["lyapunov", "-n", "20"], "--format"),
         ("OUT", "/nonexistent/x.csv", ["simulate", "-n", "1"], "--out")])
@@ -335,7 +349,6 @@ _out = st.one_of(st.just("report.csv"), st.just("report.csv"),
                  _text.filter(lambda name: "/" not in name))
 _VALUES = {
     "seed": _or_garbage(st.integers().map(str)),
-    "tol": _or_garbage(_finite.map(repr)),
     "format": _or_garbage(st.sampled_from(["json", "csv", "human"])),
     "out": _out,
     "suite": _or_garbage(st.sampled_from(checks.suites())),
@@ -362,8 +375,21 @@ _READS = {
     "verify": ["suite", "seed", "format", "out"],
     "oracle": ["format", "out"],
     "simulate": ["matrix", "translation", "start", "out"],
-    "lyapunov": ["matrix", "translation", "tol", "format", "out"],
+    "lyapunov": ["matrix", "translation", "format", "out"],
 }
+# options drawn apart from _READS, with values bounded so that runs stay cheap
+_BOUNDED = {"verify": ["samples"], "simulate": ["steps"], "lyapunov": ["steps"]}
+
+
+def test_fuzz_table_lists_the_options_of_each_subcommand():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: sorted(opt[2:] for action in parser._actions
+                             for opt in action.option_strings
+                             if opt.startswith("--") and opt != "--help")
+                for name, parser in subcommands.items()}
+    assert accepted == {name: sorted(reads + _BOUNDED.get(name, []))
+                        for name, reads in _READS.items()}
 
 
 @st.composite
@@ -379,7 +405,7 @@ def invocations(draw):
         # One token, so that a value starting with "-" still reads as one.
         argv.append(f"--{name}={draw(_VALUES[name])}")
     env = {cli.ENV_PREFIX + name.upper(): draw(_VALUES[name])
-           for name in draw(st.sets(st.sampled_from(["seed", "tol", "format", "out"]),
+           for name in draw(st.sets(st.sampled_from(["seed", "format", "out"]),
                                     max_size=2))}
     # Bound the cost: at most 2 samples, at most 50 steps.
     if command == "verify":

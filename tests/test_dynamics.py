@@ -8,6 +8,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagdyn import checks
 from flagdyn import dynamics as dyn
@@ -33,7 +35,7 @@ class TestLattice:
             g = dyn.LATTICE.random_element(rng)
             h = dyn.LATTICE.random_element(rng)
             assert dyn.LATTICE.contains(dyn.heis_mul(g, h))
-            assert dyn.LATTICE.contains(dyn.heis_inv(g))
+            assert dyn.LATTICE.contains(tuple(-c for c in g))  # g^-1
 
     def test_invariant_under_integer_unimodular_parts(self):
         rng = random.Random(2)
@@ -46,12 +48,26 @@ class TestLattice:
 
 
 def reduce_by_group_law(p):
-    """Reference reduction: the group law of (-floor x, -floor y, 0) * p,
-    then of (0, 0, c) * that."""
-    gamma_xy = (float(-math.floor(p[0])), float(-math.floor(p[1])))
+    """Reference reduction: the group law of (-fx, -fy, 0) * p, then of
+    (0, 0, c) * that, with fx, fy the floors of x, y and c = -floor(2z)/2.
+    The face rule: where x - fx rounds up to 1, fx is one more and x is 0;
+    likewise y, and z where it rounds up to 1/2."""
+    x, y, _ = p
+    fx, fy = math.floor(x), math.floor(y)
+    far_x, far_y = -fx + x == 1.0, -fy + y == 1.0
+    gamma_xy = (float(-fx - far_x), float(-fy - far_y))
     partial = dyn.heis_mul((*gamma_xy, 0.0), p)
     c = -math.floor(2.0 * partial[2]) / 2.0
-    return dyn.heis_mul((0.0, 0.0, c), partial), (*gamma_xy, c)
+    far_z = c + partial[2] == 0.5
+    c -= far_z / 2
+    r = dyn.heis_mul((0.0, 0.0, c), partial)
+    return tuple(0.0 if far else v for v, far in zip(r, (far_x, far_y, far_z))), (*gamma_xy, c)
+
+
+# points with a coordinate that rounds up onto a far face of the box
+FAR_FACE_POINTS = [(-1e-20, 0.25, -1e-20), (0.25, -1e-20, 0.1), (-1e-20, -1e-20, -1e-20),
+                   (0.3, 0.6, -1e-17), (-2.0 ** -60, 0.5, 0.25), (1.5, -1e-18, 3.0),
+                   (0.75, 0.5, -1e-20)]
 
 
 class TestReduce:
@@ -61,7 +77,7 @@ class TestReduce:
         # repr, because == cannot tell -0.0 from 0.0
         edges = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -3.5, 1 - 2 ** -53,
                  -1e-20, 1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5)
-        points = [(x, y, z) for x in edges for y in edges for z in edges]
+        points = [(x, y, z) for x in edges for y in edges for z in edges] + FAR_FACE_POINTS
         rng = random.Random(13)
         for _ in range(5_000):
             scale = rng.choice((1.0, 20.0, 1e6))
@@ -73,10 +89,10 @@ class TestReduce:
 
     def test_lands_in_the_box(self):
         rng = random.Random(3)
-        for _ in range(1000):
-            p = tuple(rng.uniform(-20, 20) for _ in range(3))
+        points = [tuple(rng.uniform(-20, 20) for _ in range(3)) for _ in range(1000)]
+        for p in points + FAR_FACE_POINTS:
             x, y, z = dyn.reduce_point(p)
-            assert 0 <= x < 1 and 0 <= y < 1 and 0 <= z < 0.5
+            assert 0 <= x < 1 and 0 <= y < 1 and 0 <= z < 0.5, p
 
     def test_idempotent(self):
         rng = random.Random(5)
@@ -185,7 +201,7 @@ class TestNilMap:
         (lam_u, lam_s), _ = f.multipliers()
         assert (lam_u, lam_s) == (2.0**70, 2.0**-70)
         with pytest.raises(ValueError, match=r"^sqrt\(tr\^2 - 4\) rounds to \|tr\|"):
-            dyn.tangent_rates(f, "u")
+            dyn.tangent_rates(f)
 
     def test_multiplier_beyond_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="beyond the float range"):
@@ -221,41 +237,40 @@ class TestTangentRates:
     def test_cat_map_rates_match_eigen_oracle(self):
         for g in ((0.0, 0.0, 0.0), (0.5, 1.0, 0.3), (1.5, 0.5, 0.125)):
             f = dyn.NilMap.of(CAT, g)
-            ru = dyn.tangent_rates(f, "u")
-            rs = dyn.tangent_rates(f, "s")
-            rc = dyn.tangent_rates(f, "c")
+            rates = dyn.tangent_rates(f)
+            ru, rs, rc = rates["u"], rates["s"], rates["c"]
             assert abs(ru.measured - golden_rate()) <= 1e-3
             assert abs(rs.measured + golden_rate()) <= 1e-3
             assert abs(rc.measured) <= 1e-6
 
     def test_arbitrary_translation_same_rates(self):
         f = dyn.NilMap.of(CAT, (0.37, 0.91, 0.24), check_descends=False)
-        assert abs(dyn.tangent_rates(f, "u").measured - golden_rate()) <= 1e-3
+        assert abs(dyn.tangent_rates(f)["u"].measured - golden_rate()) <= 1e-3
 
     def test_transposed_matrix(self):
-        f = dyn.NilMap.of(((1, 1), (1, 2)))
-        assert abs(dyn.tangent_rates(f, "u").measured - golden_rate()) <= 1e-3
-        assert abs(dyn.tangent_rates(f, "s").measured + golden_rate()) <= 1e-3
+        rates = dyn.tangent_rates(dyn.NilMap.of(((1, 1), (1, 2))))
+        assert abs(rates["u"].measured - golden_rate()) <= 1e-3
+        assert abs(rates["s"].measured + golden_rate()) <= 1e-3
 
     def test_center_rate_exactly_from_determinant(self):
         f = dyn.NilMap.of(CAT)
-        assert dyn.tangent_rates(f, "c").exact == 0.0
+        assert dyn.tangent_rates(f)["c"].exact == 0.0
 
     def test_identity_map_all_rates_zero(self):
         f = dyn.NilMap.of(((1, 0), (0, 1)))
-        for d in ("u", "s", "c"):
-            r = dyn.tangent_rates(f, d, n=50)
+        for r in dyn.tangent_rates(f, n=50).values():
             assert abs(r.measured) <= 1e-9 and r.exact == 0.0
 
     def test_exact_equals_measured_within_gate(self):
-        f = dyn.NilMap.of(CAT, (0.5, 0.5, 0.1))
-        for d in ("u", "s"):
-            r = dyn.tangent_rates(f, d)
-            assert r.error <= 1e-6
+        rates = dyn.tangent_rates(dyn.NilMap.of(CAT, (0.5, 0.5, 0.1)))
+        assert rates["u"].error <= 1e-6 and rates["s"].error <= 1e-6
 
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            dyn.tangent_rates(dyn.NilMap.of(CAT), "q")
+    def test_exact_fields_are_the_exact_rates(self):
+        for m in (CAT, ((1, 1), (1, 2)), ((-5, 2), (2, -1))):
+            f = dyn.NilMap.of(m)
+            rates = dyn.tangent_rates(f, n=20)
+            assert list(rates) == ["u", "s", "c"]
+            assert tuple(r.exact for r in rates.values()) == f.exact_rates()
 
 
 class TestSl2FrameRates:
@@ -273,23 +288,18 @@ class TestSl2FrameRates:
 
 class TestHyperbolicityReport:
     def test_cat_map_certifies_at_power_one(self):
-        rep = dyn.hyperbolicity_report(dyn.NilMap.of(CAT, (0.5, 0.0, 0.125)))
+        rep = dyn.hyperbolicity_report(dyn.NilMap.of(CAT, (0.5, 0.0, 0.125)).exact_rates())
         assert rep.partially_hyperbolic
         assert rep.n_certified == 1
-        assert rep.stable_label != rep.unstable_label
-        assert rep.weak_contraction["center"] == "none"
 
     def test_sl2_time_one_certifies_at_power_one(self):
-        rep = dyn.hyperbolicity_report(dyn.Sl2TimeMap(1.0))
+        rep = dyn.hyperbolicity_report(dyn.sl2_frame_rates(1.0))
         assert rep.partially_hyperbolic and rep.n_certified == 1
-        assert rep.rate_alpha == -2.0 and rep.rate_beta == 2.0
 
     def test_expanding_pair_fails_contraction(self):
         rep = dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6)))
-        assert rep.inconclusive
+        assert rep.n_certified is None
         assert not rep.partially_hyperbolic
-        assert rep.weak_contraction["alpha"] == "backward"
-        assert rep.weak_contraction["beta"] == "backward"
 
     def test_nil_map_certifies_from_its_exact_multipliers(self, monkeypatch):
         def no_measurement(*args):
@@ -297,17 +307,18 @@ class TestHyperbolicityReport:
         monkeypatch.setattr(dyn, "_measured_rate", no_measurement)
         for m in (CAT, ((-5, 2), (2, -1)), ((2**70, 1), (-1, 0))):
             (lam_u, lam_s), _ = dyn.NilMap.of(m).multipliers()
-            rep = dyn.hyperbolicity_report(dyn.NilMap.of(m, (0.5, 0.0, 0.125)))
-            assert (rep.rate_alpha, rep.rate_beta, rep.rate_center) == \
-                (math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0)
+            rates = dyn.NilMap.of(m, (0.5, 0.0, 0.125)).exact_rates()
+            assert rates == (math.log(abs(lam_u)), math.log(abs(lam_s)), 0.0)
+            rep = dyn.hyperbolicity_report(rates)
             assert rep.partially_hyperbolic and rep.n_certified == 1
 
-    def test_weak_contraction_dichotomy_for_the_cat_map(self):
-        rep = dyn.hyperbolicity_report(dyn.NilMap.of(CAT))
-        stable = rep.stable_label
-        unstable = rep.unstable_label
-        assert rep.weak_contraction[stable] == "forward"
-        assert rep.weak_contraction[unstable] == "backward"
+    @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
+    def test_the_two_rates_are_unordered(self, a, b, c):
+        assert dyn.hyperbolicity_report((a, b, c)) == dyn.hyperbolicity_report((b, a, c))
+
+    @given(st.floats(0.01, 100))
+    def test_reciprocal_rates_certify_at_power_one(self, r):
+        assert dyn.hyperbolicity_report((-r, r, 0.0)).n_certified == 1
 
 
 class TestVolumeObstruction:
