@@ -33,8 +33,6 @@ from . import lie_core as lc
 from . import models as md
 from .rational import _cleared, _mat_vec_ints, _primitive_ints, _rows, in_span, primitive
 
-__all__ = ["REGISTRY", "run_check", "run_checks", "check_rng", "suites", "CheckOutcome"]
-
 
 @dataclass(frozen=True)
 class CheckOutcome:

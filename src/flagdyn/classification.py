@@ -36,32 +36,6 @@ from .lie_core import (
 from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
 from .rational import cross, in_span, nullspace, rank, solve, span_equal
 
-__all__ = [
-    "OracleReport",
-    "LaurentPoly",
-    "h_t",
-    "h_a",
-    "h_1",
-    "h_2",
-    "s_0",
-    "so3",
-    "so12",
-    "heis_algebra",
-    "verify_subalgebra_table",
-    "isotropy_eigenvalue_table",
-    "invariant_transverse_line_search",
-    "transverse_stabilizer_cases",
-    "TransverseLineResult",
-    "degeneration_limit",
-    "degeneration_samples",
-    "degeneration_symbolic",
-    "DEGENERATION_CASES",
-    "DegenerationResult",
-    "flatness_holonomy_predicate",
-    "tresse_bracket_suite",
-    "EXPECTED",
-]
-
 
 @dataclass(frozen=True)
 class OracleReport:

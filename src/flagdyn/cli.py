@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from . import checks
 from . import classification as cls
@@ -131,11 +133,31 @@ def _point(text: str):
     return vals
 
 
+def _exact(text: str):
+    """The comma-separated numbers of text, once `_numbers` has read them, as
+    exact Fractions.  Fraction reads what float reads without rounding, so
+    2.0 and 1e3 are integers and 2**53 + 1 stays odd.  A nonzero number that
+    rounds to a float zero is refused: it is no integer or half-integer, and
+    its exponent could ask Fraction for any power of ten."""
+    tokens = text.split(",")
+    if any(float(t) == 0 and Decimal(t) != 0 for t in tokens):
+        raise argparse.ArgumentTypeError(
+            f"nonzero numbers must not round to a float zero, got {text!r}")
+    return tuple(Fraction(t) if float(t) else Fraction(0) for t in tokens)
+
+
+def _translation(text: str):
+    # checked as a point, then kept exact for NilMap.of's lattice check
+    _point(text)
+    return _exact(text)
+
+
 def _matrix(text: str):
-    vals = _numbers(text, 4)
-    if any(v != int(v) for v in vals):
+    _numbers(text, 4)
+    vals = _exact(text)
+    if any(v.denominator != 1 for v in vals):
         raise argparse.ArgumentTypeError("linear part entries must be integers")
-    return vals[:2], vals[2:]
+    return tuple(map(int, vals[:2])), tuple(map(int, vals[2:]))
 
 
 def _count(text: str) -> int:
@@ -253,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
     ps.add_argument("--matrix", type=_matrix, default="2,1,1,1",
                     help="integer linear part a,b,c,d with ad-bc=1")
-    ps.add_argument("--translation", type=_point, default="0,0,0")
+    ps.add_argument("--translation", type=_translation, default="0,0,0")
     ps.add_argument("--start", type=_point, default="0.37,0.21,0.13")
     ps.add_argument("-n", "--steps", type=_count, default=100)
     add_shared(ps, "--out")
@@ -261,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
     pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
-    pl.add_argument("--translation", type=_point, default="0,0,0")
+    pl.add_argument("--translation", type=_translation, default="0,0,0")
     pl.add_argument("-n", "--steps", type=_count, default=200)
     add_shared(pl, "--format", "--out")
     pl.set_defaults(run=cmd_lyapunov)

@@ -40,20 +40,6 @@ from .lie_core import (
 )
 from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, _rows, cross, inverse3
 
-__all__ = [
-    "NormalCurvature",
-    "curvature_action",
-    "curvature_action_dense",
-    "alpha_scale",
-    "beta_scale",
-    "is_harmonic",
-    "contact_test",
-    "bracket_of_fields",
-    "flow_commutator_defect",
-    "PolynomialField",
-    "DegenerateFrameError",
-]
-
 
 class NormalCurvature(_CanonicalInts):
     """The components (K_alpha, K_beta, K^alpha, K^beta) as four ints over one
@@ -267,5 +253,9 @@ def loglog_slope(ts, values) -> float:
         [math.log(t) for t in ts], [math.log(max(v, 1e-300)) for v in values]).slope
 
 
-def commutator_slope(u: LieVec, v: LieVec, ts=(1e-1, 1e-2, 1e-3)) -> float:
-    return loglog_slope(ts, [flow_commutator_defect(u, v, t) for t in ts])
+_SLOPE_TIMES = (1e-1, 1e-2, 1e-3)
+
+
+def commutator_slope(u: LieVec, v: LieVec) -> float:
+    """Log-log slope of the rectangle defect over t = 0.1, 0.01 and 0.001."""
+    return loglog_slope(_SLOPE_TIMES, [flow_commutator_defect(u, v, t) for t in _SLOPE_TIMES])

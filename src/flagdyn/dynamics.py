@@ -20,23 +20,6 @@ from dataclasses import dataclass
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
 
-__all__ = [
-    "NilLattice",
-    "NilMap",
-    "RateEstimate",
-    "HyperbolicityReport",
-    "heis_mul",
-    "reduce_point",
-    "reduce_with_translation",
-    "iterate",
-    "tangent_rates",
-    "sl2_frame_rates",
-    "hyperbolicity_report",
-    "volume_obstruction_check",
-    "write_trajectory_csv",
-    "write_trajectory_rows",
-]
-
 
 def heis_mul(p, q):
     return (p[0] + q[0], p[1] + q[1],
@@ -109,26 +92,25 @@ class NilMap:
     trivially on z in exponential coordinates.
 
     The translation must normalize the lattice (half-integer x and y parts)
-    for the map to descend to the quotient; pass check_descends=False to
-    study a non-descending translation, the frame cocycle is unchanged.
+    for the map to descend to the quotient.  `NilMap.of` checks both parts;
+    the constructor checks nothing, so `NilMap(linear, translation)` builds
+    a map with a non-descending translation, whose frame cocycle is the same.
     """
 
     linear: tuple
     translation: tuple
 
     @staticmethod
-    def of(linear, translation=(0.0, 0.0, 0.0), check_descends: bool = True) -> "NilMap":
+    def of(linear, translation=(0.0, 0.0, 0.0)) -> "NilMap":
+        """The map with entries given as ints, Fractions or floats, checked
+        on those exact values; the translation is then stored as floats."""
         m = tuple(tuple(int(e) for e in row) for row in linear)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if det != 1 or any(e != int(e) for row in linear for e in row):
             raise ValueError("linear part must be an integer matrix of determinant 1")
-        tr = tuple(float(c) for c in translation)
-        if check_descends:
-            if any(2 * c != math.floor(2 * c) for c in tr[:2]):
-                raise ValueError(
-                    "translation does not normalize the lattice; "
-                    "use check_descends=False to override")
-        return NilMap(m, tr)
+        if any(2 * c != math.floor(2 * c) for c in translation[:2]):
+            raise ValueError("translation does not normalize the lattice")
+        return NilMap(m, tuple(float(c) for c in translation))
 
     def apply(self, p):
         (a, b), (c, d) = self.linear

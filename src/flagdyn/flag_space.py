@@ -28,33 +28,6 @@ from .rational import (
     solve,
 )
 
-__all__ = [
-    "ProjPoint",
-    "ProjLine",
-    "Flag",
-    "Region",
-    "act",
-    "flip",
-    "affine_chart",
-    "affine_chart_inverse",
-    "chart_coords",
-    "flag_from_coords",
-    "region_classify",
-    "circle_boundary_points",
-    "CircleBoundary",
-    "fundamental_vector",
-    "flag_derivative",
-    "orbit_rank",
-    "killing_with_value",
-    "push_tangent",
-    "BASE_FLAG",
-    "O_T",
-    "O_A",
-    "LINE_AT_INFINITY",
-    "M_T",
-    "M_A",
-]
-
 
 class BoundaryError(ValueError):
     """Raised when a chart is evaluated outside its domain."""
@@ -209,13 +182,6 @@ def chart_coords(x: Flag):
     return (Fraction(m[0], m[2]), Fraction(m[1], m[2]), Fraction(-n[1], n[0]))
 
 
-def flag_from_coords(px, py, z) -> Flag:
-    """Inverse of `chart_coords`: the flag at (px, py) with direction (z : 1)."""
-    (x, y, u), den = _cleared((px, py, z))
-    # (z : 1) is the class (u : den)
-    return _chart_flag(x, y, den, u, den)
-
-
 # ---------------------------------------------------------------------------
 # model regions
 # ---------------------------------------------------------------------------
@@ -305,25 +271,18 @@ def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
     raise ValueError(f"unknown circle family {which!r}")
 
 
-def _pencil(v, s, t):
-    """s p1 + t p2, where p_k is the cross product of v with the standard
-    basis vector k places (cyclically) after the first nonzero entry of v.
-    p1 and p2 are independent and orthogonal to v, so they span the lines
-    through the point v, or the points on the line v."""
-    i = next(k for k, e in enumerate(v) if e != 0)
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    p1, p2 = cross(v, units[(i + 1) % 3]), cross(v, units[(i + 2) % 3])
-    return [s * a + t * b for a, b in zip(p1, p2)]
-
-
 def alpha_circle_flag(x: Flag, s, t) -> Flag:
-    """Parametrized alpha circle: lines through the point of x."""
-    return Flag(x.point, ProjLine.of(_pencil(x.point.coords, s, t)))
-
-
-def beta_circle_flag(x: Flag, s, t) -> Flag:
-    """Parametrized beta circle: points on the line of x."""
-    return Flag(ProjPoint.of(_pencil(x.line.normal, s, t)), x.line)
+    """Parametrized alpha circle: the line s n1 + t n2 through the point m
+    of x, where n_k is the cross product of m with the standard basis
+    vector k places (cyclically) after the first nonzero entry of m.  n1
+    and n2 are independent and orthogonal to m, so they span the lines
+    through m.  The beta circle is the flip of the alpha circle of the
+    flipped flag."""
+    m = x.point.coords
+    i = next(k for k, e in enumerate(m) if e != 0)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    n1, n2 = cross(m, units[(i + 1) % 3]), cross(m, units[(i + 2) % 3])
+    return Flag(x.point, ProjLine.of([s * a + t * b for a, b in zip(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ nine ints over one denominator, a `GroupElem` the primitive integer matrix
 of its class.  `GroupElem.entries` are ints, so a ratio of two of them is
 built as a Fraction, never with `/`.
 
-Floats appear only in `exp_group` / `exp_ad`, the numerical exponentials
-used by the dynamics side; a float matrix there is a tuple of rows, each a
-tuple of Python floats.
+Floats appear only in the numerical exponentials `exp_group`, `exp_ad` and
+`Ad_of_exp` and the float matrix helpers under them, read by
+`curvature.flow_commutator_defect` and the `exp-ad-consistency` check (the
+`dynamics` module reads none of them); a float matrix is a tuple of rows,
+each a tuple of Python floats.
 """
 
 from __future__ import annotations
@@ -31,25 +33,6 @@ from .rational import (
     rank,
     span_equal,
 )
-
-__all__ = [
-    "LieVec",
-    "GroupElem",
-    "Subalgebra",
-    "bracket",
-    "grade_decompose",
-    "quotient_adjoint",
-    "quotient_adjoint_bruteforce",
-    "centralizer",
-    "normalizer",
-    "conjugate",
-    "ad_matrix",
-    "exp_group",
-    "exp_ad",
-    "theta_involution",
-    "theta_group",
-    "BASIS",
-]
 
 
 class NotUpperTriangularError(ValueError):
@@ -156,16 +139,10 @@ _FLOAT_BASIS = tuple(b.to_float() for b in BASIS)
 POSITIVE_BASIS = (E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 
 
-def traceless_coords(v: LieVec):
-    """Coordinates of a traceless v in BASIS (exact), read off its entries:
-    the off-diagonal ones directly, and diag(a, b, -a-b) = a E_1 + (a+b) E_2."""
-    if not v.is_traceless():
-        raise ValueError("expected a traceless matrix")
-    return _basis_coords(v.entries)
-
-
 def _basis_coords(e):
-    """BASIS coordinates read off the entry rows e of a traceless matrix."""
+    """BASIS coordinates read off the entry rows e of a traceless matrix:
+    the off-diagonal entries directly, and diag(a, b, -a-b) = a E_1 +
+    (a+b) E_2.  Exact on Fraction rows, float on float rows."""
     return [e[2][0], e[2][1], e[1][0], e[0][0], e[0][0] + e[1][1],
             e[1][2], e[0][1], e[0][2]]
 
@@ -404,14 +381,8 @@ def normalizer(s: Subalgebra) -> Subalgebra:
 
 
 # ---------------------------------------------------------------------------
-# adjoint matrices and exponentials
+# float exponentials
 # ---------------------------------------------------------------------------
-
-def ad_matrix(v: LieVec):
-    """8x8 exact matrix of ad(v) = [v, .] over BASIS."""
-    cols = [traceless_coords(bracket(v, b)) for b in BASIS]
-    return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
-
 
 def fmat_mul(a, b):
     """Product of two float matrices.  The loops run inside map, zip and
@@ -474,21 +445,21 @@ def exp_group(v: LieVec, t: float = 1.0):
     return exp_float(v.to_float(t))
 
 
-def exp_ad(v: LieVec, t: float = 1.0):
-    """exp(t ad v) as a float 8x8 matrix; the columns of t ad v are the
-    BASIS coordinates of the float brackets [t v, b]."""
-    tv = v.to_float(t)
-    brackets = (fmat_sub(fmat_mul(tv, b), fmat_mul(b, tv)) for b in _FLOAT_BASIS)
+def exp_ad(v: LieVec):
+    """exp(ad v) as a float 8x8 matrix; the columns of ad v are the BASIS
+    coordinates of the float brackets [v, b].  For exp(t ad v), pass t v."""
+    fv = v.to_float()
+    brackets = (fmat_sub(fmat_mul(fv, b), fmat_mul(b, fv)) for b in _FLOAT_BASIS)
     return exp_float(tuple(zip(*map(_basis_coords, brackets))))
 
 
-def Ad_of_exp(v: LieVec, t: float = 1.0):
-    """Conjugation action of exp(t v) over BASIS, float path.
+def Ad_of_exp(v: LieVec):
+    """Conjugation action of exp(v) over BASIS, float path.
 
     Computed from exp_group directly (independent of exp_ad); the two must
-    agree to roughly 1e-9 for moderate inputs.  The inverse is exp(-t v)
+    agree to roughly 1e-9 for moderate inputs.  The inverse is exp(-v)
     rather than a numerical inversion, whose error grows with the condition
-    number of exp(t v).  Coordinates are read as in `traceless_coords`.
+    number of exp(v).  Coordinates are read by `_basis_coords`.
     """
-    g, ginv = exp_group(v, t), exp_group(v, -t)
+    g, ginv = exp_group(v, 1.0), exp_group(v, -1.0)
     return tuple(zip(*(_basis_coords(fmat_mul(fmat_mul(g, b), ginv)) for b in _FLOAT_BASIS)))

@@ -20,34 +20,6 @@ from .lie_core import GroupElem, LieVec
 from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
                        _mul_ints, _rows, primitive)
 
-__all__ = [
-    "HeisElem",
-    "HeisAuto",
-    "AffineMap",
-    "FramedPoint",
-    "SL2_E",
-    "SL2_F",
-    "SL2_H",
-    "HEIS_X",
-    "HEIS_Y",
-    "HEIS_Z",
-    "heis_semidirect_mul",
-    "theta_affine",
-    "flat_structure_iso",
-    "frame_at",
-    "transporter",
-    "InvariantField",
-    "equivariance_t",
-    "equivariance_t_inverse",
-    "mat_mul2",
-    "equivariance_a",
-    "equivariance_a_inverse",
-    "central_flow_fields",
-    "commutator_identity_check",
-    "MembershipError",
-    "ContactConditionError",
-]
-
 
 class MembershipError(ValueError):
     pass
@@ -438,38 +410,18 @@ def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
 # closed-form flows in the affine model coordinates
 # ---------------------------------------------------------------------------
 
-class _AffineModelField:
-    """Polynomial vector field on the chart (x, y, z) with closed-form flow.
-    `flow(t, p)` is polynomial with no division, so it stays exact on ints
-    and Fractions."""
-
-    def __init__(self, func, flow):
-        self._func = func
-        self.flow = flow
-
-    def __call__(self, p):
-        return self._func(p)
-
-
 def central_flow_fields():
-    """The three frame fields of the affine model in chart coordinates:
+    """The closed-form flows `flow(t, p)` of the three frame fields of the
+    affine model in chart coordinates:
 
-        alpha field (0, 0, 1), beta field (z, 1, 0), central field (1, 0, 0)
+        alpha field (0, 0, 1), beta field (z, 1, 0), central field (1, 0, 0).
 
-    with exact closed-form flows."""
-    f_alpha = _AffineModelField(
-        lambda p: (0, 0, 1),
-        lambda t, p: (p[0], p[1], p[2] + t),
-    )
-    f_beta = _AffineModelField(
-        lambda p: (p[2], 1, 0),
-        lambda t, p: (p[0] + t * p[2], p[1] + t, p[2]),
-    )
-    f_c = _AffineModelField(
-        lambda p: (1, 0, 0),
-        lambda t, p: (p[0] + t, p[1], p[2]),
-    )
-    return f_alpha, f_beta, f_c
+    Each flow is polynomial with no division, so it stays exact on ints and
+    Fractions, and it is affine in t: the field at p is (flow(t, p) - p) / t
+    for any t != 0."""
+    return ((lambda t, p: (p[0], p[1], p[2] + t)),
+            (lambda t, p: (p[0] + t * p[2], p[1] + t, p[2])),
+            (lambda t, p: (p[0] + t, p[1], p[2])))
 
 
 def commutator_identity_check(p, t):
@@ -480,16 +432,16 @@ def commutator_identity_check(p, t):
         B(t) A(-t) B(-t) A(t) p = p - t^2 e1
 
     Returns (plus_ok, minus_ok)."""
-    f_alpha, f_beta, f_c = central_flow_fields()
+    alpha, beta, central = central_flow_fields()
     # The flows are weighted homogeneous (x of weight 2; y, z, t of weight 1),
     # so with (x, y, z, t) = nums / c the identities hold at the int point
     # (c x, y, z) and time t exactly when they hold at p.
     (x, y, z, t), c = _cleared(p, (t,))
     p = (c * x, y, z)
 
-    plus = f_beta.flow(-t, f_alpha.flow(-t, f_beta.flow(t, f_alpha.flow(t, p))))
-    plus_ok = plus == f_c.flow(t * t, p)
+    plus = beta(-t, alpha(-t, beta(t, alpha(t, p))))
+    plus_ok = plus == central(t * t, p)
 
-    minus = f_beta.flow(t, f_alpha.flow(-t, f_beta.flow(-t, f_alpha.flow(t, p))))
-    minus_ok = minus == f_c.flow(-t * t, p)
+    minus = beta(t, alpha(-t, beta(-t, alpha(t, p))))
+    minus_ok = minus == central(-t * t, p)
     return plus_ok, minus_ok

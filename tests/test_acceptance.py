@@ -159,7 +159,8 @@ def test_criterion_6_nilmanifold_lyapunov():
     translations = [(0.0, 0.0, 0.0), (0.5, 1.5, 0.25), (1.0, 0.5, 0.8),
                     (0.31, 0.77, 0.41)]
     for i, g in enumerate(translations):
-        f = dyn.NilMap.of(((2, 1), (1, 1)), g, check_descends=(i < 3))
+        # the last translation does not descend; the rates do not see that
+        f = dyn.NilMap.of(((2, 1), (1, 1)), g) if i < 3 else dyn.NilMap(((2, 1), (1, 1)), g)
         rates = dyn.tangent_rates(f, n=200)
         ru, rs, rc = rates["u"], rates["s"], rates["c"]
         ok = ok and abs(ru.measured - oracle) <= 1e-3
@@ -216,7 +217,7 @@ def test_criterion_9_flow_commutator_defect():
         u, v = rand_traceless(rng), rand_traceless(rng)
         if lc.bracket(u, v).is_zero():
             continue
-        if curv.commutator_slope(u, v, (1e-1, 1e-2, 1e-3)) < 2.9:
+        if curv.commutator_slope(u, v) < 2.9:
             ok = False
         count += 1
     _report(9, ok, "flow-commutator defect third order; nilpotent case exact")

@@ -158,13 +158,24 @@ class TestSimulate:
         assert code == 2
         code, _ = run(["simulate", "--matrix", "1,0,0"], capsys)
         assert code == 2
+        # float() rounds this entry to the integer 2**53
+        code = cli.main(["simulate", "--matrix", "1,9007199254740993.5,0,1", "-n", "1"])
+        assert code == 2
+        assert "linear part entries must be integers" in capsys.readouterr().err
+
+    def test_matrix_entries_are_read_as_exact_ints(self):
+        # 2**53 + 1 would round to 2**53 through float(); a zero with a huge
+        # exponent reads at once
+        assert cli._matrix("1,0,9007199254740993,1") == ((1, 0), (9007199254740993, 1))
+        assert cli._matrix("2.0,1e0,0e-99999999,5_0e8") == ((2, 1), (0, 5000000000))
 
     def test_translation_not_exactly_half_integral_is_usage_error(self, capsys):
-        code = cli.main(["simulate", "--translation", "0.50000000000001,0,0",
-                         "-n", "1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "translation does not normalize the lattice" in err
+        # the second value is 0.5 once rounded to a float
+        for value in ("0.50000000000001,0,0", "0.50000000000000001,0,0"):
+            code = cli.main(["simulate", "--translation", value, "-n", "1"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "translation does not normalize the lattice" in err
 
 
 class TestLyapunov:
@@ -194,6 +205,9 @@ class TestLyapunov:
         ("--matrix", "1180591620717411303424,34359738367,34359738369,1",
          "sqrt(tr^2 - 4) rounds to |tr| at this scale, so the splitting of the "
          "linear part is below float resolution"),
+        # determinant exactly 1, though float() would round the first entry
+        ("--matrix", "9007199254740993,9007199254740992,1,1",
+         "sqrt(tr^2 - 4) rounds to |tr| at this scale"),
         # trace 3, but entries of 1.7e7: unrefused, rate-u was off by 0.93
         ("--matrix", "4096,1,-16764929,-4093",
          "one step rounds the 1e-06 perturbation by up to 1.4e+01 of its size "
@@ -252,7 +266,9 @@ def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     "simulate --out /nonexistent/x.csv", "simulate -n 1 --out /",
     # coordinates whose group-law products overflow to inf or nan
     "simulate -n 2 --start 1e300,1e300,0", "simulate -n 2 --translation 1e308,0,0",
-    "lyapunov -n 5 --translation 0.5,0.5,1e308"])
+    "lyapunov -n 5 --translation 0.5,0.5,1e308",
+    # nonzero, but a float zero; Fraction would build 10**99999999
+    "simulate -n 1 --translation 0.5,0,1e-99999999"])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = cli.main(argv.split())
     captured = capsys.readouterr()

@@ -134,7 +134,6 @@ class TestNilMap:
     def test_non_normalizing_translation_rejected(self):
         with pytest.raises(ValueError):
             dyn.NilMap.of(CAT, (0.3, 0.0, 0.0))
-        dyn.NilMap.of(CAT, (0.3, 0.0, 0.0), check_descends=False)
 
     def test_translation_near_a_half_integer_is_rejected(self):
         # a decimal half-integer is exact in binary, so no slack is needed
@@ -145,8 +144,7 @@ class TestNilMap:
         dyn.NilMap.of(CAT, (0.5, -1.5, 0.3))
 
     def test_descent_check_is_not_part_of_the_map(self):
-        assert dyn.NilMap.of(CAT, (0.5, 0, 0)) == \
-            dyn.NilMap.of(CAT, (0.5, 0, 0), check_descends=False)
+        assert dyn.NilMap.of(CAT, (0.5, 0, 0)) == dyn.NilMap(CAT, (0.5, 0.0, 0.0))
 
     def test_inverse(self):
         f = dyn.NilMap.of(CAT, (0.5, 1.5, 0.25))
@@ -244,7 +242,7 @@ class TestTangentRates:
             assert abs(rc.measured) <= 1e-6
 
     def test_arbitrary_translation_same_rates(self):
-        f = dyn.NilMap.of(CAT, (0.37, 0.91, 0.24), check_descends=False)
+        f = dyn.NilMap(CAT, (0.37, 0.91, 0.24))
         assert abs(dyn.tangent_rates(f)["u"].measured - golden_rate()) <= 1e-3
 
     def test_transposed_matrix(self):

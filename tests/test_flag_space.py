@@ -66,11 +66,8 @@ class TestFlip:
                 # row of the flipped line
                 y = fs.flip(fs.alpha_circle_flag(x, s, t))
                 assert y.line == fx.line
-                z = fs.flip(fs.beta_circle_flag(x, s, t))
-                assert z.point == fx.point
-            # each pencil has two independent generators
+            # the pencil has two independent generators
             assert fs.alpha_circle_flag(x, 1, 0) != fs.alpha_circle_flag(x, 0, 1)
-            assert fs.beta_circle_flag(x, 1, 0) != fs.beta_circle_flag(x, 0, 1)
 
 
 class TestAffineChart:
@@ -80,8 +77,8 @@ class TestAffineChart:
     def test_chart_coords_roundtrip(self):
         rng = random.Random(73)
         for _ in range(100):
-            coords = tuple(rand_frac(rng) for _ in range(3))
-            assert fs.chart_coords(fs.flag_from_coords(*coords)) == coords
+            px, py, z = coords = tuple(rand_frac(rng) for _ in range(3))
+            assert fs.chart_coords(fs.affine_chart_inverse((px, py), (z, 1))) == coords
 
     @given(small_fractions, small_fractions,
            st.one_of(st.integers(-9, 9), small_fractions),
@@ -118,6 +115,14 @@ class TestRegions:
         assert fs.region_classify(x_t, "t") is fs.Region.G1
         x_a = fs.Flag.of((0, 0, 1), (1, 0, 0))   # line [e3, e1] passes [e1]
         assert fs.region_classify(x_a, "a") is fs.Region.G1
+
+    def test_second_stratum_of_the_affine_model(self):
+        # point at infinity other than the special point [e1], on a finite
+        # line: G2; the special point itself, on a finite line: deep boundary
+        x = fs.Flag.of((0, 1, 0), (0, 0, 1))
+        assert fs.region_classify(x, "a") is fs.Region.G2
+        y = fs.Flag.of((1, 0, 0), (0, 1, 1))
+        assert fs.region_classify(y, "a") is fs.Region.DEEP_BOUNDARY
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

@@ -346,14 +346,13 @@ class TestCentralFlow:
         assert md.commutator_identity_check((3, -2, 5), 0) == (True, True)
 
     def test_unit_square_from_origin(self):
-        f_alpha, f_beta, f_c = md.central_flow_fields()
+        alpha, beta, _ = md.central_flow_fields()
         p = (Fraction(0), Fraction(0), Fraction(0))
-        out = f_beta.flow(-1, f_alpha.flow(-1, f_beta.flow(1, f_alpha.flow(1, p))))
-        assert out == (1, 0, 0)
+        assert beta(-1, alpha(-1, beta(1, alpha(1, p)))) == (1, 0, 0)
 
     def test_fields_realize_the_standard_frame(self):
-        f_alpha, f_beta, f_c = md.central_flow_fields()
+        # each flow is affine in t, so its field is (flow(t, p) - p) / t
         p = (Fraction(2), Fraction(-1), Fraction(3))
-        assert tuple(f_alpha(p)) == (0, 0, 1)
-        assert tuple(f_beta(p)) == (3, 1, 0)
-        assert tuple(f_c(p)) == (1, 0, 0)
+        fields = [tuple((a - b) / t for a, b in zip(flow(t, p), p))
+                  for flow in md.central_flow_fields() for t in (Fraction(1, 3), Fraction(-5))]
+        assert fields == [(0, 0, 1)] * 2 + [(3, 1, 0)] * 2 + [(1, 0, 0)] * 2

@@ -4,15 +4,20 @@ One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  The tests after it cover the
 registry's one runner (its draws, fixed part, stop rule and residuals, and
 the failure of a check that tested nothing), the per-model sample count of
-the two-model checks, the check counts the benchmark pins, and the draw
-helpers, which must keep the random streams of `random.Random.randint`.
+the two-model checks, the check counts the benchmark pins, the draw
+helpers, which must keep the random streams of `random.Random.randint`,
+and the rule that `src` holds only what the program runs.
 """
 
 import ast
 import collections
 import functools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,3 +265,78 @@ def test_generators_keep_the_randint_streams(ours, theirs):
         a, b = random.Random(seed), random.Random(seed)
         assert [ours(a) for _ in range(50)] == [theirs(b) for _ in range(50)]
         assert a.getstate() == b.getstate()
+
+
+# ---------------------------------------------------------------------------
+# src holds what the program runs
+# ---------------------------------------------------------------------------
+
+# The functions and methods of src/flagdyn that neither the registry nor a CLI
+# command calls, each kept on purpose.
+KEPT = {
+    "curvature.curvature_action_dense":
+        "the dense reference that the sparse curvature_action is tested against",
+    "curvature._evaluate": "the dense reference's bilinear evaluation",
+    "curvature._extract": "the dense reference's reading of the components",
+    "curvature._value_on_wedge": "the dense reference's values on the wedge basis",
+    "rational.inverse3": "the dense reference's inverse of the quotient adjoint",
+    "lie_core.normalizer": "the normalizers of the model algebras; to be registered",
+    "flag_space.killing_with_value":
+        "push_tangent's generator with a given velocity; to be registered",
+    "flag_space.push_tangent": "the differential of the action, by equivariance; to be registered",
+    "lie_core.GroupElem.identity": "test handle: the identity of the group",
+    "models.AffineMap.of": "test handle: an affine map from its linear part and translation",
+    "models.AffineMap.apply": "test handle: an affine map at a point",
+}
+
+# Every CLI command once, in a fresh interpreter that records the first line
+# of each function it enters.  `verify --seed 0 --samples 1` is
+# run_checks(seed=0, samples=1).
+_PROBE = """
+import contextlib, io, json, sys
+entered = set()
+def note(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(note)
+import flagdyn.cli as cli
+runs = [["verify", "--seed", "0", "--samples", "1", "--out", "verify.txt"],
+        ["simulate", "-n", "2"], ["simulate", "-n", "2", "--out", "orbit.csv"],
+        ["lyapunov", "-n", "20"]] + [["oracle", case] for case in sorted(cli._ORACLE_CASES)]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def _defined(src):
+    """(module.qualname, (path, first line)) for each function and method
+    of src/flagdyn; the first line is a decorator's when there is one, as
+    in the code object.  Dunders other than __init__ and __call__ are left
+    out."""
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        nodes = [("", n) for n in body]
+        nodes += [(f"{c.name}.", n) for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+        for prefix, node in nodes:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = node.name
+            if name[:2] == name[-2:] == "__" and name not in ("__init__", "__call__"):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield f"{path.stem}.{prefix}{name}", (str(path), first)
+
+
+def test_src_holds_what_the_program_runs(tmp_path):
+    src = Path(checks.__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FLAGDYN_")}
+    env["PYTHONPATH"] = str(src.parent)
+    proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * len(report["codes"])
+    entered = {tuple(e) for e in report["entered"]}
+    never = {name for name, where in _defined(src) if where not in entered}
+    assert never == set(KEPT)
