@@ -16,12 +16,28 @@ every draw returned None, or it was asked for fewer than one sample.
 runs every entry through `run_check` at seed 0 and default samples, so the
 tests do not re-implement what is registered here.  The random generators
 the tests share with the checks live here too.
+
+Each check draws from its own stream, `check_rng(seed, id)`, so the checks
+are independent, and `run_checks` spreads them over one process per CPU the
+process may use.  The split is static: check `id` runs on worker
+`crc32(id) % W`, the calling process being worker 0 and each other worker
+a forked child that sends its results back over a pipe.  A static split
+makes the caller's share a function of the ids alone, so a profile of the
+caller repeats exactly run to run; the digest, unlike the position, keeps
+a check on its worker when checks are added, and unlike `hash()` it is not
+salted per process.  The outcomes do not depend on the CPU count: a worker
+that dies or reports too little has its missing checks run by the caller.
+A forked worker starts from the caller's state with nothing to import; the
+CLI starts no thread, so forking it is safe.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,20 +120,77 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None):
 
 def run_checks(suite=None, seed: int = 0, samples: int | None = None):
     """Run registered checks (optionally one suite), deterministically in
-    the seed.  Returns CheckOutcome records sorted by id."""
+    the seed.  Returns CheckOutcome records sorted by id.  The checks are
+    split over W = min(CPUs this process may use, checks) processes by the
+    CRC-32 of their ids, as the module docstring describes; on one CPU, or
+    without `os.fork`, the caller runs them all.  A check that raises
+    fails."""
     known = suites()
     if suite is not None and suite not in known:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(known)}")
-    outcomes = []
-    for check_id, suite_name, anchor, _ in sorted(_REGISTRY):
-        if suite is not None and suite_name != suite:
-            continue
+    entries = [e for e in sorted(_REGISTRY) if suite is None or e[1] == suite]
+    results = _run_split([check_id for check_id, _, _, _ in entries], seed, samples)
+    return [CheckOutcome(check_id, suite_name, anchor, *results[k])
+            for k, (check_id, suite_name, anchor, _) in enumerate(entries)]
+
+
+def _run_share(ids, share, seed, samples):
+    """{k: (passed, residual)} of the checks ids[k], k in `share`."""
+    results = {}
+    for k in share:
         try:
-            passed, residual = run_check(check_id, seed, samples)
+            results[k] = run_check(ids[k], seed, samples)
         except Exception:
-            passed, residual = False, None
-        outcomes.append(CheckOutcome(check_id, suite_name, anchor, passed, residual))
-    return outcomes
+            results[k] = False, None
+    return results
+
+
+def _run_split(ids, seed, samples):
+    """{k: (passed, residual)} of every check ids[k], worker w of W running
+    the ids whose CRC-32 is w mod W.  Each child reports its share as one
+    JSON list and leaves through `os._exit`; the caller runs share 0, reads
+    and reaps every child, then runs whatever no child reported."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    workers = max(1, min(cpus, len(ids)))
+    shares = [[] for _ in range(workers)]
+    for k, check_id in enumerate(ids):
+        shares[zlib.crc32(check_id.encode()) % workers].append(k)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no worker: its share runs in the caller
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                try:
+                    with open(write_end, "w", encoding="utf-8") as fh:
+                        json.dump([(k, *outcome) for k, outcome
+                                   in _run_share(ids, share, seed, samples).items()], fh)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = _run_share(ids, shares[0], seed, samples)
+        for _, read_end in children:
+            with open(read_end, encoding="utf-8", closefd=False) as fh:
+                report = fh.read()
+            try:
+                for k, passed, residual in json.loads(report):
+                    results[k] = passed, residual
+            except (ValueError, TypeError):  # cut short: the caller runs the share
+                pass
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    missing = [k for k in range(len(ids)) if k not in results]
+    results.update(_run_share(ids, missing, seed, samples))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,19 @@ def assert_check_passes(check_id):
                     f"reproduce with: flagdyn verify --suite {suite} --seed {SEED}")
 
 
-def fractions_built(monkeypatch, run):
-    """run() and the number of Fractions built while it runs, counted by
-    wrapping `Fraction.__new__` (the wrapper is undone before returning)."""
+def fractions_built(monkeypatch, suite):
+    """The (passed, residual) of each check of `suite`, run at SEED one at a
+    time in this process, and the number of Fractions built while they run,
+    counted by wrapping `Fraction.__new__` (the wrapper is undone before
+    returning).  `run_checks` would run some checks in forked workers,
+    whose Fractions this count does not see."""
     built, original = [], Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(
         lambda cls, *args, **kwargs: built.append(1) or original(cls, *args, **kwargs)))
-    result = run()
+    outcomes = [run_check(check_id, SEED) for check_id, check_suite, _, _ in checks.REGISTRY
+                if check_suite == suite]
     monkeypatch.undo()
-    return result, len(built)
+    return outcomes, len(built)
 
 
 def twin(check_id):

@@ -5,7 +5,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -60,6 +63,23 @@ class TestVerify:
         _, out2 = run(["verify", "--suite", "dynamics", "--seed", "5",
                        "--format", "json"], capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--format", "json", "--seed", "0"],
+        ["verify", "--suite", "lie-core", "--samples", "5", "--format", "json", "--seed", "7"]])
+    def test_output_does_not_depend_on_the_cpu_count(self, argv):
+        # one process pinned to one CPU, so run_checks forks no worker, and
+        # one on every CPU this process may use
+        cpu = min(os.sched_getaffinity(0))
+        pin = f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        pinned, free = (subprocess.run([sys.executable, "-c", prefix + "from flagdyn import cli; "
+                                        "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                                       env=env, capture_output=True, text=True)
+                        for prefix in (pin, "import sys; "))
+        assert pinned.stdout and pinned.stderr == ""
+        assert (pinned.stdout, pinned.returncode) == (free.stdout, free.returncode)
 
     def test_csv_format(self, capsys):
         code, out = run(["verify", "--suite", "classification", "--samples", "2",

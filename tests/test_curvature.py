@@ -67,9 +67,8 @@ class TestCurvatureAction:
     def test_curvature_suite_builds_few_fractions(self, monkeypatch):
         # the suite runs its exact algebra in ints; the count repeats
         # exactly, so a return to per-entry Fractions fails here
-        outcomes, built = fractions_built(
-            monkeypatch, lambda: checks.run_checks(suite="curvature", seed=0))
-        assert all(o.passed for o in outcomes)
+        outcomes, built = fractions_built(monkeypatch, "curvature")
+        assert all(passed for passed, _ in outcomes)
         assert built < 46_000
 
     def test_rejects_non_triangular(self):

@@ -4,7 +4,8 @@ One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  The tests after it cover the
 registry's one runner (its draws, fixed part, stop rule and residuals, and
 the failure of a check that tested nothing), the per-model sample count of
-the two-model checks, the check counts the benchmark pins, the draw
+the two-model checks, the check counts the benchmark pins, the split of
+`run_checks` over worker processes, which must change no outcome, the draw
 helpers, which must keep the random streams of `random.Random.randint`,
 and the rule that `src` holds only what the program runs.
 """
@@ -18,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +161,78 @@ def test_registry_matches_the_benchmark_case_counts():
 
 
 # ---------------------------------------------------------------------------
+# run_checks splits the checks over worker processes
+# ---------------------------------------------------------------------------
+
+def _one_at_a_time(suite, seed, samples):
+    """The outcomes of run_checks, each check run alone in this process."""
+    outcomes = []
+    for check_id, suite_name, anchor, _ in sorted(checks.REGISTRY):
+        if suite is not None and suite_name != suite:
+            continue
+        try:
+            passed, residual = checks.run_check(check_id, seed, samples)
+        except Exception:
+            passed, residual = False, None
+        outcomes.append(checks.CheckOutcome(check_id, suite_name, anchor, passed, residual))
+    return outcomes
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 39])
+@pytest.mark.parametrize("suite", [None] + checks.suites())
+def test_split_changes_no_outcome(suite, seed):
+    assert checks.run_checks(suite, seed, samples=2) == _one_at_a_time(suite, seed, 2)
+    _assert_no_child_left()
+
+
+def _worker_of():
+    """check id -> the worker that runs it in run_checks(), 0 the caller."""
+    ids = sorted(check_id for check_id, _, _, _ in checks.REGISTRY)
+    workers = min(len(os.sched_getaffinity(0)), len(ids))
+    return {i: zlib.crc32(i.encode()) % workers for i in ids}
+
+
+def test_caller_runs_its_share_only(monkeypatch):
+    # the split is static: the caller's share is a function of the ids alone
+    ran = []
+
+    def noted(check_id, run):
+        return lambda rng, samples: ran.append(check_id) or run(rng, samples)
+
+    monkeypatch.setattr(checks, "_REGISTRY", [
+        (cid, suite, anchor, noted(cid, run)) for cid, suite, anchor, run in checks._REGISTRY])
+    checks.run_checks(seed=0, samples=1)
+    assert ran == [i for i, worker in _worker_of().items() if worker == 0]
+    _assert_no_child_left()
+
+
+def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
+    # one check leaves its process with code 3 unless it runs in the caller;
+    # pick one that a forked worker runs, when there is more than one worker
+    worker_of = _worker_of()
+    dying = max(worker_of, key=worker_of.get)
+    caller = os.getpid()
+
+    def leave_unless_in_caller(run):
+        def body(rng, samples):
+            if os.getpid() != caller:
+                os._exit(3)
+            return run(rng, samples)
+        return body
+
+    monkeypatch.setattr(checks, "_REGISTRY", [
+        (cid, suite, anchor, leave_unless_in_caller(run) if cid == dying else run)
+        for cid, suite, anchor, run in checks._REGISTRY])
+    assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
+    _assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
 # the draw helpers keep the streams of random.Random.randint
 # ---------------------------------------------------------------------------
 
@@ -291,13 +365,23 @@ KEPT = {
 
 # Every CLI command once, in a fresh interpreter that records the first line
 # of each function it enters.  `verify --seed 0 --samples 1` is
-# run_checks(seed=0, samples=1).
+# run_checks(seed=0, samples=1), whose forked workers leave through
+# `os._exit`; so every process writes what it entered to its own file in the
+# working directory, a worker just before it exits.
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 entered = set()
 def note(frame, event, arg):
     if event == "call":
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+def dump():
+    sys.setprofile(None)
+    with open(f"entered-{os.getpid()}.json", "w") as fh:
+        json.dump(sorted(entered), fh)
+def dump_and_exit(code, exit_process=os._exit):
+    dump()
+    exit_process(code)
+os._exit = dump_and_exit
 sys.setprofile(note)
 import flagdyn.cli as cli
 runs = [["verify", "--seed", "0", "--samples", "1", "--out", "verify.txt"],
@@ -305,8 +389,8 @@ runs = [["verify", "--seed", "0", "--samples", "1", "--out", "verify.txt"],
         ["lyapunov", "-n", "20"]] + [["oracle", case] for case in sorted(cli._ORACLE_CASES)]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
-sys.setprofile(None)
-print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+dump()
+print(json.dumps(codes))
 """
 
 
@@ -335,8 +419,9 @@ def test_src_holds_what_the_program_runs(tmp_path):
     env["PYTHONPATH"] = str(src.parent)
     proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout)
-    assert report["codes"] == [0] * len(report["codes"])
-    entered = {tuple(e) for e in report["entered"]}
+    codes = json.loads(proc.stdout)
+    assert codes == [0] * len(codes)
+    entered = {tuple(e) for dump in tmp_path.glob("entered-*.json")
+               for e in json.loads(dump.read_text())}
     never = {name for name, where in _defined(src) if where not in entered}
     assert never == set(KEPT)
