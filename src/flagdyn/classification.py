@@ -469,7 +469,6 @@ DEGENERATION_CASES = {
 
 @dataclass(frozen=True)
 class DegenerationResult:
-    case: str
     t: Fraction
     matrix: tuple
     matches: bool
@@ -515,7 +514,7 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     expected = tuple(tuple(data.expected[i][j](t) for j in range(3)) for i in range(3))
     e = mat.entries
     dist = _sine_distance(_strictly_lower_class(mat), _LIMIT_VECTORS[data.limit])
-    return DegenerationResult(case, t, e, e == expected, data.limit, dist)
+    return DegenerationResult(t, e, e == expected, data.limit, dist)
 
 
 def degeneration_samples(case: str):

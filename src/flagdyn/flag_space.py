@@ -1,12 +1,16 @@
 """Pointed projective lines: incidence geometry, group action, charts, regions.
 
 A flag is a pair (m, D) with m a point of the projective plane lying on the
-projective line D.  Lines are stored as normal covectors, so incidence is a
-single exact dot product.  Points and lines are primitive integer vectors
-(gcd 1, first nonzero entry positive), so a ratio of coordinates is built
-as a Fraction, never with `/`.  The two invariant circle families through
-a flag are the pencils obtained by moving the line through a fixed point
-(alpha) or the point along a fixed line (beta).
+projective line D.  `Flag` holds both as primitive integer 3-tuples (gcd 1,
+first nonzero entry positive), the line as the normal covector of its
+plane, so incidence is a single exact dot product, `meet` is both the line
+through two points and the point on two lines, and a ratio of coordinates
+is built as a Fraction, never with `/`.  The two invariant circle families
+through a flag are the pencils obtained by moving the line through a fixed
+point (alpha) or the point along a fixed line (beta).  A boundary flag's
+stratum is read off its two circles: whether each lies wholly outside the
+model is the one containment predicate that `circle_boundary_points` and
+`region_classify` both use.
 """
 
 from __future__ import annotations
@@ -33,86 +37,54 @@ class BoundaryError(ValueError):
     """Raised when a chart is evaluated outside its domain."""
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Projective point stored by its primitive integer coordinates."""
-
-    coords: tuple
-
-    @staticmethod
-    def of(vec) -> "ProjPoint":
-        return ProjPoint(primitive(vec))
+def meet(u, v) -> tuple:
+    """The primitive cross product of the integer vectors u and v: the line
+    through two points, or the point on two lines.  Equal or zero classes
+    raise ValueError."""
+    return _primitive_ints(cross(u, v))
 
 
-@dataclass(frozen=True)
-class ProjLine:
-    """Projective line stored by the primitive integer normal covector of
-    its plane."""
-
-    normal: tuple
-
-    @staticmethod
-    def of(normal) -> "ProjLine":
-        return ProjLine(primitive(normal))
-
-    @staticmethod
-    def through(p: ProjPoint, q: ProjPoint) -> "ProjLine":
-        return ProjLine(_primitive_ints(cross(p.coords, q.coords)))
-
-
-def incident(m: ProjPoint, d: ProjLine) -> bool:
-    return dot(d.normal, m.coords) == 0
-
-
-def meet(d1: ProjLine, d2: ProjLine) -> ProjPoint:
-    return ProjPoint(_primitive_ints(cross(d1.normal, d2.normal)))
+def at_infinity(m) -> bool:
+    """Whether the point m lies on the line at infinity."""
+    return m[2] == 0
 
 
 @dataclass(frozen=True)
 class Flag:
-    point: ProjPoint
-    line: ProjLine
+    """A point m on a line n, both primitive integer 3-tuples, n . m = 0."""
+
+    point: tuple
+    line: tuple
 
     def __post_init__(self):
-        if not incident(self.point, self.line):
+        if dot(self.line, self.point) != 0:
             raise ValueError("flag point must lie on the flag line")
 
     @staticmethod
     def of(point_vec, second_point_vec) -> "Flag":
         """Flag from the point and a second point spanning the line."""
-        m = ProjPoint.of(point_vec)
-        q = ProjPoint.of(second_point_vec)
-        return Flag(m, ProjLine.through(m, q))
+        m = primitive(point_vec)
+        return Flag(m, meet(m, primitive(second_point_vec)))
 
 
-E1 = (Fraction(1), Fraction(0), Fraction(0))
-E2 = (Fraction(0), Fraction(1), Fraction(0))
-E3 = (Fraction(0), Fraction(0), Fraction(1))
-
-BASE_FLAG = Flag.of(E1, E2)
-O_T = Flag.of((1, 0, 1), E2)
-O_A = Flag.of(E3, E2)
-LINE_AT_INFINITY = ProjLine.of(E3)
-M_T = ProjPoint.of(E3)
-M_A = ProjPoint.of(E1)
+BASE_FLAG = Flag.of((1, 0, 0), (0, 1, 0))
+O_T = Flag.of((1, 0, 1), (0, 1, 0))
+O_A = Flag.of((0, 0, 1), (0, 1, 0))
+LINE_AT_INFINITY = (0, 0, 1)
+M_T = (0, 0, 1)
+M_A = (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # group action and flip
 # ---------------------------------------------------------------------------
 
-def act_point(g: GroupElem, m: ProjPoint) -> ProjPoint:
-    return ProjPoint(_primitive_ints(_mat_vec_ints(g.entries, m.coords)))
-
-
-def act_line(g: GroupElem, d: ProjLine) -> ProjLine:
-    # covectors transform by the inverse (n -> n adj(g)); the adjugate is a
-    # valid projective representative of it
-    return ProjLine(_primitive_ints(_mat_vec_ints(zip(*g.adjugate), d.normal)))
-
-
 def act(g: GroupElem, x: Flag) -> Flag:
-    return Flag(act_point(g, x.point), act_line(g, x.line))
+    """g x: the point m goes to g m and the line n to n adj(g), covectors
+    transforming by the inverse, of which the adjugate is a valid
+    projective representative."""
+    return Flag(_primitive_ints(_mat_vec_ints(g.entries, x.point)),
+                _primitive_ints(_mat_vec_ints(zip(*g.adjugate), x.line)))
 
 
 def flip(x: Flag) -> Flag:
@@ -121,28 +93,28 @@ def flip(x: Flag) -> Flag:
     Involution; exchanges the two circle families and intertwines the
     action through g -> (g^T)^{-1}.
     """
-    # both vectors are primitive already
-    return Flag(ProjPoint(x.line.normal), ProjLine(x.point.coords))
+    return Flag(x.line, x.point)
 
 
 # ---------------------------------------------------------------------------
 # affine chart
 # ---------------------------------------------------------------------------
 
+def _affine_ints(x: Flag):
+    """The point m and line n of x, once m is checked to lie off the line
+    at infinity; n, through m, is then not that line either."""
+    if at_infinity(x.point):
+        raise BoundaryError("flag point lies on the line at infinity")
+    return x.point, x.line
+
+
 def affine_chart(x: Flag):
     """Identify a flag whose point is off the line at infinity with a pointed
     affine line of the plane: ((x, y), direction class (u : v)), the
-    direction as its primitive integer vector."""
-    m = x.point.coords
-    if m[2] == 0:
-        raise BoundaryError("flag point lies on the line at infinity")
-    px, py = Fraction(m[0], m[2]), Fraction(m[1], m[2])
-    n = x.line.normal
-    # direction = intersection of the line with the plane at infinity
-    u, v = n[1], -n[0]
-    if u == 0 and v == 0:
-        raise BoundaryError("flag line is the line at infinity")
-    return (px, py), _primitive_ints((u, v))
+    direction as its primitive integer vector: the line's point at
+    infinity (n1, -n0, 0)."""
+    m, n = _affine_ints(x)
+    return (Fraction(m[0], m[2]), Fraction(m[1], m[2])), _primitive_ints((n[1], -n[0]))
 
 
 def affine_chart_inverse(point, direction) -> Flag:
@@ -158,17 +130,13 @@ def _chart_flag(x, y, den, u, v) -> Flag:
     point m = (x, y, den) and the line through m and m + (u, v, 0), whose
     normal is m x (u, v, 0).  A zero direction raises ValueError."""
     m = _primitive_ints((x, y, den))
-    return Flag(ProjPoint(m), ProjLine(_primitive_ints(cross(m, (u, v, 0)))))
+    return Flag(m, meet(m, (u, v, 0)))
 
 
 def _slope_chart_ints(x: Flag):
-    """The stored point m and line n of x, once x is checked to lie in the
-    slope chart: m2 != 0, and n0 != 0 (n neither at infinity nor horizontal)."""
-    m, n = x.point.coords, x.line.normal
-    if m[2] == 0:
-        raise BoundaryError("flag point lies on the line at infinity")
-    if n[0] == 0 and n[1] == 0:
-        raise BoundaryError("flag line is the line at infinity")
+    """The point m and line n of x, once x is checked to lie in the slope
+    chart: m off the line at infinity and n0 != 0 (n not horizontal)."""
+    m, n = _affine_ints(x)
     if n[0] == 0:
         raise BoundaryError("direction is horizontal; outside the slope chart")
     return m, n
@@ -193,7 +161,7 @@ class Region(Enum):
     DEEP_BOUNDARY = "deep-boundary"
 
 
-def _special_point(model: str) -> ProjPoint:
+def _special_point(model: str) -> tuple:
     if model == "t":
         return M_T
     if model == "a":
@@ -201,37 +169,37 @@ def _special_point(model: str) -> ProjPoint:
     raise ValueError(f"unknown model {model!r}")
 
 
-def _on_chain(x: Flag) -> bool:
-    """Chain through (m_t, line at infinity): flags (m, [m, m_t]) with m at
-    infinity."""
-    if dot(LINE_AT_INFINITY.normal, x.point.coords) != 0:
-        return False
-    return x.line == ProjLine.through(x.point, M_T)
+def _alpha_in_boundary(m, m_sp) -> bool:
+    """Whether the whole alpha circle at the point m, every line through m,
+    lies outside the model of special point m_sp: m is that point or lies
+    at infinity."""
+    return m == m_sp or at_infinity(m)
+
+
+def _beta_in_boundary(n, m_sp) -> bool:
+    """Whether the whole beta circle of the line n, every point on n, lies
+    outside the model of special point m_sp: n passes through that point or
+    is the line at infinity."""
+    return dot(n, m_sp) == 0 or n == LINE_AT_INFINITY
 
 
 def region_classify(x: Flag, model: str) -> Region:
-    """Partition of the flag space relative to one of the two open models.
+    """Partition of the flag space relative to one of the two open models,
+    whose interior is the flags with the point off the line at infinity and
+    the line off the model's special point.
 
     interior        the open orbit itself,
-    G1 / G2         the two boundary strata whose alpha (resp. beta) circle
-                    re-enters the open set,
+    G1 / G2         the boundary flags whose alpha circle leaves the
+                    boundary, and those whose alpha circle stays in it but
+                    whose beta circle leaves it,
     deep-boundary   boundary flags both of whose circles stay in the boundary.
     """
     m_sp = _special_point(model)
-    at_infinity = dot(LINE_AT_INFINITY.normal, x.point.coords) == 0
-    through_special = incident(m_sp, x.line)
-    if not at_infinity and not through_special:
+    if not at_infinity(x.point) and dot(x.line, m_sp) != 0:
         return Region.INTERIOR
-    if model == "t":
-        chain = _on_chain(x)
-        in_g1 = through_special and x.point != M_T and not chain
-        in_g2 = at_infinity and x.line != LINE_AT_INFINITY and not chain
-    else:
-        in_g1 = through_special and x.point != M_A and x.line != LINE_AT_INFINITY
-        in_g2 = at_infinity and x.point != M_A and x.line != LINE_AT_INFINITY
-    if in_g1:
+    if not _alpha_in_boundary(x.point, m_sp):
         return Region.G1
-    if in_g2:
+    if not _beta_in_boundary(x.line, m_sp):
         return Region.G2
     return Region.DEEP_BOUNDARY
 
@@ -250,24 +218,20 @@ def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
     """All flags of the alpha or beta circle of x lying outside the open
     model, found by exact incidence elimination.
 
-    Through an interior flag each circle meets the boundary in exactly one
-    flag; circles inside the boundary are reported as full containment.
+    A circle not wholly in the boundary meets it in exactly one flag: the
+    line through the point and the special point (alpha), or the point at
+    infinity of the line (beta).  Circles inside the boundary are reported
+    as full containment.
     """
     m_sp = _special_point(model)
     if which == "beta":
-        d = x.line
-        # the whole circle is boundary when the line passes through the
-        # special point or is the line at infinity
-        if incident(m_sp, d) or d == LINE_AT_INFINITY:
+        if _beta_in_boundary(x.line, m_sp):
             return CircleBoundary((), True)
-        # otherwise the unique boundary flag is the point at infinity of d
-        pt = meet(d, LINE_AT_INFINITY)
-        return CircleBoundary((Flag(pt, d),), False)
+        return CircleBoundary((Flag(meet(x.line, LINE_AT_INFINITY), x.line),), False)
     if which == "alpha":
-        m = x.point
-        if m == m_sp or dot(LINE_AT_INFINITY.normal, m.coords) == 0:
+        if _alpha_in_boundary(x.point, m_sp):
             return CircleBoundary((), True)
-        return CircleBoundary((Flag(m, ProjLine.through(m, m_sp)),), False)
+        return CircleBoundary((Flag(x.point, meet(x.point, m_sp)),), False)
     raise ValueError(f"unknown circle family {which!r}")
 
 
@@ -278,11 +242,11 @@ def alpha_circle_flag(x: Flag, s, t) -> Flag:
     and n2 are independent and orthogonal to m, so they span the lines
     through m.  The beta circle is the flip of the alpha circle of the
     flipped flag."""
-    m = x.point.coords
+    m = x.point
     i = next(k for k, e in enumerate(m) if e != 0)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     n1, n2 = cross(m, units[(i + 1) % 3]), cross(m, units[(i + 2) % 3])
-    return Flag(x.point, ProjLine.of([s * a + t * b for a, b in zip(n1, n2)]))
+    return Flag(x.point, primitive([s * a + t * b for a, b in zip(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +257,8 @@ def _velocities(v: LieVec, x: Flag):
     """v.den times the velocities v m and -n v of the point m and the line
     n of x, in ints."""
     rows = _rows(v.nums)
-    return (_mat_vec_ints(rows, x.point.coords),
-            [-e for e in _mat_vec_ints(zip(*rows), x.line.normal)])
+    return (_mat_vec_ints(rows, x.point),
+            [-e for e in _mat_vec_ints(zip(*rows), x.line)])
 
 
 def flag_derivative(v: LieVec, x: Flag):
@@ -303,8 +267,8 @@ def flag_derivative(v: LieVec, x: Flag):
     reduced to two canonical complement coordinates, four entries in all.
     Exact and chart-free."""
     dm, dn = _velocities(v, x)
-    return (_class_coords(dm, x.point.coords, v.den)
-            + _class_coords(dn, x.line.normal, v.den))
+    return (_class_coords(dm, x.point, v.den)
+            + _class_coords(dn, x.line, v.den))
 
 
 def _class_coords(w, base, den):

@@ -223,11 +223,9 @@ def flat_structure_iso(v: LieVec, w: LieVec):
 
 @dataclass(frozen=True)
 class FramedPoint:
-    """A flag together with the three invariant tangent lines at it, each a
-    projective direction in chart coordinates, given by its primitive
-    integer vector."""
+    """The three invariant tangent lines at a flag, each a projective
+    direction in chart coordinates, given by its primitive integer vector."""
 
-    flag: Flag
     line_alpha: tuple
     line_beta: tuple
     line_c: tuple
@@ -255,8 +253,8 @@ def transporter(x: Flag, model: str) -> GroupElem:
     """Group element of the model's transitive subgroup carrying the base
     flag of the model to x, read off the flag's ints: the point (x, y, c)
     and the direction (n1 : -n0) of the line n."""
-    n = x.line.normal
-    return GroupElem._of_ints(_transporter_ints(*x.point.coords, n[1], -n[0], model))
+    n = x.line
+    return GroupElem._of_ints(_transporter_ints(*x.point, n[1], -n[0], model))
 
 
 _BASE_GENERATORS = {
@@ -338,8 +336,8 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
     if model not in _BASE_GENERATORS:
         raise ValueError(f"unknown model {model!r}")
     p = chart_coords(x)
-    return FramedPoint(x, *(primitive(InvariantField(g, model)(p))
-                            for g in _BASE_GENERATORS[model]))
+    return FramedPoint(*(primitive(InvariantField(g, model)(p))
+                         for g in _BASE_GENERATORS[model]))
 
 
 # ---------------------------------------------------------------------------

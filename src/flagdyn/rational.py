@@ -11,9 +11,10 @@ entry raises TypeError.
 The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
 `_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
 trust their input.  Exact data is kept as integer representatives
-(`GroupElem`, `ProjPoint`, `ProjLine`, and the `_CanonicalInts` classes
-`LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem` and `HeisAuto`), or
-cleared of its denominators once by `_cleared`, which rejects floats.
+(`GroupElem`, the point and line of a `Flag`, and the `_CanonicalInts`
+classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem` and
+`HeisAuto`), or cleared of its denominators once by `_cleared`, which
+rejects floats.
 `inverse3`, on ints and Fractions, is only the independent inverse of the
 dense curvature oracle.
 

@@ -1,5 +1,6 @@
 """Incidence geometry, group action, charts, regions, circles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagdyn import classification as cls
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
@@ -25,14 +27,17 @@ from strategies import small_fractions
 class TestIncidence:
     def test_flag_requires_incidence(self):
         with pytest.raises(ValueError):
-            fs.Flag(fs.ProjPoint.of((1, 0, 0)), fs.ProjLine.of((1, 0, 0)))
+            fs.Flag((1, 0, 0), (1, 0, 0))
 
     def test_canonical_representatives(self):
-        assert fs.ProjPoint.of((2, 4, 6)) == fs.ProjPoint.of((1, 2, 3))
-        assert fs.ProjLine.of((-3, 0, 3)) == fs.ProjLine.of((1, 0, -1))
+        # (2, 4, 6) x (-3, 0, -3) = (-12, -12, 12): both classes divided by
+        # their gcd, the line's sign turned so its first entry is positive
+        x = fs.Flag.of((2, 4, 6), (-3, 0, -3))
+        assert x == fs.Flag.of((1, 2, 3), (1, 0, 1))
+        assert x.point == (1, 2, 3) and x.line == (1, 1, -1)
 
     def test_base_point_representable(self):
-        assert fs.BASE_FLAG.point == fs.ProjPoint.of((1, 0, 0))
+        assert fs.BASE_FLAG.point == (1, 0, 0)
 
 
 class TestAction:
@@ -127,6 +132,44 @@ class TestRegions:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             fs.region_classify(fs.O_T, "q")
+
+    def test_strata_agree_with_orbit_ranks_of_their_circles(self):
+        # the strata against a definition by orbit ranks alone: a flag is
+        # interior when the model algebra's orbit through it is open, and a
+        # circle re-enters the model when one of four of its flags is
+        # interior (a circle not wholly in the boundary meets it in one flag)
+        vecs = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
+        flags = set()
+        for m, q in itertools.product(vecs, repeat=2):
+            try:
+                flags.add(fs.Flag.of(m, q))
+            except ValueError:
+                continue  # q spans no line with m
+        assert len(flags) == 72
+        pencil = ((1, 0), (0, 1), (1, 1), (1, -1))
+        wrong = []
+        for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
+            def interior(y, alg=alg):
+                return fs.orbit_rank(alg.basis, y) == 3
+            for x in flags:
+                enters = {
+                    "alpha": any(interior(fs.alpha_circle_flag(x, s, t)) for s, t in pencil),
+                    "beta": any(interior(fs.flip(fs.alpha_circle_flag(fs.flip(x), s, t)))
+                                for s, t in pencil)}
+                full = {which: fs.circle_boundary_points(x, which, model).full_circle
+                        for which in enters}
+                if interior(x):
+                    expected = fs.Region.INTERIOR
+                elif enters["alpha"]:
+                    expected = fs.Region.G1
+                elif enters["beta"]:
+                    expected = fs.Region.G2
+                else:
+                    expected = fs.Region.DEEP_BOUNDARY
+                if (fs.region_classify(x, model) is not expected
+                        or any(full[which] is enters[which] for which in enters)):
+                    wrong.append((model, x))
+        assert wrong == []
 
 
 class TestCircleBoundary:

@@ -323,8 +323,11 @@ def test_solve(rows, consistent, data):
     lambda m: R.primitive(m[0]),
     pytest.param(lambda m: md.InvariantField(md.HEIS_X, "a").derivative_along(m[0], (1, 0, 0)),
                  id="mat_sub"),
-    pytest.param(lambda m: fs.ProjPoint.of(m[0]), id="ProjPoint.of"),
-    pytest.param(lambda m: fs.ProjLine.of(m[0]), id="ProjLine.of"),
+    # Flag.of normalizes a point, alpha_circle_flag a line from its pencil
+    # coefficients (ids kept from the point and line classes these entries
+    # replaced)
+    pytest.param(lambda m: fs.Flag.of(m[0], (0, 0, 1)), id="ProjPoint.of"),
+    pytest.param(lambda m: fs.alpha_circle_flag(fs.BASE_FLAG, m[0][0], 1), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
     # rank, nullspace and solve clear their rows once

@@ -174,7 +174,7 @@ def _one_at_a_time(suite, seed, samples):
             passed, residual = checks.run_check(check_id, seed, samples)
         except Exception:
             passed, residual = False, None
-        outcomes.append(checks.CheckOutcome(check_id, suite_name, anchor, passed, residual))
+        outcomes.append(checks.CheckOutcome(check_id, anchor, passed, residual))
     return outcomes
 
 
@@ -425,3 +425,41 @@ def test_src_holds_what_the_program_runs(tmp_path):
                for e in json.loads(dump.read_text())}
     never = {name for name, where in _defined(src) if where not in entered}
     assert never == set(KEPT)
+
+
+# The names bound by module-level assignments in src/flagdyn that no code in
+# src reads, each kept on purpose.
+UNREAD = {
+    "checks.REGISTRY": "the public copy of the registry, which the tests and README "
+                       "read; the runner reads _REGISTRY, which perfbench/tracer.py "
+                       "rewrites in place",
+}
+
+
+def _assigned(tree):
+    """The names that the module-level assignments of `tree` bind."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_src_reads_every_module_level_name():
+    # a name is read when src loads it bare or as an attribute, in any module
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(checks.__file__).resolve().parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {f"{module}.{name}" for module, tree in trees.items()
+              for name in _assigned(tree) if name not in read}
+    assert unread == set(UNREAD)

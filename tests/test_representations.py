@@ -177,7 +177,7 @@ def int_interior_flag(rng) -> fs.Flag:
                            [rng.randint(-30, 30) for _ in range(3)])
         except ValueError:
             continue  # a zero or repeated point spans no line
-        if x.point.coords[2] != 0 and x.line.normal[0] != 0:
+        if x.point[2] != 0 and x.line[0] != 0:
             return x
 
 
