@@ -535,9 +535,13 @@ def _check_chart_error(rng):
        "anchors: the two model base flags are interior; the degeneration "
        "anchor flags land in their strata; the base flag is deep boundary")
 def _check_region_examples(rng):
+    anchor = {case: data.boundary_flag for case, data in cls.DEGENERATION_CASES.items()}
     return all(fs.region_classify(x, model) is region for x, model, region in (
         (fs.O_T, "t", fs.Region.INTERIOR), (fs.O_A, "a", fs.Region.INTERIOR),
-        (fs.Flag.of((0, 1, 0), (1, 0, 1)), "t", fs.Region.G2),
+        (anchor["t1"], "t", fs.Region.G1), (anchor["t2"], "t", fs.Region.G2),
+        (anchor["a1"], "a", fs.Region.G1), (anchor["a2"], "a", fs.Region.G2),
+        # the a1 flag's point is the block model's special point
+        (anchor["a1"], "t", fs.Region.DEEP_BOUNDARY),
         (fs.BASE_FLAG, "a", fs.Region.DEEP_BOUNDARY)))
 
 
@@ -1016,9 +1020,9 @@ def _check_degeneration(rng):
 
 @check("degeneration-symbolic", "classification",
        "entrywise Laurent interpolation reproduces the symbolic matrices")
-def _check_degeneration_symbolic(rng):
-    return all(cls.degeneration_symbolic(case) == data.expected
-               for case, data in cls.DEGENERATION_CASES.items())
+def _check_degeneration_tables(rng):
+    return all(cls.degeneration_limit(case, t).matches
+               for case in cls.DEGENERATION_CASES for t in cls.SYMBOLIC_TIMES)
 
 
 @check("flatness-predicate", "classification",

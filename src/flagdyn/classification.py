@@ -355,50 +355,8 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
 
 
 # ---------------------------------------------------------------------------
-# exact Laurent polynomials for the degeneration matrices
+# degeneration matrices along the circles
 # ---------------------------------------------------------------------------
-
-class LaurentPoly:
-    """Laurent polynomial in one variable with Fraction coefficients,
-    supported on degrees -2..2."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {int(k): Fraction(v) for k, v in (coeffs or {}).items() if v != 0}
-
-    def __call__(self, t) -> Fraction:
-        t = Fraction(t)
-        return sum((c * t ** k for k, c in self.coeffs.items()), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = [f"({c})t^{k}" if k else f"({c})" for k, c in sorted(self.coeffs.items())]
-        return " + ".join(parts)
-
-    @staticmethod
-    def fit(samples) -> "LaurentPoly":
-        """Exact interpolation from >= 5 samples (t, value) on the degree
-        window -2..2; extra samples must be consistent."""
-        degs = range(-2, 3)
-        pts = [(Fraction(t), Fraction(v)) for t, v in samples]
-        rows = [[t ** d for d in degs] for t, _ in pts[:5]]
-        sol = solve(rows, [v for _, v in pts[:5]])
-        if sol is None:
-            raise ArithmeticError("Laurent interpolation failed")
-        poly = LaurentPoly(dict(zip(degs, sol)))
-        for t, v in pts[5:]:
-            if poly(t) != v:
-                raise ArithmeticError("degree window -2..2 does not fit the data")
-        return poly
-
-
-_L = LaurentPoly  # the expected tables below are written as {degree: coefficient}
-
 
 @dataclass(frozen=True)
 class DegenerationCase:
@@ -407,7 +365,7 @@ class DegenerationCase:
     circle_group: tuple       # one-parameter subgroup rows, callable of t
     model_group: tuple        # one-parameter subgroup inside the model group
     transported: LieVec       # generator of the transverse line at the anchor
-    expected: tuple           # 3x3 of LaurentPoly
+    expected: tuple           # 3x3 of Laurent polynomials {degree: coefficient}
     limit: str                # "alpha" or "beta"
 
 
@@ -419,9 +377,9 @@ DEGENERATION_CASES = {
         model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
-            (_L({0: 1}), _L({0: -2}), _L({-1: -2})),
-            (_L({0: 1}), _L({0: -2}), _L({-1: -2})),
-            (_L({1: -1}), _L({1: 1}), _L({0: 1})),
+            ({0: 1}, {0: -2}, {-1: -2}),
+            ({0: 1}, {0: -2}, {-1: -2}),
+            ({1: -1}, {1: 1}, {0: 1}),
         ),
         limit="beta",
     ),
@@ -432,9 +390,9 @@ DEGENERATION_CASES = {
         model_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
         transported=SL2_H,
         expected=(
-            (_L({0: 1}), _L({-1: 2}), _L()),
-            (_L(), _L({0: -1}), _L()),
-            (_L({1: 1}), _L({0: 1}), _L()),
+            ({0: 1}, {-1: 2}, {}),
+            ({}, {0: -1}, {}),
+            ({1: 1}, {0: 1}, {}),
         ),
         limit="alpha",
     ),
@@ -445,9 +403,9 @@ DEGENERATION_CASES = {
         model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
-            (_L(), _L(), _L()),
-            (_L({0: 1}), _L(), _L()),
-            (_L({1: -1}), _L(), _L()),
+            ({}, {}, {}),
+            ({0: 1}, {}, {}),
+            ({1: -1}, {}, {}),
         ),
         limit="beta",
     ),
@@ -458,9 +416,9 @@ DEGENERATION_CASES = {
         model_group=lambda t: [[1, 0, 0], [0, 1, t], [0, 0, 1]],
         transported=HEIS_Z,
         expected=(
-            (_L(), _L(), _L()),
-            (_L(), _L(), _L()),
-            (_L({1: 1}), _L({0: 1}), _L()),
+            ({}, {}, {}),
+            ({}, {}, {}),
+            ({1: 1}, {0: 1}, {}),
         ),
         limit="alpha",
     ),
@@ -485,8 +443,20 @@ class DegenerationResult:
 # parameter values at which the degeneration oracle is evaluated
 DEGENERATION_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
 
+# parameter values at which the matrices must equal their tables, entry by
+# entry.  Any five of them fix a Laurent polynomial of degrees -2..2, so
+# equality at all seven is the verdict of fitting each entry from five of
+# them, checking the fit at the other two and comparing it with the table.
+SYMBOLIC_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3),
+                  Fraction(5), Fraction(1, 5))
+
 
 _LIMIT_VECTORS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0)}
+
+
+def _laurent_at(poly, t) -> Fraction:
+    """The Laurent polynomial {degree: coefficient} at t."""
+    return sum((c * t ** k for k, c in poly.items()), Fraction(0))
 
 
 def _sine_distance(v, e) -> float:
@@ -511,7 +481,7 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
     g = GroupElem(data.circle_group(-t)) @ GroupElem(data.model_group(1 / t))
     g = data.pivot @ g
     mat = conjugate(g, data.transported)
-    expected = tuple(tuple(data.expected[i][j](t) for j in range(3)) for i in range(3))
+    expected = tuple(tuple(_laurent_at(p, t) for p in row) for row in data.expected)
     e = mat.entries
     dist = _sine_distance(_strictly_lower_class(mat), _LIMIT_VECTORS[data.limit])
     return DegenerationResult(t, e, e == expected, data.limit, dist)
@@ -520,21 +490,6 @@ def degeneration_limit(case: str, t) -> DegenerationResult:
 def degeneration_samples(case: str):
     """The degeneration oracle of one case: its results at DEGENERATION_TIMES."""
     return [degeneration_limit(case, t) for t in DEGENERATION_TIMES]
-
-
-def degeneration_symbolic(case: str):
-    """Entrywise exact Laurent interpolation of the degeneration matrix from
-    rational samples, degree window -2..2, with two consistency samples."""
-    ts = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3),
-          Fraction(5), Fraction(1, 5)]
-    mats = [degeneration_limit(case, t).matrix for t in ts]
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(LaurentPoly.fit([(t, m[i][j]) for t, m in zip(ts, mats)]))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,10 @@ def _out(path: str) -> str | None:
 def cmd_simulate(args) -> int:
     try:
         f = dyn.NilMap.of(args.matrix, args.translation)
+        # one step maps the box into coordinates up to the largest row sum
+        if max(abs(a) + abs(b) for a, b in f.linear) > MAX_COORDINATE:
+            raise ValueError("the absolute row sums of the linear part must be "
+                             "at most 2**52, as a coordinate must")
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

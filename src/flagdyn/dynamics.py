@@ -244,11 +244,17 @@ def tangent_rates(f: NilMap, n: int = 200) -> dict:
     # off the other, eps (|w0| e1 + |w1| e0), over the sine of their angle; the
     # larger of the two also bounds a central growth's eps (e0 + e1) / 2.
     # Random maps measure within a tenth of it; refuse once that reaches 1e-3.
+    # Eigen-directions equal as floats (sine 0.0), or a row sum past the float
+    # range, leave no bound: it is inf, and the map is refused.
     (a, b), (c, d) = f.linear
     e0, e1 = abs(b) + max(abs(a), abs(d)), abs(c) + max(abs(a), abs(d))
     (u0, u1), (s0, s1) = vecs
     sine = abs(u0 * s1 - u1 * s0)
-    bound = math.ulp(1.0) / _RATE_STEP * max(abs(w0) * e1 + abs(w1) * e0 for w0, w1 in vecs) / sine
+    try:
+        bound = (math.ulp(1.0) / _RATE_STEP
+                 * max(abs(w0) * e1 + abs(w1) * e0 for w0, w1 in vecs) / sine)
+    except (ZeroDivisionError, OverflowError):
+        bound = math.inf
     if bound >= 1e-2:
         raise ValueError(f"one step rounds the {_RATE_STEP:g} perturbation by up to {bound:.1e} "
                          f"of its size (row sums up to {max(e0, e1)}, eigen-directions at "

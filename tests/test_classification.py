@@ -1,17 +1,20 @@
 """Classification oracles: subalgebra tables, isotropy actions, invariant
 lines, degenerations, and the flatness predicate."""
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
-from flagdyn.rational import primitive
+from flagdyn.rational import primitive, rank
 from registry_twins import twin
 
 
@@ -111,22 +114,42 @@ class TestDegeneration:
             cls.degeneration_limit("t1", 0)
 
 
+def _vanishing_at(times):
+    """t^-2 times the product of (t - r) over the times, as {degree: coefficient}."""
+    poly = {-2: Fraction(1)}
+    for r in times:
+        poly = {k: poly.get(k - 1, 0) - r * poly.get(k, 0) for k in range(-2, len(poly) - 1)}
+    return poly
+
+
 class TestLaurentPoly:
     def test_fit_roundtrip(self):
+        # any five of the times fix a Laurent polynomial of degrees -2..2
+        for five in itertools.combinations(cls.SYMBOLIC_TIMES, 5):
+            assert rank([[t ** k for k in range(-2, 3)] for t in five]) == 5
+        # a table is read term by term: against Horner's rule on t^2 p(t)
+        assert cls._laurent_at({-1: -2, 1: 3}, Fraction(1, 2)) == Fraction(-5, 2)
         rng = random.Random(67)
         for _ in range(30):
-            coeffs = {k: rand_frac(rng) for k in range(-2, 3)}
-            poly = cls.LaurentPoly(coeffs)
-            ts = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
-                  Fraction(-1), Fraction(5), Fraction(1, 7)]
-            fitted = cls.LaurentPoly.fit([(t, poly(t)) for t in ts])
-            assert fitted == poly
+            poly = {k: rand_frac(rng) for k in range(-2, 3)}
+            t = rand_frac(rng) or Fraction(1)
+            horner = Fraction(0)
+            for k in range(2, -3, -1):
+                horner = horner * t + poly[k]
+            assert cls._laurent_at(poly, t) == horner / t ** 2
 
-    def test_fit_rejects_out_of_window_data(self):
-        ts = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
-              Fraction(-1), Fraction(5), Fraction(7)]
-        with pytest.raises(ArithmeticError):
-            cls.LaurentPoly.fit([(t, t ** 3) for t in ts])
+    def test_fit_rejects_out_of_window_data(self, monkeypatch):
+        # t1's entry (0, 0) plus a term of degrees -2..3 that vanishes at the
+        # first five times: a check that read only those would pass it
+        times = cls.SYMBOLIC_TIMES
+        bump = _vanishing_at(times[:5])
+        assert [cls._laurent_at(bump, t) == 0 for t in times] == [True] * 5 + [False] * 2
+        data = cls.DEGENERATION_CASES["t1"]
+        entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
+        expected = ((entry, *data.expected[0][1:]), *data.expected[1:])
+        monkeypatch.setitem(cls.DEGENERATION_CASES, "t1",
+                            dataclasses.replace(data, expected=expected))
+        assert checks.run_check("degeneration-symbolic") == (False, None)
 
 
 class TestFlatnessPredicate:

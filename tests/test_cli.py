@@ -251,9 +251,29 @@ def test_multipliers_of_large_entries_pass_the_relative_gate(capsys):
         assert code == 0 and out.endswith("4/4 checks passed\n"), matrix
 
 
+def _trace_three_beyond_floats():
+    """A trace-3 matrix of determinant 1 whose entries are finite floats but
+    whose row sums are not: [[K, -B], [(K^2 - 3K + 1) / B, 3 - K]] with
+    B = 11^296 and K^2 - 3K + 1 = 0 mod B."""
+    b = 11 ** 296
+    s = 4  # a square root of 5 mod 11, lifted by Newton's step mod B
+    while s * s % b != 5:
+        s = (s * s + 5) * pow(2 * s, -1, b) % b
+    k = (3 + s) * pow(2, -1, b) % b
+    return f"{k},{-b},{(k * k - 3 * k + 1) // b},{3 - k}"
+
+
+# trace 3 and det 1, with eigen-directions equal as floats
+TRACE_THREE_EQUAL_DIRECTIONS = ("100000000000000000000,1,"
+                                "-9999999999999999999700000000000000000001,-99999999999999999997")
+TRACE_THREE_BEYOND_FLOATS = _trace_three_beyond_floats()
+
+
 @pytest.mark.parametrize("matrix", [
     "100000001,100000000,1,1", "10000000001,10000000000,1,1",
-    "5000000001,5000000000,1,1", "3000000001,1000000000,3,1"])
+    "5000000001,5000000000,1,1", "3000000001,1000000000,3,1",
+    TRACE_THREE_EQUAL_DIRECTIONS,
+    pytest.param(TRACE_THREE_BEYOND_FLOATS, id="trace-three-beyond-floats")])
 def test_multipliers_beyond_float_precision_are_usage_errors(capsys, matrix):
     code = cli.main(["lyapunov", "-n", "20", "--matrix", matrix])
     captured = capsys.readouterr()
@@ -288,7 +308,11 @@ def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     "simulate -n 2 --start 1e300,1e300,0", "simulate -n 2 --translation 1e308,0,0",
     "lyapunov -n 5 --translation 0.5,0.5,1e308",
     # nonzero, but a float zero; Fraction would build 10**99999999
-    "simulate -n 1 --translation 0.5,0,1e-99999999"])
+    "simulate -n 1 --translation 0.5,0,1e-99999999",
+    # row sums past 2**52: one step leaves the coordinates' range
+    pytest.param(f"simulate -n 3 --matrix {TRACE_THREE_BEYOND_FLOATS}",
+                 id="simulate -n 3 --matrix trace-three-beyond-floats"),
+    f"simulate -n 3 --matrix {TRACE_THREE_EQUAL_DIRECTIONS}"])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = cli.main(argv.split())
     captured = capsys.readouterr()
@@ -390,7 +414,8 @@ _VALUES = {
     "suite": _or_garbage(st.sampled_from(checks.suites())),
     "matrix": _or_garbage(st.sampled_from([
         "2,1,1,1", "3,2,1,1", "1,0,0,1", "1,1,0,1", "0,-1,1,0",
-        "1180591620717411303424,34359738367,34359738369,1"])),
+        "1180591620717411303424,34359738367,34359738369,1",
+        TRACE_THREE_EQUAL_DIRECTIONS])),
     "translation": _or_garbage(st.one_of(st.just("0.5,0.5,0"), _point)),
     "start": _or_garbage(_point),
 }
