@@ -1068,15 +1068,20 @@ def _check_reduce(rng):
 
 
 _CAT_MAP = dyn.NilMap.of(_CAT, (0.5, 1.5, 0.25))
+_CAT_MAP_INVERSE = _CAT_MAP.inverse()
 
 
 @check("reduce-commutes-with-map", "dynamics",
-       "reduce(f(p)) = reduce(f(reduce(p))) up to lattice translation", samples=2000)
+       "reduce(f(p)) = reduce(f(reduce(p))) up to lattice translation, "
+       "and f^-1(f(p)) = p unreduced", samples=2000)
 def _check_reduce_commute(rng):
     p = tuple(rng.uniform(-8, 8) for _ in range(3))
-    a = dyn.reduce_point(_CAT_MAP.apply(p))
+    image = _CAT_MAP.apply(p)
+    a = dyn.reduce_point(image)
     b = dyn.reduce_point(_CAT_MAP.apply(dyn.reduce_point(p)))
-    return max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
+    back = _CAT_MAP_INVERSE.apply(image)  # unreduced: reduction hides a wrong inverse
+    return (max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
+            and max(abs(x - y) for x, y in zip(back, p)) <= 1e-9)
 
 
 @check("lyapunov-cat-map", "dynamics",

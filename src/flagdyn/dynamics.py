@@ -10,12 +10,16 @@ The concrete lattice is the set of points with integer x, y and half-integer
 z; it is closed under the law above and invariant under every integer
 determinant-one linear part, so quotient dynamics reduce to a fundamental
 box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
+
+One loop, `_reduced_orbit`, walks every float orbit, with the reduction and
+the map written out so that a step makes no call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
@@ -45,36 +49,6 @@ class NilLattice:
 
 
 LATTICE = NilLattice()
-
-
-def reduce_with_translation(p):
-    """Left-translate by a lattice element into the fundamental box; returns
-    (representative, lattice element).  The representative is unique, so
-    this is a retraction invariant under lattice left multiplication.
-
-    The element is (-fx, -fy, c) with fx, fy the floors of x, y: the group
-    law of (-fx, -fy, 0) * p, then of (0, 0, c) * that, written out.
-    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0.  A coordinate
-    just below an integer (or z just below a half-integer) rounds up onto
-    the far face of the box; it is set to 0.0 and the element moves by one
-    unit, before z is computed from it."""
-    x, y, z = p
-    fx, fy = math.floor(x), math.floor(y)
-    rx, ry = -fx + x, -fy + y
-    if rx == 1.0:
-        rx, fx = 0.0, fx + 1
-    if ry == 1.0:
-        ry, fy = 0.0, fy + 1
-    z = z + (fy * x - fx * y) / 2.0
-    c = -math.floor(2.0 * z) / 2.0
-    rz = c + z
-    if rz == 0.5:
-        rz, c = 0.0, c - 0.5
-    return (rx, ry, rz), (float(-fx), float(-fy), c)
-
-
-def reduce_point(p):
-    return reduce_with_translation(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +143,60 @@ class NilMap:
 # orbits and measured rates
 # ---------------------------------------------------------------------------
 
+def _reduced_orbit(f: NilMap, p, n: int):
+    """The orbit of p under the reduced dynamics of f: yields its n+1 points,
+    each with the lattice element that left-translates it into the
+    fundamental box [0,1) x [0,1) x [0,1/2).
+
+    The element is (-fx, -fy, gz) with fx, fy the floors of x, y: the group
+    law of (-fx, -fy, 0) * p, then of (0, 0, gz) * that, written out.
+    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0.  A coordinate
+    just below an integer (or z just below a half-integer) rounds up onto
+    the far face of the box; it is set to 0.0 and the element moves by one
+    unit, before z is computed from it.  `f.apply` follows, written out."""
+    floor = math.floor
+    (a, b), (c, d) = f.linear
+    tx, ty, tz = f.translation
+    x, y, z = p
+    while True:
+        fx, fy = floor(x), floor(y)
+        rx, ry = -fx + x, -fy + y
+        if rx == 1.0:
+            rx, fx = 0.0, fx + 1
+        if ry == 1.0:
+            ry, fy = 0.0, fy + 1
+        z = z + (fy * x - fx * y) / 2.0
+        gz = -floor(2.0 * z) / 2.0
+        rz = gz + z
+        if rz == 0.5:
+            rz, gz = 0.0, gz - 0.5
+        yield (rx, ry, rz), (float(-fx), float(-fy), gz)
+        if n <= 0:
+            return
+        n -= 1
+        u, v = a * rx + b * ry, c * rx + d * ry
+        x, y, z = tx + u, ty + v, tz + rz + (tx * v - ty * u) / 2.0
+
+
+_IDENTITY = NilMap(((1, 0), (0, 1)), (0.0, 0.0, 0.0))
+
+
+def reduce_with_translation(p):
+    """Left-translate by a lattice element into the fundamental box; returns
+    (representative, lattice element).  The representative is unique, so
+    this is a retraction invariant under lattice left multiplication."""
+    (reduced,) = _reduced_orbit(_IDENTITY, p, 0)  # runs it out: cheaper than next()
+    return reduced
+
+
+def reduce_point(p):
+    return reduce_with_translation(p)[0]
+
+
 def iterate(f: NilMap, p0, n: int):
     """Orbit of the reduced dynamics: yields its n+1 points, inside the box,
     one at a time, so that a long orbit streams to its CSV."""
-    apply = f.apply
-    p = reduce_point(p0)
-    yield p
-    for _ in range(n):
-        p = reduce_point(apply(p))
-        yield p
+    return (p for p, _ in _reduced_orbit(f, p0, n))
 
 
 def _left_frame(p, w):
@@ -206,15 +225,16 @@ _RATE_STEP = 1e-6  # size of their perturbation
 
 def _measured_rate(f: NilMap, w, n: int) -> float:
     h = _RATE_STEP
-    p = reduce_point(_RATE_START)
+    orbit = _reduced_orbit(f, _RATE_START, n)
+    p, _ = next(orbit)
     norm = math.hypot(*w)
     d = _left_frame(p, tuple(c / norm for c in w))
     total = 0.0
-    for _ in range(n):
-        q = tuple(a + h * b for a, b in zip(p, d))
-        p1, gamma = reduce_with_translation(f.apply(p))
+    for p1, gamma in orbit:
+        q = (p[0] + h * d[0], p[1] + h * d[1], p[2] + h * d[2])
         q1 = heis_mul(gamma, f.apply(q))
-        wv = _frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
+        wv = _frame_inverse(p1, ((q1[0] - p1[0]) / h, (q1[1] - p1[1]) / h,
+                                 (q1[2] - p1[2]) / h))
         growth = math.hypot(*wv)
         if not (growth > 0 and math.isfinite(growth)):
             raise ValueError(f"the {h:g} perturbation was lost to float rounding "
@@ -256,8 +276,10 @@ def tangent_rates(f: NilMap, n: int = 200) -> dict:
     except (ZeroDivisionError, OverflowError):
         bound = math.inf
     if bound >= 1e-2:
+        row_sum = max(e0, e1)  # exact up to 17 digits, then too long for a line
+        row_sum = row_sum if row_sum < 10 ** 17 else format(Decimal(row_sum), ".3e")
         raise ValueError(f"one step rounds the {_RATE_STEP:g} perturbation by up to {bound:.1e} "
-                         f"of its size (row sums up to {max(e0, e1)}, eigen-directions at "
+                         f"of its size (row sums up to {row_sum}, eigen-directions at "
                          f"sine {sine:.1e}), past 1e-02; no reliable finite-difference rates")
     measured = (_measured_rate(f, (*vecs[0], 0.0), n),
                 -_measured_rate(f.inverse(), (*vecs[1], 0.0), n),
@@ -348,11 +370,24 @@ def volume_obstruction_check(lam: float, mu: float) -> str:
     return "obstructed" if (both_small or both_large) else "admissible"
 
 
+_ROW = "%d,%.17g,%.17g,%.17g\n"
+_BLOCK = 1024  # rows formatted by one `%`
+_ROWS = _ROW * _BLOCK
+
+
 def write_trajectory_rows(fh, orbit) -> None:
-    """Trajectory CSV to an open text stream, one row at a time: header
-    step,x,y,z, then 17 significant digits per coordinate."""
+    """Trajectory CSV to an open text stream: header step,x,y,z, then 17
+    significant digits per coordinate, formatted and written a block of rows
+    at a time."""
     fh.write("step,x,y,z\n")
-    fh.writelines("%d,%.17g,%.17g,%.17g\n" % (k, *row) for k, row in enumerate(orbit))
+    flat = []
+    for k, row in enumerate(orbit):
+        flat.append(k)
+        flat += row
+        if len(flat) == 4 * _BLOCK:
+            fh.write(_ROWS % tuple(flat))
+            flat.clear()
+    fh.write(_ROW * (len(flat) // 4) % tuple(flat))
 
 
 def write_trajectory_csv(path, orbit) -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -173,6 +174,19 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1] == "0,0,0.25,0"
 
+    # sha256 of each benchmark matrix's orbit CSV: a change of the float
+    # kernel that moves one byte of the output fails here
+    @pytest.mark.parametrize("matrix, digest", [
+        ("2,1,1,1", "b48aed11e69d0b567d3cd87a5355435aa5e8ce039351364997c1c162ceeb1ad0"),
+        ("3,2,1,1", "4bd1af9308b952772e781cbb6360740bd4e3afada7ebdb0c90e1d889d19f34ac"),
+        ("5,2,2,1", "18098b0021c39b239e4f6991c3cd65927d2448701a294c1b1dbaa886c4d2237f"),
+        ("1,1,1,2", "f7300d792065c2771431878fe6e663be6d07104aa8cbc143286c75dff8513de0"),
+        ("3,1,2,1", "99910e0caf5654bc3c50e39a8f6cf66b7703999a26ea333ab32c483453313d18")])
+    def test_orbit_bytes_are_pinned(self, capsys, matrix, digest):
+        code, out = run(["simulate", "--matrix", matrix, "--start",
+                         "0.123456,0.654321,0.211111", "-n", "5000"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_invalid_matrix_is_usage_error(self, capsys):
         code, _ = run(["simulate", "--matrix", "2,0,0,1"], capsys)
         assert code == 2
@@ -279,6 +293,14 @@ def test_multipliers_beyond_float_precision_are_usage_errors(capsys, matrix):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
+def test_refusal_prints_a_huge_row_sum_in_a_short_line(capsys):
+    # its row sum has 309 digits: exact, the one error line took 481 characters
+    code = cli.main(["lyapunov", "-n", "20", "--matrix", TRACE_THREE_BEYOND_FLOATS])
+    err = capsys.readouterr().err
+    assert code == 2 and "(row sums up to 1.932e+308," in err
+    assert len(err) <= 200
 
 
 @pytest.mark.parametrize("argv", [

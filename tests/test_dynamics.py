@@ -3,6 +3,7 @@
 import ast
 import csv
 import decimal
+import io
 import math
 import random
 from pathlib import Path
@@ -218,7 +219,39 @@ class TestNilMap:
             dyn.NilMap.of(((1, 1), (0, 1))).multipliers()
 
 
+def random_nil_map(rng):
+    """A random integer determinant-one linear part, a product of shears,
+    with a half-integer x, y translation."""
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(-3, 3)
+        (a, b), (c, d) = m
+        if rng.random() < 0.5:
+            m = ((a + k * c, b + k * d), (c, d))
+        else:
+            m = ((a, b), (c + k * a, d + k * b))
+    return dyn.NilMap.of(m, (rng.randint(-6, 6) / 2, rng.randint(-6, 6) / 2, rng.uniform(-3, 3)))
+
+
+# starts on the far faces of the box, at signed zeros, and away from it
+ORBIT_STARTS = [(1 - 2 ** -53, 0.5, 0.5 - 2 ** -54), (0.25, 1 - 2 ** -53, 0.1),
+                (-0.0, -0.0, -0.0), (-1e-20, 0.25, -1e-20), (0.3, 0.6, -1e-17),
+                (3.7, -2.2, 1.9), (0.0, 0.0, 0.5 - 2 ** -54)]
+
+
 class TestIterate:
+    def test_fused_orbit_is_the_step_chain_bit_for_bit(self):
+        # the oracle reduces every image of NilMap.apply on its own
+        rng = random.Random(17)
+        for trial in range(60):
+            f = random_nil_map(rng)
+            p = ORBIT_STARTS[trial % len(ORBIT_STARTS)]
+            n = rng.choice((0, 1, 2, 40))
+            expected = [dyn.reduce_point(p)]
+            for _ in range(n):
+                expected.append(dyn.reduce_point(f.apply(expected[-1])))
+            assert repr(list(dyn.iterate(f, p, n))) == repr(expected), (f, p)
+
     def test_identity_map_constant_orbit(self):
         f = dyn.NilMap.of(((1, 0), (0, 1)))
         orbit = list(dyn.iterate(f, (0.2, 0.3, 0.1), 5))
@@ -231,7 +264,37 @@ class TestIterate:
         assert all(0 <= x < 1 and 0 <= y < 1 and 0 <= z < 0.5 for x, y, z in orbit)
 
 
+def measured_rate_by_steps(f, w, n):
+    """`_measured_rate` with every step of the reduced orbit taken through
+    `reduce_with_translation` of `NilMap.apply`."""
+    h = dyn._RATE_STEP
+    p = dyn.reduce_point(dyn._RATE_START)
+    norm = math.hypot(*w)
+    d = dyn._left_frame(p, tuple(c / norm for c in w))
+    total = 0.0
+    for _ in range(n):
+        q = tuple(a + h * b for a, b in zip(p, d))
+        p1, gamma = dyn.reduce_with_translation(f.apply(p))
+        q1 = dyn.heis_mul(gamma, f.apply(q))
+        wv = dyn._frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
+        growth = math.hypot(*wv)
+        total += math.log(growth)
+        d = dyn._left_frame(p1, tuple(c / growth for c in wv))
+        p = p1
+    return total / n
+
+
 class TestTangentRates:
+    def test_measured_rate_is_the_step_chain_bit_for_bit(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            f = random_nil_map(rng)
+            n = rng.choice((1, 2, 50))
+            for g, w in ((f, (rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0)),
+                         (f.inverse(), (rng.uniform(-1, 1), 1.0, rng.uniform(-1, 1))),
+                         (f, (0.0, 0.0, 1.0))):
+                assert repr(dyn._measured_rate(g, w, n)) == repr(measured_rate_by_steps(g, w, n))
+
     def test_cat_map_rates_match_eigen_oracle(self):
         for g in ((0.0, 0.0, 0.0), (0.5, 1.0, 0.3), (1.5, 0.5, 0.125)):
             f = dyn.NilMap.of(CAT, g)
@@ -350,6 +413,17 @@ class TestTrajectoryExport:
             assert int(row[0]) == k
             for col, val in zip(row[1:], orbit[k]):
                 assert float(col) == val  # 17 significant digits round-trip
+
+    @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
+    def test_blocks_of_rows_are_the_rows_one_at_a_time(self, n_rows):
+        rng = random.Random(n_rows)
+        orbit = [(rng.choice((0.0, -0.0, 1 - 2 ** -53, rng.random())),
+                  rng.uniform(-1e6, 1e6), rng.random() / 3) for _ in range(n_rows)]
+        expected = "step,x,y,z\n" + "".join(
+            "%d,%.17g,%.17g,%.17g\n" % (k, *row) for k, row in enumerate(orbit))
+        fh = io.StringIO()
+        dyn.write_trajectory_rows(fh, iter(orbit))
+        assert fh.getvalue() == expected
 
 
 def test_dynamics_imports_no_float_matrix_algebra():
