@@ -435,16 +435,19 @@ def _check_subalgebra_recognizer(rng):
 
 
 @check("exp-ad-consistency", "lie-core",
-       "conjugation by exp(v) equals exp of the bracket action, relative "
-       "defect <= 1e-9 for norms up to 10", samples=20, worst=max)
+       "conjugation by exp(v) equals exp of the bracket action: "
+       "sum_i C(k,i) v^i w (-v)^(k-i) = (ad v)^k w for k <= 5, exact", samples=20)
 def _check_exp_ad(rng):
-    v = rand_traceless(rng)
-    norm = max(sum(map(abs, row)) for row in v.to_float())
-    if norm > 10:
-        v = v.scale(Fraction(9, int(math.ceil(norm))))
-    rhs = lc.exp_ad(v)
-    defect = lc.fnorm(lc.fmat_sub(lc.Ad_of_exp(v), rhs)) / max(1.0, lc.fnorm(rhs))
-    return defect <= 1e-9, defect
+    # k! times the t^k coefficients of exp(tv) w exp(-tv) and exp(t ad v) w
+    v, w = rand_traceless(rng), rand_lievec(rng)
+    left, right, ad = [w], [lc.LieVec.diag(1, 1, 1)], [w]  # v^i w, (-v)^j, (ad v)^k w
+    for _ in range(5):
+        left.append(v @ left[-1])
+        right.append(right[-1] @ -v)
+        ad.append(lc.bracket(v, ad[-1]))
+    return all(lc.lincomb([math.comb(k, i) for i in range(k + 1)],
+                          [left[i] @ right[k - i] for i in range(k + 1)]) == ad[k]
+               for k in range(1, 6))
 
 
 @check("theta-morphisms", "lie-core",

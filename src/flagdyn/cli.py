@@ -113,7 +113,10 @@ def cmd_oracle(args) -> int:
 # from argv or from a FLAGDYN_* fallback, once for every subcommand
 
 def _numbers(text: str, arity: int):
-    vals = tuple(map(float, text.split(",")))
+    try:
+        vals = tuple(map(float, text.split(",")))
+    except ValueError:  # a token float() cannot read; refused below
+        vals = ()
     if len(vals) != arity or not all(map(math.isfinite, vals)):
         raise argparse.ArgumentTypeError(
             f"expected {arity} finite comma-separated numbers, got {text!r}")
@@ -277,17 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(run=cmd_oracle)
 
     ps = sub.add_parser("simulate", help="iterate a nilmanifold affine map")
-    ps.add_argument("--matrix", type=_matrix, default="2,1,1,1",
-                    help="integer linear part a,b,c,d with ad-bc=1")
-    ps.add_argument("--translation", type=_translation, default="0,0,0")
-    ps.add_argument("--start", type=_point, default="0.37,0.21,0.13")
+    pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
+    dash = "; a value beginning with '-' needs the form {}=VALUE".format
+    for p in (ps, pl):
+        p.add_argument("--matrix", type=_matrix, default="2,1,1,1",
+                       help="integer linear part a,b,c,d with ad-bc=1" + dash("--matrix"))
+        p.add_argument("--translation", type=_translation, default="0,0,0",
+                       help="x,y,z with x and y half-integers" + dash("--translation"))
+    ps.add_argument("--start", type=_point, default="0.37,0.21,0.13",
+                    help="x,y,z of the first point" + dash("--start"))
     ps.add_argument("-n", "--steps", type=_count, default=100)
     add_shared(ps, "--out")
     ps.set_defaults(run=cmd_simulate)
 
-    pl = sub.add_parser("lyapunov", help="measure frame rates of an affine map")
-    pl.add_argument("--matrix", type=_matrix, default="2,1,1,1")
-    pl.add_argument("--translation", type=_translation, default="0,0,0")
     pl.add_argument("-n", "--steps", type=_count, default=200)
     add_shared(pl, "--format", "--out")
     pl.set_defaults(run=cmd_lyapunov)

@@ -5,11 +5,9 @@ nine ints over one denominator, a `GroupElem` the primitive integer matrix
 of its class.  `GroupElem.entries` are ints, so a ratio of two of them is
 built as a Fraction, never with `/`.
 
-Floats appear only in the numerical exponentials `exp_group`, `exp_ad` and
-`Ad_of_exp` and the float matrix helpers under them, read by
-`curvature.flow_commutator_defect` and the `exp-ad-consistency` check (the
-`dynamics` module reads none of them); a float matrix is a tuple of rows,
-each a tuple of Python floats.
+Floats appear only in the numerical exponential `exp_group` and the float
+matrix helpers under it, read by `curvature.flow_commutator_defect` alone;
+a float matrix is a tuple of rows, each a tuple of Python floats.
 """
 
 from __future__ import annotations
@@ -133,18 +131,8 @@ E_SUP_0 = LieVec.elementary(0, 2)
 
 BASIS = (E_0, E_ALPHA, E_BETA, E_1, E_2, E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 
-_FLOAT_BASIS = tuple(b.to_float() for b in BASIS)
-
 # Positive part of the filtration (grades >= 1).
 POSITIVE_BASIS = (E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
-
-
-def _basis_coords(e):
-    """BASIS coordinates read off the entry rows e of a traceless matrix:
-    the off-diagonal entries directly, and diag(a, b, -a-b) = a E_1 +
-    (a+b) E_2.  Exact on Fraction rows, float on float rows."""
-    return [e[2][0], e[2][1], e[1][0], e[0][0], e[0][0] + e[1][1],
-            e[1][2], e[0][1], e[0][2]]
 
 
 def lincomb(coefs, vectors) -> LieVec:
@@ -444,22 +432,3 @@ def exp_group(v: LieVec, t: float = 1.0):
     """exp(t v) as a float 3x3 matrix."""
     return exp_float(v.to_float(t))
 
-
-def exp_ad(v: LieVec):
-    """exp(ad v) as a float 8x8 matrix; the columns of ad v are the BASIS
-    coordinates of the float brackets [v, b].  For exp(t ad v), pass t v."""
-    fv = v.to_float()
-    brackets = (fmat_sub(fmat_mul(fv, b), fmat_mul(b, fv)) for b in _FLOAT_BASIS)
-    return exp_float(tuple(zip(*map(_basis_coords, brackets))))
-
-
-def Ad_of_exp(v: LieVec):
-    """Conjugation action of exp(v) over BASIS, float path.
-
-    Computed from exp_group directly (independent of exp_ad); the two must
-    agree to roughly 1e-9 for moderate inputs.  The inverse is exp(-v)
-    rather than a numerical inversion, whose error grows with the condition
-    number of exp(v).  Coordinates are read by `_basis_coords`.
-    """
-    g, ginv = exp_group(v, 1.0), exp_group(v, -1.0)
-    return tuple(zip(*(_basis_coords(fmat_mul(fmat_mul(g, b), ginv)) for b in _FLOAT_BASIS)))

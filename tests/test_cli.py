@@ -342,6 +342,20 @@ def test_malformed_input_is_usage_error(capsys, argv):
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--start", "1,2,x", "expected 3 finite comma-separated numbers, got '1,2,x'"),
+    ("--matrix", "2,1,1,a", "expected 4 finite comma-separated numbers, got '2,1,1,a'"),
+    ("--translation", "0,0,", "expected 3 finite comma-separated numbers, got '0,0,'"),
+    # read as options; test_signed_zero_start_prints_no_negative_zero runs --opt=value
+    ("--matrix", "-2,1,1,-1", "expected one argument"),
+    ("--start", "-0.5,0.25,0.1", "expected one argument"),
+    ("--translation", "-0.5,0.5,0", "expected one argument")])
+def test_unreadable_number_option_is_named_with_its_cause(capsys, option, value, message):
+    assert cli.main(["simulate", "-n", "1", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {option}: {message}\n" in captured.err
+
+
 class TestEnvOverrides:
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("FLAGDYN_SEED", "17")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import rand_frac, rand_group, rand_lievec
+from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_traceless
 from flagdyn.rational import solve
 from registry_twins import run_check, twin
 from strategies import small_fractions
@@ -71,12 +71,9 @@ class TestBracket:
 class TestTracelessCoords:
     @given(lievecs())
     def test_equals_elimination_against_the_basis(self, m):
-        # the reader of exp_ad and Ad_of_exp, on exact rows
         v = m - lc.LieVec.diag(0, 0, m.trace())
-        cols = [b.flat() for b in lc.BASIS]
-        rows = [[cols[j][i] for j in range(8)] for i in range(9)]
-        assert lc._basis_coords(v.entries) == solve(rows, v.flat())
-        assert lc.lincomb(lc._basis_coords(v.entries), lc.BASIS) == v
+        rows = list(zip(*(b.flat() for b in lc.BASIS)))
+        assert lc.lincomb(solve(rows, v.flat()), lc.BASIS) == v
 
 
 class TestGrading:
@@ -188,10 +185,23 @@ class TestExponentials:
     test_ad_exp_consistency = twin("exp-ad-consistency")
 
     def test_ad_exp_consistency_on_an_ill_conditioned_exponential(self):
-        # draw 52 of this stream has norm near 9.4, where exp(v) has
-        # condition number about 2.5e7; a numerical inverse missed 1e-9
-        passed, worst = run_check("exp-ad-consistency", seed=1726011270, samples=53)
-        assert passed, worst
+        # traceless draws, row-sum norms capped at 10, so exp_float scales and squares;
+        # draw 52, of norm near 9.4, has exp(v) of condition number about 2.5e7
+        rng = check_rng(1726011270, "exp-ad-consistency")
+        identity = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        for _ in range(53):
+            v = rand_traceless(rng)
+            norm = max(sum(map(abs, row)) for row in v.to_float())
+            if norm > 10:
+                v = v.scale(Fraction(9, math.ceil(norm)))
+            g, g_inv = lc.exp_group(v), lc.exp_group(-v)
+            defect = lc.fnorm(lc.fmat_sub(lc.fmat_mul(g, g_inv), identity))
+            assert defect <= 1e-12 * lc.fnorm(g) * lc.fnorm(g_inv), (norm, defect)
+        assert 9.3 < norm < 9.5
+
+    def test_exp_ad_consistency_reads_the_exact_bracket(self, monkeypatch):
+        monkeypatch.setattr(lc, "bracket", lambda u, v, bracket=lc.bracket: -bracket(u, v))
+        assert run_check("exp-ad-consistency") == (False, None)
 
     def test_exp_of_zero(self):
         exp = lc.exp_group(lc.LieVec.zero())
@@ -203,14 +213,12 @@ class TestExponentials:
         # generators by +1 and -2, so conjugation by exp(t diag(1,-1,0))
         # scales them by e^t and e^{-2t}
         h = lc.LieVec.diag(1, -1, 0)
-        i_alpha = lc.BASIS.index(lc.E_ALPHA)
-        i_beta = lc.BASIS.index(lc.E_BETA)
         assert lc.bracket(h, lc.E_ALPHA) == lc.E_ALPHA
         assert lc.bracket(h, lc.E_BETA) == lc.E_BETA.scale(-2)
-        t = 0.7
-        ad = lc.Ad_of_exp(h.scale(Fraction(7, 10)))
-        assert abs(ad[i_alpha][i_alpha] - math.exp(t)) < 1e-9
-        assert abs(ad[i_beta][i_beta] - math.exp(-2 * t)) < 1e-9
+        g, g_inv = lc.exp_group(h, 0.7), lc.exp_group(h, -0.7)
+        for e, rate in ((lc.E_ALPHA, math.exp(0.7)), (lc.E_BETA, math.exp(-1.4))):
+            conj = lc.fmat_mul(lc.fmat_mul(g, e.to_float()), g_inv)
+            assert lc.fnorm(lc.fmat_sub(conj, e.to_float(rate))) < 1e-9
 
 
 class TestTheta:
