@@ -47,7 +47,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import _cleared, _mat_vec_ints, _primitive_ints, _rows, in_span, primitive
+from .rational import _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span, primitive
 
 
 @dataclass(frozen=True)
@@ -196,21 +196,17 @@ def _run_split(ids, seed, samples):
 # random generators
 # ---------------------------------------------------------------------------
 
-def _below(rng, n: int) -> int:
-    """rng.randrange(n), drawn as CPython's `Random._randbelow` draws it:
-    getrandbits(n.bit_length()), drawn again while it is n or more.  So
-    `lo + _below(rng, hi - lo + 1)` is `rng.randint(lo, hi)`, value for value
-    and from the same stream, without randint's call layers."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def _pair(rng):
-    """One rand_frac draw as its ints: (numerator, denominator)."""
-    return _below(rng, 19) - 9, 1 + _below(rng, 9)
+    """One rand_frac draw as its ints: (numerator, denominator), that is
+    rng.randint(-9, 9) and rng.randint(1, 9) from the same stream, without
+    randint's call layers.  getrandbits(n.bit_length()), redrawn while it is
+    n or more, is CPython's randint over n values: 5 bits below 19, 4 below 9."""
+    p = q = 19
+    while p >= 19:
+        p = rng.getrandbits(5)
+    while q >= 9:
+        q = rng.getrandbits(4)
+    return p - 9, q + 1
 
 
 def _nonzero_pair(rng):
@@ -381,19 +377,32 @@ def _check_filtration(rng):
        samples=1000)
 def _check_qadj_display(rng):
     p = rand_upper(rng)
-    e = p.entries
-    d1, d2, d3 = e[0][0], e[1][1], e[2][2]
-    expected = ((Fraction(d3, d2), Fraction(0), Fraction(-(d3 * e[0][1]), d1 * d2)),
-                (Fraction(0), Fraction(d2, d1), Fraction(e[1][2], d1)),
-                (Fraction(0), Fraction(0), Fraction(d3, d1)))
-    return lc.quotient_adjoint(p) == expected
+    (d1, p12, _), (_, d2, p23), (_, _, d3) = p.entries
+    # the displayed entries as (numerator, denominator), row by row
+    expected = ((d3, d2), (0, 1), (-(d3 * p12), d1 * d2),
+                (0, 1), (d2, d1), (p23, d1),
+                (0, 1), (0, 1), (d3, d1))
+    nums, den = lc._quotient_adjoint_ints(p)
+    return all(n * q == m * den for n, (m, q) in zip(nums, expected))
+
+
+# upper triangular, with its quotient adjoint nonzero at all five free entries
+_UPPER = lc.GroupElem([[2, 3, 5], [0, -7, 11], [0, 0, 13]])
 
 
 @check("quotient-adjoint-bruteforce", "lie-core",
-       "closed form equals generic conjugate-and-project computation", samples=1000)
+       "closed form equals generic conjugate-and-project computation", samples=1000,
+       fixed=lambda: lc.quotient_adjoint(_UPPER) == lc.quotient_adjoint_bruteforce(_UPPER))
 def _check_qadj_brute(rng):
     p = rand_upper(rng)
-    return lc.quotient_adjoint(p) == lc.quotient_adjoint_bruteforce(p)
+    nums, den = lc._quotient_adjoint_ints(p)
+    for j, gen in enumerate((lc.E_ALPHA, lc.E_BETA, lc.E_0)):
+        # column j is the image's class modulo the upper-triangular
+        # matrices: its entries (2, 1), (1, 0), (2, 0)
+        image = lc.conjugate(p, gen)
+        if [n * image.den for n in nums[j::3]] != [image.nums[k] * den for k in (7, 3, 6)]:
+            return False
+    return True
 
 
 @check("quotient-adjoint-morphism", "lie-core",
@@ -438,16 +447,20 @@ def _check_subalgebra_recognizer(rng):
        "conjugation by exp(v) equals exp of the bracket action: "
        "sum_i C(k,i) v^i w (-v)^(k-i) = (ad v)^k w for k <= 5, exact", samples=20)
 def _check_exp_ad(rng):
-    # k! times the t^k coefficients of exp(tv) w exp(-tv) and exp(t ad v) w
+    # k! times the t^k coefficients of exp(tv) w exp(-tv) and exp(t ad v) w, in
+    # ints: v^i w is over v.den^i w.den and (-v)^j over v.den^j
     v, w = rand_traceless(rng), rand_lievec(rng)
-    left, right, ad = [w], [lc.LieVec.diag(1, 1, 1)], [w]  # v^i w, (-v)^j, (ad v)^k w
-    for _ in range(5):
-        left.append(v @ left[-1])
-        right.append(right[-1] @ -v)
-        ad.append(lc.bracket(v, ad[-1]))
-    return all(lc.lincomb([math.comb(k, i) for i in range(k + 1)],
-                          [left[i] @ right[k - i] for i in range(k + 1)]) == ad[k]
-               for k in range(1, 6))
+    minus_v = [-n for n in v.nums]
+    left, right, ad = [w.nums], [(1, 0, 0, 0, 1, 0, 0, 0, 1)], w  # v^i w, (-v)^j, (ad v)^k w
+    for k in range(1, 6):
+        left.append(_mul_ints(v.nums, left[-1]))
+        right.append(_mul_ints(right[-1], minus_v))
+        ad = lc.bracket(v, ad)
+        terms = [_mul_ints(left[i], right[k - i]) for i in range(k + 1)]
+        total = [sum(math.comb(k, i) * x for i, x in enumerate(col)) for col in zip(*terms)]
+        if lc.LieVec(total, v.den ** k * w.den) != ad:
+            return False
+    return True
 
 
 @check("theta-morphisms", "lie-core",
@@ -632,8 +645,9 @@ def _check_curvature_exponents(rng):
     p = rand_upper(rng)
     k = rand_curvature(rng)
     out = curv.curvature_action(p, k)
-    return (out.k_alpha == curv.alpha_scale(p) * k.k_alpha
-            and out.k_beta == curv.beta_scale(p) * k.k_beta)
+    # component i of out is s times that of k, s its scale, cross-multiplied in ints
+    return all(out.nums[i] * s.denominator * k.den == s.numerator * k.nums[i] * out.den
+               for i, s in ((0, curv.alpha_scale(p)), (1, curv.beta_scale(p))))
 
 
 @check("curvature-exponent-sampling", "curvature",

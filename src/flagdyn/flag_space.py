@@ -266,23 +266,28 @@ def flag_derivative(v: LieVec, x: Flag):
     (dm mod m, dn mod n) of the stored representatives m and n: each class
     reduced to two canonical complement coordinates, four entries in all.
     Exact and chart-free."""
-    dm, dn = _velocities(v, x)
-    return (_class_coords(dm, x.point, v.den)
-            + _class_coords(dn, x.line, v.den))
+    nums, (bm, bn) = _tangent_ints(v, x)
+    return tuple([Fraction(n, b * v.den) for n, b in zip(nums, (bm, bm, bn, bn))])
 
 
-def _class_coords(w, base, den):
-    """Coordinates of w / den modulo the span of base, in the two coordinate
-    positions complementary to the pivot of base."""
-    i = next(k for k, e in enumerate(base) if e != 0)
-    b, wi = base[i], w[i]
-    return tuple(Fraction(w[k] * b - wi * base[k], b * den) for k in range(3) if k != i)
+def _tangent_ints(v: LieVec, x: Flag):
+    """The row of `flag_derivative` as ints, and the pivots of m and n.  The
+    velocity w of m (of n) is taken modulo its base m (n) at the two
+    positions off the pivot i of base, its first nonzero entry; each
+    coordinate is an int over v.den base[i]."""
+    nums, pivots = [], []
+    for w, base in zip(_velocities(v, x), (x.point, x.line)):
+        i = next(k for k, e in enumerate(base) if e != 0)
+        nums += [w[k] * base[i] - w[i] * base[k] for k in range(3) if k != i]
+        pivots.append(base[i])
+    return nums, pivots
 
 
 def orbit_rank(vectors, x: Flag) -> int:
     """Dimension of the span of the action derivatives of the given Lie
-    algebra elements at x."""
-    return rank([flag_derivative(v, x) for v in vectors])
+    algebra elements at x: the rank of their rows in ints, which scale each
+    row by v.den and two columns by a pivot, and so keep the rank."""
+    return rank([_tangent_ints(v, x)[0] for v in vectors])
 
 
 def fundamental_vector(v: LieVec, x: Flag):

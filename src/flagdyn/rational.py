@@ -79,12 +79,13 @@ class _CanonicalInts:
 
 def _primitive_ints(nums) -> tuple:
     """`primitive` of a vector of ints."""
-    lead = next((n for n in nums if n != 0), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective class")
     g = math.gcd(*nums)
-    if lead < 0:
+    if g == 0:
+        raise ValueError("zero vector has no projective class")
+    if next(n for n in nums if n != 0) < 0:
         g = -g
+    elif g == 1:  # already primitive
+        return tuple(nums)
     return tuple([n // g for n in nums])
 
 

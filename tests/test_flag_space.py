@@ -20,8 +20,22 @@ from flagdyn.checks import (
     rand_traceless,
     rand_upper,
 )
-from registry_twins import run_check, twin
+from flagdyn.rational import rank
+from registry_twins import fractions_built, run_check, twin
 from strategies import small_fractions
+
+
+def small_flags():
+    """The 72 flags spanned by vectors with entries in {-1, 0, 1}."""
+    vecs = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
+    flags = set()
+    for m, q in itertools.product(vecs, repeat=2):
+        try:
+            flags.add(fs.Flag.of(m, q))
+        except ValueError:
+            continue  # q spans no line with m
+    assert len(flags) == 72
+    return flags
 
 
 class TestIncidence:
@@ -133,19 +147,20 @@ class TestRegions:
         with pytest.raises(ValueError):
             fs.region_classify(fs.O_T, "q")
 
+    def test_orbit_rank_is_the_rank_of_the_derivatives(self):
+        # orbit_rank ranks integer rows, the Fraction rows scaled by nonzero
+        # ints per row and per pair of columns
+        for vectors in (cls.h_t().basis, cls.h_a().basis, lc.BASIS):
+            for x in small_flags():
+                assert fs.orbit_rank(vectors, x) == rank(
+                    [fs.flag_derivative(v, x) for v in vectors])
+
     def test_strata_agree_with_orbit_ranks_of_their_circles(self):
         # the strata against a definition by orbit ranks alone: a flag is
         # interior when the model algebra's orbit through it is open, and a
         # circle re-enters the model when one of four of its flags is
         # interior (a circle not wholly in the boundary meets it in one flag)
-        vecs = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
-        flags = set()
-        for m, q in itertools.product(vecs, repeat=2):
-            try:
-                flags.add(fs.Flag.of(m, q))
-            except ValueError:
-                continue  # q spans no line with m
-        assert len(flags) == 72
+        flags = small_flags()
         pencil = ((1, 0), (0, 1), (1, 1), (1, -1))
         wrong = []
         for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
@@ -242,3 +257,11 @@ class TestTangentTransport:
             except fs.BoundaryError:
                 continue
             assert lhs == rhs
+
+
+def test_flag_space_suite_builds_few_fractions(monkeypatch):
+    # the checks compare exact values as ints; the count repeats exactly, so
+    # a return to per-entry Fractions fails here
+    outcomes, built = fractions_built(monkeypatch, "flag-space")
+    assert all(passed for passed, _ in outcomes)
+    assert built < 4_500

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_traceless
 from flagdyn.rational import solve
-from registry_twins import run_check, twin
+from registry_twins import fractions_built, run_check, twin
 from strategies import small_fractions
 
 
@@ -142,6 +143,21 @@ class TestQuotientAdjoint:
         with pytest.raises(lc.NotUpperTriangularError):
             lc.quotient_adjoint(lc.GroupElem([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
+    @pytest.mark.parametrize("check_id, body", [
+        ("quotient-adjoint-display", checks._check_qadj_display),
+        ("quotient-adjoint-bruteforce", checks._check_qadj_brute)])
+    def test_checks_read_the_integer_closed_form(self, monkeypatch, check_id, body):
+        # a closed form with its (0, 2) entry negated fails both checks, and
+        # each check's draws catch it, not only the brute-force anchor
+        def flipped(p, closed_form=lc._quotient_adjoint_ints):
+            nums, den = closed_form(p)
+            return (*nums[:2], -nums[2], *nums[3:]), den
+
+        monkeypatch.setattr(lc, "_quotient_adjoint_ints", flipped)
+        assert run_check(check_id) == (False, None)
+        rng = check_rng(0, check_id)
+        assert not all(body(rng) for _ in range(1000))
+
 
 class TestCentralizerNormalizer:
     test_block_sl2_centralizer_is_central_line = twin("centralizer-block-sl2")
@@ -204,9 +220,8 @@ class TestExponentials:
         assert run_check("exp-ad-consistency") == (False, None)
 
     def test_exp_of_zero(self):
-        exp = lc.exp_group(lc.LieVec.zero())
-        assert all(abs(exp[i][j] - (i == j)) <= 1e-8 + 1e-5 * (i == j)
-                   for i in range(3) for j in range(3))
+        assert lc.exp_group(lc.LieVec.zero()) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                                  (0.0, 0.0, 1.0))
 
     def test_diagonal_eigenvalues_on_circle_directions(self):
         # the bracket action of diag(1,-1,0) scales the two circle
@@ -239,3 +254,11 @@ def test_importing_lie_core_loads_only_the_layers_it_uses():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["flagdyn", "flagdyn.lie_core", "flagdyn.rational"]
+
+
+def test_lie_core_suite_builds_few_fractions(monkeypatch):
+    # the checks compare exact values as ints; the count repeats exactly, so
+    # a return to per-entry Fractions fails here
+    outcomes, built = fractions_built(monkeypatch, "lie-core")
+    assert all(passed for passed, _ in outcomes)
+    assert built < 7_000

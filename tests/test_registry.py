@@ -239,11 +239,20 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 9), (0, 0), (0, 1), (-1, 1),
                                     (5, 1000), (-(2 ** 40), 2 ** 40)])
 def test_below_draws_what_randint_draws(lo, hi):
-    # if a future CPython changes randrange, this fails, and the streams of
-    # the checks become the ones `checks._below` defines
+    # `checks._pair` writes randint out as getrandbits(n.bit_length()) over
+    # n values, redrawn while it is n or more; if a future CPython changes
+    # randint, this fails, and the streams of the checks become the ones
+    # `_pair` defines
+    n = hi - lo + 1
     ours, theirs = random.Random(lo ^ hi), random.Random(lo ^ hi)
-    drawn = [lo + checks._below(ours, hi - lo + 1) for _ in range(3000)]
-    assert drawn == [theirs.randint(lo, hi) for _ in range(3000)]
+
+    def below():
+        r = ours.getrandbits(n.bit_length())
+        while r >= n:
+            r = ours.getrandbits(n.bit_length())
+        return r
+
+    assert [lo + below() for _ in range(3000)] == [theirs.randint(lo, hi) for _ in range(3000)]
     assert ours.getstate() == theirs.getstate()
 
 
