@@ -38,7 +38,6 @@ import math
 import os
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classification as cls
@@ -47,15 +46,12 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span, primitive
+from .rational import (_Record, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
+                       primitive)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    check_id: str
-    anchor: str
-    passed: bool
-    residual: float | None
+class CheckOutcome(_Record):
+    __slots__ = ("check_id", "anchor", "passed", "residual")
 
 
 _REGISTRY = []
@@ -761,8 +757,13 @@ def _check_flow_comm_slope(rng):
        samples=200)
 def _check_heis_law(rng):
     g, h = rand_heis(rng), rand_heis(rng)
+    (a, b, c), d = g.nums, g.den
+    (e, f, k), m = h.nums, h.den
     prod = g.mul(h)
-    return ((prod.x, prod.y, prod.z) == (g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
+    (x, y, z), n = prod.nums, prod.den
+    # the law over the common denominator d m, cross-multiplied by n
+    return ((x * d * m, y * d * m, z * d * m)
+            == (n * (a * m + e * d), n * (b * m + f * d), n * (c * m + k * d + a * f))
             and md.HeisElem.from_exponential(*g.to_exponential()) == g
             and g.mul(g.inverse()) == md.HeisElem.identity())
 

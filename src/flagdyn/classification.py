@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .flag_space import Flag, flag_derivative, orbit_rank
@@ -34,16 +33,11 @@ from .lie_core import (
     lincomb,
 )
 from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
-from .rational import cross, in_span, nullspace, rank, solve, span_equal
+from .rational import _Record, _cleared, cross, dot, in_span, nullspace, rank, solve, span_equal
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    case_id: str
-    anchor: str
-    expected: str
-    computed: str
-    passed: bool
+class OracleReport(_Record):
+    __slots__ = ("case_id", "anchor", "expected", "computed", "passed")
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +232,12 @@ def isotropy_eigenvalue_table(case: str):
 # invariant transverse lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransverseLineResult:
-    kind: str                 # "unique" | "none" | "family"
-    generator: LieVec | None  # representative of the line when unique
-    family_dim: int
+class TransverseLineResult(_Record):
+    __slots__ = (
+        "kind",        # "unique" | "none" | "family"
+        "generator",   # LieVec representative of the line when unique, else None
+        "family_dim",
+    )
 
 
 def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
@@ -358,15 +353,16 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
 # degeneration matrices along the circles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegenerationCase:
-    boundary_flag: Flag
-    pivot: GroupElem          # carries the boundary flag to the base flag
-    circle_group: tuple       # one-parameter subgroup rows, callable of t
-    model_group: tuple        # one-parameter subgroup inside the model group
-    transported: LieVec       # generator of the transverse line at the anchor
-    expected: tuple           # 3x3 of Laurent polynomials {degree: coefficient}
-    limit: str                # "alpha" or "beta"
+class DegenerationCase(_Record):
+    __slots__ = (
+        "boundary_flag",
+        "pivot",          # GroupElem carrying the boundary flag to the base flag
+        "circle_group",   # one-parameter subgroup rows, callable of t
+        "model_group",    # one-parameter subgroup inside the model group
+        "transported",    # LieVec generator of the transverse line at the anchor
+        "expected",       # 3x3 of Laurent polynomials {degree: coefficient}
+        "limit",          # "alpha" or "beta"
+    )
 
 
 DEGENERATION_CASES = {
@@ -425,19 +421,20 @@ DEGENERATION_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class DegenerationResult:
-    t: Fraction
-    matrix: tuple
-    matches: bool
-    limit: str
-    sine_distance: float
+class DegenerationResult(_Record):
+    __slots__ = ("t", "matrix", "matches", "limit", "sine_distance")
 
     @property
     def passed(self) -> bool:
         """The oracle's pass rule: the matrix equals its printed value and
-        the projected line lies within sine distance 3|t| of its limit."""
-        return self.matches and self.sine_distance <= 3 * abs(float(self.t))
+        the projected line lies within sine distance 3|t| of its limit e,
+        decided exactly: |v x e|^2 <= 9 t^2 |v|^2 for the class v of the
+        matrix, in ints with t = p / q.  The float `sine_distance` is the
+        reported residual only."""
+        v = _cleared(_strictly_lower_class(LieVec.of(self.matrix)))[0]
+        vxe = cross(v, _LIMIT_VECTORS[self.limit])
+        p, q = self.t.numerator, self.t.denominator
+        return self.matches and q * q * dot(vxe, vxe) <= 9 * p * p * dot(v, v)
 
 
 # parameter values at which the degeneration oracle is evaluated
@@ -451,7 +448,7 @@ SYMBOLIC_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Frac
                   Fraction(5), Fraction(1, 5))
 
 
-_LIMIT_VECTORS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0)}
+_LIMIT_VECTORS = {"alpha": (1, 0, 0), "beta": (0, 1, 0)}
 
 
 def _laurent_at(poly, t) -> Fraction:
@@ -460,8 +457,8 @@ def _laurent_at(poly, t) -> Fraction:
 
 
 def _sine_distance(v, e) -> float:
-    """Sine of the angle between v and the float unit vector e, in floats
-    (the exact kernel takes no floats)."""
+    """Sine of the angle between v and the unit vector e, in floats (the
+    exact kernel takes no floats)."""
     x, y, z = (float(c) for c in v)
     cx = cross((x, y, z), e)
     return (math.sqrt(sum(c * c for c in cx))

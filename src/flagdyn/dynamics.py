@@ -18,11 +18,11 @@ the map written out so that a step makes no call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
+from .rational import _Record
 
 
 def heis_mul(p, q):
@@ -59,8 +59,7 @@ class NonHyperbolicError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NilMap:
+class NilMap(_Record):
     """Left translation composed with a linear automorphism: the linear part
     is an integer 2x2 matrix of determinant one acting on (x, y) and
     trivially on z in exponential coordinates.
@@ -71,8 +70,7 @@ class NilMap:
     a map with a non-descending translation, whose frame cocycle is the same.
     """
 
-    linear: tuple
-    translation: tuple
+    __slots__ = ("linear", "translation")
 
     @staticmethod
     def of(linear, translation=(0.0, 0.0, 0.0)) -> "NilMap":
@@ -209,10 +207,8 @@ def _frame_inverse(p, d):
     return (d[0], d[1], d[2] - (-p[1] * d[0] + p[0] * d[1]) / 2.0)
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    measured: float
-    exact: float
+class RateEstimate(_Record):
+    __slots__ = ("measured", "exact")
 
     @property
     def error(self) -> float:
@@ -324,9 +320,8 @@ def sl2_frame_rates(t: float):
 # hyperbolicity certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
-    n_certified: int | None
+class HyperbolicityReport(_Record):
+    __slots__ = ("n_certified",)  # an int, or None
 
     @property
     def partially_hyperbolic(self) -> bool:

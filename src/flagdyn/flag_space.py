@@ -15,12 +15,12 @@ model is the one containment predicate that `circle_boundary_points` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .lie_core import BASIS, GroupElem, LieVec, conjugate, lincomb
 from .rational import (
+    _Record,
     _cleared,
     _mat_vec_ints,
     _primitive_ints,
@@ -49,16 +49,25 @@ def at_infinity(m) -> bool:
     return m[2] == 0
 
 
-@dataclass(frozen=True)
-class Flag:
-    """A point m on a line n, both primitive integer 3-tuples, n . m = 0."""
+class Flag(_Record):
+    """A point m on a line n, both primitive integer 3-tuples, n . m = 0.
+    A verify pass builds thousands, so the record is written out."""
 
-    point: tuple
-    line: tuple
+    __slots__ = ("point", "line")
 
-    def __post_init__(self):
-        if dot(self.line, self.point) != 0:
+    def __init__(self, point, line):
+        if line[0] * point[0] + line[1] * point[1] + line[2] * point[2]:
             raise ValueError("flag point must lie on the flag line")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "line", line)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.point == other.point and self.line == other.line
+
+    def __hash__(self):
+        return hash((self.point, self.line))
 
     @staticmethod
     def of(point_vec, second_point_vec) -> "Flag":
@@ -208,10 +217,16 @@ def region_classify(x: Flag, model: str) -> Region:
 # circles and their boundary intersections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircleBoundary:
-    points: tuple
-    full_circle: bool
+class CircleBoundary(_Record):
+    """The flags of a circle outside the open model: one in `points`, or
+    none when `full_circle`, the whole circle lying outside.  The region
+    checks build one per draw, so the record is written out."""
+
+    __slots__ = ("points", "full_circle")
+
+    def __init__(self, points, full_circle):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "full_circle", full_circle)
 
 
 def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:

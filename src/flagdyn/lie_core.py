@@ -13,13 +13,13 @@ a float matrix is a tuple of rows, each a tuple of Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
 
 from .rational import (
     _CanonicalInts,
+    _Record,
     _adjugate_ints,
     _cleared,
     _mul_ints,
@@ -298,11 +298,10 @@ def quotient_adjoint_bruteforce(p: GroupElem):
 # centralizers, normalizers, subalgebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subalgebra:
+class Subalgebra(_Record):
     """Subalgebra of sl(3) given by a linearly independent basis."""
 
-    basis: tuple
+    __slots__ = ("basis",)
 
     @staticmethod
     def of(vectors) -> "Subalgebra":

@@ -12,13 +12,12 @@ and the closed-form commuting-flow identities of the affine model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .flag_space import BoundaryError, Flag, chart_coords
 from .lie_core import GroupElem, LieVec
-from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
-                       _mul_ints, _rows, primitive)
+from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints,
+                       _mat_vec_ints, _mul_ints, _rows, primitive)
 
 
 class MembershipError(ValueError):
@@ -221,14 +220,11 @@ def flat_structure_iso(v: LieVec, w: LieVec):
 # invariant frames on the two open models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FramedPoint:
+class FramedPoint(_Record):
     """The three invariant tangent lines at a flag, each a projective
     direction in chart coordinates, given by its primitive integer vector."""
 
-    line_alpha: tuple
-    line_beta: tuple
-    line_c: tuple
+    __slots__ = ("line_alpha", "line_beta", "line_c")
 
 
 def _transporter_ints(x, y, c, u, v, model: str):

@@ -14,7 +14,8 @@ trust their input.  Exact data is kept as integer representatives
 (`GroupElem`, the point and line of a `Flag`, and the `_CanonicalInts`
 classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem` and
 `HeisAuto`), or cleared of its denominators once by `_cleared`, which
-rejects floats.
+rejects floats.  The value and report types of every layer are `_Record`s:
+read-only slotted records, built with no code generation and no import.
 `inverse3`, on ints and Fractions, is only the independent inverse of the
 dense curvature oracle.
 
@@ -75,6 +76,44 @@ class _CanonicalInts:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nums}, {self.den})"
+
+
+class _Record:
+    """A read-only record whose fields are the subclass's `__slots__`, set
+    once from positional or keyword arguments in field order.  Equality and
+    hashing are structural within a subclass, the repr names the class and
+    the fields, and assigning or deleting a field raises AttributeError.  A
+    record that a hot path builds writes out its own `__init__`."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _primitive_ints(nums) -> tuple:

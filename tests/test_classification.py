@@ -1,7 +1,6 @@
 """Classification oracles: subalgebra tables, isotropy actions, invariant
 lines, degenerations, and the flatness predicate."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -107,6 +106,18 @@ class TestDegeneration:
         assert res.matrix == ((0, 0, 0), (0, 0, 0), (t, 1, 0))
         assert res.limit == "alpha"
 
+    def test_wrong_limit_fails_the_exact_bound(self):
+        # the verdict reads the exact class, not the reported float residual:
+        # swapping the limit vector keeps the residual and fails every time
+        # at which the bound 3|t| is below 1
+        other = {"alpha": "beta", "beta": "alpha"}
+        for case in cls.DEGENERATION_CASES:
+            for res in cls.degeneration_samples(case):
+                assert res.passed
+                wrong = cls.DegenerationResult(res.t, res.matrix, res.matches,
+                                               other[res.limit], res.sine_distance)
+                assert wrong.passed is (3 * res.t >= 1), (case, res.t)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             cls.degeneration_limit("zz", 1)
@@ -147,8 +158,9 @@ class TestLaurentPoly:
         data = cls.DEGENERATION_CASES["t1"]
         entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
         expected = ((entry, *data.expected[0][1:]), *data.expected[1:])
-        monkeypatch.setitem(cls.DEGENERATION_CASES, "t1",
-                            dataclasses.replace(data, expected=expected))
+        changed = cls.DegenerationCase(data.boundary_flag, data.pivot, data.circle_group,
+                                       data.model_group, data.transported, expected, data.limit)
+        monkeypatch.setitem(cls.DEGENERATION_CASES, "t1", changed)
         assert checks.run_check("degeneration-symbolic") == (False, None)
 
 

@@ -256,6 +256,21 @@ class TestLyapunov:
         assert captured.err.startswith(f"error: {cause}")
 
 
+def test_start_up_imports_no_code_generation_machinery():
+    # the records are slotted classes, so the CLI's set-up loads neither
+    # dataclasses nor what it pulls in; the interpreter's own start-up may
+    # load some of these names, so only what the import adds is compared
+    code = ("import sys; before = set(sys.modules); "
+            "import flagdyn.cli; flagdyn.cli.build_parser(); "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    added = set(out.split())
+    assert "flagdyn.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
 def test_multipliers_of_large_entries_pass_the_relative_gate(capsys):
     # entries of 1e6 and 2e6, and of 6.5e4 on a trace-3 map: the exact
     # multipliers and the measured rates agree, and the rounding bound of one

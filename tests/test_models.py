@@ -101,7 +101,7 @@ def test_models_suite_builds_few_fractions(monkeypatch):
     # exactly, so a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "models")
     assert all(passed for passed, _ in outcomes)
-    assert built < 46_000
+    assert built < 29_000
 
 
 class TestEquivarianceAffine:

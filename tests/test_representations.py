@@ -10,21 +10,28 @@ or Fractions with denominator 1.
 The guard feeds integer-entry group elements, flags and Lie algebra
 elements to every reader that takes a ratio of entries or coordinates:
 with int entries `a / b` is a float, so each must build a Fraction.
+
+The value and report records of every layer behave as frozen dataclasses:
+read-only, equal and hashed by their fields within one type, and printed
+with their field names.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from flagdyn import checks
+from flagdyn import classification as cls
 from flagdyn import curvature as curv
+from flagdyn import dynamics as dyn
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.rational import _CanonicalInts
+from flagdyn.rational import _CanonicalInts, _Record
 from registry_twins import run_check
 from test_rational import (
     adjugate3_oracle,
@@ -147,10 +154,11 @@ def test_group_elem_stores_the_primitive_representative(ops, c):
 # ---------------------------------------------------------------------------
 
 def exact(value) -> bool:
-    """True when every leaf of `value` is an int or a Fraction; a
-    `_CanonicalInts` value is read as its (nums, den)."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
+    """True when every leaf of `value` is an int or a Fraction; a record
+    is read as the tuple of its fields, a `_CanonicalInts` value as its
+    (nums, den)."""
+    if isinstance(value, _Record):
+        value = tuple(getattr(value, name) for name in value.__slots__)
     if isinstance(value, _CanonicalInts):
         value = (value.nums, value.den)
     if isinstance(value, (tuple, list)):
@@ -214,3 +222,51 @@ def test_readers_of_integer_entries_stay_exact():
     # a float ratio would miss the exact closed form
     for seed in range(3):
         assert run_check("quotient-adjoint-display", seed=seed) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# read-only records
+# ---------------------------------------------------------------------------
+
+# each record type with its fields in constructor order and a sample value
+RECORDS = {
+    checks.CheckOutcome: {"check_id": "heis-group-law", "anchor": "a law",
+                          "passed": True, "residual": None},
+    cls.OracleReport: {"case_id": "bracket-corner-e1", "anchor": "[e^0, e_1] = -e^0",
+                       "expected": "x", "computed": "x", "passed": True},
+    cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
+    cls.DegenerationCase: {"boundary_flag": fs.O_A, "pivot": lc.GroupElem.identity(),
+                           "circle_group": abs, "model_group": abs,
+                           "transported": md.HEIS_Z, "expected": (), "limit": "alpha"},
+    cls.DegenerationResult: {"t": Fraction(1, 2), "matrix": ((1, 0, 0),), "matches": True,
+                             "limit": "beta", "sine_distance": 0.25},
+    dyn.NilMap: {"linear": ((2, 1), (1, 1)), "translation": (0.5, 0.0, 0.0)},
+    dyn.RateEstimate: {"measured": 0.96, "exact": 0.9624},
+    dyn.HyperbolicityReport: {"n_certified": 3},
+    fs.Flag: {"point": (1, 0, 0), "line": (0, 0, 1)},
+    fs.CircleBoundary: {"points": (fs.BASE_FLAG,), "full_circle": False},
+    lc.Subalgebra: {"basis": (md.HEIS_X, md.HEIS_Y)},
+    md.FramedPoint: {"line_alpha": (1, 0, 0), "line_beta": (0, 1, 0), "line_c": (0, 0, 1)},
+}
+
+
+@pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
+def test_records_are_read_only_values(record_type):
+    fields = RECORDS[record_type]
+    record = record_type(*fields.values())
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    same = record_type(**fields)
+    assert same == record and hash(same) == hash(record)
+    assert record != tuple(fields.values())
+    # a record of another type with the same fields and values
+    twin = type("Twin", (_Record,), {"__slots__": tuple(fields)})(*fields.values())
+    assert record != twin and twin != record
+    assert all(record != other(*values.values())
+               for other, values in RECORDS.items() if other is not record_type)
+    body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{record_type.__name__}({body})"
