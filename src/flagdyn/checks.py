@@ -286,13 +286,14 @@ def rand_interior_flag(rng, model: str) -> fs.Flag:
             return flag
 
 
-def rand_sl2(rng):
-    """((a, b), (c, (1 + b c) / a)) from three rand_frac draws with a != 0."""
+def rand_sl2(rng) -> md.Block:
+    """[[a, b], [c, (1 + b c) / a]] from three rand_frac draws with a != 0."""
     while True:
         (a, p), (b, q), (c, r) = _pair(rng), _pair(rng), _pair(rng)
         if a:
-            return ((Fraction(a, p), Fraction(b, q)),
-                    (Fraction(c, r), Fraction(p * (q * r + b * c), a * q * r)))
+            # (a / p, b / q, c / r, p (q r + b c) / (a q r)) over a p q r
+            return md.Block((a * a * q * r, a * b * p * r, a * c * p * q, p * p * (q * r + b * c)),
+                            a * p * q * r)
 
 
 def rand_heis(rng) -> md.HeisElem:
@@ -831,11 +832,12 @@ def _check_equiv_t_action(rng):
     lam = nonzero_frac(rng)
     g2, s = rand_sl2(rng), rand_sl2(rng)
     big = md.equivariance_t_inverse(g2, lam)
-    emb = md.equivariance_t_inverse(s, Fraction(1))
+    emb = md.equivariance_t_inverse(s, 1)
     lhs = fs.act(big, fs.act(emb, fs.O_T))
-    a = ((lam, Fraction(0)), (Fraction(0), 1 / lam))
-    return lhs == fs.act(md.equivariance_t_inverse(
-        md.mat_mul2(md.mat_mul2(g2, s), a), Fraction(1)), fs.O_T)
+    # diag(lam, 1 / lam) for lam = n / m, over n m
+    n, m = lam.numerator, lam.denominator
+    a = md.Block((n * n, 0, 0, m * m), n * m)
+    return lhs == fs.act(md.equivariance_t_inverse(md.mat_mul2(md.mat_mul2(g2, s), a), 1), fs.O_T)
 
 
 @check("frame-well-defined", "models",

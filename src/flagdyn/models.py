@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flag_space import BoundaryError, Flag, chart_coords
+from .flag_space import BoundaryError, Flag, _slope_chart_ints
 from .lie_core import GroupElem, LieVec
 from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints,
-                       _mat_vec_ints, _mul_ints, _rows, primitive)
+                       _mat_vec_ints, _mul_ints, _primitive_ints, _rows)
 
 
 class MembershipError(ValueError):
@@ -331,19 +331,33 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
     checks them against another transport of the base frame."""
     if model not in _BASE_GENERATORS:
         raise ValueError(f"unknown model {model!r}")
-    p = chart_coords(x)
-    return FramedPoint(*(primitive(InvariantField(g, model)(p))
-                         for g in _BASE_GENERATORS[model]))
+    m, n = _slope_chart_ints(x)
+    # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0; each line
+    # is F(p) of `InvariantField.__call__` times det(H) gen.den c^3 != 0
+    px, py, pz, c = m[0] * n[0], m[1] * n[0], -n[1] * m[2], m[2] * n[0]
+    lines = []
+    for gen in _BASE_GENERATORS[model]:
+        *_, a, b = InvariantField(gen, model)._transport(px, py, pz, c)
+        lines.append(_primitive_ints((c * (c * a[0] - px * a[2]), c * (c * a[1] - py * a[2]),
+                                      -(c * b[1] + pz * b[0]))))
+    return FramedPoint(*lines)
 
 
 # ---------------------------------------------------------------------------
 # equivariant identifications of the model automorphism groups
 # ---------------------------------------------------------------------------
 
+class Block(_CanonicalInts):
+    """A 2x2 matrix, the SL(2) factor of the block model: its entries in row
+    order as four ints over one denominator (see `rational._CanonicalInts`)."""
+
+    __slots__ = ()
+
+
 def equivariance_t(g: GroupElem):
     """Factor an automorphism of the block model as (unimodular part,
     diagonal scale): the block G equals lam * s with det(s) = 1, returned
-    as (s, lam) with lam > 0.
+    as (s, lam), s a `Block` and lam > 0 a Fraction.
 
     Membership: g must be block diagonal, and its block determinant, after
     normalizing the corner entry to 1, a positive rational square; lam and
@@ -361,20 +375,20 @@ def equivariance_t(g: GroupElem):
     if r * r != det:
         raise MembershipError("block determinant must be a rational square")
     # lam = r / |k| and s = block / lam = block / (sign(k) r)
-    lam, sr = Fraction(r, abs(k)), (r if k > 0 else -r)
-    return ((Fraction(a, sr), Fraction(b, sr)), (Fraction(d, sr), Fraction(e, sr))), lam
+    return Block((a, b, d, e), r if k > 0 else -r), Fraction(r, abs(k))
 
 
-def mat_mul2(a, b):
-    """Product of two 2x2 matrices given as nested sequences."""
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+def mat_mul2(s: Block, t: Block) -> Block:
+    """Product of two 2x2 matrices."""
+    (a, b, c, d), (e, f, g, h) = s.nums, t.nums
+    return Block((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), s.den * t.den)
 
 
-def equivariance_t_inverse(s, lam) -> GroupElem:
-    return GroupElem([[lam * s[0][0], lam * s[0][1], 0],
-                      [lam * s[1][0], lam * s[1][1], 0],
-                      [0, 0, 1]])
+def equivariance_t_inverse(s: Block, lam) -> GroupElem:
+    """The block element lam s with corner 1; a float lam raises TypeError."""
+    (n,), m = _cleared((lam,))
+    a, b, c, d = s.nums
+    return GroupElem._of_ints((n * a, n * b, 0, n * c, n * d, 0, 0, 0, m * s.den))
 
 
 def equivariance_a(p: GroupElem):

@@ -12,8 +12,8 @@ The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
 `_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
 trust their input.  Exact data is kept as integer representatives
 (`GroupElem`, the point and line of a `Flag`, and the `_CanonicalInts`
-classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem` and
-`HeisAuto`), or cleared of its denominators once by `_cleared`, which
+classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto`
+and `Block`), or cleared of its denominators once by `_cleared`, which
 rejects floats.  The value and report types of every layer are `_Record`s:
 read-only slotted records, built with no code generation and no import.
 `inverse3`, on ints and Fractions, is only the independent inverse of the

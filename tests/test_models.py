@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagdyn import checks
+from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
@@ -101,7 +102,7 @@ def test_models_suite_builds_few_fractions(monkeypatch):
     # exactly, so a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "models")
     assert all(passed for passed, _ in outcomes)
-    assert built < 29_000
+    assert built < 15_500
 
 
 class TestEquivarianceAffine:
@@ -120,10 +121,42 @@ class TestEquivarianceAffine:
             md.equivariance_a(lc.GroupElem([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
 
+def _block_entries(s):
+    return [[Fraction(s.nums[2 * i + j], s.den) for j in range(2)] for i in range(2)]
+
+
+class TestBlock:
+    def test_equality_and_hash_are_structural(self):
+        one = md.Block((1, 0, 0, 1))
+        for rep in (md.Block((2, 0, 0, 2), 2), md.Block((-3, 0, 0, -3), -3)):
+            assert rep == one and hash(rep) == hash(one)
+        # a negative denominator moves its sign onto the entries
+        s = md.Block((1, 2, 3, 4), -6)
+        assert (s.nums, s.den) == ((-1, -2, -3, -4), 6)
+        assert s != md.Block((1, 2, 3, 4), 6)
+        # never equal to another canonical form with the same ints
+        assert one != curv.NormalCurvature((1, 0, 0, 1), 1)
+
+    def test_product_is_the_fraction_product(self):
+        rng = random.Random(53)
+        for _ in range(50):
+            s, t = rand_sl2(rng), rand_sl2(rng)
+            a, b = _block_entries(s), _block_entries(t)
+            assert _block_entries(md.mat_mul2(s, t)) == [
+                [sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    def test_draws_have_determinant_one(self):
+        rng = random.Random(59)
+        for _ in range(50):
+            s = rand_sl2(rng)
+            a, b, c, d = s.nums
+            assert a * d - b * c == s.den * s.den
+
+
 class TestEquivarianceBlock:
     def test_identity(self):
         s, lam = md.equivariance_t(lc.GroupElem.identity())
-        assert lam == 1 and s == ((1, 0), (0, 1))
+        assert lam == 1 and s == md.Block((1, 0, 0, 1))
 
     test_multiplicative = twin("equivariance-block-morphism")
     test_conjugates_the_actions = twin("equivariance-block-conjugates-action")
@@ -201,6 +234,29 @@ class TestFrames:
                     continue
                 assert pushed == (fr_y.line_alpha, fr_y.line_beta, fr_y.line_c)
                 done += 1
+
+    def test_frame_is_the_fraction_path(self):
+        # the integer frame against primitive of each base field's Fraction
+        # value at the chart coordinates, on interior flags whose chart scale
+        # m2 n0 takes both signs, and off the slope chart
+        def fraction_frame(x, model):
+            p = fs.chart_coords(x)
+            return md.FramedPoint(*(primitive(md.InvariantField(g, model)(p))
+                                    for g in md._BASE_GENERATORS[model]))
+
+        rng = random.Random(41)
+        for model in ("t", "a"):
+            signs = set()
+            for _ in range(100):
+                x = rand_interior_flag(rng, model)
+                signs.add(x.point[2] * x.line[0] > 0)
+                assert md.frame_at(x, model) == fraction_frame(x, model)
+            assert signs == {True, False}
+            # the point at infinity, then a horizontal direction
+            for x in (fs.Flag((1, 1, 0), (1, -1, 0)), fs.Flag((0, 0, 1), (0, 1, 0))):
+                for frame in (md.frame_at, fraction_frame):
+                    with pytest.raises(fs.BoundaryError):
+                        frame(x, model)
 
     def test_boundary_flag_rejected(self):
         with pytest.raises(fs.BoundaryError):

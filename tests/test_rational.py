@@ -336,7 +336,10 @@ def test_solve(rows, consistent, data):
     pytest.param(lambda m: R.solve(m, [0, 0, 0]), id="solve"),
     # the chart inverse clears its point and direction once
     pytest.param(lambda m: fs.affine_chart_inverse(m[0][:2], (1, 0)),
-                 id="affine_chart_inverse")])
+                 id="affine_chart_inverse"),
+    # the block element clears its scale once
+    pytest.param(lambda m: md.equivariance_t_inverse(md.Block((1, 0, 0, 1)), m[0][0]),
+                 id="equivariance_t_inverse")])
 def test_floats_are_rejected(call):
     m = rows([1.5, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(TypeError):

@@ -30,6 +30,7 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn.rational import _cleared
 from registry_twins import assert_check_passes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,7 +315,7 @@ def randint_sl2(rng):
     while True:
         a, b, c = (randint_frac(rng) for _ in range(3))
         if a != 0:
-            return ((a, b), (c, (1 + b * c) / a))
+            return md.Block(*_cleared((a, b, c, (1 + b * c) / a)))
 
 
 def randint_heis(rng):
