@@ -235,9 +235,11 @@ def rand_lievec(rng) -> lc.LieVec:
 
 
 def rand_traceless(rng) -> lc.LieVec:
-    v = rand_lievec(rng)
-    t = v.trace()
-    return v - lc.LieVec.diag(t / 3, t / 3, t / 3)
+    """v - (tr v / 3) I for v = rand_lievec(rng): (3 nums - t I) / (3 den),
+    with t the trace of nums."""
+    nums, den = _rand_ints(rng, 9)
+    t = nums[0] + nums[4] + nums[8]
+    return lc.LieVec([3 * n - t * (k in (0, 4, 8)) for k, n in enumerate(nums)], 3 * den)
 
 
 def rand_curvature(rng) -> curv.NormalCurvature:
@@ -406,7 +408,7 @@ def _check_qadj_brute(rng):
        "induced adjoint of a product is the product of induced adjoints", samples=200)
 def _check_qadj_morphism(rng):
     p, q = rand_upper(rng), rand_upper(rng)
-    qa_pq, qa_p, qa_q = (lc.LieVec.of(lc.quotient_adjoint(g)) for g in (p @ q, p, q))
+    qa_pq, qa_p, qa_q = (lc.LieVec(*lc._quotient_adjoint_ints(g)) for g in (p @ q, p, q))
     return qa_pq == qa_p @ qa_q
 
 
@@ -621,13 +623,21 @@ def _check_fundamental_fd(rng):
     # the quotient is exact, so a tiny step costs nothing: its first-order
     # error is h times a second derivative that reaches about 1e6 near the
     # chart boundary
-    h = Fraction(1, 10 ** 16)
-    # rational first-order step: (I + h v) approximates exp(h v)
-    step = lc.GroupElem([[Fraction(int(i == j)) + h * e for j, e in enumerate(row)]
-                         for i, row in enumerate(v.entries)])
-    c0 = fs.chart_coords(x)
-    c1 = fs.chart_coords(fs.act(step, x))
-    err = max(abs(float((a - b) / h - ww)) for a, b, ww in zip(c1, c0, w))
+    big = 10 ** 16  # h = 1 / big
+    # rational first-order step: I + h v = (big den I + nums) / (big den)
+    # approximates exp(h v)
+    d = big * v.den
+    step = lc.GroupElem._of_ints([n + d * (k in (0, 4, 8)) for k, n in enumerate(v.nums)])
+    # the chart coordinates (m0 / m2, m1 / m2, -n1 / n0) as (numerator, denominator)
+    m, n = fs._slope_chart_ints(x)
+    m1, n1 = fs._slope_chart_ints(fs.act(step, x))
+    c0 = ((m[0], m[2]), (m[1], m[2]), (-n[1], n[0]))
+    c1 = ((m1[0], m1[2]), (m1[1], m1[2]), (-n1[1], n1[0]))
+    # (a/p - b/q) / h - ww as one int over one int; int / int rounds
+    # correctly, as float() of the Fraction does
+    err = max(abs((big * (a * q - b * p) * ww.denominator - ww.numerator * p * q)
+                  / (p * q * ww.denominator))
+              for (a, p), (b, q), ww in zip(c1, c0, w))
     return err <= 1e-4, err
 
 

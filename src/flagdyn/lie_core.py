@@ -91,10 +91,6 @@ class LieVec(_CanonicalInts):
     def __matmul__(self, other: "LieVec") -> "LieVec":
         return LieVec(_mul_ints(self.nums, other.nums), self.den * other.den)
 
-    def trace(self) -> Fraction:
-        n = self.nums
-        return Fraction(n[0] + n[4] + n[8], self.den)
-
     def is_traceless(self) -> bool:
         n = self.nums
         return n[0] + n[4] + n[8] == 0

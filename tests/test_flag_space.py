@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import (
+    check_rng,
     rand_flag,
     rand_frac,
     rand_group,
@@ -197,22 +199,24 @@ class TestCircleBoundary:
         assert not res.full_circle and len(res.points) == 1
 
 
+def quotient_error(v, x, w, h):
+    """The largest distance of the Fraction difference quotient of the
+    chart coordinates along the step I + h v at x from the velocity w."""
+    step = lc.GroupElem([
+        [Fraction(int(i == j)) + h * v.entries[i][j] for j in range(3)]
+        for i in range(3)])
+    c0 = fs.chart_coords(x)
+    c1 = fs.chart_coords(fs.act(step, x))
+    diff = [(a - b) / h for a, b in zip(c1, c0)]
+    return max(abs(float(d - ww)) for d, ww in zip(diff, w))
+
+
 class TestFundamentalVector:
     test_isotropy_kills_velocity = twin("fundamental-isotropy-vanishing")
     test_central_generator_velocity_at_affine_anchor = twin("fundamental-central-velocity")
 
     def test_finite_difference_agreement(self):
         rng = random.Random(97)
-
-        def quotient_error(v, x, w, h):
-            step = lc.GroupElem([
-                [Fraction(int(i == j)) + h * v.entries[i][j] for j in range(3)]
-                for i in range(3)])
-            c0 = fs.chart_coords(x)
-            c1 = fs.chart_coords(fs.act(step, x))
-            diff = [(a - b) / h for a, b in zip(c1, c0)]
-            return max(abs(float(d - ww)) for d, ww in zip(diff, w))
-
         for _ in range(30):
             v = rand_traceless(rng)
             x = rand_interior_flag(rng, "a")
@@ -229,6 +233,32 @@ class TestFundamentalVector:
         # left a first-order error of 1.35e-3, over the 1e-4 bound
         passed, residual = run_check("fundamental-finite-difference", seed=9)
         assert passed, residual
+
+    @pytest.mark.parametrize("seed", [0, 9, 39])
+    def test_finite_difference_residual_is_the_fraction_quotient(self, seed):
+        # the check forms its quotient in ints; on every draw its residual is
+        # the float of the Fraction quotient through chart_coords, bit for bit
+        ours = check_rng(seed, "fundamental-finite-difference")
+        theirs = check_rng(seed, "fundamental-finite-difference")
+        for _ in range(200):
+            passed, residual = checks._check_fundamental_fd(ours)
+            v, x = rand_traceless(theirs), rand_interior_flag(theirs, "a")
+            expected = quotient_error(v, x, fs.fundamental_vector(v, x), Fraction(1, 10 ** 16))
+            assert residual == expected
+            assert passed == (expected <= 1e-4)
+
+    @pytest.mark.parametrize("coord", range(3))
+    def test_finite_difference_check_fails_on_a_wrong_velocity(self, monkeypatch, coord):
+        right = fs.fundamental_vector
+
+        def wrong(v, x):
+            w = list(right(v, x))
+            w[coord] += Fraction(1, 1000)
+            return tuple(w)
+
+        monkeypatch.setattr(fs, "fundamental_vector", wrong)
+        passed, residual = run_check("fundamental-finite-difference", seed=0)
+        assert not passed and abs(residual - 1e-3) < 1e-4
 
     def test_chart_domain_violation(self):
         with pytest.raises(fs.BoundaryError):
@@ -264,4 +294,4 @@ def test_flag_space_suite_builds_few_fractions(monkeypatch):
     # a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "flag-space")
     assert all(passed for passed, _ in outcomes)
-    assert built < 4_500
+    assert built < 1_600

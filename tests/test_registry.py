@@ -265,6 +265,14 @@ def randint_lievec(rng):
     return lc.LieVec.of([[randint_frac(rng) for _ in range(3)] for _ in range(3)])
 
 
+def randint_traceless(rng):
+    rows = [[randint_frac(rng) for _ in range(3)] for _ in range(3)]
+    t = rows[0][0] + rows[1][1] + rows[2][2]
+    # v - diag(t/3, t/3, t/3)
+    return lc.LieVec.of([[e - t / 3 if i == j else e for j, e in enumerate(row)]
+                         for i, row in enumerate(rows)])
+
+
 def randint_curvature(rng):
     return curv.NormalCurvature.of(*(randint_frac(rng) for _ in range(4)))
 
@@ -329,6 +337,7 @@ def randint_auto(rng):
 @pytest.mark.parametrize("ours, theirs", [
     (checks.rand_frac, randint_frac),
     (checks.rand_lievec, randint_lievec),
+    (checks.rand_traceless, randint_traceless),
     (checks.rand_curvature, randint_curvature),
     (checks.rand_group, randint_group),
     (checks.rand_flag, randint_flag),
@@ -340,8 +349,8 @@ def randint_auto(rng):
     (checks.rand_sl2, randint_sl2),
     (checks.rand_heis, randint_heis),
     (checks.rand_auto, randint_auto)],
-    ids=["frac", "lievec", "curvature", "group", "flag", "upper", "interior-flag-t", "interior-flag-a",
-         "sl2", "heis", "auto"])
+    ids=["frac", "lievec", "traceless", "curvature", "group", "flag", "upper", "interior-flag-t",
+         "interior-flag-a", "sl2", "heis", "auto"])
 def test_generators_keep_the_randint_streams(ours, theirs):
     # the integer-built generators against their Fraction-built forms on
     # randint: the same objects, and the stream left in the same state
