@@ -12,10 +12,10 @@ draw stops the check with its residual.  A passing fact reports its own
 residual; a passing sampled check folds the residuals of its draws with
 `worst` (max or min), or reports None.  A check that tested nothing fails:
 every draw returned None, or it was asked for fewer than one sample.
-`flagdyn verify` runs the registry through `run_checks`, and the test suite
-runs every entry through `run_check` at seed 0 and default samples, so the
-tests do not re-implement what is registered here.  The random generators
-the tests share with the checks live here too.
+`flagdyn verify` runs the registry through `run_checks`; the tests run each
+entry once at seed 0 and default samples, and more only through `run_check`
+at their own seed and count, never a copy of a body.  The random
+generators the tests share with the checks live here too.
 
 Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the
@@ -853,15 +853,18 @@ def _check_equiv_t_action(rng):
 @check("frame-well-defined", "models",
        "two transports reaching the same flag produce the same frame lines", samples=60)
 def _check_frame_well_defined(rng):
-    x = rand_interior_flag(rng, "a")
-    frame = md.frame_at(x, "a")
-    # stabilizer of the affine base flag: diagonal elements
-    d = lc.GroupElem([[nonzero_frac(rng), 0, 0], [0, nonzero_frac(rng), 0],
-                      [0, 0, nonzero_frac(rng)]])
-    h = md.transporter(x, "a") @ d
-    lines = [primitive(fs.fundamental_vector(lc.conjugate(h, g), x))
-             for g in (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)]
-    return (frame.line_alpha, frame.line_beta, frame.line_c) == tuple(lines)
+    for model, base, gens in (("t", fs.O_T, (md.SL2_E, md.SL2_F, md.SL2_H)),
+                              ("a", fs.O_A, (md.HEIS_X, md.HEIS_Y, md.HEIS_Z))):
+        x = rand_interior_flag(rng, model)
+        # a stabilizer of the base flag: diag(1, d, 1) in model t, any diagonal in a
+        d = _over_lcm([(1, 1), _nonzero_pair(rng), (1, 1)] if model == "t"
+                      else [_nonzero_pair(rng) for _ in range(3)])[0]
+        h = md.transporter(x, model) @ lc.GroupElem._of_ints((d[0], 0, 0, 0, d[1], 0, 0, 0, d[2]))
+        frame = md.frame_at(x, model)
+        lines = tuple(primitive(fs.fundamental_vector(lc.conjugate(h, g), x)) for g in gens)
+        if fs.act(h, base) != x or (frame.line_alpha, frame.line_beta, frame.line_c) != lines:
+            return False
+    return True
 
 
 @check("frame-base-values", "models",
@@ -901,9 +904,9 @@ def _flat_iso_anchors():
        "automorphism matrix [[a,a',0],[b,b',0],[c,c',ab'-ba']] on the basis "
        "(X, Y, Z); rejects non-contact pairs", samples=100, fixed=_flat_iso_anchors)
 def _check_flat_iso(rng):
-    basis = (md.HEIS_X, md.HEIS_Y, md.HEIS_Z)
-    v = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
-    w = sum((b.scale(rand_frac(rng)) for b in basis), lc.LieVec.zero())
+    # v = aX + bY + cZ, then w = pX + qY + rZ, from six rand_frac draws
+    ((a, b, c), m), ((p, q, r), n) = _rand_ints(rng, 3), _rand_ints(rng, 3)
+    v, w = lc.LieVec((0, a, c, 0, 0, b, 0, 0, 0), m), lc.LieVec((0, p, r, 0, 0, q, 0, 0, 0), n)
     try:
         m = md.flat_structure_iso(v, w)
     except md.ContactConditionError:

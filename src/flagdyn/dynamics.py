@@ -74,8 +74,13 @@ class NilMap(_Record):
 
     @staticmethod
     def of(linear, translation=(0.0, 0.0, 0.0)) -> "NilMap":
-        """The map with entries given as ints, Fractions or floats, checked
-        on those exact values; the translation is then stored as floats."""
+        """The map with entries given as ints, Fractions or finite floats,
+        checked on those exact values; the translation is stored as floats."""
+        # int() and math.floor() raise on a float inf or nan: refuse both first
+        if any(isinstance(e, float) and not math.isfinite(e) for row in linear for e in row):
+            raise ValueError("linear part must be an integer matrix of determinant 1")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in translation):
+            raise ValueError("translation must be finite")
         m = tuple(tuple(int(e) for e in row) for row in linear)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if det != 1 or any(e != int(e) for row in linear for e in row):

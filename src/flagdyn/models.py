@@ -297,12 +297,17 @@ class InvariantField:
         b = _mat_vec_ints(tuple(zip(*v_rows)), (-c * c, z * c, x * c - y * z))
         return adj, det, v, a, b
 
+    def _value_ints(self, x, y, z, c):
+        """F(p) at p = (x, y, z) / c: three numerators over their
+        denominator det(H) gen.den c^3, as (nums, den)."""
+        _, det, _, a, b = self._transport(x, y, z, c)
+        return ((c * (c * a[0] - x * a[2]), c * (c * a[1] - y * a[2]), -(c * b[1] + z * b[0])),
+                det * self.gen.den * c * c * c)
+
     def __call__(self, p):
         (x, y, z), c = _cleared(p)
-        _, det, _, a, b = self._transport(x, y, z, c)
-        den = det * self.gen.den * c * c
-        return (Fraction(c * a[0] - x * a[2], den), Fraction(c * a[1] - y * a[2], den),
-                Fraction(-(c * b[1] + z * b[0]), den * c))
+        nums, den = self._value_ints(x, y, z, c)
+        return tuple(Fraction(n, den) for n in nums)
 
     def derivative_along(self, p, w):
         """D F(p) w, exact: the product rule on each term of F, with dV =
@@ -332,15 +337,10 @@ def frame_at(x: Flag, model: str) -> FramedPoint:
     if model not in _BASE_GENERATORS:
         raise ValueError(f"unknown model {model!r}")
     m, n = _slope_chart_ints(x)
-    # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0; each line
-    # is F(p) of `InvariantField.__call__` times det(H) gen.den c^3 != 0
+    # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0
     px, py, pz, c = m[0] * n[0], m[1] * n[0], -n[1] * m[2], m[2] * n[0]
-    lines = []
-    for gen in _BASE_GENERATORS[model]:
-        *_, a, b = InvariantField(gen, model)._transport(px, py, pz, c)
-        lines.append(_primitive_ints((c * (c * a[0] - px * a[2]), c * (c * a[1] - py * a[2]),
-                                      -(c * b[1] + pz * b[0]))))
-    return FramedPoint(*lines)
+    return FramedPoint(*(_primitive_ints(InvariantField(gen, model)._value_ints(px, py, pz, c)[0])
+                         for gen in _BASE_GENERATORS[model]))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def _primitive_ints(nums) -> tuple:
     g = math.gcd(*nums)
     if g == 0:
         raise ValueError("zero vector has no projective class")
-    if next(n for n in nums if n != 0) < 0:
+    if next(filter(None, nums)) < 0:  # the first nonzero entry
         g = -g
     elif g == 1:  # already primitive
         return tuple(nums)

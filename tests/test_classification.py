@@ -14,15 +14,9 @@ from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
 from flagdyn.rational import primitive, rank
-from registry_twins import twin
 
 
 class TestSubalgebraTable:
-    test_all_reports_pass = twin("subalgebra-table")
-    test_dimensions = twin("subalgebra-table")
-    test_dimension_bound = twin("subalgebra-table")
-    test_closure = twin("subalgebra-table")
-
     def test_similarity_extension_shape(self):
         # similarity block plus translations, corner compensating the trace
         h2 = cls.h_2()
@@ -32,23 +26,12 @@ class TestSubalgebraTable:
 
 
 class TestIsotropyTables:
-    test_block_model_diagonal = twin("isotropy-table-block")
-    test_affine_model_diagonal = twin("isotropy-table-affine")
-    test_nilpotent_isotropy_off_diagonal_slot = twin("isotropy-table-translations-sl2")
-    test_similarity_isotropy_kills_alpha = twin("isotropy-table-similarity")
-
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             cls.isotropy_eigenvalue_table("nope")
 
 
 class TestInvariantLines:
-    test_block_model_unique_line_is_class_of_H = twin("invariant-line-block")
-    test_affine_model_unique_line_is_class_of_Z = twin("invariant-line-affine")
-    test_translation_extension_has_none = twin("invariant-line-translations-sl2")
-    test_similarity_extension_has_a_family = twin("invariant-line-similarity")
-    test_stabilizer_four_cases = twin("stabilizer-four-cases")
-
     def test_non_open_orbit_rejected(self):
         with pytest.raises(ValueError):
             cls.invariant_transverse_line_search(cls.h_t(), fs.BASE_FLAG)
@@ -71,9 +54,6 @@ class TestInvariantLines:
 
 
 class TestDegeneration:
-    test_line_distance_bound = twin("degeneration-matrices")
-    test_symbolic_interpolation_matches = twin("degeneration-symbolic")
-
     def test_case_data_is_consistent(self):
         anchors = {"t1": fs.O_T, "t2": fs.O_T, "a1": fs.O_A, "a2": fs.O_A}
         for name, data in cls.DEGENERATION_CASES.items():
@@ -165,10 +145,6 @@ class TestLaurentPoly:
 
 
 class TestFlatnessPredicate:
-    test_generic_pair_forces_flatness = twin("flatness-predicate")
-    test_resonant_boundaries = twin("flatness-predicate")
-    test_degenerate_origin = twin("flatness-predicate")
-
     def test_scaling_invariance_of_the_resonances(self):
         rng = random.Random(71)
         for _ in range(50):
@@ -180,8 +156,6 @@ class TestFlatnessPredicate:
 
 
 class TestBracketTable:
-    test_all_relations = twin("bracket-table-corner")
-
     def test_antisymmetric_counterparts(self):
         assert lc.bracket(lc.E_0, lc.E_SUP_0) == -(lc.E_1 + lc.E_2)
         assert lc.bracket(lc.E_ALPHA, lc.E_SUP_0) == -lc.E_SUP_BETA

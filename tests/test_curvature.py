@@ -9,8 +9,15 @@ from flagdyn import checks
 from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import nonzero_frac, rand_curvature, rand_frac, rand_traceless, rand_upper
-from registry_twins import fractions_built, run_check, twin
+from flagdyn.checks import (
+    nonzero_frac,
+    rand_curvature,
+    rand_frac,
+    rand_traceless,
+    rand_upper,
+    run_check,
+)
+from fraction_count import fractions_built
 
 
 _HALF = Fraction(1, 2)
@@ -21,10 +28,6 @@ def zero_jacobian(p):
 
 
 class TestCurvatureAction:
-    test_exponent_scaling_samples = twin("curvature-exponent-sampling")
-    test_diagonal_exponents_in_bulk = twin("curvature-diagonal-exponents")
-    test_left_action = twin("curvature-left-action")
-
     def test_identity(self):
         rng = random.Random(1)
         k = rand_curvature(rng)
@@ -86,18 +89,7 @@ class TestCurvatureAction:
                                   curv.NormalCurvature.zero())
 
 
-class TestHarmonic:
-    test_zero_is_harmonic = twin("harmonic-subspace-invariant")
-    test_lowest_component_breaks_harmonicity = twin("harmonic-subspace-invariant")
-    test_invariance_under_the_action = twin("harmonic-subspace-invariant")
-
-
 class TestContact:
-    test_heis_left_invariant_pair_is_contact = twin("contact-heis-fields")
-    test_commuting_coordinate_fields_are_not = twin("contact-heis-fields")
-    test_model_frames_are_contact_at_interior_points = twin("contact-model-frames")
-    test_rescaling_does_not_change_verdict = twin("contact-rescaling-invariance")
-
     def test_degenerate_frame_rejected(self):
         a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)
         with pytest.raises(curv.DegenerateFrameError):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from flagdyn import checks
 from flagdyn import dynamics as dyn
-from registry_twins import twin
 
 CAT = ((2, 1), (1, 1))
 
@@ -72,8 +71,6 @@ FAR_FACE_POINTS = [(-1e-20, 0.25, -1e-20), (0.25, -1e-20, 0.1), (-1e-20, -1e-20,
 
 
 class TestReduce:
-    test_lattice_invariance = twin("reduce-retraction")
-
     def test_closed_form_is_the_group_law_bit_for_bit(self):
         # repr, because == cannot tell -0.0 from 0.0
         edges = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -3.5, 1 - 2 ** -53,
@@ -96,11 +93,7 @@ class TestReduce:
             assert 0 <= x < 1 and 0 <= y < 1 and 0 <= z < 0.5, p
 
     def test_idempotent(self):
-        rng = random.Random(5)
-        for _ in range(10_000):
-            p = tuple(rng.uniform(-8, 8) for _ in range(3))
-            r = dyn.reduce_point(p)
-            assert dyn.reduce_point(r) == r
+        assert checks.run_check("reduce-retraction", seed=5, samples=10_000) == (True, None)
 
     def test_translation_witness(self):
         rng = random.Random(9)
@@ -126,15 +119,20 @@ class TestNilMap:
             dyn.NilMap.of(((2, 0), (0, 1)))
 
     def test_non_integer_linear_part_rejected(self):
-        # int() would truncate these to the cat map
-        for matrix in (((2.5, 1), (1, 1)), ((2, 1.9), (1, 1))):
+        # int() would truncate the first two to the cat map, and raise
+        # OverflowError or its own ValueError on the non-finite ones
+        inf, nan = math.inf, math.nan
+        for matrix in (((2.5, 1), (1, 1)), ((2, 1.9), (1, 1)), ((inf, 1), (1, 1)),
+                       ((2, 1), (-inf, 1)), ((2, nan), (1, 1))):
             with pytest.raises(ValueError, match="integer matrix of determinant 1"):
                 dyn.NilMap.of(matrix)
         assert dyn.NilMap.of(((2.0, 1), (1, 1))).linear == CAT
 
     def test_non_normalizing_translation_rejected(self):
-        with pytest.raises(ValueError):
-            dyn.NilMap.of(CAT, (0.3, 0.0, 0.0))
+        for translation in ((0.3, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.5, -math.inf, 0.0),
+                            (math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 0.0, math.nan)):
+            with pytest.raises(ValueError):
+                dyn.NilMap.of(CAT, translation)
 
     def test_translation_near_a_half_integer_is_rejected(self):
         # a decimal half-integer is exact in binary, so no slack is needed
@@ -335,10 +333,6 @@ class TestTangentRates:
 
 
 class TestSl2FrameRates:
-    test_time_one = twin("sl2-frame-rates")
-    test_time_zero = twin("sl2-frame-rates")
-    test_odd_in_time = twin("sl2-frame-rates")
-
     def test_check_draws_samples_times(self, monkeypatch):
         calls = []
         rates = dyn.sl2_frame_rates

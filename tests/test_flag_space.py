@@ -17,13 +17,13 @@ from flagdyn.checks import (
     check_rng,
     rand_flag,
     rand_frac,
-    rand_group,
     rand_interior_flag,
     rand_traceless,
     rand_upper,
+    run_check,
 )
 from flagdyn.rational import rank
-from registry_twins import fractions_built, run_check, twin
+from fraction_count import fractions_built
 from strategies import small_fractions
 
 
@@ -57,14 +57,8 @@ class TestIncidence:
 
 
 class TestAction:
-    test_composition = twin("act-composition")
-    test_upper_triangular_fixes_base_flag = twin("base-flag-stabilizer")
-
     def test_incidence_preserved_in_bulk(self):
-        rng = random.Random(41)
-        for _ in range(10_000):
-            g, x = rand_group(rng), rand_flag(rng)
-            fs.act(g, x)  # the constructor asserts incidence exactly
+        assert run_check("act-preserves-incidence", seed=41, samples=10_000) == (True, None)
 
     def test_identity(self):
         rng = random.Random(43)
@@ -73,10 +67,6 @@ class TestAction:
 
 
 class TestFlip:
-    test_value_at_base_flag = twin("flip-involution-and-value")
-    test_involution = twin("flip-involution-and-value")
-    test_equivariance = twin("flip-equivariance")
-
     def test_exchanges_circle_families(self):
         rng = random.Random(67)
         for _ in range(50):
@@ -92,9 +82,6 @@ class TestFlip:
 
 
 class TestAffineChart:
-    test_base_values = twin("affine-chart-roundtrip")
-    test_roundtrip = twin("affine-chart-roundtrip")
-
     def test_chart_coords_roundtrip(self):
         rng = random.Random(73)
         for _ in range(100):
@@ -124,11 +111,6 @@ class TestAffineChart:
 
 
 class TestRegions:
-    test_model_anchors_are_interior = twin("region-examples")
-    test_degeneration_anchor_in_second_stratum = twin("region-examples")
-    test_base_flag_is_deep_boundary_for_affine_model = twin("region-examples")
-    test_orbit_rank_three_iff_interior = twin("region-orbit-rank")
-
     def test_first_strata_examples(self):
         # line through the special point, point neither special nor at
         # infinity
@@ -190,10 +172,6 @@ class TestRegions:
 
 
 class TestCircleBoundary:
-    test_beta_circle_of_block_anchor = twin("circle-boundary-example")
-    test_full_containment_on_infinity_line = twin("circle-boundary-example")
-    test_exactly_one_for_interior_flags = twin("circle-boundary-unique")
-
     def test_beta_circle_of_affine_anchor(self):
         res = fs.circle_boundary_points(fs.O_A, "beta", "a")
         assert not res.full_circle and len(res.points) == 1
@@ -212,9 +190,6 @@ def quotient_error(v, x, w, h):
 
 
 class TestFundamentalVector:
-    test_isotropy_kills_velocity = twin("fundamental-isotropy-vanishing")
-    test_central_generator_velocity_at_affine_anchor = twin("fundamental-central-velocity")
-
     def test_finite_difference_agreement(self):
         rng = random.Random(97)
         for _ in range(30):

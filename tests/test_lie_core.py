@@ -16,9 +16,9 @@ from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_traceless
+from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_traceless, run_check
 from flagdyn.rational import solve
-from registry_twins import fractions_built, run_check, twin
+from fraction_count import fractions_built
 from strategies import small_fractions
 
 
@@ -34,9 +34,6 @@ def lievecs():
 
 
 class TestBracket:
-    test_heis_generators = twin("bracket-heis-generators")
-    test_sl2_generators = twin("bracket-sl2-generators")
-
     def test_corner_against_lowering(self):
         assert lc.bracket(lc.E_SUP_0, lc.E_0) == lc.E_1 + lc.E_2
 
@@ -57,14 +54,7 @@ class TestBracket:
         assert s.is_zero()
 
     def test_bulk_antisymmetry_and_jacobi(self):
-        rng = random.Random(7)
-        for _ in range(10_000):
-            u, v, w = (rand_lievec(rng) for _ in range(3))
-            assert lc.bracket(u, v) == -lc.bracket(v, u)
-            s = (lc.bracket(u, lc.bracket(v, w))
-                 + lc.bracket(v, lc.bracket(w, u))
-                 + lc.bracket(w, lc.bracket(u, v)))
-            assert s.is_zero()
+        assert run_check("bracket-antisymmetry-jacobi", seed=7, samples=10_000) == (True, None)
 
     def test_traceless_closed_under_bracket(self):
         rng = random.Random(3)
@@ -84,11 +74,6 @@ class TestTracelessCoords:
 
 
 class TestGrading:
-    test_lowering_corner_is_pure_lowest = twin("grading-pure-components")
-    test_diagonal_is_pure_middle = twin("grading-pure-components")
-    test_bracket_additivity_over_basis_pairs = twin("grading-bracket-additivity")
-    test_filtration_property_over_basis_pairs = twin("filtration-property")
-
     def test_components_sum_to_input(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -128,10 +113,6 @@ class TestGroupElem:
 
 
 class TestQuotientAdjoint:
-    test_entries_against_independent_expressions = twin("quotient-adjoint-display")
-    test_matches_bruteforce_projection = twin("quotient-adjoint-bruteforce")
-    test_group_morphism = twin("quotient-adjoint-morphism")
-
     def test_identity(self):
         eye = lc.quotient_adjoint(lc.GroupElem.identity())
         assert eye == tuple(tuple(Fraction(int(i == j)) for j in range(3))
@@ -166,10 +147,6 @@ class TestQuotientAdjoint:
 
 
 class TestCentralizerNormalizer:
-    test_block_sl2_centralizer_is_central_line = twin("centralizer-block-sl2")
-    test_rotation_algebras_have_trivial_centralizer = twin("centralizer-so3-so12")
-    test_center_of_the_full_algebra_is_trivial = twin("centralizer-full")
-
     def test_normalizer_of_block_sl2_is_the_block_model_algebra(self):
         assert lc.normalizer(cls.s_0()).span_equals(cls.h_t())
 
@@ -195,17 +172,12 @@ class TestCentralizerNormalizer:
 
 
 class TestSubalgebraRecognizer:
-    test_accepts_the_classified_list = twin("subalgebra-recognizer")
-    test_rejects_corrupted_basis = twin("subalgebra-recognizer")
-
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
             lc.Subalgebra.of([md.HEIS_X, md.HEIS_X.scale(2)])
 
 
 class TestExponentials:
-    test_ad_exp_consistency = twin("exp-ad-consistency")
-
     def test_ad_exp_consistency_on_an_ill_conditioned_exponential(self):
         # traceless draws, row-sum norms capped at 10, so exp_float scales and squares;
         # draw 52, of norm near 9.4, has exp(v) of condition number about 2.5e7
@@ -243,10 +215,6 @@ class TestExponentials:
 
 
 class TestTheta:
-    test_group_morphism = twin("theta-morphisms")
-    test_algebra_morphism = twin("theta-morphisms")
-    test_fixes_block_model_algebra_setwise = twin("theta-fixes-block-model-algebra")
-
     def test_elementary_transpose_negate(self):
         assert lc.theta_involution(lc.LieVec.elementary(2, 1)) == \
             lc.LieVec.elementary(1, 2).scale(-1)

@@ -25,9 +25,10 @@ from flagdyn.checks import (
     rand_interior_flag,
     rand_sl2,
     rand_upper,
+    run_check,
 )
 from flagdyn.rational import primitive
-from registry_twins import fractions_built, run_check, twin
+from fraction_count import fractions_built
 from strategies import small_fractions
 
 heis_elems = st.tuples(small_fractions, small_fractions, small_fractions).map(
@@ -77,10 +78,6 @@ class TestHeisElem:
 
 
 class TestHeisAuto:
-    test_composition_multiplies_parameters = twin("auto-composition-law")
-    test_is_group_automorphism = twin("auto-is-automorphism")
-    test_inverse_law = twin("auto-composition-law")
-
     def test_zero_parameters_rejected(self):
         with pytest.raises(ValueError):
             md.HeisAuto.of(0, 1)
@@ -106,11 +103,6 @@ def test_models_suite_builds_few_fractions(monkeypatch):
 
 
 class TestEquivarianceAffine:
-    test_diagonal_display = twin("equivariance-affine-display")
-    test_group_morphism = twin("equivariance-affine-morphism")
-    test_injective_with_exact_inverse = twin("equivariance-affine-morphism")
-    test_conjugates_the_actions = twin("equivariance-affine-conjugates-action")
-
     def test_identity(self):
         h, phi = md.equivariance_a(lc.GroupElem.identity())
         assert h == md.HeisElem.identity()
@@ -158,9 +150,6 @@ class TestEquivarianceBlock:
         s, lam = md.equivariance_t(lc.GroupElem.identity())
         assert lam == 1 and s == md.Block((1, 0, 0, 1))
 
-    test_multiplicative = twin("equivariance-block-morphism")
-    test_conjugates_the_actions = twin("equivariance-block-conjugates-action")
-
     def test_membership_violations(self):
         with pytest.raises(md.MembershipError):
             md.equivariance_t(lc.GroupElem([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
@@ -188,27 +177,8 @@ def test_one_sample_exercises_the_map(monkeypatch, check_id, oracle, seed):
 
 
 class TestFrames:
-    test_base_values = twin("frame-base-values")
-    test_contact_pair_matches_standard_lines = twin("frame-contact-pair-standard")
-
     def test_well_defined_under_stabilizer(self):
-        rng = random.Random(31)
-        stab_t = lambda: lc.GroupElem([[1, 0, 0], [0, nonzero_frac(rng), 0],
-                                       [0, 0, 1]])
-        stab_a = lambda: lc.GroupElem([[nonzero_frac(rng), 0, 0],
-                                       [0, nonzero_frac(rng), 0],
-                                       [0, 0, nonzero_frac(rng)]])
-        for model, gens, stab in (("t", (md.SL2_E, md.SL2_F, md.SL2_H), stab_t),
-                                  ("a", (md.HEIS_X, md.HEIS_Y, md.HEIS_Z), stab_a)):
-            for _ in range(40):
-                x = rand_interior_flag(rng, model)
-                base = md.frame_at(x, model)
-                h = md.transporter(x, model) @ stab()
-                assert fs.act(h, fs.O_T if model == "t" else fs.O_A) == x
-                lines = tuple(
-                    primitive(fs.fundamental_vector(lc.conjugate(h, g), x))
-                    for g in gens)
-                assert (base.line_alpha, base.line_beta, base.line_c) == lines
+        assert run_check("frame-well-defined", seed=31, samples=40) == (True, None)
 
     def test_invariance_under_the_model_group(self):
         rng = random.Random(37)
@@ -344,25 +314,17 @@ def test_library_does_not_import_sympy():
 
 
 class TestFlatStructureIso:
-    test_identity_pair = twin("flat-structure-iso")
-    test_displayed_example = twin("flat-structure-iso")
-    test_is_bracket_automorphism = twin("flat-structure-iso")
-
     def test_rejects_non_contact_pair(self):
         with pytest.raises(md.ContactConditionError):
             md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(2) + md.HEIS_Z)
 
     def test_fails_when_no_pair_is_tested(self, monkeypatch):
         # every drawn pair is zero, so none is a contact pair
-        monkeypatch.setattr(checks, "rand_frac", lambda rng: Fraction(0))
+        monkeypatch.setattr(checks, "_rand_ints", lambda rng, count: ([0] * count, 1))
         assert run_check("flat-structure-iso") == (False, None)
 
 
 class TestAffineLinearization:
-    test_identity = twin("affine-linearization")
-    test_displayed_matrix = twin("affine-linearization")
-    test_group_morphism = twin("affine-linearization")
-
     def test_injective(self):
         rng = random.Random(59)
         seen = {}
@@ -395,8 +357,6 @@ class TestAffineLinearization:
 
 
 class TestCentralFlow:
-    test_exact_identities_in_bulk = twin("central-flow-identity")
-
     def test_time_zero_is_identity(self):
         assert md.commutator_identity_check((3, -2, 5), 0) == (True, True)
 

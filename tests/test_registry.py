@@ -1,7 +1,10 @@
 """Every registered check passes at seed 0 and its default sample count.
 
 One test per check, with the check id as the test id:
-`pytest -k <check-id>` runs one check.  The tests after it cover the
+`pytest -k <check-id>` runs one check.  This is the tests' one run of each
+check at its defaults; a test elsewhere that needs more calls
+`checks.run_check(id, seed, samples)` at its own seed and count, and no
+test re-implements a check body.  The tests after it cover the
 registry's one runner (its draws, fixed part, stop rule and residuals, and
 the failure of a check that tested nothing), the per-model sample count of
 the two-model checks, the check counts the benchmark pins, the split of
@@ -31,14 +34,16 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.rational import _cleared
-from registry_twins import assert_check_passes
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("check_id", [entry[0] for entry in checks.REGISTRY])
-def test_registered_check(check_id):
-    assert_check_passes(check_id)
+@pytest.mark.parametrize("check_id, suite", [entry[:2] for entry in checks.REGISTRY],
+                         ids=[entry[0] for entry in checks.REGISTRY])
+def test_registered_check(check_id, suite):
+    passed, residual = checks.run_check(check_id, 0)
+    assert passed, (f"check {check_id} (suite {suite}) failed, residual={residual}; "
+                    f"reproduce with: flagdyn verify --suite {suite} --seed 0")
 
 
 class DrawCounter:
@@ -124,7 +129,8 @@ def test_runner(register, options, outputs, samples, expected, draws):
 
 
 @pytest.mark.parametrize("check_id", ["region-orbit-rank", "circle-boundary-unique",
-                                      "contact-model-frames", "frame-contact-pair-standard"])
+                                      "contact-model-frames", "frame-contact-pair-standard",
+                                      "frame-well-defined"])
 def test_two_model_checks_test_the_samples_in_each_model(check_id, monkeypatch):
     # one input per model in each draw, so 7 samples test 7 of each; a
     # `rand_flag` draw counts for the model the check classifies it in

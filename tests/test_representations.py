@@ -31,8 +31,8 @@ from flagdyn import dynamics as dyn
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn.checks import run_check
 from flagdyn.rational import _CanonicalInts, _Record
-from registry_twins import run_check
 from test_rational import (
     adjugate3_oracle,
     det3_oracle,
