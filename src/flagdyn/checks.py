@@ -14,8 +14,10 @@ residual; a passing sampled check folds the residuals of its draws with
 every draw returned None, or it was asked for fewer than one sample.
 `flagdyn verify` runs the registry through `run_checks`; the tests run each
 entry once at seed 0 and default samples, and more only through `run_check`
-at their own seed and count, never a copy of a body.  The random
-generators the tests share with the checks live here too.
+at their own seed and count, never a copy of a sampled body; example tests
+state some checks' fixed values, so that a failure prints the value that
+changed.  The random generators the tests share with the checks live here
+too.
 
 Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the

@@ -17,6 +17,9 @@ from flagdyn.rational import primitive, rank
 
 
 class TestSubalgebraTable:
+    def test_dimensions(self):
+        assert (cls.h_t().dim, cls.h_a().dim, cls.h_1().dim, cls.h_2().dim) == (4, 5, 5, 4)
+
     def test_similarity_extension_shape(self):
         # similarity block plus translations, corner compensating the trace
         h2 = cls.h_2()
@@ -25,13 +28,53 @@ class TestSubalgebraTable:
             assert v.entries[2][0] == 0 and v.entries[2][1] == 0
 
 
+def isotropy_diagonal(case):
+    """The diagonal of the isotropy table of `case`, after asserting that
+    every off-diagonal entry is (0, 0)."""
+    table = cls.isotropy_eigenvalue_table(case)
+    assert all(table[i][j] == (0, 0) for i in range(3) for j in range(3) if i != j)
+    return tuple(table[i][i] for i in range(3))
+
+
 class TestIsotropyTables:
+    def test_block_model_diagonal(self):
+        assert isotropy_diagonal("t") == ((3, 0), (-3, 0), (0, 0))
+
+    def test_affine_model_diagonal(self):
+        assert isotropy_diagonal("a") == ((2, 1), (-1, -2), (1, -1))
+
+    def test_nilpotent_isotropy_off_diagonal_slot(self):
+        table = cls.isotropy_eigenvalue_table("h1")
+        b_part = tuple(tuple(table[i][j][1] for j in range(3)) for i in range(3))
+        assert b_part == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
+
+    def test_similarity_isotropy_kills_alpha(self):
+        table = cls.isotropy_eigenvalue_table("h2")
+        assert tuple(table[i][i][0] for i in range(3)) == (0, 3, 3)
+
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             cls.isotropy_eigenvalue_table("nope")
 
 
 class TestInvariantLines:
+    def test_block_model_unique_line_is_class_of_H(self):
+        res = cls.invariant_transverse_line_search(cls.h_t(), fs.O_T)
+        assert res.kind == "unique"
+        assert cls.line_class_equals(res.generator, md.SL2_H, cls.h_t(), fs.O_T)
+
+    def test_affine_model_unique_line_is_class_of_Z(self):
+        res = cls.invariant_transverse_line_search(cls.h_a(), fs.O_A)
+        assert res.kind == "unique"
+        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.h_a(), fs.O_A)
+
+    def test_translation_extension_has_none(self):
+        assert cls.invariant_transverse_line_search(cls.h_1(), cls.X1_FLAG).kind == "none"
+
+    def test_similarity_extension_has_a_family(self):
+        res = cls.invariant_transverse_line_search(cls.h_2(), fs.O_A)
+        assert (res.kind, res.family_dim) == ("family", 1)
+
     def test_non_open_orbit_rejected(self):
         with pytest.raises(ValueError):
             cls.invariant_transverse_line_search(cls.h_t(), fs.BASE_FLAG)
@@ -145,6 +188,16 @@ class TestLaurentPoly:
 
 
 class TestFlatnessPredicate:
+    def test_generic_pair_forces_flatness(self):
+        assert cls.flatness_holonomy_predicate(1, -1)
+
+    def test_resonant_boundaries(self):
+        assert not cls.flatness_holonomy_predicate(1, -5)
+        assert not cls.flatness_holonomy_predicate(-5, 1)
+
+    def test_degenerate_origin(self):
+        assert not cls.flatness_holonomy_predicate(0, 0)
+
     def test_scaling_invariance_of_the_resonances(self):
         rng = random.Random(71)
         for _ in range(50):

@@ -89,6 +89,15 @@ class TestCurvatureAction:
                                   curv.NormalCurvature.zero())
 
 
+class TestHarmonic:
+    def test_zero_is_harmonic(self):
+        assert curv.is_harmonic(curv.NormalCurvature.zero())
+
+    def test_lowest_component_breaks_harmonicity(self):
+        assert not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))
+        assert not curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0))
+
+
 class TestContact:
     def test_degenerate_frame_rejected(self):
         a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)

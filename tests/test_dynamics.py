@@ -333,6 +333,17 @@ class TestTangentRates:
 
 
 class TestSl2FrameRates:
+    def test_time_one(self):
+        assert dyn.sl2_frame_rates(1.0) == (-2.0, 2.0, 0.0)
+
+    def test_time_zero(self):
+        assert dyn.sl2_frame_rates(0.0) == (0.0, 0.0, 0.0)
+
+    def test_odd_in_time(self):
+        for t in (0.5, 1.7, -2.3):
+            plus, minus = dyn.sl2_frame_rates(t), dyn.sl2_frame_rates(-t)
+            assert all(a == -b for a, b in zip(plus, minus))
+
     def test_check_draws_samples_times(self, monkeypatch):
         calls = []
         rates = dyn.sl2_frame_rates

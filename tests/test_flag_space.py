@@ -67,6 +67,10 @@ class TestAction:
 
 
 class TestFlip:
+    def test_value_at_base_flag(self):
+        # orthogonal complements of span(e1, e2) and span(e1)
+        assert fs.flip(fs.BASE_FLAG) == fs.Flag.of((0, 0, 1), (0, 1, 0))
+
     def test_exchanges_circle_families(self):
         rng = random.Random(67)
         for _ in range(50):
@@ -82,6 +86,10 @@ class TestFlip:
 
 
 class TestAffineChart:
+    def test_base_values(self):
+        assert fs.affine_chart(fs.O_A) == ((0, 0), (0, 1))
+        assert fs.affine_chart(fs.O_T) == ((1, 0), (0, 1))
+
     def test_chart_coords_roundtrip(self):
         rng = random.Random(73)
         for _ in range(100):
@@ -111,6 +119,17 @@ class TestAffineChart:
 
 
 class TestRegions:
+    def test_model_anchors_are_interior(self):
+        assert fs.region_classify(fs.O_T, "t") is fs.Region.INTERIOR
+        assert fs.region_classify(fs.O_A, "a") is fs.Region.INTERIOR
+
+    def test_degeneration_anchor_in_second_stratum(self):
+        x = cls.DEGENERATION_CASES["t2"].boundary_flag
+        assert fs.region_classify(x, "t") is fs.Region.G2
+
+    def test_base_flag_is_deep_boundary_for_affine_model(self):
+        assert fs.region_classify(fs.BASE_FLAG, "a") is fs.Region.DEEP_BOUNDARY
+
     def test_first_strata_examples(self):
         # line through the special point, point neither special nor at
         # infinity

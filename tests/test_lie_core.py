@@ -34,6 +34,12 @@ def lievecs():
 
 
 class TestBracket:
+    def test_heis_generators(self):
+        assert lc.bracket(md.HEIS_X, md.HEIS_Y) == md.HEIS_Z
+
+    def test_sl2_generators(self):
+        assert lc.bracket(md.SL2_E, md.SL2_F) == md.SL2_H
+
     def test_corner_against_lowering(self):
         assert lc.bracket(lc.E_SUP_0, lc.E_0) == lc.E_1 + lc.E_2
 
@@ -74,6 +80,16 @@ class TestTracelessCoords:
 
 
 class TestGrading:
+    def test_lowering_corner_is_pure_lowest(self):
+        parts = lc.grade_decompose(lc.E_0)
+        assert parts[-2] == lc.E_0
+        assert all(parts[k].is_zero() for k in parts if k != -2)
+
+    def test_diagonal_is_pure_middle(self):
+        parts = lc.grade_decompose(lc.LieVec.diag(1, -1, 0))
+        assert parts[0] == lc.LieVec.diag(1, -1, 0)
+        assert all(parts[k].is_zero() for k in parts if k != 0)
+
     def test_components_sum_to_input(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -147,6 +163,13 @@ class TestQuotientAdjoint:
 
 
 class TestCentralizerNormalizer:
+    def test_rotation_algebras_have_trivial_centralizer(self):
+        assert lc.centralizer(cls.so3()).dim == 0
+        assert lc.centralizer(cls.so12()).dim == 0
+
+    def test_center_of_the_full_algebra_is_trivial(self):
+        assert lc.centralizer(lc.Subalgebra.of(list(lc.BASIS))).dim == 0
+
     def test_normalizer_of_block_sl2_is_the_block_model_algebra(self):
         assert lc.normalizer(cls.s_0()).span_equals(cls.h_t())
 
@@ -172,6 +195,13 @@ class TestCentralizerNormalizer:
 
 
 class TestSubalgebraRecognizer:
+    def test_rejects_corrupted_basis(self):
+        basis = list(cls.h_1().basis)
+        rows = [list(r) for r in basis[2].entries]
+        rows[2][0] = Fraction(1)
+        basis[2] = lc.LieVec.of(rows)
+        assert not lc.Subalgebra.of(basis).is_subalgebra()
+
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
             lc.Subalgebra.of([md.HEIS_X, md.HEIS_X.scale(2)])

@@ -4,7 +4,10 @@ One test per check, with the check id as the test id:
 `pytest -k <check-id>` runs one check.  This is the tests' one run of each
 check at its defaults; a test elsewhere that needs more calls
 `checks.run_check(id, seed, samples)` at its own seed and count, and no
-test re-implements a check body.  The tests after it cover the
+test re-implements a sampled check body.  Example tests elsewhere state
+some checks' fixed values (a bracket, an isotropy diagonal, an invariant
+line), so that a failure prints the value where the check returns False.
+The tests after it cover the
 registry's one runner (its draws, fixed part, stop rule and residuals, and
 the failure of a check that tested nothing), the per-model sample count of
 the two-model checks, the check counts the benchmark pins, the split of
