@@ -21,23 +21,21 @@ too.
 
 Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the
-process may use.  The split is static: check `id` runs on worker
-`crc32(id) % W`, the calling process being worker 0 and each other worker
-a forked child that sends its results back over a pipe.  A static split
-makes the caller's share a function of the ids alone, so a profile of the
-caller repeats exactly run to run; the digest, unlike the position, keeps
-a check on its worker when checks are added, and unlike `hash()` it is not
-salted per process.  The outcomes do not depend on the CPU count: a worker
-that dies or reports too little has its missing checks run by the caller.
-A forked worker starts from the caller's state with nothing to import; the
-CLI starts no thread, so forking it is safe.
+process may use, through `workers.forked`, the one fork helper.  The split
+is static: check `id` runs on worker `crc32(id) % W`, the calling process
+being worker 0 and each other worker a forked child that sends its results
+back over a pipe.  A static split makes the caller's share a function of
+the ids alone, so a profile of the caller repeats exactly run to run; the
+digest, unlike the position, keeps a check on its worker when checks are
+added, and unlike `hash()` it is not salted per process.  The outcomes do
+not depend on the CPU count: a worker that dies or reports too little has
+its missing checks run by the caller.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import zlib
 from fractions import Fraction
@@ -50,6 +48,7 @@ from . import lie_core as lc
 from . import models as md
 from .rational import (_Record, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
                        primitive)
+from .workers import cpus, forked
 
 
 class CheckOutcome(_Record):
@@ -144,47 +143,26 @@ def _run_share(ids, share, seed, samples):
 
 def _run_split(ids, seed, samples):
     """{k: (passed, residual)} of every check ids[k], worker w of W running
-    the ids whose CRC-32 is w mod W.  Each child reports its share as one
-    JSON list and leaves through `os._exit`; the caller runs share 0, reads
-    and reaps every child, then runs whatever no child reported."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    workers = max(1, min(cpus, len(ids)))
+    the ids whose CRC-32 is w mod W.  Each forked worker reports its share
+    as one JSON list; the caller runs share 0, reads every report, then
+    runs whatever no worker reported."""
+    workers = max(1, min(cpus(), len(ids)))
     shares = [[] for _ in range(workers)]
     for k, check_id in enumerate(ids):
         shares[zlib.crc32(check_id.encode()) % workers].append(k)
-    children = []  # (pid, read end of its pipe)
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no worker: its share runs in the caller
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
-                try:
-                    with open(write_end, "w", encoding="utf-8") as fh:
-                        json.dump([(k, *outcome) for k, outcome
-                                   in _run_share(ids, share, seed, samples).items()], fh)
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            children.append((pid, read_end))
+
+    def send(share, out):
+        out.write(json.dumps([(k, *outcome) for k, outcome
+                              in _run_share(ids, share, seed, samples).items()]).encode())
+
+    with forked(shares[1:], send) as reports:
         results = _run_share(ids, shares[0], seed, samples)
-        for _, read_end in children:
-            with open(read_end, encoding="utf-8", closefd=False) as fh:
-                report = fh.read()
+        for _, report in reports:
             try:
-                for k, passed, residual in json.loads(report):
+                for k, passed, residual in json.loads(report.read()):
                     results[k] = passed, residual
             except (ValueError, TypeError):  # cut short: the caller runs the share
                 pass
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
     missing = [k for k in range(len(ids)) if k not in results]
     results.update(_run_share(ids, missing, seed, samples))
     return results

@@ -205,11 +205,10 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    orbit = dyn.iterate(f, args.start, args.steps)
     if args.out:
-        dyn.write_trajectory_csv(args.out, orbit)
+        dyn.write_trajectory_csv(args.out, f, args.start, args.steps)
     else:
-        dyn.write_trajectory_rows(sys.stdout, orbit)
+        dyn.write_trajectory(sys.stdout, f, args.start, args.steps)
     return 0
 
 

@@ -12,17 +12,22 @@ determinant-one linear part, so quotient dynamics reduce to a fundamental
 box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
 
 One loop, `_reduced_orbit`, walks every float orbit, with the reduction and
-the map written out so that a step makes no call.
+the map written out so that a step makes no call.  `write_trajectory` splits
+the rows of the trajectory CSV over the CPUs through `workers.forked`, the
+one fork helper, which `checks.run_checks` uses too.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
+from functools import partial
+from itertools import islice
 
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
 from .rational import _Record
+from .workers import cpus, forked
 
 
 def heis_mul(p, q):
@@ -87,7 +92,10 @@ class NilMap(_Record):
             raise ValueError("linear part must be an integer matrix of determinant 1")
         if any(2 * c != math.floor(2 * c) for c in translation[:2]):
             raise ValueError("translation does not normalize the lattice")
-        return NilMap(m, tuple(float(c) for c in translation))
+        try:
+            return NilMap(m, tuple(float(c) for c in translation))
+        except OverflowError:
+            raise ValueError("translation is beyond the float range") from None
 
     def apply(self, p):
         (a, b), (c, d) = self.linear
@@ -375,22 +383,77 @@ _BLOCK = 1024  # rows formatted by one `%`
 _ROWS = _ROW * _BLOCK
 
 
-def write_trajectory_rows(fh, orbit) -> None:
-    """Trajectory CSV to an open text stream: header step,x,y,z, then 17
-    significant digits per coordinate, formatted and written a block of rows
-    at a time."""
-    fh.write("step,x,y,z\n")
+def _blocks(orbit, step):
+    """The CSV rows of the points of `orbit`, numbered from `step`, with 17
+    significant digits per coordinate, as text a block of rows at a time."""
     flat = []
-    for k, row in enumerate(orbit):
+    for k, row in enumerate(orbit, step):
         flat.append(k)
         flat += row
         if len(flat) == 4 * _BLOCK:
-            fh.write(_ROWS % tuple(flat))
+            yield _ROWS % tuple(flat)
             flat.clear()
-    fh.write(_ROW * (len(flat) // 4) % tuple(flat))
+    yield _ROW * (len(flat) // 4) % tuple(flat)
 
 
-def write_trajectory_csv(path, orbit) -> None:
-    """Trajectory CSV export to the file at `path`."""
+def write_trajectory_rows(fh, orbit) -> None:
+    """Trajectory CSV to an open text stream: header step,x,y,z, then the
+    rows, formatted and written a block of rows at a time."""
+    fh.write("step,x,y,z\n")
+    fh.writelines(_blocks(orbit, 0))  # holds no block while it formats the next
+
+
+def _range_blocks(f: NilMap, p0, lo: int, hi: int):
+    """The blocks of rows lo..hi-1 of the orbit of p0: the orbit is walked
+    from step 0, and the rows before lo are not formatted."""
+    return _blocks(islice(iterate(f, p0, hi - 1), lo, None), lo)
+
+
+def _send_rows(f: NilMap, p0, rows, out) -> None:
+    """A worker's share of the CSV, rows lo..hi-1: formats them all, then
+    writes them to `out` a block at a time.  A pipe holds 64 KiB, so writing
+    while formatting would stall the worker until the caller, busy with its
+    own rows, starts to read."""
+    for text in list(_range_blocks(f, p0, *rows)):
+        out.write(text.encode("ascii"))
+
+
+def _copy_rows(report, fh, step: int) -> int:
+    """Copies the whole rows of a worker's report, numbered from `step`, to
+    fh; returns the step of the first row it did not copy."""
+    tail = b""
+    while chunk := report.read(1 << 16):
+        text = tail + chunk
+        end = text.rfind(b"\n") + 1
+        fh.write(text[:end].decode("ascii"))
+        step += text.count(b"\n")
+        tail = text[end:]
+    return step
+
+
+def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
+    """`write_trajectory_rows(fh, iterate(f, p0, n))`, with the rows split
+    into equal shares, at block boundaries, over the CPUs this process may
+    use (`workers.forked`).  The caller writes the header and the first
+    share as it walks the orbit; each forked worker walks the orbit from
+    step 0, formats its own share, and sends it back over a pipe, which the
+    caller copies to fh in order.  The walk is deterministic, so the text is
+    the same on any number of CPUs: rows a worker did not send, because it
+    could not be forked, died or sent too few, are formatted by the caller.
+    Every share holds at least one block; with fewer rows there are fewer
+    shares, down to one, which the caller writes alone."""
+    rows = n + 1
+    shares = max(1, min(cpus(), rows // _BLOCK))
+    bounds = [_BLOCK * (rows * w // (shares * _BLOCK)) for w in range(shares)] + [rows]
+    with forked(list(zip(bounds[1:], bounds[2:])), partial(_send_rows, f, p0)) as reports:
+        write_trajectory_rows(fh, iterate(f, p0, bounds[1] - 1))
+        for (lo, hi), report in reports:
+            lo = _copy_rows(report, fh, lo)
+            if lo < hi:
+                fh.writelines(_range_blocks(f, p0, lo, hi))
+
+
+def write_trajectory_csv(path, f: NilMap, p0, n: int) -> None:
+    """`write_trajectory` to the file at `path`, opened before any fork."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_trajectory_rows(fh, orbit)
+        write_trajectory(fh, f, p0, n)

@@ -67,20 +67,30 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--format", "json", "--seed", "0"],
-        ["verify", "--suite", "lie-core", "--samples", "5", "--format", "json", "--seed", "7"]])
-    def test_output_does_not_depend_on_the_cpu_count(self, argv):
-        # one process pinned to one CPU, so run_checks forks no worker, and
-        # one on every CPU this process may use
+        ["verify", "--suite", "lie-core", "--samples", "5", "--format", "json", "--seed", "7"],
+        ["simulate", "--matrix", "3,2,1,1", "-n", "5000"],
+        ["simulate", "--matrix", "3,2,1,1", "--translation", "0.5,1.5,0.3", "-n", "5000",
+         "--out", "orbit.csv"]])
+    def test_output_does_not_depend_on_the_cpu_count(self, argv, tmp_path):
+        # one process pinned to one CPU, so neither run_checks nor simulate
+        # forks a worker, and one on every CPU this process may use; each in
+        # its own directory, where a relative --out lands
         cpu = min(os.sched_getaffinity(0))
         pin = f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
         env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-        pinned, free = (subprocess.run([sys.executable, "-c", prefix + "from flagdyn import cli; "
-                                        "sys.exit(cli.main(sys.argv[1:]))", *argv],
-                                       env=env, capture_output=True, text=True)
-                        for prefix in (pin, "import sys; "))
-        assert pinned.stdout and pinned.stderr == ""
-        assert (pinned.stdout, pinned.returncode) == (free.stdout, free.returncode)
+        runs = []
+        for prefix, where in ((pin, tmp_path / "pinned"), ("import sys; ", tmp_path / "free")):
+            where.mkdir()
+            proc = subprocess.run([sys.executable, "-c", prefix + "from flagdyn import cli; "
+                                   "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                                  cwd=where, env=env, capture_output=True, text=True)
+            out = where / "orbit.csv"
+            runs.append((proc.stdout, proc.stderr, proc.returncode,
+                         out.read_text() if out.exists() else None))
+        pinned, free = runs
+        assert (pinned[0] or pinned[3]) and pinned[1] == ""
+        assert pinned == free
 
     def test_csv_format(self, capsys):
         code, out = run(["verify", "--suite", "classification", "--samples", "2",
@@ -161,6 +171,26 @@ class TestSimulate:
         target = tmp_path / "orbit.csv"
         run([*argv, "--out", str(target)], capsys)
         assert target.read_bytes() == out.encode()
+
+    def test_a_reader_that_stops_early_ends_a_split_run(self):
+        # the workers' writes to their pipes fail once the caller stops
+        # reading; none waits for a reader that is gone
+        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "flagdyn.cli", "simulate", "-n", "100000"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        proc.stdout.read(100)
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, 9)
+                proc.wait()
+        assert code == 2
+        assert proc.stderr.read().decode() == "error: [Errno 32] Broken pipe\n"
+        proc.stderr.close()
 
     def test_signed_zero_start_prints_no_negative_zero(self, capsys):
         code, out = run(["simulate", "--matrix=-2,-1,-1,-1", "--start=-0,-0,-0",

@@ -5,7 +5,9 @@ import csv
 import decimal
 import io
 import math
+import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from flagdyn import checks
 from flagdyn import dynamics as dyn
+from flagdyn import workers
+from children import assert_no_child_left
 
 CAT = ((2, 1), (1, 1))
 
@@ -132,6 +136,10 @@ class TestNilMap:
         for translation in ((0.3, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.5, -math.inf, 0.0),
                             (math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 0.0, math.nan)):
             with pytest.raises(ValueError):
+                dyn.NilMap.of(CAT, translation)
+        # exact entries past the float range normalize the lattice, but have no float
+        for translation in ((10 ** 400, 0, 0), (0, 0, 10 ** 400), (0, 0, Fraction(10 ** 400, 3))):
+            with pytest.raises(ValueError, match="translation"):
                 dyn.NilMap.of(CAT, translation)
 
     def test_translation_near_a_half_integer_is_rejected(self):
@@ -409,7 +417,7 @@ class TestTrajectoryExport:
         f = dyn.NilMap.of(CAT, (0.5, 1.0, 0.3))
         orbit = list(dyn.iterate(f, (0.37, 0.21, 0.13), 20))
         path = tmp_path / "orbit.csv"
-        dyn.write_trajectory_csv(path, orbit)
+        dyn.write_trajectory_csv(path, f, (0.37, 0.21, 0.13), 20)
         with open(path, encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "x", "y", "z"]
@@ -429,6 +437,72 @@ class TestTrajectoryExport:
         fh = io.StringIO()
         dyn.write_trajectory_rows(fh, iter(orbit))
         assert fh.getvalue() == expected
+
+
+# rows k * 1024 - 1, k * 1024 and k * 1024 + 1 on either side of the shares' blocks
+SPLIT_ROWS = [2047, 2048, 2049, 3071, 3072, 3073]
+SPLIT_MAP = dyn.NilMap.of(((3, 2), (1, 1)), (0.5, 1.5, 0.3))
+SPLIT_START = (0.37, 0.21, 0.13)
+
+
+def _split_text(monkeypatch, rows, cpus):
+    """write_trajectory's CSV of SPLIT_MAP's first `rows` rows, split as on
+    `cpus` CPUs, and the workers' shares that it asked to fork."""
+    forked = []
+    monkeypatch.setattr(dyn, "cpus", lambda: cpus)
+    monkeypatch.setattr(dyn, "forked", lambda shares, work: forked.append(shares)
+                        or workers.forked(shares, work))
+    fh = io.StringIO()
+    dyn.write_trajectory(fh, SPLIT_MAP, SPLIT_START, rows - 1)
+    return fh.getvalue(), forked[0]
+
+
+def _one_process_text(rows):
+    fh = io.StringIO()
+    dyn.write_trajectory_rows(fh, dyn.iterate(SPLIT_MAP, SPLIT_START, rows - 1))
+    return fh.getvalue()
+
+
+class TestSplitTrajectory:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("rows", SPLIT_ROWS)
+    def test_split_rows_are_the_rows_of_one_process(self, monkeypatch, rows, cpus):
+        text, shares = _split_text(monkeypatch, rows, cpus)
+        assert text == _one_process_text(rows)
+        # a share for each CPU, each of at least one block, the caller's first
+        assert len(shares) == min(cpus, rows // 1024) - 1
+        bounds = [0] + [lo for lo, _ in shares] + [rows]
+        assert all(lo % 1024 == 0 and hi - lo >= 1024 for lo, hi in zip(bounds, bounds[1:]))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sent", [0, 40, -1])
+    def test_rows_of_a_dying_worker_are_written_by_the_caller(self, monkeypatch, sent):
+        # each worker sends its text up to byte `sent` (nothing, part of its
+        # first row, all but the last newline) and leaves with code 3
+        send = dyn._send_rows
+
+        def send_and_leave(f, p0, rows, out):
+            whole = io.BytesIO()
+            send(f, p0, rows, whole)
+            out.write(whole.getvalue()[:sent])
+            out.flush()
+            os._exit(3)
+
+        monkeypatch.setattr(dyn, "_send_rows", send_and_leave)
+        text, shares = _split_text(monkeypatch, 3073, 3)
+        assert len(shares) == 2
+        assert text == _one_process_text(3073)
+        assert_no_child_left()
+
+    def test_rows_are_written_when_fork_fails(self, monkeypatch):
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        text, shares = _split_text(monkeypatch, 3073, 3)
+        assert len(shares) == 2
+        assert text == _one_process_text(3073)
+        assert_no_child_left()
 
 
 def test_dynamics_imports_no_float_matrix_algebra():

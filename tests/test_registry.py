@@ -37,6 +37,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.rational import _cleared
+from children import assert_no_child_left
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,16 +189,11 @@ def _one_at_a_time(suite, seed, samples):
     return outcomes
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("seed", [0, 39])
 @pytest.mark.parametrize("suite", [None] + checks.suites())
 def test_split_changes_no_outcome(suite, seed):
     assert checks.run_checks(suite, seed, samples=2) == _one_at_a_time(suite, seed, 2)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _worker_of():
@@ -218,7 +214,7 @@ def test_caller_runs_its_share_only(monkeypatch):
         (cid, suite, anchor, noted(cid, run)) for cid, suite, anchor, run in checks._REGISTRY])
     checks.run_checks(seed=0, samples=1)
     assert ran == [i for i, worker in _worker_of().items() if worker == 0]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
@@ -239,7 +235,7 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
         (cid, suite, anchor, leave_unless_in_caller(run) if cid == dying else run)
         for cid, suite, anchor, run in checks._REGISTRY])
     assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +389,15 @@ KEPT = {
 
 # Every CLI command once, in a fresh interpreter that records the first line
 # of each function it enters.  `verify --seed 0 --samples 1` is
-# run_checks(seed=0, samples=1), whose forked workers leave through
-# `os._exit`; so every process writes what it entered to its own file in the
-# working directory, a worker just before it exits.
+# run_checks(seed=0, samples=1), and `simulate -n 2048` writes 2049 rows, two
+# blocks, split over two processes; their forked workers leave through
+# `os._exit`, so every process writes what it entered to its own file in the
+# working directory, a worker just before it exits.  On one CPU nothing is
+# split, so the probe reports two: forking works on one CPU as on two.
 _PROBE = """
 import contextlib, io, json, os, sys
+if len(os.sched_getaffinity(0)) < 2:
+    os.sched_getaffinity = lambda pid: {0, 1}
 entered = set()
 def note(frame, event, arg):
     if event == "call":
@@ -414,6 +414,7 @@ sys.setprofile(note)
 import flagdyn.cli as cli
 runs = [["verify", "--seed", "0", "--samples", "1", "--out", "verify.txt"],
         ["simulate", "-n", "2"], ["simulate", "-n", "2", "--out", "orbit.csv"],
+        ["simulate", "-n", "2048"],
         ["lyapunov", "-n", "20"]] + [["oracle", case] for case in sorted(cli._ORACLE_CASES)]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
