@@ -23,13 +23,13 @@ Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the
 process may use, through `workers.forked`, the one fork helper.  The split
 is static: check `id` runs on worker `crc32(id) % W`, the calling process
-being worker 0 and each other worker a forked child that sends its results
-back over a pipe.  A static split makes the caller's share a function of
+being worker 0 and each other worker a forked child that writes its results
+to a file of its own.  A static split makes the caller's share a function of
 the ids alone, so a profile of the caller repeats exactly run to run; the
 digest, unlike the position, keeps a check on its worker when checks are
 added, and unlike `hash()` it is not salted per process.  The outcomes do
-not depend on the CPU count: a worker that dies or reports too little has
-its missing checks run by the caller.
+not depend on the CPU count: a failed worker's share is redone whole by the
+caller.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _run_share(ids, share, seed, samples):
 def _run_split(ids, seed, samples):
     """{k: (passed, residual)} of every check ids[k], worker w of W running
     the ids whose CRC-32 is w mod W.  Each forked worker reports its share
-    as one JSON list; the caller runs share 0, reads every report, then
-    runs whatever no worker reported."""
+    as one JSON list; the caller runs share 0, then reads every report in
+    order, and a failed worker's share is redone whole by the caller."""
     workers = max(1, min(cpus(), len(ids)))
     shares = [[] for _ in range(workers)]
     for k, check_id in enumerate(ids):
@@ -157,14 +157,12 @@ def _run_split(ids, seed, samples):
 
     with forked(shares[1:], send) as reports:
         results = _run_share(ids, shares[0], seed, samples)
-        for _, report in reports:
-            try:
-                for k, passed, residual in json.loads(report.read()):
-                    results[k] = passed, residual
-            except (ValueError, TypeError):  # cut short: the caller runs the share
-                pass
-    missing = [k for k in range(len(ids)) if k not in results]
-    results.update(_run_share(ids, missing, seed, samples))
+        for share, report in reports:
+            if report is None:
+                results.update(_run_share(ids, share, seed, samples))
+            else:
+                results.update((k, (passed, residual))
+                               for k, passed, residual in json.loads(report.read()))
     return results
 
 
@@ -1032,7 +1030,7 @@ def _check_degeneration(rng):
 
 
 @check("degeneration-symbolic", "classification",
-       "entrywise Laurent interpolation reproduces the symbolic matrices")
+       "matrices equal their printed Laurent tables exactly at the seven SYMBOLIC_TIMES")
 def _check_degeneration_tables(rng):
     return all(cls.degeneration_limit(case, t).matches
                for case in cls.DEGENERATION_CASES for t in cls.SYMBOLIC_TIMES)
@@ -1041,8 +1039,16 @@ def _check_degeneration_tables(rng):
 @check("flatness-predicate", "classification",
        "holonomy diagonal (a, -a-b, b) forces flatness iff b != -5a and a != -5b")
 def _check_flatness_predicate(rng):
-    return cls.flatness_holonomy_predicate(1, -1) and not any(
-        cls.flatness_holonomy_predicate(a, b) for a, b in ((1, -5), (-5, 1), (0, 0)))
+    # diag(2^a, 2^(-a-b), 2^b) scales K_alpha by 2^(-a-5b) and K_beta by
+    # 2^(5a+b): flatness is forced iff neither component of (1, 1, 0, 0)
+    # stays 1.  Pairs on both resonance lines and off them:
+    k, two = curv.NormalCurvature.of(1, 1, 0, 0), Fraction(2)
+    outs = {(a, b): curv.curvature_action(
+        lc.GroupElem([[two ** a, 0, 0], [0, two ** (-a - b), 0], [0, 0, two ** b]]), k)
+        for a, b in ((1, -1), (1, -5), (-5, 1), (0, 0), (2, -10), (-10, 2), (-1, 5), (5, -1),
+                     (1, 0), (0, 1), (2, 3), (-3, 1))}
+    return all(cls.flatness_holonomy_predicate(a, b) == (out.k_alpha != 1 and out.k_beta != 1)
+               for (a, b), out in outs.items())
 
 
 @check("bracket-table-corner", "classification",

@@ -410,25 +410,10 @@ def _range_blocks(f: NilMap, p0, lo: int, hi: int):
 
 
 def _send_rows(f: NilMap, p0, rows, out) -> None:
-    """A worker's share of the CSV, rows lo..hi-1: formats them all, then
-    writes them to `out` a block at a time.  A pipe holds 64 KiB, so writing
-    while formatting would stall the worker until the caller, busy with its
-    own rows, starts to read."""
-    for text in list(_range_blocks(f, p0, *rows)):
+    """A worker's share of the CSV, rows lo..hi-1, written to `out` a block
+    at a time as it is formatted."""
+    for text in _range_blocks(f, p0, *rows):
         out.write(text.encode("ascii"))
-
-
-def _copy_rows(report, fh, step: int) -> int:
-    """Copies the whole rows of a worker's report, numbered from `step`, to
-    fh; returns the step of the first row it did not copy."""
-    tail = b""
-    while chunk := report.read(1 << 16):
-        text = tail + chunk
-        end = text.rfind(b"\n") + 1
-        fh.write(text[:end].decode("ascii"))
-        step += text.count(b"\n")
-        tail = text[end:]
-    return step
 
 
 def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
@@ -436,10 +421,9 @@ def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
     into equal shares, at block boundaries, over the CPUs this process may
     use (`workers.forked`).  The caller writes the header and the first
     share as it walks the orbit; each forked worker walks the orbit from
-    step 0, formats its own share, and sends it back over a pipe, which the
-    caller copies to fh in order.  The walk is deterministic, so the text is
-    the same on any number of CPUs: rows a worker did not send, because it
-    could not be forked, died or sent too few, are formatted by the caller.
+    step 0 and writes its own share to its file, which the caller copies to
+    fh in order.  The walk is deterministic, so the text is the same on any
+    number of CPUs: a failed worker's share is redone whole by the caller.
     Every share holds at least one block; with fewer rows there are fewer
     shares, down to one, which the caller writes alone."""
     rows = n + 1
@@ -448,9 +432,11 @@ def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
     with forked(list(zip(bounds[1:], bounds[2:])), partial(_send_rows, f, p0)) as reports:
         write_trajectory_rows(fh, iterate(f, p0, bounds[1] - 1))
         for (lo, hi), report in reports:
-            lo = _copy_rows(report, fh, lo)
-            if lo < hi:
+            if report is None:
                 fh.writelines(_range_blocks(f, p0, lo, hi))
+            else:
+                while chunk := report.read(1 << 16):
+                    fh.write(chunk.decode("ascii"))
 
 
 def write_trajectory_csv(path, f: NilMap, p0, n: int) -> None:

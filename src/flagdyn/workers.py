@@ -1,20 +1,17 @@
 """Forked workers: the one place where flagdyn spreads work over processes.
 
-`forked(shares, work)` forks one child per share, which runs `work(share,
-out)` and leaves through `os._exit`; the caller does its own share while
-they run, then reads what each child wrote to `out`, in order.  A child
-that dies or writes too little leaves a short report, and a fork that fails
-leaves an empty one, so every caller checks what it read and does the rest
-itself; the output never depends on how many children ran.  `run_checks`
-and the trajectory CSV both split their work this way, over `cpus()`
-processes.  A forked child starts from the caller's state with nothing to
-import; the CLI starts no thread, so forking it is safe.
+`forked(shares, work)` forks one child per share, which writes its report to
+a temporary file of its own; the caller does its own share while they run,
+then takes the reports in order.  A failed worker's share is redone whole by
+the caller, so the output never depends on how many children ran.
+`run_checks` and the trajectory CSV both split their work this way, over
+`cpus()` processes.  A forked child starts from the caller's state with
+nothing to import; the CLI starts no thread, so forking it is safe.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 
 
@@ -28,38 +25,45 @@ def cpus() -> int:
 
 @contextlib.contextmanager
 def forked(shares, work):
-    """Forks a child for each share, which calls `work(share, out)` with the
-    binary write end of a pipe.  Yields a list of (share, report), report
-    the binary read end of that pipe, or an empty stream once a fork fails.
-    On leaving, closes every report and reaps every child."""
-    children = []  # (pid, report)
-    try:
-        for share in shares:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no worker: the caller does this share and the rest
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
+    """Forks a child for each share, which calls `work(share, out)` with an
+    unlinked binary temporary file, flushes it and exits 0, or 1 if work
+    raises.  Yields (share, report) in order, reaping each child first:
+    report is its file, rewound, if the child exited 0, else None, as when
+    a file or a fork failed.  On leaving, kills and reaps the children
+    still running and closes every file."""
+    import tempfile  # loaded on the first split, not by the CLI's set-up
+
+    children = []  # (pid, out), in the order of the shares
+    running = set()  # the pids not yet reaped
+    with contextlib.ExitStack() as files:
+        try:
+            for share in shares:
                 try:
-                    # a read end left open here would keep a write to that
-                    # pipe waiting, instead of failing, once the caller has
-                    # closed its own read end and stopped reading
-                    os.close(read_end)
-                    for _, report in children:
-                        report.close()
-                    with open(write_end, "wb") as out:
+                    out = files.enter_context(tempfile.TemporaryFile())
+                    pid = os.fork()
+                except OSError:  # no file or no worker: the caller does this share and the rest
+                    break
+                if pid == 0:
+                    status = 1
+                    try:
                         work(share, out)
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        reports = [report for _, report in children]
-        reports += [io.BytesIO() for _ in range(len(shares) - len(children))]
-        yield list(zip(shares, reports))
-    finally:
-        for pid, report in children:
-            report.close()
-            os.waitpid(pid, 0)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, out))
+                running.add(pid)
+
+            def reports():
+                for (pid, out), share in zip(children, shares):
+                    status = os.waitpid(pid, 0)[1]
+                    running.remove(pid)
+                    out.seek(0)
+                    yield share, None if status else out
+                yield from ((share, None) for share in shares[len(children):])
+
+            yield reports()
+        finally:
+            for pid in running:
+                os.kill(pid, 9)  # SIGKILL, without loading `signal`
+                os.waitpid(pid, 0)

@@ -173,8 +173,8 @@ class TestSimulate:
         assert target.read_bytes() == out.encode()
 
     def test_a_reader_that_stops_early_ends_a_split_run(self):
-        # the workers' writes to their pipes fail once the caller stops
-        # reading; none waits for a reader that is gone
+        # the caller's write fails once the reader stops reading; it kills
+        # and reaps the workers that still run, and none outlives it
         env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.Popen([sys.executable, "-m", "flagdyn.cli", "simulate", "-n", "100000"],
@@ -288,17 +288,18 @@ class TestLyapunov:
 
 def test_start_up_imports_no_code_generation_machinery():
     # the records are slotted classes, so the CLI's set-up loads neither
-    # dataclasses nor what it pulls in; the interpreter's own start-up may
-    # load some of these names, so only what the import adds is compared
+    # dataclasses nor what it pulls in, and the fork helper loads tempfile
+    # only when it splits; -S keeps `site` from loading any of these names
+    # first, and only what the import adds is compared
     code = ("import sys; before = set(sys.modules); "
             "import flagdyn.cli; flagdyn.cli.build_parser(); "
             "print(*sorted(set(sys.modules) - before))")
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     added = set(out.split())
     assert "flagdyn.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile"}
 
 
 def test_multipliers_of_large_entries_pass_the_relative_gate(capsys):

@@ -7,6 +7,8 @@ import io
 import math
 import os
 import random
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -503,6 +505,62 @@ class TestSplitTrajectory:
         assert len(shares) == 2
         assert text == _one_process_text(3073)
         assert_no_child_left()
+
+    def test_rows_are_written_when_no_temporary_file_can_be_made(self, monkeypatch):
+        def no_file():
+            raise OSError("no temporary file")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        text, shares = _split_text(monkeypatch, 3073, 3)
+        assert len(shares) == 2
+        assert text == _one_process_text(3073)
+        assert_no_child_left()
+
+    def test_rows_of_a_worker_that_raises_are_written_by_the_caller(self, monkeypatch, capfd):
+        # each worker writes its first block, then raises; it leaves no traceback
+        def send_and_raise(f, p0, rows, out):
+            out.write(next(dyn._range_blocks(f, p0, *rows)).encode("ascii"))
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(dyn, "_send_rows", send_and_raise)
+        text, shares = _split_text(monkeypatch, 3073, 3)
+        assert len(shares) == 2
+        assert text == _one_process_text(3073)
+        assert capfd.readouterr().err == ""
+        assert_no_child_left()
+
+    def test_a_caller_that_stops_early_kills_its_workers(self, monkeypatch):
+        # the caller's stream fails, as when its reader is gone; it waits for
+        # no worker to finish its share
+        class Gone:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(dyn, "cpus", lambda: 3)
+        monkeypatch.setattr(dyn, "_send_rows", lambda *args: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(BrokenPipeError):
+            dyn.write_trajectory(Gone(), SPLIT_MAP, SPLIT_START, 3072)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_a_worker_writes_each_block_before_it_formats_the_next(self, monkeypatch):
+        # so a worker holds one block at a time, however long its share
+        events = []
+        range_blocks = dyn._range_blocks
+
+        def noted_blocks(*args):
+            for text in range_blocks(*args):
+                events.append("formatted")
+                yield text
+
+        class Out:
+            def write(self, data):
+                events.append("written")
+
+        monkeypatch.setattr(dyn, "_range_blocks", noted_blocks)
+        dyn._send_rows(SPLIT_MAP, SPLIT_START, (1024, 4 * 1024 + 7), Out())
+        assert events == ["formatted", "written"] * 4
 
 
 def test_dynamics_imports_no_float_matrix_algebra():

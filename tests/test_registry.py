@@ -25,6 +25,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -235,6 +236,34 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
         (cid, suite, anchor, leave_unless_in_caller(run) if cid == dying else run)
         for cid, suite, anchor, run in checks._REGISTRY])
     assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
+    assert_no_child_left()
+
+
+def test_checks_run_in_the_caller_when_no_temporary_file_can_be_made(monkeypatch):
+    def no_file():
+        raise OSError("no temporary file")
+
+    monkeypatch.setattr(checks, "cpus", lambda: 3)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
+    assert_no_child_left()
+
+
+def test_checks_of_a_worker_that_raises_run_in_the_caller(monkeypatch, capfd):
+    # each forked worker raises once it has run its share; it leaves no traceback
+    caller = os.getpid()
+    run_share = checks._run_share
+
+    def raise_unless_in_caller(*args):
+        results = run_share(*args)
+        if os.getpid() != caller:
+            raise RuntimeError("worker failed")
+        return results
+
+    monkeypatch.setattr(checks, "cpus", lambda: 3)
+    monkeypatch.setattr(checks, "_run_share", raise_unless_in_caller)
+    assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
+    assert capfd.readouterr().err == ""
     assert_no_child_left()
 
 
