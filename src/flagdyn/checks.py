@@ -21,15 +21,15 @@ too.
 
 Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the
-process may use, through `workers.forked`, the one fork helper.  The split
+process may use, through `workers.split`, the one fork helper.  The split
 is static: check `id` runs on worker `crc32(id) % W`, the calling process
-being worker 0 and each other worker a forked child that writes its results
-to a file of its own.  A static split makes the caller's share a function of
-the ids alone, so a profile of the caller repeats exactly run to run; the
-digest, unlike the position, keeps a check on its worker when checks are
-added, and unlike `hash()` it is not salted per process.  The outcomes do
-not depend on the CPU count: a failed worker's share is redone whole by the
-caller.
+being worker 0 and each other worker a forked child.  Every outcome, the
+caller's too, is one JSON line that the caller parses.  A static split
+makes the caller's share a function of the ids alone, so a profile of the
+caller repeats exactly run to run; the digest, unlike the position, keeps a
+check on its worker when checks are added, and unlike `hash()` it is not
+salted per process.  The outcomes do not depend on the CPU count: `split`
+redoes a failed worker's share in the caller.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from . import lie_core as lc
 from . import models as md
 from .rational import (_Record, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
                        primitive)
-from .workers import cpus, forked
+from .workers import cpus, split
 
 
 class CheckOutcome(_Record):
@@ -130,40 +130,27 @@ def run_checks(suite=None, seed: int = 0, samples: int | None = None):
             for k, (check_id, _, anchor, _) in enumerate(entries)]
 
 
-def _run_share(ids, share, seed, samples):
-    """{k: (passed, residual)} of the checks ids[k], k in `share`."""
-    results = {}
-    for k in share:
-        try:
-            results[k] = run_check(ids[k], seed, samples)
-        except Exception:
-            results[k] = False, None
-    return results
-
-
 def _run_split(ids, seed, samples):
     """{k: (passed, residual)} of every check ids[k], worker w of W running
-    the ids whose CRC-32 is w mod W.  Each forked worker reports its share
-    as one JSON list; the caller runs share 0, then reads every report in
-    order, and a failed worker's share is redone whole by the caller."""
+    the ids whose CRC-32 is w mod W, through `workers.split`.  Each check's
+    outcome is one JSON line [k, passed, residual], whichever process ran
+    it; JSON floats round-trip exactly."""
     workers = max(1, min(cpus(), len(ids)))
     shares = [[] for _ in range(workers)]
     for k, check_id in enumerate(ids):
         shares[zlib.crc32(check_id.encode()) % workers].append(k)
 
-    def send(share, out):
-        out.write(json.dumps([(k, *outcome) for k, outcome
-                              in _run_share(ids, share, seed, samples).items()]).encode())
+    def work(share):
+        for k in share:
+            try:
+                outcome = run_check(ids[k], seed, samples)
+            except Exception:
+                outcome = False, None
+            yield json.dumps([k, *outcome]) + "\n"
 
-    with forked(shares[1:], send) as reports:
-        results = _run_share(ids, shares[0], seed, samples)
-        for share, report in reports:
-            if report is None:
-                results.update(_run_share(ids, share, seed, samples))
-            else:
-                results.update((k, (passed, residual))
-                               for k, passed, residual in json.loads(report.read()))
-    return results
+    with split(shares, work) as text:
+        lines = "".join(text).splitlines()
+    return {k: (passed, residual) for k, passed, residual in map(json.loads, lines)}
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +710,14 @@ def _check_contact_rescaling(rng):
        "commuting-flow rectangle of the nilpotent pair equals the central "
        "exponential exactly")
 def _check_flow_comm_heis(rng):
-    worst = max(curv.flow_commutator_defect(md.HEIS_X, md.HEIS_Y, t) for t in (0.5, 0.1, 1e-2))
-    return worst <= 1e-12, worst
+    x, y = md.HEIS_X, md.HEIS_Y
+    z = lc.bracket(x, y)
+    # each of X, Y and [X, Y] squares to zero, so exp(sA) = I + sA exactly
+    if any(not (a @ a).is_zero() for a in (x, y, z)):
+        return False
+    one = lc.LieVec.diag(1, 1, 1)
+    return all((one - x.scale(t)) @ (one - y.scale(t)) @ (one + x.scale(t)) @ (one + y.scale(t))
+               == one + z.scale(t * t) for t in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)))
 
 
 @check("flow-commutator-slope", "curvature",

@@ -13,7 +13,7 @@ box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
 
 One loop, `_reduced_orbit`, walks every float orbit, with the reduction and
 the map written out so that a step makes no call.  `write_trajectory` splits
-the rows of the trajectory CSV over the CPUs through `workers.forked`, the
+the rows of the trajectory CSV over the CPUs through `workers.split`, the
 one fork helper, which `checks.run_checks` uses too.
 """
 
@@ -27,7 +27,7 @@ from itertools import islice
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
 from .rational import _Record
-from .workers import cpus, forked
+from .workers import cpus, split
 
 
 def heis_mul(p, q):
@@ -383,11 +383,14 @@ _BLOCK = 1024  # rows formatted by one `%`
 _ROWS = _ROW * _BLOCK
 
 
-def _blocks(orbit, step):
-    """The CSV rows of the points of `orbit`, numbered from `step`, with 17
-    significant digits per coordinate, as text a block of rows at a time."""
+def _range_blocks(f: NilMap, p0, rows):
+    """The CSV rows lo..hi-1 of the orbit of p0, for rows = (lo, hi), with
+    17 significant digits per coordinate, as text a block of rows at a time:
+    the orbit is walked from step 0, and the rows before lo are not
+    formatted."""
+    lo, hi = rows
     flat = []
-    for k, row in enumerate(orbit, step):
+    for k, row in enumerate(islice(iterate(f, p0, hi - 1), lo, None), lo):
         flat.append(k)
         flat += row
         if len(flat) == 4 * _BLOCK:
@@ -396,47 +399,22 @@ def _blocks(orbit, step):
     yield _ROW * (len(flat) // 4) % tuple(flat)
 
 
-def write_trajectory_rows(fh, orbit) -> None:
-    """Trajectory CSV to an open text stream: header step,x,y,z, then the
-    rows, formatted and written a block of rows at a time."""
-    fh.write("step,x,y,z\n")
-    fh.writelines(_blocks(orbit, 0))  # holds no block while it formats the next
-
-
-def _range_blocks(f: NilMap, p0, lo: int, hi: int):
-    """The blocks of rows lo..hi-1 of the orbit of p0: the orbit is walked
-    from step 0, and the rows before lo are not formatted."""
-    return _blocks(islice(iterate(f, p0, hi - 1), lo, None), lo)
-
-
-def _send_rows(f: NilMap, p0, rows, out) -> None:
-    """A worker's share of the CSV, rows lo..hi-1, written to `out` a block
-    at a time as it is formatted."""
-    for text in _range_blocks(f, p0, *rows):
-        out.write(text.encode("ascii"))
-
-
 def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
-    """`write_trajectory_rows(fh, iterate(f, p0, n))`, with the rows split
-    into equal shares, at block boundaries, over the CPUs this process may
-    use (`workers.forked`).  The caller writes the header and the first
-    share as it walks the orbit; each forked worker walks the orbit from
-    step 0 and writes its own share to its file, which the caller copies to
-    fh in order.  The walk is deterministic, so the text is the same on any
-    number of CPUs: a failed worker's share is redone whole by the caller.
-    Every share holds at least one block; with fewer rows there are fewer
-    shares, down to one, which the caller writes alone."""
+    """Trajectory CSV of `iterate(f, p0, n)` to an open text stream: header
+    step,x,y,z, then the rows, a block of rows at a time.  The rows are
+    split into equal shares, at block boundaries, over the CPUs this
+    process may use (`workers.split`).  The caller writes the first share
+    as it walks the orbit; each forked worker walks the orbit from step 0
+    and formats its own share.  The walk is deterministic, so the text is
+    the same on any number of CPUs.  Every share holds at least one block;
+    with fewer rows there are fewer shares, down to one, which the caller
+    writes alone."""
     rows = n + 1
     shares = max(1, min(cpus(), rows // _BLOCK))
     bounds = [_BLOCK * (rows * w // (shares * _BLOCK)) for w in range(shares)] + [rows]
-    with forked(list(zip(bounds[1:], bounds[2:])), partial(_send_rows, f, p0)) as reports:
-        write_trajectory_rows(fh, iterate(f, p0, bounds[1] - 1))
-        for (lo, hi), report in reports:
-            if report is None:
-                fh.writelines(_range_blocks(f, p0, lo, hi))
-            else:
-                while chunk := report.read(1 << 16):
-                    fh.write(chunk.decode("ascii"))
+    with split(list(zip(bounds, bounds[1:])), partial(_range_blocks, f, p0)) as text:
+        fh.write("step,x,y,z\n")
+        fh.writelines(text)  # holds no block while it formats the next
 
 
 def write_trajectory_csv(path, f: NilMap, p0, n: int) -> None:

@@ -1,12 +1,13 @@
 """Forked workers: the one place where flagdyn spreads work over processes.
 
-`forked(shares, work)` forks one child per share, which writes its report to
-a temporary file of its own; the caller does its own share while they run,
-then takes the reports in order.  A failed worker's share is redone whole by
-the caller, so the output never depends on how many children ran.
-`run_checks` and the trajectory CSV both split their work this way, over
-`cpus()` processes.  A forked child starts from the caller's state with
-nothing to import; the CLI starts no thread, so forking it is safe.
+`split(shares, work)` yields the text of every share in order: the caller
+makes the first share's, and a forked child each other share's, which it
+writes to a temporary file of its own.  The caller redoes a share whose
+child failed or could not be had, so the text never depends on how many
+children ran.  `run_checks` and the trajectory CSV both split their work
+this way, over `cpus()` processes.  A forked child starts from the caller's
+state with nothing to import; the CLI starts no thread, so forking it is
+safe.
 """
 
 from __future__ import annotations
@@ -24,20 +25,21 @@ def cpus() -> int:
 
 
 @contextlib.contextmanager
-def forked(shares, work):
-    """Forks a child for each share, which calls `work(share, out)` with an
-    unlinked binary temporary file, flushes it and exits 0, or 1 if work
-    raises.  Yields (share, report) in order, reaping each child first:
-    report is its file, rewound, if the child exited 0, else None, as when
-    a file or a fork failed.  On leaving, kills and reaps the children
-    still running and closes every file."""
+def split(shares, work):
+    """Yields the text of every share in order, `work(share)` being an
+    iterable of ASCII text.  The caller makes the first share's text as it
+    is read.  A child forked for each other share writes its text to an
+    unlinked binary temporary file, then exits 0, or 1 if work raises; the
+    caller reaps it before it reads the file.  The caller redoes through
+    `work` a share whose child did not exit 0, and every share from the
+    first that got no file or fork.  On leaving, kills and reaps the
+    children still running and closes every file."""
     import tempfile  # loaded on the first split, not by the CLI's set-up
 
-    children = []  # (pid, out), in the order of the shares
-    running = set()  # the pids not yet reaped
+    children = {}  # share index -> (pid, out), until the child is reaped
     with contextlib.ExitStack() as files:
         try:
-            for share in shares:
+            for k in range(1, len(shares)):
                 try:
                     out = files.enter_context(tempfile.TemporaryFile())
                     pid = os.fork()
@@ -46,24 +48,29 @@ def forked(shares, work):
                 if pid == 0:
                     status = 1
                     try:
-                        work(share, out)
+                        for piece in work(shares[k]):
+                            out.write(piece.encode("ascii"))
                         out.flush()
                         status = 0
                     finally:
                         os._exit(status)
-                children.append((pid, out))
-                running.add(pid)
+                children[k] = pid, out
 
-            def reports():
-                for (pid, out), share in zip(children, shares):
-                    status = os.waitpid(pid, 0)[1]
-                    running.remove(pid)
-                    out.seek(0)
-                    yield share, None if status else out
-                yield from ((share, None) for share in shares[len(children):])
+            def text():
+                for k, share in enumerate(shares):
+                    if k in children:
+                        pid, out = children[k]
+                        status = os.waitpid(pid, 0)[1]
+                        del children[k]
+                        if status == 0:
+                            out.seek(0)
+                            while chunk := out.read(1 << 16):
+                                yield chunk.decode("ascii")
+                            continue
+                    yield from work(share)
 
-            yield reports()
+            yield text()
         finally:
-            for pid in running:
+            for pid, _ in children.values():
                 os.kill(pid, 9)  # SIGKILL, without loading `signal`
                 os.waitpid(pid, 0)

@@ -182,6 +182,19 @@ class TestFlowCommutator:
         for t in (0.5, 0.1, 1e-2, 1e-3):
             assert curv.flow_commutator_defect(md.HEIS_X, md.HEIS_Y, t) <= 1e-12
 
+    def test_heis_check_fails_on_the_opposite_bracket(self, monkeypatch):
+        # the rectangle is I + t^2 [X, Y] exactly, not I - t^2 [X, Y]
+        bracket = lc.bracket
+        monkeypatch.setattr(lc, "bracket", lambda u, v: -bracket(u, v))
+        assert run_check("flow-commutator-heis") == (False, None)
+
+    def test_heis_check_reads_no_float_exponential(self, monkeypatch):
+        def no_float(m):
+            raise AssertionError("a float exponential was taken")
+
+        monkeypatch.setattr(lc, "exp_float", no_float)
+        assert run_check("flow-commutator-heis") == (True, None)
+
     def test_third_order_slope(self):
         rng = random.Random(23)
         count = 0

@@ -430,15 +430,18 @@ class TestTrajectoryExport:
                 assert float(col) == val  # 17 significant digits round-trip
 
     @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
-    def test_blocks_of_rows_are_the_rows_one_at_a_time(self, n_rows):
+    def test_blocks_of_rows_are_the_rows_one_at_a_time(self, monkeypatch, n_rows):
         rng = random.Random(n_rows)
         orbit = [(rng.choice((0.0, -0.0, 1 - 2 ** -53, rng.random())),
                   rng.uniform(-1e6, 1e6), rng.random() / 3) for _ in range(n_rows)]
         expected = "step,x,y,z\n" + "".join(
             "%d,%.17g,%.17g,%.17g\n" % (k, *row) for k, row in enumerate(orbit))
+        # the program's writer, over these points in place of an orbit
+        monkeypatch.setattr(dyn, "iterate", lambda f, p0, n: iter(orbit[:n + 1]))
         fh = io.StringIO()
-        dyn.write_trajectory_rows(fh, iter(orbit))
+        dyn.write_trajectory(fh, SPLIT_MAP, SPLIT_START, n_rows - 1)
         assert fh.getvalue() == expected
+        assert_no_child_left()
 
 
 # rows k * 1024 - 1, k * 1024 and k * 1024 + 1 on either side of the shares' blocks
@@ -447,22 +450,28 @@ SPLIT_MAP = dyn.NilMap.of(((3, 2), (1, 1)), (0.5, 1.5, 0.3))
 SPLIT_START = (0.37, 0.21, 0.13)
 
 
-def _split_text(monkeypatch, rows, cpus):
+def _split_text(monkeypatch, rows, cpus, work=None):
     """write_trajectory's CSV of SPLIT_MAP's first `rows` rows, split as on
-    `cpus` CPUs, and the workers' shares that it asked to fork."""
-    forked = []
+    `cpus` CPUs, and the shares it split them into, the caller's first.
+    `work(share, blocks)`, if given, stands in for the program's
+    `blocks(share)`, the text of a share."""
+    split = []
+
+    def noted_split(shares, blocks):
+        split.append(shares)
+        return workers.split(shares, blocks if work is None else lambda share: work(share, blocks))
+
     monkeypatch.setattr(dyn, "cpus", lambda: cpus)
-    monkeypatch.setattr(dyn, "forked", lambda shares, work: forked.append(shares)
-                        or workers.forked(shares, work))
+    monkeypatch.setattr(dyn, "split", noted_split)
     fh = io.StringIO()
     dyn.write_trajectory(fh, SPLIT_MAP, SPLIT_START, rows - 1)
-    return fh.getvalue(), forked[0]
+    return fh.getvalue(), split[0]
 
 
 def _one_process_text(rows):
-    fh = io.StringIO()
-    dyn.write_trajectory_rows(fh, dyn.iterate(SPLIT_MAP, SPLIT_START, rows - 1))
-    return fh.getvalue()
+    """The CSV of SPLIT_MAP's first `rows` rows, formatted one row at a time."""
+    return "step,x,y,z\n" + "".join("%d,%.17g,%.17g,%.17g\n" % (k, *point) for k, point
+                                     in enumerate(dyn.iterate(SPLIT_MAP, SPLIT_START, rows - 1)))
 
 
 class TestSplitTrajectory:
@@ -472,27 +481,30 @@ class TestSplitTrajectory:
         text, shares = _split_text(monkeypatch, rows, cpus)
         assert text == _one_process_text(rows)
         # a share for each CPU, each of at least one block, the caller's first
-        assert len(shares) == min(cpus, rows // 1024) - 1
-        bounds = [0] + [lo for lo, _ in shares] + [rows]
-        assert all(lo % 1024 == 0 and hi - lo >= 1024 for lo, hi in zip(bounds, bounds[1:]))
+        assert len(shares) == min(cpus, rows // 1024)
+        assert [lo for lo, _ in shares] + [rows] == [0] + [hi for _, hi in shares]
+        assert all(lo % 1024 == 0 and hi - lo >= 1024 for lo, hi in shares)
         assert_no_child_left()
 
     @pytest.mark.parametrize("sent", [0, 40, -1])
     def test_rows_of_a_dying_worker_are_written_by_the_caller(self, monkeypatch, sent):
-        # each worker sends its text up to byte `sent` (nothing, part of its
-        # first row, all but the last newline) and leaves with code 3
-        send = dyn._send_rows
+        # each worker writes its text up to byte `sent` (nothing, part of its
+        # first row, all but the last newline) to its file, and leaves with
+        # code 3; a file made before a fork is the last in the child's list
+        files, caller = [], os.getpid()
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: files.append(
+            temporary_file(*args, **kwargs)) or files[-1])
 
-        def send_and_leave(f, p0, rows, out):
-            whole = io.BytesIO()
-            send(f, p0, rows, whole)
-            out.write(whole.getvalue()[:sent])
-            out.flush()
+        def send_and_leave(share, blocks):
+            if os.getpid() == caller:
+                return blocks(share)
+            files[-1].write("".join(blocks(share)).encode("ascii")[:sent])
+            files[-1].flush()
             os._exit(3)
 
-        monkeypatch.setattr(dyn, "_send_rows", send_and_leave)
-        text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 2
+        text, shares = _split_text(monkeypatch, 3073, 3, send_and_leave)
+        assert len(shares) == 3
         assert text == _one_process_text(3073)
         assert_no_child_left()
 
@@ -502,29 +514,33 @@ class TestSplitTrajectory:
 
         monkeypatch.setattr(os, "fork", no_fork)
         text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 2
+        assert len(shares) == 3
         assert text == _one_process_text(3073)
         assert_no_child_left()
 
     def test_rows_are_written_when_no_temporary_file_can_be_made(self, monkeypatch):
-        def no_file():
+        def no_file(*args, **kwargs):
             raise OSError("no temporary file")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
         text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 2
+        assert len(shares) == 3
         assert text == _one_process_text(3073)
         assert_no_child_left()
 
     def test_rows_of_a_worker_that_raises_are_written_by_the_caller(self, monkeypatch, capfd):
-        # each worker writes its first block, then raises; it leaves no traceback
-        def send_and_raise(f, p0, rows, out):
-            out.write(next(dyn._range_blocks(f, p0, *rows)).encode("ascii"))
-            raise RuntimeError("worker failed")
+        # each worker makes its first block, then raises; it leaves no traceback
+        caller = os.getpid()
 
-        monkeypatch.setattr(dyn, "_send_rows", send_and_raise)
-        text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 2
+        def send_and_raise(share, blocks):
+            share_blocks = blocks(share)
+            if os.getpid() != caller:
+                yield next(share_blocks)
+                raise RuntimeError("worker failed")
+            yield from share_blocks
+
+        text, shares = _split_text(monkeypatch, 3073, 3, send_and_raise)
+        assert len(shares) == 3
         assert text == _one_process_text(3073)
         assert capfd.readouterr().err == ""
         assert_no_child_left()
@@ -536,16 +552,30 @@ class TestSplitTrajectory:
             def write(self, text):
                 raise BrokenPipeError
 
+            writelines = write
+
+        forks, caller = [], os.getpid()
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+
+        def sleep_in_worker(share):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return dyn._range_blocks(SPLIT_MAP, SPLIT_START, share)
+
         monkeypatch.setattr(dyn, "cpus", lambda: 3)
-        monkeypatch.setattr(dyn, "_send_rows", lambda *args: time.sleep(60))
+        monkeypatch.setattr(dyn, "split", lambda shares, blocks: workers.split(shares, sleep_in_worker))
         start = time.monotonic()
         with pytest.raises(BrokenPipeError):
             dyn.write_trajectory(Gone(), SPLIT_MAP, SPLIT_START, 3072)
         assert time.monotonic() - start < 30
+        assert len(forks) == 2 and all(forks)
         assert_no_child_left()
 
     def test_a_worker_writes_each_block_before_it_formats_the_next(self, monkeypatch):
-        # so a worker holds one block at a time, however long its share
+        # so a worker holds one block at a time, however long its share: the
+        # split runs in this process as its first worker would, os.fork
+        # returning 0 and os._exit raising
         events = []
         range_blocks = dyn._range_blocks
 
@@ -555,12 +585,36 @@ class TestSplitTrajectory:
                 yield text
 
         class Out:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
             def write(self, data):
                 events.append("written")
 
+            def flush(self):
+                events.append("flushed")
+
+        class Exited(BaseException):
+            pass
+
+        def leave(status):
+            raise Exited(status)
+
         monkeypatch.setattr(dyn, "_range_blocks", noted_blocks)
-        dyn._send_rows(SPLIT_MAP, SPLIT_START, (1024, 4 * 1024 + 7), Out())
-        assert events == ["formatted", "written"] * 4
+        monkeypatch.setattr(dyn, "cpus", lambda: 2)
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: Out())
+        monkeypatch.setattr(os, "fork", lambda: 0)
+        monkeypatch.setattr(os, "_exit", leave)
+        fh = io.StringIO()
+        with pytest.raises(Exited) as exited:
+            # two shares: rows 0..4095 and 4096..8198, four blocks and 7 rows
+            dyn.write_trajectory(fh, SPLIT_MAP, SPLIT_START, 8 * 1024 + 6)
+        assert exited.value.args == (0,)
+        assert events == ["formatted", "written"] * 5 + ["flushed"]
+        assert fh.getvalue() == ""
 
 
 def test_dynamics_imports_no_float_matrix_algebra():

@@ -37,6 +37,7 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn import workers
 from flagdyn.rational import _cleared
 from children import assert_no_child_left
 
@@ -240,7 +241,7 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
 
 
 def test_checks_run_in_the_caller_when_no_temporary_file_can_be_made(monkeypatch):
-    def no_file():
+    def no_file(*args, **kwargs):
         raise OSError("no temporary file")
 
     monkeypatch.setattr(checks, "cpus", lambda: 3)
@@ -252,16 +253,17 @@ def test_checks_run_in_the_caller_when_no_temporary_file_can_be_made(monkeypatch
 def test_checks_of_a_worker_that_raises_run_in_the_caller(monkeypatch, capfd):
     # each forked worker raises once it has run its share; it leaves no traceback
     caller = os.getpid()
-    run_share = checks._run_share
 
-    def raise_unless_in_caller(*args):
-        results = run_share(*args)
-        if os.getpid() != caller:
-            raise RuntimeError("worker failed")
-        return results
+    def raise_unless_in_caller(work):
+        def run_share(share):
+            yield from work(share)
+            if os.getpid() != caller:
+                raise RuntimeError("worker failed")
+        return run_share
 
     monkeypatch.setattr(checks, "cpus", lambda: 3)
-    monkeypatch.setattr(checks, "_run_share", raise_unless_in_caller)
+    monkeypatch.setattr(checks, "split", lambda shares, work: workers.split(
+        shares, raise_unless_in_caller(work)))
     assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
     assert capfd.readouterr().err == ""
     assert_no_child_left()
