@@ -2,7 +2,8 @@
 nilmanifold simulations with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
-configuration error.  Output is deterministic for a fixed (arguments, seed).
+configuration error.  Output is a function of the arguments alone, the
+seed among them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from fractions import Fraction
 from . import checks
 from . import classification as cls
 from . import dynamics as dyn
-
-ENV_PREFIX = "FLAGDYN_"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -110,7 +109,7 @@ def cmd_oracle(args) -> int:
 
 
 # argparse types: with `choices`, they validate every input at parse time,
-# from argv or from a FLAGDYN_* fallback, once for every subcommand
+# once for every subcommand
 
 def _numbers(text: str, arity: int):
     try:
@@ -176,16 +175,6 @@ def _count(text: str) -> int:
 _FORMATS = ("json", "csv", "human")
 
 
-def _format(text: str) -> str:
-    # A type, not `choices`: argparse never checks a default against
-    # `choices`, and the default is the FLAGDYN_FORMAT value.
-    if text not in _FORMATS:
-        choices = ", ".join(map(repr, _FORMATS))
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {choices})")
-    return text
-
-
 def _out(path: str) -> str | None:
     # An empty path means stdout, as no --out does, for every command.
     if path == "":
@@ -249,17 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "models and their dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared options; each falls back to its FLAGDYN_<NAME> variable, passed
-    # as a string default so that argparse converts and validates it.
-    def env(name, fallback=None):
-        return os.environ.get(ENV_PREFIX + name.upper(), fallback)
-
     shared = {
-        "--seed": dict(type=int, default=env("seed", "0")),
-        "--samples": dict(type=_count, default=env("samples")),
-        "--format": dict(dest="fmt", type=_format, default=env("format", "human"),
-                         metavar="{" + ",".join(_FORMATS) + "}"),
-        "--out": dict(type=_out, default=env("out")),
+        "--seed": dict(type=int, default=0),
+        "--samples": dict(type=_count),
+        "--format": dict(dest="fmt", choices=_FORMATS, default="human"),
+        "--out": dict(type=_out),
     }
 
     def add_shared(p, *flags):

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schema, determinism."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -10,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -77,8 +77,7 @@ class TestVerify:
         # its own directory, where a relative --out lands
         cpu = min(os.sched_getaffinity(0))
         pin = f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
-        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         runs = []
         for prefix, where in ((pin, tmp_path / "pinned"), ("import sys; ", tmp_path / "free")):
             where.mkdir()
@@ -175,8 +174,7 @@ class TestSimulate:
     def test_a_reader_that_stops_early_ends_a_split_run(self):
         # the caller's write fails once the reader stops reading; it kills
         # and reaps the workers that still run, and none outlives it
-        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.Popen([sys.executable, "-m", "flagdyn.cli", "simulate", "-n", "100000"],
                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 start_new_session=True)
@@ -402,71 +400,62 @@ def test_unreadable_number_option_is_named_with_its_cause(capsys, option, value,
     assert captured.out == "" and f"error: argument {option}: {message}\n" in captured.err
 
 
-class TestEnvOverrides:
-    def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("FLAGDYN_SEED", "17")
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify"])
-        assert args.seed == 17
-
-    def test_format_from_environment(self, monkeypatch):
-        monkeypatch.setenv("FLAGDYN_FORMAT", "json")
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify"])
-        assert args.fmt == "json"
-
-    @pytest.mark.parametrize("name, value", [("SEED", "abc"), ("SAMPLES", "0"),
-                                             ("FORMAT", "xml")])
-    def test_malformed_value_is_usage_error(self, capsys, monkeypatch, name, value):
-        monkeypatch.setenv("FLAGDYN_" + name, value)
-        code, out = run(["verify", "--suite", "classification"], capsys)
-        assert code == 2 and out == ""
-
-    @pytest.mark.parametrize("name, value, argv, option", [
-        ("SAMPLES", "0", ["verify", "--suite", "classification"], "--samples"),
-        ("SEED", "abc", ["verify", "--suite", "classification"], "--seed"),
-        ("FORMAT", "xml", ["oracle", "bracket-table"], "--format"),
-        ("FORMAT", "xml", ["lyapunov", "-n", "20"], "--format"),
-        ("OUT", "/nonexistent/x.csv", ["simulate", "-n", "1"], "--out")])
-    def test_malformed_value_is_reported_under_its_option(
-            self, capsys, monkeypatch, name, value, argv, option):
-        monkeypatch.setenv("FLAGDYN_" + name, value)
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and f"error: argument {option}: " in errors[0]
-        assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "dynamics", "--samples", "1"],
     ["oracle", "bracket-table"],
     ["lyapunov", "-n", "20"],
     ["simulate", "-n", "3"]], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_empty_out_means_stdout(capsys, monkeypatch, tmp_path, argv, source):
-    # every command reads an empty --out or FLAGDYN_OUT as no --out at all
+def test_empty_out_means_stdout(capsys, monkeypatch, tmp_path, argv):
+    # every command reads an empty --out as no --out at all
     monkeypatch.chdir(tmp_path)
     expected = run(argv, capsys)
-    if source == "flag":
-        argv = [*argv, "--out="]
-    else:
-        monkeypatch.setenv("FLAGDYN_OUT", "")
-    code = cli.main(argv)
+    code = cli.main([*argv, "--out="])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (*expected, "")
     assert expected[0] == 0 and expected[1]
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "classification"],
+    ["oracle", "bracket-table"],
+    ["lyapunov", "-n", "20"]], ids=lambda argv: argv[0])
+def test_output_does_not_read_the_environment(capsys, monkeypatch, tmp_path, argv):
+    # variables named like the options change no default: the same exit
+    # code, stdout and stderr as without them, and no file
+    monkeypatch.chdir(tmp_path)
+    without = cli.main(argv), *capsys.readouterr()
+    for name, value in {"SEED": "5", "FORMAT": "json", "SAMPLES": "1",
+                        "OUT": "report.json"}.items():
+        monkeypatch.setenv("FLAGDYN_" + name, value)
+    assert (cli.main(argv), *capsys.readouterr()) == without
+    assert list(tmp_path.iterdir()) == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def test_src_reads_no_environment():
+    # output is a function of argv: no module of src touches os.environ,
+    # os.environb, os.getenv or os.putenv, or imports them from os
+    src = Path(cli.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                        and isinstance(node.value, ast.Name) and node.value.id == "os"), path.name
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {a.name for a in node.names} & _ENVIRONMENT, path.name
+
+
 # ---------------------------------------------------------------------------
-# fuzzing the exit-code contract over argv and FLAGDYN_* values
+# fuzzing the exit-code contract over argv
 # ---------------------------------------------------------------------------
 
-# No surrogates and no NUL: the environment cannot hold them.
-_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
-                max_size=8)
+# Lone surrogates U+DC80 to U+DCFF, as an argv holds for bytes that are not
+# UTF-8; no NUL, which no argv holds.
+_text = st.text(st.one_of(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+    st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF)), max_size=8)
 _number = st.one_of(
     st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(str),
     st.floats().map(repr),
@@ -547,33 +536,25 @@ def invocations(draw):
     for name in draw(st.lists(names, max_size=3)):
         # One token, so that a value starting with "-" still reads as one.
         argv.append(f"--{name}={draw(_VALUES[name])}")
-    env = {cli.ENV_PREFIX + name.upper(): draw(_VALUES[name])
-           for name in draw(st.sets(st.sampled_from(["seed", "format", "out"]),
-                                    max_size=2))}
     # Bound the cost: at most 2 samples, at most 50 steps.
     if command == "verify":
-        samples = draw(_at_most(2))
-        if draw(st.booleans()):
-            argv += ["--samples", samples]
-        else:
-            env[cli.ENV_PREFIX + "SAMPLES"] = samples
+        argv += ["--samples", draw(_at_most(2))]
     if command in ("simulate", "lyapunov"):
         argv += ["-n", draw(_at_most(50))]
-    return argv, env
+    return argv
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
-def test_fuzzed_invocation_keeps_the_exit_code_contract(invocation):
-    argv, env = invocation
+def test_fuzzed_invocation_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env), \
+    with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.chdir(tmp)
         try:
             code = cli.main(argv)
         finally:
             os.chdir(cwd)
-    assert code in (0, 1, 2), (argv, env, code)
-    assert "Traceback" not in err.getvalue(), (argv, env, err.getvalue())
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

@@ -8,7 +8,6 @@ import math
 import os
 import random
 import tempfile
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,70 +505,6 @@ class TestSplitTrajectory:
         text, shares = _split_text(monkeypatch, 3073, 3, send_and_leave)
         assert len(shares) == 3
         assert text == _one_process_text(3073)
-        assert_no_child_left()
-
-    def test_rows_are_written_when_fork_fails(self, monkeypatch):
-        def no_fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 3
-        assert text == _one_process_text(3073)
-        assert_no_child_left()
-
-    def test_rows_are_written_when_no_temporary_file_can_be_made(self, monkeypatch):
-        def no_file(*args, **kwargs):
-            raise OSError("no temporary file")
-
-        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
-        text, shares = _split_text(monkeypatch, 3073, 3)
-        assert len(shares) == 3
-        assert text == _one_process_text(3073)
-        assert_no_child_left()
-
-    def test_rows_of_a_worker_that_raises_are_written_by_the_caller(self, monkeypatch, capfd):
-        # each worker makes its first block, then raises; it leaves no traceback
-        caller = os.getpid()
-
-        def send_and_raise(share, blocks):
-            share_blocks = blocks(share)
-            if os.getpid() != caller:
-                yield next(share_blocks)
-                raise RuntimeError("worker failed")
-            yield from share_blocks
-
-        text, shares = _split_text(monkeypatch, 3073, 3, send_and_raise)
-        assert len(shares) == 3
-        assert text == _one_process_text(3073)
-        assert capfd.readouterr().err == ""
-        assert_no_child_left()
-
-    def test_a_caller_that_stops_early_kills_its_workers(self, monkeypatch):
-        # the caller's stream fails, as when its reader is gone; it waits for
-        # no worker to finish its share
-        class Gone:
-            def write(self, text):
-                raise BrokenPipeError
-
-            writelines = write
-
-        forks, caller = [], os.getpid()
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
-
-        def sleep_in_worker(share):
-            if os.getpid() != caller:
-                time.sleep(60)
-            return dyn._range_blocks(SPLIT_MAP, SPLIT_START, share)
-
-        monkeypatch.setattr(dyn, "cpus", lambda: 3)
-        monkeypatch.setattr(dyn, "split", lambda shares, blocks: workers.split(shares, sleep_in_worker))
-        start = time.monotonic()
-        with pytest.raises(BrokenPipeError):
-            dyn.write_trajectory(Gone(), SPLIT_MAP, SPLIT_START, 3072)
-        assert time.monotonic() - start < 30
-        assert len(forks) == 2 and all(forks)
         assert_no_child_left()
 
     def test_a_worker_writes_each_block_before_it_formats_the_next(self, monkeypatch):

@@ -25,7 +25,6 @@ import os
 import random
 import subprocess
 import sys
-import tempfile
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +36,6 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn import workers
 from flagdyn.rational import _cleared
 from children import assert_no_child_left
 
@@ -237,35 +235,6 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
         (cid, suite, anchor, leave_unless_in_caller(run) if cid == dying else run)
         for cid, suite, anchor, run in checks._REGISTRY])
     assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
-    assert_no_child_left()
-
-
-def test_checks_run_in_the_caller_when_no_temporary_file_can_be_made(monkeypatch):
-    def no_file(*args, **kwargs):
-        raise OSError("no temporary file")
-
-    monkeypatch.setattr(checks, "cpus", lambda: 3)
-    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
-    assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
-    assert_no_child_left()
-
-
-def test_checks_of_a_worker_that_raises_run_in_the_caller(monkeypatch, capfd):
-    # each forked worker raises once it has run its share; it leaves no traceback
-    caller = os.getpid()
-
-    def raise_unless_in_caller(work):
-        def run_share(share):
-            yield from work(share)
-            if os.getpid() != caller:
-                raise RuntimeError("worker failed")
-        return run_share
-
-    monkeypatch.setattr(checks, "cpus", lambda: 3)
-    monkeypatch.setattr(checks, "split", lambda shares, work: workers.split(
-        shares, raise_unless_in_caller(work)))
-    assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
-    assert capfd.readouterr().err == ""
     assert_no_child_left()
 
 
@@ -475,8 +444,7 @@ def _defined(src):
 
 def test_src_holds_what_the_program_runs(tmp_path):
     src = Path(checks.__file__).resolve().parent
-    env = {k: v for k, v in os.environ.items() if not k.startswith("FLAGDYN_")}
-    env["PYTHONPATH"] = str(src.parent)
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
     proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     codes = json.loads(proc.stdout)
