@@ -333,26 +333,18 @@ def sl2_frame_rates(t: float):
 # hyperbolicity certification
 # ---------------------------------------------------------------------------
 
-class HyperbolicityReport(_Record):
-    __slots__ = ("n_certified",)  # an int, or None
-
-    @property
-    def partially_hyperbolic(self) -> bool:
-        return self.n_certified is not None
-
-
 _CERTIFY_TOL = 1e-6  # margin of the certificate's strict inequalities
 _CERTIFY_MAX_POWER = 100  # largest power it tries
 
 
-def hyperbolicity_report(rates) -> HyperbolicityReport:
+def hyperbolicity_report(rates) -> int | None:
     """Certify uniform contraction / expansion and domination from a rate
     triple: two rates in either order, then the central rate, e.g.
-    `NilMap.exact_rates()`, `sl2_frame_rates(t)` or measured rates.  The
-    certificate looks for the smallest power N <= 100 at which all strict
-    inequalities hold with margin 1e-6; when none exists, n_certified is
-    None rather than an error.  The inequalities are compared in logs, so
-    that no power of a large rate overflows.
+    `NilMap.exact_rates()`, `sl2_frame_rates(t)` or measured rates.  Returns
+    the certificate, the smallest power N <= 100 at which all strict
+    inequalities hold with margin 1e-6, or None when there is none.  The
+    inequalities are compared in logs, so that no power of a large rate
+    overflows.
     """
     ra, rb, rc = rates
     rs, ru = min(ra, rb), max(ra, rb)
@@ -362,8 +354,8 @@ def hyperbolicity_report(rates) -> HyperbolicityReport:
         expanded = n * ru > grow
         dominated = n * rs < n * rc + shrink and n * rc < n * ru + shrink
         if contracted and expanded and dominated:
-            return HyperbolicityReport(n)
-    return HyperbolicityReport(None)
+            return n
+    return None
 
 
 def volume_obstruction_check(lam: float, mu: float) -> str:

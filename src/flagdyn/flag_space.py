@@ -217,36 +217,24 @@ def region_classify(x: Flag, model: str) -> Region:
 # circles and their boundary intersections
 # ---------------------------------------------------------------------------
 
-class CircleBoundary(_Record):
-    """The flags of a circle outside the open model: one in `points`, or
-    none when `full_circle`, the whole circle lying outside.  The region
-    checks build one per draw, so the record is written out."""
-
-    __slots__ = ("points", "full_circle")
-
-    def __init__(self, points, full_circle):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "full_circle", full_circle)
-
-
-def circle_boundary_points(x: Flag, which: str, model: str) -> CircleBoundary:
-    """All flags of the alpha or beta circle of x lying outside the open
+def circle_boundary_points(x: Flag, which: str, model: str) -> tuple | None:
+    """The flags of the alpha or beta circle of x lying outside the open
     model, found by exact incidence elimination.
 
     A circle not wholly in the boundary meets it in exactly one flag: the
     line through the point and the special point (alpha), or the point at
-    infinity of the line (beta).  Circles inside the boundary are reported
-    as full containment.
+    infinity of the line (beta), returned as the 1-tuple `(flag,)`.  A
+    circle lying wholly in the boundary returns None.
     """
     m_sp = _special_point(model)
     if which == "beta":
         if _beta_in_boundary(x.line, m_sp):
-            return CircleBoundary((), True)
-        return CircleBoundary((Flag(meet(x.line, LINE_AT_INFINITY), x.line),), False)
+            return None
+        return (Flag(meet(x.line, LINE_AT_INFINITY), x.line),)
     if which == "alpha":
         if _alpha_in_boundary(x.point, m_sp):
-            return CircleBoundary((), True)
-        return CircleBoundary((Flag(x.point, meet(x.point, m_sp)),), False)
+            return None
+        return (Flag(x.point, meet(x.point, m_sp)),)
     raise ValueError(f"unknown circle family {which!r}")
 
 

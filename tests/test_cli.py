@@ -378,7 +378,10 @@ def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     # row sums past 2**52: one step leaves the coordinates' range
     pytest.param(f"simulate -n 3 --matrix {TRACE_THREE_BEYOND_FLOATS}",
                  id="simulate -n 3 --matrix trace-three-beyond-floats"),
-    f"simulate -n 3 --matrix {TRACE_THREE_EQUAL_DIRECTIONS}"])
+    f"simulate -n 3 --matrix {TRACE_THREE_EQUAL_DIRECTIONS}",
+    # a path that no file name encoding holds: stopped before any work
+    pytest.param("simulate -n 1 --out=\ud800", id="simulate -n 1 --out=U+D800"),
+    pytest.param("verify --out=\ud800", id="verify --out=U+D800")])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = cli.main(argv.split())
     captured = capsys.readouterr()

@@ -174,7 +174,7 @@ class TestRegions:
                     "alpha": any(interior(fs.alpha_circle_flag(x, s, t)) for s, t in pencil),
                     "beta": any(interior(fs.flip(fs.alpha_circle_flag(fs.flip(x), s, t)))
                                 for s, t in pencil)}
-                full = {which: fs.circle_boundary_points(x, which, model).full_circle
+                full = {which: fs.circle_boundary_points(x, which, model) is None
                         for which in enters}
                 if interior(x):
                     expected = fs.Region.INTERIOR
@@ -193,7 +193,7 @@ class TestRegions:
 class TestCircleBoundary:
     def test_beta_circle_of_affine_anchor(self):
         res = fs.circle_boundary_points(fs.O_A, "beta", "a")
-        assert not res.full_circle and len(res.points) == 1
+        assert res is not None and len(res) == 1
 
 
 def quotient_error(v, x, w, h):

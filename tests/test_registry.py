@@ -491,3 +491,21 @@ def test_src_reads_every_module_level_name():
     unread = {f"{module}.{name}" for module, tree in trees.items()
               for name in _assigned(tree) if name not in read}
     assert unread == set(UNREAD)
+
+
+def test_src_reads_every_import():
+    # a name that a module-level import binds is read in that module
+    unread = set()
+    for path in sorted(Path(checks.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread.update(f"{path.stem}.{name}" for name in bound if name not in read)
+    assert unread == set()

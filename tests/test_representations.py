@@ -243,12 +243,18 @@ RECORDS = {
                              "limit": "beta", "sine_distance": 0.25},
     dyn.NilMap: {"linear": ((2, 1), (1, 1)), "translation": (0.5, 0.0, 0.0)},
     dyn.RateEstimate: {"measured": 0.96, "exact": 0.9624},
-    dyn.HyperbolicityReport: {"n_certified": 3},
     fs.Flag: {"point": (1, 0, 0), "line": (0, 0, 1)},
-    fs.CircleBoundary: {"points": (fs.BASE_FLAG,), "full_circle": False},
     lc.Subalgebra: {"basis": (md.HEIS_X, md.HEIS_Y)},
-    md.FramedPoint: {"line_alpha": (1, 0, 0), "line_beta": (0, 1, 0), "line_c": (0, 0, 1)},
 }
+
+
+def test_every_record_type_is_in_the_table():
+    # a new record type gets the checks below
+    defined = {value for module in (checks, cls, curv, dyn, fs, lc, md)
+               for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, _Record)
+               and value.__module__ == module.__name__}
+    assert defined == set(RECORDS)
 
 
 @pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
