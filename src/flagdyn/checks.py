@@ -12,23 +12,23 @@ draw stops the check with its residual.  A passing fact reports its own
 residual; a passing sampled check folds the residuals of its draws with
 `worst` (max or min), or reports None.  A check that tested nothing fails:
 every draw returned None, or it was asked for fewer than one sample.
-`flagdyn verify` runs the registry through `run_checks`; the tests run each
-entry once at seed 0 and default samples, and more only through `run_check`
-at their own seed and count, never a copy of a sampled body; example tests
-state some checks' fixed values, so that a failure prints the value that
-changed.  The random generators the tests share with the checks live here
-too.
+`flagdyn verify` prints what `run_checks` returns, the report's cases
+{"id", "anchor", "pass", "residual"}; the tests run each entry once at seed
+0 and default samples, and more only through `run_check` at their own seed
+and count, never a copy of a sampled body; example tests state some checks'
+fixed values, so that a failure prints the value that changed.  The random
+generators the tests share with the checks live here too.
 
 Each check draws from its own stream, `check_rng(seed, id)`, so the checks
 are independent, and `run_checks` spreads them over one process per CPU the
 process may use, through `workers.split`, the one fork helper.  The split
 is static: check `id` runs on worker `crc32(id) % W`, the calling process
-being worker 0 and each other worker a forked child.  Every outcome, the
+being worker 0 and each other worker a forked child.  Every case, the
 caller's too, is one JSON line that the caller parses.  A static split
 makes the caller's share a function of the ids alone, so a profile of the
 caller repeats exactly run to run; the digest, unlike the position, keeps a
 check on its worker when checks are added, and unlike `hash()` it is not
-salted per process.  The outcomes do not depend on the CPU count: `split`
+salted per process.  The cases do not depend on the CPU count: `split`
 redoes a failed worker's share in the caller.
 """
 
@@ -46,13 +46,8 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import (_Record, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
-                       primitive)
+from .rational import _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span, primitive
 from .workers import cpus, split
-
-
-class CheckOutcome(_Record):
-    __slots__ = ("check_id", "anchor", "passed", "residual")
 
 
 _REGISTRY = []
@@ -116,41 +111,33 @@ def run_check(check_id: str, seed: int = 0, samples: int | None = None):
 
 def run_checks(suite=None, seed: int = 0, samples: int | None = None):
     """Run registered checks (optionally one suite), deterministically in
-    the seed.  Returns CheckOutcome records sorted by id.  The checks are
-    split over W = min(CPUs this process may use, checks) processes by the
-    CRC-32 of their ids, as the module docstring describes; on one CPU, or
-    without `os.fork`, the caller runs them all.  A check that raises
-    fails."""
+    the seed.  Returns the report's cases {"id", "anchor", "pass",
+    "residual"}, sorted by id.  The checks are split over W = min(CPUs this
+    process may use, checks) processes by the CRC-32 of their ids, as the
+    module docstring describes; on one CPU, or without `os.fork`, the caller
+    runs them all.  Each case is one JSON line, whichever process ran it;
+    JSON floats round-trip exactly.  A check that raises fails."""
     known = suites()
     if suite is not None and suite not in known:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(known)}")
-    entries = [e for e in sorted(_REGISTRY) if suite is None or e[1] == suite]
-    results = _run_split([check_id for check_id, _, _, _ in entries], seed, samples)
-    return [CheckOutcome(check_id, anchor, *results[k])
-            for k, (check_id, _, anchor, _) in enumerate(entries)]
-
-
-def _run_split(ids, seed, samples):
-    """{k: (passed, residual)} of every check ids[k], worker w of W running
-    the ids whose CRC-32 is w mod W, through `workers.split`.  Each check's
-    outcome is one JSON line [k, passed, residual], whichever process ran
-    it; JSON floats round-trip exactly."""
-    workers = max(1, min(cpus(), len(ids)))
+    entries = sorted(e for e in _REGISTRY if suite is None or e[1] == suite)
+    workers = max(1, min(cpus(), len(entries)))
     shares = [[] for _ in range(workers)]
-    for k, check_id in enumerate(ids):
-        shares[zlib.crc32(check_id.encode()) % workers].append(k)
+    for entry in entries:
+        shares[zlib.crc32(entry[0].encode()) % workers].append(entry)
 
     def work(share):
-        for k in share:
+        for check_id, _, anchor, _ in share:
             try:
-                outcome = run_check(ids[k], seed, samples)
+                passed, residual = run_check(check_id, seed, samples)
             except Exception:
-                outcome = False, None
-            yield json.dumps([k, *outcome]) + "\n"
+                passed, residual = False, None
+            yield json.dumps({"id": check_id, "anchor": anchor, "pass": passed,
+                              "residual": residual}) + "\n"
 
     with split(shares, work) as text:
         lines = "".join(text).splitlines()
-    return {k: (passed, residual) for k, passed, residual in map(json.loads, lines)}
+    return sorted(map(json.loads, lines), key=lambda c: c["id"])
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +914,8 @@ def _check_central_flow(rng):
 @check("subalgebra-table", "classification",
        "dimensions, closure, the 4-or-5 bound, and centralizer values")
 def _check_subalgebra_table(rng):
-    reports = cls.verify_subalgebra_table()
-    return len(reports) >= 7 and all(r.passed for r in reports)
+    cases = cls.verify_subalgebra_table()
+    return len(cases) >= 7 and all(c["pass"] for c in cases)
 
 
 def _isotropy_is_expected_diagonal(case):
@@ -1045,7 +1032,7 @@ def _check_flatness_predicate(rng):
 @check("bracket-table-corner", "classification",
        "bracket relations of the corner generator against the graded basis")
 def _check_tresse(rng):
-    return all(r.passed for r in cls.tresse_bracket_suite())
+    return all(c["pass"] for c in cls.tresse_bracket_suite())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every oracle here computes its answer by generic exact linear algebra
 (nullspaces, eliminations, rational evaluation) and compares it against a
 frozen expected value.  Expected values live only on the expected side of
-the reports, never inside the computing path.
+the report cases, never inside the computing path.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
 from .rational import _Record, _cleared, cross, dot, in_span, nullspace, rank, solve, span_equal
 
 
-class OracleReport(_Record):
-    __slots__ = ("case_id", "anchor", "expected", "computed", "passed")
+def _case(case_id, anchor, passed, expected, computed):
+    """One report case of an oracle: it has no residual."""
+    return {"id": case_id, "anchor": anchor, "pass": passed, "residual": None,
+            "expected": expected, "computed": computed}
 
 
 # ---------------------------------------------------------------------------
@@ -134,41 +136,35 @@ EXPECTED = {
 
 
 def verify_subalgebra_table():
-    """Dimensions, bracket closure, the 4-or-5 dimension bound, and the
-    centralizer values, all exact."""
-    reports = []
+    """The report cases of the subalgebra table: dimensions, bracket
+    closure, the 4-or-5 dimension bound, and the centralizer values, all
+    exact."""
+    cases = []
     algebras = {"h-t": h_t(), "h-a": h_a(), "h-1": h_1(), "h-2": h_2()}
     for name, alg in algebras.items():
         closed = alg.is_subalgebra()
-        dim_ok = alg.dim == EXPECTED[f"dim-{name}"]
-        bound_ok = 4 <= alg.dim <= 5
-        reports.append(OracleReport(
-            case_id=f"subalgebra-{name}",
-            anchor="transitive subalgebra list: closure, dim, 4 <= dim <= 5",
-            expected=f"closed, dim {EXPECTED[f'dim-{name}']}",
-            computed=f"closed={closed}, dim {alg.dim}",
-            passed=closed and dim_ok and bound_ok,
+        cases.append(_case(
+            f"subalgebra-{name}",
+            "transitive subalgebra list: closure, dim, 4 <= dim <= 5",
+            closed and alg.dim == EXPECTED[f"dim-{name}"] and 4 <= alg.dim <= 5,
+            f"closed, dim {EXPECTED[f'dim-{name}']}",
+            f"closed={closed}, dim {alg.dim}",
         ))
 
     cent = centralizer(s_0())
-    s0_ok = cent.dim == 1 and cent.contains(CENTRAL_LINE)
-    reports.append(OracleReport(
-        case_id="centralizer-s0",
-        anchor="Cent(block sl2) = span{diag(1,1,-2)}",
-        expected=EXPECTED["centralizer-s0"],
-        computed=f"dim {cent.dim}, contains diag(1,1,-2): {cent.contains(CENTRAL_LINE)}",
-        passed=s0_ok,
+    contains = cent.contains(CENTRAL_LINE)
+    cases.append(_case(
+        "centralizer-s0",
+        "Cent(block sl2) = span{diag(1,1,-2)}",
+        cent.dim == 1 and contains,
+        EXPECTED["centralizer-s0"],
+        f"dim {cent.dim}, contains diag(1,1,-2): {contains}",
     ))
     for name, alg in (("so3", so3()), ("so12", so12())):
         cent = centralizer(alg)
-        reports.append(OracleReport(
-            case_id=f"centralizer-{name}",
-            anchor=f"Cent({name}) = 0",
-            expected=EXPECTED[f"centralizer-{name}"],
-            computed=str(cent.dim),
-            passed=cent.dim == 0,
-        ))
-    return reports
+        cases.append(_case(f"centralizer-{name}", f"Cent({name}) = 0", cent.dim == 0,
+                           EXPECTED[f"centralizer-{name}"], str(cent.dim)))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -501,31 +497,20 @@ def flatness_holonomy_predicate(a, b) -> bool:
 
 
 def tresse_bracket_suite():
-    """The bracket relations of the corner generator against the graded
-    basis, verified exactly."""
-    cases = [
+    """The report cases of the bracket relations of the corner generator
+    against the graded basis, verified exactly."""
+    relations = [
         ("bracket-corner-e0", bracket(E_SUP_0, E_0), E_1 + E_2, "[e^0, e_0] = e_1 + e_2"),
         ("bracket-corner-ealpha", bracket(E_SUP_0, E_ALPHA), E_SUP_BETA, "[e^0, e_alpha] = e^beta"),
         ("bracket-corner-ebeta", bracket(E_SUP_0, E_BETA), -E_SUP_ALPHA, "[e^0, e_beta] = -e^alpha"),
         ("bracket-corner-e1", bracket(E_SUP_0, E_1), -E_SUP_0, "[e^0, e_1] = -e^0"),
         ("bracket-corner-e2", bracket(E_SUP_0, E_2), -E_SUP_0, "[e^0, e_2] = -e^0"),
     ]
-    reports = []
-    for cid, computed, expected, anchor in cases:
-        reports.append(OracleReport(
-            case_id=cid,
-            anchor=anchor,
-            expected=str(expected.entries),
-            computed=str(computed.entries),
-            passed=computed == expected,
-        ))
+    cases = [_case(cid, anchor, computed == expected, str(expected.entries),
+                   str(computed.entries))
+             for cid, computed, expected, anchor in relations]
     for name, v in zip(("e^alpha", "e^beta", "e^0"), POSITIVE_BASIS):
         computed = bracket(E_SUP_0, v)
-        reports.append(OracleReport(
-            case_id=f"bracket-corner-positive-{name}",
-            anchor="[e^0, positive filtration] = 0",
-            expected="0",
-            computed=str(computed.entries),
-            passed=computed.is_zero(),
-        ))
-    return reports
+        cases.append(_case(f"bracket-corner-positive-{name}", "[e^0, positive filtration] = 0",
+                           computed.is_zero(), "0", str(computed.entries)))
+    return cases

@@ -2,7 +2,8 @@
 nilmanifold simulations with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
-configuration error.  Output is a function of the arguments alone, the
+configuration error, or output that cannot be written, as when the reader
+closes the pipe.  Output is a function of the arguments alone, the
 seed among them.
 """
 
@@ -20,16 +21,6 @@ from fractions import Fraction
 from . import checks
 from . import classification as cls
 from . import dynamics as dyn
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _by_id(cases):
@@ -61,24 +52,22 @@ def _render_cases(suite_name: str, cases, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args) -> int:
-    outcomes = checks.run_checks(suite=args.suite, seed=args.seed,
-                                 samples=args.samples)
-    cases = [{
-        "id": o.check_id,
-        "anchor": o.anchor,
-        "pass": o.passed,
-        "residual": o.residual,
-    } for o in outcomes]
-    _emit(_render_cases(args.suite or "all", cases, args.fmt), args.out)
+def _report(name: str, cases, args) -> int:
+    """Render the report cases to --out, or to stdout with a final newline;
+    0 if every case passes, else 1."""
+    text = _render_cases(name, cases, args.fmt)
+    if args.out is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0 if all(c["pass"] for c in cases) else 1
 
 
-def _report_cases(reports):
-    return _by_id({"id": r.case_id, "anchor": r.anchor, "pass": r.passed,
-                   "residual": None,
-                   "expected": r.expected, "computed": r.computed}
-                  for r in reports)
+def cmd_verify(args) -> int:
+    return _report(args.suite or "all",
+                   checks.run_checks(suite=args.suite, seed=args.seed, samples=args.samples),
+                   args)
 
 
 def _degeneration_cases(name):
@@ -95,17 +84,15 @@ def _degeneration_cases(name):
 
 
 _ORACLE_CASES = {
-    "subalgebra-table": lambda: _report_cases(cls.verify_subalgebra_table()),
-    "bracket-table": lambda: _report_cases(cls.tresse_bracket_suite()),
+    "subalgebra-table": lambda: _by_id(cls.verify_subalgebra_table()),
+    "bracket-table": lambda: _by_id(cls.tresse_bracket_suite()),
     **{f"degeneration-{name}": functools.partial(_degeneration_cases, name)
        for name in cls.DEGENERATION_CASES},
 }
 
 
 def cmd_oracle(args) -> int:
-    cases = _ORACLE_CASES[args.case]()
-    _emit(_render_cases(args.case, cases, args.fmt), args.out)
-    return 0 if all(c["pass"] for c in cases) else 1
+    return _report(args.case, _ORACLE_CASES[args.case](), args)
 
 
 # argparse types: with `choices`, they validate every input at parse time,
@@ -230,9 +217,7 @@ def cmd_lyapunov(args) -> int:
         "n": n,
     }]
     # JSON keeps the rates first; the tabular formats sort by id.
-    _emit(_render_cases("lyapunov", cases if args.fmt == "json" else _by_id(cases),
-                        args.fmt), args.out)
-    return 0 if all(c["pass"] for c in cases) else 1
+    return _report("lyapunov", cases if args.fmt == "json" else _by_id(cases), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,12 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.run(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code = args.run(args)
+        sys.stdout.flush()  # here, so that a reader that has gone is an OSError too
+        return code
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # so that the interpreter's last flush of stdout cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

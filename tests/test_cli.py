@@ -20,6 +20,7 @@ from flagdyn import checks
 from flagdyn import classification as cls
 from flagdyn import cli
 from flagdyn import dynamics as dyn
+from children import child_env
 
 
 def run(argv, capsys):
@@ -77,13 +78,12 @@ class TestVerify:
         # its own directory, where a relative --out lands
         cpu = min(os.sched_getaffinity(0))
         pin = f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         runs = []
         for prefix, where in ((pin, tmp_path / "pinned"), ("import sys; ", tmp_path / "free")):
             where.mkdir()
             proc = subprocess.run([sys.executable, "-c", prefix + "from flagdyn import cli; "
                                    "sys.exit(cli.main(sys.argv[1:]))", *argv],
-                                  cwd=where, env=env, capture_output=True, text=True)
+                                  cwd=where, env=child_env(), capture_output=True, text=True)
             out = where / "orbit.csv"
             runs.append((proc.stdout, proc.stderr, proc.returncode,
                          out.read_text() if out.exists() else None))
@@ -110,6 +110,28 @@ class TestVerify:
         code, out = run(["verify", "--samples", samples], capsys)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("seed", [0, 39])
+    def test_report_is_what_run_checks_returns(self, capsys, seed):
+        code, out = run(["verify", "--format", "json", "--seed", str(seed)], capsys)
+        cases = checks.run_checks(seed=seed)
+        assert json.loads(out)["cases"] == cases
+        assert code == (0 if all(c["pass"] for c in cases) else 1)
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "dynamics", "--format", "json"],
+                                      ["--help"]], ids=["verify", "help"])
+    def test_a_reader_that_has_gone_before_the_last_flush_gets_exit_2(self, argv):
+        # the output is shorter than stdout's buffer, so its bytes reach the
+        # pipe only at the last flush, after the read end is closed
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "flagdyn.cli", *argv], env=child_env(),
+                                  stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
+
 
 class TestOracle:
     def test_degeneration_prints_matrix_and_limit(self, capsys):
@@ -133,6 +155,12 @@ class TestOracle:
         code, out = run(["oracle", "subalgebra-table", "--format", "json"], capsys)
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["cases"])
+
+    @pytest.mark.parametrize("case, oracle", [("subalgebra-table", cls.verify_subalgebra_table),
+                                              ("bracket-table", cls.tresse_bracket_suite)])
+    def test_report_is_what_the_oracle_returns(self, capsys, case, oracle):
+        _, out = run(["oracle", case, "--format", "json"], capsys)
+        assert json.loads(out)["cases"] == sorted(oracle(), key=lambda c: c["id"])
 
     def test_unknown_case_is_usage_error(self, capsys):
         code = cli.main(["oracle", "not-a-case"])
@@ -174,9 +202,8 @@ class TestSimulate:
     def test_a_reader_that_stops_early_ends_a_split_run(self):
         # the caller's write fails once the reader stops reading; it kills
         # and reaps the workers that still run, and none outlives it
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.Popen([sys.executable, "-m", "flagdyn.cli", "simulate", "-n", "100000"],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 start_new_session=True)
         proc.stdout.read(100)
         proc.stdout.close()
@@ -292,9 +319,8 @@ def test_start_up_imports_no_code_generation_machinery():
     code = ("import sys; before = set(sys.modules); "
             "import flagdyn.cli; flagdyn.cli.build_parser(); "
             "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+                         check=True, env=child_env()).stdout
     added = set(out.split())
     assert "flagdyn.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile"}

@@ -1,12 +1,10 @@
 """Exact kernel tests: brackets, grading, adjoint actions, exponentials."""
 
 import math
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,7 @@ from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_traceless, run_check
 from flagdyn.rational import solve
+from children import child_env
 from fraction_count import fractions_built
 from strategies import small_fractions
 
@@ -254,9 +253,8 @@ def test_importing_lie_core_loads_only_the_layers_it_uses():
     # the package __init__ imports no layer, so lie_core loads rational only
     code = ("import sys, flagdyn.lie_core; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'flagdyn'))")
-    src = str(Path(lc.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+                         check=True, env=child_env()).stdout
     assert out.split() == ["flagdyn", "flagdyn.lie_core", "flagdyn.rational"]
 
 

@@ -37,7 +37,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.rational import _cleared
-from children import assert_no_child_left
+from children import assert_no_child_left, child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,7 +97,7 @@ def test_per_draw_check_stops_at_the_first_failing_draw(counter):
 
 def test_per_draw_check_fails_without_draws(counter):
     assert checks.run_check("counted", samples=0) == (False, None)
-    assert [o.passed for o in checks.run_checks(samples=0)] == [False]
+    assert [c["pass"] for c in checks.run_checks(samples=0)] == [False]
     assert counter.draws == 0
 
 
@@ -176,8 +176,8 @@ def test_registry_matches_the_benchmark_case_counts():
 # ---------------------------------------------------------------------------
 
 def _one_at_a_time(suite, seed, samples):
-    """The outcomes of run_checks, each check run alone in this process."""
-    outcomes = []
+    """The cases of run_checks, each check run alone in this process."""
+    cases = []
     for check_id, suite_name, anchor, _ in sorted(checks.REGISTRY):
         if suite is not None and suite_name != suite:
             continue
@@ -185,8 +185,8 @@ def _one_at_a_time(suite, seed, samples):
             passed, residual = checks.run_check(check_id, seed, samples)
         except Exception:
             passed, residual = False, None
-        outcomes.append(checks.CheckOutcome(check_id, anchor, passed, residual))
-    return outcomes
+        cases.append({"id": check_id, "anchor": anchor, "pass": passed, "residual": residual})
+    return cases
 
 
 @pytest.mark.parametrize("seed", [0, 39])
@@ -444,8 +444,7 @@ def _defined(src):
 
 def test_src_holds_what_the_program_runs(tmp_path):
     src = Path(checks.__file__).resolve().parent
-    env = {**os.environ, "PYTHONPATH": str(src.parent)}
-    proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, check=True)
     codes = json.loads(proc.stdout)
     assert codes == [0] * len(codes)

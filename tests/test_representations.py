@@ -231,10 +231,6 @@ def test_readers_of_integer_entries_stay_exact():
 
 # each record type with its fields in constructor order and a sample value
 RECORDS = {
-    checks.CheckOutcome: {"check_id": "heis-group-law", "anchor": "a law",
-                          "passed": True, "residual": None},
-    cls.OracleReport: {"case_id": "bracket-corner-e1", "anchor": "[e^0, e_1] = -e^0",
-                       "expected": "x", "computed": "x", "passed": True},
     cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
     cls.DegenerationCase: {"boundary_flag": fs.O_A, "pivot": lc.GroupElem.identity(),
                            "circle_group": abs, "model_group": abs,
