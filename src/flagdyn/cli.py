@@ -3,8 +3,9 @@ nilmanifold simulations with machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
 configuration error, or output that cannot be written, as when the reader
-closes the pipe.  Output is a function of the arguments alone, the
-seed among them.
+closes the pipe or stdout was closed before the start.  A stderr that
+cannot be written loses its lines and changes no exit code.  Output is a
+function of the arguments alone, the seed among them.
 """
 
 from __future__ import annotations
@@ -271,6 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    for fd, name in ((1, "stdout"), (2, "stderr")):
+        if getattr(sys, name) is None:  # closed at the start: a write fails with EBADF
+            os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+            setattr(sys, name, open(fd, "w", encoding="utf-8"))
+    error = ""
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -279,13 +285,17 @@ def main(argv=None) -> int:
         else:
             code = args.run(args)
         sys.stdout.flush()  # here, so that a reader that has gone is an OSError too
-        return code
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # so that the interpreter's last flush of stdout cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        code, error = 2, f"error: {exc}\n"
+    # a stream that cannot take its bytes goes to os.devnull, so that the last
+    # flush cannot fail again (code 120): stderr's lines are lost, not the code
+    for stream, text in ((sys.stdout, ""), (sys.stderr, error)):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

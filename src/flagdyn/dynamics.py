@@ -12,9 +12,11 @@ determinant-one linear part, so quotient dynamics reduce to a fundamental
 box [0,1) x [0,1) x [0,1/2).  Points and vectors are tuples of floats.
 
 One loop, `_reduced_orbit`, walks every float orbit, with the reduction and
-the map written out so that a step makes no call.  `write_trajectory` splits
-the rows of the trajectory CSV over the CPUs through `workers.split`, the
-one fork helper, which `checks.run_checks` uses too.
+the map written out so that a step makes no call; it yields blocks of 1024
+steps, and walks the steps before the first one asked for without recording
+them.  `write_trajectory` splits the rows of the trajectory CSV over the
+CPUs through `workers.split`, the one fork helper, which `checks.run_checks`
+uses too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from functools import partial
-from itertools import islice
 
 from .lie_core import LieVec, bracket
 from .models import SL2_E, SL2_F, SL2_H
@@ -154,39 +155,60 @@ class NilMap(_Record):
 # orbits and measured rates
 # ---------------------------------------------------------------------------
 
-def _reduced_orbit(f: NilMap, p, n: int):
-    """The orbit of p under the reduced dynamics of f: yields its n+1 points,
-    each with the lattice element that left-translates it into the
-    fundamental box [0,1) x [0,1) x [0,1/2).
+_BLOCK = 1024  # steps in a block of the orbit walk, and CSV rows formatted by one `%`
+
+
+def _reduced_orbit(f: NilMap, p, lo: int, hi: int):
+    """Steps lo..hi-1 of the orbit of p under the reduced dynamics of f, in
+    blocks of 1024 steps, the last one shorter: flat lists of x, y, z, gx,
+    gy, gz per step, the point in the fundamental box [0,1) x [0,1) x
+    [0,1/2) and the lattice element (gx and gy ints) that left-translates
+    the step's image into it.  Steps before lo are walked, not recorded.
 
     The element is (-fx, -fy, gz) with fx, fy the floors of x, y: the group
     law of (-fx, -fy, 0) * p, then of (0, 0, gz) * that, written out.
-    `-fx + x` (not `x - fx`) keeps a -0.0 coordinate at 0.0.  A coordinate
+    `x + -fx` (not `x - fx`) keeps a -0.0 coordinate at 0.0.  A coordinate
     just below an integer (or z just below a half-integer) rounds up onto
     the far face of the box; it is set to 0.0 and the element moves by one
-    unit, before z is computed from it.  `f.apply` follows, written out."""
+    unit, before z is computed from it.  `f.apply` follows, written out.
+    Two floats multiply faster than a float and an int, so the linear part
+    becomes floats after the first block: a one-step walk converts nothing.
+    Halving is multiplying by 0.5, which rounds the same and is faster."""
     floor = math.floor
     (a, b), (c, d) = f.linear
     tx, ty, tz = f.translation
     x, y, z = p
+    # block ends fall on lo + 1024 j and on hi; `if lo` spares reduce_point a `%`
+    k, end = 0, (lo % _BLOCK or _BLOCK) if lo else _BLOCK
+    if end > hi:
+        if hi <= lo:
+            return
+        end = hi
+    blk = []
     while True:
         fx, fy = floor(x), floor(y)
-        rx, ry = -fx + x, -fy + y
+        rx, ry = x + -fx, y + -fy
         if rx == 1.0:
             rx, fx = 0.0, fx + 1
         if ry == 1.0:
             ry, fy = 0.0, fy + 1
-        z = z + (fy * x - fx * y) / 2.0
-        gz = -floor(2.0 * z) / 2.0
+        z = z + (x * fy - y * fx) * 0.5
+        gz = 0.5 * -floor(2.0 * z)
         rz = gz + z
         if rz == 0.5:
             rz, gz = 0.0, gz - 0.5
-        yield (rx, ry, rz), (float(-fx), float(-fy), gz)
-        if n <= 0:
-            return
-        n -= 1
-        u, v = a * rx + b * ry, c * rx + d * ry
-        x, y, z = tx + u, ty + v, tz + rz + (tx * v - ty * u) / 2.0
+        blk += rx, ry, rz, -fx, -fy, gz
+        k += 1
+        if k == end:
+            if k > lo:
+                yield blk
+            if k == hi:
+                return
+            blk = []
+            end = k + _BLOCK if k + _BLOCK < hi else hi
+            a, b, c, d = 1.0 * a, 1.0 * b, 1.0 * c, 1.0 * d
+        u, v = rx * a + ry * b, rx * c + ry * d
+        x, y, z = tx + u, ty + v, tz + rz + (tx * v - ty * u) * 0.5
 
 
 _IDENTITY = NilMap(((1, 0), (0, 1)), (0.0, 0.0, 0.0))
@@ -196,28 +218,13 @@ def reduce_with_translation(p):
     """Left-translate by a lattice element into the fundamental box; returns
     (representative, lattice element).  The representative is unique, so
     this is a retraction invariant under lattice left multiplication."""
-    (reduced,) = _reduced_orbit(_IDENTITY, p, 0)  # runs it out: cheaper than next()
-    return reduced
+    (blk,) = _reduced_orbit(_IDENTITY, p, 0, 1)
+    return tuple(blk[:3]), (float(blk[3]), float(blk[4]), blk[5])
 
 
 def reduce_point(p):
-    return reduce_with_translation(p)[0]
-
-
-def iterate(f: NilMap, p0, n: int):
-    """Orbit of the reduced dynamics: yields its n+1 points, inside the box,
-    one at a time, so that a long orbit streams to its CSV."""
-    return (p for p, _ in _reduced_orbit(f, p0, n))
-
-
-def _left_frame(p, w):
-    """Coordinate vector of the left-invariant extension of the algebra
-    vector w at the point p."""
-    return (w[0], w[1], w[2] + (-p[1] * w[0] + p[0] * w[1]) / 2.0)
-
-
-def _frame_inverse(p, d):
-    return (d[0], d[1], d[2] - (-p[1] * d[0] + p[0] * d[1]) / 2.0)
+    (blk,) = _reduced_orbit(_IDENTITY, p, 0, 1)
+    return blk[0], blk[1], blk[2]
 
 
 class RateEstimate(_Record):
@@ -233,24 +240,32 @@ _RATE_STEP = 1e-6  # size of their perturbation
 
 
 def _measured_rate(f: NilMap, w, n: int) -> float:
+    """Mean log growth over n steps of the reduced orbit of _RATE_START of a
+    perturbation along the left-invariant extension of w, rescaled every
+    step; `f.apply`, `heis_mul` and the left frame (w0, w1, w2 + (x w1 -
+    y w0) / 2) and its inverse written out."""
     h = _RATE_STEP
-    orbit = _reduced_orbit(f, _RATE_START, n)
-    p, _ = next(orbit)
-    norm = math.hypot(*w)
-    d = _left_frame(p, tuple(c / norm for c in w))
+    (a, b), (c, d) = f.linear
+    tx, ty, tz = f.translation
+    x, y, z = reduce_point(_RATE_START)  # step 0, which f has not moved
+    (w0, w1, w2), growth = w, math.hypot(*w)
     total = 0.0
-    for p1, gamma in orbit:
-        q = (p[0] + h * d[0], p[1] + h * d[1], p[2] + h * d[2])
-        q1 = heis_mul(gamma, f.apply(q))
-        wv = _frame_inverse(p1, ((q1[0] - p1[0]) / h, (q1[1] - p1[1]) / h,
-                                 (q1[2] - p1[2]) / h))
-        growth = math.hypot(*wv)
-        if not (growth > 0 and math.isfinite(growth)):
-            raise ValueError(f"the {h:g} perturbation was lost to float rounding "
-                             "at this scale; no finite-difference rate")
-        total += math.log(growth)
-        d = _left_frame(p1, tuple(c / growth for c in wv))
-        p = p1
+    for blk in _reduced_orbit(f, _RATE_START, 1, n + 1):
+        for x1, y1, z1, gx, gy, gz in zip(*[iter(blk)] * 6):
+            e0, e1, e2 = w0 / growth, w1 / growth, w2 / growth
+            dx, dy, dz = e0, e1, e2 + (-y * e0 + x * e1) / 2.0
+            qx, qy, qz = x + h * dx, y + h * dy, z + h * dz
+            u, v = a * qx + b * qy, c * qx + d * qy
+            ax, ay, az = tx + u, ty + v, tz + qz + (tx * v - ty * u) / 2.0
+            q1x, q1y, q1z = gx + ax, gy + ay, gz + az + (gx * ay - gy * ax) / 2.0
+            d0, d1, d2 = (q1x - x1) / h, (q1y - y1) / h, (q1z - z1) / h
+            w0, w1, w2 = d0, d1, d2 - (-y1 * d0 + x1 * d1) / 2.0
+            growth = math.hypot(w0, w1, w2)
+            if not (growth > 0 and math.isfinite(growth)):
+                raise ValueError(f"the {h:g} perturbation was lost to float rounding "
+                                 "at this scale; no finite-difference rate")
+            total += math.log(growth)
+            x, y, z = x1, y1, z1
     return total / n
 
 
@@ -371,36 +386,39 @@ def volume_obstruction_check(lam: float, mu: float) -> str:
 
 
 _ROW = "%d,%.17g,%.17g,%.17g\n"
-_BLOCK = 1024  # rows formatted by one `%`
 _ROWS = _ROW * _BLOCK
 
 
 def _range_blocks(f: NilMap, p0, rows):
     """The CSV rows lo..hi-1 of the orbit of p0, for rows = (lo, hi), with
     17 significant digits per coordinate, as text a block of rows at a time:
-    the orbit is walked from step 0, and the rows before lo are not
-    formatted."""
-    lo, hi = rows
-    flat = []
-    for k, row in enumerate(islice(iterate(f, p0, hi - 1), lo, None), lo):
-        flat.append(k)
-        flat += row
-        if len(flat) == 4 * _BLOCK:
-            yield _ROWS % tuple(flat)
-            flat.clear()
-    yield _ROW * (len(flat) // 4) % tuple(flat)
+    one `%` formats a block of the orbit walk, whose steps before lo are
+    walked but not recorded."""
+    k, hi = rows
+    row = [0] * (4 * _BLOCK)  # step, x, y, z of each row of the block
+    for blk in _reduced_orbit(f, p0, k, hi):
+        m = len(blk) // 6
+        if m < _BLOCK:  # the last block
+            del row[4 * m:]
+        row[0::4] = range(k, k + m)
+        row[1::4] = blk[0::6]
+        row[2::4] = blk[1::6]
+        row[3::4] = blk[2::6]
+        yield (_ROWS if m == _BLOCK else _ROW * m) % tuple(row)
+        k += m
 
 
 def write_trajectory(fh, f: NilMap, p0, n: int) -> None:
-    """Trajectory CSV of `iterate(f, p0, n)` to an open text stream: header
-    step,x,y,z, then the rows, a block of rows at a time.  The rows are
-    split into equal shares, at block boundaries, over the CPUs this
-    process may use (`workers.split`).  The caller writes the first share
-    as it walks the orbit; each forked worker walks the orbit from step 0
-    and formats its own share.  The walk is deterministic, so the text is
-    the same on any number of CPUs.  Every share holds at least one block;
-    with fewer rows there are fewer shares, down to one, which the caller
-    writes alone."""
+    """Trajectory CSV of steps 0..n of the reduced orbit of p0 under f to an
+    open text stream: header step,x,y,z, then the rows, one block of the
+    orbit walk (1024 rows) at a time.  The rows are split into equal
+    shares, at block boundaries, over the CPUs this process may use
+    (`workers.split`).  The caller writes the first share as it walks the
+    orbit; each forked worker walks the orbit from step 0, records no step
+    before its share, and formats its share block by block.  The walk is
+    deterministic, so the text is the same on any number of CPUs.  Every
+    share holds at least one block; with fewer rows there are fewer shares,
+    down to one, which the caller writes alone."""
     rows = n + 1
     shares = max(1, min(cpus(), rows // _BLOCK))
     bounds = [_BLOCK * (rows * w // (shares * _BLOCK)) for w in range(shares)] + [rows]

@@ -267,6 +267,48 @@ class TestSimulate:
             assert "translation does not normalize the lattice" in err
 
 
+def _run_closing(fd, argv, how="closed"):
+    """flagdyn in a child whose descriptor fd (1 or 2) is closed before it
+    starts, or, for how="read-only", open on a file it cannot write, as a
+    launcher script can leave it; the other two are pipes, read as text."""
+    def close():
+        if how == "closed":
+            os.close(fd)
+        else:
+            os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+    return subprocess.run([sys.executable, "-m", "flagdyn.cli", *argv], env=child_env(),
+                          capture_output=True, text=True, preexec_fn=close, timeout=60)
+
+
+class TestClosedStreams:
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "dynamics"], ["simulate", "-n", "3"],
+                                      ["--help"]], ids=["verify", "simulate", "help"])
+    def test_output_for_a_closed_stdout_exits_2(self, argv, how):
+        proc = _run_closing(1, argv, how)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 9] Bad file descriptor\n"
+
+    def test_an_out_file_is_written_with_stdout_closed(self, capsys, tmp_path):
+        target = tmp_path / "orbit.csv"
+        proc = _run_closing(1, ["simulate", "-n", "3", "--out", str(target)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert target.read_text() == run(["simulate", "-n", "3"], capsys)[1]
+
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    @pytest.mark.parametrize("argv", [["simulate", "--matrix", "1,1,1,1", "-n", "3"],
+                                      ["verify", "--seed", "x"]],
+                             ids=["configuration", "usage"])
+    def test_an_error_with_stderr_closed_exits_2(self, argv, how):
+        proc = _run_closing(2, argv, how)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_a_run_with_stderr_closed_keeps_its_exit_code(self, capsys):
+        proc = _run_closing(2, ["simulate", "-n", "3"])
+        assert (proc.returncode, proc.stdout) == (0, run(["simulate", "-n", "3"], capsys)[1])
+
+
 class TestLyapunov:
     def test_cat_map_unstable_rate(self, capsys):
         code, out = run(["lyapunov", "--matrix", "2,1,1,1", "-n", "200",

@@ -246,6 +246,23 @@ ORBIT_STARTS = [(1 - 2 ** -53, 0.5, 0.5 - 2 ** -54), (0.25, 1 - 2 ** -53, 0.1),
                 (3.7, -2.2, 1.9), (0.0, 0.0, 0.5 - 2 ** -54)]
 
 
+def orbit_steps(f, p, n):
+    """Steps 0..n of the program's orbit walk, each a (point, lattice
+    element) pair of float tuples, read out of its blocks."""
+    flat = [c for blk in dyn._reduced_orbit(f, p, 0, n + 1) for c in blk]
+    return [(tuple(flat[i:i + 3]), tuple(map(float, flat[i + 3:i + 6])))
+            for i in range(0, len(flat), 6)]
+
+
+def steps_by_chain(f, p, n):
+    """Steps 0..n of the reduced orbit, each the `reduce_with_translation`
+    of `NilMap.apply` of the last point."""
+    steps = [dyn.reduce_with_translation(p)]
+    for _ in range(n):
+        steps.append(dyn.reduce_with_translation(f.apply(steps[-1][0])))
+    return steps
+
+
 class TestIterate:
     def test_fused_orbit_is_the_step_chain_bit_for_bit(self):
         # the oracle reduces every image of NilMap.apply on its own
@@ -253,42 +270,68 @@ class TestIterate:
         for trial in range(60):
             f = random_nil_map(rng)
             p = ORBIT_STARTS[trial % len(ORBIT_STARTS)]
-            n = rng.choice((0, 1, 2, 40))
-            expected = [dyn.reduce_point(p)]
-            for _ in range(n):
-                expected.append(dyn.reduce_point(f.apply(expected[-1])))
-            assert repr(list(dyn.iterate(f, p, n))) == repr(expected), (f, p)
+            n = rng.choice((0, 1, 2, 40, 1030))
+            assert repr(orbit_steps(f, p, n)) == repr(steps_by_chain(f, p, n)), (f, p)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 1024), (0, 1025), (1, 2001),
+                                        (5, 5), (7, 3), (1000, 3100), (2048, 4097)])
+    def test_blocks_hold_steps_lo_to_hi(self, lo, hi):
+        # blocks of 1024 steps from lo, the last one shorter; 6 entries a step
+        f = dyn.NilMap.of(((3, 2), (1, 1)), (0.5, 1.5, 0.3))
+        walked = [c for blk in dyn._reduced_orbit(f, SPLIT_START, 0, 4097) for c in blk]
+        expected = walked[6 * lo:6 * hi]
+        blocks = list(dyn._reduced_orbit(f, SPLIT_START, lo, hi))
+        assert [len(blk) for blk in blocks] == [
+            min(6 * 1024, len(expected) - k) for k in range(0, len(expected), 6 * 1024)]
+        assert repr([c for blk in blocks for c in blk]) == repr(expected)
 
     def test_identity_map_constant_orbit(self):
         f = dyn.NilMap.of(((1, 0), (0, 1)))
-        orbit = list(dyn.iterate(f, (0.2, 0.3, 0.1), 5))
+        orbit = [q for q, _ in orbit_steps(f, (0.2, 0.3, 0.1), 5)]
         assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
                    for row in orbit for a, b in zip(row, orbit[0]))
 
     def test_orbit_stays_in_the_box(self):
         f = dyn.NilMap.of(CAT, (0.5, 1.0, 0.3))
-        orbit = list(dyn.iterate(f, (0.37, 0.21, 0.13), 500))
+        orbit = [q for q, _ in orbit_steps(f, (0.37, 0.21, 0.13), 500)]
         assert all(0 <= x < 1 and 0 <= y < 1 and 0 <= z < 0.5 for x, y, z in orbit)
+
+
+def left_frame(p, w):
+    """Coordinate vector of the left-invariant extension of the algebra
+    vector w at the point p."""
+    return (w[0], w[1], w[2] + (-p[1] * w[0] + p[0] * w[1]) / 2.0)
+
+
+def frame_inverse(p, d):
+    """The algebra vector whose left-invariant extension at p is d."""
+    return (d[0], d[1], d[2] - (-p[1] * d[0] + p[0] * d[1]) / 2.0)
 
 
 def measured_rate_by_steps(f, w, n):
     """`_measured_rate` with every step of the reduced orbit taken through
-    `reduce_with_translation` of `NilMap.apply`."""
+    `reduce_with_translation` of `NilMap.apply`, and the perturbation
+    through `NilMap.apply`, `heis_mul` and the frame formulas above."""
     h = dyn._RATE_STEP
     p = dyn.reduce_point(dyn._RATE_START)
     norm = math.hypot(*w)
-    d = dyn._left_frame(p, tuple(c / norm for c in w))
+    d = left_frame(p, tuple(c / norm for c in w))
     total = 0.0
     for _ in range(n):
         q = tuple(a + h * b for a, b in zip(p, d))
         p1, gamma = dyn.reduce_with_translation(f.apply(p))
         q1 = dyn.heis_mul(gamma, f.apply(q))
-        wv = dyn._frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
+        wv = frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
         growth = math.hypot(*wv)
         total += math.log(growth)
-        d = dyn._left_frame(p1, tuple(c / growth for c in wv))
+        d = left_frame(p1, tuple(c / growth for c in wv))
         p = p1
     return total / n
+
+
+# the linear parts of the benchmark's orbit workload
+BENCHMARK_MATRICES = [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((5, 2), (2, 1)), ((1, 1), (1, 2)),
+                      ((3, 1), (2, 1))]
 
 
 class TestTangentRates:
@@ -301,6 +344,17 @@ class TestTangentRates:
                          (f.inverse(), (rng.uniform(-1, 1), 1.0, rng.uniform(-1, 1))),
                          (f, (0.0, 0.0, 1.0))):
                 assert repr(dyn._measured_rate(g, w, n)) == repr(measured_rate_by_steps(g, w, n))
+
+    @pytest.mark.parametrize("matrix", BENCHMARK_MATRICES, ids=str)
+    def test_benchmark_rates_are_the_step_chain_bit_for_bit(self, matrix):
+        # the measured rates `lyapunov -n 2000` reports for these maps
+        f = dyn.NilMap.of(matrix)
+        (u, s) = f.multipliers()[1]
+        expected = (measured_rate_by_steps(f, (*u, 0.0), 2000),
+                    -measured_rate_by_steps(f.inverse(), (*s, 0.0), 2000),
+                    measured_rate_by_steps(f, (0.0, 0.0, 1.0), 2000))
+        measured = tuple(r.measured for r in dyn.tangent_rates(f, n=2000).values())
+        assert repr(measured) == repr(expected)
 
     def test_cat_map_rates_match_eigen_oracle(self):
         for g in ((0.0, 0.0, 0.0), (0.5, 1.0, 0.3), (1.5, 0.5, 0.125)):
@@ -407,10 +461,31 @@ class TestVolumeObstruction:
             dyn.volume_obstruction_check(0.0, 1.0)
 
 
+def csv_by_steps(f, p, n):
+    """The trajectory CSV of steps 0..n, formatted one row at a time, each
+    point the `reduce_point` of `NilMap.apply` of the last."""
+    points = [dyn.reduce_point(p)]
+    for _ in range(n):
+        points.append(dyn.reduce_point(f.apply(points[-1])))
+    return "step,x,y,z\n" + "".join("%d,%.17g,%.17g,%.17g\n" % (k, *point)
+                                     for k, point in enumerate(points))
+
+
+def assert_same_text(text, expected):
+    """text == expected, failing on the first line that differs, so that
+    pytest never builds its diff of two long texts."""
+    if text != expected:
+        got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"line {k} is {got[k:k + 1]}, expected {want[k:k + 1]} "
+                    f"({len(got)} lines, expected {len(want)})")
+
+
 class TestTrajectoryExport:
     def test_csv_schema(self, tmp_path):
         f = dyn.NilMap.of(CAT, (0.5, 1.0, 0.3))
-        orbit = list(dyn.iterate(f, (0.37, 0.21, 0.13), 20))
+        orbit = [q for q, _ in steps_by_chain(f, (0.37, 0.21, 0.13), 20)]
         path = tmp_path / "orbit.csv"
         dyn.write_trajectory_csv(path, f, (0.37, 0.21, 0.13), 20)
         with open(path, encoding="utf-8") as fh:
@@ -429,11 +504,36 @@ class TestTrajectoryExport:
                   rng.uniform(-1e6, 1e6), rng.random() / 3) for _ in range(n_rows)]
         expected = "step,x,y,z\n" + "".join(
             "%d,%.17g,%.17g,%.17g\n" % (k, *row) for k, row in enumerate(orbit))
-        # the program's writer, over these points in place of an orbit
-        monkeypatch.setattr(dyn, "iterate", lambda f, p0, n: iter(orbit[:n + 1]))
+
+        def blocks(f, p0, lo, hi):
+            # these points in place of an orbit's, in the walk's blocks
+            flat = [c for row in orbit[lo:hi] for c in (*row, 0, 0, 0.0)]
+            for k in range(0, len(flat), 6 * 1024):
+                yield flat[k:k + 6 * 1024]
+
+        # the program's writer, over these blocks
+        monkeypatch.setattr(dyn, "_reduced_orbit", blocks)
         fh = io.StringIO()
         dyn.write_trajectory(fh, SPLIT_MAP, SPLIT_START, n_rows - 1)
-        assert fh.getvalue() == expected
+        assert_same_text(fh.getvalue(), expected)
+        assert_no_child_left()
+
+    def test_csv_is_the_step_chain_byte_for_byte(self, monkeypatch):
+        # random maps from starts on the faces of the box and at signed
+        # zeros, on either side of a block.  On three CPUs the rows of n up
+        # to 1025 are one share, of 2049 two, and of 3072, for every fourth
+        # map, three.
+        monkeypatch.setattr(dyn, "cpus", lambda: 3)
+        rng = random.Random(23)
+        for trial in range(60):
+            f = random_nil_map(rng)
+            p = ORBIT_STARTS[trial % len(ORBIT_STARTS)]
+            steps = (0, 1, 1023, 1024, 1025, 2049) + ((3072,) if trial % 4 == 0 else ())
+            lines = csv_by_steps(f, p, steps[-1]).splitlines(keepends=True)
+            for n in steps:
+                fh = io.StringIO()
+                dyn.write_trajectory(fh, f, p, n)
+                assert_same_text(fh.getvalue(), "".join(lines[:n + 2]))
         assert_no_child_left()
 
 
@@ -463,8 +563,7 @@ def _split_text(monkeypatch, rows, cpus, work=None):
 
 def _one_process_text(rows):
     """The CSV of SPLIT_MAP's first `rows` rows, formatted one row at a time."""
-    return "step,x,y,z\n" + "".join("%d,%.17g,%.17g,%.17g\n" % (k, *point) for k, point
-                                     in enumerate(dyn.iterate(SPLIT_MAP, SPLIT_START, rows - 1)))
+    return csv_by_steps(SPLIT_MAP, SPLIT_START, rows - 1)
 
 
 class TestSplitTrajectory:
@@ -472,7 +571,7 @@ class TestSplitTrajectory:
     @pytest.mark.parametrize("rows", SPLIT_ROWS)
     def test_split_rows_are_the_rows_of_one_process(self, monkeypatch, rows, cpus):
         text, shares = _split_text(monkeypatch, rows, cpus)
-        assert text == _one_process_text(rows)
+        assert_same_text(text, _one_process_text(rows))
         # a share for each CPU, each of at least one block, the caller's first
         assert len(shares) == min(cpus, rows // 1024)
         assert [lo for lo, _ in shares] + [rows] == [0] + [hi for _, hi in shares]
@@ -498,7 +597,7 @@ class TestSplitTrajectory:
 
         text, shares = _split_text(monkeypatch, 3073, 3, send_and_leave)
         assert len(shares) == 3
-        assert text == _one_process_text(3073)
+        assert_same_text(text, _one_process_text(3073))
         assert_no_child_left()
 
     def test_a_worker_writes_each_block_before_it_formats_the_next(self, monkeypatch):
