@@ -51,7 +51,7 @@ def at_infinity(m) -> bool:
 
 class Flag(_Record):
     """A point m on a line n, both primitive integer 3-tuples, n . m = 0.
-    A verify pass builds thousands, so the record is written out."""
+    A verify pass builds thousands, so `__init__` is written out."""
 
     __slots__ = ("point", "line")
 
@@ -60,14 +60,6 @@ class Flag(_Record):
             raise ValueError("flag point must lie on the flag line")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "line", line)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.point == other.point and self.line == other.line
-
-    def __hash__(self):
-        return hash((self.point, self.line))
 
     @staticmethod
     def of(point_vec, second_point_vec) -> "Flag":

@@ -155,17 +155,17 @@ def grade_decompose(v: LieVec) -> dict:
 _GRADES = tuple(j - i for i in range(3) for j in range(3))
 
 
-class GroupElem:
+class GroupElem(_Record):
     """Projective transformation: invertible 3x3 rational matrix up to scale.
 
     The stored representative is the primitive integer matrix of the class:
     integer entries with gcd 1 whose first nonzero entry in row-major order
-    is positive.  So projective equality is structural equality (and the
-    class is hashable).  `adjugate` holds the integer adjugate of the
-    entries, a representative of the inverse, computed once.
+    is positive, so two elements, records compared by their fields, are
+    equal exactly when they are one class.  `adjugate` holds the integer
+    adjugate of the entries, a representative of the inverse, computed once.
 
-    `GroupElem(rows)` takes ints and Fractions and rejects floats; the
-    products, inverses and transposes of stored elements stay in ints.
+    `GroupElem(rows)` takes ints and Fractions, not the fields, and rejects
+    floats; the products, inverses and transposes stay in ints.
     """
 
     __slots__ = ("entries", "adjugate")
@@ -185,8 +185,8 @@ class GroupElem:
         adj = _adjugate_ints(flat)
         if flat[0] * adj[0] + flat[1] * adj[3] + flat[2] * adj[6] == 0:
             raise ValueError("projective transformation must be invertible")
-        self.entries = _rows(flat)
-        self.adjugate = _rows(tuple(adj))
+        object.__setattr__(self, "entries", _rows(flat))
+        object.__setattr__(self, "adjugate", _rows(tuple(adj)))
 
     @staticmethod
     def identity() -> "GroupElem":
@@ -202,15 +202,6 @@ class GroupElem:
 
     def transpose(self) -> "GroupElem":
         return GroupElem._of_ints([e for col in zip(*self.entries) for e in col])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElem) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"GroupElem({[list(map(str, r)) for r in self.entries]})"
 
     def is_upper_triangular(self) -> bool:
         e = self.entries

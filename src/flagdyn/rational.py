@@ -14,8 +14,9 @@ trust their input.  Exact data is kept as integer representatives
 (`GroupElem`, the point and line of a `Flag`, and the `_CanonicalInts`
 classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto`
 and `Block`), or cleared of its denominators once by `_cleared`, which
-rejects floats.  The value and report types of every layer are `_Record`s:
-read-only slotted records, built with no code generation and no import.
+rejects floats.  The value types, these among them, and the report types
+of every layer are `_Record`s: read-only slotted records, built with no
+code generation, whose one base class holds their equality, hashing and repr.
 `inverse3`, on ints and Fractions, is only the independent inverse of the
 dense curvature oracle.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 
 def _cleared(*rows):
@@ -50,45 +52,23 @@ def _rows(flat):
     return (flat[0:3], flat[3:6], flat[6:9])
 
 
-class _CanonicalInts:
-    """Exact values as ints over one positive denominator: value k is
-    nums[k] / den, with gcd(den, *nums) 1.  The form is canonical, so
-    equality and hashing are structural within a subclass.  `cls(nums,
-    den)` takes any ints with den != 0."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums, den=1):
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-        self.nums = tuple(nums)
-        self.den = den
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.nums == other.nums and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.nums}, {self.den})"
-
-
 class _Record:
-    """A read-only record whose fields are the subclass's `__slots__`, set
-    once from positional or keyword arguments in field order.  Equality and
-    hashing are structural within a subclass, the repr names the class and
-    the fields, and assigning or deleting a field raises AttributeError.
-    `Flag`, which a hot path builds, writes out its own `__init__`."""
+    """A read-only record whose fields are the subclass's `__slots__`, or
+    its base's when those are empty, set once from positional or keyword
+    arguments in field order; a subclass that checks or normalizes them
+    writes its own `__init__`, storing them with `object.__setattr__`.
+    Equality and hashing compare the fields within a subclass, the repr
+    names the class and the fields, and assigning or deleting a field
+    raises AttributeError."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__["__slots__"] or cls._fields
+        cls._key = attrgetter(*cls._fields)
+
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         if kwargs:
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if len(args) != len(names) or kwargs:
@@ -99,14 +79,14 @@ class _Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        names = self.__slots__
-        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+        return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -114,6 +94,25 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _CanonicalInts(_Record):
+    """Exact values as ints over one positive denominator: value k is
+    nums[k] / den, with gcd(den, *nums) 1.  The form is canonical, so the
+    record's equality is equality of values.  `cls(nums, den)` takes any
+    ints with den != 0."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
 
 def _primitive_ints(nums) -> tuple:

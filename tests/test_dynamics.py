@@ -425,6 +425,10 @@ class TestHyperbolicityReport:
     def test_expanding_pair_fails_contraction(self):
         assert dyn.hyperbolicity_report((math.log(2), math.log(3), math.log(6))) is None
 
+    def test_contraction_below_the_margin_is_not_certified(self):
+        # 100 steps of a 1e-9 rate shrink by less than the margin 1e-6
+        assert dyn.hyperbolicity_report((-1e-9, 1.0, 0.0)) is None
+
     def test_nil_map_certifies_from_its_exact_multipliers(self, monkeypatch):
         def no_measurement(*args):
             raise AssertionError("finite-difference step")

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from flagdyn import curvature as curv
@@ -141,6 +141,9 @@ def test_adjugate3(a):
     assert_same(tuple(R._adjugate_ints(a)), oracle, int)
 
 
+# determinant 1 is not singular: the identity and a unimodular matrix
+@example([[1, 0, 0, 0, 1, 0, 0, 0, 1]], False)
+@example([[2, 1, 0, 1, 1, 0, 3, 5, 1]], False)
 @given(operands(9), st.booleans())
 def test_inverse3(ops, singular):
     (a,) = ops

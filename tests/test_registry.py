@@ -7,11 +7,11 @@ check at its defaults; a test elsewhere that needs more calls
 test re-implements a sampled check body.  Example tests elsewhere state
 some checks' fixed values (a bracket, an isotropy diagonal, an invariant
 line), so that a failure prints the value where the check returns False.
-The tests after it cover the
-registry's one runner (its draws, fixed part, stop rule and residuals, and
-the failure of a check that tested nothing), the per-model sample count of
-the two-model checks, the check counts the benchmark pins, the split of
-`run_checks` over worker processes, which must change no outcome, the draw
+The tests after it cover the registry's one runner (its draws, fixed part,
+stop rule and residuals, and the failure of a check that tested nothing),
+the per-model sample count of the two-model checks, the check counts the
+benchmark pins, the split of `run_checks` over worker processes, which
+must change no outcome, a check that raises, unknown names, the draw
 helpers, which must keep the random streams of `random.Random.randint`,
 and the rule that `src` holds only what the program runs.
 """
@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from flagdyn import checks
+from flagdyn import cli
 from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
@@ -236,6 +237,31 @@ def test_checks_of_a_dying_worker_run_in_the_caller(monkeypatch):
         for cid, suite, anchor, run in checks._REGISTRY])
     assert checks.run_checks(seed=0, samples=2) == _one_at_a_time(None, 0, 2)
     assert_no_child_left()
+
+
+def test_a_raising_check_fails_alone_and_fails_the_run(monkeypatch, capsys):
+    # its body raises, in a forked worker when there is more than one: the
+    # case fails with no residual, no other case changes, and verify exits 1
+    worker_of = _worker_of()
+    raising = max(worker_of, key=worker_of.get)
+    before = checks.run_checks(seed=0, samples=1)
+    monkeypatch.setattr(checks, "_REGISTRY", [
+        (cid, suite, anchor, (lambda rng, samples: 1 // 0) if cid == raising else run)
+        for cid, suite, anchor, run in checks._REGISTRY])
+    assert checks.run_checks(seed=0, samples=1) == [
+        {**case, "pass": False, "residual": None} if case["id"] == raising else case
+        for case in before]
+    assert all(case["pass"] for case in before)
+    assert cli.main(["verify", "--samples", "1"]) == 1
+    assert f"[FAIL] {raising} " in capsys.readouterr().out
+    assert_no_child_left()
+
+
+def test_unknown_check_and_suite_raise_key_error():
+    with pytest.raises(KeyError, match="no-such-check"):
+        checks.run_check("no-such-check")
+    with pytest.raises(KeyError, match="no-such-suite"):
+        checks.run_checks("no-such-suite")
 
 
 # ---------------------------------------------------------------------------

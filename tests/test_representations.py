@@ -11,14 +11,17 @@ The guard feeds integer-entry group elements, flags and Lie algebra
 elements to every reader that takes a ratio of entries or coordinates:
 with int entries `a / b` is a float, so each must build a Fraction.
 
-The value and report records of every layer behave as frozen dataclasses:
-read-only, equal and hashed by their fields within one type, and printed
-with their field names.
+The value and report records of every layer, these representations
+included, are `_Record`s and behave as frozen dataclasses: read-only,
+equal and hashed by their fields within one type, and printed with their
+field names; no other class defines that behaviour.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -32,7 +35,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import run_check
-from flagdyn.rational import _CanonicalInts, _Record
+from flagdyn.rational import _Record
 from test_rational import (
     adjugate3_oracle,
     det3_oracle,
@@ -156,12 +159,9 @@ def test_group_elem_stores_the_primitive_representative(ops, c):
 
 def exact(value) -> bool:
     """True when every leaf of `value` is an int or a Fraction; a record
-    is read as the tuple of its fields, a `_CanonicalInts` value as its
-    (nums, den)."""
+    is read as the tuple of its fields."""
     if isinstance(value, _Record):
-        value = tuple(getattr(value, name) for name in value.__slots__)
-    if isinstance(value, _CanonicalInts):
-        value = (value.nums, value.den)
+        value = tuple(getattr(value, name) for name in value._fields)
     if isinstance(value, (tuple, list)):
         return all(map(exact, value))
     return type(value) in (int, Fraction)
@@ -229,7 +229,8 @@ def test_readers_of_integer_entries_stay_exact():
 # read-only records
 # ---------------------------------------------------------------------------
 
-# each record type with its fields in constructor order and a sample value
+# each record type with its fields in order and a sample value, built from
+# the fields or, for a type in BUILT_FROM, from the arguments there
 RECORDS = {
     cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
     cls.DegenerationCase: {"boundary_flag": fs.O_A, "pivot": lc.GroupElem.identity(),
@@ -237,11 +238,25 @@ RECORDS = {
                            "transported": md.HEIS_Z, "expected": (), "limit": "alpha"},
     cls.DegenerationResult: {"t": Fraction(1, 2), "matrix": ((1, 0, 0),), "matches": True,
                              "limit": "beta", "sine_distance": 0.25},
+    curv.NormalCurvature: {"nums": (1, -1, 0, 3), "den": 4},
     dyn.NilMap: {"linear": ((2, 1), (1, 1)), "translation": (0.5, 0.0, 0.0)},
     dyn.RateEstimate: {"measured": 0.96, "exact": 0.9624},
     fs.Flag: {"point": (1, 0, 0), "line": (0, 0, 1)},
+    lc.GroupElem: {"entries": ((1, 2, 0), (0, 1, 0), (0, 0, 1)),
+                   "adjugate": ((1, -2, 0), (0, 1, 0), (0, 0, 1))},
+    lc.LieVec: {"nums": (1, 0, 0, 0, -1, 0, 0, 0, 0), "den": 2},
     lc.Subalgebra: {"basis": (md.HEIS_X, md.HEIS_Y)},
+    md.AffineMap: {"nums": (2, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0), "den": 2},
+    md.Block: {"nums": (1, -1, 0, 3), "den": 4},  # the fields of NormalCurvature's
+    md.HeisAuto: {"nums": (2, 3), "den": 1},
+    md.HeisElem: {"nums": (1, 2, 3), "den": 5},
 }
+# a group element takes the rows of any matrix of its class, not its fields
+BUILT_FROM = {lc.GroupElem: ([[2, 4, 0], [0, 2, 0], [0, 0, 2]],)}
+
+
+def sample(record_type):
+    return record_type(*BUILT_FROM.get(record_type, RECORDS[record_type].values()))
 
 
 def test_every_record_type_is_in_the_table():
@@ -256,20 +271,41 @@ def test_every_record_type_is_in_the_table():
 @pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
 def test_records_are_read_only_values(record_type):
     fields = RECORDS[record_type]
-    record = record_type(*fields.values())
+    record = sample(record_type)
     assert [getattr(record, name) for name in fields] == list(fields.values())
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    same = record_type(**fields)
+    same = sample(record_type) if record_type in BUILT_FROM else record_type(**fields)
     assert same == record and hash(same) == hash(record)
     assert record != tuple(fields.values())
     # a record of another type with the same fields and values
     twin = type("Twin", (_Record,), {"__slots__": tuple(fields)})(*fields.values())
     assert record != twin and twin != record
-    assert all(record != other(*values.values())
-               for other, values in RECORDS.items() if other is not record_type)
+    assert all(record != sample(other) for other in RECORDS if other is not record_type)
     body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(record) == f"{record_type.__name__}({body})"
+
+
+def test_module_constants_are_read_only():
+    # a module-level or cached value is shared by every later reader
+    for value in (lc.E_0, md.HEIS_Z, checks._UPPER, cls.h_t(), *cls.h_t().basis):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+def test_one_class_holds_the_value_semantics():
+    # no class in src but _Record defines equality, hashing or assignment
+    src = Path(lc.__file__).resolve().parent
+    defining = {(path.stem, node.name) for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef)
+                        and f.name in {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+                        for f in node.body)}
+    assert defining == {("rational", "_Record")}
