@@ -384,7 +384,7 @@ def _check_centralizer_full(rng):
        "closure accepts the classified list, rejects a corrupted basis")
 def _check_subalgebra_recognizer(rng):
     good = [cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2(), cls.s_0(),
-            cls.heis_algebra(), cls.so3()]
+            cls.heis_algebra(), cls.so3(), cls.so12()]
     if not all(a.is_subalgebra() for a in good):
         return False
     corrupted = list(cls.h_1().basis)
@@ -952,8 +952,18 @@ def _check_isotropy_h2(rng):
 
 
 def _unique_line_is(alg, base, target):
-    res = cls.invariant_transverse_line_search(alg, base)
-    return res.kind == "unique" and cls.line_class_equals(res.generator, target, alg, base)
+    """The search finds one line, the class of target, in the given basis
+    and in a second one, where each element but the last has the last
+    added.  In the given bases of both models the solved (x, y) is (0, 0),
+    where either sign of the transverse lift spans the same line; in the
+    second basis it is not."""
+    *rest, last = alg.basis
+    for algebra in (alg, lc.Subalgebra.of([v + last for v in rest] + [last])):
+        res = cls.invariant_transverse_line_search(algebra, base)
+        if res.kind != "unique" or not cls.line_class_equals(res.generator, target,
+                                                             algebra, base):
+            return False
+    return True
 
 
 @check("invariant-line-block", "classification",

@@ -109,13 +109,7 @@ class TestReduce:
             assert max(abs(a - b) for a, b in zip(dyn.heis_mul(gamma, p), r)) < 1e-12
 
     def test_commutes_with_descending_map(self):
-        f = dyn.NilMap.of(CAT, (0.5, 1.5, 0.25))
-        rng = random.Random(11)
-        for _ in range(10_000):
-            p = tuple(rng.uniform(-8, 8) for _ in range(3))
-            a = dyn.reduce_point(f.apply(p))
-            b = dyn.reduce_point(f.apply(dyn.reduce_point(p)))
-            assert max(abs(x - y) for x, y in zip(a, b)) < 1e-8
+        assert checks.run_check("reduce-commutes-with-map", seed=11, samples=10_000) == (True, None)
 
 
 class TestNilMap:

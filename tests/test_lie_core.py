@@ -145,6 +145,14 @@ class TestQuotientAdjoint:
         with pytest.raises(lc.NotUpperTriangularError):
             lc.quotient_adjoint(lc.GroupElem([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
+    def test_public_fraction_forms_agree(self):
+        # the registered checks read the integer closed form; this compares
+        # the two public Fraction matrices
+        rng = random.Random(101)
+        for _ in range(1000):
+            p = checks.rand_upper(rng)
+            assert lc.quotient_adjoint(p) == lc.quotient_adjoint_bruteforce(p), p
+
     @pytest.mark.parametrize("check_id, body", [
         ("quotient-adjoint-display", checks._check_qadj_display),
         ("quotient-adjoint-bruteforce", checks._check_qadj_brute)])
