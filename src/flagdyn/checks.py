@@ -276,10 +276,11 @@ def _check_sl2_bracket(rng):
        "[u,v] = -[v,u] and Jacobi, exact on random rational triples", samples=200)
 def _check_antisym_jacobi(rng):
     u, v, w = (rand_lievec(rng) for _ in range(3))
-    if lc.bracket(u, v) != -lc.bracket(v, u):
+    uv = lc.bracket(u, v)
+    if uv != -lc.bracket(v, u):
         return False
     return (lc.bracket(u, lc.bracket(v, w)) + lc.bracket(v, lc.bracket(w, u))
-            + lc.bracket(w, lc.bracket(u, v))).is_zero()
+            + lc.bracket(w, uv)).is_zero()
 
 
 @check("grading-pure-components", "lie-core",
@@ -295,10 +296,10 @@ def _check_grading_pure(rng):
 @check("grading-bracket-additivity", "lie-core",
        "bracket of grade-i and grade-j parts is pure grade i+j, all basis pairs")
 def _check_grading_additivity(rng):
-    for u in lc.BASIS:
-        for v in lc.BASIS:
-            gu = next(k for k, p in lc.grade_decompose(u).items() if not p.is_zero())
-            gv = next(k for k, p in lc.grade_decompose(v).items() if not p.is_zero())
+    grades = [next(k for k, p in lc.grade_decompose(u).items() if not p.is_zero())
+              for u in lc.BASIS]
+    for u, gu in zip(lc.BASIS, grades):
+        for v, gv in zip(lc.BASIS, grades):
             br = lc.bracket(u, v)
             if br.is_zero():
                 continue
@@ -315,10 +316,11 @@ def _check_filtration(rng):
         parts = lc.grade_decompose(v)
         return min((k for k in parts if not parts[k].is_zero()), default=3)
 
-    for u in lc.BASIS:
-        for v in lc.BASIS:
+    levels = [filt_level(u) for u in lc.BASIS]
+    for u, lu in zip(lc.BASIS, levels):
+        for v, lv in zip(lc.BASIS, levels):
             br = lc.bracket(u, v)
-            if not br.is_zero() and filt_level(br) < filt_level(u) + filt_level(v):
+            if not br.is_zero() and filt_level(br) < lu + lv:
                 return False
     return True
 
@@ -366,13 +368,13 @@ def _check_qadj_morphism(rng):
 
 @check("centralizer-block-sl2", "lie-core", "Cent(block sl2) = span{diag(1,1,-2)}")
 def _check_centralizer_s0(rng):
-    cent = lc.centralizer(cls.s_0())
+    cent = lc.centralizer(cls.S_0)
     return cent.dim == 1 and cent.contains(cls.CENTRAL_LINE)
 
 
 @check("centralizer-so3-so12", "lie-core", "Cent(so3) = Cent(so(1,2)) = 0")
 def _check_centralizer_so(rng):
-    return lc.centralizer(cls.so3()).dim == 0 and lc.centralizer(cls.so12()).dim == 0
+    return lc.centralizer(cls.SO3).dim == 0 and lc.centralizer(cls.SO12).dim == 0
 
 
 @check("centralizer-full", "lie-core", "center of the simple algebra is 0")
@@ -383,11 +385,10 @@ def _check_centralizer_full(rng):
 @check("subalgebra-recognizer", "lie-core",
        "closure accepts the classified list, rejects a corrupted basis")
 def _check_subalgebra_recognizer(rng):
-    good = [cls.h_t(), cls.h_a(), cls.h_1(), cls.h_2(), cls.s_0(),
-            cls.heis_algebra(), cls.so3(), cls.so12()]
+    good = [cls.H_T, cls.H_A, cls.H_1, cls.H_2, cls.S_0, cls.HEIS_ALGEBRA, cls.SO3, cls.SO12]
     if not all(a.is_subalgebra() for a in good):
         return False
-    corrupted = list(cls.h_1().basis)
+    corrupted = list(cls.H_1.basis)
     rows = [list(map(list, corrupted[2].entries))]
     rows[0][2][0] = Fraction(1)  # perturb one entry
     corrupted[2] = lc.LieVec.of(rows[0])
@@ -399,15 +400,17 @@ def _check_subalgebra_recognizer(rng):
        "sum_i C(k,i) v^i w (-v)^(k-i) = (ad v)^k w for k <= 5, exact", samples=20)
 def _check_exp_ad(rng):
     # k! times the t^k coefficients of exp(tv) w exp(-tv) and exp(t ad v) w, in
-    # ints: v^i w is over v.den^i w.den and (-v)^j over v.den^j
+    # ints: v^i w is over v.den^i w.den and (-v)^j over v.den^j; the term
+    # with (-v)^0, the identity, is v^k w itself
     v, w = rand_traceless(rng), rand_lievec(rng)
     minus_v = [-n for n in v.nums]
-    left, right, ad = [w.nums], [(1, 0, 0, 0, 1, 0, 0, 0, 1)], w  # v^i w, (-v)^j, (ad v)^k w
+    left, right, ad = [w.nums], [None, minus_v], w  # v^i w, (-v)^j, (ad v)^k w
     for k in range(1, 6):
         left.append(_mul_ints(v.nums, left[-1]))
-        right.append(_mul_ints(right[-1], minus_v))
+        if k > 1:
+            right.append(_mul_ints(right[-1], minus_v))
         ad = lc.bracket(v, ad)
-        terms = [_mul_ints(left[i], right[k - i]) for i in range(k + 1)]
+        terms = [_mul_ints(left[i], right[k - i]) for i in range(k)] + [left[k]]
         total = [sum(math.comb(k, i) * x for i, x in enumerate(col)) for col in zip(*terms)]
         if lc.LieVec(total, v.den ** k * w.den) != ad:
             return False
@@ -428,8 +431,7 @@ def _check_theta(rng):
 @check("theta-fixes-block-model-algebra", "lie-core",
        "the involution maps the block subalgebra onto itself")
 def _check_theta_ht(rng):
-    ht = cls.h_t()
-    return ht.map(lc.theta_involution).span_equals(ht)
+    return cls.H_T.map(lc.theta_involution).span_equals(cls.H_T)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +517,7 @@ def _check_region_examples(rng):
 @check("region-orbit-rank", "flag-space",
        "the model algebra orbit is 3-dimensional exactly on the interior", samples=150)
 def _check_region_rank(rng):
-    for model, alg in (("t", cls.h_t()), ("a", cls.h_a())):
+    for model, alg in (("t", cls.H_T), ("a", cls.H_A)):
         x = rand_flag(rng)
         interior = fs.region_classify(x, model) is fs.Region.INTERIOR
         if (fs.orbit_rank(alg.basis, x) == 3) != interior:
@@ -629,7 +631,7 @@ def _check_curvature_action(rng):
 
 @check("harmonic-subspace-invariant", "curvature",
        "the two-dimensional harmonic subspace is preserved exactly", samples=100,
-       fixed=lambda: (curv.is_harmonic(curv.NormalCurvature.zero())
+       fixed=lambda: (curv.is_harmonic(curv.ZERO_CURVATURE)
                       and not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))
                       and not curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0))))
 def _check_harmonic(rng):
@@ -732,7 +734,7 @@ def _check_heis_law(rng):
     return ((x * d * m, y * d * m, z * d * m)
             == (n * (a * m + e * d), n * (b * m + f * d), n * (c * m + k * d + a * f))
             and md.HeisElem.from_exponential(*g.to_exponential()) == g
-            and g.mul(g.inverse()) == md.HeisElem.identity())
+            and g.mul(g.inverse()) == md.HEIS_IDENTITY)
 
 
 @check("auto-composition-law", "models",
@@ -741,7 +743,7 @@ def _check_auto_law(rng):
     f, g, h = rand_auto(rng), rand_auto(rng), rand_heis(rng)
     return (f.compose(g) == md.HeisAuto.of(f.lam * g.lam, f.mu * g.mu)
             and f.apply(g.apply(h)) == f.compose(g).apply(h)
-            and f.compose(f.inverse()) == md.HeisAuto.identity())
+            and f.compose(f.inverse()) == md.AUTO_IDENTITY)
 
 
 @check("auto-is-automorphism", "models",
@@ -758,7 +760,7 @@ def _check_equiv_a_display(rng):
     lam, mu = nonzero_frac(rng), nonzero_frac(rng)
     h, phi = md.equivariance_a(lc.GroupElem([[lam, 0, 0], [0, 1 / (lam * mu), 0],
                                              [0, 0, mu]]))
-    return (h == md.HeisElem.identity()
+    return (h == md.HEIS_IDENTITY
             and phi == md.HeisAuto.of(lam * lam * mu, 1 / (lam * mu * mu)))
 
 
@@ -886,8 +888,8 @@ def _check_flat_iso(rng):
 @check("affine-linearization", "models",
        "linear part [[lam,0,0],[0,mu,0],[0,mu x,lam mu]] with translation "
        "(x,y,z); injective morphism", samples=100,
-       fixed=lambda: (md.theta_affine(md.HeisElem.identity(), md.HeisAuto.identity())
-                      == md.AffineMap.identity()))
+       fixed=lambda: (md.theta_affine(md.HEIS_IDENTITY, md.AUTO_IDENTITY)
+                      == md.AFFINE_IDENTITY))
 def _check_theta_affine(rng):
     g1, g2 = rand_heis(rng), rand_heis(rng)
     f1, f2 = rand_auto(rng), rand_auto(rng)
@@ -970,35 +972,35 @@ def _unique_line_is(alg, base, target):
        "the only invariant transverse line of the block model is the "
        "class of H")
 def _check_line_t(rng):
-    return _unique_line_is(cls.h_t(), fs.O_T, md.SL2_H)
+    return _unique_line_is(cls.H_T, fs.O_T, md.SL2_H)
 
 
 @check("invariant-line-affine", "classification",
        "the only invariant transverse line of the affine model is the "
        "class of Z")
 def _check_line_a(rng):
-    return _unique_line_is(cls.h_a(), fs.O_A, md.HEIS_Z)
+    return _unique_line_is(cls.H_A, fs.O_A, md.HEIS_Z)
 
 
 @check("invariant-line-translations-sl2", "classification",
        "the 5-dimensional translation extension admits no invariant "
        "transverse line")
 def _check_line_h1(rng):
-    res = cls.invariant_transverse_line_search(cls.h_1(), cls.X1_FLAG)
+    res = cls.invariant_transverse_line_search(cls.H_1, cls.X1_FLAG)
     return res.kind == "none"
 
 
 @check("invariant-line-similarity", "classification",
        "the similarity extension leaves a one-parameter family invariant")
 def _check_line_h2(rng):
-    res = cls.invariant_transverse_line_search(cls.h_2(), fs.O_A)
+    res = cls.invariant_transverse_line_search(cls.H_2, fs.O_A)
     return res.kind == "family" and res.family_dim == 1
 
 
 @check("stabilizer-four-cases", "classification",
        "transverse stabilizers: full / diag(1,1,-2) / diag(-2,1,1) / zero")
 def _check_stabilizer_cases(rng):
-    table = cls.transverse_stabilizer_cases(cls.h_a(), fs.O_A)
+    table = cls.transverse_stabilizer_cases(cls.H_A, fs.O_A)
     lines = {"x=0,y!=0": lc.LieVec.diag(1, 1, -2), "x!=0,y=0": lc.LieVec.diag(-2, 1, 1)}
     return (len(table["x=0,y=0"]) == 2 and len(table["x!=0,y!=0"]) == 0
             and all(len(table[case]) == 1 and not table[case][0].is_zero()

@@ -4,11 +4,15 @@ Every oracle here computes its answer by generic exact linear algebra
 (nullspaces, eliminations, rational evaluation) and compares it against a
 frozen expected value.  Expected values live only on the expected side of
 the report cases, never inside the computing path.
+
+The subalgebras of the classification (the model algebras H_T and H_A, the
+translation extensions H_1 and H_2, the block sl(2) S_0, SO3, SO12 and
+HEIS_ALGEBRA) are module constants, built once at import; a `Subalgebra`
+is a read-only record, so every reader shares the one value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -46,76 +50,59 @@ def _case(case_id, anchor, passed, expected, computed):
 # the subalgebras of the classification
 # ---------------------------------------------------------------------------
 
-# the two model algebras are built once: `region-orbit-rank` reads them per draw
-@functools.cache
-def h_t() -> Subalgebra:
-    """Block gl(2) with compensating trace in the corner; dimension 4."""
-    return Subalgebra.of([
-        LieVec.diag(1, 0, -1),
-        LieVec.diag(0, 1, -1),
-        LieVec.elementary(0, 1),
-        LieVec.elementary(1, 0),
-    ])
+_J = LieVec.of([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
+# Block gl(2) with compensating trace in the corner; dimension 4.
+H_T = Subalgebra.of([
+    LieVec.diag(1, 0, -1),
+    LieVec.diag(0, 1, -1),
+    LieVec.elementary(0, 1),
+    LieVec.elementary(1, 0),
+])
 
-@functools.cache
-def h_a() -> Subalgebra:
-    """Traceless upper-triangular matrices; dimension 5."""
-    return Subalgebra.of([
-        LieVec.diag(1, -1, 0),
-        LieVec.diag(0, 1, -1),
-        LieVec.elementary(0, 1),
-        LieVec.elementary(0, 2),
-        LieVec.elementary(1, 2),
-    ])
+# Traceless upper-triangular matrices; dimension 5.
+H_A = Subalgebra.of([
+    LieVec.diag(1, -1, 0),
+    LieVec.diag(0, 1, -1),
+    LieVec.elementary(0, 1),
+    LieVec.elementary(0, 2),
+    LieVec.elementary(1, 2),
+])
 
+# Plane translations extended by the block sl(2); dimension 5.
+H_1 = Subalgebra.of([
+    LieVec.diag(1, -1, 0),
+    LieVec.elementary(0, 1),
+    LieVec.elementary(1, 0),
+    LieVec.elementary(0, 2),
+    LieVec.elementary(1, 2),
+])
 
-def h_1() -> Subalgebra:
-    """Plane translations extended by the block sl(2); dimension 5."""
-    return Subalgebra.of([
-        LieVec.diag(1, -1, 0),
-        LieVec.elementary(0, 1),
-        LieVec.elementary(1, 0),
-        LieVec.elementary(0, 2),
-        LieVec.elementary(1, 2),
-    ])
+# Plane translations extended by the similarity algebra; dimension 4.
+H_2 = Subalgebra.of([
+    LieVec.diag(1, 1, -2),
+    _J,
+    LieVec.elementary(0, 2),
+    LieVec.elementary(1, 2),
+])
 
+# Block sl(2) in the upper-left corner.
+S_0 = Subalgebra.of([SL2_E, SL2_F, SL2_H])
 
-def h_2() -> Subalgebra:
-    """Plane translations extended by the similarity algebra; dimension 4."""
-    return Subalgebra.of([
-        LieVec.diag(1, 1, -2),
-        _J,
-        LieVec.elementary(0, 2),
-        LieVec.elementary(1, 2),
-    ])
+SO3 = Subalgebra.of([
+    _J,
+    LieVec.of([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+])
 
+# Infinitesimal isometries of the form x^2 - y^2 - z^2.
+SO12 = Subalgebra.of([
+    LieVec.of([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+    LieVec.of([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
+    LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+])
 
-def s_0() -> Subalgebra:
-    """Block sl(2) in the upper-left corner."""
-    return Subalgebra.of([SL2_E, SL2_F, SL2_H])
-
-
-def so3() -> Subalgebra:
-    return Subalgebra.of([
-        _J,
-        LieVec.of([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
-        LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
-    ])
-
-
-def so12() -> Subalgebra:
-    """Infinitesimal isometries of the form x^2 - y^2 - z^2."""
-    return Subalgebra.of([
-        LieVec.of([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        LieVec.of([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-        LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
-    ])
-
-
-def heis_algebra() -> Subalgebra:
-    return Subalgebra.of([HEIS_X, HEIS_Y, HEIS_Z])
-
+HEIS_ALGEBRA = Subalgebra.of([HEIS_X, HEIS_Y, HEIS_Z])
 
 CENTRAL_LINE = LieVec.diag(1, 1, -2)
 
@@ -140,7 +127,7 @@ def verify_subalgebra_table():
     closure, the 4-or-5 dimension bound, and the centralizer values, all
     exact."""
     cases = []
-    algebras = {"h-t": h_t(), "h-a": h_a(), "h-1": h_1(), "h-2": h_2()}
+    algebras = {"h-t": H_T, "h-a": H_A, "h-1": H_1, "h-2": H_2}
     for name, alg in algebras.items():
         closed = alg.is_subalgebra()
         cases.append(_case(
@@ -151,7 +138,7 @@ def verify_subalgebra_table():
             f"closed={closed}, dim {alg.dim}",
         ))
 
-    cent = centralizer(s_0())
+    cent = centralizer(S_0)
     contains = cent.contains(CENTRAL_LINE)
     cases.append(_case(
         "centralizer-s0",
@@ -160,7 +147,7 @@ def verify_subalgebra_table():
         EXPECTED["centralizer-s0"],
         f"dim {cent.dim}, contains diag(1,1,-2): {contains}",
     ))
-    for name, alg in (("so3", so3()), ("so12", so12())):
+    for name, alg in (("so3", SO3), ("so12", SO12)):
         cent = centralizer(alg)
         cases.append(_case(f"centralizer-{name}", f"Cent({name}) = 0", cent.dim == 0,
                            EXPECTED[f"centralizer-{name}"], str(cent.dim)))
@@ -172,8 +159,6 @@ def verify_subalgebra_table():
 # ---------------------------------------------------------------------------
 
 X1_FLAG = Flag.of((0, 0, 1), (1, 0, 0))  # base flag of the h-1 orbit
-
-_J = LieVec.of([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
 # case -> (isotropy parametrization v(a, b), frame lifts)
 _ISOTROPY_CASES = {

@@ -52,12 +52,11 @@ class NormalCurvature(_CanonicalInts):
         """From ints and Fractions; a float raises TypeError."""
         return NormalCurvature(*_cleared((k_alpha, k_beta, k_sup_alpha, k_sup_beta)))
 
-    @staticmethod
-    def zero() -> "NormalCurvature":
-        return NormalCurvature((0, 0, 0, 0))
-
     k_alpha, k_beta, k_sup_alpha, k_sup_beta = (
         property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(4))
+
+
+ZERO_CURVATURE = NormalCurvature((0, 0, 0, 0))
 
 
 def is_harmonic(k: NormalCurvature) -> bool:

@@ -58,8 +58,9 @@ class Flag(_Record):
     def __init__(self, point, line):
         if line[0] * point[0] + line[1] * point[1] + line[2] * point[2]:
             raise ValueError("flag point must lie on the flag line")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "line", line)
+        set_point, set_line = self._setters
+        set_point(self, point)
+        set_line(self, line)
 
     @staticmethod
     def of(point_vec, second_point_vec) -> "Flag":

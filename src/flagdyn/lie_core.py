@@ -185,12 +185,9 @@ class GroupElem(_Record):
         adj = _adjugate_ints(flat)
         if flat[0] * adj[0] + flat[1] * adj[3] + flat[2] * adj[6] == 0:
             raise ValueError("projective transformation must be invertible")
-        object.__setattr__(self, "entries", _rows(flat))
-        object.__setattr__(self, "adjugate", _rows(tuple(adj)))
-
-    @staticmethod
-    def identity() -> "GroupElem":
-        return GroupElem._of_ints((1, 0, 0, 0, 1, 0, 0, 0, 1))
+        set_entries, set_adjugate = self._setters
+        set_entries(self, _rows(flat))
+        set_adjugate(self, _rows(tuple(adj)))
 
     def __matmul__(self, other: "GroupElem") -> "GroupElem":
         a, b = self.entries, other.entries

@@ -56,10 +56,6 @@ class HeisElem(_CanonicalInts):
         """From ints and Fractions; a float raises TypeError."""
         return HeisElem(*_cleared((x, y, z)))
 
-    @staticmethod
-    def identity() -> "HeisElem":
-        return HeisElem((0, 0, 0))
-
     x, y, z = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(3))
 
     def mul(self, other: "HeisElem") -> "HeisElem":
@@ -87,6 +83,9 @@ class HeisElem(_CanonicalInts):
         return GroupElem._of_ints((d, a, c, 0, d, b, 0, 0, d))
 
 
+HEIS_IDENTITY = HeisElem((0, 0, 0))
+
+
 class HeisAuto(_CanonicalInts):
     """Diagonal automorphism scaling the two generating directions by lam
     and mu, and the center by lam*mu: two nonzero ints over one denominator
@@ -102,10 +101,6 @@ class HeisAuto(_CanonicalInts):
             raise ValueError("automorphism parameters must be nonzero")
         return HeisAuto(nums, den)
 
-    @staticmethod
-    def identity() -> "HeisAuto":
-        return HeisAuto((1, 1))
-
     lam, mu = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(2))
 
     def apply(self, g: HeisElem) -> HeisElem:
@@ -120,6 +115,9 @@ class HeisAuto(_CanonicalInts):
     def inverse(self) -> "HeisAuto":
         (l, m), e = self.nums, self.den
         return HeisAuto((e * m, e * l), l * m)
+
+
+AUTO_IDENTITY = HeisAuto((1, 1))
 
 
 def heis_semidirect_mul(a, b):
@@ -146,10 +144,6 @@ class AffineMap(_CanonicalInts):
         """From ints and Fractions; a float raises TypeError."""
         return AffineMap(*_cleared(*linear, translation))
 
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap((1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))
-
     @property
     def linear(self) -> tuple:
         return _rows(tuple([Fraction(n, self.den) for n in self.nums[:9]]))
@@ -170,6 +164,9 @@ class AffineMap(_CanonicalInts):
         moved = _mat_vec_ints(_rows(a[:9]), b[9:])
         return AffineMap(_mul_ints(a[:9], b[:9]) + [x + t * d for x, t in zip(moved, a[9:])],
                          self.den * d)
+
+
+AFFINE_IDENTITY = AffineMap((1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0))
 
 
 def theta_affine(g: HeisElem, phi: HeisAuto) -> AffineMap:

@@ -16,7 +16,9 @@ classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto`
 and `Block`), or cleared of its denominators once by `_cleared`, which
 rejects floats.  The value types, these among them, and the report types
 of every layer are `_Record`s: read-only slotted records, built with no
-code generation, whose one base class holds their equality, hashing and repr.
+code generation, whose one base class holds their equality, hashing and
+repr, and writes their fields through the slot setters it binds once per
+class.
 `inverse3`, on ints and Fractions, is only the independent inverse of the
 dense curvature oracle.
 
@@ -55,17 +57,19 @@ def _rows(flat):
 class _Record:
     """A read-only record whose fields are the subclass's `__slots__`, or
     its base's when those are empty, set once from positional or keyword
-    arguments in field order; a subclass that checks or normalizes them
-    writes its own `__init__`, storing them with `object.__setattr__`.
-    Equality and hashing compare the fields within a subclass, the repr
-    names the class and the fields, and assigning or deleting a field
-    raises AttributeError."""
+    arguments in field order.  `_setters` holds the fields' slot setters,
+    bound once per class, in field order, and they are the one way a field
+    is written: a subclass that checks or normalizes its fields writes its
+    own `__init__` and stores them through `_setters`.  Equality and hashing
+    compare the fields within a subclass, the repr names the class and the
+    fields, and assigning or deleting a field raises AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__["__slots__"] or cls._fields
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -73,8 +77,8 @@ class _Record:
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if len(args) != len(names) or kwargs:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -111,8 +115,9 @@ class _CanonicalInts(_Record):
         if g != 1:
             nums = [n // g for n in nums]
             den //= g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        set_nums, set_den = self._setters
+        set_nums(self, tuple(nums))
+        set_den(self, den)
 
 
 def _primitive_ints(nums) -> tuple:

@@ -18,12 +18,11 @@ from flagdyn.rational import primitive, rank
 
 class TestSubalgebraTable:
     def test_dimensions(self):
-        assert (cls.h_t().dim, cls.h_a().dim, cls.h_1().dim, cls.h_2().dim) == (4, 5, 5, 4)
+        assert (cls.H_T.dim, cls.H_A.dim, cls.H_1.dim, cls.H_2.dim) == (4, 5, 5, 4)
 
     def test_similarity_extension_shape(self):
         # similarity block plus translations, corner compensating the trace
-        h2 = cls.h_2()
-        for v in h2.basis:
+        for v in cls.H_2.basis:
             assert v.is_traceless()
             assert v.entries[2][0] == 0 and v.entries[2][1] == 0
 
@@ -59,30 +58,30 @@ class TestIsotropyTables:
 
 class TestInvariantLines:
     def test_block_model_unique_line_is_class_of_H(self):
-        res = cls.invariant_transverse_line_search(cls.h_t(), fs.O_T)
+        res = cls.invariant_transverse_line_search(cls.H_T, fs.O_T)
         assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.SL2_H, cls.h_t(), fs.O_T)
+        assert cls.line_class_equals(res.generator, md.SL2_H, cls.H_T, fs.O_T)
 
     def test_affine_model_unique_line_is_class_of_Z(self):
-        res = cls.invariant_transverse_line_search(cls.h_a(), fs.O_A)
+        res = cls.invariant_transverse_line_search(cls.H_A, fs.O_A)
         assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.h_a(), fs.O_A)
+        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.H_A, fs.O_A)
 
     def test_translation_extension_has_none(self):
-        assert cls.invariant_transverse_line_search(cls.h_1(), cls.X1_FLAG).kind == "none"
+        assert cls.invariant_transverse_line_search(cls.H_1, cls.X1_FLAG).kind == "none"
 
     def test_similarity_extension_has_a_family(self):
-        res = cls.invariant_transverse_line_search(cls.h_2(), fs.O_A)
+        res = cls.invariant_transverse_line_search(cls.H_2, fs.O_A)
         assert (res.kind, res.family_dim) == ("family", 1)
 
     def test_non_open_orbit_rejected(self):
         with pytest.raises(ValueError):
-            cls.invariant_transverse_line_search(cls.h_t(), fs.BASE_FLAG)
+            cls.invariant_transverse_line_search(cls.H_T, fs.BASE_FLAG)
 
     def test_trivial_isotropy_leaves_every_line_invariant(self):
         # the Heisenberg algebra acts simply transitively on the open orbit
         # of the affine model: no isotropy, so no condition on (x, y)
-        res = cls.invariant_transverse_line_search(cls.heis_algebra(), fs.O_A)
+        res = cls.invariant_transverse_line_search(cls.HEIS_ALGEBRA, fs.O_A)
         assert (res.kind, res.family_dim) == ("family", 2)
 
     def test_stabilizer_eigenvalues_match_the_exclusion(self):

@@ -31,7 +31,7 @@ class TestCurvatureAction:
     def test_identity(self):
         rng = random.Random(1)
         k = rand_curvature(rng)
-        assert curv.curvature_action(lc.GroupElem.identity(), k) == k
+        assert curv.curvature_action(lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), k) == k
 
     def test_unipotent_fixes_lowest_components(self):
         rng = random.Random(2)
@@ -86,12 +86,12 @@ class TestCurvatureAction:
     def test_rejects_non_triangular(self):
         with pytest.raises(lc.NotUpperTriangularError):
             curv.curvature_action(lc.GroupElem([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-                                  curv.NormalCurvature.zero())
+                                  curv.ZERO_CURVATURE)
 
 
 class TestHarmonic:
     def test_zero_is_harmonic(self):
-        assert curv.is_harmonic(curv.NormalCurvature.zero())
+        assert curv.is_harmonic(curv.ZERO_CURVATURE)
 
     def test_lowest_component_breaks_harmonicity(self):
         assert not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))

@@ -44,8 +44,8 @@ class TestHeisElem:
 
     @given(heis_elems)
     def test_inverse(self, g):
-        assert g.mul(g.inverse()) == md.HeisElem.identity()
-        assert g.inverse().mul(g) == md.HeisElem.identity()
+        assert g.mul(g.inverse()) == md.HEIS_IDENTITY
+        assert g.inverse().mul(g) == md.HEIS_IDENTITY
 
     @given(heis_elems)
     def test_exponential_roundtrip(self, g):
@@ -104,9 +104,9 @@ def test_models_suite_builds_few_fractions(monkeypatch):
 
 class TestEquivarianceAffine:
     def test_identity(self):
-        h, phi = md.equivariance_a(lc.GroupElem.identity())
-        assert h == md.HeisElem.identity()
-        assert phi == md.HeisAuto.identity()
+        h, phi = md.equivariance_a(lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert h == md.HEIS_IDENTITY
+        assert phi == md.AUTO_IDENTITY
 
     def test_membership_violation(self):
         with pytest.raises(md.MembershipError):
@@ -147,7 +147,7 @@ class TestBlock:
 
 class TestEquivarianceBlock:
     def test_identity(self):
-        s, lam = md.equivariance_t(lc.GroupElem.identity())
+        s, lam = md.equivariance_t(lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert lam == 1 and s == md.Block((1, 0, 0, 1))
 
     def test_membership_violations(self):

@@ -13,7 +13,9 @@ the per-model sample count of the two-model checks, the check counts the
 benchmark pins, the split of `run_checks` over worker processes, which
 must change no outcome, a check that raises, unknown names, the draw
 helpers, which must keep the random streams of `random.Random.randint`,
-and the rule that `src` holds only what the program runs.
+the rule that `src` holds only what the program runs, the methods that
+perfbench's tracer wraps, and the rule that a check enters more than the
+one predicate it names.
 """
 
 import ast
@@ -160,13 +162,19 @@ def test_zero_samples_fail_without_running(check_id, monkeypatch):
     assert checks.run_check(check_id, samples=0) == (False, None)
 
 
+def _pinned(script, name):
+    """The literal value that perfbench/`script` assigns to `name`."""
+    tree = ast.parse((ROOT / "perfbench" / script).read_text())
+    [value] = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == name for t in node.targets)]
+    return value
+
+
 def test_registry_matches_the_benchmark_case_counts():
     # perfbench pins how many checks each verify workload runs; a check added
     # or dropped here must be matched there
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
-    [pinned] = [ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "CASE_COUNTS" for t in node.targets)]
+    pinned = _pinned("run.py", "CASE_COUNTS")
     counts = collections.Counter(suite for _, suite, _, _ in checks.REGISTRY)
     assert pinned == {"all": len(checks.REGISTRY),
                       **{suite: counts[suite] for suite in pinned if suite != "all"}}
@@ -408,7 +416,6 @@ KEPT = {
     "flag_space.killing_with_value":
         "push_tangent's generator with a given velocity; to be registered",
     "flag_space.push_tangent": "the differential of the action, by equivariance; to be registered",
-    "lie_core.GroupElem.identity": "test handle: the identity of the group",
     "models.AffineMap.of": "test handle: an affine map from its linear part and translation",
     "models.AffineMap.apply": "test handle: an affine map at a point",
     "dynamics.reduce_with_translation":
@@ -481,6 +488,47 @@ def test_src_holds_what_the_program_runs(tmp_path):
                for e in json.loads(dump.read_text())}
     never = {name for name, where in _defined(src) if where not in entered}
     assert never == set(KEPT)
+
+
+def test_the_tracer_finds_its_methods_on_their_classes():
+    # perfbench/tracer.py wraps these methods, looked up in each class's own
+    # __dict__; one that is deleted or inherited fails every traced run
+    missing = {f"{name}.{method}" for name, methods in _pinned("tracer.py", "METHODS").items()
+               for method in methods if method not in vars(getattr(lc, name))}
+    assert missing == set()
+
+
+# The registered checks that enter only one function or method of src outside
+# `checks`, so that they restate their claim as one predicate, each with the
+# reason it stays.
+RESTATES = {
+    "volume-obstruction": "evaluates only dynamics.volume_obstruction_check on fixed "
+                          "multiplier pairs; its verdict is to come from the exact "
+                          "determinant of the affine linearization, models.theta_affine",
+}
+
+
+def test_every_check_enters_more_than_one_predicate():
+    # each check runs once at samples=1 under a profiler, in this process
+    src = Path(checks.__file__).resolve().parent
+    names = {where: name for name, where in _defined(src) if not name.startswith("checks.")}
+    restating = set()
+    for check_id, _, _, _ in checks.REGISTRY:
+        entered = set()
+
+        def note(frame, event, arg):
+            if event == "call":
+                entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+        previous = sys.getprofile()
+        sys.setprofile(note)
+        try:
+            checks.run_check(check_id, 0, 1)
+        finally:
+            sys.setprofile(previous)
+        if len({names[e] for e in entered if e in names}) < 2:
+            restating.add(check_id)
+    assert restating == set(RESTATES)
 
 
 # The names bound by module-level assignments in src/flagdyn that no code in

@@ -233,7 +233,8 @@ def test_readers_of_integer_entries_stay_exact():
 # the fields or, for a type in BUILT_FROM, from the arguments there
 RECORDS = {
     cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
-    cls.DegenerationCase: {"boundary_flag": fs.O_A, "pivot": lc.GroupElem.identity(),
+    cls.DegenerationCase: {"boundary_flag": fs.O_A,
+                           "pivot": lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                            "circle_group": abs, "model_group": abs,
                            "transported": md.HEIS_Z, "expected": (), "limit": "alpha"},
     cls.DegenerationResult: {"t": Fraction(1, 2), "matrix": ((1, 0, 0),), "matches": True,
@@ -290,8 +291,10 @@ def test_records_are_read_only_values(record_type):
 
 
 def test_module_constants_are_read_only():
-    # a module-level or cached value is shared by every later reader
-    for value in (lc.E_0, md.HEIS_Z, checks._UPPER, cls.h_t(), *cls.h_t().basis):
+    # a module-level value is shared by every later reader
+    for value in (lc.E_0, md.HEIS_Z, checks._UPPER, fs.O_A, cls.H_T, cls.H_A, cls.H_1, cls.H_2,
+                  cls.S_0, cls.SO3, cls.SO12, cls.HEIS_ALGEBRA, md.HEIS_IDENTITY,
+                  md.AUTO_IDENTITY, md.AFFINE_IDENTITY, curv.ZERO_CURVATURE, *cls.H_T.basis):
         for name in value._fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
@@ -309,3 +312,20 @@ def test_one_class_holds_the_value_semantics():
                         and f.name in {"__eq__", "__hash__", "__setattr__", "__delattr__"}
                         for f in node.body)}
     assert defining == {("rational", "_Record")}
+
+
+def test_one_class_writes_the_fields():
+    # only _Record reaches a field's slot, through object.__setattr__ or a
+    # slot's __set__; the other classes store through the setters it binds
+    def writes(tree):
+        return [n for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr in {"__setattr__", "__set__"}]
+
+    src = Path(lc.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    [record] = [node for node in trees["rational"].body
+                if isinstance(node, ast.ClassDef) and node.name == "_Record"]
+    inside = writes(record)
+    outside = [(module, n.lineno) for module, tree in trees.items()
+               for n in writes(tree) if n not in inside]
+    assert inside and outside == []
