@@ -532,10 +532,8 @@ def _check_circle_boundary(rng):
     for model in ("t", "a"):
         x = rand_interior_flag(rng, model)
         for which in ("alpha", "beta"):
-            res = fs.circle_boundary_points(x, which, model)
-            if res is None or len(res) != 1:
-                return False
-            if fs.region_classify(res[0], model) is fs.Region.INTERIOR:
+            y = fs.circle_boundary_points(x, which, model)
+            if y is None or fs.region_classify(y, model) is fs.Region.INTERIOR:
                 return False
     return True
 
@@ -543,7 +541,7 @@ def _check_circle_boundary(rng):
 @check("circle-boundary-example", "flag-space",
        "the beta circle of the block-model base flag exits at ([e2], same line)")
 def _check_circle_example(rng):
-    return (fs.circle_boundary_points(fs.O_T, "beta", "t") == (fs.Flag.of((0, 1, 0), (1, 0, 1)),)
+    return (fs.circle_boundary_points(fs.O_T, "beta", "t") == fs.Flag.of((0, 1, 0), (1, 0, 1))
             and fs.circle_boundary_points(fs.Flag.of((1, 0, 0), (0, 1, 0)), "beta", "t") is None)
 
 

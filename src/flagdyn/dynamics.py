@@ -214,15 +214,13 @@ def _reduced_orbit(f: NilMap, p, lo: int, hi: int):
 _IDENTITY = NilMap(((1, 0), (0, 1)), (0.0, 0.0, 0.0))
 
 
-def reduce_with_translation(p):
-    """Left-translate by a lattice element into the fundamental box; returns
-    (representative, lattice element).  The representative is unique, so
-    this is a retraction invariant under lattice left multiplication."""
-    (blk,) = _reduced_orbit(_IDENTITY, p, 0, 1)
-    return tuple(blk[:3]), (float(blk[3]), float(blk[4]), blk[5])
-
-
 def reduce_point(p):
+    """Left-translate p by a lattice element into the fundamental box.  In
+    exact arithmetic the representative is unique, so this is a retraction
+    invariant under lattice left multiplication.  A float point within
+    rounding of a face can land next to either of the two faces that the
+    quotient glues, so in floats the reduction is invariant only as a point
+    of the quotient."""
     (blk,) = _reduced_orbit(_IDENTITY, p, 0, 1)
     return blk[0], blk[1], blk[2]
 

@@ -210,24 +210,23 @@ def region_classify(x: Flag, model: str) -> Region:
 # circles and their boundary intersections
 # ---------------------------------------------------------------------------
 
-def circle_boundary_points(x: Flag, which: str, model: str) -> tuple | None:
-    """The flags of the alpha or beta circle of x lying outside the open
-    model, found by exact incidence elimination.
+def circle_boundary_points(x: Flag, which: str, model: str) -> Flag | None:
+    """The one flag of the alpha or beta circle of x lying outside the open
+    model, or None when the whole circle lies outside it.
 
-    A circle not wholly in the boundary meets it in exactly one flag: the
-    line through the point and the special point (alpha), or the point at
-    infinity of the line (beta), returned as the 1-tuple `(flag,)`.  A
-    circle lying wholly in the boundary returns None.
+    A circle not wholly in the boundary meets it in exactly one flag, which
+    is constructed: the line through the point and the special point
+    (alpha), or the point at infinity of the line (beta).
     """
     m_sp = _special_point(model)
     if which == "beta":
         if _beta_in_boundary(x.line, m_sp):
             return None
-        return (Flag(meet(x.line, LINE_AT_INFINITY), x.line),)
+        return Flag(meet(x.line, LINE_AT_INFINITY), x.line)
     if which == "alpha":
         if _alpha_in_boundary(x.point, m_sp):
             return None
-        return (Flag(x.point, meet(x.point, m_sp)),)
+        return Flag(x.point, meet(x.point, m_sp))
     raise ValueError(f"unknown circle family {which!r}")
 
 

@@ -110,12 +110,20 @@ class TestVerify:
         code, out = run(["verify", "--samples", samples], capsys)
         assert code == 2 and out == ""
 
+    # sha256 of the report at each seed.  Its residuals pass through libm
+    # `log` and `hypot`, so the digests hold for this platform (x86_64,
+    # Python 3.11.7); a change that moves an anchor or a residual updates
+    # its digest and says why in CHANGES.md
+    REPORT_DIGESTS = {0: "b164487f7af69b6988a13280260deb872941668b114ae99d39860a637cbce9c3",
+                      39: "ce9cedb4fe9cd7e544d3f2be2de38a96cd61d96a1c4603f5510873d967886011"}
+
     @pytest.mark.parametrize("seed", [0, 39])
     def test_report_is_what_run_checks_returns(self, capsys, seed):
         code, out = run(["verify", "--format", "json", "--seed", str(seed)], capsys)
         cases = checks.run_checks(seed=seed)
         assert json.loads(out)["cases"] == cases
         assert code == (0 if all(c["pass"] for c in cases) else 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[seed]
 
     @pytest.mark.parametrize("argv", [["verify", "--suite", "dynamics", "--format", "json"],
                                       ["--help"]], ids=["verify", "help"])
@@ -172,6 +180,21 @@ class TestOracle:
         _, out = run(["oracle", "degeneration-a1", "--format", "json"], capsys)
         ids = [c["id"] for c in json.loads(out)["cases"]]
         assert ids == [f"degeneration-a1-t={t}" for t in ("1", "1/2", "1/10", "1/100")]
+
+    # sha256 of each case's report: exact text, and residuals that are
+    # quotients of square roots of float sums
+    REPORT_DIGESTS = {
+        "bracket-table": "01f2a7c66288be7193ddb44663b8e4bf3df08305c2a315f0ebb294a65359ae02",
+        "degeneration-a1": "a4222c3b45bb101d6bf0202f91be701e259e465949c72f8b635a91605bf7eeba",
+        "degeneration-a2": "cf2c826f1a6ee20fcd250f4f52b0b7cda8c8d5872ac9d4a73204d3868ef14bff",
+        "degeneration-t1": "5d5ea7edea103ad82bee2e63dedeb927bdee78554dbe7012420f964a266d6278",
+        "degeneration-t2": "61f2b9650c61eb61f7eedd2583e618d90fee34684ecd06733d6adcabb6704694",
+        "subalgebra-table": "1b10f7ab3635d61f1fd7f22017b101ed169857b9854a7b9c9dfc1e1275573645"}
+
+    @pytest.mark.parametrize("case", sorted(cli._ORACLE_CASES))
+    def test_oracle_bytes_are_pinned(self, capsys, case):
+        code, out = run(["oracle", case, "--format", "json"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[case]
 
 
 class TestSimulate:

@@ -69,6 +69,16 @@ def reduce_by_group_law(p):
     return tuple(0.0 if far else v for v, far in zip(r, (far_x, far_y, far_z))), (*gamma_xy, c)
 
 
+def orbit_steps(f, p, n):
+    """Steps 0..n of the program's orbit walk, each a (point, lattice
+    element) pair of float tuples, read out of its blocks."""
+    flat = [c for blk in dyn._reduced_orbit(f, p, 0, n + 1) for c in blk]
+    return [(tuple(flat[i:i + 3]), tuple(map(float, flat[i + 3:i + 6])))
+            for i in range(0, len(flat), 6)]
+
+
+IDENTITY_MAP = dyn.NilMap.of(((1, 0), (0, 1)))  # its one-step walk is the reduction
+
 # points with a coordinate that rounds up onto a far face of the box
 FAR_FACE_POINTS = [(-1e-20, 0.25, -1e-20), (0.25, -1e-20, 0.1), (-1e-20, -1e-20, -1e-20),
                    (0.3, 0.6, -1e-17), (-2.0 ** -60, 0.5, 0.25), (1.5, -1e-18, 3.0),
@@ -87,7 +97,7 @@ class TestReduce:
             points.append(tuple(rng.uniform(-scale, scale) for _ in range(3)))
         for p in points:
             expected = reduce_by_group_law(p)
-            assert repr(dyn.reduce_with_translation(p)) == repr(expected), p
+            assert repr(orbit_steps(IDENTITY_MAP, p, 0)) == repr([expected]), p
             assert repr(dyn.reduce_point(p)) == repr(expected[0]), p
 
     def test_lands_in_the_box(self):
@@ -104,12 +114,25 @@ class TestReduce:
         rng = random.Random(9)
         for _ in range(200):
             p = tuple(rng.uniform(-8, 8) for _ in range(3))
-            r, gamma = dyn.reduce_with_translation(p)
+            ((r, gamma),) = orbit_steps(IDENTITY_MAP, p, 0)
             assert dyn.LATTICE.contains(gamma)
             assert max(abs(a - b) for a, b in zip(dyn.heis_mul(gamma, p), r)) < 1e-12
 
     def test_commutes_with_descending_map(self):
         assert checks.run_check("reduce-commutes-with-map", seed=11, samples=10_000) == (True, None)
+
+    def test_reductions_at_a_face_name_one_point_of_the_quotient(self):
+        # the two witnesses of the known failures of reduce-retraction and
+        # reduce-commutes-with-map: where the exact reduced z is 0, one float
+        # reduction lands z just below the central period 1/2
+        p = (1.862885432374898, 0.0, 0.0)
+        q = (0.0, 6.9406134037403895, 0.0)
+        f = checks._CAT_MAP
+        for a, b in ((dyn.reduce_point(p), dyn.reduce_point(dyn.heis_mul((1.0, 3.0, 0.0), p))),
+                     (dyn.reduce_point(f.apply(q)), dyn.reduce_point(f.apply(dyn.reduce_point(q))))):
+            assert abs(a[0] - b[0]) <= 1e-12 and abs(a[1] - b[1]) <= 1e-12
+            dz = abs(a[2] - b[2])
+            assert min(dz, abs(dz - 0.5)) <= 1e-12, (a, b)
 
 
 class TestNilMap:
@@ -240,20 +263,12 @@ ORBIT_STARTS = [(1 - 2 ** -53, 0.5, 0.5 - 2 ** -54), (0.25, 1 - 2 ** -53, 0.1),
                 (3.7, -2.2, 1.9), (0.0, 0.0, 0.5 - 2 ** -54)]
 
 
-def orbit_steps(f, p, n):
-    """Steps 0..n of the program's orbit walk, each a (point, lattice
-    element) pair of float tuples, read out of its blocks."""
-    flat = [c for blk in dyn._reduced_orbit(f, p, 0, n + 1) for c in blk]
-    return [(tuple(flat[i:i + 3]), tuple(map(float, flat[i + 3:i + 6])))
-            for i in range(0, len(flat), 6)]
-
-
 def steps_by_chain(f, p, n):
-    """Steps 0..n of the reduced orbit, each the `reduce_with_translation`
-    of `NilMap.apply` of the last point."""
-    steps = [dyn.reduce_with_translation(p)]
+    """Steps 0..n of the reduced orbit, each the `reduce_by_group_law` of
+    `NilMap.apply` of the last point."""
+    steps = [reduce_by_group_law(p)]
     for _ in range(n):
-        steps.append(dyn.reduce_with_translation(f.apply(steps[-1][0])))
+        steps.append(reduce_by_group_law(f.apply(steps[-1][0])))
     return steps
 
 
@@ -304,16 +319,16 @@ def frame_inverse(p, d):
 
 def measured_rate_by_steps(f, w, n):
     """`_measured_rate` with every step of the reduced orbit taken through
-    `reduce_with_translation` of `NilMap.apply`, and the perturbation
-    through `NilMap.apply`, `heis_mul` and the frame formulas above."""
+    `reduce_by_group_law` of `NilMap.apply`, and the perturbation through
+    `NilMap.apply`, `heis_mul` and the frame formulas above."""
     h = dyn._RATE_STEP
-    p = dyn.reduce_point(dyn._RATE_START)
+    p, _ = reduce_by_group_law(dyn._RATE_START)
     norm = math.hypot(*w)
     d = left_frame(p, tuple(c / norm for c in w))
     total = 0.0
     for _ in range(n):
         q = tuple(a + h * b for a, b in zip(p, d))
-        p1, gamma = dyn.reduce_with_translation(f.apply(p))
+        p1, gamma = reduce_by_group_law(f.apply(p))
         q1 = dyn.heis_mul(gamma, f.apply(q))
         wv = frame_inverse(p1, tuple((b - a) / h for a, b in zip(p1, q1)))
         growth = math.hypot(*wv)

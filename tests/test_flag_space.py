@@ -192,8 +192,24 @@ class TestRegions:
 
 class TestCircleBoundary:
     def test_beta_circle_of_affine_anchor(self):
-        res = fs.circle_boundary_points(fs.O_A, "beta", "a")
-        assert res is not None and len(res) == 1
+        # the anchor's line x = 0, through [e3] and [e2], meets infinity at [e2]
+        assert fs.circle_boundary_points(fs.O_A, "beta", "a") == fs.Flag.of((0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize("model, special", [("t", (0, 0, 1)), ("a", (1, 0, 0))],
+                             ids=["t", "a"])
+    def test_where_the_boundary_flag_lands(self, model, special):
+        # alpha keeps the point and turns the line onto the special point;
+        # beta keeps the line and moves the point to infinity
+        rng = random.Random(23)
+        for _ in range(100):
+            x = rand_interior_flag(rng, model)
+            alpha = fs.circle_boundary_points(x, "alpha", model)
+            beta = fs.circle_boundary_points(x, "beta", model)
+            assert alpha.point == x.point and fs.dot(alpha.line, special) == 0
+            assert beta.line == x.line and beta.point[2] == 0
+            for y in (alpha, beta):
+                assert fs.dot(y.point, y.line) == 0
+                assert fs.region_classify(y, model) is not fs.Region.INTERIOR
 
 
 def quotient_error(v, x, w, h):

@@ -418,9 +418,6 @@ KEPT = {
     "flag_space.push_tangent": "the differential of the action, by equivariance; to be registered",
     "models.AffineMap.of": "test handle: an affine map from its linear part and translation",
     "models.AffineMap.apply": "test handle: an affine map at a point",
-    "dynamics.reduce_with_translation":
-        "test handle: a reduction with its lattice element, which the orbit and rate "
-        "oracles chain step by step",
 }
 
 # Every CLI command once, in a fresh interpreter that records the first line
