@@ -244,7 +244,7 @@ def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     partial_rank = rank(partial)
     for b in alg.basis:
         if rank([*partial, b.nums]) > partial_rank:
-            if rank([flag_derivative(w, base) for w in (v_alpha, v_beta, b)]) == 3:
+            if orbit_rank((v_alpha, v_beta, b), base) == 3:
                 return v_alpha, v_beta, b
     raise ValueError("no transverse lift; the orbit is not open")
 

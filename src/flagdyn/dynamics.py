@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
-from .lie_core import LieVec, bracket
+from .lie_core import bracket
 from .models import SL2_E, SL2_F, SL2_H
 from .rational import _Record
 from .workers import cpus, split
@@ -313,30 +314,18 @@ def tangent_rates(f: NilMap, n: int = 200) -> dict:
 # frame rates of the diagonal flow
 # ---------------------------------------------------------------------------
 
-def _eigen_coefficient(h: LieVec, v: LieVec):
-    """c with [h, v] = c v, exact; None when v is not an eigenvector."""
-    b = bracket(h, v)
-    flat_v = v.flat()
-    flat_b = b.flat()
-    lead = next((i for i, e in enumerate(flat_v) if e != 0), None)
-    if lead is None:
-        return None
-    c = flat_b[lead] / flat_v[lead]
-    if all(e == c * f for e, f in zip(flat_b, flat_v)):
-        return c
-    return None
-
-
 def sl2_frame_rates(t: float):
     """Log multipliers of the time-t right translation on the left-invariant
     frame (E, F, H): derived from the bracket eigenvalues of the diagonal
     generator, not hard coded.  The frame cocycle of the right translation
     is the adjoint of the inverse, so an eigenvector with [H, v] = c v
-    carries the rate -c t."""
+    carries the rate -c t; c is read at v's first nonzero entry."""
     rates = []
     for v in (SL2_E, SL2_F, SL2_H):
-        c = _eigen_coefficient(SL2_H, v)
-        if c is None:
+        b = bracket(SL2_H, v)
+        lead = next(k for k, n in enumerate(v.nums) if n)
+        c = Fraction(b.nums[lead] * v.den, b.den * v.nums[lead])
+        if b != v.scale(c):
             raise ArithmeticError("frame vector is not an eigenvector of the generator")
         rates.append(-float(c) * t)
     return tuple(rates)

@@ -409,29 +409,25 @@ def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
 # closed-form flows in the affine model coordinates
 # ---------------------------------------------------------------------------
 
-def central_flow_fields():
-    """The closed-form flows `flow(t, p)` of the three frame fields of the
-    affine model in chart coordinates:
-
-        alpha field (0, 0, 1), beta field (z, 1, 0), central field (1, 0, 0).
-
-    Each flow is polynomial with no division, so it stays exact on ints and
-    Fractions, and it is affine in t: the field at p is (flow(t, p) - p) / t
-    for any t != 0."""
-    return ((lambda t, p: (p[0], p[1], p[2] + t)),
-            (lambda t, p: (p[0] + t * p[2], p[1] + t, p[2])),
-            (lambda t, p: (p[0] + t, p[1], p[2])))
+# The closed-form flows `flow(t, p)` of the affine model's frame fields in
+# chart coordinates: alpha (0, 0, 1), beta (z, 1, 0) and central (1, 0, 0).
+# Each is polynomial with no division, so it stays exact on ints and
+# Fractions, and affine in t: the field at p is (flow(t, p) - p) / t, t != 0.
+FRAME_FLOWS = ((lambda t, p: (p[0], p[1], p[2] + t)),
+               (lambda t, p: (p[0] + t * p[2], p[1] + t, p[2])),
+               (lambda t, p: (p[0] + t, p[1], p[2])))
 
 
 def commutator_identity_check(p, t):
     """Exact verification of the two commuting-flow identities realizing the
-    central flow by alpha-beta rectangles:
+    central flow C of `FRAME_FLOWS` by rectangles of its alpha and beta
+    flows A and B:
 
-        B(-t) A(-t) B(t) A(t) p = p + t^2 e1
-        B(t) A(-t) B(-t) A(t) p = p - t^2 e1
+        B(-t) A(-t) B(t) A(t) p = C(t^2) p = p + t^2 e1
+        B(t) A(-t) B(-t) A(t) p = C(-t^2) p = p - t^2 e1
 
     Returns (plus_ok, minus_ok)."""
-    alpha, beta, central = central_flow_fields()
+    alpha, beta, central = FRAME_FLOWS
     # The flows are weighted homogeneous (x of weight 2; y, z, t of weight 1),
     # so with (x, y, z, t) = nums / c the identities hold at the int point
     # (c x, y, z) and time t exactly when they hold at p.

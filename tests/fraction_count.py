@@ -14,7 +14,7 @@ def fractions_built(monkeypatch, suite):
     built, original = [], Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(
         lambda cls, *args, **kwargs: built.append(1) or original(cls, *args, **kwargs)))
-    outcomes = [checks.run_check(check_id, 0) for check_id, check_suite, _, _ in checks.REGISTRY
+    outcomes = [checks.run_check(check_id, 0) for check_id, check_suite, _, _ in checks._REGISTRY
                 if check_suite == suite]
     monkeypatch.undo()
     return outcomes, len(built)

@@ -343,6 +343,14 @@ class TestLyapunov:
         ph = next(c for c in payload["cases"] if c["id"] == "partially-hyperbolic")
         assert ph["pass"] and ph["n"] == 1
 
+    # sha256 of the default report, the cat map at 200 steps.  Its rates pass
+    # through libm `log` and `hypot`, so the digest holds for this platform
+    # (x86_64, Python 3.11.7)
+    def test_lyapunov_bytes_are_pinned(self, capsys):
+        code, out = run(["lyapunov", "--format", "json"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "ed28e8c1048272514f39e3c8d8908a0e38df37cd83c04573a23aff7a7f6ff0f0")
+
     @pytest.mark.parametrize("matrix", ["2,1,1,1", "3,2,1,1", "5,2,2,1", "1,1,1,2", "3,1,2,1"])
     def test_exact_fields_are_the_exact_rates(self, capsys, matrix):
         code, out = run(["lyapunov", "--matrix", matrix, "-n", "20", "--format", "json"],

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from flagdyn import checks
 from flagdyn import dynamics as dyn
 from flagdyn import workers
+from flagdyn.lie_core import LieVec
 from children import assert_no_child_left
 
 CAT = ((2, 1), (1, 1))
@@ -133,6 +134,23 @@ class TestReduce:
             assert abs(a[0] - b[0]) <= 1e-12 and abs(a[1] - b[1]) <= 1e-12
             dz = abs(a[2] - b[2])
             assert min(dz, abs(dz - 0.5)) <= 1e-12, (a, b)
+
+    def test_checks_pass_on_the_face_witnesses(self):
+        # each body drawing its witness above: `uniform` draws the point and
+        # `randint` the lattice element (1, 3, 0)
+        class Witness(random.Random):
+            def __init__(self, point):
+                super().__init__(0)
+                self.point, self.gamma = iter(point), iter((1, 3, 0))
+
+            def uniform(self, a, b):
+                return next(self.point)
+
+            def randint(self, a, b):
+                return next(self.gamma)
+
+        assert checks._check_reduce(Witness((1.862885432374898, 0.0, 0.0))) is True
+        assert checks._check_reduce_commute(Witness((0.0, 6.9406134037403895, 0.0))) is True
 
 
 class TestNilMap:
@@ -422,6 +440,12 @@ class TestSl2FrameRates:
         monkeypatch.setattr(dyn, "sl2_frame_rates", lambda t: calls.append(t) or rates(t))
         assert checks.run_check("sl2-frame-rates", seed=0, samples=3) == (True, None)
         assert len(calls) == 2 + 2 * 3
+
+    def test_a_frame_vector_off_the_eigenvectors_is_refused(self, monkeypatch):
+        # no eigenvector of ad(H): its two terms have eigenvalues 1 and -1
+        monkeypatch.setattr(dyn, "SL2_E", LieVec.elementary(0, 2) + LieVec.elementary(1, 2))
+        with pytest.raises(ArithmeticError, match="not an eigenvector"):
+            dyn.sl2_frame_rates(1.0)
 
 
 class TestHyperbolicityReport:

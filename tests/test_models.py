@@ -359,7 +359,7 @@ class TestCentralFlow:
         assert md.commutator_identity_check((3, -2, 5), 0) == (True, True)
 
     def test_unit_square_from_origin(self):
-        alpha, beta, _ = md.central_flow_fields()
+        alpha, beta, _ = md.FRAME_FLOWS
         p = (Fraction(0), Fraction(0), Fraction(0))
         assert beta(-1, alpha(-1, beta(1, alpha(1, p)))) == (1, 0, 0)
 
@@ -367,5 +367,5 @@ class TestCentralFlow:
         # each flow is affine in t, so its field is (flow(t, p) - p) / t
         p = (Fraction(2), Fraction(-1), Fraction(3))
         fields = [tuple((a - b) / t for a, b in zip(flow(t, p), p))
-                  for flow in md.central_flow_fields() for t in (Fraction(1, 3), Fraction(-5))]
+                  for flow in md.FRAME_FLOWS for t in (Fraction(1, 3), Fraction(-5))]
         assert fields == [(0, 0, 1)] * 2 + [(3, 1, 0)] * 2 + [(1, 0, 0)] * 2

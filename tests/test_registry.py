@@ -9,13 +9,14 @@ some checks' fixed values (a bracket, an isotropy diagonal, an invariant
 line), so that a failure prints the value where the check returns False.
 The tests after it cover the registry's one runner (its draws, fixed part,
 stop rule and residuals, and the failure of a check that tested nothing),
-the per-model sample count of the two-model checks, the check counts the
-benchmark pins, the split of `run_checks` over worker processes, which
-must change no outcome, a check that raises, unknown names, the draw
-helpers, which must keep the random streams of `random.Random.randint`,
-the rule that `src` holds only what the program runs, the methods that
-perfbench's tracer wraps, and the rule that a check enters more than the
-one predicate it names.
+that every entry binds it to its body with `functools.partial`, the
+per-model sample count of the two-model checks, the check counts the
+benchmark pins, the split of `run_checks` over worker processes, which must
+change no outcome, a check that raises, unknown names, the draw helpers,
+which must keep the random streams of `random.Random.randint`, the rule
+that `src` holds only what the program runs, the methods that perfbench's
+tracer wraps, and the rule that a check enters more than the one predicate
+it names.
 """
 
 import ast
@@ -23,6 +24,7 @@ import collections
 import functools
 import json
 import math
+import numbers
 import os
 import random
 import subprocess
@@ -45,8 +47,8 @@ from children import assert_no_child_left, child_env
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("check_id, suite", [entry[:2] for entry in checks.REGISTRY],
-                         ids=[entry[0] for entry in checks.REGISTRY])
+@pytest.mark.parametrize("check_id, suite", [entry[:2] for entry in checks._REGISTRY],
+                         ids=[entry[0] for entry in checks._REGISTRY])
 def test_registered_check(check_id, suite):
     passed, residual = checks.run_check(check_id, 0)
     assert passed, (f"check {check_id} (suite {suite}) failed, residual={residual}; "
@@ -135,6 +137,22 @@ def test_runner(register, options, outputs, samples, expected, draws):
     assert counter.draws == draws
 
 
+@pytest.mark.parametrize("runner", [entry[3] for entry in checks._REGISTRY],
+                         ids=[entry[0] for entry in checks._REGISTRY])
+def test_runner_is_run_bound_to_its_body(runner):
+    # the body is the function the decorator returned; one call of it
+    # returns None, a bool or a (bool, residual) pair
+    assert isinstance(runner, functools.partial) and runner.func is checks._run
+    body, default, fixed, worst = runner.args
+    assert not runner.keywords and getattr(checks, body.__name__) is body
+    assert (default is None or default >= 1) and (fixed is None or callable(fixed))
+    assert worst in (None, max, min)
+    out = body(random.Random(0))
+    passed, residual = out if isinstance(out, tuple) else (out, None)
+    assert out is None or isinstance(passed, bool)
+    assert residual is None or isinstance(residual, numbers.Real)
+
+
 @pytest.mark.parametrize("check_id", ["region-orbit-rank", "circle-boundary-unique",
                                       "contact-model-frames", "frame-contact-pair-standard",
                                       "frame-well-defined"])
@@ -153,7 +171,7 @@ def test_two_model_checks_test_the_samples_in_each_model(check_id, monkeypatch):
     assert drawn == {"t": 7, "a": 7}
 
 
-@pytest.mark.parametrize("check_id", [entry[0] for entry in checks.REGISTRY])
+@pytest.mark.parametrize("check_id", [entry[0] for entry in checks._REGISTRY])
 def test_zero_samples_fail_without_running(check_id, monkeypatch):
     def no_stream(seed, check_id):
         raise AssertionError("the check ran")
@@ -175,8 +193,8 @@ def test_registry_matches_the_benchmark_case_counts():
     # perfbench pins how many checks each verify workload runs; a check added
     # or dropped here must be matched there
     pinned = _pinned("run.py", "CASE_COUNTS")
-    counts = collections.Counter(suite for _, suite, _, _ in checks.REGISTRY)
-    assert pinned == {"all": len(checks.REGISTRY),
+    counts = collections.Counter(suite for _, suite, _, _ in checks._REGISTRY)
+    assert pinned == {"all": len(checks._REGISTRY),
                       **{suite: counts[suite] for suite in pinned if suite != "all"}}
 
 
@@ -187,7 +205,7 @@ def test_registry_matches_the_benchmark_case_counts():
 def _one_at_a_time(suite, seed, samples):
     """The cases of run_checks, each check run alone in this process."""
     cases = []
-    for check_id, suite_name, anchor, _ in sorted(checks.REGISTRY):
+    for check_id, suite_name, anchor, _ in sorted(checks._REGISTRY):
         if suite is not None and suite_name != suite:
             continue
         try:
@@ -207,7 +225,7 @@ def test_split_changes_no_outcome(suite, seed):
 
 def _worker_of():
     """check id -> the worker that runs it in run_checks(), 0 the caller."""
-    ids = sorted(check_id for check_id, _, _, _ in checks.REGISTRY)
+    ids = sorted(check_id for check_id, _, _, _ in checks._REGISTRY)
     workers = min(len(os.sched_getaffinity(0)), len(ids))
     return {i: zlib.crc32(i.encode()) % workers for i in ids}
 
@@ -510,7 +528,7 @@ def test_every_check_enters_more_than_one_predicate():
     src = Path(checks.__file__).resolve().parent
     names = {where: name for name, where in _defined(src) if not name.startswith("checks.")}
     restating = set()
-    for check_id, _, _, _ in checks.REGISTRY:
+    for check_id, _, _, _ in checks._REGISTRY:
         entered = set()
 
         def note(frame, event, arg):
@@ -526,15 +544,6 @@ def test_every_check_enters_more_than_one_predicate():
         if len({names[e] for e in entered if e in names}) < 2:
             restating.add(check_id)
     assert restating == set(RESTATES)
-
-
-# The names bound by module-level assignments in src/flagdyn that no code in
-# src reads, each kept on purpose.
-UNREAD = {
-    "checks.REGISTRY": "the public copy of the registry, which the tests and README "
-                       "read; the runner reads _REGISTRY, which perfbench/tracer.py "
-                       "rewrites in place",
-}
 
 
 def _assigned(tree):
@@ -563,7 +572,7 @@ def test_src_reads_every_module_level_name():
                 read.add(node.attr)
     unread = {f"{module}.{name}" for module, tree in trees.items()
               for name in _assigned(tree) if name not in read}
-    assert unread == set(UNREAD)
+    assert unread == set()
 
 
 def test_src_reads_every_import():
