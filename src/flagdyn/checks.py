@@ -145,87 +145,85 @@ def run_checks(suite=None, seed: int = 0, samples: int | None = None):
 # random generators
 # ---------------------------------------------------------------------------
 
-def _pair(rng):
-    """One rand_frac draw as its ints: (numerator, denominator), that is
-    rng.randint(-9, 9) and rng.randint(1, 9) from the same stream, without
-    randint's call layers.  getrandbits(n.bit_length()), redrawn while it is
-    n or more, is CPython's randint over n values: 5 bits below 19, 4 below 9."""
-    p = q = 19
-    while p >= 19:
-        p = rng.getrandbits(5)
-    while q >= 9:
-        q = rng.getrandbits(4)
-    return p - 9, q + 1
+# 2520 = lcm(1..9), a multiple of every rand_frac denominator, and at
+# index r the factor 2520 / (r + 1) that puts a draw over r + 1 over it
+_DEN = 2520
+_OVER_DEN = tuple(_DEN // q for q in range(1, 10))
 
 
-def _nonzero_pair(rng):
-    """One nonzero_frac draw as its ints: `_pair` draws until p != 0."""
-    while True:
-        p, q = _pair(rng)
-        if p:
-            return p, q
-
-
-def _over_lcm(pairs):
-    """The rationals p / q of `pairs` as ints over the lcm of the q: (nums,
-    lcm), pair k being nums[k] / lcm."""
-    lcm = math.lcm(*[q for _, q in pairs])
-    return [p * (lcm // q) for p, q in pairs], lcm
+def _rand_ints(rng, count: int, nonzero=()):
+    """`count` rand_frac draws p / q as ints over 2520: rng.randint(-9, 9),
+    then rng.randint(1, 9), each as CPython's randint over n values draws it
+    (getrandbits(n.bit_length()), redrawn while it is n or more).  A draw
+    at a position in `nonzero` is redrawn, both parts, until p != 0."""
+    bits = rng.getrandbits
+    nums = []
+    for k in range(count):
+        while True:
+            p = bits(5)
+            while p >= 19:
+                p = bits(5)
+            q = bits(4)
+            while q >= 9:
+                q = bits(4)
+            if p != 9 or k not in nonzero:
+                break
+        nums.append((p - 9) * _OVER_DEN[q])
+    return nums
 
 
 def rand_frac(rng) -> Fraction:
-    return Fraction(*_pair(rng))
+    return Fraction(_rand_ints(rng, 1)[0], _DEN)
 
 
-def _rand_ints(rng, count: int):
-    """`count` draws of rand_frac(rng) from the same stream, as ints over the
-    lcm of the drawn denominators."""
-    return _over_lcm([_pair(rng) for _ in range(count)])
+def nonzero_frac(rng) -> Fraction:
+    return Fraction(_rand_ints(rng, 1, (0,))[0], _DEN)
 
 
 def rand_lievec(rng) -> lc.LieVec:
-    return lc.LieVec(*_rand_ints(rng, 9))
+    return lc.LieVec(_rand_ints(rng, 9), _DEN)
 
 
 def rand_traceless(rng) -> lc.LieVec:
     """v - (tr v / 3) I for v = rand_lievec(rng): (3 nums - t I) / (3 den),
     with t the trace of nums."""
-    nums, den = _rand_ints(rng, 9)
+    nums = _rand_ints(rng, 9)
     t = nums[0] + nums[4] + nums[8]
-    return lc.LieVec([3 * n - t * (k in (0, 4, 8)) for k, n in enumerate(nums)], 3 * den)
+    return lc.LieVec([3 * n - t * (k in (0, 4, 8)) for k, n in enumerate(nums)], 3 * _DEN)
 
 
 def rand_curvature(rng) -> curv.NormalCurvature:
     """The components from four rand_frac draws, in order."""
-    return curv.NormalCurvature(*_rand_ints(rng, 4))
+    return curv.NormalCurvature(_rand_ints(rng, 4), _DEN)
 
 
 def rand_group(rng) -> lc.GroupElem:
     while True:
         try:
-            return lc.GroupElem._of_ints(_rand_ints(rng, 9)[0])
+            return lc.GroupElem._of_ints(_rand_ints(rng, 9))
         except ValueError:
             continue
 
 
-def nonzero_frac(rng) -> Fraction:
-    return Fraction(*_nonzero_pair(rng))
-
-
 def rand_upper(rng) -> lc.GroupElem:
     """Upper triangular with nonzero diagonal: six draws in row order."""
-    a, b, c, d, e, f = _over_lcm([_nonzero_pair(rng), _pair(rng), _pair(rng),
-                                  _nonzero_pair(rng), _pair(rng),
-                                  _nonzero_pair(rng)])[0]
+    a, b, c, d, e, f = _rand_ints(rng, 6, (0, 3, 5))
     return lc.GroupElem._of_ints((a, b, c, 0, d, e, 0, 0, f))
+
+
+def rand_stabilizer(rng, model: str) -> lc.GroupElem:
+    """A diagonal stabilizer of the base flag: diag(1, d, 1) from one
+    nonzero_frac draw in model t, diag(d1, d2, d3) from three in model a."""
+    d = (_DEN, *_rand_ints(rng, 1, (0,)), _DEN) if model == "t" else _rand_ints(rng, 3, (0, 1, 2))
+    return lc.GroupElem._of_ints((d[0], 0, 0, 0, d[1], 0, 0, 0, d[2]))
 
 
 def rand_flag(rng) -> fs.Flag:
     while True:
         try:
-            m, q = _rand_ints(rng, 3)[0], _rand_ints(rng, 3)[0]
-            m = _primitive_ints(m)
-            return fs.Flag(m, fs.meet(m, _primitive_ints(q)))
+            nums = _rand_ints(rng, 6)
+            m = _primitive_ints(nums[:3])
+            return fs.Flag(m, fs.meet(m, _primitive_ints(nums[3:])))
         except ValueError:
             continue
 
@@ -234,9 +232,8 @@ def rand_interior_flag(rng, model: str) -> fs.Flag:
     """The flag at chart coordinates (x, y, z) = three rand_frac draws, drawn
     again until it is interior to `model`."""
     while True:
-        (p1, q1), (p2, q2), (p3, q3) = _pair(rng), _pair(rng), _pair(rng)
-        # (x, y) = (p1 q2, p2 q1) / (q1 q2), direction (z : 1) = (p3 : q3)
-        flag = fs._chart_flag(p1 * q2, p2 * q1, q1 * q2, p3, q3)
+        x, y, z = _rand_ints(rng, 3)
+        flag = fs._chart_flag(x, y, _DEN, z, _DEN)
         if fs.region_classify(flag, model) is fs.Region.INTERIOR:
             return flag
 
@@ -244,19 +241,18 @@ def rand_interior_flag(rng, model: str) -> fs.Flag:
 def rand_sl2(rng) -> md.Block:
     """[[a, b], [c, (1 + b c) / a]] from three rand_frac draws with a != 0."""
     while True:
-        (a, p), (b, q), (c, r) = _pair(rng), _pair(rng), _pair(rng)
+        a, b, c = _rand_ints(rng, 3)
         if a:
-            # (a / p, b / q, c / r, p (q r + b c) / (a q r)) over a p q r
-            return md.Block((a * a * q * r, a * b * p * r, a * c * p * q, p * p * (q * r + b * c)),
-                            a * p * q * r)
+            # (a, b, c) / d and (1 + b c / d^2) / (a / d) over a d, d = 2520
+            return md.Block((a * a, a * b, a * c, _DEN * _DEN + b * c), a * _DEN)
 
 
 def rand_heis(rng) -> md.HeisElem:
-    return md.HeisElem(*_rand_ints(rng, 3))
+    return md.HeisElem(_rand_ints(rng, 3), _DEN)
 
 
 def rand_auto(rng) -> md.HeisAuto:
-    return md.HeisAuto(*_over_lcm([_nonzero_pair(rng), _nonzero_pair(rng)]))
+    return md.HeisAuto(_rand_ints(rng, 2, (0, 1)), _DEN)
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +809,7 @@ def _check_frame_well_defined(rng):
     for model, base, gens in (("t", fs.O_T, (md.SL2_E, md.SL2_F, md.SL2_H)),
                               ("a", fs.O_A, (md.HEIS_X, md.HEIS_Y, md.HEIS_Z))):
         x = rand_interior_flag(rng, model)
-        # a stabilizer of the base flag: diag(1, d, 1) in model t, any diagonal in a
-        d = _over_lcm([(1, 1), _nonzero_pair(rng), (1, 1)] if model == "t"
-                      else [_nonzero_pair(rng) for _ in range(3)])[0]
-        h = md.transporter(x, model) @ lc.GroupElem._of_ints((d[0], 0, 0, 0, d[1], 0, 0, 0, d[2]))
+        h = md.transporter(x, model) @ rand_stabilizer(rng, model)
         frame = md.frame_at(x, model)
         lines = tuple(primitive(fs.fundamental_vector(lc.conjugate(h, g), x)) for g in gens)
         if fs.act(h, base) != x or frame != lines:
@@ -862,8 +855,8 @@ def _flat_iso_anchors():
        "(X, Y, Z); rejects non-contact pairs", samples=100, fixed=_flat_iso_anchors)
 def _check_flat_iso(rng):
     # v = aX + bY + cZ, then w = pX + qY + rZ, from six rand_frac draws
-    ((a, b, c), m), ((p, q, r), n) = _rand_ints(rng, 3), _rand_ints(rng, 3)
-    v, w = lc.LieVec((0, a, c, 0, 0, b, 0, 0, 0), m), lc.LieVec((0, p, r, 0, 0, q, 0, 0, 0), n)
+    a, b, c, p, q, r = _rand_ints(rng, 6)
+    v, w = lc.LieVec((0, a, c, 0, 0, b, 0, 0, 0), _DEN), lc.LieVec((0, p, r, 0, 0, q, 0, 0, 0), _DEN)
     try:
         m = md.flat_structure_iso(v, w)
     except md.ContactConditionError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import sub
 
 from .rational import (
     _CanonicalInts,
@@ -356,12 +356,16 @@ def normalizer(s: Subalgebra) -> Subalgebra:
 # ---------------------------------------------------------------------------
 
 def fmat_mul(a, b):
-    """Product of two float matrices.  The loops run inside map, zip and
-    sum, with no bytecode per entry."""
-    width = len(b[0])
-    prods = map(mul, chain.from_iterable([row * width for row in a]),
-                tuple(chain.from_iterable(zip(*b))) * len(a))
-    return tuple(zip(*[map(sum, zip(*[prods] * len(b)))] * width))
+    """Product of two float 3x3 matrices, written out: entry (i, j) is 0.0 +
+    a[i][0] b[0][j] + a[i][1] b[1][j] + a[i][2] b[2][j], sum's order (3.11)."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return ((0.0 + a0 * b0 + a1 * b3 + a2 * b6, 0.0 + a0 * b1 + a1 * b4 + a2 * b7,
+             0.0 + a0 * b2 + a1 * b5 + a2 * b8),
+            (0.0 + a3 * b0 + a4 * b3 + a5 * b6, 0.0 + a3 * b1 + a4 * b4 + a5 * b7,
+             0.0 + a3 * b2 + a4 * b5 + a5 * b8),
+            (0.0 + a6 * b0 + a7 * b3 + a8 * b6, 0.0 + a6 * b1 + a7 * b4 + a8 * b7,
+             0.0 + a6 * b2 + a7 * b5 + a8 * b8))
 
 
 def fmat_sub(a, b):
@@ -375,9 +379,8 @@ def fnorm(m) -> float:
 
 
 _EXP_ORDER = 18
-# Paterson-Stockmeyer: one product of the Taylor coefficients, as a 5x4
-# matrix padded with zeros, with the stacked powers m^0..m^3 gives five
-# blocks, and Horner's rule runs over them in m^4; 7 matrix products in all.
+# Paterson-Stockmeyer: five blocks, each m^0..m^3 combined with four Taylor
+# coefficients (zeros past the order); Horner's rule over them in m^4.
 _PS_BLOCK = 4
 _EXP_BLOCKS = tuple(
     tuple(1.0 / math.factorial(k) if k <= _EXP_ORDER else 0.0 for k in range(j, j + _PS_BLOCK))
@@ -385,17 +388,20 @@ _EXP_BLOCKS = tuple(
 
 
 def _exp_series(m):
-    """The Taylor polynomial at m; the blocks and `out` are flat, row by row."""
-    n = range(len(m))
-    pows = [tuple(tuple(float(i == j) for j in n) for i in n), m]
+    """The Taylor polynomial at the float 3x3 matrix m, in 7 products.  Block
+    entries are 0.0 + c0 x0 + .. + c3 x3 over the entries x of m^0..m^3, the
+    5x4 by 4x9 product's order; the blocks and `out` are flat, row by row."""
+    pows = [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), m]
     for _ in range(_PS_BLOCK - 1):
         pows.append(fmat_mul(pows[-1], m))
     top = pows.pop()
-    *blocks, out = fmat_mul(_EXP_BLOCKS, [tuple(chain.from_iterable(p)) for p in pows])
+    entries = list(zip(*[chain.from_iterable(p) for p in pows]))
+    *blocks, out = [[0.0 + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 for x0, x1, x2, x3 in entries]
+                    for c0, c1, c2, c3 in _EXP_BLOCKS]
     for block in reversed(blocks):
-        out = fmat_mul(tuple(zip(*[iter(out)] * len(m))), top)
-        out = tuple(map(add, chain.from_iterable(out), block))
-    return tuple(zip(*[iter(out)] * len(m)))
+        out = fmat_mul((out[0:3], out[3:6], out[6:9]), top)
+        out = [x + y for x, y in zip(chain.from_iterable(out), block)]
+    return tuple(out[0:3]), tuple(out[3:6]), tuple(out[6:9])
 
 
 def exp_float(m):

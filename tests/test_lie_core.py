@@ -250,6 +250,46 @@ class TestExponentials:
             conj = lc.fmat_mul(lc.fmat_mul(g, e.to_float()), g_inv)
             assert lc.fnorm(lc.fmat_sub(conj, e.to_float(rate))) < 1e-9
 
+    # the generic float product the written-out forms must reproduce bit for
+    # bit: each entry summed by CPython 3.11's sum, left to right from 0
+    @staticmethod
+    def generic_mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                           for j in range(len(b[0]))) for i in range(len(a)))
+
+    @staticmethod
+    def float_matrices(seed, count, scale):
+        # entries from a wide range, with signed zeros and small integers
+        rng = random.Random(seed)
+        pick = (lambda: 0.0, lambda: -0.0, lambda: float(rng.randint(-3, 3)),
+                lambda: rng.uniform(-scale, scale), lambda: rng.uniform(-scale, scale) * 1e-9)
+        return [tuple(tuple(rng.choice(pick)() for _ in range(3)) for _ in range(3))
+                for _ in range(count)]
+
+    def test_fmat_mul_is_the_summed_product_bit_for_bit(self):
+        mats = self.float_matrices(0, 2000, 10.0)
+        for a, b in zip(mats[::2], mats[1::2]):
+            # repr tells -0.0 from 0.0
+            assert repr(lc.fmat_mul(a, b)) == repr(self.generic_mul(a, b))
+
+    def test_exp_series_is_the_stacked_block_product_bit_for_bit(self):
+        # the Taylor polynomial as one product of the 5x4 coefficient matrix
+        # with the stacked powers m^0..m^3 (4x9), then Horner's rule in m^4
+        def reference(m):
+            pows = [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), m]
+            for _ in range(3):
+                pows.append(self.generic_mul(pows[-1], m))
+            top = pows.pop()
+            *blocks, out = self.generic_mul(lc._EXP_BLOCKS, [sum(p, ()) for p in pows])
+            for block in reversed(blocks):
+                prod = self.generic_mul((out[0:3], out[3:6], out[6:9]), top)
+                out = [x + y for x, y in zip(sum(prod, ()), block)]
+            return tuple(out[0:3]), tuple(out[3:6]), tuple(out[6:9])
+
+        assert len(lc._EXP_BLOCKS) == 5 and {len(row) for row in lc._EXP_BLOCKS} == {4}
+        for m in self.float_matrices(1, 500, 0.2):
+            assert repr(lc._exp_series(m)) == repr(reference(m))
+
 
 class TestTheta:
     def test_elementary_transpose_negate(self):

@@ -318,7 +318,7 @@ class TestFlatStructureIso:
 
     def test_fails_when_no_pair_is_tested(self, monkeypatch):
         # every drawn pair is zero, so none is a contact pair
-        monkeypatch.setattr(checks, "_rand_ints", lambda rng, count: ([0] * count, 1))
+        monkeypatch.setattr(checks, "_rand_ints", lambda rng, count, nonzero=(): [0] * count)
         assert run_check("flat-structure-iso") == (False, None)
 
 

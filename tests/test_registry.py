@@ -13,10 +13,10 @@ that every entry binds it to its body with `functools.partial`, the
 per-model sample count of the two-model checks, the check counts the
 benchmark pins, the split of `run_checks` over worker processes, which must
 change no outcome, a check that raises, unknown names, the draw helpers,
-which must keep the random streams of `random.Random.randint`, the rule
-that `src` holds only what the program runs, the methods that perfbench's
-tracer wraps, and the rule that a check enters more than the one predicate
-it names.
+which must keep the random streams of `random.Random.randint` and draw
+through one law, the rule that `src` holds only what the program runs, the
+methods that perfbench's tracer wraps, and the rule that a check enters
+more than the one predicate it names.
 """
 
 import ast
@@ -297,10 +297,10 @@ def test_unknown_check_and_suite_raise_key_error():
 @pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 9), (0, 0), (0, 1), (-1, 1),
                                     (5, 1000), (-(2 ** 40), 2 ** 40)])
 def test_below_draws_what_randint_draws(lo, hi):
-    # `checks._pair` writes randint out as getrandbits(n.bit_length()) over
-    # n values, redrawn while it is n or more; if a future CPython changes
-    # randint, this fails, and the streams of the checks become the ones
-    # `_pair` defines
+    # `checks._rand_ints` writes randint out as getrandbits(n.bit_length())
+    # over n values, redrawn while it is n or more; if a future CPython
+    # changes randint, this fails, and the streams of the checks become the
+    # ones `_rand_ints` defines
     n = hi - lo + 1
     ours, theirs = random.Random(lo ^ hi), random.Random(lo ^ hi)
 
@@ -391,6 +391,14 @@ def randint_auto(rng):
     return md.HeisAuto.of(randint_nonzero(rng), randint_nonzero(rng))
 
 
+def randint_stabilizer(rng, model):
+    # diag(1, d, 1) in model t, diag(d1, d2, d3) in model a
+    if model == "t":
+        return lc.GroupElem([[1, 0, 0], [0, randint_nonzero(rng), 0], [0, 0, 1]])
+    return lc.GroupElem([[randint_nonzero(rng), 0, 0], [0, randint_nonzero(rng), 0],
+                         [0, 0, randint_nonzero(rng)]])
+
+
 @pytest.mark.parametrize("ours, theirs", [
     (checks.rand_frac, randint_frac),
     (checks.rand_lievec, randint_lievec),
@@ -405,9 +413,14 @@ def randint_auto(rng):
      functools.partial(randint_interior_flag, model="a")),
     (checks.rand_sl2, randint_sl2),
     (checks.rand_heis, randint_heis),
-    (checks.rand_auto, randint_auto)],
+    (checks.rand_auto, randint_auto),
+    (checks.nonzero_frac, randint_nonzero),
+    (functools.partial(checks.rand_stabilizer, model="t"),
+     functools.partial(randint_stabilizer, model="t")),
+    (functools.partial(checks.rand_stabilizer, model="a"),
+     functools.partial(randint_stabilizer, model="a"))],
     ids=["frac", "lievec", "traceless", "curvature", "group", "flag", "upper", "interior-flag-t",
-         "interior-flag-a", "sl2", "heis", "auto"])
+         "interior-flag-a", "sl2", "heis", "auto", "nonzero-frac", "stabilizer-t", "stabilizer-a"])
 def test_generators_keep_the_randint_streams(ours, theirs):
     # the integer-built generators against their Fraction-built forms on
     # randint: the same objects, and the stream left in the same state
@@ -415,6 +428,22 @@ def test_generators_keep_the_randint_streams(ours, theirs):
         a, b = random.Random(seed), random.Random(seed)
         assert [ours(a) for _ in range(50)] == [theirs(b) for _ in range(50)]
         assert a.getstate() == b.getstate()
+
+
+def test_one_function_draws_the_bits():
+    # every exact draw goes through the one law that the stream tests pin:
+    # getrandbits is read only inside checks._rand_ints
+    def reads(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "getrandbits"]
+
+    src = Path(checks.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    [law] = [node for node in trees["checks"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "_rand_ints"]
+    inside = reads(law)
+    outside = [(module, n.lineno) for module, tree in trees.items()
+               for n in reads(tree) if n not in inside]
+    assert inside and outside == []
 
 
 # ---------------------------------------------------------------------------
