@@ -211,10 +211,11 @@ def rand_upper(rng) -> lc.GroupElem:
     return lc.GroupElem._of_ints((a, b, c, 0, d, e, 0, 0, f))
 
 
-def rand_stabilizer(rng, model: str) -> lc.GroupElem:
-    """A diagonal stabilizer of the base flag: diag(1, d, 1) from one
-    nonzero_frac draw in model t, diag(d1, d2, d3) from three in model a."""
-    d = (_DEN, *_rand_ints(rng, 1, (0,)), _DEN) if model == "t" else _rand_ints(rng, 3, (0, 1, 2))
+def rand_stabilizer(rng, model: md.Model) -> lc.GroupElem:
+    """A diagonal stabilizer of the model's base flag: diag(1, d, 1) from one
+    nonzero_frac draw in BLOCK, diag(d1, d2, d3) from three in AFFINE."""
+    d = ((_DEN, *_rand_ints(rng, 1, (0,)), _DEN) if model is md.BLOCK
+         else _rand_ints(rng, 3, (0, 1, 2)))
     return lc.GroupElem._of_ints((d[0], 0, 0, 0, d[1], 0, 0, 0, d[2]))
 
 
@@ -228,13 +229,13 @@ def rand_flag(rng) -> fs.Flag:
             continue
 
 
-def rand_interior_flag(rng, model: str) -> fs.Flag:
+def rand_interior_flag(rng, model: md.Model) -> fs.Flag:
     """The flag at chart coordinates (x, y, z) = three rand_frac draws, drawn
     again until it is interior to `model`."""
     while True:
         x, y, z = _rand_ints(rng, 3)
         flag = fs._chart_flag(x, y, _DEN, z, _DEN)
-        if fs.region_classify(flag, model) is fs.Region.INTERIOR:
+        if fs.region_classify(flag, model.special_point) is fs.Region.INTERIOR:
             return flag
 
 
@@ -480,10 +481,10 @@ def _check_flip_circles(rng):
 
 @check("affine-chart-roundtrip", "flag-space",
        "pointed affine line chart round-trips exactly; base values match", samples=200,
-       fixed=lambda: (fs.affine_chart(fs.O_A) == ((0, 0), (0, 1))
-                      and fs.affine_chart(fs.O_T) == ((1, 0), (0, 1))))
+       fixed=lambda: (fs.affine_chart(md.AFFINE.base_flag) == ((0, 0), (0, 1))
+                      and fs.affine_chart(md.BLOCK.base_flag) == ((1, 0), (0, 1))))
 def _check_chart(rng):
-    x = rand_interior_flag(rng, "a")
+    x = rand_interior_flag(rng, md.AFFINE)
     return fs.affine_chart_inverse(*fs.affine_chart(x)) == x
 
 
@@ -502,21 +503,22 @@ def _check_chart_error(rng):
        "anchor flags land in their strata; the base flag is deep boundary")
 def _check_region_examples(rng):
     anchor = {case: data.boundary_flag for case, data in cls.DEGENERATION_CASES.items()}
-    return all(fs.region_classify(x, model) is region for x, model, region in (
-        (fs.O_T, "t", fs.Region.INTERIOR), (fs.O_A, "a", fs.Region.INTERIOR),
-        (anchor["t1"], "t", fs.Region.G1), (anchor["t2"], "t", fs.Region.G2),
-        (anchor["a1"], "a", fs.Region.G1), (anchor["a2"], "a", fs.Region.G2),
+    t, a = md.BLOCK, md.AFFINE
+    return all(fs.region_classify(x, model.special_point) is region for x, model, region in (
+        (t.base_flag, t, fs.Region.INTERIOR), (a.base_flag, a, fs.Region.INTERIOR),
+        (anchor["t1"], t, fs.Region.G1), (anchor["t2"], t, fs.Region.G2),
+        (anchor["a1"], a, fs.Region.G1), (anchor["a2"], a, fs.Region.G2),
         # the a1 flag's point is the block model's special point
-        (anchor["a1"], "t", fs.Region.DEEP_BOUNDARY),
-        (fs.BASE_FLAG, "a", fs.Region.DEEP_BOUNDARY)))
+        (anchor["a1"], t, fs.Region.DEEP_BOUNDARY),
+        (fs.BASE_FLAG, a, fs.Region.DEEP_BOUNDARY)))
 
 
 @check("region-orbit-rank", "flag-space",
        "the model algebra orbit is 3-dimensional exactly on the interior", samples=150)
 def _check_region_rank(rng):
-    for model, alg in (("t", cls.H_T), ("a", cls.H_A)):
+    for model, alg in zip(md.MODELS, (cls.H_T, cls.H_A)):
         x = rand_flag(rng)
-        interior = fs.region_classify(x, model) is fs.Region.INTERIOR
+        interior = fs.region_classify(x, model.special_point) is fs.Region.INTERIOR
         if (fs.orbit_rank(alg.basis, x) == 3) != interior:
             return False
     return True
@@ -526,11 +528,11 @@ def _check_region_rank(rng):
        "each circle through an interior flag misses exactly one point of the model",
        samples=500)
 def _check_circle_boundary(rng):
-    for model in ("t", "a"):
-        x = rand_interior_flag(rng, model)
+    for model in md.MODELS:
+        x, m_sp = rand_interior_flag(rng, model), model.special_point
         for which in ("alpha", "beta"):
-            y = fs.circle_boundary_points(x, which, model)
-            if y is None or fs.region_classify(y, model) is fs.Region.INTERIOR:
+            y = fs.circle_boundary_points(x, which, m_sp)
+            if y is None or fs.region_classify(y, m_sp) is fs.Region.INTERIOR:
                 return False
     return True
 
@@ -538,8 +540,9 @@ def _check_circle_boundary(rng):
 @check("circle-boundary-example", "flag-space",
        "the beta circle of the block-model base flag exits at ([e2], same line)")
 def _check_circle_example(rng):
-    return (fs.circle_boundary_points(fs.O_T, "beta", "t") == fs.Flag.of((0, 1, 0), (1, 0, 1))
-            and fs.circle_boundary_points(fs.Flag.of((1, 0, 0), (0, 1, 0)), "beta", "t") is None)
+    base, m_sp = md.BLOCK.base_flag, md.BLOCK.special_point
+    return (fs.circle_boundary_points(base, "beta", m_sp) == fs.Flag.of((0, 1, 0), (1, 0, 1))
+            and fs.circle_boundary_points(fs.Flag.of((1, 0, 0), (0, 1, 0)), "beta", m_sp) is None)
 
 
 # carries the base flag to the affine anchor, inside the chart
@@ -558,14 +561,14 @@ def _check_fundamental_isotropy(rng):
 @check("fundamental-central-velocity", "flag-space",
        "the corner generator moves the affine base flag with velocity (1, 0, 0)")
 def _check_fundamental_z(rng):
-    return fs.fundamental_vector(md.HEIS_Z, fs.O_A) == (1, 0, 0)
+    return fs.fundamental_vector(md.HEIS_Z, md.AFFINE.base_flag) == (1, 0, 0)
 
 
 @check("fundamental-finite-difference", "flag-space",
        "closed-form velocity agrees with a first-order difference quotient", samples=30)
 def _check_fundamental_fd(rng):
     v = rand_traceless(rng)
-    x = rand_interior_flag(rng, "a")
+    x = rand_interior_flag(rng, md.AFFINE)
     w = fs.fundamental_vector(v, x)
     # the quotient is exact, so a tiny step costs nothing: its first-order
     # error is h times a second derivative that reaches about 1e6 near the
@@ -661,9 +664,8 @@ def _check_contact_heis(rng):
 @check("contact-model-frames", "curvature",
        "the invariant frames of both models are contact at interior points", samples=100)
 def _check_contact_frames(rng):
-    for model in ("t", "a"):
-        alpha_field, beta_field = (md.InvariantField(gen, model)
-                                   for gen in md._BASE_GENERATORS[model][:2])
+    for model in md.MODELS:
+        alpha_field, beta_field = (md.InvariantField(gen, model) for gen in model.frame[:2])
         p = fs.chart_coords(rand_interior_flag(rng, model))
         if not curv.contact_test(alpha_field, beta_field, p):
             return False
@@ -774,8 +776,8 @@ def _check_equiv_a_morphism(rng):
 def _check_equiv_a_action(rng):
     p, h = rand_upper(rng), rand_heis(rng)
     hp, phi = md.equivariance_a(p)
-    return (fs.act(p, fs.act(h.as_group_elem(), fs.O_A))
-            == fs.act(hp.mul(phi.apply(h)).as_group_elem(), fs.O_A))
+    return (fs.act(p, fs.act(h.as_group_elem(), md.AFFINE.base_flag))
+            == fs.act(hp.mul(phi.apply(h)).as_group_elem(), md.AFFINE.base_flag))
 
 
 @check("equivariance-block-morphism", "models",
@@ -796,23 +798,23 @@ def _check_equiv_t_action(rng):
     g2, s = rand_sl2(rng), rand_sl2(rng)
     big = md.equivariance_t_inverse(g2, lam)
     emb = md.equivariance_t_inverse(s, 1)
-    lhs = fs.act(big, fs.act(emb, fs.O_T))
+    base = md.BLOCK.base_flag
+    lhs = fs.act(big, fs.act(emb, base))
     # diag(lam, 1 / lam) for lam = n / m, over n m
     n, m = lam.numerator, lam.denominator
     a = md.Block((n * n, 0, 0, m * m), n * m)
-    return lhs == fs.act(md.equivariance_t_inverse(md.mat_mul2(md.mat_mul2(g2, s), a), 1), fs.O_T)
+    return lhs == fs.act(md.equivariance_t_inverse(md.mat_mul2(md.mat_mul2(g2, s), a), 1), base)
 
 
 @check("frame-well-defined", "models",
        "two transports reaching the same flag produce the same frame lines", samples=60)
 def _check_frame_well_defined(rng):
-    for model, base, gens in (("t", fs.O_T, (md.SL2_E, md.SL2_F, md.SL2_H)),
-                              ("a", fs.O_A, (md.HEIS_X, md.HEIS_Y, md.HEIS_Z))):
+    for model in md.MODELS:
         x = rand_interior_flag(rng, model)
         h = md.transporter(x, model) @ rand_stabilizer(rng, model)
         frame = md.frame_at(x, model)
-        lines = tuple(primitive(fs.fundamental_vector(lc.conjugate(h, g), x)) for g in gens)
-        if fs.act(h, base) != x or frame != lines:
+        lines = tuple(primitive(fs.fundamental_vector(lc.conjugate(h, g), x)) for g in model.frame)
+        if fs.act(h, model.base_flag) != x or frame != lines:
             return False
     return True
 
@@ -820,15 +822,15 @@ def _check_frame_well_defined(rng):
 @check("frame-base-values", "models",
        "base frames: central line direction e1 in the chart at both anchors")
 def _check_frame_base(rng):
-    return (md.frame_at(fs.O_A, "a") == md.frame_at(fs.O_T, "t")
-            == ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    return all(md.frame_at(model.base_flag, model) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+               for model in md.MODELS)
 
 
 @check("frame-contact-pair-standard", "models",
        "the frame's circle directions match the standard pair at random points",
        samples=100)
 def _check_frame_contact_pair(rng):
-    for model in ("t", "a"):
+    for model in md.MODELS:
         x = rand_interior_flag(rng, model)
         alpha, beta, _ = md.frame_at(x, model)
         z = fs.chart_coords(x)[2]
@@ -945,12 +947,13 @@ def _check_isotropy_h2(rng):
     return _isotropy_is_expected_diagonal("h2")
 
 
-def _unique_line_is(alg, base, target):
-    """The search finds one line, the class of target, in the given basis
-    and in a second one, where each element but the last has the last
-    added.  In the given bases of both models the solved (x, y) is (0, 0),
-    where either sign of the transverse lift spans the same line; in the
-    second basis it is not."""
+def _unique_line_is(alg, model):
+    """At the model's base flag the search finds one line, the class of its
+    central generator, in the given basis and in a second one, where each
+    element but the last has the last added.  In the given bases of both
+    models the solved (x, y) is (0, 0), where either sign of the transverse
+    lift spans the same line; in the second basis it is not."""
+    base, target = model.base_flag, model.frame[2]
     *rest, last = alg.basis
     for algebra in (alg, lc.Subalgebra.of([v + last for v in rest] + [last])):
         res = cls.invariant_transverse_line_search(algebra, base)
@@ -964,14 +967,14 @@ def _unique_line_is(alg, base, target):
        "the only invariant transverse line of the block model is the "
        "class of H")
 def _check_line_t(rng):
-    return _unique_line_is(cls.H_T, fs.O_T, md.SL2_H)
+    return _unique_line_is(cls.H_T, md.BLOCK)
 
 
 @check("invariant-line-affine", "classification",
        "the only invariant transverse line of the affine model is the "
        "class of Z")
 def _check_line_a(rng):
-    return _unique_line_is(cls.H_A, fs.O_A, md.HEIS_Z)
+    return _unique_line_is(cls.H_A, md.AFFINE)
 
 
 @check("invariant-line-translations-sl2", "classification",
@@ -985,14 +988,14 @@ def _check_line_h1(rng):
 @check("invariant-line-similarity", "classification",
        "the similarity extension leaves a one-parameter family invariant")
 def _check_line_h2(rng):
-    res = cls.invariant_transverse_line_search(cls.H_2, fs.O_A)
+    res = cls.invariant_transverse_line_search(cls.H_2, md.AFFINE.base_flag)
     return res.kind == "family" and res.family_dim == 1
 
 
 @check("stabilizer-four-cases", "classification",
        "transverse stabilizers: full / diag(1,1,-2) / diag(-2,1,1) / zero")
 def _check_stabilizer_cases(rng):
-    table = cls.transverse_stabilizer_cases(cls.H_A, fs.O_A)
+    table = cls.transverse_stabilizer_cases(cls.H_A, md.AFFINE.base_flag)
     lines = {"x=0,y!=0": lc.LieVec.diag(1, 1, -2), "x!=0,y=0": lc.LieVec.diag(-2, 1, 1)}
     return (len(table["x=0,y=0"]) == 2 and len(table["x!=0,y!=0"]) == 0
             and all(len(table[case]) == 1 and not table[case][0].is_zero()

@@ -36,7 +36,7 @@ from .lie_core import (
     conjugate,
     lincomb,
 )
-from .models import HEIS_X, HEIS_Y, HEIS_Z, SL2_E, SL2_F, SL2_H
+from .models import AFFINE, BLOCK, HEIS_Z, SL2_H
 from .rational import _Record, _cleared, cross, dot, in_span, nullspace, rank, solve, span_equal
 
 
@@ -87,7 +87,7 @@ H_2 = Subalgebra.of([
 ])
 
 # Block sl(2) in the upper-left corner.
-S_0 = Subalgebra.of([SL2_E, SL2_F, SL2_H])
+S_0 = Subalgebra.of(BLOCK.frame)
 
 SO3 = Subalgebra.of([
     _J,
@@ -102,7 +102,7 @@ SO12 = Subalgebra.of([
     LieVec.of([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
 ])
 
-HEIS_ALGEBRA = Subalgebra.of([HEIS_X, HEIS_Y, HEIS_Z])
+HEIS_ALGEBRA = Subalgebra.of(AFFINE.frame)
 
 CENTRAL_LINE = LieVec.diag(1, 1, -2)
 
@@ -162,8 +162,8 @@ X1_FLAG = Flag.of((0, 0, 1), (1, 0, 0))  # base flag of the h-1 orbit
 
 # case -> (isotropy parametrization v(a, b), frame lifts)
 _ISOTROPY_CASES = {
-    "t": (lambda a, b: LieVec.diag(a, -2 * a, a), (SL2_E, SL2_F, SL2_H)),
-    "a": (lambda a, b: LieVec.diag(a, -a - b, b), (HEIS_X, HEIS_Y, HEIS_Z)),
+    "t": (lambda a, b: LieVec.diag(a, -2 * a, a), BLOCK.frame),
+    "a": (lambda a, b: LieVec.diag(a, -a - b, b), AFFINE.frame),
     "h1": (lambda a, b: LieVec.diag(a, -a, 0) + LieVec.elementary(0, 1).scale(b),
            (LieVec.elementary(1, 0), LieVec.elementary(0, 2), LieVec.elementary(1, 2))),
     "h2": (lambda a, b: LieVec.diag(a, a, -2 * a),

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 
 from .lie_core import bracket
-from .models import SL2_E, SL2_F, SL2_H
+from .models import BLOCK
 from .rational import _Record
 from .workers import cpus, split
 
@@ -316,13 +316,14 @@ def tangent_rates(f: NilMap, n: int = 200) -> dict:
 
 def sl2_frame_rates(t: float):
     """Log multipliers of the time-t right translation on the left-invariant
-    frame (E, F, H): derived from the bracket eigenvalues of the diagonal
-    generator, not hard coded.  The frame cocycle of the right translation
-    is the adjoint of the inverse, so an eigenvector with [H, v] = c v
-    carries the rate -c t; c is read at v's first nonzero entry."""
-    rates = []
-    for v in (SL2_E, SL2_F, SL2_H):
-        b = bracket(SL2_H, v)
+    frame (E, F, H) of `BLOCK`: derived from the bracket eigenvalues of the
+    diagonal generator H, not hard coded.  The frame cocycle of the right
+    translation is the adjoint of the inverse, so an eigenvector with
+    [H, v] = c v carries the rate -c t; c is read at v's first nonzero
+    entry."""
+    rates, frame = [], BLOCK.frame
+    for v in frame:
+        b = bracket(frame[2], v)
         lead = next(k for k, n in enumerate(v.nums) if n)
         c = Fraction(b.nums[lead] * v.den, b.den * v.nums[lead])
         if b != v.scale(c):

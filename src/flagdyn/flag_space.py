@@ -7,9 +7,10 @@ plane, so incidence is a single exact dot product, `meet` is both the line
 through two points and the point on two lines, and a ratio of coordinates
 is built as a Fraction, never with `/`.  The two invariant circle families
 through a flag are the pencils obtained by moving the line through a fixed
-point (alpha) or the point along a fixed line (beta).  A boundary flag's
-stratum is read off its two circles: whether each lies wholly outside the
-model is the one containment predicate that `circle_boundary_points` and
+point (alpha) or the point along a fixed line (beta).  An open model
+enters here by its special point m_sp alone.  A boundary flag's stratum is
+read off its two circles: whether each lies wholly outside the model is the
+one containment predicate that `circle_boundary_points` and
 `region_classify` both use.
 """
 
@@ -70,11 +71,7 @@ class Flag(_Record):
 
 
 BASE_FLAG = Flag.of((1, 0, 0), (0, 1, 0))
-O_T = Flag.of((1, 0, 1), (0, 1, 0))
-O_A = Flag.of((0, 0, 1), (0, 1, 0))
 LINE_AT_INFINITY = (0, 0, 1)
-M_T = (0, 0, 1)
-M_A = (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +160,6 @@ class Region(Enum):
     DEEP_BOUNDARY = "deep-boundary"
 
 
-def _special_point(model: str) -> tuple:
-    if model == "t":
-        return M_T
-    if model == "a":
-        return M_A
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _alpha_in_boundary(m, m_sp) -> bool:
     """Whether the whole alpha circle at the point m, every line through m,
     lies outside the model of special point m_sp: m is that point or lies
@@ -185,10 +174,10 @@ def _beta_in_boundary(n, m_sp) -> bool:
     return dot(n, m_sp) == 0 or n == LINE_AT_INFINITY
 
 
-def region_classify(x: Flag, model: str) -> Region:
-    """Partition of the flag space relative to one of the two open models,
-    whose interior is the flags with the point off the line at infinity and
-    the line off the model's special point.
+def region_classify(x: Flag, m_sp) -> Region:
+    """Partition of the flag space relative to the open model of special
+    point m_sp, whose interior is the flags with the point off the line at
+    infinity and the line off m_sp.
 
     interior        the open orbit itself,
     G1 / G2         the boundary flags whose alpha circle leaves the
@@ -196,7 +185,6 @@ def region_classify(x: Flag, model: str) -> Region:
                     whose beta circle leaves it,
     deep-boundary   boundary flags both of whose circles stay in the boundary.
     """
-    m_sp = _special_point(model)
     if not at_infinity(x.point) and dot(x.line, m_sp) != 0:
         return Region.INTERIOR
     if not _alpha_in_boundary(x.point, m_sp):
@@ -210,15 +198,15 @@ def region_classify(x: Flag, model: str) -> Region:
 # circles and their boundary intersections
 # ---------------------------------------------------------------------------
 
-def circle_boundary_points(x: Flag, which: str, model: str) -> Flag | None:
+def circle_boundary_points(x: Flag, which: str, m_sp) -> Flag | None:
     """The one flag of the alpha or beta circle of x lying outside the open
-    model, or None when the whole circle lies outside it.
+    model of special point m_sp, or None when the whole circle lies outside
+    it.
 
     A circle not wholly in the boundary meets it in exactly one flag, which
-    is constructed: the line through the point and the special point
-    (alpha), or the point at infinity of the line (beta).
+    is constructed: the line through the point and m_sp (alpha), or the
+    point at infinity of the line (beta).
     """
-    m_sp = _special_point(model)
     if which == "beta":
         if _beta_in_boundary(x.line, m_sp):
             return None

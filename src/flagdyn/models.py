@@ -3,10 +3,12 @@
 One open set carries a simply transitive copy of SL(2) (embedded in the
 upper-left block), the other a simply transitive Heisenberg group; both carry
 an invariant transverse line field completing the two circle directions to a
-frame.  This module provides the Heisenberg arithmetic, the diagonal
-automorphisms, the group identifications conjugating the geometric and
-algebraic pictures, the affine linearization of the Heisenberg affine group,
-and the closed-form commuting-flow identities of the affine model.
+frame.  Each model is one read-only `Model` record, `BLOCK` or `AFFINE`,
+which every function that depends on the model takes.  This module provides
+the Heisenberg arithmetic, the diagonal automorphisms, the group
+identifications conjugating the geometric and algebraic pictures, the affine
+linearization of the Heisenberg affine group, and the closed-form
+commuting-flow identities of the affine model.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .flag_space import BoundaryError, Flag, _slope_chart_ints
 from .lie_core import GroupElem, LieVec
-from .rational import (_CanonicalInts, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
+from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
                        _mul_ints, _primitive_ints, _rows)
 
 
@@ -38,6 +40,20 @@ SL2_H = LieVec.diag(1, -1, 0)
 HEIS_X = LieVec.elementary(0, 1)
 HEIS_Y = LieVec.elementary(1, 2)
 HEIS_Z = LieVec.elementary(0, 2)
+
+
+class Model(_Record):
+    """An open model: its name, base flag, special point, and the (alpha,
+    beta, central) generators of its invariant frame.  Its interior is the
+    flags with the point off the line at infinity and the line off the
+    special point."""
+
+    __slots__ = ("name", "base_flag", "special_point", "frame")
+
+
+BLOCK = Model("t", Flag.of((1, 0, 1), (0, 1, 0)), (0, 0, 1), (SL2_E, SL2_F, SL2_H))
+AFFINE = Model("a", Flag.of((0, 0, 1), (0, 1, 0)), (1, 0, 0), (HEIS_X, HEIS_Y, HEIS_Z))
+MODELS = (BLOCK, AFFINE)
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +233,24 @@ def flat_structure_iso(v: LieVec, w: LieVec):
 # invariant frames on the two open models
 # ---------------------------------------------------------------------------
 
-def _transporter_ints(x, y, c, u, v, model: str):
+def _transporter_ints(x, y, c, u, v, model: Model):
     """The model's transporter to the flag at the point (x, y, c) with
     direction (u : v), as a flat integer matrix: c v times the Heisenberg
-    element [u/v, y/c, x/c] in model a; c^2 d times the block element with
-    columns (x, y) / c and (u, v) c / d, d = x v - y u, in model t.  The flag
-    is interior exactly when c and v (a) or d (t) are nonzero; else BoundaryError."""
-    if model == "a":
+    element [u/v, y/c, x/c] in AFFINE; c^2 d times the block element with
+    columns (x, y) / c and (u, v) c / d, d = x v - y u, in BLOCK.  The flag is
+    interior exactly when c and v (AFFINE) or d (BLOCK) are nonzero; else
+    BoundaryError."""
+    if model is AFFINE:
         d, h = v, (c * v, c * u, v * x, 0, c * v, v * y, 0, 0, c * v)
-    elif model == "t":
+    else:
         d = x * v - y * u
         h = (d * x, c * c * u, 0, d * y, c * c * v, 0, 0, 0, c * d)
-    else:
-        raise ValueError(f"unknown model {model!r}")
     if c == 0 or d == 0:
         raise BoundaryError("frame transport needs an interior flag")
     return h
 
 
-def transporter(x: Flag, model: str) -> GroupElem:
+def transporter(x: Flag, model: Model) -> GroupElem:
     """Group element of the model's transitive subgroup carrying the base
     flag of the model to x, read off the flag's ints: the point (x, y, c)
     and the direction (n1 : -n0) of the line n."""
@@ -243,17 +258,11 @@ def transporter(x: Flag, model: str) -> GroupElem:
     return GroupElem._of_ints(_transporter_ints(*x.point, n[1], -n[0], model))
 
 
-_BASE_GENERATORS = {
-    "t": (SL2_E, SL2_F, SL2_H),
-    "a": (HEIS_X, HEIS_Y, HEIS_Z),
-}
-
-
-def _transporter_derivative(x, y, z, wx, wy, wz, c, model: str):
+def _transporter_derivative(x, y, z, wx, wy, wz, c, model: Model):
     """The derivative along (wx, wy, wz) / c of `_transporter_ints` at the
     chart point (x, y, z) / c, whose flag has the point (x, y, c) and the
     direction (z : c): the flat integer matrix DH, scaled as H is."""
-    if model == "a":
+    if model is AFFINE:
         return (0, c * wz, c * wx, 0, 0, c * wy, 0, 0, 0)
     # d = x c - y z and its derivative along w
     d, dd = x * c - y * z, wx * c - wy * z - y * wz
@@ -269,9 +278,7 @@ class InvariantField:
     V = h gen h^-1, a = V m and b = n V, F(p) = (a0 - x a2, a1 - y a2,
     -(b1 + z b0))."""
 
-    def __init__(self, gen: LieVec, model: str):
-        if model not in _BASE_GENERATORS:
-            raise ValueError(f"unknown model {model!r}")
+    def __init__(self, gen: LieVec, model: Model):
         self.gen = gen
         self.model = model
 
@@ -319,19 +326,17 @@ class InvariantField:
                 Fraction(-(c * db[1] + det * wz * b[0] + z * db[0]), den))
 
 
-def frame_at(x: Flag, model: str) -> tuple:
+def frame_at(x: Flag, model: Model) -> tuple:
     """Invariant frame at an interior flag in the slope chart: the tuple
     (alpha, beta, central) of the primitive integer lines of the invariant
     fields extending the model's base frame, at the flag's chart point.
     They do not depend on the transport: `frame-well-defined` checks them
     against another transport of the base frame."""
-    if model not in _BASE_GENERATORS:
-        raise ValueError(f"unknown model {model!r}")
     m, n = _slope_chart_ints(x)
     # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0
     px, py, pz, c = m[0] * n[0], m[1] * n[0], -n[1] * m[2], m[2] * n[0]
     return tuple(_primitive_ints(InvariantField(gen, model)._value_ints(px, py, pz, c)[0])
-                 for gen in _BASE_GENERATORS[model])
+                 for gen in model.frame)
 
 
 # ---------------------------------------------------------------------------

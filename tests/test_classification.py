@@ -58,20 +58,22 @@ class TestIsotropyTables:
 
 class TestInvariantLines:
     def test_block_model_unique_line_is_class_of_H(self):
-        res = cls.invariant_transverse_line_search(cls.H_T, fs.O_T)
+        base = md.BLOCK.base_flag
+        res = cls.invariant_transverse_line_search(cls.H_T, base)
         assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.SL2_H, cls.H_T, fs.O_T)
+        assert cls.line_class_equals(res.generator, md.SL2_H, cls.H_T, base)
 
     def test_affine_model_unique_line_is_class_of_Z(self):
-        res = cls.invariant_transverse_line_search(cls.H_A, fs.O_A)
+        base = md.AFFINE.base_flag
+        res = cls.invariant_transverse_line_search(cls.H_A, base)
         assert res.kind == "unique"
-        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.H_A, fs.O_A)
+        assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.H_A, base)
 
     def test_translation_extension_has_none(self):
         assert cls.invariant_transverse_line_search(cls.H_1, cls.X1_FLAG).kind == "none"
 
     def test_similarity_extension_has_a_family(self):
-        res = cls.invariant_transverse_line_search(cls.H_2, fs.O_A)
+        res = cls.invariant_transverse_line_search(cls.H_2, md.AFFINE.base_flag)
         assert (res.kind, res.family_dim) == ("family", 1)
 
     def test_non_open_orbit_rejected(self):
@@ -81,7 +83,7 @@ class TestInvariantLines:
     def test_trivial_isotropy_leaves_every_line_invariant(self):
         # the Heisenberg algebra acts simply transitively on the open orbit
         # of the affine model: no isotropy, so no condition on (x, y)
-        res = cls.invariant_transverse_line_search(cls.HEIS_ALGEBRA, fs.O_A)
+        res = cls.invariant_transverse_line_search(cls.HEIS_ALGEBRA, md.AFFINE.base_flag)
         assert (res.kind, res.family_dim) == ("family", 2)
 
     def test_stabilizer_eigenvalues_match_the_exclusion(self):
@@ -97,16 +99,17 @@ class TestInvariantLines:
 
 class TestDegeneration:
     def test_case_data_is_consistent(self):
-        anchors = {"t1": fs.O_T, "t2": fs.O_T, "a1": fs.O_A, "a2": fs.O_A}
+        models = {"t1": md.BLOCK, "t2": md.BLOCK, "a1": md.AFFINE, "a2": md.AFFINE}
         for name, data in cls.DEGENERATION_CASES.items():
             assert fs.act(data.pivot, data.boundary_flag) == fs.BASE_FLAG
-            y = anchors[name]
+            model = models[name]
+            y = model.base_flag
             for t in (Fraction(1), Fraction(1, 2), Fraction(-2)):
                 lhs = fs.act(lc.GroupElem(data.circle_group(t)), data.boundary_flag)
                 rhs = fs.act(lc.GroupElem(data.model_group(1 / t)), y)
                 assert lhs == rhs
             # the transported generator spans the transverse line at the anchor
-            fr = md.frame_at(y, "t" if name.startswith("t") else "a")
+            fr = md.frame_at(y, model)
             vec = fs.fundamental_vector(data.transported, y)
             assert primitive(vec) == fr[2]
 

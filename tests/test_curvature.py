@@ -128,25 +128,26 @@ class TestContact:
 
     def test_difference_bracket_equals_closed_form_bracket(self):
         # the jet bracket of two invariant frame fields equals the bracket of
-        # their closed forms in the chart, (0, 0, 1) and (z, 1, 0) on model a,
-        # (0, 0, d^2) and (x, y, 0) with d = x - yz on model t, at the field
+        # their closed forms in the chart, (0, 0, 1) and (z, 1, 0) on AFFINE,
+        # (0, 0, d^2) and (x, y, 0) with d = x - yz on BLOCK, at the field
         # values and at a random pair of directions
         def d(p):
             return p[0] - p[1] * p[2]
 
         closed = {
-            ("a", md.HEIS_X): curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian),
-            ("a", md.HEIS_Y): curv.PolynomialField(
+            (md.AFFINE, md.HEIS_X): curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian),
+            (md.AFFINE, md.HEIS_Y): curv.PolynomialField(
                 lambda p: (p[2], 1, 0), lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
-            ("t", md.SL2_E): curv.PolynomialField(
+            (md.BLOCK, md.SL2_E): curv.PolynomialField(
                 lambda p: (0, 0, d(p) ** 2),
                 lambda p: ((0, 0, 0), (0, 0, 0),
                            (2 * d(p), -2 * d(p) * p[2], -2 * d(p) * p[1]))),
-            ("t", md.SL2_H): curv.PolynomialField(
+            (md.BLOCK, md.SL2_H): curv.PolynomialField(
                 lambda p: (p[0], p[1], 0), lambda p: ((1, 0, 0), (0, 1, 0), (0, 0, 0))),
         }
         rng = random.Random(31)
-        for model, gen_a, gen_b in (("a", md.HEIS_X, md.HEIS_Y), ("t", md.SL2_E, md.SL2_H)):
+        for model, gen_a, gen_b in ((md.AFFINE, md.HEIS_X, md.HEIS_Y),
+                                    (md.BLOCK, md.SL2_E, md.SL2_H)):
             jet_a, jet_b = md.InvariantField(gen_a, model), md.InvariantField(gen_b, model)
             exact_a, exact_b = closed[model, gen_a], closed[model, gen_b]
             for _ in range(20):

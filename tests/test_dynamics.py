@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from flagdyn import checks
 from flagdyn import dynamics as dyn
+from flagdyn import models as md
 from flagdyn import workers
 from flagdyn.lie_core import LieVec
 from children import assert_no_child_left
@@ -443,7 +444,9 @@ class TestSl2FrameRates:
 
     def test_a_frame_vector_off_the_eigenvectors_is_refused(self, monkeypatch):
         # no eigenvector of ad(H): its two terms have eigenvalues 1 and -1
-        monkeypatch.setattr(dyn, "SL2_E", LieVec.elementary(0, 2) + LieVec.elementary(1, 2))
+        t, off = md.BLOCK, LieVec.elementary(0, 2) + LieVec.elementary(1, 2)
+        monkeypatch.setattr(dyn, "BLOCK", md.Model(t.name, t.base_flag, t.special_point,
+                                                   (off, *t.frame[1:])))
         with pytest.raises(ArithmeticError, match="not an eigenvector"):
             dyn.sl2_frame_rates(1.0)
 

@@ -87,8 +87,8 @@ class TestFlip:
 
 class TestAffineChart:
     def test_base_values(self):
-        assert fs.affine_chart(fs.O_A) == ((0, 0), (0, 1))
-        assert fs.affine_chart(fs.O_T) == ((1, 0), (0, 1))
+        assert fs.affine_chart(md.AFFINE.base_flag) == ((0, 0), (0, 1))
+        assert fs.affine_chart(md.BLOCK.base_flag) == ((1, 0), (0, 1))
 
     def test_chart_coords_roundtrip(self):
         rng = random.Random(73)
@@ -120,35 +120,31 @@ class TestAffineChart:
 
 class TestRegions:
     def test_model_anchors_are_interior(self):
-        assert fs.region_classify(fs.O_T, "t") is fs.Region.INTERIOR
-        assert fs.region_classify(fs.O_A, "a") is fs.Region.INTERIOR
+        for model in md.MODELS:
+            assert fs.region_classify(model.base_flag, model.special_point) is fs.Region.INTERIOR
 
     def test_degeneration_anchor_in_second_stratum(self):
         x = cls.DEGENERATION_CASES["t2"].boundary_flag
-        assert fs.region_classify(x, "t") is fs.Region.G2
+        assert fs.region_classify(x, md.BLOCK.special_point) is fs.Region.G2
 
     def test_base_flag_is_deep_boundary_for_affine_model(self):
-        assert fs.region_classify(fs.BASE_FLAG, "a") is fs.Region.DEEP_BOUNDARY
+        assert fs.region_classify(fs.BASE_FLAG, md.AFFINE.special_point) is fs.Region.DEEP_BOUNDARY
 
     def test_first_strata_examples(self):
         # line through the special point, point neither special nor at
         # infinity
         x_t = fs.Flag.of((1, 0, 1), (1, 0, 0))   # line [e1, e3] passes [e3]
-        assert fs.region_classify(x_t, "t") is fs.Region.G1
+        assert fs.region_classify(x_t, md.BLOCK.special_point) is fs.Region.G1
         x_a = fs.Flag.of((0, 0, 1), (1, 0, 0))   # line [e3, e1] passes [e1]
-        assert fs.region_classify(x_a, "a") is fs.Region.G1
+        assert fs.region_classify(x_a, md.AFFINE.special_point) is fs.Region.G1
 
     def test_second_stratum_of_the_affine_model(self):
         # point at infinity other than the special point [e1], on a finite
         # line: G2; the special point itself, on a finite line: deep boundary
         x = fs.Flag.of((0, 1, 0), (0, 0, 1))
-        assert fs.region_classify(x, "a") is fs.Region.G2
+        assert fs.region_classify(x, md.AFFINE.special_point) is fs.Region.G2
         y = fs.Flag.of((1, 0, 0), (0, 1, 1))
-        assert fs.region_classify(y, "a") is fs.Region.DEEP_BOUNDARY
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            fs.region_classify(fs.O_T, "q")
+        assert fs.region_classify(y, md.AFFINE.special_point) is fs.Region.DEEP_BOUNDARY
 
     def test_orbit_rank_is_the_rank_of_the_derivatives(self):
         # orbit_rank ranks integer rows, the Fraction rows scaled by nonzero
@@ -166,7 +162,7 @@ class TestRegions:
         flags = small_flags()
         pencil = ((1, 0), (0, 1), (1, 1), (1, -1))
         wrong = []
-        for model, alg in (("t", cls.H_T), ("a", cls.H_A)):
+        for model, alg in zip(md.MODELS, (cls.H_T, cls.H_A)):
             def interior(y, alg=alg):
                 return fs.orbit_rank(alg.basis, y) == 3
             for x in flags:
@@ -174,7 +170,7 @@ class TestRegions:
                     "alpha": any(interior(fs.alpha_circle_flag(x, s, t)) for s, t in pencil),
                     "beta": any(interior(fs.flip(fs.alpha_circle_flag(fs.flip(x), s, t)))
                                 for s, t in pencil)}
-                full = {which: fs.circle_boundary_points(x, which, model) is None
+                full = {which: fs.circle_boundary_points(x, which, model.special_point) is None
                         for which in enters}
                 if interior(x):
                     expected = fs.Region.INTERIOR
@@ -184,32 +180,33 @@ class TestRegions:
                     expected = fs.Region.G2
                 else:
                     expected = fs.Region.DEEP_BOUNDARY
-                if (fs.region_classify(x, model) is not expected
+                if (fs.region_classify(x, model.special_point) is not expected
                         or any(full[which] is enters[which] for which in enters)):
-                    wrong.append((model, x))
+                    wrong.append((model.name, x))
         assert wrong == []
 
 
 class TestCircleBoundary:
     def test_beta_circle_of_affine_anchor(self):
         # the anchor's line x = 0, through [e3] and [e2], meets infinity at [e2]
-        assert fs.circle_boundary_points(fs.O_A, "beta", "a") == fs.Flag.of((0, 1, 0), (0, 0, 1))
+        assert (fs.circle_boundary_points(md.AFFINE.base_flag, "beta", md.AFFINE.special_point)
+                == fs.Flag.of((0, 1, 0), (0, 0, 1)))
 
-    @pytest.mark.parametrize("model, special", [("t", (0, 0, 1)), ("a", (1, 0, 0))],
-                             ids=["t", "a"])
+    @pytest.mark.parametrize("model, special", zip(md.MODELS, ((0, 0, 1), (1, 0, 0))),
+                             ids=[model.name for model in md.MODELS])
     def test_where_the_boundary_flag_lands(self, model, special):
         # alpha keeps the point and turns the line onto the special point;
         # beta keeps the line and moves the point to infinity
         rng = random.Random(23)
         for _ in range(100):
             x = rand_interior_flag(rng, model)
-            alpha = fs.circle_boundary_points(x, "alpha", model)
-            beta = fs.circle_boundary_points(x, "beta", model)
+            alpha = fs.circle_boundary_points(x, "alpha", model.special_point)
+            beta = fs.circle_boundary_points(x, "beta", model.special_point)
             assert alpha.point == x.point and fs.dot(alpha.line, special) == 0
             assert beta.line == x.line and beta.point[2] == 0
             for y in (alpha, beta):
                 assert fs.dot(y.point, y.line) == 0
-                assert fs.region_classify(y, model) is not fs.Region.INTERIOR
+                assert fs.region_classify(y, model.special_point) is not fs.Region.INTERIOR
 
 
 def quotient_error(v, x, w, h):
@@ -229,7 +226,7 @@ class TestFundamentalVector:
         rng = random.Random(97)
         for _ in range(30):
             v = rand_traceless(rng)
-            x = rand_interior_flag(rng, "a")
+            x = rand_interior_flag(rng, md.AFFINE)
             w = fs.fundamental_vector(v, x)
             e1 = quotient_error(v, x, w, Fraction(1, 10 ** 6))
             e2 = quotient_error(v, x, w, Fraction(1, 10 ** 7))
@@ -252,7 +249,7 @@ class TestFundamentalVector:
         theirs = check_rng(seed, "fundamental-finite-difference")
         for _ in range(200):
             passed, residual = checks._check_fundamental_fd(ours)
-            v, x = rand_traceless(theirs), rand_interior_flag(theirs, "a")
+            v, x = rand_traceless(theirs), rand_interior_flag(theirs, md.AFFINE)
             expected = quotient_error(v, x, fs.fundamental_vector(v, x), Fraction(1, 10 ** 16))
             assert residual == expected
             assert passed == (expected <= 1e-4)
@@ -279,7 +276,7 @@ class TestTangentTransport:
     def test_killing_with_value_roundtrip(self):
         rng = random.Random(101)
         for _ in range(50):
-            x = rand_interior_flag(rng, "a")
+            x = rand_interior_flag(rng, md.AFFINE)
             w = tuple(rand_frac(rng) for _ in range(3))
             v = fs.killing_with_value(w, x)
             assert fs.fundamental_vector(v, x) == w
@@ -287,7 +284,7 @@ class TestTangentTransport:
     def test_push_tangent_equivariance(self):
         rng = random.Random(103)
         for _ in range(30):
-            x = rand_interior_flag(rng, "a")
+            x = rand_interior_flag(rng, md.AFFINE)
             v = rand_traceless(rng)
             g = rand_upper(rng)
             y = fs.act(g, x)

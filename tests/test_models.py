@@ -182,17 +182,17 @@ class TestFrames:
 
     def test_invariance_under_the_model_group(self):
         rng = random.Random(37)
-        for model in ("t", "a"):
+        for model in md.MODELS:
             done = 0
             while done < 40:
                 x = rand_interior_flag(rng, model)
-                if model == "t":
+                if model is md.BLOCK:
                     lam = nonzero_frac(rng)
                     g = md.equivariance_t_inverse(rand_sl2(rng), lam)
                 else:
                     g = rand_upper(rng)
                 y = fs.act(g, x)
-                if fs.region_classify(y, model) is not fs.Region.INTERIOR:
+                if fs.region_classify(y, model.special_point) is not fs.Region.INTERIOR:
                     continue
                 try:
                     fr_x = md.frame_at(x, model)
@@ -209,11 +209,10 @@ class TestFrames:
         # m2 n0 takes both signs, and off the slope chart
         def fraction_frame(x, model):
             p = fs.chart_coords(x)
-            return tuple(primitive(md.InvariantField(g, model)(p))
-                         for g in md._BASE_GENERATORS[model])
+            return tuple(primitive(md.InvariantField(g, model)(p)) for g in model.frame)
 
         rng = random.Random(41)
-        for model in ("t", "a"):
+        for model in md.MODELS:
             signs = set()
             for _ in range(100):
                 x = rand_interior_flag(rng, model)
@@ -228,24 +227,22 @@ class TestFrames:
 
     def test_boundary_flag_rejected(self):
         with pytest.raises(fs.BoundaryError):
-            md.frame_at(fs.BASE_FLAG, "a")
+            md.frame_at(fs.BASE_FLAG, md.AFFINE)
 
     def test_transporter_raises_exactly_off_the_interior(self):
         rng = random.Random(43)
-        for model, base in (("t", fs.O_T), ("a", fs.O_A)):
+        for model in md.MODELS:
             seen = set()
             for _ in range(400):
                 x = checks.rand_flag(rng)
-                interior = fs.region_classify(x, model) is fs.Region.INTERIOR
+                interior = fs.region_classify(x, model.special_point) is fs.Region.INTERIOR
                 seen.add(interior)
                 if interior:
-                    assert fs.act(md.transporter(x, model), base) == x
+                    assert fs.act(md.transporter(x, model), model.base_flag) == x
                 else:
                     with pytest.raises(fs.BoundaryError):
                         md.transporter(x, model)
             assert seen == {True, False}
-        with pytest.raises(ValueError, match="unknown model"):
-            md.transporter(fs.O_T, "q")
 
 
 def _sympy_field(gen, model):
@@ -255,11 +252,11 @@ def _sympy_field(gen, model):
     the moved point m(t) and line n(t) of the flag.  Returns the chart
     symbols, the field and its Jacobian."""
     x, y, z, t = sp.symbols("x y z t")
-    if model == "a":
-        h = sp.Matrix([[1, z, x], [0, 1, y], [0, 0, 1]])
-    else:
+    if model is md.BLOCK:
         d = x - y * z
         h = sp.Matrix([[x, z / d, 0], [y, 1 / d, 0], [0, 0, 1]])
+    else:
+        h = sp.Matrix([[1, z, x], [0, 1, y], [0, 0, 1]])
     v = h * sp.Matrix(gen.entries) * h.inv()
     m = sp.Matrix([x, y, 1])
     n = m.cross(sp.Matrix([x + z, y + 1, 1])).T
@@ -275,10 +272,10 @@ def _fractions(column):
 
 class TestInvariantField:
     @pytest.mark.parametrize("model, gen", [
-        ("t", md.SL2_E), ("t", md.SL2_F), ("t", md.SL2_H),
-        ("a", md.HEIS_X), ("a", md.HEIS_Y), ("a", md.HEIS_Z),
+        (md.BLOCK, md.SL2_E), (md.BLOCK, md.SL2_F), (md.BLOCK, md.SL2_H),
+        (md.AFFINE, md.HEIS_X), (md.AFFINE, md.HEIS_Y), (md.AFFINE, md.HEIS_Z),
         # outside both model algebras: V m has a nonzero third entry
-        ("t", lc.LieVec.elementary(2, 0)), ("a", lc.LieVec.elementary(2, 0))],
+        (md.BLOCK, lc.LieVec.elementary(2, 0)), (md.AFFINE, lc.LieVec.elementary(2, 0))],
         ids=["t-E", "t-F", "t-H", "a-X", "a-Y", "a-Z", "t-E20", "a-E20"])
     def test_derivative_matches_sympy(self, model, gen):
         field = md.InvariantField(gen, model)
@@ -288,7 +285,7 @@ class TestInvariantField:
         while done < 6:
             p = tuple(rand_frac(rng) for _ in range(3))
             w = tuple(rand_frac(rng) for _ in range(3))
-            if model == "t" and p[0] == p[1] * p[2]:
+            if model is md.BLOCK and p[0] == p[1] * p[2]:
                 continue  # the line of p passes through the pole (0 : 0 : 1)
             at = dict(zip(syms, p))
             assert field(p) == _fractions(value.subs(at))

@@ -324,8 +324,8 @@ def test_solve(rows, consistent, data):
     R.inverse3,
     # primitive is the one projective normalization
     lambda m: R.primitive(m[0]),
-    pytest.param(lambda m: md.InvariantField(md.HEIS_X, "a").derivative_along(m[0], (1, 0, 0)),
-                 id="mat_sub"),
+    pytest.param(lambda m: md.InvariantField(md.HEIS_X, md.AFFINE)
+                 .derivative_along(m[0], (1, 0, 0)), id="mat_sub"),
     # Flag.of normalizes a point, alpha_circle_flag a line from its pencil
     # coefficients (ids kept from the point and line classes these entries
     # replaced)

@@ -14,9 +14,10 @@ per-model sample count of the two-model checks, the check counts the
 benchmark pins, the split of `run_checks` over worker processes, which must
 change no outcome, a check that raises, unknown names, the draw helpers,
 which must keep the random streams of `random.Random.randint` and draw
-through one law, the rule that `src` holds only what the program runs, the
-methods that perfbench's tracer wraps, and the rule that a check enters
-more than the one predicate it names.
+through one law, the rule that no comparison names a model by a string,
+the rule that `src` holds only what the program runs, the methods that
+perfbench's tracer wraps, and the rule that a check enters more than the
+one predicate it names.
 """
 
 import ast
@@ -160,13 +161,14 @@ def test_two_model_checks_test_the_samples_in_each_model(check_id, monkeypatch):
     # one input per model in each draw, so 7 samples test 7 of each; a
     # `rand_flag` draw counts for the model the check classifies it in
     drawn, plain = collections.Counter(), []
+    names = {model.special_point: model.name for model in md.MODELS}
     rand_flag, rand_interior_flag, classify = (checks.rand_flag, checks.rand_interior_flag,
                                                fs.region_classify)
     monkeypatch.setattr(checks, "rand_flag", lambda rng: plain.append(rand_flag(rng)) or plain[-1])
-    monkeypatch.setattr(checks, "rand_interior_flag",
-                        lambda rng, model: drawn.update([model]) or rand_interior_flag(rng, model))
-    monkeypatch.setattr(fs, "region_classify", lambda x, model: drawn.update(
-        [model] if any(x is y for y in plain) else []) or classify(x, model))
+    monkeypatch.setattr(checks, "rand_interior_flag", lambda rng, model: drawn.update(
+        [model.name]) or rand_interior_flag(rng, model))
+    monkeypatch.setattr(fs, "region_classify", lambda x, m_sp: drawn.update(
+        [names[m_sp]] if any(x is y for y in plain) else []) or classify(x, m_sp))
     assert checks.run_check(check_id, samples=7) == (True, None)
     assert drawn == {"t": 7, "a": 7}
 
@@ -368,11 +370,11 @@ def randint_upper(rng):
 def randint_interior_flag(rng, model):
     while True:
         x, y, z = (randint_frac(rng) for _ in range(3))
-        if model == "t" and (x - y * z == 0 or x == y == 0):
+        if model is md.BLOCK and (x - y * z == 0 or x == y == 0):
             continue
         # the chart flag at (x, y, z) as the Fraction two-point form builds it
         flag = fs.Flag.of((x, y, 1), (x + z, y + 1, 1))
-        if fs.region_classify(flag, model) is fs.Region.INTERIOR:
+        if fs.region_classify(flag, model.special_point) is fs.Region.INTERIOR:
             return flag
 
 
@@ -392,8 +394,8 @@ def randint_auto(rng):
 
 
 def randint_stabilizer(rng, model):
-    # diag(1, d, 1) in model t, diag(d1, d2, d3) in model a
-    if model == "t":
+    # diag(1, d, 1) in BLOCK, diag(d1, d2, d3) in AFFINE
+    if model is md.BLOCK:
         return lc.GroupElem([[1, 0, 0], [0, randint_nonzero(rng), 0], [0, 0, 1]])
     return lc.GroupElem([[randint_nonzero(rng), 0, 0], [0, randint_nonzero(rng), 0],
                          [0, 0, randint_nonzero(rng)]])
@@ -407,18 +409,18 @@ def randint_stabilizer(rng, model):
     (checks.rand_group, randint_group),
     (checks.rand_flag, randint_flag),
     (checks.rand_upper, randint_upper),
-    (functools.partial(checks.rand_interior_flag, model="t"),
-     functools.partial(randint_interior_flag, model="t")),
-    (functools.partial(checks.rand_interior_flag, model="a"),
-     functools.partial(randint_interior_flag, model="a")),
+    (functools.partial(checks.rand_interior_flag, model=md.BLOCK),
+     functools.partial(randint_interior_flag, model=md.BLOCK)),
+    (functools.partial(checks.rand_interior_flag, model=md.AFFINE),
+     functools.partial(randint_interior_flag, model=md.AFFINE)),
     (checks.rand_sl2, randint_sl2),
     (checks.rand_heis, randint_heis),
     (checks.rand_auto, randint_auto),
     (checks.nonzero_frac, randint_nonzero),
-    (functools.partial(checks.rand_stabilizer, model="t"),
-     functools.partial(randint_stabilizer, model="t")),
-    (functools.partial(checks.rand_stabilizer, model="a"),
-     functools.partial(randint_stabilizer, model="a"))],
+    (functools.partial(checks.rand_stabilizer, model=md.BLOCK),
+     functools.partial(randint_stabilizer, model=md.BLOCK)),
+    (functools.partial(checks.rand_stabilizer, model=md.AFFINE),
+     functools.partial(randint_stabilizer, model=md.AFFINE))],
     ids=["frac", "lievec", "traceless", "curvature", "group", "flag", "upper", "interior-flag-t",
          "interior-flag-a", "sl2", "heis", "auto", "nonzero-frac", "stabilizer-t", "stabilizer-a"])
 def test_generators_keep_the_randint_streams(ours, theirs):
@@ -444,6 +446,17 @@ def test_one_function_draws_the_bits():
     outside = [(module, n.lineno) for module, tree in trees.items()
                for n in reads(tree) if n not in inside]
     assert inside and outside == []
+
+
+def test_no_comparison_names_a_model_by_string():
+    # a model is one of the `models.Model` records, told apart by identity;
+    # no comparison in src has a model's name, "t" or "a", as an operand
+    src = Path(checks.__file__).resolve().parent
+    found = [(path.stem, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)
+             and any(isinstance(e, ast.Constant) and e.value in ("t", "a")
+                     for e in (node.left, *node.comparators))]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

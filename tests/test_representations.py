@@ -213,12 +213,12 @@ def test_readers_of_integer_entries_stay_exact():
         assert exact(fs.chart_coords(x))
         assert exact(fs.fundamental_vector(v, x))
         assert exact(fs.flag_derivative(v, x))
-        for model in ("t", "a"):
-            if fs.region_classify(x, model) is fs.Region.INTERIOR:
+        for model in md.MODELS:
+            if fs.region_classify(x, model.special_point) is fs.Region.INTERIOR:
                 assert exact(md.frame_at(x, model))
                 assert exact(md.transporter(x, model).entries)
                 models_seen.add(model)
-    assert models_seen == {"t", "a"}
+    assert models_seen == set(md.MODELS)
     # the check builds its display from the integer entries of its draws:
     # a float ratio would miss the exact closed form
     for seed in range(3):
@@ -233,7 +233,7 @@ def test_readers_of_integer_entries_stay_exact():
 # the fields or, for a type in BUILT_FROM, from the arguments there
 RECORDS = {
     cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
-    cls.DegenerationCase: {"boundary_flag": fs.O_A,
+    cls.DegenerationCase: {"boundary_flag": md.AFFINE.base_flag,
                            "pivot": lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                            "circle_group": abs, "model_group": abs,
                            "transported": md.HEIS_Z, "expected": (), "limit": "alpha"},
@@ -251,6 +251,8 @@ RECORDS = {
     md.Block: {"nums": (1, -1, 0, 3), "den": 4},  # the fields of NormalCurvature's
     md.HeisAuto: {"nums": (2, 3), "den": 1},
     md.HeisElem: {"nums": (1, 2, 3), "den": 5},
+    md.Model: {"name": "t", "base_flag": fs.Flag((1, 0, 1), (0, 1, 0)), "special_point": (0, 0, 1),
+               "frame": (md.SL2_E, md.SL2_F, md.SL2_H)},
 }
 # a group element takes the rows of any matrix of its class, not its fields
 BUILT_FROM = {lc.GroupElem: ([[2, 4, 0], [0, 2, 0], [0, 0, 2]],)}
@@ -292,9 +294,10 @@ def test_records_are_read_only_values(record_type):
 
 def test_module_constants_are_read_only():
     # a module-level value is shared by every later reader
-    for value in (lc.E_0, md.HEIS_Z, checks._UPPER, fs.O_A, cls.H_T, cls.H_A, cls.H_1, cls.H_2,
-                  cls.S_0, cls.SO3, cls.SO12, cls.HEIS_ALGEBRA, md.HEIS_IDENTITY,
-                  md.AUTO_IDENTITY, md.AFFINE_IDENTITY, curv.ZERO_CURVATURE, *cls.H_T.basis):
+    for value in (lc.E_0, md.HEIS_Z, checks._UPPER, md.BLOCK, md.AFFINE, md.AFFINE.base_flag,
+                  cls.H_T, cls.H_A, cls.H_1, cls.H_2, cls.S_0, cls.SO3, cls.SO12,
+                  cls.HEIS_ALGEBRA, md.HEIS_IDENTITY, md.AUTO_IDENTITY, md.AFFINE_IDENTITY,
+                  curv.ZERO_CURVATURE, *cls.H_T.basis):
         for name in value._fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
