@@ -13,7 +13,8 @@ and the upper-triangular group acts on the module by conjugation in the
 target combined with the inverse quotient-adjoint action on the arguments.
 That defining action is evaluated by brute force here, in ints on the four
 ints over one denominator of a `NormalCurvature`; the diagonal scaling laws
-used by the flatness argument come out of it exactly.
+used by the flatness argument come out of it exactly.  The dense evaluation
+of the same definition, which it is tested against, is in the tests.
 """
 
 from __future__ import annotations
@@ -23,22 +24,17 @@ import statistics
 from fractions import Fraction
 
 from .lie_core import (
-    E_SUP_0,
-    E_SUP_ALPHA,
-    E_SUP_BETA,
     GroupElem,
     LieVec,
     NotUpperTriangularError,
     _quotient_adjoint_ints,
     bracket,
-    conjugate,
     exp_group,
     fmat_mul,
     fmat_sub,
     fnorm,
-    quotient_adjoint,
 )
-from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, _rows, cross, inverse3
+from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, _rows, cross
 
 
 class NormalCurvature(_CanonicalInts):
@@ -65,42 +61,6 @@ def is_harmonic(k: NormalCurvature) -> bool:
     return k.nums[0] == 0 and k.nums[1] == 0
 
 
-def _value_on_wedge(k: NormalCurvature, idx: int) -> LieVec:
-    """Value of k on the wedge basis (a^0, b^0, a^b)."""
-    if idx == 0:
-        return E_SUP_0.scale(k.k_sup_alpha) + E_SUP_ALPHA.scale(k.k_alpha)
-    if idx == 1:
-        return E_SUP_BETA.scale(k.k_beta) + E_SUP_0.scale(k.k_sup_beta)
-    return LieVec.zero()
-
-
-def _evaluate(k: NormalCurvature, u, v) -> LieVec:
-    """Bilinear evaluation on quotient coordinates u, v over the class basis
-    (e_alpha, e_beta, e_0)."""
-    c_a0 = u[0] * v[2] - u[2] * v[0]
-    c_b0 = u[1] * v[2] - u[2] * v[1]
-    c_ab = u[0] * v[1] - u[1] * v[0]
-    out = LieVec.zero()
-    for c, idx in ((c_a0, 0), (c_b0, 1), (c_ab, 2)):
-        if c != 0:
-            out = out + _value_on_wedge(k, idx).scale(c)
-    return out
-
-
-def _extract(mat_a0: LieVec, mat_b0: LieVec, mat_ab: LieVec) -> NormalCurvature:
-    """Read the four components back off the three wedge values, checking
-    the result stays inside the module.  Entry (i, j) of a value is its
-    numerator 3 i + j over its denominator."""
-    a, b = mat_a0.nums, mat_b0.nums
-    ok = all(x == 0 for k, x in enumerate(a) if k not in (2, 5))
-    ok = ok and all(x == 0 for k, x in enumerate(b) if k not in (1, 2))
-    ok = ok and mat_ab.is_zero()
-    if not ok:
-        raise ValueError("image left the normal-curvature module")
-    da, db = mat_a0.den, mat_b0.den
-    return NormalCurvature((a[5] * db, b[1] * da, a[2] * db, b[2] * da), da * db)
-
-
 def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     """Left action of an upper-triangular p on the curvature module:
 
@@ -108,8 +68,7 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
 
     evaluated by brute force on the wedge basis.  The two wedge values are
     matrices supported on two entries each, so the conjugations reduce to
-    sparse products; curvature_action_dense keeps the unoptimized path and
-    the two must agree.  The action stays inside the module and its two
+    sparse products.  The action stays inside the module and its two
     lowest components scale exactly by alpha_scale and beta_scale.
 
     Each step runs in ints over its tracked denominator: qd for Adbar(p)^-1,
@@ -148,17 +107,6 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     # the value on the transported alpha-beta wedge pairs with the zero
     # slot: both arguments are pure circle classes
     return NormalCurvature((v1 * inv22, r1, v0 * inv22, r2), qd * qd * k.den * det)
-
-
-def curvature_action_dense(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
-    """Reference implementation of the same action with fully dense
-    bilinear evaluation and matrix conjugation."""
-    adbar_inv = inverse3(quotient_adjoint(p))
-    a, b, z = zip(*adbar_inv)
-    images = [conjugate(p, _evaluate(k, a, z)),
-              conjugate(p, _evaluate(k, b, z)),
-              conjugate(p, _evaluate(k, a, b))]
-    return _extract(*images)
 
 
 def alpha_scale(p: GroupElem) -> Fraction:

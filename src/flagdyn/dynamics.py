@@ -241,11 +241,9 @@ _RATE_STEP = 1e-6  # size of their perturbation
 def _measured_rate(f: NilMap, w, n: int) -> float:
     """Mean log growth over n steps of the reduced orbit of _RATE_START of a
     perturbation along the left-invariant extension of w, rescaled every
-    step; `f.apply`, `heis_mul` and the left frame (w0, w1, w2 + (x w1 -
-    y w0) / 2) and its inverse written out."""
+    step; the left frame (w0, w1, w2 + (x w1 - y w0) / 2) and its inverse
+    written out."""
     h = _RATE_STEP
-    (a, b), (c, d) = f.linear
-    tx, ty, tz = f.translation
     x, y, z = reduce_point(_RATE_START)  # step 0, which f has not moved
     (w0, w1, w2), growth = w, math.hypot(*w)
     total = 0.0
@@ -253,10 +251,7 @@ def _measured_rate(f: NilMap, w, n: int) -> float:
         for x1, y1, z1, gx, gy, gz in zip(*[iter(blk)] * 6):
             e0, e1, e2 = w0 / growth, w1 / growth, w2 / growth
             dx, dy, dz = e0, e1, e2 + (-y * e0 + x * e1) / 2.0
-            qx, qy, qz = x + h * dx, y + h * dy, z + h * dz
-            u, v = a * qx + b * qy, c * qx + d * qy
-            ax, ay, az = tx + u, ty + v, tz + qz + (tx * v - ty * u) / 2.0
-            q1x, q1y, q1z = gx + ax, gy + ay, gz + az + (gx * ay - gy * ax) / 2.0
+            q1x, q1y, q1z = heis_mul((gx, gy, gz), f.apply((x + h * dx, y + h * dy, z + h * dz)))
             d0, d1, d2 = (q1x - x1) / h, (q1y - y1) / h, (q1z - z1) / h
             w0, w1, w2 = d0, d1, d2 - (-y1 * d0 + x1 * d1) / 2.0
             growth = math.hypot(w0, w1, w2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .lie_core import BASIS, GroupElem, LieVec, conjugate, lincomb
+from .lie_core import GroupElem, LieVec
 from .rational import (
     _Record,
     _cleared,
@@ -30,7 +30,6 @@ from .rational import (
     dot,
     primitive,
     rank,
-    solve,
 )
 
 
@@ -285,21 +284,3 @@ def fundamental_vector(v: LieVec, x: Flag):
     # z = -n2/n1
     dz = Fraction(n[1] * dn[0] - dn[1] * n[0], den * n[0] * n[0])
     return (dx, dy, dz)
-
-
-def killing_with_value(w, x: Flag) -> LieVec:
-    """Some traceless v whose action derivative at x equals the chart
-    tangent w = (dx, dy, dz).  Exists because the action is transitive."""
-    cols = [fundamental_vector(b, x) for b in BASIS]
-    rows = [[cols[j][i] for j in range(8)] for i in range(3)]
-    sol = solve(rows, list(w))
-    if sol is None:
-        raise ValueError("no generator with the requested velocity")
-    return lincomb(sol, BASIS)
-
-
-def push_tangent(g: GroupElem, x: Flag, w):
-    """Differential of the action of g at x applied to the chart tangent w,
-    computed through the equivariance of fundamental vector fields."""
-    v = killing_with_value(w, x)
-    return fundamental_vector(conjugate(g, v), act(g, x))

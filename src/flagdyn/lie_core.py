@@ -25,7 +25,6 @@ from .rational import (
     _mul_ints,
     _primitive_ints,
     _rows,
-    dot,
     in_span,
     nullspace,
     rank,
@@ -279,7 +278,7 @@ def quotient_adjoint_bruteforce(p: GroupElem):
 
 
 # ---------------------------------------------------------------------------
-# centralizers, normalizers, subalgebras
+# centralizers, subalgebras
 # ---------------------------------------------------------------------------
 
 class Subalgebra(_Record):
@@ -329,22 +328,6 @@ def centralizer(s: Subalgebra) -> Subalgebra:
         out = []
         for b in s.basis:
             out.extend(bracket(v, b).flat())
-        return out
-
-    rows = _traceless_constraint_rows(cond)
-    return Subalgebra(tuple(lincomb(c, BASIS) for c in nullspace(rows)))
-
-
-def normalizer(s: Subalgebra) -> Subalgebra:
-    """Exact solution of [v, s] contained in s over the traceless matrices:
-    [v, b] lies in s exactly when every annihilator of s kills it."""
-    annihilator = nullspace([b.nums for b in s.basis])
-
-    def cond(v):
-        out = []
-        for b in s.basis:
-            w = bracket(v, b).flat()
-            out.extend(dot(a, w) for a in annihilator)
         return out
 
     rows = _traceless_constraint_rows(cond)

@@ -155,11 +155,6 @@ class AffineMap(_CanonicalInts):
 
     __slots__ = ()
 
-    @staticmethod
-    def of(linear, translation) -> "AffineMap":
-        """From ints and Fractions; a float raises TypeError."""
-        return AffineMap(*_cleared(*linear, translation))
-
     @property
     def linear(self) -> tuple:
         return _rows(tuple([Fraction(n, self.den) for n in self.nums[:9]]))
@@ -167,12 +162,6 @@ class AffineMap(_CanonicalInts):
     @property
     def translation(self) -> tuple:
         return tuple([Fraction(n, self.den) for n in self.nums[9:]])
-
-    def apply(self, v):
-        (vn, vd), n = _cleared(v), self.nums
-        # L v + t = (nums_L vn + nums_t vd) / (den vd)
-        lv = _mat_vec_ints(_rows(n[:9]), vn)
-        return tuple([Fraction(x + t * vd, self.den * vd) for x, t in zip(lv, n[9:])])
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         # L1 (L2 x + t2) + t1, over den1 den2

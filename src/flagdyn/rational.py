@@ -19,8 +19,6 @@ of every layer are `_Record`s: read-only slotted records, built with no
 code generation, whose one base class holds their equality, hashing and
 repr, and writes their fields through the slot setters it binds once per
 class.
-`inverse3`, on ints and Fractions, is only the independent inverse of the
-dense curvature oracle.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
@@ -258,16 +256,6 @@ def _adjugate_ints(n):
 def _det_ints(n):
     a, b, c, d, e, f, g, h, i = n
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def inverse3(a):
-    """Inverse of the rows `a` (ints and Fractions), as Fraction rows."""
-    n, den = _cleared(*a)
-    det = _det_ints(n)
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    # a^-1 = adj(a) / det(a) = (adj(n) / den^2) / (det(n) / den^3)
-    return _rows(tuple([Fraction(x * den, det) for x in _adjugate_ints(n)]))
 
 
 def cross(u, v):

@@ -1,16 +1,16 @@
-"""The integer 3x3 cores and `inverse3` against their textbook Fraction
-formulas, the primitive integer representative against the lead-1 one, the
-rank-based span tests against solving for the coefficients with sympy, and
-the integer rank, nullspace and solve, which share one elimination, against
-sympy's.
+"""The integer 3x3 cores against their textbook Fraction formulas, the
+primitive integer representative against the lead-1 one, the rank-based
+span tests against solving for the coefficients with sympy, and the integer
+rank, nullspace and solve, which share one elimination, against sympy's.
 
-Each oracle below is the plain formula over Fractions.  The integer cores
-take ints and give ints.  Inputs to the routines that take ints and
-Fractions are drawn as all ints, all Fractions, a mix of the two, or
-Fractions with denominator 1; they must agree in value whatever the input
-kinds.  The cores trust their input, so the public constructors of the
-exact kernel, and each path that clears its input, are the guard against
-floats: each raises TypeError on one.
+Each oracle is the plain formula over Fractions: the determinant and
+adjugate are in `references`, beside the other routines only tests call.
+The integer cores take ints and give ints.  Inputs to the routines that
+take ints and Fractions are drawn as all ints, all Fractions, a mix of the
+two, or Fractions with denominator 1; they must agree in value whatever the
+input kinds.  The cores trust their input, so the public constructors of
+the exact kernel, and each path that clears its input, are the guard
+against floats: each raises TypeError on one.
 """
 
 import math
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from flagdyn import curvature as curv
@@ -26,6 +26,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn import rational as R
+from references import adjugate3_oracle, affine_map, det3_oracle
 
 ints = st.integers(min_value=-99, max_value=99)
 fracs = st.builds(Fraction, ints, st.integers(min_value=1, max_value=60))
@@ -71,22 +72,6 @@ def mat_vec_oracle(a, v):
 def vec_mat_oracle(v, a):
     return tuple(sum((Fraction(v[k]) * a[k][j] for k in range(3)), Fraction(0))
                  for j in range(3))
-
-
-def minor(a, i, j):
-    r = [k for k in range(3) if k != i]
-    s = [k for k in range(3) if k != j]
-    return Fraction(a[r[0]][s[0]]) * a[r[1]][s[1]] - Fraction(a[r[0]][s[1]]) * a[r[1]][s[0]]
-
-
-def det3_oracle(a):
-    return sum((Fraction(a[0][j]) * (-1) ** j * minor(a, 0, j) for j in range(3)),
-               Fraction(0))
-
-
-def adjugate3_oracle(a):
-    return tuple(tuple((-1) ** (i + j) * minor(a, j, i) for j in range(3))
-                 for i in range(3))
 
 
 def sym(rows):
@@ -139,23 +124,6 @@ def test_adjugate3(a):
     # GroupElem takes the adjugate of its integer entries with this core
     oracle = tuple(e for row in adjugate3_oracle(rows(a)) for e in row)
     assert_same(tuple(R._adjugate_ints(a)), oracle, int)
-
-
-# determinant 1 is not singular: the identity and a unimodular matrix
-@example([[1, 0, 0, 0, 1, 0, 0, 0, 1]], False)
-@example([[2, 1, 0, 1, 1, 0, 3, 5, 1]], False)
-@given(operands(9), st.booleans())
-def test_inverse3(ops, singular):
-    (a,) = ops
-    if singular:
-        a = a[:6] + [x + y for x, y in zip(a[0:3], a[3:6])]
-    det = det3_oracle(rows(a))
-    if det == 0:
-        with pytest.raises(ZeroDivisionError):
-            R.inverse3(rows(a))
-        return
-    oracle = tuple(tuple(e / det for e in row) for row in adjugate3_oracle(rows(a)))
-    assert_same(R.inverse3(rows(a)), oracle, Fraction)
 
 
 @given(st.integers(min_value=1, max_value=9).flatmap(operands),
@@ -309,8 +277,8 @@ def test_solve(rows, consistent, data):
 
 @pytest.mark.parametrize("call", [
     # the integer forms of AffineMap and NormalCurvature clear their entries
-    lambda m: md.AffineMap.of(m, (0, 0, 0)),
-    lambda m: md.AffineMap.of(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
+    lambda m: affine_map(m, (0, 0, 0)),
+    lambda m: affine_map(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
     lambda m: curv.NormalCurvature.of(*m[0], 0),
     # and so do those of HeisElem and HeisAuto
     pytest.param(lambda m: md.HeisElem.of(*m[0]), id="HeisElem.of"),
@@ -321,7 +289,6 @@ def test_solve(rows, consistent, data):
                  .derivative_along((0, 0, 0), (1, 0, 0)), id="det3"),
     # the adjugate is taken inside GroupElem, whose constructor guards it
     pytest.param(lc.GroupElem, id="adjugate3"),
-    R.inverse3,
     # primitive is the one projective normalization
     lambda m: R.primitive(m[0]),
     pytest.param(lambda m: md.InvariantField(md.HEIS_X, md.AFFINE)

@@ -463,23 +463,8 @@ def test_no_comparison_names_a_model_by_string():
 # src holds what the program runs
 # ---------------------------------------------------------------------------
 
-# The functions and methods of src/flagdyn that neither the registry nor a CLI
-# command calls, each kept on purpose.
-KEPT = {
-    "curvature.curvature_action_dense":
-        "the dense reference that the sparse curvature_action is tested against",
-    "curvature._evaluate": "the dense reference's bilinear evaluation",
-    "curvature._extract": "the dense reference's reading of the components",
-    "curvature._value_on_wedge": "the dense reference's values on the wedge basis",
-    "rational.inverse3": "the dense reference's inverse of the quotient adjoint",
-    "lie_core.normalizer": "the normalizers of the model algebras; to be registered",
-    "flag_space.killing_with_value":
-        "push_tangent's generator with a given velocity; to be registered",
-    "flag_space.push_tangent": "the differential of the action, by equivariance; to be registered",
-    "models.AffineMap.of": "test handle: an affine map from its linear part and translation",
-    "models.AffineMap.apply": "test handle: an affine map at a point",
-}
-
+# The registry or a CLI command enters every function and method of
+# src/flagdyn; a routine that only tests call is in tests/references.py.
 # Every CLI command once, in a fresh interpreter that records the first line
 # of each function it enters.  `verify --seed 0 --samples 1` is
 # run_checks(seed=0, samples=1), and `simulate -n 2048` writes 2049 rows, two
@@ -544,7 +529,7 @@ def test_src_holds_what_the_program_runs(tmp_path):
     entered = {tuple(e) for dump in tmp_path.glob("entered-*.json")
                for e in json.loads(dump.read_text())}
     never = {name for name, where in _defined(src) if where not in entered}
-    assert never == set(KEPT)
+    assert never == set()
 
 
 def test_the_tracer_finds_its_methods_on_their_classes():

@@ -36,9 +36,8 @@ from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import run_check
 from flagdyn.rational import _Record
+from references import adjugate3_oracle, det3_oracle
 from test_rational import (
-    adjugate3_oracle,
-    det3_oracle,
     fracs,
     ints,
     mat_mul_oracle,
