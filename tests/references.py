@@ -1,8 +1,9 @@
 """Routines that only the tests call, kept out of `src` so that a fault in
 the program is not also a fault in the oracle that gates it: the textbook
-3x3 determinant and adjugate, the dense curvature action (which inverts the
-quotient adjoint with those two, not with `rational`'s integer cores), the
-normalizer, the differential of the action, and affine-map test handles.
+3x3 matrix-vector product, determinant and adjugate, the dense curvature
+action (which inverts the quotient adjoint with the textbook determinant
+and adjugate, not with `rational`'s integer cores), the normalizer, the
+differential of the action, and affine-map test handles.
 """
 
 from fractions import Fraction
@@ -15,8 +16,13 @@ from flagdyn.rational import _cleared, dot, nullspace, solve
 
 
 # ---------------------------------------------------------------------------
-# textbook 3x3 determinant and adjugate
+# textbook 3x3 matrix-vector product, determinant and adjugate
 # ---------------------------------------------------------------------------
+
+def mat_vec_oracle(a, v):
+    return tuple(sum((Fraction(a[i][k]) * v[k] for k in range(3)), Fraction(0))
+                 for i in range(3))
+
 
 def minor(a, i, j):
     r = [k for k in range(3) if k != i]
@@ -141,5 +147,4 @@ def affine_map(linear, translation):
 
 def affine_apply(f, v):
     """L v + t, the textbook formula over Fractions."""
-    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) + t
-                 for row, t in zip(f.linear, f.translation))
+    return tuple(a + t for a, t in zip(mat_vec_oracle(f.linear, v), f.translation))

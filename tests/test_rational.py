@@ -3,8 +3,9 @@ primitive integer representative against the lead-1 one, the rank-based
 span tests against solving for the coefficients with sympy, and the integer
 rank, nullspace and solve, which share one elimination, against sympy's.
 
-Each oracle is the plain formula over Fractions: the determinant and
-adjugate are in `references`, beside the other routines only tests call.
+Each oracle is the plain formula over Fractions: the matrix-vector
+product, determinant and adjugate are in `references`, beside the other
+routines only tests call.
 The integer cores take ints and give ints.  Inputs to the routines that
 take ints and Fractions are drawn as all ints, all Fractions, a mix of the
 two, or Fractions with denominator 1; they must agree in value whatever the
@@ -26,7 +27,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn import rational as R
-from references import adjugate3_oracle, affine_map, det3_oracle
+from references import adjugate3_oracle, affine_map, det3_oracle, mat_vec_oracle
 
 ints = st.integers(min_value=-99, max_value=99)
 fracs = st.builds(Fraction, ints, st.integers(min_value=1, max_value=60))
@@ -62,11 +63,6 @@ def assert_same(result, oracle, kind):
 def mat_mul_oracle(a, b):
     return tuple(tuple(sum((Fraction(a[i][k]) * b[k][j] for k in range(3)), Fraction(0))
                        for j in range(3)) for i in range(3))
-
-
-def mat_vec_oracle(a, v):
-    return tuple(sum((Fraction(a[i][k]) * v[k] for k in range(3)), Fraction(0))
-                 for i in range(3))
 
 
 def vec_mat_oracle(v, a):
@@ -276,7 +272,8 @@ def test_solve(rows, consistent, data):
 
 
 @pytest.mark.parametrize("call", [
-    # the integer forms of AffineMap and NormalCurvature clear their entries
+    # the tests' AffineMap constructor and NormalCurvature.of clear their
+    # entries through `_cleared`
     lambda m: affine_map(m, (0, 0, 0)),
     lambda m: affine_map(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
     lambda m: curv.NormalCurvature.of(*m[0], 0),
