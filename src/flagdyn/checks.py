@@ -550,7 +550,8 @@ _CARRY = lc.GroupElem([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 @check("fundamental-isotropy-vanishing", "flag-space",
-       "upper-triangular generators have zero velocity at the base flag", samples=100)
+       "upper-triangular generators have zero velocity at the base flag", samples=100,
+       fixed=lambda: fs.act(_CARRY, fs.BASE_FLAG) == md.AFFINE.base_flag)
 def _check_fundamental_isotropy(rng):
     v = lc.LieVec.of([[rand_frac(rng) if j >= i else 0 for j in range(3)]
                       for i in range(3)])
@@ -1003,9 +1004,24 @@ def _check_stabilizer_cases(rng):
                     for case, line in lines.items()))
 
 
+def _degeneration_data():
+    """Each case's data against their definitions: the pivot carries the
+    boundary flag to the base flag, `along` is the model's alpha or beta
+    generator, the circle through the boundary flag is the model orbit of
+    the base flag, circle(t) x = along(1/t) y, and every printed entry lies
+    in degrees -2..2, where the seven SYMBOLIC_TIMES decide it."""
+    return all(fs.act(d.pivot, d.boundary_flag) == fs.BASE_FLAG and d.along in d.model.frame[:2]
+               and all(-2 <= k <= 2 for row in d.expected for entry in row for k in entry)
+               and all(fs.act(cls.unipotent(d.circle, t), d.boundary_flag)
+                       == fs.act(cls.unipotent(d.along, 1 / t), d.model.base_flag)
+                       for t in (Fraction(1), Fraction(1, 2), Fraction(-2)))
+               for d in cls.DEGENERATION_CASES.values())
+
+
 @check("degeneration-matrices", "classification",
        "the four transported-generator matrices match their printed values "
-       "at t in {1, 1/2, 1/10, 1/100}, and the projected line converges")
+       "at t in {1, 1/2, 1/10, 1/100}, and the projected line converges",
+       fixed=_degeneration_data)
 def _check_degeneration(rng):
     for case in cls.DEGENERATION_CASES:
         for res in cls.degeneration_samples(case):

@@ -36,7 +36,7 @@ from .lie_core import (
     conjugate,
     lincomb,
 )
-from .models import AFFINE, BLOCK, HEIS_Z, SL2_H
+from .models import AFFINE, BLOCK
 from .rational import _Record, _cleared, cross, dot, in_span, nullspace, rank, solve, span_equal
 
 
@@ -160,13 +160,13 @@ def verify_subalgebra_table():
 
 X1_FLAG = Flag.of((0, 0, 1), (1, 0, 0))  # base flag of the h-1 orbit
 
-# case -> (isotropy parametrization v(a, b), frame lifts)
+# case -> (isotropy generators of a and of b, b's zero on a line; frame lifts)
 _ISOTROPY_CASES = {
-    "t": (lambda a, b: LieVec.diag(a, -2 * a, a), BLOCK.frame),
-    "a": (lambda a, b: LieVec.diag(a, -a - b, b), AFFINE.frame),
-    "h1": (lambda a, b: LieVec.diag(a, -a, 0) + LieVec.elementary(0, 1).scale(b),
+    "t": (LieVec.diag(1, -2, 1), LieVec.zero(), BLOCK.frame),
+    "a": (LieVec.diag(1, -1, 0), LieVec.diag(0, -1, 1), AFFINE.frame),
+    "h1": (LieVec.diag(1, -1, 0), LieVec.elementary(0, 1),
            (LieVec.elementary(1, 0), LieVec.elementary(0, 2), LieVec.elementary(1, 2))),
-    "h2": (lambda a, b: LieVec.diag(a, a, -2 * a),
+    "h2": (LieVec.diag(1, 1, -2), LieVec.zero(),
            (_J, LieVec.elementary(1, 2), LieVec.elementary(0, 2))),
 }
 
@@ -196,13 +196,11 @@ def _isotropy_basis(alg: Subalgebra, base: Flag):
 
 def isotropy_eigenvalue_table(case: str):
     """Matrix of linear forms in the isotropy parameters (a, b): entry (i, j)
-    is a pair (coef_a, coef_b).  Computed by exact elimination at the
-    parameter points (1, 0) and (0, 1)."""
+    is a pair (coef_a, coef_b).  Computed by exact elimination, on the
+    generators of a and of b."""
     if case not in _ISOTROPY_CASES:
         raise ValueError(f"unknown isotropy case {case!r}")
-    iso_param, lifts = _ISOTROPY_CASES[case]
-    iso_a = iso_param(Fraction(1), Fraction(0))
-    iso_b = iso_param(Fraction(0), Fraction(1))
+    iso_a, iso_b, lifts = _ISOTROPY_CASES[case]
     iso_basis = [v for v in (iso_a, iso_b) if not v.is_zero()]
     qa = _quotient_matrix(iso_basis, lifts, iso_a)
     qb = _quotient_matrix(iso_basis, lifts, iso_b)
@@ -334,13 +332,23 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
 # degeneration matrices along the circles
 # ---------------------------------------------------------------------------
 
+def unipotent(x: LieVec, t) -> GroupElem:
+    """I + t x, the one-parameter subgroup exp(t x) of a generator x with
+    x x = 0; any other x raises ArithmeticError.  Under that premise Ad(I +
+    t x) = exp(t ad x) is quadratic in t (see SYMBOLIC_TIMES)."""
+    if not (x @ x).is_zero():
+        raise ArithmeticError("a unipotent generator must square to zero")
+    y = x.scale(t)
+    return GroupElem._of_ints([n + y.den * (k in (0, 4, 8)) for k, n in enumerate(y.nums)])
+
+
 class DegenerationCase(_Record):
     __slots__ = (
+        "model",          # the open model; model.frame[2] is the transported generator
         "boundary_flag",
         "pivot",          # GroupElem carrying the boundary flag to the base flag
-        "circle_group",   # one-parameter subgroup rows, callable of t
-        "model_group",    # one-parameter subgroup inside the model group
-        "transported",    # LieVec generator of the transverse line at the anchor
+        "circle",         # generator C of the circle(t) = I + tC through the boundary flag
+        "along",          # model.frame[0] or [1], the model subgroup I + sA
         "expected",       # 3x3 of Laurent polynomials {degree: coefficient}
         "limit",          # "alpha" or "beta"
     )
@@ -348,11 +356,10 @@ class DegenerationCase(_Record):
 
 DEGENERATION_CASES = {
     "t1": DegenerationCase(
-        boundary_flag=Flag.of((1, 0, 1), (1, 0, 0)),
+        model=BLOCK, boundary_flag=Flag.of((1, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[1, 0, 0], [1, 0, -1], [0, 1, 0]]),
-        circle_group=lambda t: [[1, 0, 0], [t, 1, -t], [0, 0, 1]],
-        model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
-        transported=SL2_H,
+        circle=LieVec.of([[0, 0, 0], [1, 0, -1], [0, 0, 0]]),
+        along=BLOCK.frame[0],
         expected=(
             ({0: 1}, {0: -2}, {-1: -2}),
             ({0: 1}, {0: -2}, {-1: -2}),
@@ -361,11 +368,10 @@ DEGENERATION_CASES = {
         limit="beta",
     ),
     "t2": DegenerationCase(
-        boundary_flag=Flag.of((0, 1, 0), (1, 0, 1)),
+        model=BLOCK, boundary_flag=Flag.of((0, 1, 0), (1, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [1, 0, 0], [1, 0, -1]]),
-        circle_group=lambda t: [[1, t, 0], [0, 1, 0], [0, t, 1]],
-        model_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
-        transported=SL2_H,
+        circle=LieVec.of([[0, 1, 0], [0, 0, 0], [0, 1, 0]]),
+        along=BLOCK.frame[1],
         expected=(
             ({0: 1}, {-1: 2}, {}),
             ({}, {0: -1}, {}),
@@ -374,11 +380,10 @@ DEGENERATION_CASES = {
         limit="alpha",
     ),
     "a1": DegenerationCase(
-        boundary_flag=Flag.of((0, 0, 1), (1, 0, 0)),
+        model=AFFINE, boundary_flag=Flag.of((0, 0, 1), (1, 0, 0)),
         pivot=GroupElem([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-        circle_group=lambda t: [[1, 0, 0], [t, 1, 0], [0, 0, 1]],
-        model_group=lambda t: [[1, t, 0], [0, 1, 0], [0, 0, 1]],
-        transported=HEIS_Z,
+        circle=LieVec.elementary(1, 0),
+        along=AFFINE.frame[0],
         expected=(
             ({}, {}, {}),
             ({0: 1}, {}, {}),
@@ -387,11 +392,10 @@ DEGENERATION_CASES = {
         limit="beta",
     ),
     "a2": DegenerationCase(
-        boundary_flag=Flag.of((0, 1, 0), (0, 0, 1)),
+        model=AFFINE, boundary_flag=Flag.of((0, 1, 0), (0, 0, 1)),
         pivot=GroupElem([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-        circle_group=lambda t: [[1, 0, 0], [0, 1, 0], [0, t, 1]],
-        model_group=lambda t: [[1, 0, 0], [0, 1, t], [0, 0, 1]],
-        transported=HEIS_Z,
+        circle=LieVec.elementary(2, 1),
+        along=AFFINE.frame[1],
         expected=(
             ({}, {}, {}),
             ({}, {}, {}),
@@ -422,9 +426,12 @@ class DegenerationResult(_Record):
 DEGENERATION_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
 
 # parameter values at which the matrices must equal their tables, entry by
-# entry.  Any five of them fix a Laurent polynomial of degrees -2..2, so
-# equality at all seven is the verdict of fitting each entry from five of
-# them, checking the fit at the other two and comparing it with the table.
+# entry.  Every generator squares to zero (`unipotent` refuses any other),
+# and for X X = 0, Ad(I + sX)u = u + s[X, u] + (s^2/2)[X, [X, u]]: so the
+# conjugation by circle(-t) and along(1/t) puts each transported entry in
+# degrees -2..2, like each printed entry (`degeneration-matrices` checks
+# those).  Their difference is t^-2 times a polynomial of degree at most 4,
+# so five distinct times decide it, and the other two check the fit.
 SYMBOLIC_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(1, 5))
 
@@ -448,17 +455,16 @@ def _sine_distance(v, e) -> float:
 
 def degeneration_limit(case: str, t) -> DegenerationResult:
     """Exact evaluation of the transported transverse generator along the
-    degenerating circle: conjugate the anchor generator by
-    pivot * circle(-t) * model(1/t) and project modulo the stabilizer."""
+    degenerating circle: conjugate the model's central generator by
+    pivot * circle(-t) * along(1/t) and project modulo the stabilizer."""
     if case not in DEGENERATION_CASES:
         raise ValueError(f"unknown degeneration case {case!r}")
     t = Fraction(t)
     if t == 0:
         raise ZeroDivisionError("the degeneration parameter must be nonzero")
     data = DEGENERATION_CASES[case]
-    g = GroupElem(data.circle_group(-t)) @ GroupElem(data.model_group(1 / t))
-    g = data.pivot @ g
-    mat = conjugate(g, data.transported)
+    g = data.pivot @ (unipotent(data.circle, -t) @ unipotent(data.along, 1 / t))
+    mat = conjugate(g, data.model.frame[2])
     expected = tuple(tuple(_laurent_at(p, t) for p in row) for row in data.expected)
     e = mat.entries
     dist = _sine_distance(_strictly_lower_class(mat), _LIMIT_VECTORS[data.limit])

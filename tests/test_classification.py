@@ -99,18 +99,17 @@ class TestInvariantLines:
 
 class TestDegeneration:
     def test_case_data_is_consistent(self):
-        models = {"t1": md.BLOCK, "t2": md.BLOCK, "a1": md.AFFINE, "a2": md.AFFINE}
-        for name, data in cls.DEGENERATION_CASES.items():
+        for data in cls.DEGENERATION_CASES.values():
             assert fs.act(data.pivot, data.boundary_flag) == fs.BASE_FLAG
-            model = models[name]
+            model = data.model
             y = model.base_flag
             for t in (Fraction(1), Fraction(1, 2), Fraction(-2)):
-                lhs = fs.act(lc.GroupElem(data.circle_group(t)), data.boundary_flag)
-                rhs = fs.act(lc.GroupElem(data.model_group(1 / t)), y)
+                lhs = fs.act(cls.unipotent(data.circle, t), data.boundary_flag)
+                rhs = fs.act(cls.unipotent(data.along, 1 / t), y)
                 assert lhs == rhs
             # the transported generator spans the transverse line at the anchor
             fr = md.frame_at(y, model)
-            vec = fs.fundamental_vector(data.transported, y)
+            vec = fs.fundamental_vector(model.frame[2], y)
             assert primitive(vec) == fr[2]
 
     def test_exact_matrices_at_sampled_parameters(self):
@@ -149,6 +148,42 @@ class TestDegeneration:
         with pytest.raises(ZeroDivisionError):
             cls.degeneration_limit("t1", 0)
 
+    def test_mutant_pivot_fails_the_data_check(self, monkeypatch):
+        # an invertible one-entry pivot mutant that both table checks pass:
+        # it no longer carries the boundary flag to the base flag
+        plant(monkeypatch, "a1", pivot=lc.GroupElem([[0, 0, 1], [1, 0, -1], [0, 1, 0]]))
+        assert checks._check_degeneration(None) is True
+        assert checks.run_check("degeneration-symbolic") == (True, None)
+        assert checks.run_check("degeneration-matrices") == (False, None)
+
+    def test_swapped_generator_fails_the_data_check(self, monkeypatch):
+        # every upper unitriangular matrix fixes Z, so the tables cannot see
+        # a1 run along Y; its circle then traces another orbit
+        plant(monkeypatch, "a1", along=md.AFFINE.frame[1])
+        assert checks._check_degeneration(None) is True
+        assert checks.run_check("degeneration-symbolic") == (True, None)
+        assert checks.run_check("degeneration-matrices") == (False, None)
+
+    def test_unipotent_needs_a_square_zero_generator(self):
+        assert cls.unipotent(md.HEIS_Z, Fraction(1, 2)) == lc.GroupElem(
+            [[2, 0, 1], [0, 2, 0], [0, 0, 2]])
+        with pytest.raises(ArithmeticError):
+            cls.unipotent(lc.LieVec.diag(1, -1, 0), 1)
+
+    def test_a_circle_off_the_premise_fails_both_checks(self, monkeypatch, capfd):
+        plant(monkeypatch, "t1", circle=lc.LieVec.diag(1, -1, 0))
+        report = {c["id"]: c["pass"] for c in checks.run_checks(suite="classification")}
+        assert not report["degeneration-matrices"] and not report["degeneration-symbolic"]
+        assert sum(not passed for passed in report.values()) == 2
+        assert capfd.readouterr().err == ""
+
+
+def plant(monkeypatch, case, **fields):
+    """Replace `fields` of one degeneration case for the test's duration."""
+    data = cls.DEGENERATION_CASES[case]
+    changed = cls.DegenerationCase(**{f: fields.get(f, getattr(data, f)) for f in data._fields})
+    monkeypatch.setitem(cls.DEGENERATION_CASES, case, changed)
+
 
 def _vanishing_at(times):
     """t^-2 times the product of (t - r) over the times, as {degree: coefficient}."""
@@ -183,10 +218,20 @@ class TestLaurentPoly:
         data = cls.DEGENERATION_CASES["t1"]
         entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
         expected = ((entry, *data.expected[0][1:]), *data.expected[1:])
-        changed = cls.DegenerationCase(data.boundary_flag, data.pivot, data.circle_group,
-                                       data.model_group, data.transported, expected, data.limit)
-        monkeypatch.setitem(cls.DEGENERATION_CASES, "t1", changed)
+        plant(monkeypatch, "t1", expected=expected)
         assert checks.run_check("degeneration-symbolic") == (False, None)
+
+    def test_printed_entries_stay_in_the_window(self, monkeypatch):
+        # a term of degrees -2..7 that vanishes at all nine times of the two
+        # checks: only the degree clause of degeneration-matrices sees it
+        times = set(cls.SYMBOLIC_TIMES) | set(cls.DEGENERATION_TIMES)
+        bump = _vanishing_at(sorted(times))
+        data = cls.DEGENERATION_CASES["t1"]
+        entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
+        plant(monkeypatch, "t1", expected=((entry, *data.expected[0][1:]), *data.expected[1:]))
+        assert checks._check_degeneration(None) is True
+        assert checks.run_check("degeneration-symbolic") == (True, None)
+        assert checks.run_check("degeneration-matrices") == (False, None)
 
 
 class TestFlatnessPredicate:

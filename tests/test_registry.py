@@ -15,9 +15,10 @@ benchmark pins, the split of `run_checks` over worker processes, which must
 change no outcome, a check that raises, unknown names, the draw helpers,
 which must keep the random streams of `random.Random.randint` and draw
 through one law, the rule that no comparison names a model by a string,
-the rule that `src` holds only what the program runs, the methods that
-perfbench's tracer wraps, and the rule that a check enters more than the
-one predicate it names.
+the rule that no classification table holds a lambda, the rule that `src`
+holds only what the program runs, the methods that perfbench's tracer
+wraps, and the rule that a check enters more than the one predicate it
+names.
 """
 
 import ast
@@ -37,6 +38,7 @@ from pathlib import Path
 import pytest
 
 from flagdyn import checks
+from flagdyn import classification as cls
 from flagdyn import cli
 from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
@@ -456,6 +458,15 @@ def test_no_comparison_names_a_model_by_string():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)
              and any(isinstance(e, ast.Constant) and e.value in ("t", "a")
                      for e in (node.left, *node.comparators))]
+    assert found == []
+
+
+def test_no_classification_table_holds_a_lambda():
+    # each table entry is a value: a subgroup is `unipotent` of a generator,
+    # an isotropy parametrization its generators, so the data can be checked
+    tree = ast.parse(Path(cls.__file__).read_text())
+    found = [node.lineno for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt) if isinstance(node, ast.Lambda)]
     assert found == []
 
 

@@ -232,10 +232,10 @@ def test_readers_of_integer_entries_stay_exact():
 # the fields or, for a type in BUILT_FROM, from the arguments there
 RECORDS = {
     cls.TransverseLineResult: {"kind": "unique", "generator": md.SL2_H, "family_dim": 0},
-    cls.DegenerationCase: {"boundary_flag": md.AFFINE.base_flag,
+    cls.DegenerationCase: {"model": md.AFFINE, "boundary_flag": md.AFFINE.base_flag,
                            "pivot": lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                           "circle_group": abs, "model_group": abs,
-                           "transported": md.HEIS_Z, "expected": (), "limit": "alpha"},
+                           "circle": md.HEIS_Z, "along": md.HEIS_X, "expected": (),
+                           "limit": "alpha"},
     cls.DegenerationResult: {"t": Fraction(1, 2), "matrix": ((1, 0, 0),), "matches": True,
                              "limit": "beta", "sine_distance": 0.25},
     curv.NormalCurvature: {"nums": (1, -1, 0, 3), "den": 4},
