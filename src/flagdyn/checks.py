@@ -49,7 +49,8 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span, primitive
+from .rational import (_cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
+                       primitive, rank)
 from .workers import cpus, split
 
 
@@ -415,8 +416,17 @@ def _check_exp_ad(rng):
     return True
 
 
+def _theta_anchors():
+    """Both involutions equal the transpose, then the inverse or the negation,
+    at a g and a v with nine distinct nonzero entries."""
+    g = lc.GroupElem([[2, 3, -4], [-1, 5, 6], [7, -8, 9]])
+    v = lc.LieVec.of([[1, 2, Fraction(1, 3)], [-5, -3, 4], [6, -7, -2]])
+    return lc.theta_group(g) == g.transpose().inverse() and lc.theta_involution(v) == -v.transpose()
+
+
 @check("theta-morphisms", "lie-core",
-       "g -> (g^T)^{-1} is a group morphism; v -> -v^T preserves brackets", samples=100)
+       "g -> (g^T)^{-1} is a group morphism; v -> -v^T preserves brackets", samples=100,
+       fixed=_theta_anchors)
 def _check_theta(rng):
     g, h = rand_group(rng), rand_group(rng)
     if lc.theta_group(g @ h) != lc.theta_group(g) @ lc.theta_group(h):
@@ -814,7 +824,8 @@ def _check_frame_well_defined(rng):
         x = rand_interior_flag(rng, model)
         h = md.transporter(x, model) @ rand_stabilizer(rng, model)
         frame = md.frame_at(x, model)
-        lines = tuple(primitive(fs.fundamental_vector(lc.conjugate(h, g), x)) for g in model.frame)
+        lines = tuple(_primitive_ints(fs._fundamental_ints(lc.conjugate(h, g), x)[0])
+                      for g in model.frame)
         if fs.act(h, model.base_flag) != x or frame != lines:
             return False
     return True
@@ -915,6 +926,17 @@ def _check_subalgebra_table(rng):
     return len(cases) >= 7 and all(c["pass"] for c in cases)
 
 
+def _isotropy_data(case):
+    """The case's data against their definitions: each isotropy generator
+    has zero velocity at the base flag (b's zero trivially), and the
+    generators and lifts lie in the algebra and span it: their rank is the
+    algebra's dimension, with the algebra's basis added or not."""
+    d = cls._ISOTROPY_CASES[case]
+    data = [v.nums for v in (d.iso_a, d.iso_b, *d.lifts)]
+    return (all(not any(fs.flag_derivative(v, d.base_flag)) for v in (d.iso_a, d.iso_b))
+            and rank(data) == rank([*data, *(b.nums for b in d.algebra.basis)]) == d.algebra.dim)
+
+
 def _isotropy_is_expected_diagonal(case):
     table = cls.isotropy_eigenvalue_table(case)
     off = all(table[i][j] == (0, 0) for i in range(3) for j in range(3) if i != j)
@@ -922,20 +944,23 @@ def _isotropy_is_expected_diagonal(case):
 
 
 @check("isotropy-table-block", "classification",
-       "block-model isotropy acts with diagonal [3a, -3a, 0]")
+       "block-model isotropy acts with diagonal [3a, -3a, 0]",
+       fixed=partial(_isotropy_data, "t"))
 def _check_isotropy_t(rng):
     return _isotropy_is_expected_diagonal("t")
 
 
 @check("isotropy-table-affine", "classification",
-       "affine-model isotropy acts with diagonal [2a+b, -a-2b, a-b]")
+       "affine-model isotropy acts with diagonal [2a+b, -a-2b, a-b]",
+       fixed=partial(_isotropy_data, "a"))
 def _check_isotropy_a(rng):
     return _isotropy_is_expected_diagonal("a")
 
 
 @check("isotropy-table-translations-sl2", "classification",
        "nilpotent isotropy element has the single off-diagonal 1 in the "
-       "(beta, center) slot")
+       "(beta, center) slot",
+       fixed=partial(_isotropy_data, "h1"))
 def _check_isotropy_h1(rng):
     table = cls.isotropy_eigenvalue_table("h1")
     b_part = tuple(tuple(table[i][j][1] for j in range(3)) for i in range(3))
@@ -943,7 +968,8 @@ def _check_isotropy_h1(rng):
 
 
 @check("isotropy-table-similarity", "classification",
-       "similarity-model isotropy has zero rate on the alpha direction")
+       "similarity-model isotropy has zero rate on the alpha direction",
+       fixed=partial(_isotropy_data, "h2"))
 def _check_isotropy_h2(rng):
     return _isotropy_is_expected_diagonal("h2")
 

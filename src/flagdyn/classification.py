@@ -160,14 +160,25 @@ def verify_subalgebra_table():
 
 X1_FLAG = Flag.of((0, 0, 1), (1, 0, 0))  # base flag of the h-1 orbit
 
-# case -> (isotropy generators of a and of b, b's zero on a line; frame lifts)
+
+class IsotropyCase(_Record):
+    __slots__ = (
+        "algebra",    # the transitive subalgebra
+        "base_flag",  # the flag of its open orbit at which the table is read
+        "iso_a",      # isotropy generator of a
+        "iso_b",      # isotropy generator of b; zero when the isotropy is a line
+        "lifts",      # lifts of the quotient frame
+    )
+
+
 _ISOTROPY_CASES = {
-    "t": (LieVec.diag(1, -2, 1), LieVec.zero(), BLOCK.frame),
-    "a": (LieVec.diag(1, -1, 0), LieVec.diag(0, -1, 1), AFFINE.frame),
-    "h1": (LieVec.diag(1, -1, 0), LieVec.elementary(0, 1),
-           (LieVec.elementary(1, 0), LieVec.elementary(0, 2), LieVec.elementary(1, 2))),
-    "h2": (LieVec.diag(1, 1, -2), LieVec.zero(),
-           (_J, LieVec.elementary(1, 2), LieVec.elementary(0, 2))),
+    "t": IsotropyCase(H_T, BLOCK.base_flag, LieVec.diag(1, -2, 1), LieVec.zero(), BLOCK.frame),
+    "a": IsotropyCase(H_A, AFFINE.base_flag, LieVec.diag(1, -1, 0), LieVec.diag(0, -1, 1),
+                      AFFINE.frame),
+    "h1": IsotropyCase(H_1, X1_FLAG, LieVec.diag(1, -1, 0), LieVec.elementary(0, 1),
+                       (LieVec.elementary(1, 0), LieVec.elementary(0, 2), LieVec.elementary(1, 2))),
+    "h2": IsotropyCase(H_2, AFFINE.base_flag, LieVec.diag(1, 1, -2), LieVec.zero(),
+                       (_J, LieVec.elementary(1, 2), LieVec.elementary(0, 2))),
 }
 
 
@@ -200,10 +211,10 @@ def isotropy_eigenvalue_table(case: str):
     generators of a and of b."""
     if case not in _ISOTROPY_CASES:
         raise ValueError(f"unknown isotropy case {case!r}")
-    iso_a, iso_b, lifts = _ISOTROPY_CASES[case]
-    iso_basis = [v for v in (iso_a, iso_b) if not v.is_zero()]
-    qa = _quotient_matrix(iso_basis, lifts, iso_a)
-    qb = _quotient_matrix(iso_basis, lifts, iso_b)
+    data = _ISOTROPY_CASES[case]
+    iso_basis = [v for v in (data.iso_a, data.iso_b) if not v.is_zero()]
+    qa = _quotient_matrix(iso_basis, data.lifts, data.iso_a)
+    qb = _quotient_matrix(iso_basis, data.lifts, data.iso_b)
     return tuple(tuple((qa[i][j], qb[i][j]) for j in range(3)) for i in range(3))
 
 

@@ -23,13 +23,13 @@ from .lie_core import GroupElem, LieVec
 from .rational import (
     _Record,
     _cleared,
+    _echelon_ints,
     _mat_vec_ints,
     _primitive_ints,
     _rows,
     cross,
     dot,
     primitive,
-    rank,
 )
 
 
@@ -269,18 +269,23 @@ def orbit_rank(vectors, x: Flag) -> int:
     """Dimension of the span of the action derivatives of the given Lie
     algebra elements at x: the rank of their rows in ints, which scale each
     row by v.den and two columns by a pivot, and so keep the rank."""
-    return rank([_tangent_ints(v, x)[0] for v in vectors])
+    return len(_echelon_ints([_tangent_ints(v, x)[0] for v in vectors])[1])
+
+
+def _fundamental_ints(v: LieVec, x: Flag):
+    """`fundamental_vector` as (nums, den): three ints over one denominator,
+    v.den m2^2 n0^2."""
+    m, n = _slope_chart_ints(x)
+    dm, dn = _velocities(v, x)
+    mm, nn = m[2] * m[2], n[0] * n[0]
+    # x = m0 / m2, y = m1 / m2 and z = -n1 / n0
+    return ((dm[0] * m[2] - m[0] * dm[2]) * nn, (dm[1] * m[2] - m[1] * dm[2]) * nn,
+            (n[1] * dn[0] - dn[1] * n[0]) * mm), v.den * mm * nn
 
 
 def fundamental_vector(v: LieVec, x: Flag):
     """Velocity at x of the one-parameter group of v, in the global chart
     (x, y, z).  Closed-form rational derivative, no numerical differencing.
     """
-    m, n = _slope_chart_ints(x)
-    dm, dn = _velocities(v, x)
-    den = v.den
-    dx = Fraction(dm[0] * m[2] - m[0] * dm[2], den * m[2] * m[2])
-    dy = Fraction(dm[1] * m[2] - m[1] * dm[2], den * m[2] * m[2])
-    # z = -n2/n1
-    dz = Fraction(n[1] * dn[0] - dn[1] * n[0], den * n[0] * n[0])
-    return (dx, dy, dz)
+    nums, den = _fundamental_ints(v, x)
+    return tuple([Fraction(n, den) for n in nums])

@@ -164,7 +164,8 @@ class GroupElem(_Record):
     adjugate of the entries, a representative of the inverse, computed once.
 
     `GroupElem(rows)` takes ints and Fractions, not the fields, and rejects
-    floats; the products, inverses and transposes stay in ints.
+    floats; the products, inverses and transposes stay in ints, and
+    `theta_group` builds (g^T)^{-1} as one element, the class of adj(g)^T.
     """
 
     __slots__ = ("entries", "adjugate")
@@ -221,12 +222,15 @@ def conjugate(g: GroupElem, v: LieVec) -> LieVec:
 
 def theta_involution(v: LieVec) -> LieVec:
     """Lie algebra involution v -> -v^T (exchanges the two circle directions)."""
-    return -v.transpose()
+    n = v.nums
+    return LieVec((-n[0], -n[3], -n[6], -n[1], -n[4], -n[7], -n[2], -n[5], -n[8]), v.den)
 
 
 def theta_group(g: GroupElem) -> GroupElem:
-    """Group involution g -> (g^T)^{-1}, the flip-equivariance morphism."""
-    return g.transpose().inverse()
+    """Group involution g -> (g^T)^{-1}, the flip-equivariance morphism: the
+    class of adj(g)^T, as adj(g^T) = adj(g)^T represents (g^T)^{-1}."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = g.adjugate
+    return GroupElem._of_ints((a0, a3, a6, a1, a4, a7, a2, a5, a8))
 
 
 # ---------------------------------------------------------------------------

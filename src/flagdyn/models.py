@@ -258,6 +258,28 @@ def _transporter_derivative(x, y, z, wx, wy, wz, c, model: Model):
     return (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c)
 
 
+def _transport_ints(x, y, z, c, model: Model):
+    """H, adj(H) and det(H), for H the model's transporter in ints at the
+    chart point p = (x, y, z) / c: what the fields of every generator share
+    at p."""
+    h = _transporter_ints(x, y, c, z, c, model)
+    return h, _adjugate_ints(h), _det_ints(h)
+
+
+def _field_ints(gen: LieVec, transport, x, y, z, c):
+    """The invariant field of `gen` at p = (x, y, z) / c, in ints, from
+    `_transport_ints` at p: v = H gen adj(H), so V = v / (det(H) gen.den);
+    a = v m and b = n v, with m taken times c and n times c^2; and the
+    numerators of F(p), over det(H) gen.den c^3."""
+    h, adj, _ = transport
+    v = _mul_ints(_mul_ints(h, gen.nums), adj)
+    v_rows = _rows(v)
+    a = _mat_vec_ints(v_rows, (x, y, c))
+    b = _mat_vec_ints(zip(*v_rows), (-c * c, z * c, x * c - y * z))
+    value = (c * (c * a[0] - x * a[2]), c * (c * a[1] - y * a[2]), -(c * b[1] + z * b[0]))
+    return v, a, b, value
+
+
 class InvariantField:
     """The model's invariant vector field extending the generator `gen` at
     its base flag, in the chart (x, y, z): at p, the velocity of
@@ -271,36 +293,20 @@ class InvariantField:
         self.gen = gen
         self.model = model
 
-    def _transport(self, x, y, z, c):
-        """In ints at p = (x, y, z) / c: adj(H), det(H) and H gen adj(H), for
-        H the transporter's ints, so V = H gen adj(H) / (det(H) gen.den); and
-        a, b with m taken times c and n times c^2."""
-        h = _transporter_ints(x, y, c, z, c, self.model)
-        adj, det = _adjugate_ints(h), _det_ints(h)
-        v = _mul_ints(_mul_ints(h, self.gen.nums), adj)
-        v_rows = _rows(v)
-        a = _mat_vec_ints(v_rows, (x, y, c))
-        b = _mat_vec_ints(tuple(zip(*v_rows)), (-c * c, z * c, x * c - y * z))
-        return adj, det, v, a, b
-
-    def _value_ints(self, x, y, z, c):
-        """F(p) at p = (x, y, z) / c: three numerators over their
-        denominator det(H) gen.den c^3, as (nums, den)."""
-        _, det, _, a, b = self._transport(x, y, z, c)
-        return ((c * (c * a[0] - x * a[2]), c * (c * a[1] - y * a[2]), -(c * b[1] + z * b[0])),
-                det * self.gen.den * c * c * c)
-
     def __call__(self, p):
         (x, y, z), c = _cleared(p)
-        nums, den = self._value_ints(x, y, z, c)
-        return tuple(Fraction(n, den) for n in nums)
+        transport = _transport_ints(x, y, z, c, self.model)
+        den = transport[2] * self.gen.den * c * c * c
+        return tuple(Fraction(n, den) for n in _field_ints(self.gen, transport, x, y, z, c)[3])
 
     def derivative_along(self, p, w):
         """D F(p) w, exact: the product rule on each term of F, with dV =
         [k, V] for k = dh h^-1 = DH adj(H) / det(H), DH the transporter's
         derivative, scaled as H is."""
         (x, y, z, wx, wy, wz), c = _cleared(p, w)
-        adj, det, v, a, b = self._transport(x, y, z, c)
+        transport = _transport_ints(x, y, z, c, self.model)
+        _, adj, det = transport
+        v, a, b, _ = _field_ints(self.gen, transport, x, y, z, c)
         k = _mul_ints(_transporter_derivative(x, y, z, wx, wy, wz, c, self.model), adj)
         dv = [s - t for s, t in zip(_mul_ints(k, v), _mul_ints(v, k))]
         v_rows, dv_rows = _rows(v), _rows(dv)
@@ -318,13 +324,15 @@ class InvariantField:
 def frame_at(x: Flag, model: Model) -> tuple:
     """Invariant frame at an interior flag in the slope chart: the tuple
     (alpha, beta, central) of the primitive integer lines of the invariant
-    fields extending the model's base frame, at the flag's chart point.
-    They do not depend on the transport: `frame-well-defined` checks them
-    against another transport of the base frame."""
+    fields extending the model's base frame, at the flag's chart point,
+    which share one transporter.  They do not depend on the transport:
+    `frame-well-defined` checks them against another transport of the base
+    frame."""
     m, n = _slope_chart_ints(x)
     # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0
     px, py, pz, c = m[0] * n[0], m[1] * n[0], -n[1] * m[2], m[2] * n[0]
-    return tuple(_primitive_ints(InvariantField(gen, model)._value_ints(px, py, pz, c)[0])
+    transport = _transport_ints(px, py, pz, c, model)
+    return tuple(_primitive_ints(_field_ints(gen, transport, px, py, pz, c)[3])
                  for gen in model.frame)
 
 

@@ -4,21 +4,23 @@ Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
 algebraic oracles.  Everything here is exact: entries are ints or
 Fractions, never floats, and there are no tolerances.  There is one
 elimination, `_echelon`: fraction-free Bareiss elimination in ints on rows
-cleared of their denominators.  `rank` counts its pivots; `nullspace` and
-`solve` back-substitute from it in ints and return Fractions.  A float
+cleared of their denominators (`_echelon_ints`, which `orbit_rank` calls
+on rows that are ints already).  `rank` counts its pivots; `nullspace`
+and `solve` back-substitute from it in ints and return Fractions.  A float
 entry raises TypeError.
 
 The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
 `_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
-trust their input.  Exact data is kept as integer representatives
-(`GroupElem`, the point and line of a `Flag`, and the `_CanonicalInts`
-classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto`
-and `Block`), or cleared of its denominators once by `_cleared`, which
-rejects floats.  The value types, these among them, and the report types
-of every layer are `_Record`s: read-only slotted records, built with no
-code generation, whose one base class holds their equality, hashing and
-repr, and writes their fields through the slot setters it binds once per
-class.
+trust their input.  Each is written out over its unpacked entries, with no
+row slices and no loop, as they are the inner kernels of every exact
+check.  Exact data is kept as integer representatives (`GroupElem`, the
+point and line of a `Flag`, and the `_CanonicalInts` classes `LieVec`,
+`NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto` and `Block`), or
+cleared of its denominators once by `_cleared`, which rejects floats.  The
+value types, these among them, and the report types of every layer are
+`_Record`s: read-only slotted records, built with no code generation,
+whose one base class holds their equality, hashing and repr, and writes
+their fields through the slot setters it binds once per class.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
@@ -123,7 +125,10 @@ def _primitive_ints(nums) -> tuple:
     g = math.gcd(*nums)
     if g == 0:
         raise ValueError("zero vector has no projective class")
-    if next(filter(None, nums)) < 0:  # the first nonzero entry
+    for first in nums:
+        if first:
+            break
+    if first < 0:
         g = -g
     elif g == 1:  # already primitive
         return tuple(nums)
@@ -151,7 +156,11 @@ def _echelon(rows):
     pivots is a minor of the cleared matrix, so dividing by the previous
     pivot is exact and the entries stay the size of those minors; the last
     pivot is the minor of the pivot rows and columns."""
-    mat = [_cleared(row)[0] for row in rows]
+    return _echelon_ints([_cleared(row)[0] for row in rows])
+
+
+def _echelon_ints(mat):
+    """`_echelon` of the integer rows `mat`, which it reduces in place."""
     pivots, prev = [], 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -230,19 +239,22 @@ def span_equal(vs, ws) -> bool:
 # ---------------------------------------------------------------------------
 
 def _mul_ints(a, b):
-    """Product of the integer 3x3 matrices with row-major entries a and b, flat."""
+    """Product of the integer 3x3 matrices with row-major entries a and b,
+    flat, written out."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    out = []
-    for x, y, z in (a[0:3], a[3:6], a[6:9]):
-        out += (x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7, x * b2 + y * b5 + z * b8)
-    return out
+    return [a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8]
 
 
 def _mat_vec_ints(rows, v):
-    """The dot product of each integer row with the integer 3-vector v: a
-    matrix times v, or v times a matrix when `rows` are its columns."""
+    """The dot product of each of the three integer rows with the integer
+    3-vector v: a matrix times v, or v times a matrix when `rows` are its
+    columns."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows
     x, y, z = v
-    return [r[0] * x + r[1] * y + r[2] * z for r in rows]
+    return [a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z]
 
 
 def _adjugate_ints(n):

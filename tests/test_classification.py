@@ -55,6 +55,25 @@ class TestIsotropyTables:
         with pytest.raises(ValueError):
             cls.isotropy_eigenvalue_table("nope")
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_lift_off_the_algebra_fails_the_data_check(self, monkeypatch, sign):
+        # E01 +- E21 is off the block algebra, and the table check reads only
+        # the diagonal, which this lift keeps
+        lift = lc.LieVec.elementary(0, 1) + lc.LieVec.elementary(2, 1).scale(sign)
+        plant(monkeypatch, "t", cls._ISOTROPY_CASES, lifts=(lift, *md.BLOCK.frame[1:]))
+        assert checks._check_isotropy_t(None) is True
+        assert checks.run_check("isotropy-table-block") == (False, None)
+
+    @pytest.mark.parametrize("case, fields", [
+        ("t", {"iso_a": md.SL2_E}),  # in the algebra, but it moves the base flag
+        ("a", {"base_flag": md.BLOCK.base_flag}),  # not the flag the isotropy fixes
+        ("h2", {"lifts": (cls._J, cls._J, lc.LieVec.elementary(0, 2))}),  # spans too little
+    ])
+    def test_each_clause_of_the_data_check(self, monkeypatch, case, fields):
+        assert checks._isotropy_data(case)
+        plant(monkeypatch, case, cls._ISOTROPY_CASES, **fields)
+        assert not checks._isotropy_data(case)
+
 
 class TestInvariantLines:
     def test_block_model_unique_line_is_class_of_H(self):
@@ -178,11 +197,11 @@ class TestDegeneration:
         assert capfd.readouterr().err == ""
 
 
-def plant(monkeypatch, case, **fields):
-    """Replace `fields` of one degeneration case for the test's duration."""
-    data = cls.DEGENERATION_CASES[case]
-    changed = cls.DegenerationCase(**{f: fields.get(f, getattr(data, f)) for f in data._fields})
-    monkeypatch.setitem(cls.DEGENERATION_CASES, case, changed)
+def plant(monkeypatch, case, table=cls.DEGENERATION_CASES, **fields):
+    """Replace `fields` of one case of `table` for the test's duration."""
+    data = table[case]
+    changed = type(data)(**{f: fields.get(f, getattr(data, f)) for f in data._fields})
+    monkeypatch.setitem(table, case, changed)
 
 
 def _vanishing_at(times):

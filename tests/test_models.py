@@ -100,7 +100,7 @@ def test_models_suite_builds_few_fractions(monkeypatch):
     # exactly, so a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "models")
     assert all(passed for passed, _ in outcomes)
-    assert built < 15_500
+    assert built < 13_700
 
 
 class TestEquivarianceAffine:

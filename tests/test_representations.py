@@ -87,6 +87,7 @@ def test_lievec_operations(ops, c):
         (u.scale(c), [[c * x for x in row] for row in frac(a)]),
         (u @ v, mat_mul_oracle(a, b)),
         (u.transpose(), [list(col) for col in zip(*frac(a))]),
+        (lc.theta_involution(u), [[-x for x in col] for col in zip(*frac(a))]),
         (lc.bracket(u, v),
          entrywise(lambda x, y: x - y, mat_mul_oracle(a, b), mat_mul_oracle(b, a))),
     ]
@@ -150,6 +151,18 @@ def test_group_elem_stores_the_primitive_representative(ops, c):
     assert lc.GroupElem([[c * e for e in row] for row in a]) == g
     assert g.adjugate == adjugate3_oracle(g.entries)
     assert g.inverse() == lc.GroupElem(adjugate3_oracle(a))
+
+
+@given(operands(9))
+def test_theta_group_is_the_inverse_transpose(ops):
+    a = rows(ops[0])
+    d = det3_oracle(a)
+    assume(d != 0)
+    # the textbook (g^T)^{-1} = adj(g^T) / det(g^T), with det(g^T) = det(g)
+    oracle = [[e / d for e in row] for row in adjugate3_oracle([list(col) for col in zip(*a)])]
+    flat = [e for row in lc.theta_group(lc.GroupElem(a)).entries for e in row]
+    assert_primitive(flat)
+    assert normalize_lead_oracle(flat) == normalize_lead_oracle([e for row in oracle for e in row])
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +249,8 @@ RECORDS = {
                            "pivot": lc.GroupElem([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                            "circle": md.HEIS_Z, "along": md.HEIS_X, "expected": (),
                            "limit": "alpha"},
+    cls.IsotropyCase: {"algebra": cls.H_2, "base_flag": md.AFFINE.base_flag, "iso_a": md.HEIS_Z,
+                       "iso_b": lc.LieVec.zero(), "lifts": (md.HEIS_X,)},
     cls.DegenerationResult: {"t": Fraction(1, 2), "matrix": ((1, 0, 0),), "matches": True,
                              "limit": "beta", "sine_distance": 0.25},
     curv.NormalCurvature: {"nums": (1, -1, 0, 3), "den": 4},
