@@ -49,7 +49,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import (_cleared, _mat_vec_ints, _mul_ints, _primitive_ints, _rows, in_span,
+from .rational import (_cleared, _mat_vec_ints, _mul_ints, _primitive_ints, in_span,
                        primitive, rank)
 from .workers import cpus, split
 
@@ -388,9 +388,9 @@ def _check_subalgebra_recognizer(rng):
     if not all(a.is_subalgebra() for a in good):
         return False
     corrupted = list(cls.H_1.basis)
-    rows = [list(map(list, corrupted[2].entries))]
-    rows[0][2][0] = Fraction(1)  # perturb one entry
-    corrupted[2] = lc.LieVec.of(rows[0])
+    nums, den = list(corrupted[2].nums), corrupted[2].den
+    nums[6] = den  # perturb one entry: (2, 0) becomes 1
+    corrupted[2] = lc.LieVec(nums, den)
     return not lc.Subalgebra.of(corrupted).is_subalgebra()
 
 
@@ -876,12 +876,11 @@ def _check_flat_iso(rng):
     except md.ContactConditionError:
         return None  # a non-contact pair has no isomorphism to test
     mnums, mden = _cleared(*m)
-    mat = _rows(mnums)
 
     def apply(u):
         # the (X, Y, Z) coordinates of u are its entries (0,1), (1,2), (0,2)
         e = u.nums
-        x, y, z = _mat_vec_ints(mat, (e[1], e[5], e[2]))
+        x, y, z = _mat_vec_ints(mnums, (e[1], e[5], e[2]))
         return lc.LieVec((0, x, z, 0, 0, y, 0, 0, 0), u.den * mden)
 
     if apply(md.HEIS_X) != v or apply(md.HEIS_Y) != w:

@@ -34,7 +34,7 @@ from .lie_core import (
     fmat_sub,
     fnorm,
 )
-from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, _rows, cross
+from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, cross
 
 
 class NormalCurvature(_CanonicalInts):
@@ -82,10 +82,10 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     # adj(p) / det(p), with det(p) = d1 d2 d3 for upper-triangular p
     q, qd = _quotient_adjoint_ints(p.inverse())
     a, b, z = q[0::3], q[1::3], q[2::3]
-    (d1, p12, _), (_, d2, _), (_, _, d3) = p.entries
+    d1, p12, _, _, d2, _, _, _, d3 = p.nums
     det = d1 * d2 * d3
     # the entries of det(p) p^-1 that the two sparse conjugations read
-    (_, inv11, inv12), (_, _, inv22) = p.adjugate[1:]
+    _, _, _, _, inv11, inv12, _, _, inv22 = p.adj
     k_alpha, k_beta, k_sup_alpha, k_sup_beta = k.nums
 
     # value on the transported alpha-0 wedge: the coefficient over the third
@@ -112,13 +112,13 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
 def alpha_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_alpha component, scale invariant in the
     representative: d1 d2^2 / d3^3 for diagonal (d1, d2, d3)."""
-    d1, d2, d3 = p.diagonal()
+    d1, d2, d3 = p.nums[0::4]
     return Fraction(d1 * d2 * d2, d3 * d3 * d3)
 
 
 def beta_scale(p: GroupElem) -> Fraction:
     """Exact multiplier of the K_beta component: d1^3 / (d2^2 d3)."""
-    d1, d2, d3 = p.diagonal()
+    d1, d2, d3 = p.nums[0::4]
     return Fraction(d1 * d1 * d1, d2 * d2 * d3)
 
 
@@ -145,7 +145,7 @@ class PolynomialField:
     def derivative_along(self, p, w):
         """D F(p) w, exact: one integer product of the cleared Jacobian and w."""
         (jac, jd), (wn, wd) = _cleared(*self._jac(p)), _cleared(w)
-        return tuple([Fraction(n, jd * wd) for n in _mat_vec_ints(_rows(jac), wn)])
+        return tuple([Fraction(n, jd * wd) for n in _mat_vec_ints(jac, wn)])
 
 
 def bracket_of_fields(field_a, field_b, p, va, vb):

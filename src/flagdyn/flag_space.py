@@ -26,7 +26,7 @@ from .rational import (
     _echelon_ints,
     _mat_vec_ints,
     _primitive_ints,
-    _rows,
+    _vec_mat_ints,
     cross,
     dot,
     primitive,
@@ -81,8 +81,8 @@ def act(g: GroupElem, x: Flag) -> Flag:
     """g x: the point m goes to g m and the line n to n adj(g), covectors
     transforming by the inverse, of which the adjugate is a valid
     projective representative."""
-    return Flag(_primitive_ints(_mat_vec_ints(g.entries, x.point)),
-                _primitive_ints(_mat_vec_ints(zip(*g.adjugate), x.line)))
+    return Flag(_primitive_ints(_mat_vec_ints(g.nums, x.point)),
+                _primitive_ints(_vec_mat_ints(x.line, g.adj)))
 
 
 def flip(x: Flag) -> Flag:
@@ -238,9 +238,7 @@ def alpha_circle_flag(x: Flag, s, t) -> Flag:
 def _velocities(v: LieVec, x: Flag):
     """v.den times the velocities v m and -n v of the point m and the line
     n of x, in ints."""
-    rows = _rows(v.nums)
-    return (_mat_vec_ints(rows, x.point),
-            [-e for e in _mat_vec_ints(zip(*rows), x.line)])
+    return _mat_vec_ints(v.nums, x.point), [-e for e in _vec_mat_ints(x.line, v.nums)]
 
 
 def flag_derivative(v: LieVec, x: Flag):

@@ -1,9 +1,9 @@
 """Exact kernel for gl(3)/sl(3): brackets, grading, adjoint actions, exponentials.
 
-All algebraic operations are exact and run in Python ints: a `LieVec` is
-nine ints over one denominator, a `GroupElem` the primitive integer matrix
-of its class.  `GroupElem.entries` are ints, so a ratio of two of them is
-built as a Fraction, never with `/`.
+All algebraic operations are exact and run in flat row-major Python ints: a
+`LieVec` is nine ints over one denominator, a `GroupElem` the primitive
+integer matrix of its class, `nums`, and its adjugate, `adj`, nine ints each,
+so a ratio of two of them is built as a Fraction, never with `/`.
 
 Floats appear only in the numerical exponential `exp_group` and the float
 matrix helpers under it, read by `curvature.flow_commutator_defect` alone;
@@ -157,18 +157,18 @@ _GRADES = tuple(j - i for i in range(3) for j in range(3))
 class GroupElem(_Record):
     """Projective transformation: invertible 3x3 rational matrix up to scale.
 
-    The stored representative is the primitive integer matrix of the class:
-    integer entries with gcd 1 whose first nonzero entry in row-major order
-    is positive, so two elements, records compared by their fields, are
-    equal exactly when they are one class.  `adjugate` holds the integer
-    adjugate of the entries, a representative of the inverse, computed once.
+    `nums` is the primitive integer matrix of the class, row by row: nine
+    ints with gcd 1 whose first nonzero one is positive, so two elements,
+    records compared by their fields, are equal exactly when they are one
+    class.  `adj`, its adjugate, represents the inverse, computed once.
+    `entries`, the rows of `nums`, is a view built on each read.
 
     `GroupElem(rows)` takes ints and Fractions, not the fields, and rejects
     floats; the products, inverses and transposes stay in ints, and
     `theta_group` builds (g^T)^{-1} as one element, the class of adj(g)^T.
     """
 
-    __slots__ = ("entries", "adjugate")
+    __slots__ = ("nums", "adj")
 
     def __init__(self, rows):
         self._store(_cleared(*rows)[0])
@@ -185,27 +185,27 @@ class GroupElem(_Record):
         adj = _adjugate_ints(flat)
         if flat[0] * adj[0] + flat[1] * adj[3] + flat[2] * adj[6] == 0:
             raise ValueError("projective transformation must be invertible")
-        set_entries, set_adjugate = self._setters
-        set_entries(self, _rows(flat))
-        set_adjugate(self, _rows(tuple(adj)))
+        set_nums, set_adj = self._setters
+        set_nums(self, flat)
+        set_adj(self, tuple(adj))
+
+    @property
+    def entries(self) -> tuple:
+        return _rows(self.nums)
 
     def __matmul__(self, other: "GroupElem") -> "GroupElem":
-        a, b = self.entries, other.entries
-        return GroupElem._of_ints(_mul_ints(a[0] + a[1] + a[2], b[0] + b[1] + b[2]))
+        return GroupElem._of_ints(_mul_ints(self.nums, other.nums))
 
     def inverse(self) -> "GroupElem":
-        a = self.adjugate
-        return GroupElem._of_ints(a[0] + a[1] + a[2])
+        return GroupElem._of_ints(self.adj)
 
     def transpose(self) -> "GroupElem":
-        return GroupElem._of_ints([e for col in zip(*self.entries) for e in col])
+        n = self.nums
+        return GroupElem._of_ints((n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8]))
 
     def is_upper_triangular(self) -> bool:
-        e = self.entries
-        return e[1][0] == 0 and e[2][0] == 0 and e[2][1] == 0
-
-    def diagonal(self):
-        return (self.entries[0][0], self.entries[1][1], self.entries[2][2])
+        n = self.nums
+        return n[3] == 0 and n[6] == 0 and n[7] == 0
 
 
 def conjugate(g: GroupElem, v: LieVec) -> LieVec:
@@ -214,9 +214,9 @@ def conjugate(g: GroupElem, v: LieVec) -> LieVec:
 
     With G the integer entries of g and A their adjugate, g v g^{-1} is
     G nums A / (den det(G)): two integer products and one gcd."""
-    e, a = g.entries, g.adjugate
-    det = e[0][0] * a[0][0] + e[0][1] * a[1][0] + e[0][2] * a[2][0]
-    prod = _mul_ints(_mul_ints(e[0] + e[1] + e[2], v.nums), a[0] + a[1] + a[2])
+    n, a = g.nums, g.adj
+    det = n[0] * a[0] + n[1] * a[3] + n[2] * a[6]
+    prod = _mul_ints(_mul_ints(n, v.nums), a)
     return LieVec(prod, v.den * det)
 
 
@@ -229,7 +229,7 @@ def theta_involution(v: LieVec) -> LieVec:
 def theta_group(g: GroupElem) -> GroupElem:
     """Group involution g -> (g^T)^{-1}, the flip-equivariance morphism: the
     class of adj(g)^T, as adj(g^T) = adj(g)^T represents (g^T)^{-1}."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = g.adjugate
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = g.adj
     return GroupElem._of_ints((a0, a3, a6, a1, a4, a7, a2, a5, a8))
 
 
@@ -249,7 +249,7 @@ def _quotient_adjoint_ints(p: GroupElem):
     d1 d2, so that entry (i, j) is nums[3 i + j] / den."""
     if not p.is_upper_triangular():
         raise NotUpperTriangularError("quotient adjoint needs an upper-triangular element")
-    (d1, p12, _), (_, d2, p23), (_, _, d3) = p.entries
+    d1, p12, _, _, d2, p23, _, _, d3 = p.nums
     return (d1 * d3, 0, -d3 * p12, 0, d2 * d2, d2 * p23, 0, 0, d2 * d3), d1 * d2
 
 

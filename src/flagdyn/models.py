@@ -19,7 +19,7 @@ from fractions import Fraction
 from .flag_space import BoundaryError, Flag, _slope_chart_ints
 from .lie_core import GroupElem, LieVec
 from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
-                       _mul_ints, _primitive_ints, _rows)
+                       _mul_ints, _primitive_ints, _rows, _vec_mat_ints)
 
 
 class MembershipError(ValueError):
@@ -166,7 +166,7 @@ class AffineMap(_CanonicalInts):
     def compose(self, other: "AffineMap") -> "AffineMap":
         # L1 (L2 x + t2) + t1, over den1 den2
         a, b, d = self.nums, other.nums, other.den
-        moved = _mat_vec_ints(_rows(a[:9]), b[9:])
+        moved = _mat_vec_ints(a[:9], b[9:])
         return AffineMap(_mul_ints(a[:9], b[:9]) + [x + t * d for x, t in zip(moved, a[9:])],
                          self.den * d)
 
@@ -273,9 +273,8 @@ def _field_ints(gen: LieVec, transport, x, y, z, c):
     numerators of F(p), over det(H) gen.den c^3."""
     h, adj, _ = transport
     v = _mul_ints(_mul_ints(h, gen.nums), adj)
-    v_rows = _rows(v)
-    a = _mat_vec_ints(v_rows, (x, y, c))
-    b = _mat_vec_ints(zip(*v_rows), (-c * c, z * c, x * c - y * z))
+    a = _mat_vec_ints(v, (x, y, c))
+    b = _vec_mat_ints((-c * c, z * c, x * c - y * z), v)
     value = (c * (c * a[0] - x * a[2]), c * (c * a[1] - y * a[2]), -(c * b[1] + z * b[0]))
     return v, a, b, value
 
@@ -309,12 +308,10 @@ class InvariantField:
         v, a, b, _ = _field_ints(self.gen, transport, x, y, z, c)
         k = _mul_ints(_transporter_derivative(x, y, z, wx, wy, wz, c, self.model), adj)
         dv = [s - t for s, t in zip(_mul_ints(k, v), _mul_ints(v, k))]
-        v_rows, dv_rows = _rows(v), _rows(dv)
-        v_cols, dv_cols = tuple(zip(*v_rows)), tuple(zip(*dv_rows))
         m, dm = (x, y, c), (wx, wy, 0)
         n, dn = (-c * c, z * c, x * c - y * z), (0, wz * c, wx * c - wy * z - y * wz)
-        da = [s + det * t for s, t in zip(_mat_vec_ints(dv_rows, m), _mat_vec_ints(v_rows, dm))]
-        db = [s + det * t for s, t in zip(_mat_vec_ints(dv_cols, n), _mat_vec_ints(v_cols, dn))]
+        da = [s + det * t for s, t in zip(_mat_vec_ints(dv, m), _mat_vec_ints(v, dm))]
+        db = [s + det * t for s, t in zip(_vec_mat_ints(n, dv), _vec_mat_ints(dn, v))]
         den = c * c * c * det * det * self.gen.den
         return (Fraction(c * (c * da[0] - det * wx * a[2] - x * da[2]), den),
                 Fraction(c * (c * da[1] - det * wy * a[2] - y * da[2]), den),
@@ -356,7 +353,7 @@ def equivariance_t(g: GroupElem):
     normalizing the corner entry to 1, a positive rational square; lam and
     s are then exact.
     """
-    (a, b, c), (d, e, f), (u, v, k) = g.entries
+    a, b, c, d, e, f, u, v, k = g.nums
     if c or f or u or v:
         raise MembershipError("not in the block-diagonal subgroup")
     # the block over k has determinant det / k^2 (k != 0, as g is invertible),
@@ -394,7 +391,7 @@ def equivariance_a(p: GroupElem):
     """
     if not p.is_upper_triangular():
         raise MembershipError("not upper triangular")
-    (d1, p12, p13), (_, d2, p23), (_, _, d3) = p.entries
+    d1, p12, p13, _, d2, p23, _, _, d3 = p.nums
     return (HeisElem((p12 * d3, p23 * d2, p13 * d2), d2 * d3),
             HeisAuto((d1 * d3, d2 * d2), d2 * d3))
 

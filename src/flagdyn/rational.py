@@ -9,18 +9,19 @@ on rows that are ints already).  `rank` counts its pivots; `nullspace`
 and `solve` back-substitute from it in ints and return Fractions.  A float
 entry raises TypeError.
 
-The 3x3 routines are one integer layer: `_mul_ints`, `_mat_vec_ints`,
-`_adjugate_ints`, `_det_ints` and `_primitive_ints` take ints only and
-trust their input.  Each is written out over its unpacked entries, with no
-row slices and no loop, as they are the inner kernels of every exact
-check.  Exact data is kept as integer representatives (`GroupElem`, the
+The 3x3 routines are one integer layer on flat row-major matrices:
+`_mul_ints`, `_mat_vec_ints`, `_vec_mat_ints`, `_adjugate_ints`, `_det_ints`
+and `_primitive_ints` take ints only and trust their input.  Each is written
+out over its unpacked entries, with no row slices and no loop, as they are
+the inner kernels of every exact check; `_rows` serves only the public row
+views.  Exact data is kept as integer representatives (`GroupElem`, the
 point and line of a `Flag`, and the `_CanonicalInts` classes `LieVec`,
 `NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto` and `Block`), or
 cleared of its denominators once by `_cleared`, which rejects floats.  The
 value types, these among them, and the report types of every layer are
-`_Record`s: read-only slotted records, built with no code generation,
-whose one base class holds their equality, hashing and repr, and writes
-their fields through the slot setters it binds once per class.
+`_Record`s: read-only slotted records, built with no code generation, whose
+one base class holds their equality, hashing and repr, and writes their
+fields through the slot setters it binds once per class.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
@@ -248,13 +249,18 @@ def _mul_ints(a, b):
             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8]
 
 
-def _mat_vec_ints(rows, v):
-    """The dot product of each of the three integer rows with the integer
-    3-vector v: a matrix times v, or v times a matrix when `rows` are its
-    columns."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows
+def _mat_vec_ints(m, v):
+    """The flat integer 3x3 matrix m times the integer column 3-vector v."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = m
     x, y, z = v
     return [a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z]
+
+
+def _vec_mat_ints(v, m):
+    """The integer row 3-vector v times the flat integer 3x3 matrix m."""
+    x, y, z = v
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = m
+    return [x * a0 + y * a3 + z * a6, x * a1 + y * a4 + z * a7, x * a2 + y * a5 + z * a8]
 
 
 def _adjugate_ints(n):

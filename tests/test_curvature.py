@@ -77,7 +77,7 @@ class TestCurvatureAction:
     def test_exponent_check_reads_the_scales(self, monkeypatch):
         # alpha_scale with d3^2 for d3^3 fails the exponent check
         def wrong(p):
-            d1, d2, d3 = p.diagonal()
+            d1, d2, d3 = p.nums[0::4]
             return Fraction(d1 * d2 * d2, d3 * d3)
 
         monkeypatch.setattr(curv, "alpha_scale", wrong)

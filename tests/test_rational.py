@@ -92,14 +92,14 @@ def test_mat_mul(a, b):
 
 @given(st.lists(ints, min_size=9, max_size=9), st.lists(ints, min_size=3, max_size=3))
 def test_mat_vec(a, v):
-    # a matrix times v: the dot products with its rows
-    assert_same(tuple(R._mat_vec_ints(rows(a), v)), mat_vec_oracle(rows(a), v), int)
+    # a flat matrix times v: the dot products with its rows
+    assert_same(tuple(R._mat_vec_ints(a, v)), mat_vec_oracle(rows(a), v), int)
 
 
 @given(st.lists(ints, min_size=3, max_size=3), st.lists(ints, min_size=9, max_size=9))
 def test_vec_mat(v, a):
-    # v times a matrix: the dot products with its columns
-    assert_same(tuple(R._mat_vec_ints(zip(*rows(a)), v)), vec_mat_oracle(v, rows(a)), int)
+    # v times a flat matrix: the dot products with its columns
+    assert_same(tuple(R._vec_mat_ints(v, a)), vec_mat_oracle(v, rows(a)), int)
 
 
 @given(st.lists(ints, min_size=9, max_size=9))

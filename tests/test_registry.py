@@ -15,10 +15,12 @@ benchmark pins, the split of `run_checks` over worker processes, which must
 change no outcome, a check that raises, unknown names, the draw helpers,
 which must keep the random streams of `random.Random.randint` and draw
 through one law, the rule that no comparison names a model by a string,
-the rule that no classification table holds a lambda, the rule that `src`
-holds only what the program runs, the methods that perfbench's tracer
-wraps, and the rule that a check enters more than the one predicate it
-names.
+the rule that no classification table holds a lambda, the rule that
+matrices reach the integer kernels flat and become rows only in the public
+row views, the rule that `src` holds only what the program runs, the
+methods that perfbench's tracer wraps, the rule that a check enters more
+than the one predicate it names, and the table of the checks whose verdict
+rests on float code.
 """
 
 import ast
@@ -44,6 +46,7 @@ from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn import rational as R
 from flagdyn.rational import _cleared
 from children import assert_no_child_left, child_env
 
@@ -470,6 +473,68 @@ def test_no_classification_table_holds_a_lambda():
     assert found == []
 
 
+def _calls(src):
+    """(where, call) for each call in src/flagdyn: where is module.qualname
+    of the function, method or class that holds it, or the module's name."""
+    for path in sorted(src.glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text()))]
+        while stack:
+            where, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    yield where, child
+                named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                stack.append((f"{where}.{child.name}" if named else where, child))
+
+
+def _callee(call):
+    """The bare name that `call` calls, or None."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+# The public views that show a flat matrix as its rows.
+ROW_VIEWS = {"lie_core.LieVec.entries", "lie_core.GroupElem.entries", "models.AffineMap.linear",
+             "lie_core.quotient_adjoint"}
+
+
+def test_rows_are_built_only_in_the_public_row_views():
+    # every exact matrix is nine ints, row by row; `rational._rows` splits
+    # one into rows only for the readers of a displayed matrix
+    src = Path(checks.__file__).resolve().parent
+    assert {where for where, call in _calls(src) if _callee(call) == "_rows"} == ROW_VIEWS
+
+
+def _joins_rows(node):
+    """Whether `node` is a sum of indexed items, such as a[0] + a[1] + a[2]."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and all(
+        _joins_rows(side) or isinstance(side, ast.Subscript) and isinstance(side.slice, ast.Constant)
+        for side in (node.left, node.right))
+
+
+def test_no_kernel_argument_is_built_from_rows():
+    # the integer kernels of `rational` take flat matrices: no argument of a
+    # call to one transposes with zip(*...), joins rows with +, or names
+    # _rows or a row view
+    kernels = {name for name, value in vars(R).items()
+               if name.endswith("_ints") and getattr(value, "__module__", None) == R.__name__}
+    views = {where.rpartition(".")[2] for where in ROW_VIEWS} | {"_rows"}
+
+    def from_rows(arg):
+        return any(isinstance(n, ast.Call) and _callee(n) == "zip"
+                   and any(isinstance(a, ast.Starred) for a in n.args)
+                   or _joins_rows(n)
+                   or isinstance(n, ast.Name) and n.id in views
+                   or isinstance(n, ast.Attribute) and n.attr in views
+                   for n in ast.walk(arg))
+
+    src = Path(checks.__file__).resolve().parent
+    found = [(where, call.lineno) for where, call in _calls(src) if _callee(call) in kernels
+             and any(from_rows(arg) for arg in (*call.args, *(k.value for k in call.keywords)))]
+    assert {"_mul_ints", "_mat_vec_ints", "_vec_mat_ints", "_adjugate_ints"} <= kernels
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # src holds what the program runs
 # ---------------------------------------------------------------------------
@@ -582,6 +647,67 @@ def test_every_check_enters_more_than_one_predicate():
         if len({names[e] for e in entered if e in names}) < 2:
             restating.add(check_id)
     assert restating == set(RESTATES)
+
+
+# The registered checks whose verdict rests on float code, each with the
+# reason it stays: the check's body or its `fixed` predicate holds a float
+# constant or calls into `dynamics`, `commutator_slope` or
+# `degeneration_samples`.  A change that makes a verdict exact deletes its row.
+FLOAT_VERDICTS = {
+    "flow-commutator-slope": "an exact claim behind a float gate: the log-log slope of the "
+                             "float flow-commutator defect against 2.9",
+    "fundamental-finite-difference": "an exact claim behind a float gate: the exact difference "
+                                     "quotient's error, rounded to a float, against a tolerance",
+    "volume-obstruction": "an exact claim behind a float gate: dynamics.volume_obstruction_check "
+                          "on float multiplier pairs",
+    "hyperbolicity-certificates": "an exact claim behind a float gate: the certificate reads "
+                                  "float logs of the rates",
+    "reduce-retraction": "tests float code, the fundamental-domain reduction of float points",
+    "reduce-commutes-with-map": "tests float code, the float nilmanifold map and its reduction",
+    "lyapunov-cat-map": "tests float code, the measured Lyapunov rates",
+    "sl2-frame-rates": "tests float code, the float rates of the diagonal flow",
+    "lattice-closure": "exact already: its floats are small integers and half-integers, and "
+                       "they and their products are exact in binary",
+    "degeneration-matrices": "decides in ints; the float is the sine distance, the residual "
+                             "of a failure",
+}
+
+
+@functools.cache
+def _parsed(path):
+    return ast.parse(Path(path).read_text())
+
+
+def _function_node(fn):
+    """The ast node of the function or lambda `fn`, a partial read as its
+    function: the node whose first line, a decorator's when there is one, is
+    the first line of its code."""
+    while isinstance(fn, functools.partial):
+        fn = fn.func
+    line = fn.__code__.co_firstlineno
+    return next(node for node in ast.walk(_parsed(fn.__code__.co_filename)) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                and min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+                == line)
+
+
+def test_float_verdicts_are_the_table():
+    # a scan of each registered body and its fixed predicate
+    float_code = {"commutator_slope", "degeneration_samples"}
+
+    def floating(node):
+        return any(isinstance(n, ast.Constant) and type(n.value) is float
+                   or isinstance(n, ast.Name) and n.id in float_code
+                   or isinstance(n, ast.Attribute) and (n.attr in float_code
+                                                        or isinstance(n.value, ast.Name)
+                                                        and n.value.id == "dyn")
+                   for n in ast.walk(node))
+
+    flagged = set()
+    for check_id, _, _, runner in checks._REGISTRY:
+        body, _, fixed, _ = runner.args
+        if any(floating(_function_node(fn)) for fn in (body, fixed) if fn is not None):
+            flagged.add(check_id)
+    assert flagged == set(FLOAT_VERDICTS)
 
 
 def _assigned(tree):
