@@ -42,6 +42,7 @@ import random
 import zlib
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from . import classification as cls
 from . import curvature as curv
@@ -49,8 +50,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import (_cleared, _mat_vec_ints, _mul_ints, _primitive_ints, in_span,
-                       primitive, rank)
+from .rational import _mat_vec_ints, _mul_ints, _primitive_ints, in_span, rank
 from .workers import cpus, split
 
 
@@ -146,10 +146,11 @@ def run_checks(suite=None, seed: int = 0, samples: int | None = None):
 # random generators
 # ---------------------------------------------------------------------------
 
-# 2520 = lcm(1..9), a multiple of every rand_frac denominator, and at
-# index r the factor 2520 / (r + 1) that puts a draw over r + 1 over it
+# 2520 = lcm(1..9), a multiple of every rand_frac denominator; at [p][q] the
+# numerator over it of the draw (p - 9) / (q + 1), for the raw bits p < 19
+# and q < 9 of its two randint draws
 _DEN = 2520
-_OVER_DEN = tuple(_DEN // q for q in range(1, 10))
+_DRAWS = tuple(tuple((p - 9) * (_DEN // (q + 1)) for q in range(9)) for p in range(19))
 
 
 def _rand_ints(rng, count: int, nonzero=()):
@@ -157,7 +158,7 @@ def _rand_ints(rng, count: int, nonzero=()):
     then rng.randint(1, 9), each as CPython's randint over n values draws it
     (getrandbits(n.bit_length()), redrawn while it is n or more).  A draw
     at a position in `nonzero` is redrawn, both parts, until p != 0."""
-    bits = rng.getrandbits
+    bits, draws = rng.getrandbits, _DRAWS
     nums = []
     for k in range(count):
         while True:
@@ -169,7 +170,7 @@ def _rand_ints(rng, count: int, nonzero=()):
                 q = bits(4)
             if p != 9 or k not in nonzero:
                 break
-        nums.append((p - 9) * _OVER_DEN[q])
+        nums.append(draws[p][q])
     return nums
 
 
@@ -394,6 +395,10 @@ def _check_subalgebra_recognizer(rng):
     return not lc.Subalgebra.of(corrupted).is_subalgebra()
 
 
+# row k holds C(k, i) for i = 0..k, for the orders k <= 5 of `exp-ad-consistency`
+_BINOMIAL_ROWS = tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in range(6))
+
+
 @check("exp-ad-consistency", "lie-core",
        "conjugation by exp(v) equals exp of the bracket action: "
        "sum_i C(k,i) v^i w (-v)^(k-i) = (ad v)^k w for k <= 5, exact", samples=20)
@@ -404,13 +409,13 @@ def _check_exp_ad(rng):
     v, w = rand_traceless(rng), rand_lievec(rng)
     minus_v = [-n for n in v.nums]
     left, right, ad = [w.nums], [None, minus_v], w  # v^i w, (-v)^j, (ad v)^k w
-    for k in range(1, 6):
+    for k, row in enumerate(_BINOMIAL_ROWS[1:], 1):
         left.append(_mul_ints(v.nums, left[-1]))
         if k > 1:
             right.append(_mul_ints(right[-1], minus_v))
         ad = lc.bracket(v, ad)
         terms = [_mul_ints(left[i], right[k - i]) for i in range(k)] + [left[k]]
-        total = [sum(math.comb(k, i) * x for i, x in enumerate(col)) for col in zip(*terms)]
+        total = [sum(map(mul, row, col)) for col in zip(*terms)]
         if lc.LieVec(total, v.den ** k * w.den) != ad:
             return False
     return True
@@ -480,13 +485,21 @@ def _check_flip_equivariance(rng):
     return fs.flip(fs.act(g, x)) == fs.act(lc.theta_group(g), fs.flip(x))
 
 
-@check("flip-exchanges-circles", "flag-space",
-       "flip maps the line-pencil circle onto the point-row circle", samples=50)
-def _check_flip_circles(rng):
-    x = rand_flag(rng)
-    # each image must stay on the beta circle of flip(x)
-    return all(fs.flip(fs.alpha_circle_flag(x, s, t)).line == fs.flip(x).line
+def _flip_maps_circle(x):
+    """Each flag of the alpha circle of x, at five parameters, flips onto
+    the beta circle of flip(x)."""
+    line = fs.flip(x).line
+    return all(fs.flip(fs.alpha_circle_flag(x, s, t)).line == line
                for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 5)))
+
+
+# the anchor's point has only its last entry nonzero, the pivot that random
+# flags seldom reach
+@check("flip-exchanges-circles", "flag-space",
+       "flip maps the line-pencil circle onto the point-row circle", samples=50,
+       fixed=partial(_flip_maps_circle, fs.Flag.of((0, 0, 1), (1, 0, 0))))
+def _check_flip_circles(rng):
+    return _flip_maps_circle(rand_flag(rng))
 
 
 @check("affine-chart-roundtrip", "flag-space",
@@ -845,8 +858,10 @@ def _check_frame_contact_pair(rng):
     for model in md.MODELS:
         x = rand_interior_flag(rng, model)
         alpha, beta, _ = md.frame_at(x, model)
-        z = fs.chart_coords(x)[2]
-        if alpha != (0, 0, 1) or beta != primitive((z, 1, 0)):
+        # the standard pair at the chart point: (0, 0, 1) and (z, 1, 0), whose
+        # slope z = -n1 / n0 gives the class (-n1, n0, 0)
+        _, n = fs._slope_chart_ints(x)
+        if alpha != (0, 0, 1) or beta != _primitive_ints((-n[1], n[0], 0)):
             return False
     return True
 
@@ -872,10 +887,9 @@ def _check_flat_iso(rng):
     a, b, c, p, q, r = _rand_ints(rng, 6)
     v, w = lc.LieVec((0, a, c, 0, 0, b, 0, 0, 0), _DEN), lc.LieVec((0, p, r, 0, 0, q, 0, 0, 0), _DEN)
     try:
-        m = md.flat_structure_iso(v, w)
+        mnums, mden = md._flat_structure_ints(v, w)
     except md.ContactConditionError:
         return None  # a non-contact pair has no isomorphism to test
-    mnums, mden = _cleared(*m)
 
     def apply(u):
         # the (X, Y, Z) coordinates of u are its entries (0,1), (1,2), (0,2)
@@ -890,11 +904,18 @@ def _check_flat_iso(rng):
                               (md.HEIS_Y, md.HEIS_Z)))
 
 
+def _theta_affine_anchors():
+    """The identity pair goes to the identity map, and the displayed linear
+    part and translation at (x, y, z) = (1/2, 2, 3), lam = 2 and mu = 3/2."""
+    m = md.theta_affine(md.HeisElem((1, 4, 6), 2), md.HeisAuto((4, 3), 2))
+    return (md.theta_affine(md.HEIS_IDENTITY, md.AUTO_IDENTITY) == md.AFFINE_IDENTITY
+            and m.linear == ((2, 0, 0), (0, Fraction(3, 2), 0), (0, Fraction(3, 4), 3))
+            and m.translation == (Fraction(1, 2), 2, 3))
+
+
 @check("affine-linearization", "models",
        "linear part [[lam,0,0],[0,mu,0],[0,mu x,lam mu]] with translation "
-       "(x,y,z); injective morphism", samples=100,
-       fixed=lambda: (md.theta_affine(md.HEIS_IDENTITY, md.AUTO_IDENTITY)
-                      == md.AFFINE_IDENTITY))
+       "(x,y,z); injective morphism", samples=100, fixed=_theta_affine_anchors)
 def _check_theta_affine(rng):
     g1, g2 = rand_heis(rng), rand_heis(rng)
     f1, f2 = rand_auto(rng), rand_auto(rng)
@@ -902,8 +923,15 @@ def _check_theta_affine(rng):
     if md.theta_affine(*md.heis_semidirect_mul((g1, f1), (g2, f2))) != m.compose(
             md.theta_affine(g2, f2)):
         return False
-    expected_linear = ((f1.lam, 0, 0), (0, f1.mu, 0), (0, f1.mu * g1.x, f1.lam * f1.mu))
-    return (m.linear, m.translation) == (expected_linear, (g1.x, g1.y, g1.z))
+    # each entry n / c of m against its displayed value, cross-multiplied:
+    # lam = l / e, mu = u / e, mu x = u x / (e d), lam mu = l u / e^2, zeros
+    # off the display, and the translation (x, y, z) / d
+    (l, u), e = f1.nums, f1.den
+    (x, y, z), d = g1.nums, g1.den
+    n, c = m.nums, m.den
+    return (n[0] * e == l * c and n[4] * e == u * c and n[7] * e * d == u * x * c
+            and n[8] * e * e == l * u * c and not (n[1] or n[2] or n[3] or n[5] or n[6])
+            and n[9] * d == x * c and n[10] * d == y * c and n[11] * d == z * c)
 
 
 @check("central-flow-identity", "models",
@@ -973,13 +1001,16 @@ def _check_isotropy_h2(rng):
     return _isotropy_is_expected_diagonal("h2")
 
 
-def _unique_line_is(alg, model):
+def _unique_line_is(alg, model, wrong):
     """At the model's base flag the search finds one line, the class of its
     central generator, in the given basis and in a second one, where each
-    element but the last has the last added.  In the given bases of both
-    models the solved (x, y) is (0, 0), where either sign of the transverse
-    lift spans the same line; in the second basis it is not."""
+    element but the last has the last added; and the comparison rejects
+    `wrong`, the other model's transverse line, as that class.  In the given
+    bases of both models the solved (x, y) is (0, 0), where either sign of
+    the transverse lift spans the same line; in the second basis it is not."""
     base, target = model.base_flag, model.frame[2]
+    if cls.line_class_equals(wrong, target, alg, base):
+        return False
     *rest, last = alg.basis
     for algebra in (alg, lc.Subalgebra.of([v + last for v in rest] + [last])):
         res = cls.invariant_transverse_line_search(algebra, base)
@@ -993,14 +1024,14 @@ def _unique_line_is(alg, model):
        "the only invariant transverse line of the block model is the "
        "class of H")
 def _check_line_t(rng):
-    return _unique_line_is(cls.H_T, md.BLOCK)
+    return _unique_line_is(cls.H_T, md.BLOCK, md.AFFINE.frame[2])
 
 
 @check("invariant-line-affine", "classification",
        "the only invariant transverse line of the affine model is the "
        "class of Z")
 def _check_line_a(rng):
-    return _unique_line_is(cls.H_A, md.AFFINE)
+    return _unique_line_is(cls.H_A, md.AFFINE, cls.CENTRAL_LINE)
 
 
 @check("invariant-line-translations-sl2", "classification",
@@ -1034,13 +1065,16 @@ def _degeneration_data():
     boundary flag to the base flag, `along` is the model's alpha or beta
     generator, the circle through the boundary flag is the model orbit of
     the base flag, circle(t) x = along(1/t) y, and every printed entry lies
-    in degrees -2..2, where the seven SYMBOLIC_TIMES decide it."""
-    return all(fs.act(d.pivot, d.boundary_flag) == fs.BASE_FLAG and d.along in d.model.frame[:2]
-               and all(-2 <= k <= 2 for row in d.expected for entry in row for k in entry)
-               and all(fs.act(cls.unipotent(d.circle, t), d.boundary_flag)
-                       == fs.act(cls.unipotent(d.along, 1 / t), d.model.base_flag)
-                       for t in (Fraction(1), Fraction(1, 2), Fraction(-2)))
-               for d in cls.DEGENERATION_CASES.values())
+    in degrees -2..2, where the seven SYMBOLIC_TIMES decide it.  Each limit
+    vector is nonzero: the exact bound |v x e|^2 <= 9 t^2 |v|^2 holds for
+    every v when e is zero."""
+    return all(any(e) for e in cls._LIMIT_VECTORS.values()) and all(
+        fs.act(d.pivot, d.boundary_flag) == fs.BASE_FLAG and d.along in d.model.frame[:2]
+        and all(-2 <= k <= 2 for row in d.expected for entry in row for k in entry)
+        and all(fs.act(cls.unipotent(d.circle, t), d.boundary_flag)
+                == fs.act(cls.unipotent(d.along, 1 / t), d.model.base_flag)
+                for t in (Fraction(1), Fraction(1, 2), Fraction(-2)))
+        for d in cls.DEGENERATION_CASES.values())
 
 
 @check("degeneration-matrices", "classification",

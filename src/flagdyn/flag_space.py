@@ -253,14 +253,28 @@ def flag_derivative(v: LieVec, x: Flag):
 def _tangent_ints(v: LieVec, x: Flag):
     """The row of `flag_derivative` as ints, and the pivots of m and n.  The
     velocity w of m (of n) is taken modulo its base m (n) at the two
-    positions off the pivot i of base, its first nonzero entry; each
-    coordinate is an int over v.den base[i]."""
-    nums, pivots = [], []
-    for w, base in zip(_velocities(v, x), (x.point, x.line)):
-        i = next(k for k, e in enumerate(base) if e != 0)
-        nums += [w[k] * base[i] - w[i] * base[k] for k in range(3) if k != i]
-        pivots.append(base[i])
-    return nums, pivots
+    positions k off the pivot i of base, its first nonzero entry, as
+    w[k] base[i] - w[i] base[k]; each coordinate is an int over v.den
+    base[i].  Written out, as `orbit_rank` calls it once per generator:
+    a = v m is the velocity of m, and b = n v the negated velocity of n."""
+    a0, a1, a2 = _mat_vec_ints(v.nums, x.point)
+    b0, b1, b2 = _vec_mat_ints(x.line, v.nums)
+    m0, m1, m2 = x.point
+    n0, n1, n2 = x.line
+    if m0:
+        nums, pm = [a1 * m0 - a0 * m1, a2 * m0 - a0 * m2], m0
+    elif m1:
+        nums, pm = [a0 * m1 - a1 * m0, a2 * m1 - a1 * m2], m1
+    else:
+        nums, pm = [a0 * m2 - a2 * m0, a1 * m2 - a2 * m1], m2
+    if n0:
+        nums += [b0 * n1 - b1 * n0, b0 * n2 - b2 * n0]
+        return nums, (pm, n0)
+    if n1:
+        nums += [b1 * n0 - b0 * n1, b1 * n2 - b2 * n1]
+        return nums, (pm, n1)
+    nums += [b2 * n0 - b0 * n2, b2 * n1 - b1 * n2]
+    return nums, (pm, n2)
 
 
 def orbit_rank(vectors, x: Flag) -> int:

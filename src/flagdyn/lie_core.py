@@ -111,7 +111,7 @@ class LieVec(_CanonicalInts):
 def bracket(u: LieVec, v: LieVec) -> LieVec:
     """Commutator uv - vu, exact."""
     a, b = u.nums, v.nums
-    return LieVec([x - y for x, y in zip(_mul_ints(a, b), _mul_ints(b, a))], u.den * v.den)
+    return LieVec(list(map(sub, _mul_ints(a, b), _mul_ints(b, a))), u.den * v.den)
 
 
 # Basis of the traceless 3x3 matrices adapted to the two-step grading.

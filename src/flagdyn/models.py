@@ -192,30 +192,33 @@ def theta_affine(g: HeisElem, phi: HeisAuto) -> AffineMap:
 # left-invariant structure transported from the Heisenberg generators
 # ---------------------------------------------------------------------------
 
+def _flat_structure_ints(v: LieVec, w: LieVec):
+    """`flat_structure_iso` as (nums, den): its nine entries, row by row, as
+    ints over v.den w.den.  The Heisenberg coordinates (a, b, c) of v are its
+    entries (0, 1), (1, 2) and (0, 2); so are (a', b', c') of w."""
+    n, m = v.nums, w.nums
+    if any(n[k] or m[k] for k in (0, 3, 4, 6, 7, 8)):
+        raise ValueError("not an element of the Heisenberg algebra")
+    e, f = v.den, w.den
+    # a = n1 / e and a' = m1 / f, so a b' - b a' = (n1 m5 - n5 m1) / (e f)
+    d = n[1] * m[5] - n[5] * m[1]
+    if d == 0:
+        raise ContactConditionError(
+            "the pair does not span a contact plane (a b' - b a' = 0)")
+    return (n[1] * f, m[1] * e, 0, n[5] * f, m[5] * e, 0, n[2] * f, m[2] * e, d), e * f
+
+
 def flat_structure_iso(v: LieVec, w: LieVec):
     """Automorphism matrix of the Heisenberg algebra in the basis (X, Y, Z)
-    sending (X, Y) to the contact pair (v, w):
+    sending (X, Y) to the contact pair (v, w), as Fraction rows:
 
         [[a, a', 0], [b, b', 0], [c, c', a b' - b a']]
 
     for v = aX + bY + cZ and w = a'X + b'Y + c'Z.  Requires the contact
     condition [v, w] outside span(v, w), which implies a b' - b a' != 0.
     """
-    def heis_coords(u: LieVec):
-        n = u.nums
-        if any(n[k] for k in (0, 3, 4, 6, 7, 8)):
-            raise ValueError("not an element of the Heisenberg algebra")
-        return Fraction(n[1], u.den), Fraction(n[5], u.den), Fraction(n[2], u.den)
-
-    a, b, c = heis_coords(v)
-    ap, bp, cp = heis_coords(w)
-    d = a * bp - b * ap
-    if d == 0:
-        raise ContactConditionError(
-            "the pair does not span a contact plane (a b' - b a' = 0)")
-    return ((a, ap, Fraction(0)),
-            (b, bp, Fraction(0)),
-            (c, cp, d))
+    nums, den = _flat_structure_ints(v, w)
+    return _rows(tuple([Fraction(n, den) for n in nums]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ The 3x3 routines are one integer layer on flat row-major matrices:
 `_mul_ints`, `_mat_vec_ints`, `_vec_mat_ints`, `_adjugate_ints`, `_det_ints`
 and `_primitive_ints` take ints only and trust their input.  Each is written
 out over its unpacked entries, with no row slices and no loop, as they are
-the inner kernels of every exact check; `_rows` serves only the public row
-views.  Exact data is kept as integer representatives (`GroupElem`, the
-point and line of a `Flag`, and the `_CanonicalInts` classes `LieVec`,
-`NormalCurvature`, `AffineMap`, `HeisElem`, `HeisAuto` and `Block`), or
+the inner kernels of every exact check; `_primitive_ints` and the
+`_CanonicalInts` records divide through one such kernel, `_divided`, and
+`_rows` serves only the public row views.  Exact data is kept as integer
+representatives (`GroupElem`, the point and line of a `Flag`, and the
+`_CanonicalInts` classes `LieVec`, `NormalCurvature`, `AffineMap`,
+`HeisElem`, `HeisAuto` and `Block`), or
 cleared of its denominators once by `_cleared`, which rejects floats.  The
 value types, these among them, and the report types of every layer are
 `_Record`s: read-only slotted records, built with no code generation, whose
@@ -113,12 +115,27 @@ class _CanonicalInts(_Record):
         g = math.gcd(den, *nums)
         if den < 0:
             g = -g
-        if g != 1:
-            nums = [n // g for n in nums]
+        if g == 1:
+            nums = tuple(nums)
+        else:
+            nums = _divided(nums, g)
             den //= g
         set_nums, set_den = self._setters
-        set_nums(self, tuple(nums))
+        set_nums(self, nums)
         set_den(self, den)
+
+
+def _divided(nums, g) -> tuple:
+    """The ints nums, each divided exactly by g, as a tuple: written out for
+    the three entries of a point or line and the nine of a matrix, the
+    lengths that every exact check normalizes."""
+    if len(nums) == 9:
+        a, b, c, d, e, f, h, i, j = nums
+        return (a // g, b // g, c // g, d // g, e // g, f // g, h // g, i // g, j // g)
+    if len(nums) == 3:
+        a, b, c = nums
+        return (a // g, b // g, c // g)
+    return tuple([n // g for n in nums])
 
 
 def _primitive_ints(nums) -> tuple:
@@ -133,7 +150,7 @@ def _primitive_ints(nums) -> tuple:
         g = -g
     elif g == 1:  # already primitive
         return tuple(nums)
-    return tuple([n // g for n in nums])
+    return _divided(nums, g)
 
 
 def primitive(vec) -> tuple:

@@ -3,7 +3,8 @@ the program is not also a fault in the oracle that gates it: the textbook
 3x3 matrix-vector product, determinant and adjugate, the dense curvature
 action (which inverts the quotient adjoint with the textbook determinant
 and adjugate, not with `rational`'s integer cores), the normalizer, the
-differential of the action, and affine-map test handles.
+differential of the action in its loop form, the flat-structure matrix in
+Fractions, and affine-map test handles.
 """
 
 from fractions import Fraction
@@ -128,11 +129,48 @@ def killing_with_value(w, x):
     return lc.lincomb(sol, lc.BASIS)
 
 
+def tangent_ints_loop(v, x):
+    """The loop form of `flag_space._tangent_ints`: for each of m and n, its
+    velocity w (v m, and -n v) modulo the base at the two positions k off
+    the base's pivot i, its first nonzero entry, as w[k] base[i] - w[i]
+    base[k]; and the two pivot entries."""
+    rows = v.entries
+    velocities = (mat_vec_oracle(rows, x.point),
+                  [-sum(x.line[i] * rows[i][j] for i in range(3)) for j in range(3)])
+    nums, pivots = [], []
+    for w, base in zip(velocities, (x.point, x.line)):
+        i = next(k for k, e in enumerate(base) if e != 0)
+        nums += [(w[k] * base[i] - w[i] * base[k]) * v.den for k in range(3) if k != i]
+        pivots.append(base[i])
+    return nums, tuple(pivots)
+
+
 def push_tangent(g, x, w):
     """Differential of the action of g at x applied to the chart tangent w,
     computed through the equivariance of fundamental vector fields."""
     v = killing_with_value(w, x)
     return fs.fundamental_vector(lc.conjugate(g, v), fs.act(g, x))
+
+
+# ---------------------------------------------------------------------------
+# the flat structure of the Heisenberg algebra
+# ---------------------------------------------------------------------------
+
+def flat_structure_oracle(v, w):
+    """The displayed matrix [[a, a', 0], [b, b', 0], [c, c', a b' - b a']] in
+    Fractions, for v = aX + bY + cZ and w = a'X + b'Y + c'Z read off their
+    entry rows; a matrix off the Heisenberg algebra raises ValueError, and a
+    pair with a b' - b a' = 0 raises `models.ContactConditionError`."""
+    def coords(u):
+        rows = u.entries
+        if any(rows[i][j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))):
+            raise ValueError("not an element of the Heisenberg algebra")
+        return rows[0][1], rows[1][2], rows[0][2]
+
+    (a, b, c), (ap, bp, cp) = coords(v), coords(w)
+    if a * bp - b * ap == 0:
+        raise md.ContactConditionError("not a contact pair")
+    return ((a, ap, 0), (b, bp, 0), (c, cp, a * bp - b * ap))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
-from flagdyn.rational import primitive, rank
+from flagdyn.rational import in_span, primitive, rank
 
 
 class TestSubalgebraTable:
@@ -87,6 +87,25 @@ class TestInvariantLines:
         res = cls.invariant_transverse_line_search(cls.H_A, base)
         assert res.kind == "unique"
         assert cls.line_class_equals(res.generator, md.HEIS_Z, cls.H_A, base)
+
+    def test_both_checks_see_a_comparison_that_accepts_too_much(self, monkeypatch):
+        # with `and` turned into `or`, the comparison accepts any generator
+        # outside the isotropy, the other model's transverse line among them;
+        # the search's own answer still compares equal, so only the
+        # rejection clause of the checks sees it
+        def mutant(gen, target, alg, base):
+            iso_nums = [v.nums for v in cls._isotropy_basis(alg, base)]
+            return (in_span([target.nums, *iso_nums], gen.nums)
+                    or not in_span(iso_nums, gen.nums))
+
+        for model, alg, wrong in ((md.BLOCK, cls.H_T, md.HEIS_Z),
+                                  (md.AFFINE, cls.H_A, cls.CENTRAL_LINE)):
+            base, target = model.base_flag, model.frame[2]
+            assert not cls.line_class_equals(wrong, target, alg, base)
+            assert mutant(wrong, target, alg, base)
+        monkeypatch.setattr(cls, "line_class_equals", mutant)
+        assert checks.run_check("invariant-line-block") == (False, None)
+        assert checks.run_check("invariant-line-affine") == (False, None)
 
     def test_translation_extension_has_none(self):
         assert cls.invariant_transverse_line_search(cls.H_1, cls.X1_FLAG).kind == "none"
@@ -166,6 +185,14 @@ class TestDegeneration:
             cls.degeneration_limit("zz", 1)
         with pytest.raises(ZeroDivisionError):
             cls.degeneration_limit("t1", 0)
+
+    @pytest.mark.parametrize("limit", ["alpha", "beta"])
+    def test_zero_limit_vector_fails_the_data_check(self, monkeypatch, limit):
+        # |v x 0|^2 = 0 meets the bound 3|t| at every t, so only the data
+        # check sees a zeroed limit vector
+        monkeypatch.setitem(cls._LIMIT_VECTORS, limit, (0, 0, 0))
+        assert checks._check_degeneration(None) is True
+        assert checks.run_check("degeneration-matrices") == (False, None)
 
     def test_mutant_pivot_fails_the_data_check(self, monkeypatch):
         # an invertible one-entry pivot mutant that both table checks pass:

@@ -22,9 +22,9 @@ from flagdyn.checks import (
     rand_upper,
     run_check,
 )
-from flagdyn.rational import rank
+from flagdyn.rational import cross, primitive, rank
 from fraction_count import fractions_built
-from references import killing_with_value, push_tangent
+from references import killing_with_value, push_tangent, tangent_ints_loop
 from strategies import small_fractions
 
 
@@ -84,6 +84,25 @@ class TestFlip:
                 assert y.line == fx.line
             # the pencil has two independent generators
             assert fs.alpha_circle_flag(x, 1, 0) != fs.alpha_circle_flag(x, 0, 1)
+
+    def test_circle_check_sees_a_wrong_pencil_index(self, monkeypatch):
+        # the pencil's unit vectors taken % 4 agree with the program at every
+        # point whose first entry is nonzero, as at most drawn flags; the
+        # check's fixed anchor, a point with only its last entry nonzero,
+        # fails the mutant at every seed
+        def mutant(x, s, t):
+            m = x.point
+            i = next(k for k, e in enumerate(m) if e != 0)
+            units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            n1, n2 = cross(m, units[(i + 1) % 4]), cross(m, units[(i + 2) % 4])
+            return fs.Flag(x.point, primitive([s * a + t * b for a, b in zip(n1, n2)]))
+
+        x = fs.Flag.of((1, 2, 3), (0, 1, 0))
+        assert all(mutant(x, s, t) == fs.alpha_circle_flag(x, s, t) for s, t in ((1, 0), (2, 3)))
+        monkeypatch.setattr(fs, "alpha_circle_flag", mutant)
+        for seed in range(5):
+            with pytest.raises(IndexError):
+                run_check("flip-exchanges-circles", seed)
 
 
 class TestAffineChart:
@@ -185,6 +204,24 @@ class TestRegions:
                         or any(full[which] is enters[which] for which in enters)):
                     wrong.append((model.name, x))
         assert wrong == []
+
+
+def pivot(vec):
+    return next(k for k, e in enumerate(vec) if e != 0)
+
+
+def test_tangent_row_is_its_loop_form():
+    # the written-out kernel against its loop form, at flags whose point and
+    # line pivots sit at every pair of positions but (2, 2): the point
+    # (0, 0, 1) does not lie on the line (0, 0, 1)
+    flags = small_flags()
+    pairs = {(pivot(x.point), pivot(x.line)) for x in flags}
+    assert pairs == set(itertools.product(range(3), repeat=2)) - {(2, 2)}
+    rng = random.Random(71)
+    vectors = [*lc.BASIS, *(rand_traceless(rng) for _ in range(5))]
+    for x in flags:
+        for v in vectors:
+            assert fs._tangent_ints(v, x) == tangent_ints_loop(v, x)
 
 
 class TestCircleBoundary:

@@ -29,7 +29,7 @@ from flagdyn.checks import (
 )
 from flagdyn.rational import primitive
 from fraction_count import fractions_built
-from references import affine_apply, affine_map, push_tangent
+from references import affine_apply, affine_map, flat_structure_oracle, push_tangent
 from strategies import small_fractions
 
 heis_elems = st.tuples(small_fractions, small_fractions, small_fractions).map(
@@ -100,7 +100,7 @@ def test_models_suite_builds_few_fractions(monkeypatch):
     # exactly, so a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "models")
     assert all(passed for passed, _ in outcomes)
-    assert built < 13_700
+    assert built < 9_700
 
 
 class TestEquivarianceAffine:
@@ -309,10 +309,46 @@ def test_library_does_not_import_sympy():
             assert all(n.split(".")[0] in sys.stdlib_module_names for n in names), path.name
 
 
+def heis_vec(a, b, c):
+    """aX + bY + cZ."""
+    return lc.LieVec.of([[0, a, c], [0, 0, b], [0, 0, 0]])
+
+
 class TestFlatStructureIso:
     def test_rejects_non_contact_pair(self):
         with pytest.raises(md.ContactConditionError):
             md.flat_structure_iso(md.HEIS_X, md.HEIS_X.scale(2) + md.HEIS_Z)
+
+    def test_ints_are_the_displayed_matrix(self):
+        # nine ints over one denominator against the Fraction definition,
+        # and the public view equal to it
+        rng = random.Random(61)
+        pairs = [(md.HEIS_X, md.HEIS_Y), (md.HEIS_X + md.HEIS_Z, md.HEIS_Y)]
+        pairs += [(heis_vec(*(rand_frac(rng) for _ in range(3))),
+                   heis_vec(*(rand_frac(rng) for _ in range(3)))) for _ in range(200)]
+        for v, w in pairs:
+            try:
+                expected = flat_structure_oracle(v, w)
+            except md.ContactConditionError:
+                continue
+            nums, den = md._flat_structure_ints(v, w)
+            assert all(type(n) is int for n in (*nums, den))
+            assert [Fraction(n, den) for n in nums] == [e for row in expected for e in row]
+            assert md.flat_structure_iso(v, w) == expected
+
+    @pytest.mark.parametrize("v, w, error", [
+        (md.HEIS_X, md.HEIS_X.scale(3) + md.HEIS_Z, md.ContactConditionError),
+        (heis_vec(0, 0, 1), heis_vec(1, 0, 5), md.ContactConditionError),
+        (md.SL2_H, md.HEIS_Y, ValueError),
+        (md.HEIS_X, lc.LieVec.elementary(2, 0), ValueError)])
+    def test_ints_refuse_what_the_definition_refuses(self, v, w, error):
+        # a non-contact pair, and an element off the Heisenberg algebra, which
+        # is a plain ValueError
+        for refuse in (md._flat_structure_ints, flat_structure_oracle):
+            with pytest.raises(error) as raised:
+                refuse(v, w)
+            if error is ValueError:
+                assert not isinstance(raised.value, md.ContactConditionError)
 
     def test_fails_when_no_pair_is_tested(self, monkeypatch):
         # every drawn pair is zero, so none is a contact pair

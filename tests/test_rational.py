@@ -271,6 +271,17 @@ def test_solve(rows, consistent, data):
     assert sym([sol]) == oracle.subs({p: 0 for p in params}).T
 
 
+@pytest.mark.parametrize("length", [2, 3, 4, 9, 12])
+@pytest.mark.parametrize("g", [1, 3, -1, -6])
+def test_divided(length, g):
+    # the written-out lengths 3 and 9 and the loop for the others: each
+    # entry an exact int quotient, negative divisors too
+    nums = [g * (7 * k - 20) for k in range(length)]
+    out = R._divided(nums, g)
+    assert type(out) is tuple and all(type(e) is int for e in out)
+    assert out == tuple(Fraction(n, g) for n in nums)
+
+
 @pytest.mark.parametrize("call", [
     # the tests' AffineMap constructor and NormalCurvature.of clear their
     # entries through `_cleared`

@@ -495,7 +495,7 @@ def _callee(call):
 
 # The public views that show a flat matrix as its rows.
 ROW_VIEWS = {"lie_core.LieVec.entries", "lie_core.GroupElem.entries", "models.AffineMap.linear",
-             "lie_core.quotient_adjoint"}
+             "lie_core.quotient_adjoint", "models.flat_structure_iso"}
 
 
 def test_rows_are_built_only_in_the_public_row_views():
