@@ -493,11 +493,17 @@ def _flip_maps_circle(x):
                for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 5)))
 
 
-# the anchor's point has only its last entry nonzero, the pivot that random
-# flags seldom reach
+def _flip_circle_anchors():
+    """The lines m x e1 at (s, t) = (1, 0) and m x e2 at (0, 1), and the flip, at
+    a point m with only its last entry nonzero, which random flags seldom reach."""
+    x = fs.Flag.of((0, 0, 1), (1, 0, 0))
+    return (fs.alpha_circle_flag(x, 1, 0).line == (0, 1, 0)
+            and fs.alpha_circle_flag(x, 0, 1).line == (1, 0, 0) and _flip_maps_circle(x))
+
+
 @check("flip-exchanges-circles", "flag-space",
        "flip maps the line-pencil circle onto the point-row circle", samples=50,
-       fixed=partial(_flip_maps_circle, fs.Flag.of((0, 0, 1), (1, 0, 0))))
+       fixed=_flip_circle_anchors)
 def _check_flip_circles(rng):
     return _flip_maps_circle(rand_flag(rng))
 
@@ -576,8 +582,9 @@ _CARRY = lc.GroupElem([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
        "upper-triangular generators have zero velocity at the base flag", samples=100,
        fixed=lambda: fs.act(_CARRY, fs.BASE_FLAG) == md.AFFINE.base_flag)
 def _check_fundamental_isotropy(rng):
-    v = lc.LieVec.of([[rand_frac(rng) if j >= i else 0 for j in range(3)]
-                      for i in range(3)])
+    # the six entries on and above the diagonal, rand_frac draws in row order
+    a, b, c, d, e, f = _rand_ints(rng, 6)
+    v = lc.LieVec((a, b, c, 0, d, e, 0, 0, f), _DEN)
     w = fs.fundamental_vector(lc.conjugate(_CARRY, v), fs.act(_CARRY, fs.BASE_FLAG))
     return all(c == 0 for c in w)
 
@@ -635,10 +642,11 @@ def _check_curvature_exponents(rng):
        "diagonal scaling with (a, b) = (s, 1) multiplies the two components "
        "by s^-1 and s^5 for s in {2, 3, 5}")
 def _check_curvature_sampling(rng):
-    k = curv.NormalCurvature.of(1, 1, 0, 0)
+    k = curv.NormalCurvature((1, 1, 0, 0))
     outs = {s: curv.curvature_action(lc.GroupElem([[s, 0, 0], [0, Fraction(1, s), 0],
                                                    [0, 0, 1]]), k) for s in (2, 3, 5)}
-    return all((out.k_alpha, out.k_beta) == (Fraction(1, s), Fraction(s) ** 5)
+    # the two components n / d of out against 1 / s and s^5, cross-multiplied
+    return all(out.nums[0] * s == out.den and out.nums[1] == s ** 5 * out.den
                for s, out in outs.items())
 
 
@@ -654,11 +662,12 @@ def _check_curvature_action(rng):
 @check("harmonic-subspace-invariant", "curvature",
        "the two-dimensional harmonic subspace is preserved exactly", samples=100,
        fixed=lambda: (curv.is_harmonic(curv.ZERO_CURVATURE)
-                      and not curv.is_harmonic(curv.NormalCurvature.of(1, 0, 0, 0))
-                      and not curv.is_harmonic(curv.NormalCurvature.of(0, 1, 0, 0))))
+                      and not curv.is_harmonic(curv.NormalCurvature((1, 0, 0, 0)))
+                      and not curv.is_harmonic(curv.NormalCurvature((0, 1, 0, 0)))))
 def _check_harmonic(rng):
     p = rand_upper(rng)
-    k = curv.NormalCurvature.of(0, 0, rand_frac(rng), rand_frac(rng))
+    # K^alpha and K^beta from two rand_frac draws
+    k = curv.NormalCurvature((0, 0, *_rand_ints(rng, 2)), _DEN)
     return curv.is_harmonic(curv.curvature_action(p, k))
 
 
@@ -762,8 +771,11 @@ def _check_heis_law(rng):
        "diagonal automorphisms compose by multiplying parameters", samples=200)
 def _check_auto_law(rng):
     f, g, h = rand_auto(rng), rand_auto(rng), rand_heis(rng)
-    return (f.compose(g) == md.HeisAuto.of(f.lam * g.lam, f.mu * g.mu)
-            and f.apply(g.apply(h)) == f.compose(g).apply(h)
+    fg = f.compose(g)
+    # fg's (x, y) / n against the products (l l2, m m2) / (e e2), cross-multiplied
+    (l, m), e, (l2, m2), e2, (x, y), n = f.nums, f.den, g.nums, g.den, fg.nums, fg.den
+    return (x * e * e2 == l * l2 * n and y * e * e2 == m * m2 * n
+            and f.apply(g.apply(h)) == fg.apply(h)
             and f.compose(f.inverse()) == md.AUTO_IDENTITY)
 
 
@@ -778,11 +790,13 @@ def _check_auto_homo(rng):
        "diagonal (lam, lam^-1 mu^-1, mu) maps to (identity, phi_{lam^2 mu, lam^-1 mu^-2})",
        samples=100)
 def _check_equiv_a_display(rng):
-    lam, mu = nonzero_frac(rng), nonzero_frac(rng)
-    h, phi = md.equivariance_a(lc.GroupElem([[lam, 0, 0], [0, 1 / (lam * mu), 0],
-                                             [0, 0, mu]]))
-    return (h == md.HEIS_IDENTITY
-            and phi == md.HeisAuto.of(lam * lam * mu, 1 / (lam * mu * mu)))
+    # (lam, mu) = (l, u) / D from two nonzero_frac draws: D l u times the diagonal
+    # is diag(l^2 u, D^3, l u^2), and phi is (l^2 u / D^3, D^3 / (l u^2))
+    (l, u), cube = _rand_ints(rng, 2, (0, 1)), _DEN ** 3
+    h, phi = md.equivariance_a(lc.GroupElem._of_ints((l * l * u, 0, 0, 0, cube, 0,
+                                                      0, 0, l * u * u)))
+    (a, b), n = phi.nums, phi.den
+    return h == md.HEIS_IDENTITY and a * cube == l * l * u * n and b * l * u * u == cube * n
 
 
 @check("equivariance-affine-morphism", "models",
@@ -936,10 +950,11 @@ def _check_theta_affine(rng):
 
 @check("central-flow-identity", "models",
        "alpha-beta rectangle equals x + t^2 e1 exactly, both sign variants", samples=1000,
-       fixed=lambda: md.commutator_identity_check((0, 0, 0), 1) == (True, True))
+       fixed=lambda: md.commutator_identity_check((0, 0, 0), 1, 1) == (True, True))
 def _check_central_flow(rng):
-    p = tuple(rand_frac(rng) for _ in range(3))
-    return all(md.commutator_identity_check(p, rand_frac(rng)))
+    # the point and the time from four rand_frac draws
+    x, y, z, t = _rand_ints(rng, 4)
+    return all(md.commutator_identity_check((x, y, z), t, _DEN))
 
 
 # ---------------------------------------------------------------------------
@@ -1102,12 +1117,12 @@ def _check_flatness_predicate(rng):
     # diag(2^a, 2^(-a-b), 2^b) scales K_alpha by 2^(-a-5b) and K_beta by
     # 2^(5a+b): flatness is forced iff neither component of (1, 1, 0, 0)
     # stays 1.  Pairs on both resonance lines and off them:
-    k, two = curv.NormalCurvature.of(1, 1, 0, 0), Fraction(2)
+    k, two = curv.NormalCurvature((1, 1, 0, 0)), Fraction(2)
     outs = {(a, b): curv.curvature_action(
         lc.GroupElem([[two ** a, 0, 0], [0, two ** (-a - b), 0], [0, 0, two ** b]]), k)
         for a, b in ((1, -1), (1, -5), (-5, 1), (0, 0), (2, -10), (-10, 2), (-1, 5), (5, -1),
                      (1, 0), (0, 1), (2, 3), (-3, 1))}
-    return all(cls.flatness_holonomy_predicate(a, b) == (out.k_alpha != 1 and out.k_beta != 1)
+    return all(cls.flatness_holonomy_predicate(a, b) == (out.den not in out.nums[:2])
                for (a, b), out in outs.items())
 
 

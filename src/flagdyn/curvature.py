@@ -12,9 +12,9 @@ space with the shape
 and the upper-triangular group acts on the module by conjugation in the
 target combined with the inverse quotient-adjoint action on the arguments.
 That defining action is evaluated by brute force here, in ints on the four
-ints over one denominator of a `NormalCurvature`; the diagonal scaling laws
-used by the flatness argument come out of it exactly.  The dense evaluation
-of the same definition, which it is tested against, is in the tests.
+ints over one denominator of a `NormalCurvature`, which is built and read as
+those ints only; the diagonal scaling laws used by the flatness argument come
+out of it exactly.  The tests hold the dense evaluation it is tested against.
 """
 
 from __future__ import annotations
@@ -39,17 +39,9 @@ from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, cross
 
 class NormalCurvature(_CanonicalInts):
     """The components (K_alpha, K_beta, K^alpha, K^beta) as four ints over one
-    denominator (see `rational._CanonicalInts`); each reads as a Fraction."""
+    denominator (see `rational._CanonicalInts`)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of(k_alpha, k_beta, k_sup_alpha, k_sup_beta) -> "NormalCurvature":
-        """From ints and Fractions; a float raises TypeError."""
-        return NormalCurvature(*_cleared((k_alpha, k_beta, k_sup_alpha, k_sup_beta)))
-
-    k_alpha, k_beta, k_sup_alpha, k_sup_beta = (
-        property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(4))
 
 
 ZERO_CURVATURE = NormalCurvature((0, 0, 0, 0))

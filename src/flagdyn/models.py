@@ -5,10 +5,11 @@ upper-left block), the other a simply transitive Heisenberg group; both carry
 an invariant transverse line field completing the two circle directions to a
 frame.  Each model is one read-only `Model` record, `BLOCK` or `AFFINE`,
 which every function that depends on the model takes.  This module provides
-the Heisenberg arithmetic, the diagonal automorphisms, the group
-identifications conjugating the geometric and algebraic pictures, the affine
-linearization of the Heisenberg affine group, and the closed-form
-commuting-flow identities of the affine model.
+the Heisenberg arithmetic and the diagonal automorphisms, built and read as
+ints over one denominator only, the group identifications conjugating the
+geometric and algebraic pictures, the affine linearization of the Heisenberg
+affine group, and the closed-form commuting-flow identities of the affine
+model, which take ints too.
 """
 
 from __future__ import annotations
@@ -63,16 +64,9 @@ MODELS = (BLOCK, AFFINE)
 class HeisElem(_CanonicalInts):
     """Upper-unitriangular 3x3 matrix with entries [x, y, z] above the
     diagonal, as three ints over one denominator (see
-    `rational._CanonicalInts`); x, y and z read as Fractions."""
+    `rational._CanonicalInts`)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of(x, y, z) -> "HeisElem":
-        """From ints and Fractions; a float raises TypeError."""
-        return HeisElem(*_cleared((x, y, z)))
-
-    x, y, z = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(3))
 
     def mul(self, other: "HeisElem") -> "HeisElem":
         # [x + x', y + y', z + z' + x y'] over d h
@@ -86,13 +80,17 @@ class HeisElem(_CanonicalInts):
         return HeisElem((-a * d, -b * d, a * b - c * d), d * d)
 
     def to_exponential(self):
-        """Exponential coordinates: (x, y, z - xy/2)."""
-        return (self.x, self.y, self.z - self.x * self.y / 2)
+        """Exponential coordinates (x, y, z - xy/2) as (nums, den): (a, b,
+        c) / d goes to (2ad, 2bd, 2cd - ab) / (2d^2)."""
+        (a, b, c), d = self.nums, self.den
+        return (2 * a * d, 2 * b * d, 2 * c * d - a * b), 2 * d * d
 
     @staticmethod
-    def from_exponential(x, y, z) -> "HeisElem":
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        return HeisElem.of(x, y, z + x * y / 2)
+    def from_exponential(nums, den) -> "HeisElem":
+        """The inverse of `to_exponential`: the exponential coordinates (X,
+        Y, Z) / e give [X, Y, Z + XY/2] = (2eX, 2eY, 2eZ + XY) / (2e^2)."""
+        (x, y, z), e = nums, den
+        return HeisElem((2 * e * x, 2 * e * y, 2 * e * z + x * y), 2 * e * e)
 
     def as_group_elem(self) -> GroupElem:
         (a, b, c), d = self.nums, self.den
@@ -104,20 +102,10 @@ HEIS_IDENTITY = HeisElem((0, 0, 0))
 
 class HeisAuto(_CanonicalInts):
     """Diagonal automorphism scaling the two generating directions by lam
-    and mu, and the center by lam*mu: two nonzero ints over one denominator
-    (see `rational._CanonicalInts`), read as Fractions."""
+    and mu, and the center by lam*mu: (lam, mu) as two nonzero ints over one
+    denominator (see `rational._CanonicalInts`)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of(lam, mu) -> "HeisAuto":
-        """From ints and Fractions; a float raises TypeError."""
-        nums, den = _cleared((lam, mu))
-        if 0 in nums:
-            raise ValueError("automorphism parameters must be nonzero")
-        return HeisAuto(nums, den)
-
-    lam, mu = (property(lambda self, i=i: Fraction(self.nums[i], self.den)) for i in range(2))
 
     def apply(self, g: HeisElem) -> HeisElem:
         # [lam x, mu y, lam mu z] over e^2 d
@@ -415,15 +403,25 @@ def equivariance_a_inverse(h: HeisElem, phi: HeisAuto) -> GroupElem:
 # chart coordinates: alpha (0, 0, 1), beta (z, 1, 0) and central (1, 0, 0).
 # Each is polynomial with no division, so it stays exact on ints and
 # Fractions, and affine in t: the field at p is (flow(t, p) - p) / t, t != 0.
-FRAME_FLOWS = ((lambda t, p: (p[0], p[1], p[2] + t)),
-               (lambda t, p: (p[0] + t * p[2], p[1] + t, p[2])),
-               (lambda t, p: (p[0] + t, p[1], p[2])))
+def _alpha_flow(t, p):
+    return (p[0], p[1], p[2] + t)
 
 
-def commutator_identity_check(p, t):
+def _beta_flow(t, p):
+    return (p[0] + t * p[2], p[1] + t, p[2])
+
+
+def _central_flow(t, p):
+    return (p[0] + t, p[1], p[2])
+
+
+FRAME_FLOWS = (_alpha_flow, _beta_flow, _central_flow)
+
+
+def commutator_identity_check(p, t, den):
     """Exact verification of the two commuting-flow identities realizing the
     central flow C of `FRAME_FLOWS` by rectangles of its alpha and beta
-    flows A and B:
+    flows A and B, at the point p / den and time t / den, all ints:
 
         B(-t) A(-t) B(t) A(t) p = C(t^2) p = p + t^2 e1
         B(t) A(-t) B(-t) A(t) p = C(-t^2) p = p - t^2 e1
@@ -431,14 +429,8 @@ def commutator_identity_check(p, t):
     Returns (plus_ok, minus_ok)."""
     alpha, beta, central = FRAME_FLOWS
     # The flows are weighted homogeneous (x of weight 2; y, z, t of weight 1),
-    # so with (x, y, z, t) = nums / c the identities hold at the int point
-    # (c x, y, z) and time t exactly when they hold at p.
-    (x, y, z, t), c = _cleared(p, (t,))
-    p = (c * x, y, z)
-
-    plus = beta(-t, alpha(-t, beta(t, alpha(t, p))))
-    plus_ok = plus == central(t * t, p)
-
-    minus = beta(t, alpha(-t, beta(-t, alpha(t, p))))
-    minus_ok = minus == central(-t * t, p)
-    return plus_ok, minus_ok
+    # so for p = (x, y, z) the identities hold at p / den and time t / den
+    # exactly when they hold at the int point (den x, y, z) and time t.
+    p = (den * p[0], p[1], p[2])
+    return (beta(-t, alpha(-t, beta(t, alpha(t, p)))) == central(t * t, p),
+            beta(t, alpha(-t, beta(-t, alpha(t, p)))) == central(-t * t, p))

@@ -17,13 +17,13 @@ the inner kernels of every exact check; `_primitive_ints` and the
 `_CanonicalInts` records divide through one such kernel, `_divided`, and
 `_rows` serves only the public row views.  Exact data is kept as integer
 representatives (`GroupElem`, the point and line of a `Flag`, and the
-`_CanonicalInts` classes `LieVec`, `NormalCurvature`, `AffineMap`,
-`HeisElem`, `HeisAuto` and `Block`), or
-cleared of its denominators once by `_cleared`, which rejects floats.  The
-value types, these among them, and the report types of every layer are
-`_Record`s: read-only slotted records, built with no code generation, whose
-one base class holds their equality, hashing and repr, and writes their
-fields through the slot setters it binds once per class.
+`_CanonicalInts` classes `LieVec`, `NormalCurvature`, `AffineMap`, `HeisElem`,
+`HeisAuto` and `Block`, of which only `LieVec` and `AffineMap` have Fraction
+views), or cleared of its denominators once by `_cleared`, which rejects
+floats.  The value types, these among them, and the report types of every
+layer are `_Record`s: read-only slotted records, built with no code
+generation, whose one base class holds their equality, hashing and repr,
+and writes their fields through the slot setters it binds once per class.
 
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,

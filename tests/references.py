@@ -47,10 +47,11 @@ def adjugate3_oracle(a):
 
 def _value_on_wedge(k, idx):
     """Value of k on the wedge basis (a^0, b^0, a^b)."""
+    k_alpha, k_beta, k_sup_alpha, k_sup_beta = (Fraction(n, k.den) for n in k.nums)
     if idx == 0:
-        return lc.E_SUP_0.scale(k.k_sup_alpha) + lc.E_SUP_ALPHA.scale(k.k_alpha)
+        return lc.E_SUP_0.scale(k_sup_alpha) + lc.E_SUP_ALPHA.scale(k_alpha)
     if idx == 1:
-        return lc.E_SUP_BETA.scale(k.k_beta) + lc.E_SUP_0.scale(k.k_sup_beta)
+        return lc.E_SUP_BETA.scale(k_beta) + lc.E_SUP_0.scale(k_sup_beta)
     return lc.LieVec.zero()
 
 

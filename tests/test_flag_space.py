@@ -104,6 +104,13 @@ class TestFlip:
             with pytest.raises(IndexError):
                 run_check("flip-exchanges-circles", seed)
 
+    def test_circle_check_sees_swapped_pencil_coefficients(self, monkeypatch):
+        # s n2 + t n1 spans the same pencil, so every flag still flips onto
+        # the beta circle; the anchor's lines at (1, 0) and (0, 1) tell it
+        original = fs.alpha_circle_flag
+        monkeypatch.setattr(fs, "alpha_circle_flag", lambda x, s, t: original(x, t, s))
+        assert run_check("flip-exchanges-circles", 0) == (False, None)
+
 
 class TestAffineChart:
     def test_base_values(self):
@@ -339,4 +346,4 @@ def test_flag_space_suite_builds_few_fractions(monkeypatch):
     # a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "flag-space")
     assert all(passed for passed, _ in outcomes)
-    assert built < 1_600
+    assert built < 800

@@ -283,14 +283,9 @@ def test_divided(length, g):
 
 
 @pytest.mark.parametrize("call", [
-    # the tests' AffineMap constructor and NormalCurvature.of clear their
-    # entries through `_cleared`
+    # the tests' AffineMap constructor clears its entries through `_cleared`
     lambda m: affine_map(m, (0, 0, 0)),
     lambda m: affine_map(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
-    lambda m: curv.NormalCurvature.of(*m[0], 0),
-    # and so do those of HeisElem and HeisAuto
-    pytest.param(lambda m: md.HeisElem.of(*m[0]), id="HeisElem.of"),
-    pytest.param(lambda m: md.HeisAuto.of(m[0][0], 1), id="HeisAuto.of"),
     # the field jets clear the Jacobian, or the point and direction, once
     # (ids kept from the 3x3 Fraction routines these entries replaced)
     pytest.param(lambda m: curv.PolynomialField(lambda p: (1, 0, 0), lambda p: m)
@@ -298,7 +293,7 @@ def test_divided(length, g):
     # the adjugate is taken inside GroupElem, whose constructor guards it
     pytest.param(lc.GroupElem, id="adjugate3"),
     # primitive is the one projective normalization
-    lambda m: R.primitive(m[0]),
+    pytest.param(lambda m: R.primitive(m[0]), id="primitive"),
     pytest.param(lambda m: md.InvariantField(md.HEIS_X, md.AFFINE)
                  .derivative_along(m[0], (1, 0, 0)), id="mat_sub"),
     # Flag.of normalizes a point, alpha_circle_flag a line from its pencil

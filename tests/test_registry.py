@@ -338,7 +338,7 @@ def randint_traceless(rng):
 
 
 def randint_curvature(rng):
-    return curv.NormalCurvature.of(*(randint_frac(rng) for _ in range(4)))
+    return curv.NormalCurvature(*_cleared([randint_frac(rng) for _ in range(4)]))
 
 
 def randint_group(rng):
@@ -391,11 +391,11 @@ def randint_sl2(rng):
 
 
 def randint_heis(rng):
-    return md.HeisElem.of(*(randint_frac(rng) for _ in range(3)))
+    return md.HeisElem(*_cleared([randint_frac(rng) for _ in range(3)]))
 
 
 def randint_auto(rng):
-    return md.HeisAuto.of(randint_nonzero(rng), randint_nonzero(rng))
+    return md.HeisAuto(*_cleared([randint_nonzero(rng), randint_nonzero(rng)]))
 
 
 def randint_stabilizer(rng, model):
@@ -470,6 +470,17 @@ def test_no_classification_table_holds_a_lambda():
     tree = ast.parse(Path(cls.__file__).read_text())
     found = [node.lineno for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
              for node in ast.walk(stmt) if isinstance(node, ast.Lambda)]
+    assert found == []
+
+
+def test_no_property_is_built_from_a_lambda():
+    # a record's values are read through its ints, `nums` and `den`; a
+    # property(lambda ...) component view builds a Fraction on every read
+    src = Path(checks.__file__).resolve().parent
+    found = [(path.stem, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _callee(node) == "property"
+             and any(isinstance(n, ast.Lambda) for arg in node.args for n in ast.walk(arg))]
     assert found == []
 
 
