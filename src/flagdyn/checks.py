@@ -42,7 +42,6 @@ import random
 import zlib
 from fractions import Fraction
 from functools import partial
-from operator import mul
 
 from . import classification as cls
 from . import curvature as curv
@@ -404,19 +403,19 @@ _BINOMIAL_ROWS = tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in ran
        "sum_i C(k,i) v^i w (-v)^(k-i) = (ad v)^k w for k <= 5, exact", samples=20)
 def _check_exp_ad(rng):
     # k! times the t^k coefficients of exp(tv) w exp(-tv) and exp(t ad v) w, in
-    # ints: v^i w is over v.den^i w.den and (-v)^j over v.den^j; the term
-    # with (-v)^0, the identity, is v^k w itself
+    # ints, the first by Horner's rule in -v: acc (-v) + C(k, i) v^i w from
+    # acc = w, both terms over v.den^i w.den at step i
     v, w = rand_traceless(rng), rand_lievec(rng)
     minus_v = [-n for n in v.nums]
-    left, right, ad = [w.nums], [None, minus_v], w  # v^i w, (-v)^j, (ad v)^k w
-    for k, row in enumerate(_BINOMIAL_ROWS[1:], 1):
+    left, ad, den = [w.nums], w, w.den  # v^i w, (ad v)^k w, v.den^k w.den
+    for row in _BINOMIAL_ROWS[1:]:
         left.append(_mul_ints(v.nums, left[-1]))
-        if k > 1:
-            right.append(_mul_ints(right[-1], minus_v))
         ad = lc.bracket(v, ad)
-        terms = [_mul_ints(left[i], right[k - i]) for i in range(k)] + [left[k]]
-        total = [sum(map(mul, row, col)) for col in zip(*terms)]
-        if lc.LieVec(total, v.den ** k * w.den) != ad:
+        den *= v.den
+        acc = w.nums
+        for c, term in zip(row[1:], left[1:]):
+            acc = [a + c * t for a, t in zip(_mul_ints(acc, minus_v), term)]
+        if any(a * ad.den != n * den for a, n in zip(acc, ad.nums)):
             return False
     return True
 
@@ -633,9 +632,9 @@ def _check_curvature_exponents(rng):
     p = rand_upper(rng)
     k = rand_curvature(rng)
     out = curv.curvature_action(p, k)
-    # component i of out is s times that of k, s its scale, cross-multiplied in ints
-    return all(out.nums[i] * s.denominator * k.den == s.numerator * k.nums[i] * out.den
-               for i, s in ((0, curv.alpha_scale(p)), (1, curv.beta_scale(p))))
+    # component i of out is n / d times that of k, cross-multiplied in ints
+    return all(out.nums[i] * d * k.den == n * k.nums[i] * out.den
+               for i, (n, d) in ((0, curv.alpha_scale(p)), (1, curv.beta_scale(p))))
 
 
 @check("curvature-exponent-sampling", "curvature",
@@ -975,7 +974,7 @@ def _isotropy_data(case):
     algebra's dimension, with the algebra's basis added or not."""
     d = cls._ISOTROPY_CASES[case]
     data = [v.nums for v in (d.iso_a, d.iso_b, *d.lifts)]
-    return (all(not any(fs.flag_derivative(v, d.base_flag)) for v in (d.iso_a, d.iso_b))
+    return (all(not any(fs._tangent_ints(v, d.base_flag)[0]) for v in (d.iso_a, d.iso_b))
             and rank(data) == rank([*data, *(b.nums for b in d.algebra.basis)]) == d.algebra.dim)
 
 

@@ -3,7 +3,8 @@
 Every oracle here computes its answer by generic exact linear algebra
 (nullspaces, eliminations, rational evaluation) and compares it against a
 frozen expected value.  Expected values live only on the expected side of
-the report cases, never inside the computing path.
+the report cases, never inside the computing path.  Every system but the
+transverse forms is built from integer numerators.
 
 The subalgebras of the classification (the model algebras H_T and H_A, the
 translation extensions H_1 and H_2, the block sl(2) S_0, SO3, SO12 and
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flag_space import Flag, flag_derivative, orbit_rank
+from .flag_space import Flag, _tangent_ints, orbit_rank
 from .lie_core import (
     E_0,
     E_1,
@@ -30,6 +31,7 @@ from .lie_core import (
     GroupElem,
     LieVec,
     Subalgebra,
+    _bracket_ints,
     _strictly_lower_class,
     bracket,
     centralizer,
@@ -184,25 +186,34 @@ _ISOTROPY_CASES = {
 
 def _quotient_matrix(iso_basis, lifts, v: LieVec):
     """Matrix of the induced bracket action of v on the span of the lifts
-    modulo the isotropy, by exact elimination."""
+    modulo the isotropy, by exact elimination in ints: coordinate j of [v,
+    w] is x[j] full[j].den / (v.den w.den), x solved on the nums."""
     full = list(iso_basis) + list(lifts)
-    flats = [w.flat() for w in full]
+    system = list(zip(*[w.nums for w in full]))
     cols = []
     for w in lifts:
-        coords = solve([[flats[j][i] for j in range(len(full))] for i in range(9)],
-                       bracket(v, w).flat())
+        coords = solve(system, _bracket_ints(v.nums, w.nums))
         if coords is None:
             raise ValueError("bracket left the subalgebra")
-        cols.append(coords[len(iso_basis):])
+        cols.append([Fraction(x.numerator * u.den, x.denominator * v.den * w.den)
+                     for x, u in zip(coords[len(iso_basis):], lifts)])
     k = len(lifts)
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+
+
+def _tangent_rows(alg: Subalgebra, base: Flag):
+    """The four rows of the action derivatives of alg's basis at base, in
+    ints: `_tangent_ints` scales row k by a pivot and column j by
+    basis[j].den, which the factor lcm / den turns into one scale per row."""
+    lcm = math.lcm(*(b.den for b in alg.basis))
+    return list(zip(*[[e * (lcm // b.den) for e in _tangent_ints(b, base)[0]]
+                      for b in alg.basis]))
 
 
 def _isotropy_basis(alg: Subalgebra, base: Flag):
     """Elements of the subalgebra whose action derivative vanishes at the
     base flag, by exact nullspace."""
-    tangents = [flag_derivative(b, base) for b in alg.basis]
-    return [lincomb(c, alg.basis) for c in nullspace(list(zip(*tangents)))]
+    return [lincomb(c, alg.basis) for c in nullspace(_tangent_rows(alg, base))]
 
 
 def isotropy_eigenvalue_table(case: str):
@@ -233,17 +244,15 @@ class TransverseLineResult(_Record):
 def _adapted_lifts(alg: Subalgebra, base: Flag, iso_basis):
     """Lifts of the quotient adapted to the two circle directions plus one
     transverse direction, found by exact linear algebra."""
-    tangents = [flag_derivative(b, base) for b in alg.basis]
+    tangents = _tangent_rows(alg, base)
 
     def find(direction):
         # direction "alpha": point part zero; "beta": line part zero
-        part = range(2) if direction == "alpha" else range(2, 4)
-        rows = [[t[k] for t in tangents] for k in part]
+        rows = tangents[:2] if direction == "alpha" else tangents[2:]
         for c in nullspace(rows):
             v = lincomb(c, alg.basis)
-            if not any(flag_derivative(v, base)):
-                continue
-            return v
+            if any(_tangent_ints(v, base)[0]):
+                return v
         raise ValueError(f"no {direction}-lift inside the subalgebra")
 
     v_alpha = find("alpha")

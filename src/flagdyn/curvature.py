@@ -101,17 +101,17 @@ def curvature_action(p: GroupElem, k: NormalCurvature) -> NormalCurvature:
     return NormalCurvature((v1 * inv22, r1, v0 * inv22, r2), qd * qd * k.den * det)
 
 
-def alpha_scale(p: GroupElem) -> Fraction:
+def alpha_scale(p: GroupElem) -> tuple:
     """Exact multiplier of the K_alpha component, scale invariant in the
-    representative: d1 d2^2 / d3^3 for diagonal (d1, d2, d3)."""
+    representative: d1 d2^2 / d3^3 for diagonal (d1, d2, d3), as two ints."""
     d1, d2, d3 = p.nums[0::4]
-    return Fraction(d1 * d2 * d2, d3 * d3 * d3)
+    return d1 * d2 * d2, d3 * d3 * d3
 
 
-def beta_scale(p: GroupElem) -> Fraction:
-    """Exact multiplier of the K_beta component: d1^3 / (d2^2 d3)."""
+def beta_scale(p: GroupElem) -> tuple:
+    """Exact multiplier of the K_beta component: d1^3 / (d2^2 d3), two ints."""
     d1, d2, d3 = p.nums[0::4]
-    return Fraction(d1 * d1 * d1, d2 * d2 * d3)
+    return d1 * d1 * d1, d2 * d2 * d3
 
 
 # ---------------------------------------------------------------------------

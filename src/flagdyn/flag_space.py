@@ -218,17 +218,17 @@ def circle_boundary_points(x: Flag, which: str, m_sp) -> Flag | None:
 
 
 def alpha_circle_flag(x: Flag, s, t) -> Flag:
-    """Parametrized alpha circle: the line s n1 + t n2 through the point m
-    of x, where n_k is the cross product of m with the standard basis
-    vector k places (cyclically) after the first nonzero entry of m.  n1
-    and n2 are independent and orthogonal to m, so they span the lines
-    through m.  The beta circle is the flip of the alpha circle of the
-    flipped flag."""
+    """Parametrized alpha circle: for ints s and t, the line s n1 + t n2
+    through the point m of x, where n_k is the cross product of m with the
+    standard basis vector k places (cyclically) after the first nonzero
+    entry of m.  n1 and n2 are independent and orthogonal to m, so they
+    span the lines through m.  The beta circle is the flip of the alpha
+    circle of the flipped flag."""
     m = x.point
     i = next(k for k, e in enumerate(m) if e != 0)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     n1, n2 = cross(m, units[(i + 1) % 3]), cross(m, units[(i + 2) % 3])
-    return Flag(x.point, primitive([s * a + t * b for a, b in zip(n1, n2)]))
+    return Flag(x.point, _primitive_ints([s * a + t * b for a, b in zip(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +241,15 @@ def _velocities(v: LieVec, x: Flag):
     return _mat_vec_ints(v.nums, x.point), [-e for e in _vec_mat_ints(x.line, v.nums)]
 
 
-def flag_derivative(v: LieVec, x: Flag):
-    """Derivative of the action of exp(t v) at a flag, as the tangent row
-    (dm mod m, dn mod n) of the stored representatives m and n: each class
-    reduced to two canonical complement coordinates, four entries in all.
-    Exact and chart-free."""
-    nums, (bm, bn) = _tangent_ints(v, x)
-    return tuple([Fraction(n, b * v.den) for n, b in zip(nums, (bm, bm, bn, bn))])
-
-
 def _tangent_ints(v: LieVec, x: Flag):
-    """The row of `flag_derivative` as ints, and the pivots of m and n.  The
-    velocity w of m (of n) is taken modulo its base m (n) at the two
-    positions k off the pivot i of base, its first nonzero entry, as
-    w[k] base[i] - w[i] base[k]; each coordinate is an int over v.den
-    base[i].  Written out, as `orbit_rank` calls it once per generator:
-    a = v m is the velocity of m, and b = n v the negated velocity of n."""
+    """Derivative of the action of exp(t v) at a flag, as the tangent row
+    (dm mod m, dn mod n) of the stored representatives m and n, in ints, and
+    the pivots of m and n.  The velocity w of m (of n) is taken modulo its
+    base m (n) at the two positions k off the pivot i of base, its first
+    nonzero entry, as w[k] base[i] - w[i] base[k]: four coordinates, each an
+    int over v.den base[i].  Exact and chart-free, and written out, as
+    `orbit_rank` calls it once per generator: a = v m is the velocity of m,
+    and b = n v the negated velocity of n."""
     a0, a1, a2 = _mat_vec_ints(v.nums, x.point)
     b0, b1, b2 = _vec_mat_ints(x.line, v.nums)
     m0, m1, m2 = x.point

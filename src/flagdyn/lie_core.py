@@ -3,7 +3,9 @@
 All algebraic operations are exact and run in flat row-major Python ints: a
 `LieVec` is nine ints over one denominator, a `GroupElem` the primitive
 integer matrix of its class, `nums`, and its adjugate, `adj`, nine ints each,
-so a ratio of two of them is built as a Fraction, never with `/`.
+so a ratio of two of them is built as a Fraction, never with `/`; one
+integer kernel, `_bracket_ints`, serves `bracket`, `centralizer` and
+`Subalgebra.is_subalgebra`.
 
 Floats appear only in the numerical exponential `exp_group` and the float
 matrix helpers under it, read by `curvature.flow_commutator_defect` alone;
@@ -63,12 +65,8 @@ class LieVec(_CanonicalInts):
     @property
     def entries(self) -> tuple:
         """The entry rows as Fractions, built from (nums, den) on each read."""
-        return _rows(tuple(self.flat()))
-
-    def flat(self):
-        """The entries as Fractions, row by row."""
         den = self.den
-        return [Fraction(n, den) for n in self.nums]
+        return _rows(tuple([Fraction(n, den) for n in self.nums]))
 
     def __add__(self, other: "LieVec") -> "LieVec":
         a, b = self.den, other.den
@@ -108,10 +106,14 @@ class LieVec(_CanonicalInts):
         return tuple(tuple(x / den * t for x in n[i:i + 3]) for i in (0, 3, 6))
 
 
+def _bracket_ints(a, b):
+    """ab - ba for the integer 3x3 matrices with row-major entries a and b."""
+    return list(map(sub, _mul_ints(a, b), _mul_ints(b, a)))
+
+
 def bracket(u: LieVec, v: LieVec) -> LieVec:
     """Commutator uv - vu, exact."""
-    a, b = u.nums, v.nums
-    return LieVec(list(map(sub, _mul_ints(a, b), _mul_ints(b, a))), u.den * v.den)
+    return LieVec(_bracket_ints(u.nums, v.nums), u.den * v.den)
 
 
 # Basis of the traceless 3x3 matrices adapted to the two-step grading.
@@ -305,12 +307,10 @@ class Subalgebra(_Record):
         return in_span([b.nums for b in self.basis], v.nums)
 
     def is_subalgebra(self) -> bool:
+        """Adding every pairwise bracket, in ints, keeps the rank."""
         nums = [b.nums for b in self.basis]
-        for i, u in enumerate(self.basis):
-            for w in self.basis[i + 1:]:
-                if not in_span(nums, bracket(u, w).nums):
-                    return False
-        return True
+        brackets = [_bracket_ints(u, w) for i, u in enumerate(nums) for w in nums[i + 1:]]
+        return rank(nums + brackets) == rank(nums)
 
     def span_equals(self, other: "Subalgebra") -> bool:
         return span_equal([b.nums for b in self.basis], [b.nums for b in other.basis])
@@ -319,22 +319,13 @@ class Subalgebra(_Record):
         return Subalgebra.of([f(b) for b in self.basis])
 
 
-def _traceless_constraint_rows(condition):
-    """Rows of the linear system condition(v) = 0 for v in the traceless
-    space, where condition maps a LieVec to a list of Fractions.  With no
-    equations the system is one zero row, which keeps the eight unknowns."""
-    return list(zip(*map(condition, BASIS))) or [[0] * len(BASIS)]
-
-
 def centralizer(s: Subalgebra) -> Subalgebra:
-    """Exact solution of [v, s] = 0 over the traceless 3x3 matrices."""
-    def cond(v):
-        out = []
-        for b in s.basis:
-            out.extend(bracket(v, b).flat())
-        return out
-
-    rows = _traceless_constraint_rows(cond)
+    """Exact solution of [v, s] = 0 over the traceless 3x3 matrices: column
+    j holds the entries of [BASIS[j], b] times b.den for each b in s, in
+    ints, a scale per row.  With no equations the system is one zero row,
+    which keeps the eight unknowns."""
+    cols = [[e for b in s.basis for e in _bracket_ints(v.nums, b.nums)] for v in BASIS]
+    rows = list(zip(*cols)) or [[0] * len(BASIS)]
     return Subalgebra(tuple(lincomb(c, BASIS) for c in nullspace(rows)))
 
 

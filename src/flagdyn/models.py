@@ -103,9 +103,15 @@ HEIS_IDENTITY = HeisElem((0, 0, 0))
 class HeisAuto(_CanonicalInts):
     """Diagonal automorphism scaling the two generating directions by lam
     and mu, and the center by lam*mu: (lam, mu) as two nonzero ints over one
-    denominator (see `rational._CanonicalInts`)."""
+    denominator (see `rational._CanonicalInts`); a zero parameter raises
+    ValueError, so `inverse` is always defined."""
 
     __slots__ = ()
+
+    def __init__(self, nums, den=1):
+        if 0 in nums:
+            raise ValueError("automorphism parameters must be nonzero")
+        _CanonicalInts.__init__(self, nums, den)
 
     def apply(self, g: HeisElem) -> HeisElem:
         # [lam x, mu y, lam mu z] over e^2 d

@@ -7,7 +7,8 @@ elimination, `_echelon`: fraction-free Bareiss elimination in ints on rows
 cleared of their denominators (`_echelon_ints`, which `orbit_rank` calls
 on rows that are ints already).  `rank` counts its pivots; `nullspace`
 and `solve` back-substitute from it in ints and return Fractions.  A float
-entry raises TypeError.
+entry raises TypeError.  The program's only Fraction rows are the
+rational transverse forms of `classification`.
 
 The 3x3 routines are one integer layer on flat row-major matrices:
 `_mul_ints`, `_mat_vec_ints`, `_vec_mat_ints`, `_adjugate_ints`, `_det_ints`

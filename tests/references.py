@@ -3,17 +3,24 @@ the program is not also a fault in the oracle that gates it: the textbook
 3x3 matrix-vector product, determinant and adjugate, the dense curvature
 action (which inverts the quotient adjoint with the textbook determinant
 and adjugate, not with `rational`'s integer cores), the normalizer, the
-differential of the action in its loop form, the flat-structure matrix in
-Fractions, and affine-map test handles.
+differential of the action in its loop form and as Fractions, the
+isotropy and lift eliminations on Fraction rows, the flat-structure matrix
+in Fractions, and affine-map test handles.
 """
 
 from fractions import Fraction
 
+from flagdyn import classification as cls
 from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
-from flagdyn.rational import _cleared, dot, nullspace, solve
+from flagdyn.rational import _cleared, dot, nullspace, rank, solve
+
+
+def values(v):
+    """The entries of the LieVec v as Fractions, row by row."""
+    return [e for row in v.entries for e in row]
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +108,12 @@ def curvature_action_dense(p, k):
 
 def normalizer(s):
     """Exact solution of [v, s] contained in s over the traceless matrices:
-    [v, b] lies in s exactly when every annihilator of s kills it."""
+    [v, b] lies in s exactly when every annihilator of s kills it.  With no
+    equations the system is one zero row, which keeps the eight unknowns."""
     annihilator = nullspace([b.nums for b in s.basis])
-
-    def cond(v):
-        out = []
-        for b in s.basis:
-            w = lc.bracket(v, b).flat()
-            out.extend(dot(a, w) for a in annihilator)
-        return out
-
-    rows = lc._traceless_constraint_rows(cond)
+    cols = [[dot(a, values(lc.bracket(v, b))) for b in s.basis for a in annihilator]
+            for v in lc.BASIS]
+    rows = list(zip(*cols)) or [[0] * 8]
     return lc.Subalgebra(tuple(lc.lincomb(c, lc.BASIS) for c in nullspace(rows)))
 
 
@@ -144,6 +146,14 @@ def tangent_ints_loop(v, x):
         nums += [(w[k] * base[i] - w[i] * base[k]) * v.den for k in range(3) if k != i]
         pivots.append(base[i])
     return nums, tuple(pivots)
+
+
+def flag_derivative(v, x):
+    """Derivative of the action of exp(t v) at the flag x, as Fractions: the
+    row of `flag_space._tangent_ints`, coordinate k over v.den times the
+    pivot of its base."""
+    nums, (bm, bn) = fs._tangent_ints(v, x)
+    return tuple([Fraction(n, b * v.den) for n, b in zip(nums, (bm, bm, bn, bn))])
 
 
 def push_tangent(g, x, w):
@@ -187,3 +197,55 @@ def affine_map(linear, translation):
 def affine_apply(f, v):
     """L v + t, the textbook formula over Fractions."""
     return tuple(a + t for a, t in zip(mat_vec_oracle(f.linear, v), f.translation))
+
+
+# ---------------------------------------------------------------------------
+# isotropy and lifts on Fraction rows
+# ---------------------------------------------------------------------------
+
+def quotient_matrix(iso_basis, lifts, v):
+    """`classification._quotient_matrix` solved on the entry values of the
+    isotropy basis and the lifts, with the values of [v, w] as the
+    right-hand side."""
+    full = [values(w) for w in (*iso_basis, *lifts)]
+    cols = []
+    for w in lifts:
+        coords = solve([[u[i] for u in full] for i in range(9)], values(lc.bracket(v, w)))
+        cols.append(coords[len(iso_basis):])
+    k = len(lifts)
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+
+
+def isotropy_basis(alg, base):
+    """`classification._isotropy_basis` on the `flag_derivative` rows."""
+    tangents = [flag_derivative(b, base) for b in alg.basis]
+    return [lc.lincomb(c, alg.basis) for c in nullspace(list(zip(*tangents)))]
+
+
+def adapted_lifts(alg, base, iso_basis):
+    """`classification._adapted_lifts` on the `flag_derivative` rows."""
+    tangents = [flag_derivative(b, base) for b in alg.basis]
+
+    def find(part):
+        for c in nullspace([[t[k] for t in tangents] for k in part]):
+            v = lc.lincomb(c, alg.basis)
+            if any(flag_derivative(v, base)):
+                return v
+        raise ValueError("no circle lift inside the subalgebra")
+
+    v_alpha, v_beta = find(range(2)), find(range(2, 4))
+    partial = [v.nums for v in (*iso_basis, v_alpha, v_beta)]
+    for b in alg.basis:
+        if rank([*partial, b.nums]) > rank(partial):
+            if fs.orbit_rank((v_alpha, v_beta, b), base) == 3:
+                return v_alpha, v_beta, b
+    raise ValueError("no transverse lift; the orbit is not open")
+
+
+def isotropy_eigenvalue_table(case):
+    """`classification.isotropy_eigenvalue_table` through `quotient_matrix`."""
+    data = cls._ISOTROPY_CASES[case]
+    iso_basis = [v for v in (data.iso_a, data.iso_b) if not v.is_zero()]
+    qa = quotient_matrix(iso_basis, data.lifts, data.iso_a)
+    qb = quotient_matrix(iso_basis, data.lifts, data.iso_b)
+    return tuple(tuple((qa[i][j], qb[i][j]) for j in range(3)) for i in range(3))

@@ -72,13 +72,13 @@ class TestCurvatureAction:
         # exactly, so a return to per-entry Fractions fails here
         outcomes, built = fractions_built(monkeypatch, "curvature")
         assert all(passed for passed, _ in outcomes)
-        assert built < 9_000
+        assert built < 7_000
 
     def test_exponent_check_reads_the_scales(self, monkeypatch):
         # alpha_scale with d3^2 for d3^3 fails the exponent check
         def wrong(p):
             d1, d2, d3 = p.nums[0::4]
-            return Fraction(d1 * d2 * d2, d3 * d3)
+            return d1 * d2 * d2, d3 * d3
 
         monkeypatch.setattr(curv, "alpha_scale", wrong)
         assert run_check("curvature-diagonal-exponents") == (False, None)

@@ -24,7 +24,7 @@ from flagdyn.checks import (
 )
 from flagdyn.rational import cross, primitive, rank
 from fraction_count import fractions_built
-from references import killing_with_value, push_tangent, tangent_ints_loop
+from references import flag_derivative, killing_with_value, push_tangent, tangent_ints_loop
 from strategies import small_fractions
 
 
@@ -179,7 +179,7 @@ class TestRegions:
         for vectors in (cls.H_T.basis, cls.H_A.basis, lc.BASIS):
             for x in small_flags():
                 assert fs.orbit_rank(vectors, x) == rank(
-                    [fs.flag_derivative(v, x) for v in vectors])
+                    [flag_derivative(v, x) for v in vectors])
 
     def test_strata_agree_with_orbit_ranks_of_their_circles(self):
         # the strata against a definition by orbit ranks alone: a flag is

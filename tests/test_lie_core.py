@@ -18,7 +18,7 @@ from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_t
 from flagdyn.rational import solve
 from children import child_env
 from fraction_count import fractions_built
-from references import normalizer
+from references import normalizer, values
 from strategies import small_fractions
 
 
@@ -75,8 +75,8 @@ class TestTracelessCoords:
     @given(lievecs())
     def test_equals_elimination_against_the_basis(self, m):
         v = m - lc.LieVec.diag(0, 0, trace(m))
-        rows = list(zip(*(b.flat() for b in lc.BASIS)))
-        assert lc.lincomb(solve(rows, v.flat()), lc.BASIS) == v
+        rows = list(zip(*(values(b) for b in lc.BASIS)))
+        assert lc.lincomb(solve(rows, values(v)), lc.BASIS) == v
 
 
 class TestGrading:
@@ -210,6 +210,15 @@ class TestSubalgebraRecognizer:
         basis[2] = lc.LieVec.of(rows)
         assert not lc.Subalgebra.of(basis).is_subalgebra()
 
+    def test_closure_is_one_rank_comparison(self, monkeypatch):
+        # the basis against the basis and every pairwise bracket: two ranks,
+        # whatever the dimension
+        calls = []
+        monkeypatch.setattr(lc, "rank", lambda rows, rank=lc.rank: calls.append(1) or rank(rows))
+        for alg in (cls.SO3, cls.H_A, lc.Subalgebra(lc.BASIS)):
+            calls.clear()
+            assert alg.is_subalgebra() and len(calls) == 2
+
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
             lc.Subalgebra.of([md.HEIS_X, md.HEIS_X.scale(2)])
@@ -312,4 +321,4 @@ def test_lie_core_suite_builds_few_fractions(monkeypatch):
     # a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "lie-core")
     assert all(passed for passed, _ in outcomes)
-    assert built < 1_500
+    assert built < 30

@@ -94,6 +94,12 @@ class TestHeisAuto:
         assert f.inverse() == md.HeisAuto((4, -1), 2)
         assert f != md.HeisAuto((1, 4), 2)
 
+    @pytest.mark.parametrize("nums", [(0, 1), (1, 0), (0, 0)])
+    def test_rejects_a_zero_parameter(self, nums):
+        # a zero parameter has no inverse
+        with pytest.raises(ValueError):
+            md.HeisAuto(nums, 3)
+
 
 def test_models_suite_builds_few_fractions(monkeypatch):
     # the group laws and the equivariances run in ints; the count repeats
