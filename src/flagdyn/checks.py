@@ -41,7 +41,8 @@ import math
 import random
 import zlib
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import combinations
 
 from . import classification as cls
 from . import curvature as curv
@@ -49,7 +50,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import _mat_vec_ints, _mul_ints, _primitive_ints, in_span, rank
+from .rational import Poly, _mat_vec_ints, _mul_ints, _primitive_ints, dot, in_span, rank
 from .workers import cpus, split
 
 
@@ -670,56 +671,102 @@ def _check_harmonic(rng):
     return curv.is_harmonic(curv.curvature_action(p, k))
 
 
-def _zero_jacobian(p):
-    return ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+# ring fields (see curvature.field_bracket): the left-invariant pair of the
+# nilpotent group, (1, 0, -y/2) and (0, 1, x/2), and commuting coordinate fields
+_X, _Y, _Z = md.CHART
+_HEIS_XFIELD = ((2, 0, -_Y), 2)
+_HEIS_YFIELD = ((0, 2, _X), 2)
+_CONST_A = ((1, 0, 0), 1)
+_CONST_B = ((0, 1, 0), 1)
 
 
-_HALF = Fraction(1, 2)
-# the left-invariant pair of the nilpotent group, and commuting coordinate fields
-_HEIS_XFIELD = curv.PolynomialField(lambda p: (1, 0, -_HALF * p[1]),
-                                    lambda p: ((0, 0, 0), (0, 0, 0), (0, -_HALF, 0)))
-_HEIS_YFIELD = curv.PolynomialField(lambda p: (0, 1, _HALF * p[0]),
-                                    lambda p: ((0, 0, 0), (0, 0, 0), (_HALF, 0, 0)))
-_CONST_A = curv.PolynomialField(lambda p: (1, 0, 0), _zero_jacobian)
-_CONST_B = curv.PolynomialField(lambda p: (0, 1, 0), _zero_jacobian)
+def _heis_contact_identities():
+    """det(X, Y, [X, Y]) = 1 and det(A, B, [A, B]) = 0, identically."""
+    num, den = curv.contact_determinant(_HEIS_XFIELD, _HEIS_YFIELD)
+    return num == den and not curv.contact_determinant(_CONST_A, _CONST_B)[0].terms
 
 
 @check("contact-heis-fields", "curvature",
        "left-invariant generating pair of the nilpotent group is contact "
-       "everywhere; commuting coordinate fields are not", samples=50)
+       "everywhere; commuting coordinate fields are not", samples=50,
+       fixed=_heis_contact_identities)
 def _check_contact_heis(rng):
     p = tuple(rand_frac(rng) for _ in range(3))
     return (curv.contact_test(_HEIS_XFIELD, _HEIS_YFIELD, p)
             and not curv.contact_test(_CONST_A, _CONST_B, p))
 
 
-@check("contact-model-frames", "curvature",
-       "the invariant frames of both models are contact at interior points", samples=100)
-def _check_contact_frames(rng):
+@cache
+def _frame_fields(model: md.Model) -> tuple:
+    """The ring fields of the model's frame, built when first read."""
+    return tuple(md.invariant_field(gen, model) for gen in model.frame)
+
+
+def _frame_identities():
+    """For both models, det(F_alpha, F_beta, [F_alpha, F_beta]) =
+    -<n, m_sp>^2, for n = (-1, z, x - yz) the line at (x, y, z) and m_sp the
+    special point: -(x - yz)^2 in BLOCK and -1 in AFFINE; and [F_g, F_h] =
+    F_[g, h] for each pair of frame generators."""
+    x, y, z = md.CHART
     for model in md.MODELS:
-        alpha_field, beta_field = (md.InvariantField(gen, model) for gen in model.frame[:2])
-        p = fs.chart_coords(rand_interior_flag(rng, model))
-        if not curv.contact_test(alpha_field, beta_field, p):
+        fields = _frame_fields(model)
+        num, den = curv.contact_determinant(*fields[:2])
+        pairing = dot((-1, z, x - y * z), model.special_point)
+        if num != -(pairing * pairing) * den:
+            return False
+        for (g, field_g), (h, field_h) in combinations(zip(model.frame, fields), 2):
+            nums, den = curv.field_bracket(field_g, field_h)
+            expected, q = md.invariant_field(lc.bracket(g, h), model)
+            if any(a * q != b * den for a, b in zip(nums, expected)):
+                return False
+    return True
+
+
+@check("contact-model-frames", "curvature",
+       "the invariant frames of both models are contact at interior points", samples=100,
+       fixed=_frame_identities)
+def _check_contact_frames(rng):
+    """The fixed identities decide the claim in the slope chart, where
+    -<n, m_sp>^2 vanishes exactly off the interior.  They cover the interior
+    flags off the chart too: the model's group keeps the frame fields and is
+    transitive on the interior, and a diffeomorphism keeps the brackets of
+    the fields it carries.  Each draw evaluates the fields at an interior
+    flag's chart point, in ints."""
+    for model in md.MODELS:
+        alpha, beta = _frame_fields(model)[:2]
+        m, n = fs._slope_chart_ints(rand_interior_flag(rng, model))
+        # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0, as in frame_at
+        point = (m[0] * n[0], m[1] * n[0], -n[1] * m[2])
+        if not curv._contact_ints(alpha, beta, point, m[2] * n[0]):
             return False
     return True
 
 
-_RESCALE_ALPHA = curv.PolynomialField(lambda p: (0, 0, 1), _zero_jacobian)
-_RESCALE_BETA = curv.PolynomialField(lambda p: (p[2], 1, 0),
-                                     lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+# the pair (0, 0, 1) and (z, 1, 0), and the second times f = c + x^2, as ring
+# fields, the constant c of the rescaling a fourth indeterminate
+_F = Poly({(0, 0, 0, 1): 1}) + _X * _X
+_RESCALE_ALPHA = ((0, 0, 1), 1)
+_RESCALE_BETA = ((_Z, 1, 0), 1)
+_RESCALE_SCALED = ((_F * _Z, _F, 0), 1)
+
+
+def _rescaling_identity():
+    """det(A, f B, [A, f B]) = f^2 det(A, B, [A, B]), identically in x, y, z
+    and c, so at every drawn c."""
+    num, den = curv.contact_determinant(_RESCALE_ALPHA, _RESCALE_BETA)
+    scaled_num, scaled_den = curv.contact_determinant(_RESCALE_ALPHA, _RESCALE_SCALED)
+    return scaled_num * den == _F * _F * num * scaled_den
 
 
 @check("contact-rescaling-invariance", "curvature",
-       "the contact verdict is unchanged by nonvanishing rescalings", samples=30)
+       "the contact verdict is unchanged by nonvanishing rescalings", samples=30,
+       fixed=_rescaling_identity)
 def _check_contact_rescaling(rng):
+    # c = |r| + 1 for a drawn r, so that c + x^2 vanishes nowhere
     c = abs(rand_frac(rng)) + 1
-    # beta times the nonvanishing factor c + x^2
-    scaled = curv.PolynomialField(
-        lambda p: ((c + p[0] * p[0]) * p[2], c + p[0] * p[0], 0),
-        lambda p: ((2 * p[0] * p[2], 0, c + p[0] * p[0]), (2 * p[0], 0, 0), (0, 0, 0)))
     p = tuple(rand_frac(rng) for _ in range(3))
     return (curv.contact_test(_RESCALE_ALPHA, _RESCALE_BETA, p)
-            == curv.contact_test(_RESCALE_ALPHA, scaled, p))
+            == curv.contact_test(_RESCALE_ALPHA, _RESCALE_SCALED, (*p, c)))
 
 
 @check("flow-commutator-heis", "curvature",

@@ -15,6 +15,11 @@ That defining action is evaluated by brute force here, in ints on the four
 ints over one denominator of a `NormalCurvature`, which is built and read as
 those ints only; the diagonal scaling laws used by the flatness argument come
 out of it exactly.  The tests hold the dense evaluation it is tested against.
+
+The contact test and the identities of the contact checks run on ring
+fields, vector fields whose components are `rational.Poly` numerators over
+one Poly denominator: the bracket, the contact determinant and the
+partials it needs come from the ring, with no derivative written by hand.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
+from functools import lru_cache
 
 from .lie_core import (
     GroupElem,
@@ -34,7 +40,7 @@ from .lie_core import (
     fmat_sub,
     fnorm,
 )
-from .rational import _CanonicalInts, _cleared, _det_ints, _mat_vec_ints, cross
+from .rational import Poly, _CanonicalInts, _cleared, _det_ints, _values_ints, cross, dot
 
 
 class NormalCurvature(_CanonicalInts):
@@ -122,49 +128,72 @@ class DegenerateFrameError(ValueError):
     pass
 
 
-class PolynomialField:
-    """Vector field on R^3 with polynomial components, carrying an exact
-    closed-form Jacobian.  Both are callables of the point (x, y, z): `func`
-    returns the three components, `jacobian` the 3x3 rows of partials."""
-
-    def __init__(self, func, jacobian):
-        self._func = func
-        self._jac = jacobian
-
-    def __call__(self, p):
-        return self._func(p)
-
-    def derivative_along(self, p, w):
-        """D F(p) w, exact: one integer product of the cleared Jacobian and w."""
-        (jac, jd), (wn, wd) = _cleared(*self._jac(p)), _cleared(w)
-        return tuple([Fraction(n, jd * wd) for n in _mat_vec_ints(jac, wn)])
+@lru_cache(maxsize=64)
+def _jet(field) -> tuple:
+    """The 16 Polys of a ring field's jet, flat: its numerators N0, N1, N2
+    and denominator q, then the partials of each in x, y and z.  A check
+    reads the jets of its few fields at every draw, so the last few are
+    kept."""
+    nums, den = field
+    values = tuple([Poly.of(e) for e in (*nums, den)])
+    return values + tuple([p.diff(k) for p in values for k in range(3)])
 
 
-def bracket_of_fields(field_a, field_b, p, va, vb):
-    """Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p) at a rational point p,
-    given the field values va = A(p), vb = B(p): each field's exact
-    derivative along the other's value."""
-    db = field_b.derivative_along(p, va)
-    da = field_a.derivative_along(p, vb)
-    return tuple(x - y for x, y in zip(db, da))
+def _bracket_nums(jet_a, jet_b):
+    """The numerators of [A, B] over q^2 r^2 from the jets of A = N / q and
+    B = M / r, laid out as `_jet` gives them: Polys, or their values at one
+    point, as ints."""
+    (n, q, dn, dq), (m, r, dm, dr) = [(j[:3], j[3], (j[4:7], j[7:10], j[10:13]), j[13:])
+                                      for j in (jet_a, jet_b)]
+    qr, rn, qm = q * r, dot(dr, n), dot(dq, m)
+    return [qr * (dot(dm[i], n) - dot(dn[i], m)) - q * rn * m[i] + r * qm * n[i]
+            for i in range(3)]
+
+
+def field_bracket(field_a, field_b):
+    """The Lie bracket [A, B] = DB A - DA B of two ring fields, a ring field.
+
+    A ring field is a vector field on R^3 with rational components in the
+    chart (x, y, z), given as the tuple (nums, den): three numerators over
+    one denominator, each a `rational.Poly` or an int.  For A = N / q and
+    B = M / r the bracket is q r (DM N - DN M) - q (N . grad r) M +
+    r (M . grad q) N over q^2 r^2."""
+    jet_a, jet_b = _jet(field_a), _jet(field_b)
+    q_r = jet_a[3] * jet_b[3]
+    return tuple(_bracket_nums(jet_a, jet_b)), q_r * q_r
+
+
+def contact_determinant(field_a, field_b):
+    """det(A, B, [A, B]) of two ring fields (see `field_bracket`), as a
+    numerator and a denominator, both Polys."""
+    jet_a, jet_b = _jet(field_a), _jet(field_b)
+    nums, den = field_bracket(field_a, field_b)
+    return _det_ints([*jet_a[:3], *jet_b[:3], *nums]), jet_a[3] * jet_b[3] * den
 
 
 def contact_test(field_a, field_b, p) -> bool:
-    """True when the bracket of the two fields escapes their span at p,
-    i.e. the frame is bracket generating there.
+    """True when the bracket of the two ring fields (see `field_bracket`)
+    escapes their span at p, i.e. the frame is bracket generating there.
 
-    Each field is a callable of the point with an exact
-    `derivative_along(p, w)`.  The point is taken exactly (a float converts
-    exactly), so the field values, the bracket and the determinant are
-    exact, and the verdict is det(A, B, [A, B]) != 0 with no tolerance.
-    """
-    p = tuple(map(Fraction, p))
-    va, vb = field_a(p), field_b(p)
-    # clearing scales rows by positive ints: the zeros tested below are kept
-    ab = _cleared(va, vb)[0]
-    if not any(cross(ab[:3], ab[3:])):
+    p is the point (x, y, z), followed by the values of any further
+    indeterminates the fields hold, which are constants: the bracket
+    differentiates in x, y and z only.  It is taken exactly (a float
+    converts exactly), so the verdict is det(A, B, [A, B]) != 0 with no
+    tolerance."""
+    nums, den = _cleared([Fraction(e) if isinstance(e, float) else e for e in p])
+    return _contact_ints(field_a, field_b, nums, den)
+
+
+def _contact_ints(field_a, field_b, nums, den) -> bool:
+    """`contact_test` at the point nums / den, ints: both jets there, over
+    one denominator, which keeps the zeros of what is tested."""
+    at = _values_ints(_jet(field_a) + _jet(field_b), nums, den)
+    a, b = at[:16], at[16:]
+    if a[3] == 0 or b[3] == 0:
+        raise DegenerateFrameError("a field is not defined at the test point")
+    if not any(cross(a[:3], b[:3])):
         raise DegenerateFrameError("fields are dependent at the test point")
-    return _det_ints(ab + _cleared(bracket_of_fields(field_a, field_b, p, va, vb))[0]) != 0
+    return _det_ints([*a[:3], *b[:3], *_bracket_nums(a, b)]) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -140,14 +140,6 @@ def _slope_chart_ints(x: Flag):
     return m, n
 
 
-def chart_coords(x: Flag):
-    """Global coordinates (x, y, z): affine point plus direction slope z,
-    the direction being (z : 1).  Domain: point off infinity and direction
-    not horizontal."""
-    m, n = _slope_chart_ints(x)
-    return (Fraction(m[0], m[2]), Fraction(m[1], m[2]), Fraction(-n[1], n[0]))
-
-
 # ---------------------------------------------------------------------------
 # model regions
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the Heisenberg arithmetic and the diagonal automorphisms, built and read as
 ints over one denominator only, the group identifications conjugating the
 geometric and algebraic pictures, the affine linearization of the Heisenberg
 affine group, and the closed-form commuting-flow identities of the affine
-model, which take ints too.
+model, which take ints too.  The invariant frames come from one integer
+formula, `_field_ints`, which `frame_at` runs at a flag's chart point and
+`invariant_field` runs on the chart variables, in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from .flag_space import BoundaryError, Flag, _slope_chart_ints
 from .lie_core import GroupElem, LieVec
-from .rational import (_CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints, _mat_vec_ints,
-                       _mul_ints, _primitive_ints, _rows, _vec_mat_ints)
+from .rational import (Poly, _CanonicalInts, _Record, _adjugate_ints, _cleared, _det_ints,
+                       _mat_vec_ints, _mul_ints, _primitive_ints, _rows, _vec_mat_ints)
 
 
 class MembershipError(ValueError):
@@ -244,17 +246,6 @@ def transporter(x: Flag, model: Model) -> GroupElem:
     return GroupElem._of_ints(_transporter_ints(*x.point, n[1], -n[0], model))
 
 
-def _transporter_derivative(x, y, z, wx, wy, wz, c, model: Model):
-    """The derivative along (wx, wy, wz) / c of `_transporter_ints` at the
-    chart point (x, y, z) / c, whose flag has the point (x, y, c) and the
-    direction (z : c): the flat integer matrix DH, scaled as H is."""
-    if model is AFFINE:
-        return (0, c * wz, c * wx, 0, 0, c * wy, 0, 0, 0)
-    # d = x c - y z and its derivative along w
-    d, dd = x * c - y * z, wx * c - wy * z - y * wz
-    return (dd * x + d * wx, wz * c * c, 0, dd * y + d * wy, 0, 0, 0, 0, dd * c)
-
-
 def _transport_ints(x, y, z, c, model: Model):
     """H, adj(H) and det(H), for H the model's transporter in ints at the
     chart point p = (x, y, z) / c: what the fields of every generator share
@@ -276,43 +267,23 @@ def _field_ints(gen: LieVec, transport, x, y, z, c):
     return v, a, b, value
 
 
-class InvariantField:
+# the chart variables x, y and z of `invariant_field`
+CHART = (Poly({(1,): 1}), Poly({(0, 1): 1}), Poly({(0, 0, 1): 1}))
+
+
+def invariant_field(gen: LieVec, model: Model):
     """The model's invariant vector field extending the generator `gen` at
     its base flag, in the chart (x, y, z): at p, the velocity of
-    conjugate(h, gen), h the transporter of the flag of p.  Exact, and
-    defined on the interior only (BoundaryError elsewhere).  The flag of p
-    has the point m = (x, y, 1) and the line n = (-1, z, x - yz); with
+    conjugate(h, gen), h the transporter of the flag of p.  The flag of p has
+    the point m = (x, y, 1) and the line n = (-1, z, x - yz); with
     V = h gen h^-1, a = V m and b = n V, F(p) = (a0 - x a2, a1 - y a2,
-    -(b1 + z b0))."""
-
-    def __init__(self, gen: LieVec, model: Model):
-        self.gen = gen
-        self.model = model
-
-    def __call__(self, p):
-        (x, y, z), c = _cleared(p)
-        transport = _transport_ints(x, y, z, c, self.model)
-        den = transport[2] * self.gen.den * c * c * c
-        return tuple(Fraction(n, den) for n in _field_ints(self.gen, transport, x, y, z, c)[3])
-
-    def derivative_along(self, p, w):
-        """D F(p) w, exact: the product rule on each term of F, with dV =
-        [k, V] for k = dh h^-1 = DH adj(H) / det(H), DH the transporter's
-        derivative, scaled as H is."""
-        (x, y, z, wx, wy, wz), c = _cleared(p, w)
-        transport = _transport_ints(x, y, z, c, self.model)
-        _, adj, det = transport
-        v, a, b, _ = _field_ints(self.gen, transport, x, y, z, c)
-        k = _mul_ints(_transporter_derivative(x, y, z, wx, wy, wz, c, self.model), adj)
-        dv = [s - t for s, t in zip(_mul_ints(k, v), _mul_ints(v, k))]
-        m, dm = (x, y, c), (wx, wy, 0)
-        n, dn = (-c * c, z * c, x * c - y * z), (0, wz * c, wx * c - wy * z - y * wz)
-        da = [s + det * t for s, t in zip(_mat_vec_ints(dv, m), _mat_vec_ints(v, dm))]
-        db = [s + det * t for s, t in zip(_vec_mat_ints(n, dv), _vec_mat_ints(dn, v))]
-        den = c * c * c * det * det * self.gen.den
-        return (Fraction(c * (c * da[0] - det * wx * a[2] - x * da[2]), den),
-                Fraction(c * (c * da[1] - det * wy * a[2] - y * da[2]), den),
-                Fraction(-(c * db[1] + det * wz * b[0] + z * db[0]), den))
+    -(b1 + z b0)).  It is `_field_ints` run on the chart variables with c = 1:
+    a ring field (see `curvature.field_bracket`), three Polys over det(H)
+    gen.den, which vanishes off the interior."""
+    x, y, z = CHART
+    transport = _transport_ints(x, y, z, 1, model)
+    value = _field_ints(gen, transport, x, y, z, 1)[3]
+    return tuple(map(Poly.of, value)), Poly.of(transport[2] * gen.den)
 
 
 def frame_at(x: Flag, model: Model) -> tuple:

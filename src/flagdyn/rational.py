@@ -29,13 +29,21 @@ and writes their fields through the slot setters it binds once per class.
 `primitive` is the one normalization of a projective class: the integer
 representative with gcd 1 and first nonzero entry positive, which points,
 lines, group elements, chart directions and frame lines all use.
+
+`Poly` is a sparse polynomial with integer coefficients, a `_Record` whose
+one field is canonical, so that record equality is polynomial equality.
+The integer cores use only +, - and *, so they run on Polys unchanged,
+which turns a formula in ints into the same formula in indeterminates: a
+claim about it is then decided as a polynomial identity, by multiplying
+out.  `Poly.diff` is the one partial derivative, and `_values_ints`
+evaluates Polys at an integer point over one denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter, index
 
 
 def _cleared(*rows):
@@ -304,3 +312,88 @@ def cross(u, v):
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials
+# ---------------------------------------------------------------------------
+
+class Poly(_Record):
+    """A polynomial with integer coefficients: its nonzero terms as sorted
+    (exponents, coefficient) pairs, where an exponent tuple has no trailing
+    zero, so variable k is k zeros and a 1, and a constant's exponents are
+    ().  The form is canonical, so the record's equality is equality of
+    polynomials; a Poly never equals an int.  `Poly(terms)` takes a mapping
+    from exponents to coefficients, or its items.  +, - and * take Polys and
+    ints on either side and refuse other numbers with TypeError, so the
+    integer kernels above run on Polys unchanged."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self._setters[0](self, tuple(sorted([(e, c) for e, c in dict(terms).items() if c])))
+
+    @staticmethod
+    def of(value) -> "Poly":
+        """`value`, a Poly or an int, as a Poly."""
+        return value if isinstance(value, Poly) else Poly({(): index(value)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms if isinstance(other, Poly) else (((), index(other)),):
+            out[e] = out.get(e, 0) + c
+        return Poly(out)
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly({e: c * index(other) for e, c in self.terms})
+        if not other.terms:
+            return other
+        if not self.terms:
+            return self
+        out = {}
+        for e, c in self.terms:
+            for f, d in other.terms:
+                k = tuple(map(add, e, f)) + (e[len(f):] or f[len(e):])
+                out[k] = out.get(k, 0) + c * d
+        return Poly(out)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def diff(self, k: int) -> "Poly":
+        """The partial derivative in variable k."""
+        out = {}
+        for e, c in self.terms:
+            if k < len(e) and e[k]:
+                f = (*e[:k], e[k] - 1, *e[k + 1:])
+                while f and not f[-1]:
+                    f = f[:-1]
+                out[f] = c * e[k]
+        return Poly(out)
+
+
+def _values_ints(polys, nums, den) -> list:
+    """The Polys `polys` at the point nums / den, for ints nums and den, as
+    ints over one denominator: each value times den^D, for D the largest
+    total degree among them."""
+    degree = max([sum(e) for p in polys for e, _ in p.terms], default=0)
+    powers = [[n ** k for k in range(degree + 1)] for n in nums]
+    scale = [den ** (degree - k) for k in range(degree + 1)]
+    values = []
+    for p in polys:
+        total = 0
+        for e, c in p.terms:
+            for row, k in zip(powers, e):
+                c *= row[k]
+            total += c * scale[sum(e)]
+        values.append(total)
+    return values

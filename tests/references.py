@@ -5,7 +5,8 @@ action (which inverts the quotient adjoint with the textbook determinant
 and adjugate, not with `rational`'s integer cores), the normalizer, the
 differential of the action in its loop form and as Fractions, the
 isotropy and lift eliminations on Fraction rows, the flat-structure matrix
-in Fractions, and affine-map test handles.
+in Fractions, affine-map test handles, and the slope chart's coordinates as
+Fractions.
 """
 
 from fractions import Fraction
@@ -249,3 +250,11 @@ def isotropy_eigenvalue_table(case):
     qa = quotient_matrix(iso_basis, data.lifts, data.iso_a)
     qb = quotient_matrix(iso_basis, data.lifts, data.iso_b)
     return tuple(tuple((qa[i][j], qb[i][j]) for j in range(3)) for i in range(3))
+
+
+def chart_coords(x):
+    """Global coordinates (x, y, z) of the flag x as Fractions: affine point
+    plus direction slope z, the direction being (z : 1).  Domain: point off
+    infinity and direction not horizontal (BoundaryError elsewhere)."""
+    m, n = fs._slope_chart_ints(x)
+    return (Fraction(m[0], m[2]), Fraction(m[1], m[2]), Fraction(-n[1], n[0]))

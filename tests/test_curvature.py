@@ -10,7 +10,6 @@ from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import (
-    nonzero_frac,
     rand_curvature,
     rand_frac,
     rand_traceless,
@@ -20,12 +19,7 @@ from flagdyn.checks import (
 from fraction_count import fractions_built
 from references import curvature_action_dense
 
-
-_HALF = Fraction(1, 2)
-
-
-def zero_jacobian(p):
-    return ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+X, Y, Z = md.CHART
 
 
 class TestCurvatureAction:
@@ -72,7 +66,7 @@ class TestCurvatureAction:
         # exactly, so a return to per-entry Fractions fails here
         outcomes, built = fractions_built(monkeypatch, "curvature")
         assert all(passed for passed, _ in outcomes)
-        assert built < 7_000
+        assert built < 350
 
     def test_exponent_check_reads_the_scales(self, monkeypatch):
         # alpha_scale with d3^2 for d3^3 fails the exponent check
@@ -100,9 +94,11 @@ class TestHarmonic:
 
 class TestContact:
     def test_degenerate_frame_rejected(self):
-        a = curv.PolynomialField(lambda p: (1, 0, 0), zero_jacobian)
-        with pytest.raises(curv.DegenerateFrameError):
-            curv.contact_test(a, a, (0, 0, 0))
+        # a dependent pair, and the field (0, 1, 0) / x where x = 0
+        a = ((1, 0, 0), 1)
+        for b, p, why in ((a, (0, 0, 0), "dependent"), (((0, 1, 0), X), (0, 1, 1), "not defined")):
+            with pytest.raises(curv.DegenerateFrameError, match=why):
+                curv.contact_test(a, b, p)
 
     def test_rescaling_check_at_a_seed_where_float_noise_tripped_the_gate(self):
         # float differences at float points once failed the difference gate
@@ -111,15 +107,8 @@ class TestContact:
 
     def test_float_point_gives_the_verdict_of_its_exact_value(self):
         rng = random.Random(29)
-        a = curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian)
-        fields = (
-            curv.PolynomialField(
-                lambda q: ((2 + q[0] * q[0]) * q[2], 2 + q[0] * q[0], 0),
-                lambda q: ((2 * q[0] * q[2], 0, 2 + q[0] * q[0]),
-                           (2 * q[0], 0, 0), (0, 0, 0))),
-            curv.PolynomialField(
-                lambda q: (q[2] * q[2], 1, 0),
-                lambda q: ((0, 0, 2 * q[2]), (0, 0, 0), (0, 0, 0))))
+        a = ((0, 0, 1), 1)
+        fields = (((2 * Z + X * X * Z, 2 + X * X, 0), 1), ((Z * Z, 1, 0), 1))
         for _ in range(10):
             p = tuple(float(rand_frac(rng)) for _ in range(3))
             for b in fields:
@@ -127,38 +116,23 @@ class TestContact:
                     a, b, tuple(map(Fraction, p)))
 
     def test_difference_bracket_equals_closed_form_bracket(self):
-        # the jet bracket of two invariant frame fields equals the bracket of
-        # their closed forms in the chart, (0, 0, 1) and (z, 1, 0) on AFFINE,
-        # (0, 0, d^2) and (x, y, 0) with d = x - yz on BLOCK, at the field
-        # values and at a random pair of directions
-        def d(p):
-            return p[0] - p[1] * p[2]
+        # the invariant frame fields equal their closed forms in the chart,
+        # (0, 0, 1) and (z, 1, 0) on AFFINE, (0, 0, d^2) and (x, y, 0) with
+        # d = x - yz on BLOCK, and so do their brackets, as identities
+        d = X - Y * Z
+        closed = {(md.AFFINE, md.HEIS_X): ((0, 0, 1), 1), (md.AFFINE, md.HEIS_Y): ((Z, 1, 0), 1),
+                  (md.BLOCK, md.SL2_E): ((0, 0, d * d), 1), (md.BLOCK, md.SL2_H): ((X, Y, 0), 1)}
 
-        closed = {
-            (md.AFFINE, md.HEIS_X): curv.PolynomialField(lambda p: (0, 0, 1), zero_jacobian),
-            (md.AFFINE, md.HEIS_Y): curv.PolynomialField(
-                lambda p: (p[2], 1, 0), lambda p: ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
-            (md.BLOCK, md.SL2_E): curv.PolynomialField(
-                lambda p: (0, 0, d(p) ** 2),
-                lambda p: ((0, 0, 0), (0, 0, 0),
-                           (2 * d(p), -2 * d(p) * p[2], -2 * d(p) * p[1]))),
-            (md.BLOCK, md.SL2_H): curv.PolynomialField(
-                lambda p: (p[0], p[1], 0), lambda p: ((1, 0, 0), (0, 1, 0), (0, 0, 0))),
-        }
-        rng = random.Random(31)
+        def same(field, other):
+            (nums, den), (other_nums, other_den) = field, other
+            return all(a * other_den == b * den for a, b in zip(nums, other_nums))
+
         for model, gen_a, gen_b in ((md.AFFINE, md.HEIS_X, md.HEIS_Y),
                                     (md.BLOCK, md.SL2_E, md.SL2_H)):
-            jet_a, jet_b = md.InvariantField(gen_a, model), md.InvariantField(gen_b, model)
-            exact_a, exact_b = closed[model, gen_a], closed[model, gen_b]
-            for _ in range(20):
-                p = tuple(rand_frac(rng) for _ in range(3))
-                if d(p) == 0:
-                    continue
-                assert (jet_a(p), jet_b(p)) == (exact_a(p), exact_b(p))
-                u, w = (tuple(nonzero_frac(rng) for _ in range(3)) for _ in range(2))
-                for va, vb in ((jet_a(p), jet_b(p)), (u, w)):
-                    assert curv.bracket_of_fields(jet_a, jet_b, p, va, vb) == \
-                        curv.bracket_of_fields(exact_a, exact_b, p, va, vb)
+            field_a, field_b = md.invariant_field(gen_a, model), md.invariant_field(gen_b, model)
+            closed_a, closed_b = closed[model, gen_a], closed[model, gen_b]
+            assert same(field_a, closed_a) and same(field_b, closed_b)
+            assert same(curv.field_bracket(field_a, field_b), curv.field_bracket(closed_a, closed_b))
 
     def test_model_frames_at_a_seed_where_full_jacobians_tripped_the_gate(self):
         # three-axis difference Jacobians once failed the difference gate
@@ -171,6 +145,32 @@ class TestContact:
         # at points within a few steps of the pole of the block-model frame;
         # exact derivatives have no step
         assert run_check("contact-model-frames", seed=seed)[0]
+
+    def test_model_frames_fail_on_a_wrong_field_value(self, monkeypatch):
+        # the third component -(c b1 - z b0) for -(c b1 + z b0): the mutated
+        # fields are still a contact pair at every draw, but they break
+        # BLOCK's bracket identity; the check's fields are built afresh
+        field_ints = md._field_ints
+
+        def mutant(gen, transport, x, y, z, c):
+            v, a, b, value = field_ints(gen, transport, x, y, z, c)
+            return v, a, b, (*value[:2], -(c * b[1] - z * b[0]))
+
+        monkeypatch.setattr(md, "_field_ints", mutant)
+        monkeypatch.setattr(checks, "_frame_fields", checks._frame_fields.__wrapped__)
+        assert run_check("contact-model-frames") == (False, None)
+
+    def test_heis_check_fails_on_a_bracket_of_the_wrong_sign(self, monkeypatch):
+        # det(X, Y, -[X, Y]) = -1 is still nonzero at every draw, but it is
+        # not the identity det(X, Y, [X, Y]) = 1
+        field_bracket = curv.field_bracket
+
+        def negated(field_a, field_b):
+            nums, den = field_bracket(field_a, field_b)
+            return tuple(-n for n in nums), den
+
+        monkeypatch.setattr(curv, "field_bracket", negated)
+        assert run_check("contact-heis-fields") == (False, None)
 
 
 class TestFlowCommutator:

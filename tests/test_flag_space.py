@@ -24,7 +24,8 @@ from flagdyn.checks import (
 )
 from flagdyn.rational import cross, primitive, rank
 from fraction_count import fractions_built
-from references import flag_derivative, killing_with_value, push_tangent, tangent_ints_loop
+from references import (chart_coords, flag_derivative, killing_with_value, push_tangent,
+                        tangent_ints_loop)
 from strategies import small_fractions
 
 
@@ -121,7 +122,7 @@ class TestAffineChart:
         rng = random.Random(73)
         for _ in range(100):
             px, py, z = coords = tuple(rand_frac(rng) for _ in range(3))
-            assert fs.chart_coords(fs.affine_chart_inverse((px, py), (z, 1))) == coords
+            assert chart_coords(fs.affine_chart_inverse((px, py), (z, 1))) == coords
 
     @given(small_fractions, small_fractions,
            st.one_of(st.integers(-9, 9), small_fractions),
@@ -142,7 +143,7 @@ class TestAffineChart:
         # horizontal direction is outside the slope chart only
         horizontal = fs.affine_chart_inverse((2, 3), (1, 0))
         with pytest.raises(fs.BoundaryError):
-            fs.chart_coords(horizontal)
+            chart_coords(horizontal)
 
 
 class TestRegions:
@@ -237,6 +238,10 @@ class TestCircleBoundary:
         assert (fs.circle_boundary_points(md.AFFINE.base_flag, "beta", md.AFFINE.special_point)
                 == fs.Flag.of((0, 1, 0), (0, 0, 1)))
 
+    def test_unknown_family_refused(self):
+        with pytest.raises(ValueError, match="unknown circle family"):
+            fs.circle_boundary_points(md.AFFINE.base_flag, "gamma", md.AFFINE.special_point)
+
     @pytest.mark.parametrize("model, special", zip(md.MODELS, ((0, 0, 1), (1, 0, 0))),
                              ids=[model.name for model in md.MODELS])
     def test_where_the_boundary_flag_lands(self, model, special):
@@ -260,8 +265,8 @@ def quotient_error(v, x, w, h):
     step = lc.GroupElem([
         [Fraction(int(i == j)) + h * v.entries[i][j] for j in range(3)]
         for i in range(3)])
-    c0 = fs.chart_coords(x)
-    c1 = fs.chart_coords(fs.act(step, x))
+    c0 = chart_coords(x)
+    c1 = chart_coords(fs.act(step, x))
     diff = [(a - b) / h for a, b in zip(c1, c0)]
     return max(abs(float(d - ww)) for d, ww in zip(diff, w))
 

@@ -2,6 +2,7 @@
 linearization."""
 
 import ast
+import math
 import random
 import sys
 from fractions import Fraction
@@ -29,8 +30,10 @@ from flagdyn.checks import (
 )
 from flagdyn.rational import _cleared, primitive
 from fraction_count import fractions_built
-from references import affine_apply, affine_map, flat_structure_oracle, push_tangent
+from references import (affine_apply, affine_map, chart_coords, flat_structure_oracle,
+                        push_tangent)
 from strategies import small_fractions
+from test_rational import sym_poly
 
 heis_elems = st.tuples(small_fractions, small_fractions, small_fractions).map(
     lambda t: md.HeisElem(*_cleared(t)))
@@ -212,11 +215,15 @@ class TestFrames:
 
     def test_frame_is_the_fraction_path(self):
         # the integer frame against primitive of each base field's Fraction
-        # value at the chart coordinates, on interior flags whose chart scale
-        # m2 n0 takes both signs, and off the slope chart
+        # value at the chart coordinates, read off the ring field term by
+        # term, on interior flags whose chart scale m2 n0 takes both signs,
+        # and off the slope chart
+        fields = {model: [md.invariant_field(g, model) for g in model.frame]
+                  for model in md.MODELS}
+
         def fraction_frame(x, model):
-            p = fs.chart_coords(x)
-            return tuple(primitive(md.InvariantField(g, model)(p)) for g in model.frame)
+            p = chart_coords(x)
+            return tuple(primitive(field_value(field, p)) for field in fields[model])
 
         rng = random.Random(41)
         for model in md.MODELS:
@@ -253,11 +260,11 @@ class TestFrames:
 
 
 def _sympy_field(gen, model):
-    """The invariant field of `gen` built in sympy, independently of the jet
-    rules: the transporter h in closed form, V = h gen h^-1, and the chart
+    """The invariant field of `gen` built in sympy, independently of the
+    ring: the transporter h in closed form, V = h gen h^-1, and the chart
     velocity of exp(tV) at the flag of (x, y, z), differentiated in t from
-    the moved point m(t) and line n(t) of the flag.  Returns the chart
-    symbols, the field and its Jacobian."""
+    the moved point m(t) and line n(t) of the flag.  Returns the field and
+    its Jacobian."""
     x, y, z, t = sp.symbols("x y z t")
     if model is md.BLOCK:
         d = x - y * z
@@ -270,11 +277,18 @@ def _sympy_field(gen, model):
     mt, nt = (sp.eye(3) + t * v) * m, n * (sp.eye(3) - t * v)
     chart = sp.Matrix([mt[0] / mt[2], mt[1] / mt[2], -nt[1] / nt[0]])
     field = chart.diff(t).subs(t, 0)
-    return (x, y, z), field, field.jacobian([x, y, z])
+    return field, field.jacobian([x, y, z])
 
 
-def _fractions(column):
-    return tuple(Fraction(str(e)) for e in column)
+def field_value(field, p):
+    """The value of the ring field at the point p, as Fractions: each
+    numerator and the denominator summed term by term."""
+    def value(poly):
+        return sum((c * math.prod(Fraction(v) ** k for v, k in zip(p, e))
+                    for e, c in poly.terms), Fraction(0))
+
+    nums, den = field
+    return tuple(value(n) / value(den) for n in nums)
 
 
 class TestInvariantField:
@@ -285,19 +299,16 @@ class TestInvariantField:
         (md.BLOCK, lc.LieVec.elementary(2, 0)), (md.AFFINE, lc.LieVec.elementary(2, 0))],
         ids=["t-E", "t-F", "t-H", "a-X", "a-Y", "a-Z", "t-E20", "a-E20"])
     def test_derivative_matches_sympy(self, model, gen):
-        field = md.InvariantField(gen, model)
-        syms, value, jac = _sympy_field(gen, model)
-        rng = random.Random(41)
-        done = 0
-        while done < 6:
-            p = tuple(rand_frac(rng) for _ in range(3))
-            w = tuple(rand_frac(rng) for _ in range(3))
-            if model is md.BLOCK and p[0] == p[1] * p[2]:
-                continue  # the line of p passes through the pole (0 : 0 : 1)
-            at = dict(zip(syms, p))
-            assert field(p) == _fractions(value.subs(at))
-            assert field.derivative_along(p, w) == _fractions(jac.subs(at) * sp.Matrix(w))
-            done += 1
+        # the ring field N / q and its partials (DN q - N Dq) / q^2, taken
+        # with the ring's diff, equal sympy's field and Jacobian identically
+        value, jac = _sympy_field(gen, model)
+        nums, den = md.invariant_field(gen, model)
+        q = sym_poly(den)
+        for i, n in enumerate(nums):
+            assert sp.cancel(sym_poly(n) / q - value[i]) == 0
+            for k in range(3):
+                partial = sym_poly(n.diff(k) * den - n * den.diff(k)) / q ** 2
+                assert sp.cancel(partial - jac[i, k]) == 0
 
 
 def test_library_does_not_import_sympy():

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagdyn import curvature as curv
@@ -282,20 +282,80 @@ def test_divided(length, g):
     assert out == tuple(Fraction(n, g) for n in nums)
 
 
+# ---------------------------------------------------------------------------
+# the integer polynomial ring against sympy
+# ---------------------------------------------------------------------------
+
+SYMS = sp.symbols("x y z")
+# up to four terms in x, y and z, each exponent tuple with no trailing zero
+exponents = st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(
+    lambda e: tuple(e[:max([k + 1 for k, n in enumerate(e) if n], default=0)]))
+polys = st.dictionaries(exponents, st.integers(min_value=-9, max_value=9), max_size=4).map(R.Poly)
+
+
+def sym_poly(p):
+    return sp.Add(*[c * sp.Mul(*[s ** k for s, k in zip(SYMS, e)]) for e, c in p.terms])
+
+
+def canonical(p):
+    exps = [e for e, _ in p.terms]
+    return exps == sorted(set(exps)) and all(c and (not e or e[-1]) for e, c in p.terms)
+
+
+@settings(max_examples=25)
+@given(polys, polys, st.integers(min_value=-9, max_value=9))
+def test_ring_operations(p, q, n):
+    # every result canonical, so equal polynomials are equal records
+    a, b = sym_poly(p), sym_poly(q)
+    for result, expected in ((p + q, a + b), (p - q, a - b), (p * q, a * b), (-p, -a),
+                             (p + n, a + n), (n + p, a + n), (n - p, n - a), (p - n, a - n),
+                             (p * n, a * n), (n * p, a * n)):
+        assert canonical(result)
+        assert sp.expand(sym_poly(result) - expected) == 0
+    assert (p + q == q + p) and (p * q == q * p) and (p - p == R.Poly(()))
+
+
+@settings(max_examples=25)
+@given(polys)
+def test_ring_partial_derivative(p):
+    for k, s in enumerate(SYMS):
+        assert canonical(p.diff(k))
+        assert sp.expand(sym_poly(p.diff(k)) - sp.diff(sym_poly(p), s)) == 0
+
+
+@settings(max_examples=25)
+@given(st.lists(polys, min_size=1, max_size=3), st.lists(ints, min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=60))
+def test_ring_evaluation(ps, nums, den):
+    # each value times den^D, D the largest degree among the Polys
+    degree = max([sum(e) for p in ps for e, _ in p.terms], default=0)
+    at = {s: sp.Rational(n, den) for s, n in zip(SYMS, nums)}
+    values = R._values_ints(ps, nums, den)
+    assert all(type(v) is int for v in values)
+    assert values == [sym_poly(p).subs(at) * den ** degree for p in ps]
+
+
+def test_ring_takes_ints_only():
+    x = R.Poly({(1,): 1})
+    for call in (lambda: x + 1.5, lambda: 1.5 - x, lambda: x * Fraction(1, 2),
+                 lambda: R.Poly.of(0.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
 @pytest.mark.parametrize("call", [
     # the tests' AffineMap constructor clears its entries through `_cleared`
     lambda m: affine_map(m, (0, 0, 0)),
     lambda m: affine_map(rows([1, 0, 0, 0, 1, 0, 0, 0, 1]), m[0]),
-    # the field jets clear the Jacobian, or the point and direction, once
-    # (ids kept from the 3x3 Fraction routines these entries replaced)
-    pytest.param(lambda m: curv.PolynomialField(lambda p: (1, 0, 0), lambda p: m)
-                 .derivative_along((0, 0, 0), (1, 0, 0)), id="det3"),
+    # the polynomial ring takes ints only, and a ring field's entries enter
+    # it through Poly.of (ids kept from the 3x3 Fraction routines these
+    # entries replaced)
+    pytest.param(lambda m: curv.field_bracket(((m[0][0], 0, 0), 1), ((0, 1, 0), 1)), id="det3"),
     # the adjugate is taken inside GroupElem, whose constructor guards it
     pytest.param(lc.GroupElem, id="adjugate3"),
     # primitive is the one projective normalization
     pytest.param(lambda m: R.primitive(m[0]), id="primitive"),
-    pytest.param(lambda m: md.InvariantField(md.HEIS_X, md.AFFINE)
-                 .derivative_along(m[0], (1, 0, 0)), id="mat_sub"),
+    pytest.param(lambda m: md.CHART[0] * m[0][0], id="mat_sub"),
     # Flag.of normalizes a point, alpha_circle_flag a line from its pencil
     # coefficients (ids kept from the point and line classes these entries
     # replaced)

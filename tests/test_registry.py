@@ -15,7 +15,8 @@ benchmark pins, the split of `run_checks` over worker processes, which must
 change no outcome, a check that raises, unknown names, the draw helpers,
 which must keep the random streams of `random.Random.randint` and draw
 through one law, the rule that no comparison names a model by a string,
-the rule that no classification table holds a lambda, the rule that
+the rule that no classification table and no module-level value of
+`checks` or `curvature` holds a lambda, the rule that
 matrices reach the integer kernels flat and become rows only in the public
 row views, the rule that `src` holds only what the program runs, the
 methods that perfbench's tracer wraps, the rule that a check enters more
@@ -466,9 +467,11 @@ def test_no_comparison_names_a_model_by_string():
 
 def test_no_classification_table_holds_a_lambda():
     # each table entry is a value: a subgroup is `unipotent` of a generator,
-    # an isotropy parametrization its generators, so the data can be checked
-    tree = ast.parse(Path(cls.__file__).read_text())
-    found = [node.lineno for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+    # an isotropy parametrization its generators, and a vector field of the
+    # checks a ring field, so the data can be checked
+    found = [(module.__name__, node.lineno) for module in (cls, checks, curv)
+             for stmt in ast.parse(Path(module.__file__).read_text()).body
+             if isinstance(stmt, (ast.Assign, ast.AnnAssign))
              for node in ast.walk(stmt) if isinstance(node, ast.Lambda)]
     assert found == []
 

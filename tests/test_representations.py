@@ -34,6 +34,7 @@ from flagdyn import dynamics as dyn
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn import rational as R
 from flagdyn.checks import run_check
 from flagdyn.rational import _Record
 from references import adjugate3_oracle, det3_oracle
@@ -224,7 +225,6 @@ def test_readers_of_integer_entries_stay_exact():
         x = int_interior_flag(rng)
         v = lc.LieVec.of([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
         assert exact(fs.affine_chart(x))
-        assert exact(fs.chart_coords(x))
         assert exact(fs.fundamental_vector(v, x))
         assert exact(fs._tangent_ints(v, x))
         for model in md.MODELS:
@@ -268,6 +268,7 @@ RECORDS = {
     md.HeisElem: {"nums": (1, 2, 3), "den": 5},
     md.Model: {"name": "t", "base_flag": fs.Flag((1, 0, 1), (0, 1, 0)), "special_point": (0, 0, 1),
                "frame": (md.SL2_E, md.SL2_F, md.SL2_H)},
+    R.Poly: {"terms": (((), 5), ((0, 1), -1), ((2,), 3))},
 }
 # a group element takes the rows of any matrix of its class, not its fields
 BUILT_FROM = {lc.GroupElem: ([[2, 4, 0], [0, 2, 0], [0, 0, 2]],)}
@@ -278,12 +279,20 @@ def sample(record_type):
 
 
 def test_every_record_type_is_in_the_table():
-    # a new record type gets the checks below
-    defined = {value for module in (checks, cls, curv, dyn, fs, lc, md)
-               for value in vars(module).values()
+    # a new record type gets the checks below; the private bases are not
+    # record types of their own
+    defined = {value for module in (checks, cls, curv, dyn, fs, lc, md, R)
+               for name, value in vars(module).items()
                if isinstance(value, type) and issubclass(value, _Record)
-               and value.__module__ == module.__name__}
+               and value.__module__ == module.__name__ and not name.startswith("_")}
     assert defined == set(RECORDS)
+
+
+def test_a_record_refuses_the_wrong_fields():
+    # too few fields, too many, and an unknown keyword
+    for args, kwargs in ((0.5,), {}), ((0.5, 0.5, 1), {}), ((0.5,), {"exact": 1, "bound": 1}):
+        with pytest.raises(TypeError, match="takes the fields measured, exact"):
+            dyn.RateEstimate(*args, **kwargs)
 
 
 @pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
@@ -310,6 +319,7 @@ def test_records_are_read_only_values(record_type):
 def test_module_constants_are_read_only():
     # a module-level value is shared by every later reader
     for value in (lc.E_0, md.HEIS_Z, checks._UPPER, md.BLOCK, md.AFFINE, md.AFFINE.base_flag,
+                  *md.CHART,
                   cls.H_T, cls.H_A, cls.H_1, cls.H_2, cls.S_0, cls.SO3, cls.SO12,
                   cls.HEIS_ALGEBRA, md.HEIS_IDENTITY, md.AUTO_IDENTITY, md.AFFINE_IDENTITY,
                   curv.ZERO_CURVATURE, *cls.H_T.basis):
