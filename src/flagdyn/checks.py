@@ -50,7 +50,7 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import Poly, _mat_vec_ints, _mul_ints, _primitive_ints, dot, in_span, rank
+from .rational import Poly, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, dot, in_span, rank
 from .workers import cpus, split
 
 
@@ -672,8 +672,10 @@ def _check_harmonic(rng):
 
 
 # ring fields (see curvature.field_bracket): the left-invariant pair of the
-# nilpotent group, (1, 0, -y/2) and (0, 1, x/2), and commuting coordinate fields
+# nilpotent group, (1, 0, -y/2) and (0, 1, x/2), and commuting coordinate
+# fields; _W is a fourth indeterminate
 _X, _Y, _Z = md.CHART
+_W = Poly({(0, 0, 0, 1): 1})
 _HEIS_XFIELD = ((2, 0, -_Y), 2)
 _HEIS_YFIELD = ((0, 2, _X), 2)
 _CONST_A = ((1, 0, 0), 1)
@@ -691,8 +693,13 @@ def _heis_contact_identities():
        "everywhere; commuting coordinate fields are not", samples=50,
        fixed=_heis_contact_identities)
 def _check_contact_heis(rng):
+    # det(X, Y, [X, Y]) = 1, times the cubed field denominators 2 and 2 and
+    # the evaluation scale
     p = tuple(rand_frac(rng) for _ in range(3))
-    return (curv.contact_test(_HEIS_XFIELD, _HEIS_YFIELD, p)
+    nums, den = _cleared(p)
+    scale = den ** (6 * curv._jet_degree(_HEIS_XFIELD, _HEIS_YFIELD))
+    return (curv._contact_ints(_HEIS_XFIELD, _HEIS_YFIELD, nums, den)
+            == (_HEIS_XFIELD[1] * _HEIS_YFIELD[1]) ** 3 * scale
             and not curv.contact_test(_CONST_A, _CONST_B, p))
 
 
@@ -700,6 +707,15 @@ def _check_contact_heis(rng):
 def _frame_fields(model: md.Model) -> tuple:
     """The ring fields of the model's frame, built when first read."""
     return tuple(md.invariant_field(gen, model) for gen in model.frame)
+
+
+@cache
+def _frame_degrees(model: md.Model) -> tuple:
+    """The `curvature._jet_degree` D of the model's alpha and beta fields, and
+    the degree k of det(H), H = `models._transport_ints` at (x, y, z) / c:
+    there a field's denominator, det(H) gen.den at c = 1, is det(H) gen.den / c^k."""
+    det_h = md._transport_ints(*md.CHART, _W, model)[2]
+    return curv._jet_degree(*_frame_fields(model)[:2]), max(sum(e) for e, _ in det_h.terms)
 
 
 def _frame_identities():
@@ -731,20 +747,30 @@ def _check_contact_frames(rng):
     flags off the chart too: the model's group keeps the frame fields and is
     transitive on the interior, and a diffeomorphism keeps the brackets of
     the fields it carries.  Each draw evaluates the fields at an interior
-    flag's chart point, in ints."""
+    flag's chart point, in ints, and compares the value with its closed
+    form, computed without the ring: -<n, m_sp>^2 / n0^2, for the flag's
+    line n, times the cubed field denominators, read off the transporter,
+    and the evaluation scale."""
     for model in md.MODELS:
         alpha, beta = _frame_fields(model)[:2]
+        degree, k = _frame_degrees(model)
         m, n = fs._slope_chart_ints(rand_interior_flag(rng, model))
         # the chart point (m0 / m2, m1 / m2, -n1 / n0) over c = m2 n0, as in frame_at
-        point = (m[0] * n[0], m[1] * n[0], -n[1] * m[2])
-        if not curv._contact_ints(alpha, beta, point, m[2] * n[0]):
+        point, c = (m[0] * n[0], m[1] * n[0], -n[1] * m[2]), m[2] * n[0]
+        det_h = md._transport_ints(*point, c, model)[2]
+        dens = det_h * det_h * model.frame[0].den * model.frame[1].den
+        pairing = dot(n, model.special_point)
+        # value / c^(6 D) = -(pairing / n0)^2 (dens / c^(2 k))^3, cross-multiplied
+        lhs = curv._contact_ints(alpha, beta, point, c) * n[0] ** 2
+        rhs = -pairing * pairing * dens ** 3
+        if lhs * c ** max(0, 6 * (k - degree)) != rhs * c ** max(0, 6 * (degree - k)):
             return False
     return True
 
 
 # the pair (0, 0, 1) and (z, 1, 0), and the second times f = c + x^2, as ring
 # fields, the constant c of the rescaling a fourth indeterminate
-_F = Poly({(0, 0, 0, 1): 1}) + _X * _X
+_F = _W + _X * _X
 _RESCALE_ALPHA = ((0, 0, 1), 1)
 _RESCALE_BETA = ((_Z, 1, 0), 1)
 _RESCALE_SCALED = ((_F * _Z, _F, 0), 1)
@@ -762,11 +788,16 @@ def _rescaling_identity():
        "the contact verdict is unchanged by nonvanishing rescalings", samples=30,
        fixed=_rescaling_identity)
 def _check_contact_rescaling(rng):
-    # c = |r| + 1 for a drawn r, so that c + x^2 vanishes nowhere
+    # c = |r| + 1 for a drawn r, so that c + x^2 vanishes nowhere; both
+    # values at (x, y, z, c) = nums / den, where f is f_num / den^2
     c = abs(rand_frac(rng)) + 1
-    p = tuple(rand_frac(rng) for _ in range(3))
-    return (curv.contact_test(_RESCALE_ALPHA, _RESCALE_BETA, p)
-            == curv.contact_test(_RESCALE_ALPHA, _RESCALE_SCALED, (*p, c)))
+    nums, den = _cleared([*(rand_frac(rng) for _ in range(3)), c])
+    value = curv._contact_ints(_RESCALE_ALPHA, _RESCALE_BETA, nums, den)
+    scaled = curv._contact_ints(_RESCALE_ALPHA, _RESCALE_SCALED, nums, den)
+    f_num = nums[3] * den + nums[0] * nums[0]
+    degree, scaled_degree = (curv._jet_degree(_RESCALE_ALPHA, b)
+                             for b in (_RESCALE_BETA, _RESCALE_SCALED))
+    return scaled * den ** (6 * degree + 4) == f_num * f_num * value * den ** (6 * scaled_degree)
 
 
 @check("flow-commutator-heis", "curvature",

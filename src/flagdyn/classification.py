@@ -3,8 +3,9 @@
 Every oracle here computes its answer by generic exact linear algebra
 (nullspaces, eliminations, rational evaluation) and compares it against a
 frozen expected value.  Expected values live only on the expected side of
-the report cases, never inside the computing path.  Every system but the
-transverse forms is built from integer numerators.
+the report cases, never inside the computing path.  Every system is built
+from integer numerators and solved in ints; Fractions are only built for
+report values, such as the isotropy eigenvalue table.
 
 The subalgebras of the classification (the model algebras H_T and H_A, the
 translation extensions H_1 and H_2, the block sl(2) S_0, SO3, SO12 and
@@ -186,19 +187,19 @@ _ISOTROPY_CASES = {
 
 def _quotient_matrix(iso_basis, lifts, v: LieVec):
     """Matrix of the induced bracket action of v on the span of the lifts
-    modulo the isotropy, by exact elimination in ints: coordinate j of [v,
-    w] is x[j] full[j].den / (v.den w.den), x solved on the nums."""
-    full = list(iso_basis) + list(lifts)
-    system = list(zip(*[w.nums for w in full]))
+    modulo the isotropy, by exact elimination in ints, as (rows, den): with
+    (x, d) solved on the nums, coordinate i of [v, w] is x[i] lifts[i].den
+    / (d v.den w.den), and den is the lcm of those denominators."""
+    system = list(zip(*[w.nums for w in (*iso_basis, *lifts)]))
     cols = []
     for w in lifts:
-        coords = solve(system, _bracket_ints(v.nums, w.nums))
-        if coords is None:
+        sol = solve(system, _bracket_ints(v.nums, w.nums))
+        if sol is None:
             raise ValueError("bracket left the subalgebra")
-        cols.append([Fraction(x.numerator * u.den, x.denominator * v.den * w.den)
-                     for x, u in zip(coords[len(iso_basis):], lifts)])
-    k = len(lifts)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        x, d = sol
+        cols.append(([e * u.den for e, u in zip(x[len(iso_basis):], lifts)], d * v.den * w.den))
+    den = math.lcm(*(d for _, d in cols))
+    return tuple(zip(*[[e * (den // d) for e in col] for col, d in cols])), den
 
 
 def _tangent_rows(alg: Subalgebra, base: Flag):
@@ -218,15 +219,16 @@ def _isotropy_basis(alg: Subalgebra, base: Flag):
 
 def isotropy_eigenvalue_table(case: str):
     """Matrix of linear forms in the isotropy parameters (a, b): entry (i, j)
-    is a pair (coef_a, coef_b).  Computed by exact elimination, on the
-    generators of a and of b."""
+    is a pair (coef_a, coef_b) of Fractions.  Computed by exact elimination
+    in ints, on the generators of a and of b."""
     if case not in _ISOTROPY_CASES:
         raise ValueError(f"unknown isotropy case {case!r}")
     data = _ISOTROPY_CASES[case]
     iso_basis = [v for v in (data.iso_a, data.iso_b) if not v.is_zero()]
-    qa = _quotient_matrix(iso_basis, data.lifts, data.iso_a)
-    qb = _quotient_matrix(iso_basis, data.lifts, data.iso_b)
-    return tuple(tuple((qa[i][j], qb[i][j]) for j in range(3)) for i in range(3))
+    qa, da = _quotient_matrix(iso_basis, data.lifts, data.iso_a)
+    qb, db = _quotient_matrix(iso_basis, data.lifts, data.iso_b)
+    return tuple(tuple((Fraction(qa[i][j], da), Fraction(qb[i][j], db)) for j in range(3))
+                 for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +274,19 @@ def _transverse_forms(alg: Subalgebra, base: Flag):
     quotient matrix Q the coefficients (of x, of y, constant) of the two
     forms (Q00 - Q22) x + Q01 y + Q02 and Q10 x + (Q11 - Q22) y + Q12, whose
     zeros are the lines (x, y, 1) that Q fixes, as Q preserves the contact
-    plane (Q20 = Q21 = 0, checked)."""
+    plane (Q20 = Q21 = 0, checked).  The forms are ints, all at one scale,
+    the lcm of the quotient denominators, as the stabilizer system reads
+    each generator's forms as a column."""
     iso_basis = _isotropy_basis(alg, base)
     lifts = _adapted_lifts(alg, base, iso_basis)
+    quotients = [_quotient_matrix(iso_basis, lifts, v) for v in iso_basis]
+    scale = math.lcm(*(den for _, den in quotients))
     forms = []
-    for v in iso_basis:
-        q = _quotient_matrix(iso_basis, lifts, v)
+    for q, den in quotients:
         if q[2][0] != 0 or q[2][1] != 0:
             raise ArithmeticError("isotropy action does not preserve the contact plane")
-        forms.append(((q[0][0] - q[2][2], q[0][1], q[0][2]),
-                      (q[1][0], q[1][1] - q[2][2], q[1][2])))
+        (a, b, c), (d, e, f), (_, _, g) = [[n * (scale // den) for n in row] for row in q]
+        forms.append(((a - g, b, c), (d, e - g, f)))
     return iso_basis, lifts, forms
 
 
@@ -306,8 +311,8 @@ def invariant_transverse_line_search(alg: Subalgebra, base: Flag) -> TransverseL
     freedom = nullspace(rows)
     if freedom:
         return TransverseLineResult("family", None, len(freedom))
-    x, y = sol
-    gen = lifts[0].scale(x) + lifts[1].scale(y) + lifts[2]
+    (x, y), d = sol
+    gen = lincomb(((x, y, d), d), lifts)
     return TransverseLineResult("unique", gen, 0)
 
 
@@ -332,10 +337,10 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
         return [lincomb(c, iso_basis) for c in nullspace(rows)]
 
     patterns = {
-        "x=0,y=0": ((Fraction(0), Fraction(0)),),
-        "x=0,y!=0": ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(5))),
-        "x!=0,y=0": ((Fraction(1), Fraction(0)), (Fraction(7), Fraction(0))),
-        "x!=0,y!=0": ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(3))),
+        "x=0,y=0": ((0, 0),),
+        "x=0,y!=0": ((0, 1), (0, 5)),
+        "x!=0,y=0": ((1, 0), (7, 0)),
+        "x!=0,y!=0": ((1, 1), (2, 3)),
     }
     out = {}
     for name, reps in patterns.items():

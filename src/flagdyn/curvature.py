@@ -181,19 +181,27 @@ def contact_test(field_a, field_b, p) -> bool:
     converts exactly), so the verdict is det(A, B, [A, B]) != 0 with no
     tolerance."""
     nums, den = _cleared([Fraction(e) if isinstance(e, float) else e for e in p])
-    return _contact_ints(field_a, field_b, nums, den)
+    return _contact_ints(field_a, field_b, nums, den) != 0
 
 
-def _contact_ints(field_a, field_b, nums, den) -> bool:
-    """`contact_test` at the point nums / den, ints: both jets there, over
-    one denominator, which keeps the zeros of what is tested."""
+@lru_cache(maxsize=64)
+def _jet_degree(field_a, field_b) -> int:
+    """The largest total degree among the jets of two ring fields."""
+    return max([sum(e) for p in _jet(field_a) + _jet(field_b) for e, _ in p.terms], default=0)
+
+
+def _contact_ints(field_a, field_b, nums, den) -> int:
+    """det(A, B, [A, B]) at the point nums / den, in ints: both jets there,
+    over one denominator den^D, D their `_jet_degree`, so the value is
+    det(A, B, [A, B]) times (q r)^3 den^(6 D), for q and r the values of
+    the two field denominators."""
     at = _values_ints(_jet(field_a) + _jet(field_b), nums, den)
     a, b = at[:16], at[16:]
     if a[3] == 0 or b[3] == 0:
         raise DegenerateFrameError("a field is not defined at the test point")
     if not any(cross(a[:3], b[:3])):
         raise DegenerateFrameError("fields are dependent at the test point")
-    return _det_ints([*a[:3], *b[:3], *_bracket_nums(a, b)]) != 0
+    return _det_ints([*a[:3], *b[:3], *_bracket_nums(a, b)])
 
 
 # ---------------------------------------------------------------------------

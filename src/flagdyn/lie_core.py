@@ -5,7 +5,8 @@ All algebraic operations are exact and run in flat row-major Python ints: a
 integer matrix of its class, `nums`, and its adjugate, `adj`, nine ints each,
 so a ratio of two of them is built as a Fraction, never with `/`; one
 integer kernel, `_bracket_ints`, serves `bracket`, `centralizer` and
-`Subalgebra.is_subalgebra`.
+`Subalgebra.is_subalgebra`, and `lincomb` sums the (ints, den) vectors of
+`rational.nullspace` and `rational.solve` in ints.
 
 Floats appear only in the numerical exponential `exp_group` and the float
 matrix helpers under it, read by `curvature.flow_commutator_defect` alone;
@@ -133,12 +134,13 @@ POSITIVE_BASIS = (E_SUP_ALPHA, E_SUP_BETA, E_SUP_0)
 
 
 def lincomb(coefs, vectors) -> LieVec:
-    """sum_i coefs[i] vectors[i]; with BASIS, the element of the traceless
-    space with those coordinates."""
-    out = LieVec.zero()
-    for c, b in zip(coefs, vectors):
-        out = out + b.scale(c)
-    return out
+    """sum_i x[i] vectors[i] / den for the (ints, den) coefs = (x, den) of
+    `nullspace` and `solve`, summed once in ints; with BASIS, the element of
+    the traceless space with those coordinates."""
+    x, den = coefs
+    lcm = math.lcm(*(v.den for v in vectors))
+    terms = [[c * (lcm // v.den) * n for n in v.nums] for c, v in zip(x, vectors) if c]
+    return LieVec(list(map(sum, zip([0] * 9, *terms))), den * lcm)
 
 
 def grade_decompose(v: LieVec) -> dict:

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines (row reduction, nullspaces, 3x3 helpers) used by the
-algebraic oracles.  Everything here is exact: entries are ints or
-Fractions, never floats, and there are no tolerances.  There is one
-elimination, `_echelon`: fraction-free Bareiss elimination in ints on rows
-cleared of their denominators (`_echelon_ints`, which `orbit_rank` calls
-on rows that are ints already).  `rank` counts its pivots; `nullspace`
-and `solve` back-substitute from it in ints and return Fractions.  A float
-entry raises TypeError.  The program's only Fraction rows are the
-rational transverse forms of `classification`.
+algebraic oracles.  Everything here is exact: no floats, no tolerances, and
+no Fraction built.  The one elimination, `_echelon_ints`, is fraction-free
+Bareiss elimination on integer rows; `orbit_rank` calls it on its fresh
+rows.  `rank`, `nullspace` and `solve` copy their rows through
+`operator.index`, so a Fraction or a float entry raises TypeError (a caller
+clears a Fraction row, with its right-hand side, first).  `rank` counts
+the pivots; `nullspace` and `solve` back-substitute in ints and return
+each vector as (ints, den), over one denominator, the last pivot.
 
 The 3x3 routines are one integer layer on flat row-major matrices:
 `_mul_ints`, `_mat_vec_ints`, `_vec_mat_ints`, `_adjugate_ints`, `_det_ints`
@@ -42,7 +42,6 @@ evaluates Polys at an integer point over one denominator.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add, attrgetter, index
 
 
@@ -173,21 +172,15 @@ def primitive(vec) -> tuple:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def _echelon(rows):
-    """Row echelon form of the matrix given by `rows` (ints and Fractions),
-    in ints: (the nonzero echelon rows, their pivot columns).
-
-    Each row is cleared of its denominators once, which rescales it and so
-    keeps the row space; then fraction-free Bareiss elimination (Math.
-    Comp. 22 (1968) 565-578) runs below each pivot.  Every entry below the
-    pivots is a minor of the cleared matrix, so dividing by the previous
-    pivot is exact and the entries stay the size of those minors; the last
-    pivot is the minor of the pivot rows and columns."""
-    return _echelon_ints([_cleared(row)[0] for row in rows])
-
-
 def _echelon_ints(mat):
-    """`_echelon` of the integer rows `mat`, which it reduces in place."""
+    """Row echelon form of the integer rows `mat`, which it reduces in
+    place: (the nonzero echelon rows, their pivot columns).
+
+    Fraction-free Bareiss elimination (Math. Comp. 22 (1968) 565-578) runs
+    below each pivot.  Every entry below the pivots is a minor of `mat`, so
+    dividing by the previous pivot is exact and the entries stay the size
+    of those minors; the last pivot is the minor of the pivot rows and
+    columns."""
     pivots, prev = [], 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -209,44 +202,47 @@ def _echelon_ints(mat):
 
 def _null_vector(echelon, pivots, ncols, free):
     """The vector of the nullspace of the echelon rows, of `ncols` entries,
-    with 1 at the non-pivot column `free` and 0 at every other one.
+    with 1 at the non-pivot column `free` and 0 at every other one, as
+    (ints, d): entry k is ints[k] / d.
 
     Its pivot entries are found from the last row up.  The last pivot d is
     the minor of the pivot rows and columns, so by Cramer's rule d times
     the vector is integral: it is solved for in ints, each division by a
-    pivot exact, and divided by d once at the end."""
+    pivot exact.  d may be negative."""
     d = echelon[-1][pivots[-1]] if pivots else 1
     x = [0] * ncols
     x[free] = d
     for row, c in zip(reversed(echelon), reversed(pivots)):
         x[c] = -sum(a * e for a, e in zip(row[c + 1:], x[c + 1:])) // row[c]
-    return [Fraction(e, d) for e in x]
+    return x, d
 
 
 def rank(rows) -> int:
-    """Rank of the matrix given by `rows` (ints and Fractions)."""
-    return len(_echelon(rows)[1])
+    """Rank of the matrix given by the integer `rows`."""
+    return len(_echelon_ints([list(map(index, row)) for row in rows])[1])
 
 
 def nullspace(rows):
-    """Basis of the right nullspace of the matrix given by `rows`: one
-    vector per non-pivot column, 1 there and 0 at the other non-pivot
-    columns.  A matrix with no rows has no columns."""
+    """Basis of the right nullspace of the matrix given by the integer
+    `rows`: one (ints, den) vector per non-pivot column, 1 there and 0 at
+    the other non-pivot columns.  A matrix with no rows has no columns."""
     ncols = len(rows[0]) if rows else 0
-    echelon, pivots = _echelon(rows)
+    echelon, pivots = _echelon_ints([list(map(index, row)) for row in rows])
     return [_null_vector(echelon, pivots, ncols, c) for c in range(ncols) if c not in pivots]
 
 
 def solve(rows, rhs):
-    """Solve A x = b exactly: the solution that is 0 at every non-pivot
-    column, or None if the system is inconsistent.  (x, 1) spans the
-    nullspace of [A | -b] at its last column, which is a pivot column
-    exactly when there is no solution."""
+    """Solve A x = b exactly for integer A and b: the (ints, den) solution
+    that is 0 at every non-pivot column, or None if the system is
+    inconsistent.  (x, 1) spans the nullspace of [A | -b] at its last
+    column, which is a pivot column exactly when there is no solution."""
     ncols = len(rows[0]) if rows else 0
-    echelon, pivots = _echelon([[*row, -b] for row, b in zip(rows, rhs, strict=True)])
+    echelon, pivots = _echelon_ints([[*map(index, row), -index(b)]
+                                     for row, b in zip(rows, rhs, strict=True)])
     if ncols in pivots:
         return None
-    return _null_vector(echelon, pivots, ncols + 1, ncols)[:ncols]
+    x, d = _null_vector(echelon, pivots, ncols + 1, ncols)
+    return x[:ncols], d
 
 
 def in_span(vectors, v) -> bool:

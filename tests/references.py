@@ -4,9 +4,9 @@ the program is not also a fault in the oracle that gates it: the textbook
 action (which inverts the quotient adjoint with the textbook determinant
 and adjugate, not with `rational`'s integer cores), the normalizer, the
 differential of the action in its loop form and as Fractions, the
-isotropy and lift eliminations on Fraction rows, the flat-structure matrix
-in Fractions, affine-map test handles, and the slope chart's coordinates as
-Fractions.
+isotropy and lift eliminations on Fraction rows (cleared row by row for
+the integer elimination), the flat-structure matrix in Fractions,
+affine-map test handles, and the slope chart's coordinates as Fractions.
 """
 
 from fractions import Fraction
@@ -22,6 +22,22 @@ from flagdyn.rational import _cleared, dot, nullspace, rank, solve
 def values(v):
     """The entries of the LieVec v as Fractions, row by row."""
     return [e for row in v.entries for e in row]
+
+
+def cleared_rows(rows):
+    """Each row cleared of its denominators, which keeps the row space."""
+    return [_cleared(row)[0] for row in rows]
+
+
+def cleared_system(rows, rhs):
+    """A x = b with each row cleared together with its entry of b."""
+    cleared = cleared_rows([*row, b] for row, b in zip(rows, rhs, strict=True))
+    return [row[:-1] for row in cleared], [row[-1] for row in cleared]
+
+
+def fractions(coefs):
+    """The (ints, den) vector of `nullspace` or `solve` as Fractions."""
+    return [Fraction(e, coefs[1]) for e in coefs[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +127,10 @@ def normalizer(s):
     """Exact solution of [v, s] contained in s over the traceless matrices:
     [v, b] lies in s exactly when every annihilator of s kills it.  With no
     equations the system is one zero row, which keeps the eight unknowns."""
-    annihilator = nullspace([b.nums for b in s.basis])
+    annihilator = [a for a, _ in nullspace([b.nums for b in s.basis])]
     cols = [[dot(a, values(lc.bracket(v, b))) for b in s.basis for a in annihilator]
             for v in lc.BASIS]
-    rows = list(zip(*cols)) or [[0] * 8]
+    rows = cleared_rows(zip(*cols)) or [[0] * 8]
     return lc.Subalgebra(tuple(lc.lincomb(c, lc.BASIS) for c in nullspace(rows)))
 
 
@@ -127,7 +143,7 @@ def killing_with_value(w, x):
     tangent w = (dx, dy, dz).  Exists because the action is transitive."""
     cols = [fs.fundamental_vector(b, x) for b in lc.BASIS]
     rows = [[cols[j][i] for j in range(8)] for i in range(3)]
-    sol = solve(rows, list(w))
+    sol = solve(*cleared_system(rows, w))
     if sol is None:
         raise ValueError("no generator with the requested velocity")
     return lc.lincomb(sol, lc.BASIS)
@@ -207,20 +223,20 @@ def affine_apply(f, v):
 def quotient_matrix(iso_basis, lifts, v):
     """`classification._quotient_matrix` solved on the entry values of the
     isotropy basis and the lifts, with the values of [v, w] as the
-    right-hand side."""
+    right-hand side, each row cleared with its right-hand side; the Fraction
+    matrix cleared to (rows, den)."""
     full = [values(w) for w in (*iso_basis, *lifts)]
-    cols = []
-    for w in lifts:
-        coords = solve([[u[i] for u in full] for i in range(9)], values(lc.bracket(v, w)))
-        cols.append(coords[len(iso_basis):])
-    k = len(lifts)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    rows = [[u[i] for u in full] for i in range(9)]
+    cols = [fractions(solve(*cleared_system(rows, values(lc.bracket(v, w)))))[len(iso_basis):]
+            for w in lifts]
+    nums, den = _cleared(*zip(*cols))
+    return tuple(zip(*[iter(nums)] * len(lifts))), den
 
 
 def isotropy_basis(alg, base):
     """`classification._isotropy_basis` on the `flag_derivative` rows."""
     tangents = [flag_derivative(b, base) for b in alg.basis]
-    return [lc.lincomb(c, alg.basis) for c in nullspace(list(zip(*tangents)))]
+    return [lc.lincomb(c, alg.basis) for c in nullspace(cleared_rows(zip(*tangents)))]
 
 
 def adapted_lifts(alg, base, iso_basis):
@@ -228,7 +244,7 @@ def adapted_lifts(alg, base, iso_basis):
     tangents = [flag_derivative(b, base) for b in alg.basis]
 
     def find(part):
-        for c in nullspace([[t[k] for t in tangents] for k in part]):
+        for c in nullspace(cleared_rows([t[k] for t in tangents] for k in part)):
             v = lc.lincomb(c, alg.basis)
             if any(flag_derivative(v, base)):
                 return v
@@ -247,9 +263,10 @@ def isotropy_eigenvalue_table(case):
     """`classification.isotropy_eigenvalue_table` through `quotient_matrix`."""
     data = cls._ISOTROPY_CASES[case]
     iso_basis = [v for v in (data.iso_a, data.iso_b) if not v.is_zero()]
-    qa = quotient_matrix(iso_basis, data.lifts, data.iso_a)
-    qb = quotient_matrix(iso_basis, data.lifts, data.iso_b)
-    return tuple(tuple((qa[i][j], qb[i][j]) for j in range(3)) for i in range(3))
+    (qa, da), (qb, db) = [quotient_matrix(iso_basis, data.lifts, v)
+                          for v in (data.iso_a, data.iso_b)]
+    return tuple(tuple((Fraction(qa[i][j], da), Fraction(qb[i][j], db)) for j in range(3))
+                 for i in range(3))
 
 
 def chart_coords(x):

@@ -245,7 +245,7 @@ class TestLaurentPoly:
     def test_fit_roundtrip(self):
         # any five of the times fix a Laurent polynomial of degrees -2..2
         for five in itertools.combinations(cls.SYMBOLIC_TIMES, 5):
-            assert rank([[t ** k for k in range(-2, 3)] for t in five]) == 5
+            assert rank(references.cleared_rows([t ** k for k in range(-2, 3)] for t in five)) == 5
         # a table is read term by term: against Horner's rule on t^2 p(t)
         assert cls._laurent_at({-1: -2, 1: 3}, Fraction(1, 2)) == Fraction(-5, 2)
         rng = random.Random(67)
@@ -320,12 +320,37 @@ class TestIntegerRows:
         assert stabilizers == _outcome(cls.transverse_stabilizer_cases, alg, base)
 
 
+def _lifts(alg, base):
+    return cls._adapted_lifts(alg, base, cls._isotropy_basis(alg, base))
+
+
+class TestRefusals:
+    # the consistency refusals that no table input reaches, each reached by
+    # an input built for it: a bracket off the span, an algebra with no
+    # beta-lift, and BLOCK's two circle lifts, which have no transverse lift
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cls._quotient_matrix([], (lc.E_ALPHA,), lc.E_BETA), "bracket left the subalgebra"),
+        (lambda: _lifts(cls.H_T, md.AFFINE.base_flag), "no beta-lift"),
+        (lambda: _lifts(lc.Subalgebra.of(_lifts(cls.H_T, md.BLOCK.base_flag)[:2]),
+                        md.BLOCK.base_flag), "no transverse lift")], ids=["span", "beta", "open"])
+    def test_inconsistent_data_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_lifts_that_are_not_adapted_leave_the_contact_plane(self, monkeypatch):
+        # h-1's lifts with the beta and the transverse lift exchanged
+        alpha, beta, transverse = _lifts(cls.H_1, cls.X1_FLAG)
+        monkeypatch.setattr(cls, "_adapted_lifts", lambda *args: (alpha, transverse, beta))
+        with pytest.raises(ArithmeticError, match="contact plane"):
+            cls._transverse_forms(cls.H_1, cls.X1_FLAG)
+
+
 def test_classification_suite_builds_few_fractions(monkeypatch):
     # the linear systems are built from integer numerators; the count
     # repeats exactly, so a return to Fraction rows fails here
     outcomes, built = fractions_built(monkeypatch, "classification")
     assert all(passed for passed, _ in outcomes)
-    assert built < 2_900
+    assert built <= 1_992
 
 
 class TestFlatnessPredicate:

@@ -384,6 +384,15 @@ class TestLyapunov:
         assert captured.err.startswith(f"error: {cause}")
 
 
+@pytest.mark.parametrize("argv, code", [(["verify", "--suite", "lie-core", "--samples", "1"], 0),
+                                        (["verify", "--no-such-flag"], 2)], ids=["pass", "usage"])
+def test_the_package_runs_as_a_module(argv, code):
+    # `python -m flagdyn` exits with the code of `cli.main`
+    proc = subprocess.run([sys.executable, "-m", "flagdyn", *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+
+
 def test_start_up_imports_no_code_generation_machinery():
     # the records are slotted classes, so the CLI's set-up loads neither
     # dataclasses nor what it pulls in, and the fork helper loads tempfile

@@ -1,5 +1,6 @@
 """Curvature component action, harmonic subspace, contact and commutator checks."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from flagdyn import checks
 from flagdyn import curvature as curv
 from flagdyn import lie_core as lc
 from flagdyn import models as md
+from flagdyn import rational as R
 from flagdyn.checks import (
     rand_curvature,
     rand_frac,
@@ -159,6 +161,20 @@ class TestContact:
         monkeypatch.setattr(md, "_field_ints", mutant)
         monkeypatch.setattr(checks, "_frame_fields", checks._frame_fields.__wrapped__)
         assert run_check("contact-model-frames") == (False, None)
+
+    def test_contact_checks_fail_on_a_wrong_evaluation_scale(self, monkeypatch):
+        # _values_ints with each term of degree j scaled by den^(D - j + 1),
+        # the constants by 1: the identities never evaluate, so only the
+        # draws' values see it
+        source = inspect.getsource(R._values_ints)
+        mutated = source.replace("scale[sum(e)]", "scale[sum(e) - 1]")
+        assert mutated != source
+        namespace = {}
+        exec(mutated, namespace)
+        monkeypatch.setattr(curv, "_values_ints", namespace["_values_ints"])
+        for check_id in ("contact-model-frames", "contact-heis-fields",
+                         "contact-rescaling-invariance"):
+            assert run_check(check_id) == (False, None), check_id
 
     def test_heis_check_fails_on_a_bracket_of_the_wrong_sign(self, monkeypatch):
         # det(X, Y, -[X, Y]) = -1 is still nonzero at every draw, but it is

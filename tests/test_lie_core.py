@@ -18,7 +18,7 @@ from flagdyn.checks import check_rng, rand_frac, rand_group, rand_lievec, rand_t
 from flagdyn.rational import solve
 from children import child_env
 from fraction_count import fractions_built
-from references import normalizer, values
+from references import cleared_system, normalizer, values
 from strategies import small_fractions
 
 
@@ -76,7 +76,7 @@ class TestTracelessCoords:
     def test_equals_elimination_against_the_basis(self, m):
         v = m - lc.LieVec.diag(0, 0, trace(m))
         rows = list(zip(*(values(b) for b in lc.BASIS)))
-        assert lc.lincomb(solve(rows, values(v)), lc.BASIS) == v
+        assert lc.lincomb(solve(*cleared_system(rows, values(v))), lc.BASIS) == v
 
 
 class TestGrading:
@@ -323,4 +323,4 @@ def test_lie_core_suite_builds_few_fractions(monkeypatch):
     # a return to per-entry Fractions fails here
     outcomes, built = fractions_built(monkeypatch, "lie-core")
     assert all(passed for passed, _ in outcomes)
-    assert built < 30
+    assert built <= 16

@@ -9,9 +9,11 @@ routines only tests call.
 The integer cores take ints and give ints.  Inputs to the routines that
 take ints and Fractions are drawn as all ints, all Fractions, a mix of the
 two, or Fractions with denominator 1; they must agree in value whatever the
-input kinds.  The cores trust their input, so the public constructors of
-the exact kernel, and each path that clears its input, are the guard
-against floats: each raises TypeError on one.
+input kinds; the elimination takes each row cleared (with its right-hand
+side), sympy the rows as drawn.  The cores trust their input, so the public
+constructors of the exact kernel, each path that clears its input, and the
+elimination are the guard against floats: each raises TypeError on one,
+and the elimination on a Fraction too.
 """
 
 import math
@@ -27,7 +29,8 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn import rational as R
-from references import adjugate3_oracle, affine_map, det3_oracle, mat_vec_oracle
+from references import (adjugate3_oracle, affine_map, cleared_rows, cleared_system, det3_oracle,
+                        fractions, mat_vec_oracle)
 
 ints = st.integers(min_value=-99, max_value=99)
 fracs = st.builds(Fraction, ints, st.integers(min_value=1, max_value=60))
@@ -196,16 +199,19 @@ def spans(draw):
 
 @given(spans())
 def test_in_span(case):
+    # clearing a vector of its denominators keeps every span
     vs, ws, v = case
-    assert R.in_span(vs, v) == in_span_oracle(vs, v)
-    assert R.in_span(ws, v) == in_span_oracle(ws, v)
+    (v_ints,) = cleared_rows([v])
+    assert R.in_span(cleared_rows(vs), v_ints) == in_span_oracle(vs, v)
+    assert R.in_span(cleared_rows(ws), v_ints) == in_span_oracle(ws, v)
 
 
 @given(spans())
 def test_span_equal(case):
     vs, ws, v = case
-    assert R.span_equal(vs, ws) == span_equal_oracle(vs, ws)
-    assert R.span_equal(vs, [*vs, v]) == span_equal_oracle(vs, [*vs, v])
+    vs_ints, ws_ints, (v_ints,) = cleared_rows(vs), cleared_rows(ws), cleared_rows([v])
+    assert R.span_equal(vs_ints, ws_ints) == span_equal_oracle(vs, ws)
+    assert R.span_equal(vs_ints, [*vs_ints, v_ints]) == span_equal_oracle(vs, [*vs, v])
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +242,19 @@ def matrices(draw):
 
 @given(matrices())
 def test_rank(rows):
-    assert R.rank(rows) == (sym(rows).rank() if rows else 0)
+    # clearing a row of its denominators keeps the rank and the nullspace
+    assert R.rank(cleared_rows(rows)) == (sym(rows).rank() if rows else 0)
 
 
 @given(matrices())
 def test_nullspace(rows):
     # sympy's basis is the canonical one too: each vector is 1 at its free
     # column and 0 at the other free columns
-    basis = R.nullspace(rows)
-    assert all(type(e) is Fraction for v in basis for e in v)
-    assert [sym([v]) for v in basis] == ([v.T for v in sym(rows).nullspace()] if rows else [])
+    basis = R.nullspace(cleared_rows(rows))
+    assert all(type(e) is int for x, den in basis for e in (*x, den))
+    assert len({den for _, den in basis}) <= 1
+    assert ([sym([fractions(v)]) for v in basis]
+            == ([v.T for v in sym(rows).nullspace()] if rows else []))
 
 
 @given(matrices(), st.booleans(), st.data())
@@ -258,17 +267,17 @@ def test_solve(rows, consistent, data):
         rhs = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
     else:
         rhs = data.draw(st.lists(st.one_of(ints, fracs), min_size=len(rows), max_size=len(rows)))
-    sol = R.solve(rows, rhs)
+    sol = R.solve(*cleared_system(rows, rhs))
     if not rows:
-        assert sol == []
+        assert sol == ([], 1)
         return
     try:
         oracle, params = sym(rows).gauss_jordan_solve(sym([rhs]).T)
     except ValueError:
         assert sol is None
         return
-    assert all(type(e) is Fraction for e in sol)
-    assert sym([sol]) == oracle.subs({p: 0 for p in params}).T
+    assert all(type(e) is int for e in (*sol[0], sol[1]))
+    assert sym([fractions(sol)]) == oracle.subs({p: 0 for p in params}).T
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 9, 12])
@@ -363,10 +372,15 @@ def test_ring_takes_ints_only():
     pytest.param(lambda m: fs.alpha_circle_flag(fs.BASE_FLAG, m[0][0], 1), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
-    # rank, nullspace and solve clear their rows once
+    # rank, nullspace and solve take ints only: a float or a Fraction entry
+    # would be floor-divided into a wrong rank
     pytest.param(R.rank, id="rank"),
     pytest.param(R.nullspace, id="nullspace"),
     pytest.param(lambda m: R.solve(m, [0, 0, 0]), id="solve"),
+    pytest.param(lambda m: R.rank([[Fraction(1, 2)]]), id="rank-fraction"),
+    pytest.param(lambda m: R.nullspace([[Fraction(1, 2)]]), id="nullspace-fraction"),
+    pytest.param(lambda m: R.solve([[Fraction(1, 2)]], [0]), id="solve-fraction"),
+    pytest.param(lambda m: R.solve([[1]], [Fraction(1, 2)]), id="solve-fraction-rhs"),
     # the chart inverse clears its point and direction once
     pytest.param(lambda m: fs.affine_chart_inverse(m[0][:2], (1, 0)),
                  id="affine_chart_inverse"),
