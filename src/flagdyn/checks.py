@@ -41,8 +41,8 @@ import math
 import random
 import zlib
 from fractions import Fraction
-from functools import cache, partial
-from itertools import combinations
+from functools import cache, partial, reduce
+from itertools import chain, combinations
 
 from . import classification as cls
 from . import curvature as curv
@@ -50,7 +50,8 @@ from . import dynamics as dyn
 from . import flag_space as fs
 from . import lie_core as lc
 from . import models as md
-from .rational import Poly, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints, dot, in_span, rank
+from .rational import (Poly, _adjugate_ints, _cleared, _mat_vec_ints, _mul_ints, _primitive_ints,
+                       dot, in_span, rank)
 from .workers import cpus, split
 
 
@@ -673,9 +674,10 @@ def _check_harmonic(rng):
 
 # ring fields (see curvature.field_bracket): the left-invariant pair of the
 # nilpotent group, (1, 0, -y/2) and (0, 1, x/2), and commuting coordinate
-# fields; _W is a fourth indeterminate
+# fields; _W is a fourth indeterminate, and _T the t of a polynomial in t
 _X, _Y, _Z = md.CHART
 _W = Poly({(0, 0, 0, 1): 1})
+_T = Poly({(1,): 1})
 _HEIS_XFIELD = ((2, 0, -_Y), 2)
 _HEIS_YFIELD = ((0, 2, _X), 2)
 _CONST_A = ((1, 0, 0), 1)
@@ -809,9 +811,11 @@ def _check_flow_comm_heis(rng):
     # each of X, Y and [X, Y] squares to zero, so exp(sA) = I + sA exactly
     if any(not (a @ a).is_zero() for a in (x, y, z)):
         return False
-    one = lc.LieVec.diag(1, 1, 1)
-    return all((one - x.scale(t)) @ (one - y.scale(t)) @ (one + x.scale(t)) @ (one + y.scale(t))
-               == one + z.scale(t * t) for t in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)))
+    # the rectangle times (x.den y.den)^2 against I + t^2 [X, Y] times z.den
+    lhs = reduce(_mul_ints, [cls._unipotent_ints(a, s, 1)
+                             for a, s in ((x, -_T), (y, -_T), (x, _T), (y, _T))])
+    rhs = cls._unipotent_ints(z, _T * _T, 1)
+    return all(u * z.den == v * (x.den * y.den) ** 2 for u, v in zip(lhs, rhs))
 
 
 @check("flow-commutator-slope", "curvature",
@@ -1027,7 +1031,7 @@ def _check_theta_affine(rng):
 
 @check("central-flow-identity", "models",
        "alpha-beta rectangle equals x + t^2 e1 exactly, both sign variants", samples=1000,
-       fixed=lambda: md.commutator_identity_check((0, 0, 0), 1, 1) == (True, True))
+       fixed=lambda: md.commutator_identity_check(md.CHART, _W, 1) == (True, True))
 def _check_central_flow(rng):
     # the point and the time from four rand_frac draws
     x, y, z, t = _rand_ints(rng, 4)
@@ -1152,17 +1156,28 @@ def _check_stabilizer_cases(rng):
                     for case, line in lines.items()))
 
 
+def _tends_to(table, e) -> bool:
+    """Whether the strictly lower class of the table's coefficients, at the
+    lowest degree where that class is nonzero, is a nonzero multiple of e:
+    as t -> 0 the projected line tends to that class."""
+    for k in sorted({k for entry in chain.from_iterable(table) for k in entry}):
+        v = lc._strictly_lower_class(lc.LieVec.of([[c.get(k, 0) for c in row] for row in table]))
+        if any(v):
+            return in_span([e], _cleared(v)[0])
+    return False
+
+
 def _degeneration_data():
     """Each case's data against their definitions: the pivot carries the
     boundary flag to the base flag, `along` is the model's alpha or beta
     generator, the circle through the boundary flag is the model orbit of
-    the base flag, circle(t) x = along(1/t) y, and every printed entry lies
-    in degrees -2..2, where the seven SYMBOLIC_TIMES decide it.  Each limit
-    vector is nonzero: the exact bound |v x e|^2 <= 9 t^2 |v|^2 holds for
-    every v when e is zero."""
-    return all(any(e) for e in cls._LIMIT_VECTORS.values()) and all(
+    the base flag, circle(t) x = along(1/t) y, and the table `_tends_to`
+    its limit vector, so that the exact bound |v x e|^2 <= 9 t^2 |v|^2
+    tests the limit of the printed matrices (a zero e meets it for every
+    v)."""
+    return all(
         fs.act(d.pivot, d.boundary_flag) == fs.BASE_FLAG and d.along in d.model.frame[:2]
-        and all(-2 <= k <= 2 for row in d.expected for entry in row for k in entry)
+        and _tends_to(d.expected, cls._LIMIT_VECTORS[d.limit])
         and all(fs.act(cls.unipotent(d.circle, t), d.boundary_flag)
                 == fs.act(cls.unipotent(d.along, 1 / t), d.model.base_flag)
                 for t in (Fraction(1), Fraction(1, 2), Fraction(-2)))
@@ -1182,10 +1197,21 @@ def _check_degeneration(rng):
 
 
 @check("degeneration-symbolic", "classification",
-       "matrices equal their printed Laurent tables exactly at the seven SYMBOLIC_TIMES")
+       "matrices equal their printed Laurent tables as identities in t")
 def _check_degeneration_tables(rng):
-    return all(cls.degeneration_limit(case, t).matches
-               for case in cls.DEGENERATION_CASES for t in cls.SYMBOLIC_TIMES)
+    """M = pivot (I - tC)(tI + A) is t C.den A.den times G = pivot circle(-t)
+    along(1/t), so G X G^{-1} = M X.nums adj(M) / (X.den det M); times t^2,
+    a printed entry of degrees >= -2 (a lower one fails) is a polynomial."""
+    for d in cls.DEGENERATION_CASES.values():
+        m = _mul_ints(d.pivot.nums, _mul_ints(cls._unipotent_ints(d.circle, -_T, 1),
+                                              cls._unipotent_ints(d.along, 1, _T)))
+        x = d.model.frame[2]
+        prod, det = lc._conjugate_ints(m, _adjugate_ints(m), x.nums)
+        for p, entry in zip(prod, chain.from_iterable(d.expected)):
+            table = Poly({(k + 2,) if k > -2 else (): c for k, c in entry.items()})
+            if any(k < -2 for k in entry) or p * _T * _T != det * x.den * table:
+                return False
+    return True
 
 
 @check("flatness-predicate", "classification",

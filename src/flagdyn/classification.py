@@ -357,14 +357,18 @@ def transverse_stabilizer_cases(alg: Subalgebra, base: Flag):
 # degeneration matrices along the circles
 # ---------------------------------------------------------------------------
 
+def _unipotent_ints(x: LieVec, p, q):
+    """q x.den I + p x.nums, flat: I + (p / q) x times q x.den, for p and q
+    ints or `rational.Poly`s, so that a Poly t gives I + t x on the ring."""
+    return [p * n + q * x.den * (k in (0, 4, 8)) for k, n in enumerate(x.nums)]
+
+
 def unipotent(x: LieVec, t) -> GroupElem:
     """I + t x, the one-parameter subgroup exp(t x) of a generator x with
-    x x = 0; any other x raises ArithmeticError.  Under that premise Ad(I +
-    t x) = exp(t ad x) is quadratic in t (see SYMBOLIC_TIMES)."""
+    x x = 0; any other x raises ArithmeticError, and a float t TypeError."""
     if not (x @ x).is_zero():
         raise ArithmeticError("a unipotent generator must square to zero")
-    y = x.scale(t)
-    return GroupElem._of_ints([n + y.den * (k in (0, 4, 8)) for k, n in enumerate(y.nums)])
+    return GroupElem._of_ints(_unipotent_ints(x.scale(t), 1, 1))
 
 
 class DegenerationCase(_Record):
@@ -374,7 +378,7 @@ class DegenerationCase(_Record):
         "pivot",          # GroupElem carrying the boundary flag to the base flag
         "circle",         # generator C of the circle(t) = I + tC through the boundary flag
         "along",          # model.frame[0] or [1], the model subgroup I + sA
-        "expected",       # 3x3 of Laurent polynomials {degree: coefficient}
+        "expected",       # 3x3 of Laurent polynomials {degree: int coefficient}
         "limit",          # "alpha" or "beta"
     )
 
@@ -449,17 +453,6 @@ class DegenerationResult(_Record):
 
 # parameter values at which the degeneration oracle is evaluated
 DEGENERATION_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
-
-# parameter values at which the matrices must equal their tables, entry by
-# entry.  Every generator squares to zero (`unipotent` refuses any other),
-# and for X X = 0, Ad(I + sX)u = u + s[X, u] + (s^2/2)[X, [X, u]]: so the
-# conjugation by circle(-t) and along(1/t) puts each transported entry in
-# degrees -2..2, like each printed entry (`degeneration-matrices` checks
-# those).  Their difference is t^-2 times a polynomial of degree at most 4,
-# so five distinct times decide it, and the other two check the fit.
-SYMBOLIC_TIMES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3),
-                  Fraction(5), Fraction(1, 5))
-
 
 _LIMIT_VECTORS = {"alpha": (1, 0, 0), "beta": (0, 1, 0)}
 

@@ -212,15 +212,17 @@ class GroupElem(_Record):
         return n[3] == 0 and n[6] == 0 and n[7] == 0
 
 
-def conjugate(g: GroupElem, v: LieVec) -> LieVec:
-    """g v g^{-1}, exact.  Scale invariant in the representative of g, so it
-    is well defined on projective classes.
+def _conjugate_ints(n, a, v):
+    """(G v A, det G) for the flat 3x3 G = n, its adjugate A = a and v:
+    G v G^{-1} = G v A / det G.  It runs on `rational.Poly` entries too."""
+    return _mul_ints(_mul_ints(n, v), a), n[0] * a[0] + n[1] * a[3] + n[2] * a[6]
 
-    With G the integer entries of g and A their adjugate, g v g^{-1} is
-    G nums A / (den det(G)): two integer products and one gcd."""
-    n, a = g.nums, g.adj
-    det = n[0] * a[0] + n[1] * a[3] + n[2] * a[6]
-    prod = _mul_ints(_mul_ints(n, v.nums), a)
+
+def conjugate(g: GroupElem, v: LieVec) -> LieVec:
+    """g v g^{-1}, exact: `_conjugate_ints` of g's nums and adj, over v.den.
+    Scale invariant in the representative of g, so it is well defined on
+    projective classes."""
+    prod, det = _conjugate_ints(g.nums, g.adj, v.nums)
     return LieVec(prod, v.den * det)
 
 

@@ -1,7 +1,6 @@
 """Classification oracles: subalgebra tables, isotropy actions, invariant
 lines, degenerations, and the flatness predicate."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
 from flagdyn import models as md
 from flagdyn.checks import rand_frac
-from flagdyn.rational import in_span, primitive, rank
+from flagdyn.rational import in_span, primitive
 from fraction_count import fractions_built
 import references
 
@@ -188,6 +187,15 @@ class TestDegeneration:
         with pytest.raises(ZeroDivisionError):
             cls.degeneration_limit("t1", 0)
 
+    def test_swapped_limit_vectors_fail_the_data_check(self, monkeypatch):
+        # the tables tend to beta for t1 and a1 and to alpha for t2 and a2;
+        # the samples fail too, but only at t = 1/10 and 1/100, with a residual
+        vectors = cls._LIMIT_VECTORS
+        monkeypatch.setattr(cls, "_LIMIT_VECTORS", {"alpha": vectors["beta"],
+                                                    "beta": vectors["alpha"]})
+        assert not checks._degeneration_data()
+        assert checks.run_check("degeneration-matrices") == (False, None)
+
     @pytest.mark.parametrize("limit", ["alpha", "beta"])
     def test_zero_limit_vector_fails_the_data_check(self, monkeypatch, limit):
         # |v x 0|^2 = 0 meets the bound 3|t| at every t, so only the data
@@ -233,19 +241,23 @@ def plant(monkeypatch, case, table=cls.DEGENERATION_CASES, **fields):
     monkeypatch.setitem(table, case, changed)
 
 
-def _vanishing_at(times):
-    """t^-2 times the product of (t - r) over the times, as {degree: coefficient}."""
-    poly = {-2: Fraction(1)}
+def _vanishing_at(times, low=-2):
+    """t^low times the product of (q t - p) over the times p / q, {degree: int}."""
+    poly = {low: 1}
     for r in times:
-        poly = {k: poly.get(k - 1, 0) - r * poly.get(k, 0) for k in range(-2, len(poly) - 1)}
+        p, q = r.numerator, r.denominator
+        poly = {k: q * poly.get(k - 1, 0) - p * poly.get(k, 0)
+                for k in range(low, low + len(poly) + 1)}
     return poly
+
+
+# the four DEGENERATION_TIMES and five more: no evaluation there sees a bump
+_NINE_TIMES = (*cls.DEGENERATION_TIMES, Fraction(1, 3), Fraction(2), Fraction(3), Fraction(5),
+               Fraction(1, 5))
 
 
 class TestLaurentPoly:
     def test_fit_roundtrip(self):
-        # any five of the times fix a Laurent polynomial of degrees -2..2
-        for five in itertools.combinations(cls.SYMBOLIC_TIMES, 5):
-            assert rank(references.cleared_rows([t ** k for k in range(-2, 3)] for t in five)) == 5
         # a table is read term by term: against Horner's rule on t^2 p(t)
         assert cls._laurent_at({-1: -2, 1: 3}, Fraction(1, 2)) == Fraction(-5, 2)
         rng = random.Random(67)
@@ -257,29 +269,19 @@ class TestLaurentPoly:
                 horner = horner * t + poly[k]
             assert cls._laurent_at(poly, t) == horner / t ** 2
 
-    def test_fit_rejects_out_of_window_data(self, monkeypatch):
-        # t1's entry (0, 0) plus a term of degrees -2..3 that vanishes at the
-        # first five times: a check that read only those would pass it
-        times = cls.SYMBOLIC_TIMES
-        bump = _vanishing_at(times[:5])
-        assert [cls._laurent_at(bump, t) == 0 for t in times] == [True] * 5 + [False] * 2
-        data = cls.DEGENERATION_CASES["t1"]
-        entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
-        expected = ((entry, *data.expected[0][1:]), *data.expected[1:])
-        plant(monkeypatch, "t1", expected=expected)
-        assert checks.run_check("degeneration-symbolic") == (False, None)
-
-    def test_printed_entries_stay_in_the_window(self, monkeypatch):
-        # a term of degrees -2..7 that vanishes at all nine times of the two
-        # checks: only the degree clause of degeneration-matrices sees it
-        times = set(cls.SYMBOLIC_TIMES) | set(cls.DEGENERATION_TIMES)
-        bump = _vanishing_at(sorted(times))
+    @pytest.mark.parametrize("bump", [
+        _vanishing_at(cls.DEGENERATION_TIMES), _vanishing_at(_NINE_TIMES),
+        _vanishing_at(_NINE_TIMES, low=-3)], ids=["inside", "beyond", "below"])
+    def test_a_bump_zero_at_the_samples_fails_the_identity(self, monkeypatch, bump):
+        # t1's entry (0, 0) plus a bump of degrees -2..2, -2..7 or -3..6 (which
+        # the identity refuses), zero at each of the DEGENERATION_TIMES
+        assert all(cls._laurent_at(bump, t) == 0 for t in cls.DEGENERATION_TIMES)
         data = cls.DEGENERATION_CASES["t1"]
         entry = {k: data.expected[0][0].get(k, 0) + c for k, c in bump.items()}
         plant(monkeypatch, "t1", expected=((entry, *data.expected[0][1:]), *data.expected[1:]))
         assert checks._check_degeneration(None) is True
-        assert checks.run_check("degeneration-symbolic") == (True, None)
-        assert checks.run_check("degeneration-matrices") == (False, None)
+        assert checks.run_check("degeneration-symbolic") == (False, None)
+        assert checks.run_check("degeneration-matrices") == (True, None)
 
 
 def _outcome(call, *args):
@@ -350,7 +352,7 @@ def test_classification_suite_builds_few_fractions(monkeypatch):
     # repeats exactly, so a return to Fraction rows fails here
     outcomes, built = fractions_built(monkeypatch, "classification")
     assert all(passed for passed, _ in outcomes)
-    assert built <= 1_992
+    assert built <= 960
 
 
 class TestFlatnessPredicate:

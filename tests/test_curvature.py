@@ -68,7 +68,7 @@ class TestCurvatureAction:
         # exactly, so a return to per-entry Fractions fails here
         outcomes, built = fractions_built(monkeypatch, "curvature")
         assert all(passed for passed, _ in outcomes)
-        assert built < 350
+        assert built <= 333
 
     def test_exponent_check_reads_the_scales(self, monkeypatch):
         # alpha_scale with d3^2 for d3^3 fails the exponent check

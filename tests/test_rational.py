@@ -24,6 +24,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flagdyn import classification as cls
 from flagdyn import curvature as curv
 from flagdyn import flag_space as fs
 from flagdyn import lie_core as lc
@@ -372,6 +373,8 @@ def test_ring_takes_ints_only():
     pytest.param(lambda m: fs.alpha_circle_flag(fs.BASE_FLAG, m[0][0], 1), id="ProjLine.of"),
     pytest.param(lc.LieVec.of, id="LieVec.of"),
     pytest.param(lambda m: lc.LieVec.zero().scale(m[0][0]), id="LieVec.scale"),
+    # a subgroup I + t x takes its time through LieVec.scale
+    pytest.param(lambda m: cls.unipotent(md.HEIS_Z, m[0][0]), id="unipotent"),
     # rank, nullspace and solve take ints only: a float or a Fraction entry
     # would be floor-divided into a wrong rank
     pytest.param(R.rank, id="rank"),
